@@ -1,13 +1,18 @@
 /* Beam kernels for the constrained-decoding mask engine.
  *
- * Two tiny hot loops, called via ctypes from
+ * Three tiny hot loops, called via ctypes from
  * repro.apps.structgen.beam with every table flattened ahead of time:
  *
- *   beam_advance  — walk each lane's token class string through the
- *                   class-indexed step table (the per-decode-step
- *                   batched transition);
- *   beam_gather   — copy each lane's packed CI validity row out of
- *                   the row matrix (the batched mask lookup).
+ *   beam_advance       — walk each lane's token class string through
+ *                        the class-indexed step table (the
+ *                        per-decode-step batched transition);
+ *   beam_gather        — copy each lane's packed validity row out of
+ *                        the table's row matrix (the batched mask
+ *                        lookup; rows are state-complete, the Python
+ *                        side completes a state before its first
+ *                        gather);
+ *   beam_encode_masks  — delta-encode the gathered rows against the
+ *                        rows last sent, as MASKS lane records.
  *
  * Plain C with no CPython API: the shared object is built by
  * repro.core._native_build.jit_shared_library under the same cache
@@ -117,4 +122,74 @@ long beam_step(const beam_plan *plan, const int32_t *toks,
     }
     beam_gather(plan->rows, plan->row_bytes, next, n_lanes, out);
     return -1;
+}
+
+/* The MASKS frame's lane records (repro.server.protocol) for n_lanes
+ * freshly gathered rows: per lane a big-endian u32 state and a kind
+ * byte, then either the full row (kind 0) or a u16 entry count and
+ * 3-byte (u16 byte index, u8 XOR value) entries against the row last
+ * sent for that lane index (kind 1).  A lane is a delta iff it existed
+ * in the previous frame (lane < n_prev) and 3*count + 2 < row_bytes —
+ * byte for byte what encode_masks produces over xor_patch.  Callers
+ * guarantee row_bytes <= 65535 (the frame's u16 fields).
+ *
+ * out must hold n_lanes * (5 + row_bytes) bytes.  Returns the bytes
+ * written and stores the number of delta lanes in *n_delta. */
+int64_t beam_encode_masks(const uint8_t *rows, const uint8_t *last,
+                          int32_t n_prev, const int32_t *states,
+                          int32_t n_lanes, int64_t row_bytes,
+                          uint8_t *out, int32_t *n_delta)
+{
+    int64_t max_count = row_bytes >= 3 ? (row_bytes - 3) / 3 : -1;
+    uint8_t *p = out;
+    int32_t lane, deltas = 0;
+    for (lane = 0; lane < n_lanes; lane++) {
+        const uint8_t *row = rows + (int64_t)lane * row_bytes;
+        uint32_t state = (uint32_t)states[lane];
+        int64_t count = max_count + 1;
+        p[0] = (uint8_t)(state >> 24);
+        p[1] = (uint8_t)(state >> 16);
+        p[2] = (uint8_t)(state >> 8);
+        p[3] = (uint8_t)state;
+        if (lane < n_prev) {
+            const uint8_t *old = last + (int64_t)lane * row_bytes;
+            uint8_t *entry = p + 7;
+            int64_t i = 0;
+            count = 0;
+            while (i < row_bytes && count <= max_count) {
+                if (i + 8 <= row_bytes) {
+                    uint64_t a, b;
+                    memcpy(&a, row + i, 8);
+                    memcpy(&b, old + i, 8);
+                    if (a == b) {
+                        i += 8;
+                        continue;
+                    }
+                }
+                if (row[i] != old[i]) {
+                    if (count < max_count) {
+                        entry[0] = (uint8_t)(i >> 8);
+                        entry[1] = (uint8_t)i;
+                        entry[2] = row[i] ^ old[i];
+                        entry += 3;
+                    }
+                    count++;
+                }
+                i++;
+            }
+        }
+        if (count <= max_count) {
+            p[4] = 1;
+            p[5] = (uint8_t)(count >> 8);
+            p[6] = (uint8_t)count;
+            p += 7 + 3 * count;
+            deltas++;
+        } else {
+            p[4] = 0;
+            memcpy(p + 5, row, (size_t)row_bytes);
+            p += 5 + row_bytes;
+        }
+    }
+    *n_delta = deltas;
+    return p - out;
 }

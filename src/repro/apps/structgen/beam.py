@@ -18,20 +18,27 @@ vectorized calls:
   the rejected tail).
 
 Three compute paths produce bit-identical results (the differential
-suite in ``tests/apps/test_beam.py`` enforces it): a ctypes kernel
+suites in ``tests/apps/test_beam.py`` and
+``tests/apps/test_beam_complete.py`` enforce it): a ctypes kernel
 JIT-built from ``_beamscan.c`` via the ``_nativescan`` build
 machinery, a NumPy gather over the packed row matrix and step table,
 and a tight pure-Python loop (``REPRO_DISABLE_NUMPY=1`` /
-``REPRO_DISABLE_NATIVE=1`` safe).  The pure-Python path additionally
-serves warm states through the table's precomputed sparse XOR deltas
-(:meth:`~repro.apps.structgen.masks.MaskTable.build_deltas`): full
-rows only for cold states, 3-byte patches otherwise.
+``REPRO_DISABLE_NATIVE=1`` safe).  All three read the table's one
+row matrix (:attr:`~repro.apps.structgen.masks.MaskTable.matrix`):
+CI eager, CD completed once per state — a gather first makes sure its
+lanes' states are complete (a flag check per lane, and only on tables
+that have CD tokens), then copies rows; no path looks at a token.
+
+:func:`encode_lane_records` turns gathered rows into the MASKS wire
+frame's lane records, delta-encoded against the rows last sent — in
+the kernel when it is loaded, over :func:`xor_patch` otherwise.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import re
 import struct
 from array import array
 
@@ -48,6 +55,7 @@ __all__ = [
     "BeamMaskSession",
     "apply_xor_patch",
     "beam_capability",
+    "encode_lane_records",
     "xor_patch",
 ]
 
@@ -56,15 +64,7 @@ _SOURCE = os.path.join(
 )
 
 #: Bumped when the ``_beamscan.c`` calling contract changes.
-_KERNEL_ABI = "1"
-
-#: How many delta patches the pure-Python path will chase up the
-#: delta tree before declaring the state cold.
-_DELTA_CHAIN_CAP = 32
-
-#: Cap on the per-session cache of resolved CI rows (pure-Python
-#: path); cleared wholesale when full.
-_CI_CACHE_CAP = 4096
+_KERNEL_ABI = "2"
 
 _kernel = None
 _kernel_attempted = False
@@ -82,7 +82,7 @@ class _CPlan(ctypes.Structure):
         ("codes", ctypes.c_char_p),
         ("offs", ctypes.c_char_p),
         ("lens", ctypes.c_char_p),
-        ("rows", ctypes.c_char_p),
+        ("rows", ctypes.c_void_p),
         ("row_bytes", ctypes.c_int64),
         ("n_classes", ctypes.c_int32),
         ("n_vocab", ctypes.c_int32),
@@ -105,8 +105,6 @@ def _load_kernel():
     path = _native_build.jit_shared_library(_SOURCE, _KERNEL_ABI)
     if path is None:
         return None
-    import ctypes
-
     try:
         lib = ctypes.CDLL(path)
     except OSError:
@@ -127,7 +125,7 @@ def _load_kernel():
     ]
     lib.beam_gather.restype = None
     lib.beam_gather.argtypes = [
-        c.c_char_p,  # rows
+        c.c_void_p,  # rows (the table's mutable matrix)
         c.c_int64,  # row_bytes
         c.POINTER(c.c_int32),  # states
         c.c_int32,  # n_lanes
@@ -142,20 +140,47 @@ def _load_kernel():
         c.c_int32,  # n_lanes
         c.POINTER(c.c_ubyte),  # out rows
     ]
+    lib.beam_encode_masks.restype = c.c_int64
+    lib.beam_encode_masks.argtypes = [
+        c.c_char_p,  # rows (lane-major, n_lanes * row_bytes)
+        c.c_char_p,  # rows last sent (n_prev * row_bytes)
+        c.c_int32,  # n_prev
+        c.POINTER(c.c_int32),  # states
+        c.c_int32,  # n_lanes
+        c.c_int64,  # row_bytes
+        c.c_char_p,  # out records
+        c.POINTER(c.c_int32),  # out: delta lane count
+    ]
     _kernel = lib
     return lib
 
 
-def xor_patch(prev: bytes, new: bytes) -> bytes:
-    """Sparse XOR diff between two equal-length rows, as the delta
-    tables' 3-byte entries (u16 BE byte index, u8 XOR value).  The
-    MASKS wire frames ship this instead of the full row whenever it is
-    strictly smaller."""
+_NONZERO = re.compile(rb"[^\x00]")
+
+
+def _xor_rows(prev: bytes, new: bytes) -> bytes:
+    """Bytewise XOR of two equal-length rows, as one big-int op."""
+    return (
+        int.from_bytes(prev, "big") ^ int.from_bytes(new, "big")
+    ).to_bytes(len(new), "big")
+
+
+def _patch_entries(diff: bytes) -> bytes:
     return b"".join(
-        i.to_bytes(2, "big") + bytes((a ^ b,))
-        for i, (a, b) in enumerate(zip(prev, new))
-        if a != b
+        [
+            m.start().to_bytes(2, "big") + m.group()
+            for m in _NONZERO.finditer(diff)
+        ]
     )
+
+
+def xor_patch(prev: bytes, new: bytes) -> bytes:
+    """Sparse XOR diff between two equal-length rows of at most 65 536
+    bytes, as 3-byte entries (u16 BE byte index, u8 XOR value).  The
+    MASKS wire frames ship this instead of the full row whenever it is
+    strictly smaller.  The portable implementation: one big-int XOR,
+    then a scan for the non-zero bytes."""
+    return _patch_entries(_xor_rows(prev, new))
 
 
 def apply_xor_patch(prev: bytes, patch: bytes) -> bytes:
@@ -164,6 +189,66 @@ def apply_xor_patch(prev: bytes, patch: bytes) -> bytes:
     for i in range(0, len(patch), 3):
         row[patch[i] << 8 | patch[i + 1]] ^= patch[i + 2]
     return bytes(row)
+
+
+_LANE_HEAD = struct.Struct("!IB")
+
+
+def encode_lane_records(
+    states, packed: bytes, prev: bytes, row_bytes: int
+) -> tuple[bytes, int]:
+    """The MASKS frame's lane records for ``packed`` (one gathered row
+    per entry of ``states``, lane-major) and how many of them are
+    deltas.  A lane is sent as an XOR patch against the row last sent
+    for the same lane index (``prev``, packed the same way; shorter
+    when the beam grew) iff that lane existed and the patch plus its
+    u16 count is strictly smaller than the row — otherwise as the full
+    row, which is also the resync escape.  Byte-identical to
+    ``protocol.encode_masks`` over :func:`xor_patch`, kernel or not.
+    ``row_bytes`` must fit the frame's u16 (the server refuses wider
+    tables at OPEN_BEAM)."""
+    w = len(states)
+    if len(packed) != w * row_bytes or not 0 < row_bytes <= 0xFFFF:
+        raise MaskError(
+            f"{len(packed)} packed bytes for {w} lanes of "
+            f"{row_bytes}-byte rows"
+        )
+    n_prev = min(len(prev) // row_bytes, w)
+    lib = _load_kernel()
+    if lib is not None:
+        out = ctypes.create_string_buffer(
+            w * (_LANE_HEAD.size + row_bytes)
+        )
+        deltas = ctypes.c_int32()
+        size = lib.beam_encode_masks(
+            packed,
+            prev,
+            n_prev,
+            (ctypes.c_int32 * w)(*states),
+            w,
+            row_bytes,
+            out,
+            deltas,
+        )
+        return ctypes.string_at(out, size), deltas.value
+    parts = []
+    deltas = 0
+    for lane, state in enumerate(states):
+        row = packed[lane * row_bytes : (lane + 1) * row_bytes]
+        if lane < n_prev:
+            diff = _xor_rows(
+                prev[lane * row_bytes : (lane + 1) * row_bytes], row
+            )
+            count = row_bytes - diff.count(0)
+            if 3 * count + 2 < row_bytes:
+                parts.append(_LANE_HEAD.pack(state, 1))
+                parts.append(count.to_bytes(2, "big"))
+                parts.append(_patch_entries(diff))
+                deltas += 1
+                continue
+        parts.append(_LANE_HEAD.pack(state, 0))
+        parts.append(row)
+    return b"".join(parts), deltas
 
 
 def beam_capability() -> dict:
@@ -193,9 +278,10 @@ class _VectorTables:
     def __init__(self, table: MaskTable) -> None:
         lowering = table.lowering
         n = lowering.n_states
-        self.rows = _np.frombuffer(table.rows, dtype=_np.uint8).reshape(
-            n, table.row_bytes
-        )
+        # A view, not a copy: rows completed later show through.
+        self.rows = _np.frombuffer(
+            table.matrix, dtype=_np.uint8
+        ).reshape(n, table.row_bytes)
         self.step = _np.array(lowering.step, dtype=_np.int32)
         self.err = _np.array(lowering.err_state, dtype=bool)
         self.doomed = _np.array(lowering.doomed, dtype=bool)
@@ -271,7 +357,11 @@ class _NativeTables:
         self.codes = b"".join(table.codes)
         self.offs = offs.tobytes()
         self.lens = lens.tobytes()
-        self.rows = table.rows
+        # The kernel reads the table's matrix in place, so rows
+        # completed after this plan was built are the rows it gathers.
+        self.rows = (ctypes.c_ubyte * len(table.matrix)).from_buffer(
+            table.matrix
+        )
         self.row_bytes = table.row_bytes
         plan = _CPlan()
         plan.step = self.step
@@ -280,7 +370,7 @@ class _NativeTables:
         plan.codes = self.codes
         plan.offs = self.offs
         plan.lens = self.lens
-        plan.rows = self.rows
+        plan.rows = ctypes.addressof(self.rows)
         plan.row_bytes = self.row_bytes
         plan.n_classes = self.n_classes
         plan.n_vocab = len(table.codes)
@@ -323,7 +413,6 @@ class BeamMaskSession:
         "_nt",
         "_nbuf",
         "_nsync",
-        "_ci_cache",
         "_metrics",
     )
 
@@ -362,7 +451,6 @@ class BeamMaskSession:
         self._nt = _prepared(table, "native") if path == "native" else None
         self._nbuf = None
         self._nsync = False
-        self._ci_cache: dict[int, bytes] = {0: bytes(table.ci_row(0))}
         self._metrics = metrics
         self.counters = {
             "masks_served": 0,
@@ -371,8 +459,6 @@ class BeamMaskSession:
             "advances": 0,
             "forks": 0,
             "rollbacks": 0,
-            "delta_hits": 0,
-            "delta_cold": 0,
         }
 
     # ------------------------------------------------------------------
@@ -393,9 +479,12 @@ class BeamMaskSession:
     # ------------------------------------------------------------------
     def masks(self) -> list[bytes]:
         """Every lane's packed validity row, one batched call."""
-        rows = self._gather_rows()
-        self._count_masks()
-        return rows
+        packed = self.masks_packed()
+        rb = self.table.row_bytes
+        return [
+            packed[i * rb : (i + 1) * rb]
+            for i in range(len(self._states))
+        ]
 
     def masks_packed(self) -> bytes:
         """All lanes' rows as one lane-major buffer (the wire shape)."""
@@ -420,129 +509,35 @@ class BeamMaskSession:
                 len(table.cd_ids) * w
             )
 
-    def _gather_rows(self) -> list[bytes]:
-        path = self.path
-        if path == "numpy":
-            mat = self._gather_numpy()
-            return [mat[i].tobytes() for i in range(len(self._states))]
-        if path == "native":
-            packed = self._gather_native()
-            rb = self.table.row_bytes
-            return [
-                bytes(packed[i * rb : (i + 1) * rb])
-                for i in range(len(self._states))
-            ]
-        return self._gather_python()
-
     def _gather_packed(self) -> bytes:
+        table = self.table
+        if table.cd_ids:
+            table.complete_rows(self._states)
+        return self._gather_raw()
+
+    def _gather_raw(self) -> bytes:
+        """Copy every lane's row out of the matrix; the lanes' states
+        are already complete."""
+        states = self._states
         path = self.path
         if path == "numpy":
-            return self._gather_numpy().tobytes()
+            idx = _np.fromiter(states, dtype=_np.intp, count=len(states))
+            return self._vt.rows[idx].tobytes()
         if path == "native":
-            return bytes(self._gather_native())
-        return b"".join(self._gather_python())
-
-    def _gather_numpy(self):
-        vt = self._vt
-        states = self._states
-        idx = _np.fromiter(states, dtype=_np.intp, count=len(states))
-        mat = vt.rows[idx]
-        table = self.table
-        if table.cd_ids:
-            lanes_by_state: dict[int, list[int]] = {}
-            for lane, s in enumerate(states):
-                lanes_by_state.setdefault(s, []).append(lane)
-            for s, lanes in lanes_by_state.items():
-                extra = bytearray(table.row_bytes)
-                table.cd_bits(s, extra)
-                patch = _np.frombuffer(bytes(extra), dtype=_np.uint8)
-                mat[lanes] |= patch
-        return mat
-
-    def _gather_native(self) -> bytearray:
-        import ctypes
-
-        nt = self._nt
-        states = self._states
-        w = len(states)
-        rb = nt.row_bytes
-        out = bytearray(w * rb)
-        arr = (ctypes.c_int32 * w)(*states)
-        nt.lib.beam_gather(
-            nt.rows,
-            rb,
-            arr,
-            w,
-            (ctypes.c_ubyte * len(out)).from_buffer(out),
-        )
-        table = self.table
-        if table.cd_ids:
-            for lane, s in enumerate(states):
-                row = bytearray(out[lane * rb : (lane + 1) * rb])
-                table.cd_bits(s, row)
-                out[lane * rb : (lane + 1) * rb] = row
-        return out
-
-    def _gather_python(self) -> list[bytes]:
-        table = self.table
-        out = []
-        if table.cd_ids:
-            for s in self._states:
-                row = bytearray(self._ci_python(s))
-                table.cd_bits(s, row)
-                out.append(bytes(row))
-        else:
-            for s in self._states:
-                out.append(self._ci_python(s))
-        return out
-
-    def _ci_python(self, s: int) -> bytes:
-        """The CI row for ``s`` via the session row cache: a sparse
-        delta chain from a cached ancestor when the table carries
-        deltas (warm), a full row copy otherwise (cold)."""
-        cache = self._ci_cache
-        row = cache.get(s)
-        if row is not None:
-            return row
-        table = self.table
-        db = table.delta_base
-        base_row = None
-        chain: list[int] = []
-        if db is not None:
-            cur = s
-            while len(chain) < _DELTA_CHAIN_CAP:
-                base = db[cur]
-                if base < 0:
-                    break
-                chain.append(cur)
-                hit = cache.get(base)
-                if hit is not None:
-                    base_row = hit
-                    break
-                cur = base
-            else:
-                base_row = None
-        if base_row is not None:
-            patched = bytearray(base_row)
-            patches = table.delta_patches
-            for st in reversed(chain):
-                patch = patches[st]
-                for i in range(0, len(patch), 3):
-                    patched[patch[i] << 8 | patch[i + 1]] ^= patch[i + 2]
-            row = bytes(patched)
-            self.counters["delta_hits"] += 1
-            if self._metrics is not None:
-                self._metrics.counter("structgen.delta_hits").inc()
-        else:
-            row = bytes(table.ci_row(s))
-            self.counters["delta_cold"] += 1
-            if self._metrics is not None:
-                self._metrics.counter("structgen.delta_cold").inc()
-        if len(cache) >= _CI_CACHE_CAP:
-            cache.clear()
-            cache[0] = bytes(table.ci_row(0))
-        cache[s] = row
-        return row
+            nt = self._nt
+            w = len(states)
+            out = bytearray(w * nt.row_bytes)
+            nt.lib.beam_gather(
+                nt.rows,
+                nt.row_bytes,
+                (ctypes.c_int32 * w)(*states),
+                w,
+                (ctypes.c_ubyte * len(out)).from_buffer(out),
+            )
+            return bytes(out)
+        rb = self.table.row_bytes
+        matrix = memoryview(self.table.matrix)
+        return b"".join([matrix[s * rb : (s + 1) * rb] for s in states])
 
     # ------------------------------------------------------------------
     # advance / fork / rollback
@@ -610,6 +605,9 @@ class BeamMaskSession:
             self._metrics.counter("structgen.advances").inc(len(new))
         if packed is None:
             packed = self._gather_packed()
+        elif self.table.cd_ids and self.table.complete_rows(new):
+            # The kernel gathered a row before its first completion.
+            packed = self._gather_raw()
         self._count_masks()
         return tuple(new), packed
 
@@ -640,18 +638,7 @@ class BeamMaskSession:
         # the next step without a resync copy.
         self._nbuf = (w, nxt, prev, outb, outv, lanes)
         self._nsync = True
-        new = lanes.unpack(nxt)
-        out = bytes(outb)
-        table = self.table
-        if table.cd_ids:
-            rb = nt.row_bytes
-            patched = bytearray(out)
-            for lane, s in enumerate(new):
-                row = bytearray(patched[lane * rb : (lane + 1) * rb])
-                table.cd_bits(s, row)
-                patched[lane * rb : (lane + 1) * rb] = row
-            out = bytes(patched)
-        return new, out
+        return lanes.unpack(nxt), bytes(outb)
 
     def _fail(self, lane: int, toks) -> None:
         tok = toks[lane]
@@ -719,8 +706,6 @@ class BeamMaskSession:
         return cur.tolist()
 
     def _advance_native(self, toks) -> list[int]:
-        import ctypes
-
         nt = self._nt
         w = len(toks)
         scratch = (ctypes.c_int32 * w)(*self._states)

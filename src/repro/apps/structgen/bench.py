@@ -256,5 +256,4 @@ def run_beam_bench(
         "wire_delta_ratio": (
             delta_bytes / full_bytes if full_bytes else 0.0
         ),
-        "deltas": table.delta_stats(),
     }

@@ -11,10 +11,13 @@ three things a serving stack needs:
   packed row ahead of time, over the byte-equivalence-class closure,
   with shared-prefix trie walking so the precompute is
   ``states × trie-nodes``, not ``states × tokens × bytes``.  Tokens
-  past a length cap or a precompute budget stay *context-dependent*
-  and are re-checked (memoized) against the live state at query time.
-  ``mask()`` is therefore one row copy plus a handful of CD checks —
-  which is where the ≥10× over naive per-token simulation comes from.
+  past a length cap or a precompute budget stay *context-dependent*:
+  CI eager, CD completed once per state.  The table owns one mutable
+  row matrix seeded with the CI rows; the first query of a state ORs
+  that state's CD bits in (the same trie walk, over the CD class
+  strings, from that one start state) and flags the row complete, so
+  every later query — ``mask()``, every beam gather, the C kernel —
+  is one row copy with no per-token work.
 
 * **MaskSession.** The per-decode API: ``mask()`` returns the packed
   validity row for the current state (bit *i*, LSB-first per byte, is
@@ -62,22 +65,14 @@ __all__ = [
 #: discipline as ``ARTIFACT_ABI``).
 MASK_ABI = 1
 
-#: Format revision within ABI 1.  Rev 2 appends an optional delta-table
-#: section *after* the vocabulary: rev-1 readers stop at the last token
-#: and never see it, and rev-1 blobs simply load without deltas (the
-#: registry heal path re-publishes them deltified).
-MASK_FORMAT_REV = 2
+#: Format revision this build writes.  Rev 2 appended a delta-table
+#: section *after* the vocabulary; state-complete rows left it without
+#: a reader (EXPERIMENTS.md), so blobs are rev 1 again.  The loader
+#: stops at the last token either way: rev-2 blobs load unchanged and
+#: their tail is ignored.
+MASK_FORMAT_REV = 1
 
 _MAGIC = b"RMSK"
-
-#: A state's row is stored as a sparse XOR patch against an adjacent
-#: state's row when they differ in at most ``row_bytes // 8`` bytes
-#: (but never fewer than this floor) — past that a full row copy is
-#: cheaper than chasing patch entries.
-DELTA_MIN_PATCH_CAP = 4
-
-#: Default budget for the delta section payload, in bytes.
-DEFAULT_DELTA_BUDGET = 1 << 20
 
 #: Default per-token byte-class-length cap for the precomputed set:
 #: longer tokens are context-dependent regardless of budget.
@@ -106,16 +101,23 @@ def mask_key(content: str, vocab_hash: str) -> str:
 
 
 class MaskTable:
-    """Packed per-state validity rows + the CD remainder for one
-    (grammar content, vocabulary) pair.  Stateless and shared: any
-    number of :class:`MaskSession`\\ s (and server flows) query one
-    table concurrently."""
+    """Packed per-state validity rows for one (grammar content,
+    vocabulary) pair, shared by any number of :class:`MaskSession`\\ s
+    and server flows.
+
+    :attr:`rows` are the precomputed CI rows (what the blob stores);
+    :attr:`matrix` is what queries read — the same rows with each
+    state's CD bits ORed in on that state's first query.  A row is a
+    pure function of its state, so completion is idempotent: two
+    sessions racing on one state write the same bits, and the
+    complete flag is set only after them."""
 
     __slots__ = (
         "lowering",
         "vocab",
         "codes",
         "rows",
+        "matrix",
         "row_bytes",
         "cd_ids",
         "ci_count",
@@ -123,10 +125,12 @@ class MaskTable:
         "grammar_name",
         "wiring",
         "build_ms",
+        "rev",
+        "memo_hits",
+        "memo_misses",
+        "_complete",
+        "_cd_trie",
         "_adv_memo",
-        "delta_base",
-        "delta_patches",
-        "_delta_stats",
         "_beam_cache",
     )
 
@@ -152,14 +156,24 @@ class MaskTable:
         self.grammar_name = grammar_name
         self.wiring = wiring or []
         self.build_ms = build_ms
+        #: RMSK format revision this table was loaded from.
+        self.rev = MASK_FORMAT_REV
+        # Seeded with the CI rows; complete as built iff no token is CD.
+        self.matrix = bytearray(self.rows)
+        self._complete = bytearray([not self.cd_ids]) * lowering.n_states
+        # The CD class strings' trie, walked once per state.  Built
+        # here rather than on state 0's first query so it is part of
+        # the table a long-lived process sets up (and may gc.freeze),
+        # not garbage-collector traffic in the middle of serving.
+        groups: dict[bytes, list[int]] = {}
+        for tok in self.cd_ids:
+            groups.setdefault(self.codes[tok], []).append(tok)
+        self._cd_trie = lowering.build_trie(groups)[0]
+        #: Rows served already complete / completed on demand (the
+        #: ``structgen.memo_*`` counters on ``/stats`` and ``/metrics``).
+        self.memo_hits = 0
+        self.memo_misses = 0
         self._adv_memo: dict = {}
-        # Delta tables (rev 2): per-state base state (-1 = cold, serve
-        # the full row) and 3-byte sparse XOR patch entries against the
-        # base's *CI* row.  ``None`` means "no delta section" — an
-        # old-format blob; :meth:`build_deltas` fills them in.
-        self.delta_base: list[int] | None = None
-        self.delta_patches: list[bytes] | None = None
-        self._delta_stats: dict | None = None
         self._beam_cache = None  # lazily-built vectorized tables
 
     # ------------------------------------------------------------------
@@ -177,7 +191,7 @@ class MaskTable:
 
     def describe(self) -> dict:
         """JSON-safe summary (``/stats``, ``registry inspect``)."""
-        out = {
+        return {
             "key": self.key[:16],
             "grammar": self.grammar_name,
             "vocab_hash": self.vocab_hash[:16],
@@ -186,136 +200,37 @@ class MaskTable:
             "ci": self.ci_count,
             "cd": len(self.cd_ids),
             "row_bytes": self.row_bytes,
-            "rev": MASK_FORMAT_REV if self.has_deltas else 1,
-            "deltas": self.delta_stats() if self.has_deltas else None,
+            "rev": self.rev,
         }
-        return out
 
     # ------------------------------------------------------------------
-    # incremental mask deltas (rev 2)
-    # ------------------------------------------------------------------
-    @property
-    def has_deltas(self) -> bool:
-        return self.delta_base is not None
+    def complete_rows(self, states) -> int:
+        """Make every state in ``states`` state-complete in
+        :attr:`matrix`; returns how many were not yet.  Callers skip
+        this when :attr:`cd_ids` is empty (nothing to complete,
+        nothing counted)."""
+        complete = self._complete
+        misses = 0
+        for s in states:
+            if not complete[s]:
+                self.lowering.row_from_trie(
+                    self._cd_trie, s, self.matrix, s * self.row_bytes
+                )
+                complete[s] = 1  # after the bits, never before
+                misses += 1
+        self.memo_hits += len(states) - misses
+        self.memo_misses += misses
+        return misses
 
-    def build_deltas(
-        self, *, budget: int = DEFAULT_DELTA_BUDGET
-    ) -> None:
-        """Precompute sparse XOR row diffs between adjacent states.
-
-        "Adjacent" means connected in the class-indexed step graph —
-        exactly the state pairs consecutive decode steps traverse, so a
-        warm consumer usually holds the base row already.  BFS from
-        state 0 assigns each reachable state its discovery parent as
-        delta base; the patch (3-byte entries: u16 byte index, u8 XOR)
-        is kept only while it is sparse (≤ ``row_bytes // 8`` entries)
-        and the section stays under ``budget`` bytes.  Everything else
-        is *cold* and serves the full row.
-        """
-        n = self.n_states
-        rb = self.row_bytes
-        rows = self.rows
-        step = self.lowering.step
-        err = self.lowering.err_state
-        base = [-1] * n
-        patches = [b""] * n
-        cap = max(DELTA_MIN_PATCH_CAP, rb // 8)
-        spent = 0
-        seen = [False] * n
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                if err[s]:
-                    continue
-                s_row = rows[s * rb : (s + 1) * rb]
-                for t in set(step[s]):
-                    if seen[t]:
-                        continue
-                    seen[t] = True
-                    nxt.append(t)
-                    t_row = rows[t * rb : (t + 1) * rb]
-                    diff = [
-                        (i, a ^ b)
-                        for i, (a, b) in enumerate(zip(s_row, t_row))
-                        if a != b
-                    ]
-                    size = 6 + 3 * len(diff)
-                    if len(diff) > cap or spent + size > budget:
-                        continue
-                    base[t] = s
-                    patches[t] = b"".join(
-                        i.to_bytes(2, "big") + bytes((x,))
-                        for i, x in diff
-                    )
-                    spent += size
-            frontier = nxt
-        self.delta_base = base
-        self.delta_patches = patches
-        self._delta_stats = None
-
-    def delta_stats(self) -> dict:
-        """Delta-table telemetry: how many rows are stored as patches
-        and how sparse the patches are (``/stats``, ``inspect``)."""
-        if self._delta_stats is None:
-            if not self.has_deltas:
-                return {
-                    "rows_deltified": 0,
-                    "mean_popcount": 0.0,
-                    "payload_bytes": 0,
-                }
-            count = 0
-            bits = 0
-            payload = 0
-            for b, patch in zip(self.delta_base, self.delta_patches):
-                if b < 0:
-                    continue
-                count += 1
-                payload += 6 + len(patch)
-                for i in range(2, len(patch), 3):
-                    bits += patch[i].bit_count()
-            self._delta_stats = {
-                "rows_deltified": count,
-                "mean_popcount": bits / count if count else 0.0,
-                "payload_bytes": payload,
-            }
-        return self._delta_stats
-
-    def ci_row(self, state: int) -> bytearray:
-        """The precomputed CI row only — no CD checks.  The base the
-        delta patches apply against."""
-        base = state * self.row_bytes
-        return bytearray(self.rows[base : base + self.row_bytes])
-
-    def patched_ci_row(
-        self, state: int, base_row: bytes
-    ) -> bytearray:
-        """Rebuild ``state``'s CI row from its delta base's row.  The
-        caller guarantees ``base_row`` is ``delta_base[state]``'s CI
-        row; the patch XORs the few differing bytes in place."""
-        row = bytearray(base_row)
-        patch = self.delta_patches[state]
-        for i in range(0, len(patch), 3):
-            row[patch[i] << 8 | patch[i + 1]] ^= patch[i + 2]
-        return row
-
-    def cd_bits(self, state: int, row: bytearray) -> None:
-        """OR the context-dependent tokens' live validity into ``row``."""
+    def mask_row(self, state: int) -> bytes:
+        """The packed validity row for ``state``: one copy out of the
+        matrix, completed first if this is the state's first query."""
         if self.cd_ids:
-            codes = self.codes
-            valid = self.lowering.valid_memo
-            for tok in self.cd_ids:
-                if valid(state, codes[tok]):
-                    row[tok >> 3] |= 1 << (tok & 7)
-
-    # ------------------------------------------------------------------
-    def mask_row(self, state: int) -> bytearray:
-        """The packed validity row for ``state``: the precomputed CI
-        bits copied, the CD tokens re-checked (memoized) live."""
-        row = self.ci_row(state)
-        self.cd_bits(state, row)
-        return row
+            self.complete_rows((state,))
+        base = state * self.row_bytes
+        return bytes(
+            memoryview(self.matrix)[base : base + self.row_bytes]
+        )
 
     def naive_row(self, state: int) -> bytearray:
         """The simulate-every-token baseline: no precomputed rows, no
@@ -387,23 +302,12 @@ class MaskTable:
             "cd": len(self.cd_ids),
             "built": time.time(),
         }
-        if self.has_deltas:
-            # The delta section trails the vocabulary, so rev-1
-            # readers (which stop after the last token) load this blob
-            # unchanged; the header flag is what rev-2 readers key on.
-            header["rev"] = MASK_FORMAT_REV
-            header["deltas"] = self.delta_stats()
         head = json.dumps(header, sort_keys=True).encode("utf-8")
         parts = [_MAGIC, len(head).to_bytes(4, "big"), head, self.rows]
         parts.extend(t.to_bytes(4, "big") for t in self.cd_ids)
         for token in self.vocab.tokens:
             parts.append(len(token).to_bytes(4, "big"))
             parts.append(token)
-        if self.has_deltas:
-            for base, patch in zip(self.delta_base, self.delta_patches):
-                parts.append((base & 0xFFFFFFFF).to_bytes(4, "big"))
-                parts.append((len(patch) // 3).to_bytes(2, "big"))
-                parts.append(patch)
         return b"".join(parts)
 
 
@@ -431,7 +335,6 @@ def build_mask_table(
     *,
     ci_max_len: int = DEFAULT_CI_MAX_LEN,
     ci_budget: int = DEFAULT_CI_BUDGET,
-    delta_budget: int = DEFAULT_DELTA_BUDGET,
 ) -> MaskTable:
     """Lower ``grammar`` and precompute the CI rows for ``vocab``.
 
@@ -439,9 +342,8 @@ def build_mask_table(
     string are one walk — the token-space-compression observation);
     groups are admitted into the precomputed trie shortest-first until
     ``ci_max_len`` / ``ci_budget`` push the remainder into the
-    context-dependent set.  Sparse row deltas between adjacent states
-    are precomputed under ``delta_budget`` bytes (0 disables them —
-    the rev-1 blob shape).
+    context-dependent set, whose bits are completed per state on
+    first query (:meth:`MaskTable.complete_rows`).
     """
     start = time.perf_counter()
     options = options or TaggerOptions()
@@ -486,6 +388,7 @@ def build_mask_table(
         node[1].extend(ids)
 
     rows = lowering.rows_from_trie(root, len(vocab))
+    del root, groups  # before the table builds its own (CD) trie
     from repro.core.artifact import content_id, wiring_fields
 
     source = write_yacc_grammar(grammar)
@@ -498,8 +401,6 @@ def build_mask_table(
         grammar_name=grammar.name,
         wiring=wiring_fields(options.wiring),
     )
-    if delta_budget:
-        table.build_deltas(budget=delta_budget)
     table.build_ms = (time.perf_counter() - start) * 1e3
     return table
 
@@ -568,22 +469,9 @@ def load_mask_blob(
         grammar_name=header.get("grammar", "grammar"),
         wiring=header.get("wiring", []),
     )
-    if "deltas" in header:
-        delta_base = []
-        delta_patches = []
-        for _ in range(n_states):
-            if len(blob) < pos + 6:
-                raise MaskError("truncated mask artifact delta table")
-            base = int.from_bytes(blob[pos : pos + 4], "big")
-            count = int.from_bytes(blob[pos + 4 : pos + 6], "big")
-            pos += 6
-            if len(blob) < pos + 3 * count:
-                raise MaskError("truncated mask artifact delta table")
-            delta_base.append(-1 if base == 0xFFFFFFFF else base)
-            delta_patches.append(blob[pos : pos + 3 * count])
-            pos += 3 * count
-        table.delta_base = delta_base
-        table.delta_patches = delta_patches
+    # A rev-2 blob carries a delta section past this point; nothing
+    # reads it any more, so it is left where it is.
+    table.rev = header.get("rev", 1)
     table.build_ms = (time.perf_counter() - start) * 1e3
     return table
 
@@ -614,7 +502,7 @@ class MaskSession:
 
     def mask(self) -> bytes:
         table = self.table
-        row = bytes(table.mask_row(self.state))
+        row = table.mask_row(self.state)
         counters = self.counters
         counters["masks_served"] += 1
         counters["ci_tokens"] += table.ci_count

@@ -837,10 +837,6 @@ def _structgen_bench_beam(args: argparse.Namespace, vocab) -> int:
         print(f"wire     : delta {report['wire_delta_bytes']} B vs "
               f"full {report['wire_full_bytes']} B "
               f"(ratio {report['wire_delta_ratio']:.3f})")
-        deltas = report.get("deltas")
-        if deltas:
-            print(f"deltas   : {deltas['rows_deltified']} rows, "
-                  f"mean popcount {deltas['mean_popcount']:.1f}")
     if not args.no_record:
         _record_bench_entry("structgen beam masks/sec",
                             report["beam_masks_per_s"])

@@ -27,10 +27,14 @@ dense closure the vector and native engines already build
   token's final state suffices — and it prunes whole trie subtrees
   during precompute.
 
-* **Shared-prefix trie walk.** Per-state validity for the whole
-  vocabulary is computed by one DFS over a trie of class strings, so
-  shared prefixes ("<met", "<method", "<methodName>") are stepped
-  once per state instead of once per token.
+* **Shared-prefix trie walk.** Per-state validity for a token set is
+  computed by one DFS over a trie of class strings
+  (:meth:`MaskLowering.row_from_trie`), so shared prefixes ("<met",
+  "<method", "<methodName>") are stepped once per state instead of
+  once per token.  The same walk serves both halves of the mask
+  table: eagerly over every state for the context-independent
+  tokens, and once per state on first visit for the
+  context-dependent remainder.
 
 Everything here is pure Python over the NumPy-free closure, so mask
 lowering works under ``REPRO_DISABLE_NUMPY=1`` and in the pool
@@ -46,10 +50,6 @@ from hashlib import sha256
 from repro.core.compiled import EOF, CompiledTagger
 
 __all__ = ["MaskInfeasible", "MaskLowering"]
-
-#: Cap on the token-walk memo (advance + context-dependent checks).
-_WALK_MEMO_CAP = 1 << 18
-
 
 class MaskInfeasible(RuntimeError):
     """The product automaton resisted densification (state cap), so
@@ -78,10 +78,6 @@ class MaskLowering:
         "err_state",
         "doomed",
         "eos",
-        "_walk_memo",
-        "memo_hits",
-        "memo_misses",
-        "memo_capped",
     )
 
     def __init__(self, tagger: CompiledTagger) -> None:
@@ -164,13 +160,6 @@ class MaskLowering:
                         nxt.append(pred)
             frontier = nxt
         self.doomed = [not ok for ok in live]
-        self._walk_memo: dict = {}
-        # CD-memo telemetry (surfaced on /metrics and /stats): how
-        # often the context-dependent path hit the memo, missed it, or
-        # was refused admission because the memo is at capacity.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_capped = 0
 
     # ------------------------------------------------------------------
     def codes(self, token: bytes) -> bytes:
@@ -186,28 +175,6 @@ class MaskLowering:
                 return -1
             tid = step[tid][c]
         return tid
-
-    def valid(self, tid: int, codes: bytes) -> bool:
-        """Token validity: error-free walk ending in a live state."""
-        end = self.walk(tid, codes)
-        return end >= 0 and not self.doomed[end]
-
-    def valid_memo(self, tid: int, codes: bytes) -> bool:
-        """`valid` with a capped memo — the context-dependent
-        query-time path, where the same (state, token) pair repeats
-        across steps of one decode."""
-        key = (tid, codes)
-        hit = self._walk_memo.get(key)
-        if hit is None:
-            self.memo_misses += 1
-            hit = self.valid(tid, codes)
-            if len(self._walk_memo) < _WALK_MEMO_CAP:
-                self._walk_memo[key] = hit
-            else:
-                self.memo_capped += 1
-        else:
-            self.memo_hits += 1
-        return hit
 
     # ------------------------------------------------------------------
     def build_trie(self, groups: dict[bytes, list[int]]) -> tuple[list, int]:
@@ -229,39 +196,44 @@ class MaskLowering:
             node[1].extend(ids)
         return root, count
 
-    def rows_from_trie(self, root: list, n_tokens: int) -> bytearray:
-        """Packed per-state validity rows over the trie's tokens.
+    def row_from_trie(
+        self, root: list, s0: int, rows: bytearray, base: int
+    ) -> None:
+        """OR the validity bits of the trie's tokens from start state
+        ``s0`` into the packed row at ``rows[base:]``.
 
-        One DFS per start state, pruning on error states (every
-        continuation reports an error) and doomed next states (doomed
-        is forward-closed, so the whole subtree is invalid).  Bit
-        ``i`` of state ``s``'s row (LSB-first within each byte) is
-        token ``i``'s validity from ``s``.
+        One DFS, pruning on error states (every continuation reports
+        an error) and doomed next states (doomed is forward-closed, so
+        the whole subtree is invalid).  Bit ``i`` (LSB-first within
+        each byte) is token ``i``'s validity from ``s0``.
         """
-        n = self.n_states
-        row_bytes = (n_tokens + 7) // 8
-        rows = bytearray(n * row_bytes)
+        doomed = self.doomed
+        if doomed[s0]:
+            return
         step = self.step
         err = self.err_state
-        doomed = self.doomed
-        for s0 in range(n):
-            if doomed[s0]:
+        stack = [(root, s0)]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            node, s = pop()
+            for tok in node[1]:
+                rows[base + (tok >> 3)] |= 1 << (tok & 7)
+            if err[s]:
                 continue
-            base = s0 * row_bytes
-            stack = [(root, s0)]
-            push = stack.append
-            pop = stack.pop
-            while stack:
-                node, s = pop()
-                for tok in node[1]:
-                    rows[base + (tok >> 3)] |= 1 << (tok & 7)
-                if err[s]:
-                    continue
-                row = step[s]
-                for c, child in node[0].items():
-                    ns = row[c]
-                    if not doomed[ns]:
-                        push((child, ns))
+            row = step[s]
+            for c, child in node[0].items():
+                ns = row[c]
+                if not doomed[ns]:
+                    push((child, ns))
+
+    def rows_from_trie(self, root: list, n_tokens: int) -> bytearray:
+        """Packed per-state validity rows over the trie's tokens:
+        :meth:`row_from_trie` from every start state."""
+        row_bytes = (n_tokens + 7) // 8
+        rows = bytearray(self.n_states * row_bytes)
+        for s0 in range(self.n_states):
+            self.row_from_trie(root, s0, rows, s0 * row_bytes)
         return rows
 
     # ------------------------------------------------------------------

@@ -273,20 +273,29 @@ class BeamFlow(ClientFlow):
     async def _request(
         self, frame_bytes: bytes, timeout: float | None
     ) -> tuple[tuple[int, ...], list[bytes]]:
-        fut = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
         self._pending_masks.append(fut)
         await self.client._send(frame_bytes)
         if timeout is None:
             timeout = self.client.request_timeout
+        # One timer handle per op instead of wait_for(shield(...)). A
+        # timed-out future stays queued, so the late reply still pops
+        # it and later replies keep resolving FIFO.
+        timer = loop.call_later(timeout, self._expire, fut, timeout)
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(fut), timeout=timeout
+            return await fut
+        finally:
+            timer.cancel()
+
+    def _expire(self, fut: asyncio.Future, timeout: float) -> None:
+        if not fut.done():
+            fut.set_exception(
+                TimeoutError(
+                    f"flow {self.flow_id}: no MASKS reply within "
+                    f"{timeout:g}s"
+                )
             )
-        except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"flow {self.flow_id}: no MASKS reply within "
-                f"{timeout:g}s"
-            ) from None
 
     async def advance(
         self, token_ids, timeout: float | None = None
@@ -346,7 +355,7 @@ class BeamFlow(ClientFlow):
         if self._pending_masks:
             fut = self._pending_masks.pop(0)
             if not fut.done():
-                fut.set_result((self.states, list(rows)))
+                fut.set_result((self.states, rows))
 
     def _fail_request(self, exc: Exception) -> None:
         """Fail only the oldest pending request (a BAD_TOKEN reply:

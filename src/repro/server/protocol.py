@@ -91,6 +91,7 @@ __all__ = [
     "DEFAULT_MAX_FRAME",
     "ErrorCode",
     "MAX_BEAM_WIDTH",
+    "MAX_MASKS_ROW_BYTES",
     "Frame",
     "FrameDecoder",
     "FrameType",
@@ -120,6 +121,7 @@ __all__ = [
     "encode_hello",
     "encode_mask",
     "encode_masks",
+    "encode_masks_records",
     "encode_open_beam",
     "encode_open_flow",
     "encode_open_mask",
@@ -144,6 +146,9 @@ _MASK_HEAD = struct.Struct("!II")
 _BEAM_OPEN_HEAD = struct.Struct("!IH")
 _BATCH_HEAD = struct.Struct("!IB")
 _MASKS_HEAD = struct.Struct("!IHH")
+#: Widest mask row a MASKS frame can carry: ``row_bytes`` and the
+#: delta entries' byte offsets are u16.
+MAX_MASKS_ROW_BYTES = 0xFFFF
 _LANE_HEAD = struct.Struct("!IB")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -416,6 +421,17 @@ def encode_masks(flow_id: int, row_bytes: int, lanes: list) -> bytes:
         else:
             raise ProtocolError(f"unknown MASKS lane kind {kind}")
     return encode_frame(FrameType.MASKS, b"".join(parts))
+
+
+def encode_masks_records(
+    flow_id: int, n_lanes: int, row_bytes: int, records: bytes
+) -> bytes:
+    """:func:`encode_masks` for lane records already laid out in wire
+    order (``structgen.beam.encode_lane_records``)."""
+    return encode_frame(
+        FrameType.MASKS,
+        _MASKS_HEAD.pack(flow_id, n_lanes, row_bytes) + records,
+    )
 
 
 # ----------------------------------------------------------------------

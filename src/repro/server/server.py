@@ -52,8 +52,8 @@ Robustness model
   ``mask_tables=`` or lazily loaded from the registry for the served
   grammar, cold-start timed), each ADVANCE is answered with the MASK
   row for the resulting state. Mask sessions always run in-process on
-  the event loop — a mask query is a row copy plus a few
-  context-dependent checks, far below the pool's dispatch cost.
+  the event loop — a mask query is a row copy out of the table's
+  state-complete matrix, far below the pool's dispatch cost.
 
 Observability: counters/gauges/histograms land in one
 :class:`~repro.service.metrics.MetricsRegistry` (shared with the
@@ -140,9 +140,9 @@ class _Flow:
         self.mask = None
         #: The BeamMaskSession when this is a beam flow.
         self.beam = None
-        #: Per lane, the row most recently sent in a MASKS frame —
-        #: the base the next frame's delta encoding patches against.
-        self.beam_rows: list[bytes] = []
+        #: The rows most recently sent in a MASKS frame, lane-major in
+        #: one buffer — the base the next frame's deltas patch against.
+        self.beam_rows = b""
 
 
 class _Generation:
@@ -605,24 +605,16 @@ class ScanServer:
         tables = list(self._mask_tables.values()) + list(
             self._mask_loaded.values()
         )
+        # The "memo" is the tables' state-complete row matrix: rows
+        # served already complete vs. completed on demand.
         memo = {
-            "hits": sum(t.lowering.memo_hits for t in tables),
-            "misses": sum(t.lowering.memo_misses for t in tables),
-            "capped": sum(t.lowering.memo_capped for t in tables),
+            "hits": sum(t.memo_hits for t in tables),
+            "misses": sum(t.memo_misses for t in tables),
         }
         self.metrics.counter("structgen.memo_hits").value = memo["hits"]
         self.metrics.counter("structgen.memo_misses").value = memo[
             "misses"
         ]
-        self.metrics.counter("structgen.memo_capped").value = memo[
-            "capped"
-        ]
-        deltified = [
-            t.delta_stats() for t in tables if t.has_deltas
-        ]
-        self.metrics.gauge("structgen.delta_rows").set(
-            sum(d["rows_deltified"] for d in deltified)
-        )
         structgen = {
             "tables": [t.describe() for t in tables],
             "memo": memo,
@@ -1026,41 +1018,27 @@ class ScanServer:
     def _encode_beam_masks(self, flow: _Flow) -> bytes:
         """One MASKS frame for the beam's current masks, each lane
         delta-encoded against the row last sent for that lane index
-        (full on new/changed-width lanes or when the patch would not
-        be smaller — the resync escape)."""
-        from repro.apps.structgen.beam import xor_patch
+        (full on new lanes or when the patch would not be smaller —
+        the resync escape)."""
+        from repro.apps.structgen.beam import encode_lane_records
 
         beam = flow.beam
-        table = beam.table
-        rb = table.row_bytes
+        rb = beam.table.row_bytes
         packed = beam.masks_packed()
         states = beam.states
-        prev_rows = flow.beam_rows
-        lanes = []
-        next_rows = []
-        delta_lanes = 0
-        for lane, state in enumerate(states):
-            row = packed[lane * rb : (lane + 1) * rb]
-            if lane < len(prev_rows):
-                patch = xor_patch(prev_rows[lane], row)
-                # 3 bytes of lane overhead either way; the delta body
-                # adds a u16 count, so it wins only when strictly
-                # smaller than the full row.
-                if len(patch) + 2 < rb:
-                    lanes.append((state, 1, patch))
-                    next_rows.append(row)
-                    delta_lanes += 1
-                    continue
-            lanes.append((state, 0, row))
-            next_rows.append(row)
-        flow.beam_rows = next_rows
+        records, delta_lanes = encode_lane_records(
+            states, packed, flow.beam_rows, rb
+        )
+        flow.beam_rows = packed
         self.metrics.counter("structgen.beam_lanes_full").inc(
-            len(lanes) - delta_lanes
+            len(states) - delta_lanes
         )
         self.metrics.counter("structgen.beam_lanes_delta").inc(
             delta_lanes
         )
-        return protocol.encode_masks(flow.flow_id, rb, lanes)
+        return protocol.encode_masks_records(
+            flow.flow_id, len(states), rb, records
+        )
 
     async def _open_beam(self, conn: _Connection, frame: Frame) -> None:
         flow_id, width, vocab_hash = protocol.decode_open_beam(frame)
@@ -1082,6 +1060,16 @@ class ScanServer:
                 f"no mask tables for vocabulary {vocab_hash[:16]} "
                 f"(grammar {self._current.ref}); run "
                 "`repro structgen precompute`",
+            )
+            return
+        if table.row_bytes > protocol.MAX_MASKS_ROW_BYTES:
+            # MASKS carries row_bytes and delta byte offsets as u16.
+            await conn.send_error(
+                flow_id, ErrorCode.UNKNOWN_VOCAB,
+                f"vocabulary {vocab_hash[:16]} has "
+                f"{len(table.vocab)} tokens ({table.row_bytes}-byte "
+                "rows); beam flows carry at most "
+                f"{protocol.MAX_MASKS_ROW_BYTES}-byte rows",
             )
             return
         from repro.apps.structgen.beam import BeamMaskSession

@@ -386,17 +386,6 @@ class Registry:
             with open(self._mask_path(key), "rb") as fh:
                 blob = fh.read()
             table = load_mask_blob(blob, artifact.grammar, artifact.options)
-            if not table.has_deltas:
-                # Heal an old-format (rev-1) blob in place: the rows
-                # load as-is, the delta tables are rebuilt and the
-                # artifact re-published with them appended.
-                table.build_deltas()
-                try:
-                    self._write_atomic(
-                        self._mask_path(key), table.to_blob()
-                    )
-                except OSError:
-                    pass  # read-only store: serve the upgraded table
         except (OSError, MaskError):
             # Heal: the vocabulary rides inside the blob, so a
             # fingerprint/ABI mismatch rebuilds in place; a missing or
@@ -551,19 +540,6 @@ class Registry:
                     header = read_mask_header(blob)
                     mask["abi"] = header.get("abi")
                     mask["rev"] = header.get("rev", 1)
-                    deltas = header.get("deltas")
-                    if deltas:
-                        mask["deltas"] = {
-                            "rows_deltified": deltas.get(
-                                "rows_deltified"
-                            ),
-                            "mean_popcount": deltas.get(
-                                "mean_popcount"
-                            ),
-                            "payload_bytes": deltas.get(
-                                "payload_bytes"
-                            ),
-                        }
                 except (OSError, KeyError, ReproError) as exc:
                     mask["error"] = str(exc)
                 info["masks"][vocab_hash[:16]] = mask

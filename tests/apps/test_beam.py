@@ -4,9 +4,11 @@ The acceptance invariant: every ``masks``/``advance``/``fork``/
 ``rollback`` result out of a :class:`BeamMaskSession` — on every
 available compute path — is bit-identical to N independent
 :class:`MaskSession` mirrors replaying the same operations.  Plus the
-incremental delta tables (reconstruction, blob round trip, old-format
-compatibility), the wire XOR patch codec, the CD-memo counters, and
-the HuggingFace tokenizer.json importer.
+RMSK format revisions (rev-1 written, rev-2 delta tail accepted and
+ignored), the wire XOR patch codec, the state-complete row counters,
+and the HuggingFace tokenizer.json importer.  The CD-heavy
+differential and kernel-encoder suites live in
+``test_beam_complete.py``.
 """
 
 import json
@@ -29,7 +31,9 @@ from repro.apps.structgen.beam import (
     beam_capability,
     xor_patch,
 )
+from repro.apps.structgen.masks import read_mask_header
 from repro.grammar.examples import xmlrpc
+from tests.conftest import rev2_blob
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +166,7 @@ def test_beam_width_and_path_validation(table):
 
 
 # ----------------------------------------------------------------------
-# incremental delta tables and the XOR patch codec
+# the XOR patch codec and the RMSK format revisions
 # ----------------------------------------------------------------------
 def test_xor_patch_roundtrip():
     rng = random.Random(3)
@@ -178,63 +182,42 @@ def test_xor_patch_roundtrip():
     assert xor_patch(a, a) == b""
 
 
-def test_delta_tables_reconstruct_exactly(table):
-    """Every deltified row patches back to the exact CI row."""
-    assert table.has_deltas
-    stats = table.delta_stats()
-    assert stats["rows_deltified"] > 0
-    assert stats["mean_popcount"] >= 0.0
-    checked = 0
-    for state in range(table.n_states):
-        base = table.delta_base[state]
-        if base < 0:
-            continue
-        patched = table.patched_ci_row(
-            state, bytes(table.ci_row(base))
-        )
-        assert bytes(patched) == bytes(table.ci_row(state))
-        checked += 1
-    assert checked == stats["rows_deltified"]
-
-
-def test_blob_roundtrip_preserves_deltas(table):
-    blob = table.to_blob()
-    loaded = load_mask_blob(blob, xmlrpc())
-    assert loaded.has_deltas
-    assert loaded.delta_stats() == table.delta_stats()
-    assert loaded.describe()["rev"] == MASK_FORMAT_REV
-    # Mask rows are unaffected by the delta section.
+def test_rev2_blob_loads_ignoring_delta_tail(table):
+    """A rev-2 blob (delta section after the vocabulary) loads as is:
+    the tail is ignored, ``rev`` reports what was loaded, and a blob
+    written from the loaded table is rev 1 again."""
+    loaded = load_mask_blob(rev2_blob(table), xmlrpc())
+    assert loaded.describe()["rev"] == 2
+    assert loaded.rows == table.rows
+    assert loaded.cd_ids == table.cd_ids
     for state in (0, 1, table.n_states - 1):
         assert loaded.mask_row(state) == table.mask_row(state)
+    rewritten = load_mask_blob(loaded.to_blob(), xmlrpc())
+    assert rewritten.describe()["rev"] == MASK_FORMAT_REV == 1
+    assert rewritten.rows == table.rows
 
 
-def test_old_format_blob_loads_without_deltas():
-    """A rev-1 blob (no delta section) loads cleanly — the deltas are
-    simply absent, signalling the registry heal path."""
-    vocab = synthetic_vocab(size=384, seed=7)
-    old = build_mask_table(xmlrpc(), vocab, delta_budget=0)
-    assert not old.has_deltas
-    assert old.describe()["rev"] == 1
-    assert old.describe()["deltas"] is None
-    loaded = load_mask_blob(old.to_blob(), xmlrpc())
-    assert not loaded.has_deltas
-    # Rebuilding deltas on the loaded table upgrades it in place.
-    loaded.build_deltas()
-    assert loaded.has_deltas
-    fresh = build_mask_table(xmlrpc(), vocab)
-    assert loaded.delta_stats() == fresh.delta_stats()
+def test_old_format_blob_loads_without_deltas(table):
+    """Rev 1 is what this build writes: no delta section, no delta
+    keys in the header or the summary."""
+    assert table.describe()["rev"] == 1
+    assert "deltas" not in table.describe()
+    blob = table.to_blob()
+    assert "deltas" not in read_mask_header(blob)
+    loaded = load_mask_blob(blob, xmlrpc())
+    assert loaded.describe() == table.describe()
+    assert loaded.rows == table.rows
 
 
 @pytest.mark.parametrize("path", available_paths())
 def test_beam_serves_identically_without_deltas(table, path):
-    """The delta tables are an optimization: a table without them
-    serves the same masks (the pure-Python path goes cold every
-    row)."""
-    vocab = synthetic_vocab(size=384, seed=7)
-    bare = build_mask_table(xmlrpc(), vocab, delta_budget=0)
-    beam = BeamMaskSession(bare, 3, path=path)
+    """The delta section never fed the served masks: a table loaded
+    from a rev-2 blob (tail ignored) and one built fresh serve the
+    same rows on every path."""
+    loaded = load_mask_blob(rev2_blob(table), xmlrpc())
+    beam = BeamMaskSession(loaded, 3, path=path)
     ref = BeamMaskSession(table, 3, path=path)
-    n = len(vocab)
+    n = len(table.vocab)
     rng = random.Random(9)
     for _ in range(20):
         assert beam.masks_packed() == ref.masks_packed()
@@ -252,43 +235,33 @@ def test_beam_serves_identically_without_deltas(table, path):
         assert beam.advance(ids) == ref.advance(ids)
 
 
-def test_python_path_uses_delta_chains(table):
-    """The pure-Python gather actually exercises the delta tables."""
-    beam = BeamMaskSession(table, 4, path="python")
-    n = len(table.vocab)
-    rng = random.Random(13)
-    for _ in range(30):
-        ids = []
-        for row in beam.masks():
-            valid = _valid_ids(row, n)
-            if not valid:
-                ids = None
-                break
-            ids.append(rng.choice(valid))
-        if ids is None:
-            beam.reset(4)
-            continue
-        beam.advance(ids)
-    assert beam.counters["delta_hits"] > 0
-
-
 # ----------------------------------------------------------------------
-# CD-memo counters
+# state-complete row counters
 # ----------------------------------------------------------------------
 def test_cd_memo_counters():
-    """Context-dependent checks hit the walk memo: misses on first
-    sight, hits on repeats, all counted on the lowering."""
+    """A state's CD bits are resolved on its first query and never
+    again: one miss (row completed on demand), then hits (row served
+    already complete) — counted on the table, whichever session or
+    beam asked.  Tables without CD tokens count nothing."""
     vocab = synthetic_vocab(size=384, seed=7)
     table = build_mask_table(xmlrpc(), vocab, ci_max_len=2)
     assert table.cd_ids, "ci_max_len=2 must leave CD tokens"
-    lowering = table.lowering
-    assert lowering.memo_hits == 0
+    assert (table.memo_hits, table.memo_misses) == (0, 0)
+    assert table.mask_row(0) == table.naive_row(0)
+    assert (table.memo_hits, table.memo_misses) == (0, 1)
     table.mask_row(0)
-    misses = lowering.memo_misses
-    assert misses > 0
-    table.mask_row(0)
-    assert lowering.memo_hits >= misses
-    assert lowering.memo_misses == misses
+    MaskSession(table).mask()
+    assert (table.memo_hits, table.memo_misses) == (2, 1)
+    beam = BeamMaskSession(table, 4)
+    beam.masks_packed()
+    assert (table.memo_hits, table.memo_misses) == (6, 1)
+    # cd_checks keeps its meaning: CD-token bits covered per mask.
+    assert beam.counters["cd_checks"] == 4 * len(table.cd_ids)
+
+    ci_only = build_mask_table(xmlrpc(), vocab)
+    assert not ci_only.cd_ids
+    BeamMaskSession(ci_only, 4).masks_packed()
+    assert (ci_only.memo_hits, ci_only.memo_misses) == (0, 0)
 
 
 # ----------------------------------------------------------------------

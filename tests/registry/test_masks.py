@@ -7,10 +7,12 @@ import os
 import pytest
 
 from repro.apps.structgen import build_mask_table, mask_key, synthetic_vocab
+from repro.apps.structgen.masks import read_mask_header
 from repro.core.generator import TaggerOptions
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.service.registry import Registry, RegistryError
+from tests.conftest import rev2_blob
 
 
 @pytest.fixture()
@@ -156,66 +158,80 @@ def test_mask_key_tracks_content_and_vocab(registry, vocab):
     assert a["key"] == mask_key(entry["content"], vocab.vocab_hash)
 
 
-def test_inspect_reports_delta_coverage(registry, vocab):
-    """``registry inspect`` surfaces the format rev and the delta
-    section's coverage for current-format blobs."""
-    ref = registry.publish("xmlrpc", xmlrpc())
-    registry.publish_masks(ref, vocab)
-    info = registry.inspect(ref)
-    described = info["masks"][vocab.vocab_hash[:16]]
-    assert described["rev"] == 2
-    deltas = described["deltas"]
-    assert deltas["rows_deltified"] > 0
-    assert deltas["payload_bytes"] > 0
-    assert deltas["mean_popcount"] >= 0.0
+def _mask_path(registry, summary):
+    return os.path.join(
+        registry.root, "objects", summary["key"] + ".msk"
+    )
 
 
-def test_old_format_blob_heals_with_deltas(registry, vocab):
-    """A rev-1 blob (no delta section) loads cleanly and the heal
-    path re-publishes it with deltas appended — rows untouched."""
+def test_inspect_reports_format_rev(registry, vocab):
+    """``registry inspect`` surfaces the blob's format rev: 1 for what
+    this build publishes, 2 for a delta-carrying blob left by an
+    earlier one."""
     ref = registry.publish("xmlrpc", xmlrpc())
-    # delta_budget=0 writes a blob exactly like a pre-delta publisher.
-    registry.publish_masks(ref, vocab, delta_budget=0)
-    info = registry.inspect(ref)
-    described = info["masks"][vocab.vocab_hash[:16]]
+    summary = registry.publish_masks(ref, vocab)
+    described = registry.inspect(ref)["masks"][vocab.vocab_hash[:16]]
     assert described["rev"] == 1
     assert "deltas" not in described
-
-    healed = Registry(registry.root).load_masks(ref)
-    assert healed.has_deltas
-    fresh = build_mask_table(xmlrpc(), vocab)
-    assert healed.rows == fresh.rows
-    assert healed.delta_stats() == fresh.delta_stats()
-
-    # The upgraded blob is on disk: a cold registry sees rev 2.
-    info = Registry(registry.root).inspect(ref)
-    described = info["masks"][vocab.vocab_hash[:16]]
+    with open(_mask_path(registry, summary), "wb") as fh:
+        fh.write(rev2_blob(build_mask_table(xmlrpc(), vocab)))
+    described = registry.inspect(ref)["masks"][vocab.vocab_hash[:16]]
     assert described["rev"] == 2
-    assert described["deltas"]["rows_deltified"] > 0
+    assert "error" not in described
+
+
+def test_rev2_blob_is_served_without_republish(registry, vocab):
+    """A rev-2 blob loads cleanly with its delta tail ignored; nothing
+    heals or rewrites it — there is one way to read a mask blob."""
+    ref = registry.publish("xmlrpc", xmlrpc())
+    summary = registry.publish_masks(ref, vocab)
+    fresh = build_mask_table(xmlrpc(), vocab)
+    legacy = rev2_blob(fresh)
+    path = _mask_path(registry, summary)
+    with open(path, "wb") as fh:
+        fh.write(legacy)
+
+    loaded = Registry(registry.root).load_masks(ref)
+    assert loaded.describe()["rev"] == 2
+    assert loaded.rows == fresh.rows
+    assert loaded.cd_ids == fresh.cd_ids
+    for state in (0, 1, fresh.n_states - 1):
+        assert loaded.mask_row(state) == fresh.mask_row(state)
+    with open(path, "rb") as fh:
+        assert fh.read() == legacy
 
 
 def _race_loader(root, ref, vocab_hash, barrier, out_q):
     """Child process: wait at the barrier, then load (and heal) the
-    rev-1 blob; ship the loaded rows back for equality checks."""
+    foreign blob; ship the loaded rows back for equality checks."""
     from repro.service.registry import Registry
 
     barrier.wait(timeout=30)
     table = Registry(root).load_masks(ref, vocab_hash)
-    out_q.put((table.rows, list(table.cd_ids), table.has_deltas))
+    out_q.put((table.rows, list(table.cd_ids)))
 
 
 def test_concurrent_heal_republish_is_atomic(registry, vocab):
-    """Two processes racing the rev-1 → rev-2 heal re-publish while a
-    third inspects: every inspect sees a whole blob (rev 1 or rev 2,
-    never a read error), and both healed loads serve identical rows.
-    The heal routes through mkstemp + os.replace, so a half-written
-    artifact is never visible at the published path."""
+    """Two processes racing the heal re-publish of a foreign blob
+    (fingerprint mismatch → rebuilt from the embedded vocabulary)
+    while a third inspects: every inspect sees a whole blob, never a
+    read error, and both healed loads serve identical rows.  The heal
+    routes through mkstemp + os.replace, so a half-written artifact
+    is never visible at the published path."""
     import multiprocessing as mp
 
     ref = registry.publish("xmlrpc", xmlrpc())
-    registry.publish_masks(ref, vocab, delta_budget=0)
-    info = registry.inspect(ref)
-    assert info["masks"][vocab.vocab_hash[:16]]["rev"] == 1
+    summary = registry.publish_masks(ref, vocab)
+    foreign = build_mask_table(
+        xmlrpc(),
+        vocab,
+        TaggerOptions(wiring=WiringOptions(error_recovery=True)),
+    )
+    with open(_mask_path(registry, summary), "wb") as fh:
+        fh.write(foreign.to_blob())
+    fresh = build_mask_table(xmlrpc(), vocab)
+    fingerprint = fresh.lowering.fingerprint()
+    assert foreign.lowering.fingerprint() != fingerprint
 
     ctx = mp.get_context()
     barrier = ctx.Barrier(3)
@@ -236,20 +252,15 @@ def test_concurrent_heal_republish_is_atomic(registry, vocab):
             vocab.vocab_hash[:16]
         ]
         assert "error" not in described, described
-        assert described["rev"] in (1, 2), described
+        assert described["rev"] == 1, described
     results = [out_q.get(timeout=30) for _ in loaders]
     for proc in loaders:
         proc.join(timeout=30)
         assert proc.exitcode == 0
 
-    fresh = build_mask_table(xmlrpc(), vocab)
-    for rows, cd_ids, has_deltas in results:
+    for rows, cd_ids in results:
         assert rows == fresh.rows
         assert cd_ids == list(fresh.cd_ids)
-        assert has_deltas
-    # The store converged on one whole rev-2 blob.
-    described = Registry(registry.root).inspect(ref)["masks"][
-        vocab.vocab_hash[:16]
-    ]
-    assert described["rev"] == 2
-    assert described["deltas"]["rows_deltified"] > 0
+    # The store converged on one whole healed blob.
+    with open(_mask_path(registry, summary), "rb") as fh:
+        assert read_mask_header(fh.read())["fingerprint"] == fingerprint

@@ -7,7 +7,7 @@ byte-for-byte what an in-process :class:`BeamMaskSession` (and N
 independent :class:`MaskSession` mirrors) on the same table produces.
 Plus the frame codecs, the atomicity contract (``BAD_TOKEN`` leaves
 the beam flow open), hot swap mid-beam pinning, drain discipline, and
-the admin exposition of the memo/delta/beam telemetry.
+the admin exposition of the row-completion and beam telemetry.
 """
 
 import asyncio
@@ -278,6 +278,36 @@ def test_unknown_vocab_refused_for_beam(table):
     run(main())
 
 
+def test_oversized_rows_refused_at_open_beam(table):
+    """MASKS carries ``row_bytes`` and delta offsets as u16: a table
+    with wider rows (vocabulary > 524 280 tokens) is refused with a
+    typed ERROR at OPEN_BEAM — no struct.error on the connection, no
+    flow left behind, and the connection keeps serving."""
+
+    class WideTable:
+        vocab_hash = "ef" * 32
+        row_bytes = protocol.MAX_MASKS_ROW_BYTES + 1
+        vocab = range(row_bytes * 8)
+
+    async def main():
+        async with running_server(
+            mask_tables=[table, WideTable()]
+        ) as server:
+            host, port = server.address
+            async with ScanClient(host, port) as client:
+                with pytest.raises(ServerFault) as info:
+                    await client.open_beam_flow(WideTable.vocab_hash, 4)
+                assert info.value.code == ErrorCode.UNKNOWN_VOCAB
+                assert "65535-byte rows" in info.value.detail
+                (conn,) = server._connections.values()
+                assert conn.flows == {}
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                assert flow.rows == [table.mask_row(0)] * 2
+                await flow.close()
+
+    run(main())
+
+
 def test_drain_does_not_wait_for_beam_flows(table):
     """Beam flows never 'finish' on their own; stop(drain=True) must
     not hold the server open on their account."""
@@ -377,15 +407,16 @@ def test_swap_mid_beam_pins_generation(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# admin exposition: memo counters, delta stats, beam telemetry
+# admin exposition: row-completion counters, beam telemetry
 # ----------------------------------------------------------------------
 def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
-    """/stats carries the CD-memo block, delta gauge, and beams_open;
-    /metrics renders the counters in Prometheus text format."""
+    """/stats carries the memo block (rows served already complete /
+    completed on demand), the table summary and beams_open; /metrics
+    renders the counters in Prometheus text format."""
     registry = Registry(str(tmp_path / "store"))
     ref = registry.publish("xmlrpc", xmlrpc())
     vocab = synthetic_vocab(size=384, seed=7)
-    # ci_max_len=2 forces context-dependent tokens → memo traffic.
+    # ci_max_len=2 forces context-dependent tokens → rows to complete.
     registry.publish_masks(ref, vocab, ci_max_len=2)
 
     async def main():
@@ -418,16 +449,25 @@ def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
                 sg = stats["structgen"]
                 assert sg["beams_open"] == 1
                 memo = sg["memo"]
-                assert memo["misses"] > 0
-                assert memo["hits"] > 0
-                assert memo["capped"] >= 0
+                assert set(memo) == {"hits", "misses"}
+                # Each visited state is completed exactly once ...
                 table_info = sg["tables"][0]
-                assert table_info["rev"] == 2
-                assert table_info["deltas"]["rows_deltified"] > 0
-                assert stats["counters"]["structgen.memo_hits"] == (
-                    memo["hits"]
+                assert 0 < memo["misses"] <= table_info["states"]
+                # ... and every other served row was already complete.
+                counters = stats["counters"]
+                assert memo["hits"] + memo["misses"] == (
+                    counters["structgen.masks_served"]
                 )
-                assert stats["gauges"]["structgen.delta_rows"] > 0
+                assert memo["hits"] > 0
+                assert table_info["rev"] == 1
+                assert counters["structgen.memo_hits"] == memo["hits"]
+                assert counters["structgen.memo_misses"] == (
+                    memo["misses"]
+                )
+                assert "structgen.memo_capped" not in counters
+                assert counters["structgen.cd_checks"] == (
+                    table_info["cd"] * counters["structgen.masks_served"]
+                )
 
                 status, body = await _admin(
                     server.admin_address, "GET", "/metrics"
@@ -438,7 +478,6 @@ def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
                 assert "repro_structgen_beams_opened 1" in body
                 assert "repro_structgen_beam_lanes_full" in body
                 assert "repro_structgen_beam_lanes_delta" in body
-                assert "repro_structgen_delta_rows" in body
                 await flow.close()
 
     run(main())

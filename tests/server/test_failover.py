@@ -187,7 +187,7 @@ def test_mask_load_survives_backend_kill(table):
                     port,
                     table,
                     sessions=6,
-                    steps=120,
+                    steps=600,  # must outlast the 0.1 s before the kill
                     concurrency=3,
                     request_timeout=30.0,
                 )
@@ -219,7 +219,7 @@ def test_beam_load_surfaces_failover_not_garbage(table):
                     table,
                     beams=4,
                     width=4,
-                    steps=200,
+                    steps=1000,  # must outlast the 0.1 s before the kill
                     concurrency=2,
                     request_timeout=30.0,
                 )
