@@ -18,10 +18,7 @@ the compiled engine at >= 5x the interpreted one on the XML-RPC
 workload, ``test_vector_speedup`` gates the vector wide-datapath
 engine at >= 2x the compiled one, ``test_native_speedup`` gates the
 native C kernel at >= 10x the compiled one (skipping where no kernel
-can be built), ``test_batch_scan`` gates cross-flow
-batch stepping against per-flow vector scanning at 32 concurrent
-flows (recording the 8/16-flow crossover ungated),
-``test_structgen_masks`` gates precomputed constrained-decoding
+can be built), ``test_structgen_masks`` gates precomputed constrained-decoding
 token masks at >= 10x the naive per-token rescan,
 ``test_structgen_beam`` gates the batched beam-of-32 engine at
 >= 5x thirty-two independent sessions (and the delta encoding at
@@ -195,63 +192,6 @@ def test_native_speedup(bench_record, grammar, stream):
     bench_record("native/compiled speedup",
                  native_gbps / compiled_gbps, unit=None)
     assert native_gbps / compiled_gbps >= 10.0
-
-
-def test_batch_scan(bench_record, grammar):
-    """ISSUE acceptance gate: cross-flow batch stepping beats per-flow
-    vector scanning at >= 8 concurrent flows (the win lands at 32 bulk
-    flows; the 8- and 16-flow ratios are recorded ungated to keep the
-    crossover honest — see DESIGN.md §9)."""
-    from repro.apps.xmlrpc.messages import MethodCall, StringValue
-    from repro.core.vectorscan import BatchScanner, VectorTagger
-
-    vector = VectorTagger(grammar)
-    if not (vector.vector_active and vector._vt.batch_tables()):
-        pytest.skip("batch tables unavailable (no NumPy)")
-    payload = ("Qx7" * 700)[:2048]
-    document = MethodCall(
-        method="buy", params=(StringValue(payload),)
-    ).encode()
-    flow_bytes = document * 12
-    chunk_size = 4096
-
-    def run(n_flows: int, batch: bool, reps: int = 5) -> float:
-        scanner = BatchScanner(
-            vector, min_flows=(2 if batch else 1 << 30)
-        )
-        flows = [flow_bytes] * n_flows
-        total = sum(len(f) for f in flows)
-        best = float("inf")
-        for _ in range(1 + reps):  # first pass is the warmup
-            sessions = [scanner.session() for _ in range(n_flows)]
-            offsets = [0] * n_flows
-            start = time.perf_counter()
-            while any(o < len(f) for o, f in zip(offsets, flows)):
-                step_sessions, step_chunks = [], []
-                for i in range(n_flows):
-                    if offsets[i] < len(flows[i]):
-                        step_sessions.append(sessions[i])
-                        step_chunks.append(
-                            flows[i][offsets[i] : offsets[i] + chunk_size]
-                        )
-                        offsets[i] += chunk_size
-                scanner.feed_many(step_sessions, step_chunks)
-            best = min(best, time.perf_counter() - start)
-        return _gbps(total, best)
-
-    for n_flows in (8, 16):
-        ratio = run(n_flows, batch=True) / run(n_flows, batch=False)
-        bench_record(
-            f"batch/per-flow ratio ({n_flows} flows)", ratio, unit=None
-        )
-    per_flow = run(32, batch=False)
-    batch = run(32, batch=True)
-    bench_record("batch scan", batch)
-    bench_record("batch scan per-flow baseline", per_flow)
-    bench_record(
-        "batch/per-flow ratio (32 flows)", batch / per_flow, unit=None
-    )
-    assert batch / per_flow >= 1.0
 
 
 def test_structgen_masks(bench_record, grammar):

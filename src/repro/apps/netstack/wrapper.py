@@ -24,8 +24,7 @@ Three back-end arrangements are supported:
 The wrapper itself implements the
 :class:`~repro.core.api.StreamSession` contract — ``feed(frame)``
 consumes one wire frame and returns the ``(flow, message)`` pairs it
-completed, ``finish()`` flushes every flow against end-of-data — with
-``push_frame`` kept as a deprecated alias.
+completed, ``finish()`` flushes every flow against end-of-data.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.apps.xmlrpc.router import (
     RoutedMessage,
     RouterSession,
 )
-from repro.core.api import StreamSession, warn_deprecated
+from repro.core.api import StreamSession
 from repro.errors import BackendError
 
 
@@ -221,13 +220,3 @@ class TaggingWrapper(StreamSession):
         for frame in frames or ():
             self.feed(frame)
         return self.results()
-
-    # ------------------------------------------------------------------
-    # deprecated aliases (pre-StreamSession surface)
-    # ------------------------------------------------------------------
-    # push_frame is inherited from StreamSession (alias of feed).
-
-    def push_packet(self, packet: Packet) -> None:
-        """Deprecated alias of :meth:`feed_packet` (return discarded)."""
-        warn_deprecated("TaggingWrapper.push_packet", "feed_packet")
-        self.feed_packet(packet)

@@ -17,17 +17,19 @@ vectorized calls:
   whole beam (speculative decoding: propose k tokens, verify, rewind
   the rejected tail).
 
-Three compute paths produce bit-identical results (the differential
+Two compute paths produce bit-identical results (the differential
 suites in ``tests/apps/test_beam.py`` and
 ``tests/apps/test_beam_complete.py`` enforce it): a ctypes kernel
 JIT-built from ``_beamscan.c`` via the ``_nativescan`` build
-machinery, a NumPy gather over the packed row matrix and step table,
-and a tight pure-Python loop (``REPRO_DISABLE_NUMPY=1`` /
-``REPRO_DISABLE_NATIVE=1`` safe).  All three read the table's one
-row matrix (:attr:`~repro.apps.structgen.masks.MaskTable.matrix`):
-CI eager, CD completed once per state — a gather first makes sure its
-lanes' states are complete (a flag check per lane, and only on tables
-that have CD tokens), then copies rows; no path looks at a token.
+machinery, and a tight pure-Python loop (the portable path, what
+``REPRO_DISABLE_NATIVE=1`` or a missing compiler selects).  Both read
+the table's one row matrix
+(:attr:`~repro.apps.structgen.masks.MaskTable.matrix`): CI eager, CD
+completed once per state — a gather first makes sure its lanes'
+states are complete (a flag check per lane, and only on tables that
+have CD tokens), then copies rows; neither path looks at a token.
+The kernel steps the scan IR's ``next`` array in place — the same
+object the scan engines and mask lowering read.
 
 :func:`encode_lane_records` turns gathered rows into the MASKS wire
 frame's lane records, delta-encoded against the rows last sent — in
@@ -43,13 +45,6 @@ import struct
 from array import array
 
 from .masks import MaskError, MaskTable
-
-try:  # pragma: no cover - exercised via the REPRO_DISABLE_NUMPY job
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        raise ImportError("NumPy disabled by REPRO_DISABLE_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "BeamMaskSession",
@@ -76,7 +71,7 @@ class _CPlan(ctypes.Structure):
     arguments instead of thirteen."""
 
     _fields_ = [
-        ("step", ctypes.c_char_p),
+        ("step", ctypes.c_void_p),
         ("err", ctypes.c_char_p),
         ("doomed", ctypes.c_char_p),
         ("codes", ctypes.c_char_p),
@@ -112,7 +107,7 @@ def _load_kernel():
     c = ctypes
     lib.beam_advance.restype = c.c_long
     lib.beam_advance.argtypes = [
-        c.c_char_p,  # step table (native int32 bytes)
+        c.c_void_p,  # step table (the scan IR's int32 next array)
         c.c_int32,  # n_classes
         c.c_char_p,  # err (u8 per state)
         c.c_char_p,  # doomed (u8 per state)
@@ -253,84 +248,13 @@ def encode_lane_records(
 
 def beam_capability() -> dict:
     """Which beam compute paths are live (``/stats``, CLI)."""
-    return {
-        "native": _load_kernel() is not None,
-        "numpy": _np is not None,
-    }
+    return {"native": _load_kernel() is not None}
 
 
 # ----------------------------------------------------------------------
-# Per-table prepared tables, shared across sessions via
+# The kernel's per-table plan, shared across sessions via
 # MaskTable._beam_cache (built once, read-only afterwards).
 # ----------------------------------------------------------------------
-#: The dense (state × token → next state) advance matrix is only
-#: materialized below this many cells (int32 each); past it the NumPy
-#: path walks class strings per call instead.
-_ADV_MATRIX_CAP = 1 << 24
-
-
-class _VectorTables:
-    __slots__ = (
-        "rows", "step", "err", "doomed", "codes", "lens",
-        "adv", "adv_known",
-    )
-
-    def __init__(self, table: MaskTable) -> None:
-        lowering = table.lowering
-        n = lowering.n_states
-        # A view, not a copy: rows completed later show through.
-        self.rows = _np.frombuffer(
-            table.matrix, dtype=_np.uint8
-        ).reshape(n, table.row_bytes)
-        self.step = _np.array(lowering.step, dtype=_np.int32)
-        self.err = _np.array(lowering.err_state, dtype=bool)
-        self.doomed = _np.array(lowering.doomed, dtype=bool)
-        lens = _np.array([len(c) for c in table.codes], dtype=_np.int32)
-        width = max(1, int(lens.max()))
-        codes = _np.zeros((len(table.codes), width), dtype=_np.uint8)
-        for i, c in enumerate(table.codes):
-            if c:
-                codes[i, : len(c)] = _np.frombuffer(c, dtype=_np.uint8)
-        self.codes = codes
-        self.lens = lens
-        # Lazily-filled dense advance matrix: row s holds the
-        # post-token state for every token from s (-1 = invalid),
-        # computed by one vectorized vocabulary-wide walk on the first
-        # visit to s.  Decode loops revisit a small state set, so the
-        # steady-state advance is a single fancy-indexed gather.
-        if n * len(table.codes) <= _ADV_MATRIX_CAP:
-            self.adv = _np.full(
-                (n, len(table.codes)), -1, dtype=_np.int32
-            )
-            self.adv_known = _np.zeros(n, dtype=bool)
-        else:
-            self.adv = None
-            self.adv_known = None
-
-    def fill_adv_row(self, s: int) -> None:
-        V = self.codes.shape[0]
-        cur = _np.full(V, s, dtype=_np.int64)
-        alive = _np.ones(V, dtype=bool)
-        lens = self.lens
-        step = self.step
-        err = self.err
-        codes = self.codes
-        for pos in range(codes.shape[1]):
-            act = alive & (pos < lens)
-            if not act.any():
-                break
-            bad = act & err[cur]
-            if bad.any():
-                alive &= ~bad
-                act &= ~bad
-            idx = _np.nonzero(act)[0]
-            if idx.size:
-                cur[idx] = step[cur[idx], codes[idx, pos]]
-        alive &= ~self.doomed[cur]
-        self.adv[s] = _np.where(alive, cur, -1).astype(_np.int32)
-        self.adv_known[s] = True
-
-
 class _NativeTables:
     __slots__ = (
         "lib", "step", "n_classes", "err", "doomed",
@@ -340,13 +264,14 @@ class _NativeTables:
 
     def __init__(self, table: MaskTable, lib) -> None:
         lowering = table.lowering
+        ir = lowering.ir
         self.lib = lib
-        self.n_classes = lowering.n_classes
-        self.step = array(
-            "i", (x for row in lowering.step for x in row)
-        ).tobytes()
-        self.err = bytes(map(int, lowering.err_state))
-        self.doomed = bytes(map(int, lowering.doomed))
+        self.n_classes = ir.n_classes
+        # The IR's array itself, not a copy: the kernel steps the very
+        # table the scan engines and the mask walks read.
+        self.step = (ctypes.c_int32 * len(ir.next)).from_buffer(ir.next)
+        self.err = ir.lost
+        self.doomed = lowering.doomed
         offs = array("i")
         lens = array("i")
         pos = 0
@@ -364,7 +289,7 @@ class _NativeTables:
         )
         self.row_bytes = table.row_bytes
         plan = _CPlan()
-        plan.step = self.step
+        plan.step = ctypes.addressof(self.step)
         plan.err = self.err
         plan.doomed = self.doomed
         plan.codes = self.codes
@@ -378,16 +303,10 @@ class _NativeTables:
         self.planref = ctypes.byref(plan)
 
 
-def _prepared(table: MaskTable, kind: str):
-    cache = table._beam_cache
-    if cache is None:
-        cache = table._beam_cache = {}
-    if kind not in cache:
-        if kind == "numpy":
-            cache[kind] = _VectorTables(table)
-        else:
-            cache[kind] = _NativeTables(table, _load_kernel())
-    return cache[kind]
+def _prepared(table: MaskTable) -> _NativeTables:
+    if table._beam_cache is None:
+        table._beam_cache = _NativeTables(table, _load_kernel())
+    return table._beam_cache
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +314,10 @@ class BeamMaskSession:
     """N decode cursors over one shared :class:`MaskTable`, every
     operation a single batched call.
 
-    ``path`` selects the compute path: ``"auto"`` walks the engine
-    ladder (native → numpy → python); forcing ``"native"``/``"numpy"``
-    raises :class:`MaskError` when that path is unavailable.  All
-    paths are bit-identical to N independent
+    ``path`` selects the compute path: ``"auto"`` takes the kernel
+    when it is loaded and the portable Python loop otherwise; forcing
+    ``"native"`` raises :class:`MaskError` when the kernel is
+    unavailable.  Both paths are bit-identical to N independent
     :class:`~repro.apps.structgen.MaskSession`\\ s.
     """
 
@@ -409,7 +328,6 @@ class BeamMaskSession:
         "history_cap",
         "_states",
         "_history",
-        "_vt",
         "_nt",
         "_nbuf",
         "_nsync",
@@ -428,15 +346,7 @@ class BeamMaskSession:
         if width < 1:
             raise MaskError("beam width must be >= 1")
         if path == "auto":
-            if _load_kernel() is not None:
-                path = "native"
-            elif _np is not None:
-                path = "numpy"
-            else:
-                path = "python"
-        elif path == "numpy":
-            if _np is None:
-                raise MaskError("NumPy path unavailable")
+            path = "native" if _load_kernel() is not None else "python"
         elif path == "native":
             if _load_kernel() is None:
                 raise MaskError("native beam kernel unavailable")
@@ -447,8 +357,7 @@ class BeamMaskSession:
         self.history_cap = history_cap
         self._states: list[int] = [0] * width
         self._history: list[tuple[int, ...]] = []
-        self._vt = _prepared(table, "numpy") if path == "numpy" else None
-        self._nt = _prepared(table, "native") if path == "native" else None
+        self._nt = _prepared(table) if path == "native" else None
         self._nbuf = None
         self._nsync = False
         self._metrics = metrics
@@ -471,8 +380,7 @@ class BeamMaskSession:
         return tuple(self._states)
 
     def eos_valid(self) -> list[bool]:
-        eos = self.table.lowering.eos
-        return [eos[s] for s in self._states]
+        return [self.table.eos_valid(s) for s in self._states]
 
     # ------------------------------------------------------------------
     # masks
@@ -519,12 +427,8 @@ class BeamMaskSession:
         """Copy every lane's row out of the matrix; the lanes' states
         are already complete."""
         states = self._states
-        path = self.path
-        if path == "numpy":
-            idx = _np.fromiter(states, dtype=_np.intp, count=len(states))
-            return self._vt.rows[idx].tobytes()
-        if path == "native":
-            nt = self._nt
+        nt = self._nt
+        if nt is not None:
             w = len(states)
             out = bytearray(w * nt.row_bytes)
             nt.lib.beam_gather(
@@ -560,10 +464,7 @@ class BeamMaskSession:
                     f"lane {lane}: token id {tok} out of range "
                     f"(vocabulary has {vocab_size} tokens)"
                 )
-        path = self.path
-        if path == "numpy":
-            new = self._advance_numpy(toks)
-        elif path == "native":
+        if self._nt is not None:
             new = self._advance_native(toks)
         else:
             new = self._advance_python(toks)
@@ -590,12 +491,9 @@ class BeamMaskSession:
                 f"advance() got {len(toks)} token ids for "
                 f"{len(self._states)} lanes"
             )
-        path = self.path
         packed = None
-        if path == "native":
+        if self._nt is not None:
             new, packed = self._step_native(toks)
-        elif path == "numpy":
-            new = self._advance_numpy(toks)
         else:
             new = self._advance_python(toks)
         self._push_history()
@@ -662,48 +560,6 @@ class BeamMaskSession:
             except MaskError:
                 self._fail(lane, toks)
         return new
-
-    def _advance_numpy(self, toks) -> list[int]:
-        vt = self._vt
-        n = len(toks)
-        tok_arr = _np.fromiter(toks, dtype=_np.int64, count=n)
-        oob = (tok_arr < 0) | (tok_arr >= vt.codes.shape[0])
-        if oob.any():
-            self._fail(int(_np.nonzero(oob)[0][0]), toks)
-        if vt.adv is not None:
-            known = vt.adv_known
-            for s in set(self._states):
-                if not known[s]:
-                    vt.fill_adv_row(s)
-            nxt = vt.adv[
-                _np.fromiter(self._states, dtype=_np.intp, count=n),
-                tok_arr,
-            ]
-            if (nxt < 0).any():
-                self._fail(int(_np.nonzero(nxt < 0)[0][0]), toks)
-            return nxt.tolist()
-        tok = tok_arr
-        cur = _np.fromiter(self._states, dtype=_np.int64, count=n)
-        lens = vt.lens[tok]
-        alive = _np.ones(n, dtype=bool)
-        step = vt.step
-        err = vt.err
-        codes = vt.codes
-        for pos in range(int(lens.max())):
-            act = alive & (pos < lens)
-            if not act.any():
-                break
-            bad = act & err[cur]
-            if bad.any():
-                alive &= ~bad
-                act &= ~bad
-            if act.any():
-                idx = _np.nonzero(act)[0]
-                cur[idx] = step[cur[idx], codes[tok[idx], pos]]
-        alive &= ~vt.doomed[cur]
-        if not alive.all():
-            self._fail(int(_np.nonzero(~alive)[0][0]), toks)
-        return cur.tolist()
 
     def _advance_native(self, toks) -> list[int]:
         nt = self._nt

@@ -174,7 +174,7 @@ class MaskTable:
         self.memo_hits = 0
         self.memo_misses = 0
         self._adv_memo: dict = {}
-        self._beam_cache = None  # lazily-built vectorized tables
+        self._beam_cache = None  # the beam kernel's plan, built lazily
 
     # ------------------------------------------------------------------
     @property
@@ -237,19 +237,10 @@ class MaskTable:
         trie, no memo — each token's bytes walked individually.  The
         benchmark's denominator."""
         lowering = self.lowering
-        class_table = lowering.class_table
-        step = lowering.step
-        err = lowering.err_state
-        doomed = lowering.doomed
         row = bytearray(self.row_bytes)
         for i, token in enumerate(self.vocab.tokens):
-            s = state
-            for c in token.translate(class_table):
-                if err[s]:
-                    s = -1
-                    break
-                s = step[s][c]
-            if s >= 0 and not doomed[s]:
+            s = lowering.walk(state, lowering.codes(token))
+            if s >= 0 and not lowering.doomed[s]:
                 row[i >> 3] |= 1 << (i & 7)
         return row
 
@@ -281,7 +272,7 @@ class MaskTable:
     def eos_valid(self, state: int) -> bool:
         """Whether end-of-data is accepted in ``state`` (some pending
         token detects at EOF — the flush path's condition)."""
-        return self.lowering.eos[state]
+        return bool(self.lowering.ir.eos[state])
 
     # ------------------------------------------------------------------
     # serialization: RMSK | u32 header len | JSON header | raw sections

@@ -209,25 +209,6 @@ class RouterSession(StreamSession):
         self._prune()
         return messages
 
-    @property
-    def scan_session(self):
-        """The underlying compiled scan session (the cross-flow batch
-        stepper advances these in lockstep, then hands each flow's
-        completed results back through :meth:`feed_prepared`)."""
-        return self._stream
-
-    def feed_prepared(
-        self, chunk: bytes, results: "list[tuple[DetectEvent, int]]"
-    ) -> list[RoutedMessage]:
-        """:meth:`feed`, minus the scan: consume ``chunk`` whose scan
-        ``results`` were already produced against :attr:`scan_session`
-        (by a batch step)."""
-        self._check_open()
-        self._buffer += chunk
-        messages = self._apply(results)
-        self._prune()
-        return messages
-
     def finish(self) -> list[RoutedMessage]:
         """End the stream; return messages completed by end-of-data."""
         self._check_open()

@@ -1252,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --beam: decode steps per "
                           "measurement")
     sg_bench.add_argument("--beam-path",
-                          choices=("auto", "native", "numpy", "python"),
+                          choices=("auto", "native", "python"),
                           default="auto",
                           help="with --beam: force a compute path")
     sg_bench.add_argument("--host", default="127.0.0.1")

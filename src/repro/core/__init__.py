@@ -16,12 +16,11 @@ from repro.core.generator import TaggerCircuit, TaggerGenerator, TaggerOptions
 from repro.core.compiled import CompiledStream, CompiledTagger
 from repro.core.scanplan import DetectEvent, ScanPlan, build_scan_plan
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
-from repro.core.vectorscan import BatchScanner, VectorTagger
+from repro.core.vectorscan import VectorTagger
 from repro.core.nativescan import NativeTagger
 from repro.core.capabilities import engine_capabilities
 
 __all__ = [
-    "BatchScanner",
     "BehavioralTagger",
     "BufferedSession",
     "CompiledStream",

@@ -1,10 +1,7 @@
 """The unified tagger surface: one protocol, one session interface.
 
-Three tagger back-ends grew three subtly different APIs: the
-behavioral tagger had ``events_and_errors``, the gate-level tagger had
-bespoke ``index_stream``/``error_positions``, and the streaming
-wrappers split between ``feed``/``finish`` and ``push_frame``/
-``results``. This module pins down the two shared surfaces every
+Three tagger back-ends grew three subtly different APIs for errors and
+for streaming. This module pins down the two shared surfaces every
 back-end now implements:
 
 * :class:`TokenTagger` — the whole-buffer scanning protocol
@@ -32,7 +29,6 @@ protocol and handed any engine.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import BackendError
@@ -46,22 +42,6 @@ __all__ = [
     "StreamSession",
     "TokenTagger",
 ]
-
-
-#: The release in which the deprecated pre-1.0 aliases are deleted
-#: (``error_positions``, ``push_frame``, ``push_packet`` — see the
-#: DESIGN.md §7 migration table).
-ALIAS_REMOVAL_VERSION = "2.0"
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a renamed API."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in repro "
-        f"{ALIAS_REMOVAL_VERSION}; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @runtime_checkable
@@ -128,13 +108,6 @@ class StreamSession:
     def _check_open(self) -> None:
         if self._finished:
             raise BackendError("stream already finished")
-
-    # ------------------------------------------------------------------
-    def push_frame(self, chunk: bytes) -> list:
-        """Deprecated alias of :meth:`feed` (pre-StreamSession name),
-        honored by every session implementation."""
-        warn_deprecated(f"{type(self).__name__}.push_frame", "feed")
-        return self.feed(chunk)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "StreamSession":

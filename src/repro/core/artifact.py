@@ -5,27 +5,31 @@ loads the resulting tables into the device; the software engines here
 instead materialize their tables lazily in every process.  This module
 closes that gap: :func:`build_artifact` runs the full compilation
 pipeline — :class:`~repro.core.scanplan.ScanPlan`, the compiled
-product-automaton tables, and the vector engine's dense closure (byte
-classes, edges, skip prefilters) — and serializes the result to one
-self-describing binary blob; :func:`load_artifact` restores it into
-the per-(grammar, wiring) caches so every engine on the ladder starts
-warm without paying the closure again.  The native kernel's flattened
-int32 tables re-lower from the restored dense closure (a few
-milliseconds) rather than being stored: they embed a C capsule that
-cannot round-trip, and lowering is three orders of magnitude cheaper
-than the closure it consumes.
+product-automaton tables, and the scan IR
+(:class:`~repro.core.scanir.ScanIR`: byte classes, the class-indexed
+step table, effects, skip prefilters, state flags) — and serializes
+the result to one self-describing binary blob; :func:`load_artifact`
+restores it through the owning modules' install functions so every
+engine on the ladder starts without paying the closure again.  The
+native kernel's flattened int32 tables re-lower from the restored IR
+(a few milliseconds) rather than being stored: they embed a C capsule
+that cannot round-trip, and lowering is three orders of magnitude
+cheaper than the closure it consumes.
 
 Blob layout::
 
-    b"RART" | u32 header length | JSON header | marshal payload
+    b"RART" | u32 header length | JSON header | marshal payload | sha256
 
 The header carries everything needed to *identify* the artifact
 (format ABI, interpreter tag, grammar name, wiring fields, content
-key); the payload carries the tables as pure-builtin structures.
-``marshal`` (not pickle) keeps loads fast and free of arbitrary code
-execution, at the price of being interpreter-version specific — which
-is why :func:`interpreter_tag` is part of the object key and a
-mismatched blob raises :class:`ArtifactError` instead of loading.
+key); the payload carries the tables as pure-builtin structures; the
+32-byte trailer is the sha256 of every byte before it, checked before
+the payload is unmarshalled, so a flipped bit anywhere heals through
+the registry instead of mis-serving.  ``marshal`` (not pickle) keeps
+loads fast and free of arbitrary code execution, at the price of being
+interpreter-version specific — which is why :func:`interpreter_tag` is
+part of the object key and a mismatched blob raises
+:class:`ArtifactError` instead of loading.
 
 Keying is two-level:
 
@@ -48,12 +52,13 @@ import json
 import marshal
 import sys
 
-from repro.core.compiled import _TABLE_CACHE, _CompiledTables
+from repro.core.compiled import CompiledTagger, install_tables
 from repro.core.generator import TaggerOptions
+from repro.core.scanir import ScanIR, install_scan_ir, scan_ir_for
 from repro.core.scanplan import _wiring_key, build_scan_plan
 from repro.core.tokenizer import TokenizerTemplateOptions
 from repro.core.wiring import WiringOptions
-from repro.errors import ReproError
+from repro.errors import ArtifactError, ReproError
 from repro.grammar.cfg import Grammar
 from repro.grammar.writer import write_yacc_grammar
 from repro.grammar.yacc_parser import parse_yacc_grammar
@@ -73,10 +78,14 @@ __all__ = [
 ]
 
 #: Bumped whenever the serialized table layout changes; part of the
-#: object key, so old blobs are simply never looked up again.
-ARTIFACT_ABI = 1
+#: object key, so old blobs are simply never looked up again.  ABI 2:
+#: the payload carries ``ScanIR.to_payload()`` instead of a
+#: byte-indexed edge dict, and the blob ends with a sha256 trailer.
+ARTIFACT_ABI = 2
 
 _MAGIC = b"RART"
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Field order matching ``scanplan._wiring_key``.
 _WIRING_FIELDS = (
@@ -89,10 +98,6 @@ _WIRING_FIELDS = (
 )
 
 
-class ArtifactError(ReproError):
-    """A blob is corrupt, truncated, or built for another interpreter."""
-
-
 # ----------------------------------------------------------------------
 # keying
 # ----------------------------------------------------------------------
@@ -103,10 +108,10 @@ def wiring_fields(wiring: WiringOptions) -> list:
 
 def options_from_wiring_fields(fields) -> TaggerOptions:
     """Rebuild :class:`TaggerOptions` from :func:`wiring_fields`."""
-    if len(fields) != len(_WIRING_FIELDS):
+    if not isinstance(fields, list) or len(fields) != len(_WIRING_FIELDS):
         raise ArtifactError(
-            f"wiring key has {len(fields)} fields, "
-            f"expected {len(_WIRING_FIELDS)}"
+            f"wiring key {fields!r} is not a list of "
+            f"{len(_WIRING_FIELDS)} fields"
         )
     cd, start_mode, loop, recovery, longest, boundary = fields
     return TaggerOptions(
@@ -152,19 +157,16 @@ def build_artifact(
 ) -> bytes:
     """Compile ``grammar`` fully and serialize the tables to one blob.
 
-    Runs the compiled product automaton *and* the dense closure the
-    vector/native engines share.  When the closure bails out (product
+    Runs the compiled product automaton *and* the scan IR closure every
+    table consumer shares.  When the closure bails out (product
     automaton past the state cap) the blob degrades to source + wiring
     only and loading falls back to lazy compilation — correctness over
     cold-start speed, same ladder discipline as the engines themselves.
     """
-    from repro.core.compiled import CompiledTagger
-    from repro.core.vectorscan import _dense_tables_for
-
     options = options or TaggerOptions()
     source = write_yacc_grammar(grammar)
     tagger = CompiledTagger(grammar, options)
-    vt = _dense_tables_for(tagger)
+    ir = scan_ir_for(tagger)
     header = {
         "format": _MAGIC.decode("ascii"),
         "abi": ARTIFACT_ABI,
@@ -172,11 +174,10 @@ def build_artifact(
         "grammar": grammar.name,
         "wiring": wiring_fields(options.wiring),
         "content": content_id(source, options.wiring),
-        "dense": vt is not None,
+        "dense": ir is not None,
     }
-    if vt is None:
-        payload: dict = {"source": source}
-    else:
+    payload: dict = {"source": source}
+    if ir is not None:
         tables = tagger.tables
         # One DFA per token *name* (occurrences share them); store the
         # interned subset states in interning order so the load-time
@@ -186,22 +187,16 @@ def build_artifact(
             name = unit.terminal.name
             if name not in dfa_states:
                 dfa_states[name] = list(dfa.state_positions)
-        payload = {
-            "source": source,
-            "tstates": list(tables.tstates),
-            "dfa_states": dfa_states,
-            "edges": vt.edges,
-            "class_table": vt.class_table,
-            "repr_byte": list(vt.repr_byte),
-            "skip_live": vt.skip_live,
-            "n_states": vt.n_states,
-        }
-        header["states"] = vt.n_states
-        header["classes"] = len(vt.repr_byte)
+        payload["tstates"] = list(tables.tstates)
+        payload["dfa_states"] = dfa_states
+        payload["ir"] = ir.to_payload()
+        header["states"] = ir.n_states
+        header["classes"] = ir.n_classes
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (
+    body = (
         _MAGIC + len(head).to_bytes(4, "big") + head + marshal.dumps(payload)
     )
+    return body + hashlib.sha256(body).digest()
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +204,8 @@ def build_artifact(
 # ----------------------------------------------------------------------
 def read_header(blob: bytes) -> dict:
     """Parse and validate the JSON header without unmarshalling tables
-    (safe across interpreter versions; used by ``registry inspect``)."""
+    or checking the digest (safe across interpreter versions and ABIs;
+    used by ``registry inspect``)."""
     if blob[:4] != _MAGIC:
         raise ArtifactError("not a scan artifact (bad magic)")
     head_len = int.from_bytes(blob[4:8], "big")
@@ -219,6 +215,8 @@ def read_header(blob: bytes) -> dict:
         header = json.loads(blob[8 : 8 + head_len])
     except ValueError as exc:
         raise ArtifactError(f"corrupt artifact header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ArtifactError("artifact header is not a JSON object")
     return header
 
 
@@ -226,7 +224,7 @@ class CompiledArtifact:
     """A loaded artifact: the grammar, its options, and warm caches.
 
     Constructing taggers from an artifact is cheap — the plan, compiled
-    tables and dense closure are already installed in the engine caches
+    tables and scan IR are already installed in their owners' caches
     keyed by :attr:`grammar`, so :meth:`tagger` skips straight to
     (at most) the native kernel's fast re-lowering.
     """
@@ -267,9 +265,10 @@ class CompiledArtifact:
 def load_artifact(blob: bytes) -> CompiledArtifact:
     """Deserialize a blob and install its tables into the engine caches.
 
-    Raises :class:`ArtifactError` for corrupt blobs or blobs built
-    under a different interpreter/ABI tag (callers holding the grammar
-    source — the registry does — recompile and republish instead).
+    Raises :class:`ArtifactError` — and nothing else — for blobs that
+    are corrupt (digest mismatch), wrong-shaped, or built under a
+    different interpreter/ABI tag; callers holding the grammar source
+    (the registry does) recompile and republish instead.
     """
     header = read_header(blob)
     if header.get("interpreter") != interpreter_tag():
@@ -277,84 +276,54 @@ def load_artifact(blob: bytes) -> CompiledArtifact:
             f"artifact built for {header.get('interpreter')!r}, "
             f"this interpreter is {interpreter_tag()!r}"
         )
+    body_end = len(blob) - _DIGEST_BYTES
     head_len = int.from_bytes(blob[4:8], "big")
+    if (
+        body_end < 8 + head_len
+        or hashlib.sha256(blob[:body_end]).digest() != blob[body_end:]
+    ):
+        raise ArtifactError("artifact digest mismatch (corrupt blob)")
     try:
-        payload = marshal.loads(blob[8 + head_len :])
+        payload = marshal.loads(blob[8 + head_len : body_end])
     except (ValueError, EOFError, TypeError) as exc:
         raise ArtifactError(f"corrupt artifact payload: {exc}") from None
-    grammar = parse_yacc_grammar(
-        payload["source"], name=header.get("grammar", "grammar")
-    )
-    options = options_from_wiring_fields(header["wiring"])
+    if not isinstance(payload, dict) or not isinstance(
+        payload.get("source"), str
+    ):
+        raise ArtifactError("artifact payload carries no grammar source")
+    try:
+        grammar = parse_yacc_grammar(
+            payload["source"], name=str(header.get("grammar", "grammar"))
+        )
+    except ReproError as exc:  # grammar or token-pattern syntax
+        raise ArtifactError(f"artifact grammar source: {exc}") from None
+    options = options_from_wiring_fields(header.get("wiring"))
     if header.get("dense"):
         _install(grammar, options, payload)
-    artifact = CompiledArtifact(grammar, options, header, nbytes=len(blob))
-    return artifact
+    return CompiledArtifact(grammar, options, header, nbytes=len(blob))
 
 
 def _install(grammar: Grammar, options: TaggerOptions, payload: dict) -> None:
-    """Rebuild the compiled tables and dense closure from a payload and
-    install them into the per-(grammar, wiring) engine caches.
+    """Hand the payload's tables to the modules that own them: the
+    interned states to :func:`~repro.core.compiled.install_tables`, the
+    validated IR to :func:`~repro.core.scanir.install_scan_ir`.
 
     The replay relies on interning determinism: token-DFA subset
     states and global product states are appended in stored order, so
-    every integer id in the serialized edges/memo lands on the same
-    object it was derived from (the cold-start differential test pins
-    this across processes and engine-gate permutations).
+    every state id in the IR lands on the object it was derived from
+    (the cold-start differential test pins this across processes and
+    engine-gate permutations).
     """
-    from repro.core import vectorscan
-
+    ir = ScanIR.from_payload(payload.get("ir"))
     plan = build_scan_plan(grammar, options.wiring)
-    key = _wiring_key(options.wiring)
-    tables = _CompiledTables(plan)
-    name_to_dfa = {}
-    for unit, dfa in zip(plan.units, tables.unit_dfas):
-        name_to_dfa.setdefault(unit.terminal.name, dfa)
-    for name, states in payload["dfa_states"].items():
-        dfa = name_to_dfa.get(name)
-        if dfa is None:
-            raise ArtifactError(f"artifact names unknown token {name!r}")
-        for positions in states[1:]:
-            dfa._state_id(tuple(positions))
-    for t in payload["tstates"][1:]:
-        tables._intern(t)
-    n_states = payload["n_states"]
-    if len(tables.tstates) < n_states:
+    tables = install_tables(
+        grammar, plan, payload.get("dfa_states"), payload.get("tstates")
+    )
+    if len(tables.tstates) < ir.n_states:
         raise ArtifactError(
-            f"artifact closure has {n_states} states but only "
+            f"artifact closure has {ir.n_states} states but only "
             f"{len(tables.tstates)} restored"
         )
-    # The compiled engine's step memo is the dense edge set re-shifted
-    # (both are keyed ``tid << 8 | byte``), so one stored table serves
-    # both engines.
-    edges = payload["edges"]
-    memo = tables.memo
-    for k, sig in edges.items():
-        if sig.__class__ is int:
-            memo[k] = sig << 8
-        else:
-            memo[k] = (sig[0] << 8, sig[1], sig[2], sig[3])
-
-    vt = vectorscan._VectorTables.__new__(vectorscan._VectorTables)
-    vt.tables = tables
-    vt.units = plan.units
-    vt.ok = True
-    vt.n_states = n_states
-    vt.edges = edges
-    vt.class_table = payload["class_table"]
-    vt.repr_byte = payload["repr_byte"]
-    vt.skip_live = payload["skip_live"]
-    vt.memo8 = {}
-    vt._prog_cache = {}
-    vt._batch = None
-
-    per_tables = _TABLE_CACHE.get(grammar)
-    if per_tables is None:
-        per_tables = {}
-        _TABLE_CACHE[grammar] = per_tables
-    per_tables[key] = tables
-    per_vector = vectorscan._VECTOR_CACHE.get(grammar)
-    if per_vector is None:
-        per_vector = {}
-        vectorscan._VECTOR_CACHE[grammar] = per_vector
-    per_vector[key] = vt
+    if ir.unit_caps != tables.unit_caps():
+        raise ArtifactError("artifact IR was lowered for other tokenizers")
+    install_scan_ir(grammar, options.wiring, ir)

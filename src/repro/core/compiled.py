@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from repro.core.api import StreamSession, warn_deprecated
+from repro.core.api import StreamSession
 from repro.core.generator import TaggerOptions
 from repro.core.scanplan import (
     DetectEvent,
@@ -61,6 +61,7 @@ from repro.core.scanplan import (
     build_scan_plan,
 )
 from repro.core.tokens import TaggedToken
+from repro.errors import ArtifactError
 from repro.grammar.cfg import Grammar
 from repro.grammar.regex.glushkov import Glushkov
 
@@ -229,6 +230,11 @@ class _CompiledTables:
         self._intern(((), 0, 0, True))  # id 0: start of data
 
     # ------------------------------------------------------------------
+    def unit_caps(self) -> tuple[int, ...]:
+        """Per-unit start-register capacity: the bound on every
+        register index a step's events and start moves can name."""
+        return tuple(max(1, dfa.auto.n_positions) for dfa in self.unit_dfas)
+
     def _intern(self, t: tuple) -> int:
         tid = self.tids.get(t)
         if tid is None:
@@ -325,15 +331,59 @@ _TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _tables_for(grammar: Grammar, plan: ScanPlan) -> _CompiledTables:
-    per_grammar = _TABLE_CACHE.get(grammar)
-    if per_grammar is None:
-        per_grammar = {}
-        _TABLE_CACHE[grammar] = per_grammar
+    per_grammar = _TABLE_CACHE.setdefault(grammar, {})
     key = _wiring_key(plan.wiring)
     tables = per_grammar.get(key)
     if tables is None:
-        tables = _CompiledTables(plan)
-        per_grammar[key] = tables
+        tables = per_grammar[key] = _CompiledTables(plan)
+    return tables
+
+
+def install_tables(
+    grammar: Grammar, plan: ScanPlan, dfa_states, tstates
+) -> _CompiledTables:
+    """Rebuild the tables of ``(grammar, plan.wiring)`` from an
+    artifact's stored interning order and make them the cached ones.
+
+    ``dfa_states`` maps a token name to its subset states (position
+    tuples) and ``tstates`` lists the global control states, both in
+    the order the builder interned them, so every state id a stored
+    scan IR mentions lands on the state it was derived from; the step
+    memo refills lazily through :meth:`_CompiledTables.build_step`,
+    which reproduces those ids.  Anything wrong-shaped or out of range
+    raises :class:`~repro.errors.ArtifactError`.
+    """
+    tables = _CompiledTables(plan)
+    if not (isinstance(dfa_states, dict) and isinstance(tstates, list)):
+        raise ArtifactError("malformed compiled-table payload")
+    name_to_dfa: dict[str, _TokenDFA] = {}
+    for unit, dfa in zip(plan.units, tables.unit_dfas):
+        name_to_dfa.setdefault(unit.terminal.name, dfa)
+    for name, states in dfa_states.items():
+        dfa = name_to_dfa.get(name)
+        if dfa is None or not isinstance(states, list):
+            raise ArtifactError(f"artifact names unknown token {name!r}")
+        n_positions = dfa.auto.n_positions
+        for positions in states[1:]:
+            if type(positions) is not tuple or not all(
+                type(p) is int and 0 <= p < n_positions for p in positions
+            ):
+                raise ArtifactError(f"bad subset state for token {name!r}")
+            dfa._state_id(positions)
+    n_units = tables.n_units
+    for t in tstates[1:]:
+        try:
+            items, armed, pdet, _first = t
+            if (armed | pdet) >> n_units or not all(
+                0 <= u < n_units
+                and 0 < s < len(tables.unit_dfas[u].state_positions)
+                for u, s in items
+            ):
+                raise ValueError("unit or subset state out of range")
+            tables._intern(t)
+        except (TypeError, ValueError):  # also wrong arity, unhashable
+            raise ArtifactError("bad product state in artifact") from None
+    _TABLE_CACHE.setdefault(grammar, {})[_wiring_key(plan.wiring)] = tables
     return tables
 
 
@@ -431,13 +481,6 @@ class CompiledTagger:
         self._run(data, state, errors, out)
         self._flush(state, out)
         return [event for event, _start in out], errors
-
-    def error_positions(self, data: bytes) -> list[int]:
-        """Deprecated alias: the error half of :meth:`events_and_errors`."""
-        warn_deprecated(
-            "CompiledTagger.error_positions", "events_and_errors"
-        )
-        return self.events_and_errors(data)[1]
 
     def tag(self, data: bytes) -> list[TaggedToken]:
         """Tagged tokens with lexemes (earliest-start reconstruction)."""

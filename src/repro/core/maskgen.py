@@ -3,15 +3,14 @@
 The paper's tagger consults a precompiled automaton once per input
 byte; constrained LLM decoding consults a grammar once per *token* —
 "which of the vocabulary's tokens may the model emit from the current
-parse state?".  This module lowers the compiled product automaton
-(:mod:`repro.core.compiled`) into exactly that query, reusing the
-dense closure the vector and native engines already build
-(:func:`repro.core.vectorscan._dense_tables_for`):
+parse state?".  This module lowers the shared scan IR
+(:mod:`repro.core.scanir` — the same object the vector and native
+engines step) into exactly that query:
 
-* **Class-reduced step tables.** The closure's byte-equivalence
-  classes collapse each token's bytes into a short class string
-  (``bytes.translate``), and stepping happens over a per-state
-  ``n_classes``-wide next-state row — the paper's character-class
+* **Class-reduced stepping.** The IR's byte-equivalence classes
+  collapse each token's bytes into a short class string
+  (``bytes.translate``), and stepping happens over the IR's flat
+  ``next[state * C + class]`` array — the paper's character-class
   decoder applied to token walking.  Distinct tokens with the same
   class string are indistinguishable to the automaton, which is the
   "token space compression" observation from PAPERS.md: the walk is
@@ -36,7 +35,7 @@ dense closure the vector and native engines already build
   tokens, and once per state on first visit for the
   context-dependent remainder.
 
-Everything here is pure Python over the NumPy-free closure, so mask
+Everything here is pure Python over the NumPy-free IR, so mask
 lowering works under ``REPRO_DISABLE_NUMPY=1`` and in the pool
 workers.  The packed-row format, the context-independent vs
 context-dependent token split and the on-disk artifact live one layer
@@ -45,11 +44,15 @@ up in :mod:`repro.apps.structgen.masks`.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from hashlib import sha256
 
-from repro.core.compiled import EOF, CompiledTagger
+from repro.core.compiled import CompiledTagger
+from repro.core.scanir import scan_ir_for
 
 __all__ = ["MaskInfeasible", "MaskLowering"]
+
 
 class MaskInfeasible(RuntimeError):
     """The product automaton resisted densification (state cap), so
@@ -57,109 +60,58 @@ class MaskInfeasible(RuntimeError):
 
 
 class MaskLowering:
-    """Class-reduced step tables + doomed/EOF analysis for one
+    """Doomed-state analysis and token walks over the scan IR of one
     (grammar, wiring) pair.
 
     A token is *valid* in state ``s`` iff walking its byte classes
     from ``s`` crosses no error edge and its final state is not
     doomed.  Under error recovery a lost state reports the error on
     its *next* step (the §5.2 liveness cut looks one byte back), so
-    the error flag is a property of the source state — precomputed
-    into :attr:`err_state` — and lost states are doomed by
-    construction (every outgoing edge is an error edge).
+    the error flag is a property of the source state — the IR's
+    ``lost`` flags — and lost states are doomed by construction (every
+    outgoing edge is an error edge).
     """
 
-    __slots__ = (
-        "tables",
-        "n_states",
-        "n_classes",
-        "class_table",
-        "step",
-        "err_state",
-        "doomed",
-        "eos",
-    )
+    __slots__ = ("ir", "n_states", "n_classes", "class_table", "doomed")
 
     def __init__(self, tagger: CompiledTagger) -> None:
-        from repro.core.vectorscan import _dense_tables_for
-
-        vt = _dense_tables_for(tagger)
-        if vt is None:
+        ir = scan_ir_for(tagger)
+        if ir is None:
             raise MaskInfeasible(
                 "product automaton too large to densify; no mask tables"
             )
-        self.tables = tagger.tables
-        n = vt.n_states
-        self.n_states = n
-        self.class_table = vt.class_table
-        self.n_classes = len(vt.repr_byte)
-        edges = vt.edges
-        repr_byte = vt.repr_byte
-
-        # Per-state class-indexed next-state rows; remember which
-        # states have an event-emitting outgoing edge (liveness seeds).
-        step: list[list[int]] = []
-        emits = [False] * n
-        for tid in range(n):
-            base = tid << 8
-            row = []
-            for byte in repr_byte:
-                sig = edges[base | byte]
-                if sig.__class__ is int:
-                    row.append(sig)
-                else:
-                    row.append(sig[0])
-                    if sig[1]:
-                        emits[tid] = True
-            step.append(row)
-        self.step = step
-
-        # Lost states (§5.2): the liveness cut depends only on the
-        # source state, so "this step reports an error" is per-state.
-        tstates = self.tables.tstates
-        recovery = self.tables.recovery
-        err = [False] * n
-        for tid in range(n):
-            items, armed, pdet, first = tstates[tid]
-            if recovery and not first and not (items or armed or pdet):
-                err[tid] = True
-        self.err_state = err
-
-        # EOF detection (mirrors CompiledTagger._flush): some pending
-        # unit detects with the end-of-data look-ahead.
-        unit_dfas = self.tables.unit_dfas
-        eos = [False] * n
-        for tid in range(n):
-            for u, s in tstates[tid][0]:
-                if unit_dfas[u].detect_masks[s] >> EOF & 1:
-                    eos[tid] = True
-                    break
-        self.eos = eos
+        self.ir = ir
+        n = self.n_states = ir.n_states
+        n_classes = self.n_classes = ir.n_classes
+        self.class_table = ir.class_table
+        nxt = ir.next
+        lost = ir.lost
 
         # Doomed = cannot reach an event or a valid EOF over
         # error-free edges.  Backward BFS from the seeds; edges out of
         # lost states are error edges and do not propagate liveness.
         rev: list[list[int]] = [[] for _ in range(n)]
         for tid in range(n):
-            if err[tid]:
+            if lost[tid]:
                 continue
-            for ntid in set(step[tid]):
+            for ntid in set(nxt[tid * n_classes : (tid + 1) * n_classes]):
                 rev[ntid].append(tid)
-        live = [False] * n
+        doomed = bytearray(b"\x01") * n
         frontier = []
         for tid in range(n):
-            if (emits[tid] or eos[tid]) and not err[tid]:
-                live[tid] = True
+            if (ir.emits[tid] or ir.eos[tid]) and not lost[tid]:
+                doomed[tid] = 0
                 frontier.append(tid)
         while frontier:
-            nxt = []
+            reached = []
             for tid in frontier:
                 for pred in rev[tid]:
-                    if not live[pred]:
-                        live[pred] = True
-                        nxt.append(pred)
-            frontier = nxt
-        self.doomed = [not ok for ok in live]
+                    if doomed[pred]:
+                        doomed[pred] = 0
+                        reached.append(pred)
+            frontier = reached
+        #: One flag byte per state, the layout the beam kernel reads.
+        self.doomed = bytes(doomed)
 
     # ------------------------------------------------------------------
     def codes(self, token: bytes) -> bytes:
@@ -168,12 +120,13 @@ class MaskLowering:
 
     def walk(self, tid: int, codes: bytes) -> int:
         """Step a class string from ``tid``; -1 on an error edge."""
-        step = self.step
-        err = self.err_state
+        nxt = self.ir.next
+        lost = self.ir.lost
+        n_classes = self.n_classes
         for c in codes:
-            if err[tid]:
+            if lost[tid]:
                 return -1
-            tid = step[tid][c]
+            tid = nxt[tid * n_classes + c]
         return tid
 
     # ------------------------------------------------------------------
@@ -202,16 +155,17 @@ class MaskLowering:
         """OR the validity bits of the trie's tokens from start state
         ``s0`` into the packed row at ``rows[base:]``.
 
-        One DFS, pruning on error states (every continuation reports
-        an error) and doomed next states (doomed is forward-closed, so
-        the whole subtree is invalid).  Bit ``i`` (LSB-first within
-        each byte) is token ``i``'s validity from ``s0``.
+        One DFS, pruning on doomed next states (doomed is
+        forward-closed, so the whole subtree is invalid).  Lost states
+        are doomed, so the walk never stands on one and crosses no
+        error edge.  Bit ``i`` (LSB-first within each byte) is token
+        ``i``'s validity from ``s0``.
         """
         doomed = self.doomed
         if doomed[s0]:
             return
-        step = self.step
-        err = self.err_state
+        nxt = self.ir.next
+        n_classes = self.n_classes
         stack = [(root, s0)]
         push = stack.append
         pop = stack.pop
@@ -219,11 +173,9 @@ class MaskLowering:
             node, s = pop()
             for tok in node[1]:
                 rows[base + (tok >> 3)] |= 1 << (tok & 7)
-            if err[s]:
-                continue
-            row = step[s]
+            edge = s * n_classes
             for c, child in node[0].items():
-                ns = row[c]
+                ns = nxt[edge + c]
                 if not doomed[ns]:
                     push((child, ns))
 
@@ -250,11 +202,12 @@ class MaskLowering:
         h.update(b"maskgen-fp1")
         h.update(bytes((self.n_states & 0xFF, self.n_states >> 8 & 0xFF)))
         h.update(self.class_table)
-        pack = int.to_bytes
-        for row in self.step:
-            for ntid in row:
-                h.update(pack(ntid, 2, "little"))
-        h.update(bytes(self.err_state))
-        h.update(bytes(self.doomed))
-        h.update(bytes(self.eos))
+        # Next states as little-endian u16 (the state cap fits).
+        step = array("H", self.ir.next)
+        if sys.byteorder == "big":
+            step.byteswap()
+        h.update(step.tobytes())
+        h.update(self.ir.lost)
+        h.update(self.doomed)
+        h.update(self.ir.eos)
         return h.hexdigest()

@@ -1,21 +1,22 @@
-"""Native scan engine: the dense tables stepped by a C inner loop.
+"""Native scan engine: the scan IR stepped by a C inner loop.
 
 Fourth engine in the ladder (interpreted → compiled → vector →
 native).  The paper's datapath sustains line rate because the product
 automaton is lowered into flat hardware tables; this module performs
-the same lowering in software.  The closed product automaton that
-:mod:`repro.core.vectorscan` computes — byte-equivalence classes,
-per-``(state, class)`` edges, dead-region inert masks and effect
-signatures — is flattened into four contiguous arrays:
+the same lowering in software.  The shared scan IR
+(:mod:`repro.core.scanir` — byte-equivalence classes, the
+class-indexed ``next`` / ``effect`` arrays, dead-region inert rows) is
+lowered into four contiguous arrays:
 
-* ``step[state * C + class]``: the premultiplied next state with a
+* ``step[state * C + class]``: ``next`` premultiplied by ``C`` with a
   2-bit tag (effectful / skippable) folded into the low bits, so the
   quiet path is two loads and a shift per byte;
-* ``prog_idx`` + ``progs``: every effectful edge's replay program
-  (error position, events with earliest-start folds, start-register
-  moves) lowered to a tiny int32 bytecode executed inside the C loop;
-* ``skip_ofs`` + ``live_all``: per-dead-state raw-byte prefilters the
-  loop uses to fast-forward over inert regions memchr-style.
+* ``prog_idx`` + ``progs``: every effect's replay program (error
+  position, events with earliest-start folds, start-register moves)
+  lowered to a tiny int32 bytecode executed inside the C loop;
+* ``skip_ofs`` + ``live_all``: the IR's per-dead-state raw-byte rows,
+  concatenated, which the loop uses to fast-forward over inert regions
+  memchr-style.
 
 :func:`_nativescan.scan_chunk` then consumes an entire chunk in one
 call with the GIL released, surfacing only the sparse effectful
@@ -28,8 +29,8 @@ The kernel builds on demand from the checked-in C source (see
 ``REPRO_DISABLE_NATIVE=1``, or for automata that resist densification,
 :class:`NativeTagger` degrades transparently down the ladder to the
 vector or compiled loop.  :func:`capability` reports which rung is
-live.  NumPy is *not* required: the dense closure is pure Python, so
-the native engine stays available under ``REPRO_DISABLE_NUMPY=1``.
+live.  NumPy is *not* required: the IR is pure Python, so the native
+engine stays available under ``REPRO_DISABLE_NUMPY=1``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from repro.core import _native_build
-from repro.core.scanplan import DetectEvent, _wiring_key
-from repro.core.vectorscan import VectorTagger, _dense_tables_for
+from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanplan import DetectEvent
+from repro.core.vectorscan import VectorTagger
 
 __all__ = ["NativeTagger", "capability"]
 
@@ -69,123 +71,98 @@ def capability(probe: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Lowering the dense closure to flat C tables
+# Lowering the scan IR to flat C tables
 # ----------------------------------------------------------------------
 class _NativeTables:
-    """Flat native tables for one (grammar, wiring) pair, interned in a
-    validated capsule owned by the C module; shared by every
-    :class:`NativeTagger` over that pair."""
+    """Flat native tables for one scan IR, interned in a validated
+    capsule owned by the C module; shared by every
+    :class:`NativeTagger` over that (grammar, wiring) pair."""
 
     __slots__ = ("ext", "capsule")
 
-    def __init__(self, ext, vt, tables, units: tuple) -> None:
-        n_states = vt.n_states
-        repr_byte = vt.repr_byte
-        n_classes = len(repr_byte)
-        class_table = vt.class_table
-        edges = vt.edges
-        skip_live = vt.skip_live
-        n_units = len(units)
-        unit_caps = array(
-            "i",
-            (max(1, dfa.auto.n_positions) for dfa in tables.unit_dfas),
-        )
+    def __init__(self, ext, ir: ScanIR, units: tuple) -> None:
+        n_states = ir.n_states
+        n_classes = ir.n_classes
+
+        # Dead-state prefilters: the IR's raw-byte rows, concatenated,
+        # so the C loop tests input bytes directly.
+        skip_ofs = array("i", [-1]) * n_states
+        for row, tid in enumerate(ir.skip_live):
+            skip_ofs[tid] = row
+        live_all = b"".join(ir.skip_live.values())
+
+        # One program per distinct effect; offset 0 is the empty one.
+        progs = array("i", [_OP_END])
+        offsets = [0]
+        max_per_edge = 1
+        for events, start_ops, err in ir.effects[1:]:
+            offsets.append(len(progs))
+            code = [_OP_ERR] if err else []
+            for u, q in events or ():
+                code += (_OP_EVENT, u, len(q))
+                code += q
+            for u, moves in start_ops or ():
+                code += (_OP_STARTS, u, len(moves))
+                for srcs in moves:
+                    code.append(len(srcs))
+                    code += srcs
+            code.append(_OP_END)
+            progs.extend(code)
+            max_per_edge = max(max_per_edge, bool(err) + len(events or ()))
 
         step = array("i")
         prog_idx = array("i")
-        progs = array("i", [_OP_END])  # offset 0: the empty program
-        prog_offsets: dict[tuple, int] = {}
-        max_per_edge = 1
-
-        # Dead-state prefilters: one 256-entry raw-byte row per skip
-        # state (the class-indexed mask composed with the class map, so
-        # the C loop tests input bytes directly).
-        skip_ofs = array("i", [-1]) * n_states
-        rows: list[bytes] = []
-        for tid, live in skip_live.items():
-            skip_ofs[tid] = len(rows)
-            rows.append(bytes(live[class_table[b]] for b in range(256)))
-        live_all = b"".join(rows)
-
-        for tid in range(n_states):
-            base = tid << 8
-            for byte in repr_byte:
-                sig = edges[base | byte]
-                if sig.__class__ is int:
-                    skip = sig == tid and skip_ofs[tid] >= 0
-                    step.append((sig * n_classes) << 2 | (2 if skip else 0))
-                    prog_idx.append(0)
-                    continue
-                ntid, events, start_ops, err = sig
-                code = [_OP_ERR] if err else []
-                emitted = 1 if err else 0
-                for u, q in events or ():
-                    code += (_OP_EVENT, u, len(q))
-                    code += q
-                    emitted += 1
-                for u, moves in start_ops or ():
-                    code += (_OP_STARTS, u, len(moves))
-                    for srcs in moves:
-                        code.append(len(srcs))
-                        code += srcs
-                code.append(_OP_END)
-                key = tuple(code)
-                offset = prog_offsets.get(key)
-                if offset is None:
-                    offset = len(progs)
-                    progs.extend(code)
-                    prog_offsets[key] = offset
-                if emitted > max_per_edge:
-                    max_per_edge = emitted
-                step.append((ntid * n_classes) << 2 | 1)
-                prog_idx.append(offset)
+        for edge, (ntid, index) in enumerate(zip(ir.next, ir.effect)):
+            if index:
+                tag = 1
+            else:
+                tid = edge // n_classes
+                tag = 2 if ntid == tid and skip_ofs[tid] >= 0 else 0
+            step.append((ntid * n_classes) << 2 | tag)
+            prog_idx.append(offsets[index])
 
         self.ext = ext
         self.capsule = ext.build_tables(
             n_states,
             n_classes,
-            n_units,
-            class_table,
+            len(units),
+            ir.class_table,
             step,
             prog_idx,
             progs,
             skip_ofs,
             live_all,
-            unit_caps,
+            array("i", ir.unit_caps),
             tuple(units),
             DetectEvent,
             max_per_edge,
         )
 
 
+#: ScanIR -> its native tables, or _UNBUILDABLE.
 _NATIVE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _UNBUILDABLE = object()
 
 
 def _native_tables_for(tagger) -> _NativeTables | None:
-    """The per-(grammar, wiring) native tables, or None when the kernel
-    is unavailable or the automaton resists densification."""
+    """The native tables over the tagger's scan IR, or None when the
+    kernel is unavailable or the automaton resists densification."""
     ext = _native_build.load_kernel()
     if ext is None:
         return None
-    vt = _dense_tables_for(tagger)
-    if vt is None:
+    ir = scan_ir_for(tagger)
+    if ir is None:
         return None
-    per_grammar = _NATIVE_CACHE.get(tagger.grammar)
-    if per_grammar is None:
-        per_grammar = {}
-        _NATIVE_CACHE[tagger.grammar] = per_grammar
-    key = _wiring_key(tagger.plan.wiring)
-    nt = per_grammar.get(key)
+    nt = _NATIVE_CACHE.get(ir)
     if nt is None:
         if array("i").itemsize == 4:
             try:
-                nt = _NativeTables(ext, vt, tagger.tables, tagger.plan.units)
+                nt = _NativeTables(ext, ir, tagger.plan.units)
             except (ValueError, MemoryError, OverflowError):
                 nt = _UNBUILDABLE
         else:  # pragma: no cover - exotic int width
             nt = _UNBUILDABLE
-        per_grammar[key] = nt
+        _NATIVE_CACHE[ir] = nt
     return None if nt is _UNBUILDABLE else nt
 
 

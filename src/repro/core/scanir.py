@@ -1,0 +1,367 @@
+"""The scan IR: the dense product automaton, flattened once.
+
+The paper's generator derives the datapath from the grammar once — one
+shared character-class decoder (Fig. 5), one Follow-set wiring — and
+every downstream block is wired to that one netlist.  :class:`ScanIR`
+is the software counterpart: the lazily-materialized product automaton
+of :mod:`repro.core.compiled` closed over every reachable
+``(state, byte)`` edge, the 256 byte values collapsed into *byte
+classes* (bytes with identical full transition columns), and the
+result stored class-indexed in flat arrays.  It is built once per
+(grammar, wiring) pair — or restored from an ``RART`` artifact — and
+every table consumer (the native and vector scan engines, mask
+lowering, the beam kernel, the artifact serializer; DESIGN.md §15
+says what each reads) is handed that one object.
+
+==============  ========================================================
+field           content
+==============  ========================================================
+``n_states``    closed product states; ids are the compiled tables'
+                interning order
+``n_classes``   byte classes ``C`` (at most 256)
+``class_table`` 256 bytes, byte value -> class code (``bytes.translate``)
+``next``        int32 ``array``, ``next[state * C + cls]`` -> next state
+``effect``      int32 ``array``, same index: 0 for a bare edge, else an
+                index into ``effects``
+``effects``     ``[None, (events, start_ops, err), ...]`` — the compiled
+                step's side effects, distinct by value
+``skip_live``   ``{state: 256 raw-byte flags}`` for dead states (armed
+                set empty, almost every byte a bare self-loop): 0 marks
+                an inert byte, so ``translate`` + ``find`` fast-forwards
+``lost``        per-state flag byte: the §5.2 liveness cut fires on the
+                state's next step (every outgoing edge reports an error)
+``eos``         per-state flag byte: some pending unit detects against
+                end-of-data
+``emits``       per-state flag byte: some outgoing edge emits an event
+``unit_caps``   per-unit start-register capacity, the bound on every
+                register index inside ``effects``
+==============  ========================================================
+
+No NumPy anywhere: the IR is what keeps the native engine and mask
+lowering available under ``REPRO_DISABLE_NUMPY=1``.
+"""
+
+from __future__ import annotations
+
+from array import array
+from weakref import WeakKeyDictionary
+
+from repro.core.compiled import EOF, CompiledTagger, _CompiledTables
+from repro.core.scanplan import _wiring_key
+from repro.core.wiring import WiringOptions
+from repro.errors import ArtifactError
+from repro.grammar.cfg import Grammar
+
+__all__ = ["ScanIR", "install_scan_ir", "scan_ir_for"]
+
+#: Closure bail-out: a product automaton past this many states is not
+#: worth densifying (the closure alone would dominate), so consumers
+#: run without an IR (the scan engines on the compiled loop).
+_MAX_PRODUCT_STATES = 2048
+
+#: A state is skippable when at least this many of its 256 byte edges
+#: are bare self-loops (and its armed set is empty): nothing can start
+#: or extend a token there, so inert runs may be fast-forwarded.
+_SKIP_MIN_COVERAGE = 192
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ArtifactError(f"malformed scan IR: {what}")
+
+
+def _is_index_tuple(value, bound: int) -> bool:
+    return type(value) is tuple and all(
+        type(j) is int and 0 <= j < bound for j in value
+    )
+
+
+def _valid_effect(effect, unit_caps: tuple) -> bool:
+    """Whether ``effect`` has the ``(events, start_ops, err)`` shape
+    with every unit and register index in bounds — what the consumers
+    (bytecode lowering, window codegen) rely on without re-checking."""
+    if type(effect) is not tuple or len(effect) != 3:
+        return False
+    events, start_ops, err = effect
+    if err not in (False, True):
+        return False
+    for ops in (events, start_ops):
+        if ops is None:
+            continue
+        if type(ops) is not tuple or not ops:
+            return False
+        for op in ops:
+            if type(op) is not tuple or len(op) != 2:
+                return False
+            if type(op[0]) is not int or not 0 <= op[0] < len(unit_caps):
+                return False
+    for u, q in events or ():
+        if not (q and _is_index_tuple(q, unit_caps[u])):
+            return False
+    for u, moves in start_ops or ():
+        cap = unit_caps[u]
+        if type(moves) is not tuple or len(moves) > cap:
+            return False
+        if not all(_is_index_tuple(srcs, cap) for srcs in moves):
+            return False
+    return True
+
+
+class ScanIR:
+    """The closed, class-indexed product automaton of one (grammar,
+    wiring) pair; see the module docstring for the field table."""
+
+    __slots__ = (
+        "n_states",
+        "n_classes",
+        "class_table",
+        "next",
+        "effect",
+        "effects",
+        "skip_live",
+        "lost",
+        "eos",
+        "emits",
+        "unit_caps",
+        "__weakref__",
+    )
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def close(cls, tables: _CompiledTables) -> "ScanIR | None":
+        """BFS-materialize every reachable ``(state, byte)`` edge of
+        ``tables`` and flatten the result; None past the state cap.
+
+        State ids are the tables' interning order and class codes are
+        numbered by first byte, so the IR of a given grammar is the
+        same in every process (mask artifacts pin this through
+        :meth:`~repro.core.maskgen.MaskLowering.fingerprint`).
+        """
+        memo_get = tables.memo.get
+        build_step = tables.build_step
+        effects: list = [None]
+        effect_ids: dict[tuple, int] = {}
+        # Raw-byte rows laid end to end, ``[state << 8 | byte]``, in
+        # two int arrays rather than lists of rows: a list keeps one
+        # int object alive per edge until the closure ends, and a
+        # quarter of a million of them freed at once leave holes all
+        # through the heap that the process's later allocations pay
+        # for (the ledger's dense in-process scan rate read 20 % lower).
+        all_next = array("i")
+        all_effect = array("i")
+        blank_row = array("i", bytes(256 * all_next.itemsize))
+        frontier = [0]
+        seen = {0}
+        while frontier:
+            discovered = []
+            for tid in frontier:
+                base = tid << 8
+                while len(all_next) < base + 256:
+                    all_next.extend(blank_row)
+                    all_effect.extend(blank_row)
+                for edge in range(base, base + 256):
+                    step = memo_get(edge)
+                    if step is None:
+                        step = build_step(tid, edge & 0xFF)
+                    if step.__class__ is int:
+                        ntid = step >> 8
+                    else:
+                        ntid = step[0] >> 8
+                        sig = step[1:]
+                        index = effect_ids.get(sig)
+                        if index is None:
+                            index = effect_ids[sig] = len(effects)
+                            effects.append(sig)
+                        all_effect[edge] = index
+                    all_next[edge] = ntid
+                    if ntid not in seen:
+                        if len(seen) >= _MAX_PRODUCT_STATES:
+                            return None
+                        seen.add(ntid)
+                        discovered.append(ntid)
+            frontier = discovered
+        n = len(seen)
+
+        # Byte classes: the product-machine version of the paper's
+        # character-class decoder.  A byte's full transition column is
+        # the slice [byte::256].
+        columns: dict[bytes, int] = {}
+        class_of = bytearray(256)
+        repr_byte: list[int] = []
+        for byte in range(256):
+            column = (
+                all_next[byte::256].tobytes()
+                + all_effect[byte::256].tobytes()
+            )
+            code = columns.setdefault(column, len(columns))
+            if code == len(repr_byte):
+                repr_byte.append(byte)
+            class_of[byte] = code
+
+        self = cls()
+        self.n_states = n
+        self.n_classes = len(repr_byte)
+        self.class_table = bytes(class_of)
+        self.next = array("i")
+        self.effect = array("i")
+        self.effects = effects
+        self.skip_live = {}
+        self.unit_caps = tables.unit_caps()
+        lost = bytearray(n)
+        eos = bytearray(n)
+        emits = bytearray(n)
+        tstates = tables.tstates
+        unit_dfas = tables.unit_dfas
+        for tid in range(n):
+            row_next = all_next[tid << 8 : (tid + 1) << 8]
+            row_effect = all_effect[tid << 8 : (tid + 1) << 8]
+            self.next.extend([row_next[byte] for byte in repr_byte])
+            self.effect.extend([row_effect[byte] for byte in repr_byte])
+            items, armed, pdet, first = tstates[tid]
+            # Lost (§5.2): the liveness cut depends only on the source
+            # state, so "this step reports an error" is per-state.
+            lost[tid] = (
+                tables.recovery
+                and not first
+                and not (items or armed or pdet)
+            )
+            # EOF detection mirrors CompiledTagger._flush.
+            eos[tid] = any(
+                unit_dfas[u].detect_masks[s] >> EOF & 1 for u, s in items
+            )
+            emits[tid] = any(
+                index and effects[index][0] for index in set(row_effect)
+            )
+            if not armed:
+                live = bytes(
+                    [
+                        ntid != tid or index != 0
+                        for ntid, index in zip(row_next, row_effect)
+                    ]
+                )
+                if live.count(0) >= _SKIP_MIN_COVERAGE:
+                    self.skip_live[tid] = live
+        self.lost = bytes(lost)
+        self.eos = bytes(eos)
+        self.emits = bytes(emits)
+        return self
+
+    # ------------------------------------------------------------------
+    def to_payload(self) -> dict:
+        """The IR as builtins only (what ``marshal`` can carry)."""
+        return {
+            "n_states": self.n_states,
+            "n_classes": self.n_classes,
+            "class_table": self.class_table,
+            "next": self.next.tolist(),
+            "effect": self.effect.tolist(),
+            "effects": self.effects,
+            "skip_live": self.skip_live,
+            "lost": self.lost,
+            "eos": self.eos,
+            "emits": self.emits,
+            "unit_caps": self.unit_caps,
+        }
+
+    @classmethod
+    def from_payload(cls, payload) -> "ScanIR":
+        """Rebuild an IR from :meth:`to_payload` output, validating
+        everything read: a wrong-shaped or out-of-range payload raises
+        :class:`~repro.errors.ArtifactError`, never anything else, and
+        nothing it lets through can index out of bounds downstream."""
+        _require(isinstance(payload, dict), "payload is not a dict")
+        try:
+            n = payload["n_states"]
+            n_classes = payload["n_classes"]
+            class_table = payload["class_table"]
+            nxt = array("i", payload["next"])
+            effect = array("i", payload["effect"])
+            effects = payload["effects"]
+            skip_live = payload["skip_live"]
+            flags = [payload[name] for name in ("lost", "eos", "emits")]
+            unit_caps = tuple(payload["unit_caps"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ArtifactError(f"malformed scan IR: {exc!r}") from None
+        _require(
+            type(n) is int
+            and type(n_classes) is int
+            and 0 < n <= _MAX_PRODUCT_STATES
+            and 0 < n_classes <= 256,
+            "bad dimensions",
+        )
+        _require(
+            type(class_table) is bytes
+            and len(class_table) == 256
+            and max(class_table) < n_classes,
+            "bad class table",
+        )
+        _require(
+            len(nxt) == len(effect) == n * n_classes, "table size mismatch"
+        )
+        _require(
+            type(effects) is list and bool(effects) and effects[0] is None,
+            "bad effect list",
+        )
+        _require(0 <= min(nxt) and max(nxt) < n, "next state out of range")
+        _require(
+            0 <= min(effect) and max(effect) < len(effects),
+            "effect index out of range",
+        )
+        _require(
+            all(type(f) is bytes and len(f) == n for f in flags),
+            "bad state flags",
+        )
+        _require(
+            all(type(cap) is int and 0 < cap <= 1 << 16 for cap in unit_caps),
+            "bad unit capacities",
+        )
+        _require(
+            all(_valid_effect(e, unit_caps) for e in effects[1:]),
+            "bad effect program",
+        )
+        _require(
+            type(skip_live) is dict
+            and all(
+                type(tid) is int
+                and 0 <= tid < n
+                and type(row) is bytes
+                and len(row) == 256
+                for tid, row in skip_live.items()
+            ),
+            "bad skip rows",
+        )
+        self = cls()
+        self.n_states = n
+        self.n_classes = n_classes
+        self.class_table = class_table
+        self.next = nxt
+        self.effect = effect
+        self.effects = effects
+        self.skip_live = skip_live
+        self.lost, self.eos, self.emits = flags
+        self.unit_caps = unit_caps
+        return self
+
+
+# ----------------------------------------------------------------------
+#: grammar -> {wiring key: ScanIR, or None past the state cap}
+_IR_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def scan_ir_for(tagger: CompiledTagger) -> ScanIR | None:
+    """The scan IR of the tagger's (grammar, wiring) pair, closing the
+    product automaton on first use; None when it is too large to
+    densify."""
+    per_grammar = _IR_CACHE.setdefault(tagger.grammar, {})
+    key = _wiring_key(tagger.plan.wiring)
+    if key not in per_grammar:
+        per_grammar[key] = ScanIR.close(tagger.tables)
+    return per_grammar[key]
+
+
+def install_scan_ir(
+    grammar: Grammar, wiring: WiringOptions, ir: ScanIR
+) -> None:
+    """Make ``ir`` (restored from an artifact) the IR every later
+    :func:`scan_ir_for` over ``grammar`` under ``wiring`` returns."""
+    _IR_CACHE.setdefault(grammar, {})[_wiring_key(wiring)] = ir

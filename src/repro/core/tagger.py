@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Literal
 from weakref import WeakKeyDictionary
 
-from repro.core.api import BufferedSession, StreamSession, warn_deprecated
+from repro.core.api import BufferedSession, StreamSession
 from repro.core.compiled import CompiledTagger
 from repro.core.generator import TaggerCircuit, TaggerOptions
 from repro.core.scanplan import DetectEvent, build_scan_plan
@@ -181,13 +181,6 @@ class BehavioralTagger:
         errors: list[int] = []
         events = [e for e, _s in self._scan(data, error_sink=errors)]
         return events, errors
-
-    def error_positions(self, data: bytes) -> list[int]:
-        """Deprecated alias: the error half of :meth:`events_and_errors`."""
-        warn_deprecated(
-            "BehavioralTagger.error_positions", "events_and_errors"
-        )
-        return self.events_and_errors(data)[1]
 
     def tag(self, data: bytes) -> list[TaggedToken]:
         """Tagged tokens with lexemes (earliest-start reconstruction)."""
@@ -417,13 +410,6 @@ class GateLevelTagger:
             index = sum(outputs[f"index{bit}"] << bit for bit in range(width))
             stream.append((end, index))
         return stream
-
-    def error_positions(self, data: bytes) -> list[int]:
-        """Deprecated alias: the error half of :meth:`events_and_errors`."""
-        warn_deprecated(
-            "GateLevelTagger.error_positions", "events_and_errors"
-        )
-        return self.events_and_errors(data)[1]
 
     def tag(self, data: bytes) -> list[TaggedToken]:
         """Tagged tokens; lexemes recovered by reversed-pattern match."""

@@ -3,48 +3,34 @@
 The hardware reaches gigabit rates by widening the datapath: several
 pre-decoded bytes are consumed per cycle through parallel tokenizer
 pipelines (Figs. 6–7). This module is the software analogue, a third
-engine layered on the compiled one (:mod:`repro.core.compiled`), in
-three parts:
+engine layered on the compiled one (:mod:`repro.core.compiled`) and
+reading the shared scan IR (:mod:`repro.core.scanir`), in two parts:
 
-* **Wide stepping.** The lazily-materialized global product automaton
-  is closed off up front (every reachable ``(state, byte)`` edge), the
-  256 byte values collapse into *byte classes* (bytes with identical
-  full transition columns — the paper's character-class decoder applied
-  to the product machine), and the per-byte loop is replaced by a
-  per-*word* loop: each 8-byte window of the class-translated input is
-  read as one little-endian ``uint64`` and resolved through a single
-  dict lookup. A memoized window entry is either the bare next state
-  (the overwhelmingly common all-quiet case — one dict hit now covers
-  eight bytes, i.e. four of the paper's fused 2-byte stages) or a tiny
+* **Wide stepping.** The per-byte loop is replaced by a per-*word*
+  loop: each 8-byte window of the class-translated input is read as
+  one little-endian ``uint64`` and resolved through a single dict
+  lookup. A memoized window entry is either the bare next state (the
+  overwhelmingly common all-quiet case — one dict hit now covers eight
+  bytes, i.e. four of the paper's fused 2-byte stages) or a tiny
   *generated* program that replays the window's events, earliest-start
-  moves and error positions with all offsets folded in at codegen time.
+  moves and error positions with all offsets folded in at codegen
+  time. Windows are built by walking the IR's ``next`` / ``effect``
+  arrays over the window's eight class codes.
 
-* **Dead-region skipping.** States whose transition column is almost
-  entirely bare self-loops and whose armed set is empty — regions of
-  the input that can neither start nor extend any token, e.g. the §5.2
-  dead state between an unrecoverable error and end-of-stream — compile
-  to a per-state inert/live byte table. When the wide loop hits such a
-  window it fast-forwards with ``bytes.translate`` + ``find`` (C
-  memchr-speed prefilters) to the next live byte instead of stepping.
-
-* **Cross-flow batch stepping.** :class:`BatchScanner` advances N
-  independent flows in lockstep: byte classes are composed into pair,
-  quad and oct classes (``compose`` closure under concatenation), each
-  flow's chunk is lowered to one oct-class code per 8-byte column, and
-  a ``(columns, flows)`` gather against a cache-resident
-  ``[oct_class * S + state]`` table advances every flow's state with
-  two NumPy ops per column. Columns flagged effectful are then
-  replayed exactly through the shared wide-step memo. Interpreter
-  dispatch is paid once per *column of the whole batch* instead of
-  once per byte per flow, which is what lets many concurrent
-  connections amortize it (see DESIGN.md §9 for the crossover model).
+* **Dead-region skipping.** When the wide loop hits a window that held
+  one of the IR's skip states on bare self-loops — regions of the
+  input that can neither start nor extend any token, e.g. the §5.2
+  dead state between an unrecoverable error and end-of-stream — it
+  fast-forwards with ``bytes.translate`` + ``find`` (C memchr-speed
+  prefilters over the state's inert/live byte row) to the next live
+  byte instead of stepping.
 
 The engine is bit-exact with the compiled one — same events, same
 order, same error-recovery positions, same earliest-start lexemes —
 enforced by the seeded differential suite in
 ``tests/core/test_vectorscan.py``. Without NumPy (or with
-``REPRO_DISABLE_NUMPY=1``) every entry point degrades gracefully to
-the compiled engine; :func:`capability` reports which path is live.
+``REPRO_DISABLE_NUMPY=1``) it degrades gracefully to the compiled
+engine; :func:`capability` reports which path is live.
 """
 
 from __future__ import annotations
@@ -54,8 +40,9 @@ from collections import deque
 from itertools import islice
 from weakref import WeakKeyDictionary
 
-from repro.core.compiled import CompiledTagger, _CompiledTables
-from repro.core.scanplan import DetectEvent, _wiring_key
+from repro.core.compiled import CompiledTagger
+from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanplan import DetectEvent
 
 try:  # pragma: no cover - exercised via the REPRO_DISABLE_NUMPY job
     if os.environ.get("REPRO_DISABLE_NUMPY"):
@@ -65,7 +52,6 @@ except ImportError:  # pragma: no cover
     _np = None
 
 __all__ = [
-    "BatchScanner",
     "NUMPY_AVAILABLE",
     "VectorTagger",
     "WIDTH",
@@ -78,26 +64,10 @@ NUMPY_AVAILABLE = _np is not None
 #: Fused window width in bytes: one ``uint64`` of class codes per step.
 WIDTH = 8
 
-#: Closure bail-out: a product automaton past this many states is not
-#: worth densifying (the closure alone would dominate), so the vector
-#: tagger silently runs the compiled loop instead.
-_MAX_PRODUCT_STATES = 2048
-
 #: Caps mirroring ``compiled._MEMO_CAP``: past these, wide windows and
 #: generated programs are computed without being cached.
 _WIDE_MEMO_CAP = 1 << 17
 _PROG_CACHE_CAP = 1 << 14
-
-#: A state is skippable when at least this many of its 256 byte edges
-#: are bare self-loops (and its armed set is empty): nothing can start
-#: or extend a token there, so inert runs may be fast-forwarded.
-_SKIP_MIN_COVERAGE = 192
-
-#: Batch-table feasibility caps (entry counts): past these the composed
-#: class tables stop being cache-resident and lockstep gather loses to
-#: per-flow wide stepping, so batch building bails out.
-_MAX_QUAD_SQ = 4 << 20
-_MAX_STEP_ENTRIES = 8 << 20
 
 #: Wide-window memo sentinel: the window keeps the state on bare
 #: self-loops, and the state's inert-byte prefilter may fast-forward.
@@ -114,125 +84,21 @@ def capability() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Dense closure of the product automaton + wide-window codegen
+# Wide-window memo + codegen over the scan IR
 # ----------------------------------------------------------------------
-class _VectorTables:
-    """Closed product automaton, byte classes, wide-window memo and
-    skip prefilters for one (grammar, wiring) pair; shared by every
-    :class:`VectorTagger` over that pair (same sharing discipline as
-    ``compiled._CompiledTables``). Batch tables are built lazily on
-    the first lockstep use."""
+class _WideTables:
+    """Wide-window memo and generated window programs over one scan
+    IR; shared by every :class:`VectorTagger` over that (grammar,
+    wiring) pair (same sharing discipline as
+    ``compiled._CompiledTables``)."""
 
-    __slots__ = (
-        "tables",
-        "units",
-        "ok",
-        "n_states",
-        "edges",
-        "class_table",
-        "repr_byte",
-        "skip_live",
-        "memo8",
-        "_prog_cache",
-        "_batch",
-    )
+    __slots__ = ("ir", "units", "memo8", "_prog_cache")
 
-    def __init__(self, tables: _CompiledTables, units: tuple) -> None:
-        self.tables = tables
+    def __init__(self, ir: ScanIR, units: tuple) -> None:
+        self.ir = ir
         self.units = units
         self.memo8: dict[int, object] = {}
         self._prog_cache: dict = {}
-        self._batch: object = None  # None=unbuilt, False=infeasible
-        self.ok = self._close()
-        if self.ok:
-            self._classify()
-            self._find_skip_states()
-
-    # ------------------------------------------------------------------
-    def _close(self) -> bool:
-        """BFS-materialize every reachable ``(state, byte)`` edge.
-
-        Edges are normalized to ``next_state`` (bare) or ``(next_state,
-        events, start_ops, err)`` — the compiled step with the id
-        un-shifted. Returns False (vector disabled) past the state cap.
-        """
-        tables = self.tables
-        memo_get = tables.memo.get
-        build_step = tables.build_step
-        edges: dict[int, object] = {}
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            nxt = []
-            for tid in frontier:
-                base = tid << 8
-                for byte in range(256):
-                    step = memo_get(base | byte)
-                    if step is None:
-                        step = build_step(tid, byte)
-                    if step.__class__ is int:
-                        sig: object = step >> 8
-                        ntid = step >> 8
-                    else:
-                        sig = (step[0] >> 8, step[1], step[2], step[3])
-                        ntid = step[0] >> 8
-                    edges[base | byte] = sig
-                    if ntid not in seen:
-                        if len(seen) >= _MAX_PRODUCT_STATES:
-                            return False
-                        seen.add(ntid)
-                        nxt.append(ntid)
-            frontier = nxt
-        self.n_states = len(seen)
-        self.edges = edges
-        return True
-
-    def _classify(self) -> None:
-        """Collapse bytes with identical full transition columns into
-        classes (the product-machine version of the paper's character
-        class decoder); ``class_table`` drives ``bytes.translate``."""
-        edges = self.edges
-        n = self.n_states
-        columns: dict[tuple, list[int]] = {}
-        for byte in range(256):
-            sig = tuple(edges[(tid << 8) | byte] for tid in range(n))
-            columns.setdefault(sig, []).append(byte)
-        class_of = [0] * 256
-        self.repr_byte = []
-        for ci, bytes_of in enumerate(columns.values()):
-            self.repr_byte.append(bytes_of[0])
-            for byte in bytes_of:
-                class_of[byte] = ci
-        self.class_table = bytes(class_of)
-
-    def _find_skip_states(self) -> None:
-        """Per-state inert/live byte tables for dead-region skipping.
-
-        Only states that cannot start or extend any token qualify: the
-        armed set is empty and almost every byte is a bare self-loop
-        (e.g. the post-error dead state). For each, a 256-entry table
-        maps inert bytes to 0 and live bytes to 1, composed with the
-        class translation so the prefilter runs over class codes.
-        """
-        edges = self.edges
-        tstates = self.tables.tstates
-        class_table = self.class_table
-        self.skip_live: dict[int, bytes] = {}
-        for tid in range(self.n_states):
-            _items, armed, _pdet, _first = tstates[tid]
-            if armed:
-                continue
-            base = tid << 8
-            live = bytearray(256)
-            coverage = 0
-            for byte in range(256):
-                edge = edges[base | byte]
-                if edge.__class__ is int and edge == tid:
-                    coverage += 1
-                else:
-                    live[class_table[byte]] = 1
-            if coverage >= _SKIP_MIN_COVERAGE:
-                self.skip_live[tid] = bytes(live)
 
     # ------------------------------------------------------------------
     # wide-window codegen
@@ -302,22 +168,21 @@ class _VectorTables:
         bare ``next_state << 64`` int, the ``_SKIP`` sentinel, or a
         generated program returning that int.
         """
+        ir = self.ir
+        n_classes = ir.n_classes
+        nxt = ir.next
+        effect = ir.effect
         tid = sid = key >> 64
         window = key & 0xFFFFFFFFFFFFFFFF
-        repr_byte = self.repr_byte
-        edges = self.edges
         halves = []
         for d in range(8):
-            byte = repr_byte[(window >> (8 * d)) & 0xFF]
-            sig = edges[(tid << 8) | byte]
-            if sig.__class__ is int:
-                tid = sig
-            else:
-                halves.append((d, sig[1], sig[2], sig[3]))
-                tid = sig[0]
+            edge = tid * n_classes + ((window >> (8 * d)) & 0xFF)
+            if effect[edge]:
+                halves.append((d, *ir.effects[effect[edge]]))
+            tid = nxt[edge]
         if halves:
             entry: object = self._make_prog(halves, tid << 64)
-        elif tid == sid and sid in self.skip_live:
+        elif tid == sid and sid in ir.skip_live:
             entry = _SKIP
         else:
             entry = tid << 64
@@ -325,156 +190,24 @@ class _VectorTables:
             self.memo8[key] = entry
         return entry
 
-    # ------------------------------------------------------------------
-    def batch_tables(self):
-        """The lazily-built cross-flow lockstep tables (or None when
-        composition is infeasible for this automaton)."""
-        if self._batch is None:
-            try:
-                self._batch = _BatchTables(self)
-            except _BatchInfeasible:
-                self._batch = False
-        return self._batch or None
+
+#: ScanIR -> the wide tables built over it.
+_WIDE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-class _BatchInfeasible(Exception):
-    """Composed class tables would not stay cache-resident."""
-
-
-class _BatchTables:
-    """Dense lockstep tables: byte classes composed into pair, quad and
-    oct classes, a LUT chain lowering chunks to oct-class codes, and
-    the ``[oct_class * S + state]`` step/effect tables (padded with an
-    identity row so exhausted flows ride along for free)."""
-
-    __slots__ = (
-        "vt",
-        "n_pair",
-        "n_quad",
-        "lut16",
-        "lut_quad",
-        "lut_oct",
-        "step_ext",
-        "eff_ext",
-        "pad",
-    )
-
-    def __init__(self, vt: _VectorTables) -> None:
-        np = _np
-        self.vt = vt
-        S = vt.n_states
-        edges = vt.edges
-        repr_byte = vt.repr_byte
-        C = len(repr_byte)
-
-        next_c = np.zeros((S, C), dtype=np.int16)
-        eff_c = np.zeros((S, C), dtype=bool)
-        for ci, byte in enumerate(repr_byte):
-            for tid in range(S):
-                sig = edges[(tid << 8) | byte]
-                bare = sig.__class__ is int
-                next_c[tid, ci] = sig if bare else sig[0]
-                eff_c[tid, ci] = not bare
-
-        pair_codes, next_p, eff_p = self._compose(next_c, eff_c, next_c, eff_c)
-        P = next_p.shape[1]
-        if P * P > _MAX_QUAD_SQ:
-            raise _BatchInfeasible
-        quad_codes, next_q, eff_q = self._compose(next_p, eff_p, next_p, eff_p)
-        Q = next_q.shape[1]
-        if Q * Q > _MAX_QUAD_SQ:
-            raise _BatchInfeasible
-        oct_codes, next_o, eff_o = self._compose(next_q, eff_q, next_q, eff_q)
-        if next_o.shape[1] * S > _MAX_STEP_ENTRIES:
-            raise _BatchInfeasible
-        self.n_pair = P
-        self.n_quad = Q
-
-        # LUT chain: u16 byte-class pair (little-endian, so the *low*
-        # byte is the first class) -> pair code; pair-code pair -> quad
-        # code; quad-code pair -> oct code premultiplied by S.
-        lut16 = np.zeros(65536, dtype=np.int32)
-        idx = np.arange(C * C)
-        lut16[(idx % C) << 8 | (idx // C)] = pair_codes
-        self.lut16 = lut16
-        self.lut_quad = quad_codes  # indexed pair1 * P + pair2
-        self.lut_oct = (oct_codes.astype(np.int64) * S).astype(np.int32)
-
-        step = next_o.T.ravel().astype(np.int32).copy()  # [oc*S + s]
-        eff = eff_o.T.ravel().astype(np.uint8).copy()
-        self.pad = len(step)
-        self.step_ext = np.concatenate(
-            [step, np.arange(S, dtype=np.int32)]
-        )
-        self.eff_ext = np.concatenate([eff, np.zeros(S, dtype=np.uint8)])
-
-    @staticmethod
-    def _compose(nxt1, eff1, nxt2, eff2, block: int = 64):
-        """Close two class alphabets under concatenation.
-
-        For every (c1, c2) the composed column ``next2[next1[:, c1],
-        c2]`` (and the exact per-path effect OR) is uniqued by content;
-        returns the (A1*A2) code array plus the unique columns as new
-        ``(S, K)`` next/effect matrices. Blocked fancy indexing keeps
-        the temporaries small."""
-        np = _np
-        A1, A2 = nxt1.shape[1], nxt2.shape[1]
-        codes = np.empty(A1 * A2, dtype=np.int32)
-        uniq: dict[bytes, int] = {}
-        reps_n: list = []
-        reps_e: list = []
-        n1 = nxt1.astype(np.int32)
-        for lo in range(0, A1, block):
-            hi = min(A1, lo + block)
-            blk_n = nxt2[n1[:, lo:hi], :].transpose(1, 2, 0)  # (b, A2, S)
-            blk_e = (
-                eff1[:, lo:hi, None] | eff2[n1[:, lo:hi], :]
-            ).transpose(1, 2, 0)
-            for i in range(hi - lo):
-                for j in range(A2):
-                    key = blk_n[i, j].tobytes() + blk_e[i, j].tobytes()
-                    code = uniq.get(key)
-                    if code is None:
-                        code = uniq[key] = len(reps_n)
-                        reps_n.append(blk_n[i, j].copy())
-                        reps_e.append(blk_e[i, j].copy())
-                    codes[(lo + i) * A2 + j] = code
-        return (
-            codes,
-            np.stack(reps_n, axis=1).astype(np.int16),
-            np.stack(reps_e, axis=1),
-        )
-
-
-_VECTOR_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _dense_tables_for(tagger: CompiledTagger) -> _VectorTables | None:
-    """The per-(grammar, wiring) dense closure, or None when the
-    product automaton is too large to densify.
-
-    The closure itself (edges, byte classes, skip prefilters) is pure
-    Python — no NumPy — which is what lets the native engine reuse it
-    under ``REPRO_DISABLE_NUMPY=1``. Only the wide *loop* and the
-    batch lockstep kernel need NumPy; they gate on
-    :func:`_vector_tables_for` instead."""
-    per_grammar = _VECTOR_CACHE.get(tagger.grammar)
-    if per_grammar is None:
-        per_grammar = {}
-        _VECTOR_CACHE[tagger.grammar] = per_grammar
-    key = _wiring_key(tagger.plan.wiring)
-    vt = per_grammar.get(key)
-    if vt is None:
-        vt = _VectorTables(tagger.tables, tagger.plan.units)
-        per_grammar[key] = vt
-    return vt if vt.ok else None
-
-
-def _vector_tables_for(tagger: CompiledTagger) -> _VectorTables | None:
-    """The dense tables gated on NumPy (the wide loop's requirement)."""
+def _wide_tables_for(tagger: CompiledTagger) -> _WideTables | None:
+    """The shared wide tables over the tagger's scan IR, or None when
+    the wide loop cannot run: no NumPy, or a product automaton too
+    large to densify."""
     if _np is None:
         return None
-    return _dense_tables_for(tagger)
+    ir = scan_ir_for(tagger)
+    if ir is None:
+        return None
+    wide = _WIDE_CACHE.get(ir)
+    if wide is None:
+        wide = _WIDE_CACHE[ir] = _WideTables(ir, tagger.plan.units)
+    return wide
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +232,7 @@ class VectorTagger(CompiledTagger):
 
     def __init__(self, grammar, options=None, plan=None) -> None:
         super().__init__(grammar, options, plan)
-        self._vt = _vector_tables_for(self)
+        self._vt = _wide_tables_for(self)
         #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
         #: the dead-region prefilter's hit rate).
         self.bytes_scanned = 0
@@ -519,16 +252,16 @@ class VectorTagger(CompiledTagger):
             return super()._run(data, st, error_sink, out)
         n = len(data)
         self.bytes_scanned += n
-        cls = data.translate(vt.class_table)
         m = n >> 3
-        starts = st.starts
-        append = out.append
-        pos = st.pos
-        base = (st.tid8 >> 8) << 64
         if m:
+            cls = data.translate(vt.ir.class_table)
+            starts = st.starts
+            append = out.append
+            pos = st.pos
+            base = (st.tid8 >> 8) << 64
             memo_get = vt.memo8.get
             build_window = vt.build_window
-            skip_live = vt.skip_live
+            skip_live = vt.ir.skip_live
             int_ = int
             SKIP = _SKIP
             m8 = m << 3
@@ -547,12 +280,12 @@ class VectorTagger(CompiledTagger):
                     # The window held a dead state on bare self-loops;
                     # fast-forward to the next live byte via the
                     # state's inert-byte prefilter (translate + find
-                    # run at C speed over the class codes).
+                    # run at C speed over the raw bytes).
                     skipped += 8
                     sid = base >> 64
                     translated = live_cache.get(sid)
                     if translated is None:
-                        translated = live_cache[sid] = cls.translate(
+                        translated = live_cache[sid] = data.translate(
                             skip_live[sid]
                         )
                     hit = translated.find(1, (k << 3) + 8, m8)
@@ -565,256 +298,10 @@ class VectorTagger(CompiledTagger):
                     base = entry(pos + (k << 3), starts, append, error_sink)
                 k += 1
             self.bytes_skipped += skipped
-        # Trailing bytes (n % 8) take the compiled per-byte path, which
+            st.tid8 = (base >> 64) << 8
+            st.pos = pos + m8
+            data = data[m8:]
+        # Trailing bytes (n % 8) take the compiled per-byte loop, which
         # also resolves the final partial window before a chunk edge.
-        tid8 = (base >> 64) << 8
-        done = m << 3
-        if done < n:
-            tables = self.tables
-            memo_get = tables.memo.get
-            build_step = tables.build_step
-            units = self.units
-            int_ = int
-            DE = DetectEvent
-            for i in range(done, n):
-                step = memo_get(tid8 | data[i])
-                if step is None:
-                    step = build_step(tid8 >> 8, data[i])
-                if step.__class__ is int_:
-                    tid8 = step
-                    continue
-                tid8, events, start_ops, err = step
-                ip = pos + i
-                if err and error_sink is not None:
-                    error_sink.append(ip)
-                if events:
-                    for u, q in events:
-                        values = starts[u]
-                        match_start = values[q[0]]
-                        for j in q[1:]:
-                            if values[j] < match_start:
-                                match_start = values[j]
-                        append((DE(units[u], ip), match_start))
-                if start_ops:
-                    for u, moves in start_ops:
-                        old = starts[u]
-                        starts[u] = tuple(
-                            (
-                                old[srcs[0]]
-                                if len(srcs) == 1
-                                else min(old[j] for j in srcs)
-                            )
-                            if srcs
-                            else ip
-                            for srcs in moves
-                        )
-        st.tid8 = tid8
-        st.pos = pos + n
-
-
-# ----------------------------------------------------------------------
-class BatchScanner:
-    """Advance many independent flow sessions in lockstep.
-
-    ``feed_many`` takes parallel lists of streaming sessions (from
-    ``tagger.stream()``) and chunks. With at least ``min_flows``
-    distinct flows and feasible batch tables it runs the composed-class
-    lockstep kernel; below the crossover (or without NumPy) it
-    dispatches per flow through the wide loop, so callers never lose by
-    routing everything here. Per-flow event/error order is identical
-    to per-flow feeding — the lockstep kernel replays effectful
-    columns through the same wide-step memo the per-flow loop uses.
-    """
-
-    def __init__(
-        self,
-        tagger: VectorTagger,
-        min_flows: int = 24,
-        metrics=None,
-    ) -> None:
-        self.tagger = tagger
-        self.min_flows = min_flows
-        self.metrics = metrics
-        #: Lockstep batches run / flows dispatched per-flow (observability).
-        self.batched = 0
-        self.fallback = 0
-
-    def session(self):
-        """A fresh flow session compatible with :meth:`feed_many`."""
-        return self.tagger.stream()
-
-    # ------------------------------------------------------------------
-    def feed_many(self, sessions: list, chunks: list) -> list[list]:
-        """Feed ``chunks[i]`` into ``sessions[i]``; return each flow's
-        completed :class:`DetectEvent` list (submission order)."""
-        return [
-            [event for event, _start in pairs]
-            for pairs in self.feed_scan_many(sessions, chunks)
-        ]
-
-    def feed_scan_many(self, sessions: list, chunks: list) -> list[list]:
-        """Like :meth:`feed_many` but with (event, match start) pairs."""
-        tagger = self.tagger
-        vt = tagger._vt
-        bt = None
-        # With the native kernel live, the per-flow C loop beats the
-        # NumPy lockstep gather at any batch size, so "fallback" per-flow
-        # dispatch is the fast path and lockstep is never engaged.
-        if (
-            vt is not None
-            and len(sessions) >= self.min_flows
-            and not getattr(tagger, "native_active", False)
-        ):
-            bt = vt.batch_tables()
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "batch.size", bounds=_BATCH_SIZE_BOUNDS
-            ).observe(len(sessions))
-        if bt is None:
-            self.fallback += len(sessions)
-            return [
-                session.feed_scan(chunk)
-                for session, chunk in zip(sessions, chunks)
-            ]
-        self.batched += 1
-        return self._lockstep(bt, sessions, chunks)
-
-    # ------------------------------------------------------------------
-    def _lockstep(self, bt: _BatchTables, sessions: list, chunks: list):
-        np = _np
-        tagger = self.tagger
-        vt = tagger._vt
-        recovery = tagger.tables.recovery
-        tagger.bytes_scanned += sum(len(chunk) for chunk in chunks)
-        F = len(sessions)
-        outs: list[list] = [[] for _ in range(F)]
-        class_table = vt.class_table
-        clss = [chunk.translate(class_table) for chunk in chunks]
-        ncols_f = [len(chunk) >> 3 for chunk in chunks]
-        ncols = max(ncols_f)
-        states = [session.state for session in sessions]
-        if ncols:
-            S = vt.n_states
-            P = bt.n_pair
-            Q = bt.n_quad
-            lut16, lut_quad, lut_oct = bt.lut16, bt.lut_quad, bt.lut_oct
-            # Lower every flow's chunk to oct-class codes (premultiplied
-            # by S), one column per 8 bytes; short flows pad with the
-            # identity row.
-            oct_codes = np.full((ncols, F), bt.pad, dtype=np.int32)
-            for f, cls in enumerate(clss):
-                nc = ncols_f[f]
-                if nc:
-                    pair = lut16.take(
-                        np.frombuffer(cls, dtype="<u2", count=nc * 4)
-                    )
-                    pm = pair[0::2] * P
-                    pm += pair[1::2]
-                    quad = lut_quad.take(pm)
-                    qm = quad[0::2] * Q
-                    qm += quad[1::2]
-                    oct_codes[:nc, f] = lut_oct.take(qm)
-            # Lockstep: two array ops per 8-byte column advance every
-            # flow's state at once.
-            state_vec = np.array(
-                [state.tid8 >> 8 for state in states], dtype=np.int32
-            )
-            idx = np.empty((ncols, F), dtype=np.int32)
-            step_ext = bt.step_ext
-            add = np.add
-            for k in range(ncols):
-                row = idx[k]
-                add(oct_codes[k], state_vec, out=row)
-                step_ext.take(row, out=state_vec, mode="clip")
-            # Sparse exact replay of effectful columns, grouped by flow,
-            # through the shared wide-window memo.
-            effect = bt.eff_ext.take(idx, mode="clip")
-            flows_hit, cols_hit = effect.T.nonzero()
-            if len(flows_hit):
-                pre_states = (idx[cols_hit, flows_hit] % S).tolist()
-                flows_hit = flows_hit.tolist()
-                cols_hit = cols_hit.tolist()
-                memo_get = vt.memo8.get
-                build_window = vt.build_window
-                int_ = int
-                current = -1
-                windows = pos = starts = append = errors = None
-                for j, f in enumerate(flows_hit):
-                    if f != current:
-                        current = f
-                        state = states[f]
-                        pos = state.pos
-                        starts = state.starts
-                        append = outs[f].append
-                        errors = sessions[f].errors if recovery else None
-                        # Lazy view: only the effectful columns' windows
-                        # are materialized to Python ints.
-                        windows = np.frombuffer(
-                            clss[f], dtype="<u8", count=ncols_f[f]
-                        )
-                    k = cols_hit[j]
-                    key = (pre_states[j] << 64) | int(windows[k])
-                    entry = memo_get(key)
-                    if entry is None:
-                        entry = build_window(key)
-                    if entry.__class__ is not int_ and entry is not _SKIP:
-                        entry(pos + (k << 3), starts, append, errors)
-            new_states = state_vec.tolist()
-            for f, state in enumerate(states):
-                state.tid8 = new_states[f] << 8
-        # Trailing bytes per flow through the compiled loop.
-        tables = tagger.tables
-        memo_get = tables.memo.get
-        build_step = tables.build_step
-        units = tagger.units
-        DE = DetectEvent
-        int_ = int
-        for f, state in enumerate(states):
-            data = chunks[f]
-            n = len(data)
-            done = ncols_f[f] << 3
-            pos = state.pos
-            if done < n:
-                tid8 = state.tid8
-                starts = state.starts
-                append = outs[f].append
-                errors = sessions[f].errors if recovery else None
-                for i in range(done, n):
-                    step = memo_get(tid8 | data[i])
-                    if step is None:
-                        step = build_step(tid8 >> 8, data[i])
-                    if step.__class__ is int_:
-                        tid8 = step
-                        continue
-                    tid8, events, start_ops, err = step
-                    ip = pos + i
-                    if err and errors is not None:
-                        errors.append(ip)
-                    if events:
-                        for u, q in events:
-                            values = starts[u]
-                            match_start = values[q[0]]
-                            for j in q[1:]:
-                                if values[j] < match_start:
-                                    match_start = values[j]
-                            append((DE(units[u], ip), match_start))
-                    if start_ops:
-                        for u, moves in start_ops:
-                            old = starts[u]
-                            starts[u] = tuple(
-                                (
-                                    old[srcs[0]]
-                                    if len(srcs) == 1
-                                    else min(old[j] for j in srcs)
-                                )
-                                if srcs
-                                else ip
-                                for srcs in moves
-                            )
-                state.tid8 = tid8
-            state.pos = pos + n
-        return outs
-
-
-#: Batch-size histogram bounds: powers of two up to a large shard.
-_BATCH_SIZE_BOUNDS = tuple(float(1 << i) for i in range(9))
+        if data:
+            super()._run(data, st, error_sink, out)

@@ -71,5 +71,9 @@ class ParseError(ReproError):
         self.position = position
 
 
+class ArtifactError(ReproError):
+    """A blob is corrupt, truncated, or built for another interpreter."""
+
+
 class BackendError(ReproError):
     """A back-end processor (router, filter) was misconfigured."""

@@ -655,11 +655,9 @@ class ScanServer:
             self.metrics.counter("vector.bytes_scanned").value = scanned
             self.metrics.counter("vector.bytes_skipped").value = skipped
             if scanned:
-                from repro.service.service import SKIP_RATIO_BOUNDS
-
-                self.metrics.histogram(
-                    "vector.skip_ratio", bounds=SKIP_RATIO_BOUNDS
-                ).observe(skipped / scanned)
+                self.metrics.gauge("vector.skip_ratio").set(
+                    skipped / scanned
+                )
         snapshot = self.metrics.snapshot()
         snapshot["engine"] = engine
         snapshot["generations"] = generations

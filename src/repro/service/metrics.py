@@ -165,8 +165,8 @@ class Histogram:
     Fixed buckets keep ``observe`` O(log n_buckets) with no allocation;
     quantiles are read back bucket-resolution-accurate (a factor of 2),
     which is plenty to tell "microseconds" from "milliseconds" from
-    "stalled". ``bounds`` overrides the bucket edges for unitless
-    distributions (batch sizes, skip ratios).
+    "stalled". ``bounds`` overrides the bucket edges for distributions
+    in other units (mask-table cold-start milliseconds).
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "max")

@@ -58,37 +58,17 @@ __all__ = [
     "TaggerSpec",
 ]
 
-#: Bucket edges for the cross-flow batch-size histogram (flow counts).
-BATCH_SIZE_BOUNDS = tuple(float(1 << i) for i in range(9))
-
-#: Bucket edges for the dead-region skip-efficiency histogram (ratio).
-SKIP_RATIO_BOUNDS = tuple(i / 10 for i in range(1, 11))
-
 
 # ----------------------------------------------------------------------
 # Worker specs: compact, picklable descriptions of what a worker runs.
 # Shipped once at spawn; the worker rebuilds the engine through the
 # shared plan/table caches (see CompiledTagger.__reduce__).
 # ----------------------------------------------------------------------
-def _batch_scanner_for(tagger):
-    """A :class:`~repro.core.vectorscan.BatchScanner` over ``tagger``
-    when it is a vector tagger with live tables, else None (workers
-    then feed strictly per flow)."""
-    from repro.core.vectorscan import BatchScanner, VectorTagger
-
-    if isinstance(tagger, VectorTagger) and tagger.vector_active:
-        return BatchScanner(tagger)
-    return None
-
-
 class _RouterBackend:
     """Per-worker XML-RPC routing backend (one session per flow)."""
 
     def __init__(self, router) -> None:
         self.router = router
-        self.scanner = _batch_scanner_for(
-            getattr(router.tagger, "compiled", None)
-        )
 
     def new_session(self):
         return self.router.stream()
@@ -97,25 +77,12 @@ class _RouterBackend:
     def peek(session):
         return session.peek_finish()
 
-    def feed_many(self, sessions, chunks):
-        """Cross-flow batch step: lockstep the underlying scan
-        sessions, then run each flow's routing state machine over its
-        own completed results."""
-        pairs = self.scanner.feed_scan_many(
-            [session.scan_session for session in sessions], chunks
-        )
-        return [
-            session.feed_prepared(chunk, flow_pairs)
-            for session, chunk, flow_pairs in zip(sessions, chunks, pairs)
-        ]
-
 
 class _TaggerBackend:
     """Per-worker raw-event tagging backend (one session per flow)."""
 
     def __init__(self, tagger) -> None:
         self.tagger = tagger
-        self.scanner = _batch_scanner_for(tagger)
 
     def new_session(self):
         return self.tagger.stream()
@@ -123,9 +90,6 @@ class _TaggerBackend:
     @staticmethod
     def peek(session):
         return [event for event, _start in session.finish_scan_snapshot()]
-
-    def feed_many(self, sessions, chunks):
-        return self.scanner.feed_many(sessions, chunks)
 
 
 def _resolve_service_engine(engine: str) -> str:
@@ -140,18 +104,10 @@ def _resolve_service_engine(engine: str) -> str:
 
 def _engine_tagger(grammar, options, engine: str):
     """Build the worker-side tagger for an engine name."""
+    from repro.core.tagger import BehavioralTagger
+
     engine = _resolve_service_engine(engine)
-    if engine == "native":
-        from repro.core.nativescan import NativeTagger
-
-        return NativeTagger(grammar, options)
-    if engine == "vector":
-        from repro.core.vectorscan import VectorTagger
-
-        return VectorTagger(grammar, options)
-    from repro.core.compiled import CompiledTagger
-
-    return CompiledTagger(grammar, options)
+    return BehavioralTagger(grammar, options, engine=engine).compiled
 
 
 def _registry_artifact(ref: str, root: str | None):
@@ -520,23 +476,6 @@ class ScanService:
         """Fold one worker reply into the per-flow result streams."""
         _worker, task_id, op, flow, out, elapsed, error = item
         if op == "stopped":
-            return
-        if op == "batch_stats":
-            # Out-of-band worker observability: how many flows each
-            # greedy drain stepped together, and the vector engine's
-            # dead-region skip efficiency (bytes skipped / scanned).
-            self.metrics.histogram(
-                "batch.size", bounds=BATCH_SIZE_BOUNDS
-            ).observe(out["flows"])
-            scanned = out.get("scanned", 0)
-            if scanned:
-                self.metrics.counter("vector.bytes_scanned").inc(scanned)
-                self.metrics.counter("vector.bytes_skipped").inc(
-                    out.get("skipped", 0)
-                )
-                self.metrics.histogram(
-                    "vector.skip_ratio", bounds=SKIP_RATIO_BOUNDS
-                ).observe(out.get("skipped", 0) / scanned)
             return
         known = task_id in self._inflight
         if known:

@@ -42,11 +42,8 @@ def table():
 
 
 def available_paths():
-    capability = beam_capability()
     paths = ["python"]
-    if capability["numpy"]:
-        paths.append("numpy")
-    if capability["native"]:
+    if beam_capability()["native"]:
         paths.append("native")
     return paths
 

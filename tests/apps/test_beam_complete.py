@@ -3,7 +3,7 @@
 Two invariants on top of ``test_beam.py``'s CI-table differential:
 
 * **Completion.**  On CD-heavy tables every row the matrix serves —
-  through ``mask_row``, ``MaskSession`` and all three beam paths, under
+  through ``mask_row``, ``MaskSession`` and both beam paths, under
   seeded advance/fork/rollback schedules, after a blob round trip, and
   when two sessions meet in one state — equals ``naive_row(state)``,
   the walk-every-token oracle.

@@ -27,7 +27,7 @@ from repro.core.compiled import CompiledTagger
 from repro.core.generator import TaggerOptions
 from repro.core.nativescan import NativeTagger, capability
 from repro.core.tagger import BehavioralTagger
-from repro.core.vectorscan import BatchScanner, VectorTagger
+from repro.core.vectorscan import VectorTagger
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
 
@@ -210,27 +210,6 @@ def test_dead_region_is_skipped_and_exact():
     assert native.native_active
     assert native.bytes_skipped > 0
     assert native.bytes_skipped < native.bytes_scanned
-
-
-# ----------------------------------------------------------------------
-# batch scanner integration
-# ----------------------------------------------------------------------
-@needs_native
-def test_batch_scanner_prefers_per_flow_native():
-    """With the C loop live the per-flow path beats NumPy lockstep, so
-    BatchScanner must route flows through it (never lockstep) while
-    staying bit-exact with per-flow compiled feeding."""
-    grammar = xmlrpc()
-    native = NativeTagger(grammar)
-    compiled = CompiledTagger(grammar)
-    scanner = BatchScanner(native, min_flows=2)
-    data, _ = WorkloadGenerator(seed=21).stream(10)
-    sessions = [scanner.session() for _ in range(6)]
-    outs = scanner.feed_many(sessions, [data] * 6)
-    assert scanner.batched == 0 and scanner.fallback == 6
-    expected = compiled.events(data)
-    for out, session in zip(outs, sessions):
-        assert out + session.finish() == expected
 
 
 # ----------------------------------------------------------------------

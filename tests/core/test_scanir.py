@@ -1,0 +1,305 @@
+"""The scan IR: one dense table, every consumer reads it.
+
+Pins what the IR *is* (its ``next`` / ``effect`` arrays expanded
+through ``class_table`` reproduce ``_CompiledTables.build_step`` for
+every byte of every state, over the grammars × wiring corners of the
+engine differential suites; its flags agree with the raw-byte oracle of
+``tests/apps/test_structgen.py``), that it survives its payload form
+field for field, that a wrong-shaped or corrupted ``RART`` blob raises
+:class:`ArtifactError` (or loads tables that scan exactly like a fresh
+compile) and never anything else, that the registry heals every such
+blob, and that the mask fingerprint over the IR is the digest existing
+``RMSK`` blobs carry.
+"""
+
+import ast
+import hashlib
+import json
+import marshal
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.core.artifact import (
+    ArtifactError,
+    build_artifact,
+    interpreter_tag,
+    load_artifact,
+    read_header,
+)
+from repro.core.compiled import CompiledTagger
+from repro.core.generator import TaggerOptions
+from repro.core.maskgen import MaskLowering
+from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.tagger import BehavioralTagger
+from repro.grammar.examples import if_then_else, xmlrpc
+from repro.service.registry import Registry
+from tests.apps.test_structgen import GRAMMARS, VARIANTS, Oracle
+
+FIELDS = [name for name in ScanIR.__slots__ if not name.startswith("__")]
+
+#: ``MaskLowering(CompiledTagger(xmlrpc())).fingerprint()`` at the
+#: commit before the IR existed (PR 16).  Existing RMSK blobs carry it.
+XMLRPC_FINGERPRINT = (
+    "d8c2b95f1ac56cc60595f60bc67b39bb9519e44c84f67ea96c4e40bc8ca49863"
+)
+
+ITE_SAMPLE = b"if true then go else stop"
+
+
+# ----------------------------------------------------------------------
+# what the IR is
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("vname", VARIANTS)
+@pytest.mark.parametrize("gname", GRAMMARS)
+def test_ir_reproduces_build_step_and_oracle_flags(gname, vname):
+    grammar = GRAMMARS[gname]()
+    wiring = VARIANTS[vname]
+    tagger = CompiledTagger(grammar, TaggerOptions(wiring=wiring))
+    ir = scan_ir_for(tagger)
+    assert ir is not None
+    assert scan_ir_for(CompiledTagger(grammar, tagger.options)) is ir
+    oracle = Oracle(grammar, wiring)
+    doomed = MaskLowering(tagger).doomed
+    build_step = tagger.tables.build_step
+    n_classes = ir.n_classes
+    for tid in range(ir.n_states):
+        for byte in range(256):
+            edge = tid * n_classes + ir.class_table[byte]
+            step = build_step(tid, byte)
+            if ir.effect[edge]:
+                expanded = (ir.next[edge] << 8, *ir.effects[ir.effect[edge]])
+            else:
+                expanded = ir.next[edge] << 8
+            assert expanded == step, (tid, byte)
+        assert bool(ir.lost[tid]) == oracle.is_err(tid), tid
+        # What lets the trie walk skip the lost check: it never
+        # stands on a doomed state.
+        assert doomed[tid] or not ir.lost[tid], tid
+        assert bool(ir.eos[tid]) == oracle.eos(tid), tid
+        emits = any(oracle.step(tid, byte)[1] for byte in range(256))
+        assert bool(ir.emits[tid]) == emits, tid
+    # The closure interned nothing the IR does not cover.
+    assert len(tagger.tables.tstates) == ir.n_states
+    for tid, live in ir.skip_live.items():
+        for byte in range(256):
+            inert = build_step(tid, byte) == tid << 8
+            assert live[byte] == (not inert), (tid, byte)
+
+
+@pytest.mark.parametrize("gname", GRAMMARS)
+def test_payload_round_trip_is_field_for_field(gname):
+    options = TaggerOptions(wiring=VARIANTS["recovery"])
+    ir = scan_ir_for(CompiledTagger(GRAMMARS[gname](), options))
+    clone = ScanIR.from_payload(marshal.loads(marshal.dumps(ir.to_payload())))
+    for name in FIELDS:
+        assert getattr(clone, name) == getattr(ir, name), name
+
+
+def test_xmlrpc_mask_fingerprint_is_pinned():
+    lowering = MaskLowering(CompiledTagger(xmlrpc()))
+    assert lowering.fingerprint() == XMLRPC_FINGERPRINT
+
+
+# ----------------------------------------------------------------------
+# corrupt and wrong-shaped blobs
+# ----------------------------------------------------------------------
+def _split(blob: bytes) -> tuple[dict, dict]:
+    head_len = int.from_bytes(blob[4:8], "big")
+    header = json.loads(blob[8 : 8 + head_len])
+    return header, marshal.loads(blob[8 + head_len : -32])
+
+
+def _join(header, payload) -> bytes:
+    """A blob whose digest is *valid* for its (possibly wrong-shaped)
+    content: what a buggy writer, not a flipped bit, would leave."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"RART" + len(head).to_bytes(4, "big") + head + marshal.dumps(payload)
+    return body + hashlib.sha256(body).digest()
+
+
+def _header_is_a_list(header, payload):
+    return [], payload
+
+
+def _payload_is_a_list(header, payload):
+    return header, [1, 2]
+
+
+def _no_dfa_states(header, payload):
+    del payload["dfa_states"]
+    return header, payload
+
+
+def _ir_is_a_list(header, payload):
+    payload["ir"] = list(payload["ir"].items())
+    return header, payload
+
+
+def _ir(change):
+    def mutate(header, payload):
+        change(payload["ir"])
+        return header, payload
+
+    return mutate
+
+
+def _set(key, value):
+    return lambda ir: ir.__setitem__(key, value)
+
+
+def _poke(key, index, value):
+    return lambda ir: ir[key].__setitem__(index, value)
+
+
+WRONG_SHAPES = {
+    "header-list": _header_is_a_list,
+    "payload-list": _payload_is_a_list,
+    "no-dfa-states": _no_dfa_states,
+    "ir-list": _ir_is_a_list,
+    "wiring-short": lambda h, p: ({**h, "wiring": [True]}, p),
+    "source-missing": lambda h, p: (h, {k: v for k, v in p.items() if k != "source"}),
+    "tstates-garbage": lambda h, p: (h, {**p, "tstates": [(), 5, "x"]}),
+    "dfa-position-out-of-range": lambda h, p: (
+        h,
+        {**p, "dfa_states": {k: [(), (1 << 20,)] for k in p["dfa_states"]}},
+    ),
+    "ir-no-next": _ir(lambda ir: ir.pop("next")),
+    "ir-next-short": _ir(lambda ir: ir["next"].pop()),
+    "ir-next-out-of-range": _ir(_poke("next", 3, 1 << 20)),
+    "ir-next-negative": _ir(_poke("next", 3, -1)),
+    "ir-next-not-ints": _ir(_set("next", ["a"])),
+    "ir-effect-out-of-range": _ir(_poke("effect", 0, 1 << 20)),
+    "ir-class-code-out-of-range": _ir(_set("class_table", b"\xff" * 256)),
+    "ir-class-table-short": _ir(_set("class_table", b"\x00" * 255)),
+    "ir-flags-short": _ir(_set("lost", b"")),
+    "ir-states-huge": _ir(_set("n_states", 1 << 40)),
+    "ir-effect-bad-unit": _ir(
+        lambda ir: ir["effects"].append((((1 << 20, (0,)),), None, False))
+    ),
+    "ir-effect-bad-register": _ir(
+        lambda ir: ir["effects"].append((((0, (1 << 20,)),), None, False))
+    ),
+    "ir-effect-code-injection": _ir(
+        lambda ir: ir["effects"].append(((("0]; boom(); [0", (0,)),), None, False))
+    ),
+    "ir-skip-row-short": _ir(_set("skip_live", {0: b"\x00"})),
+    "ir-unit-caps-wrong": _ir(_set("unit_caps", (1,))),
+}
+
+
+@pytest.fixture(scope="module")
+def ite_blob() -> bytes:
+    return build_artifact(if_then_else())
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+def test_wrong_shaped_blob_raises_artifact_error(shape, ite_blob):
+    blob = _join(*WRONG_SHAPES[shape](*_split(ite_blob)))
+    with pytest.raises(ArtifactError):
+        load_artifact(blob)
+
+
+def test_read_header_ignores_the_digest(ite_blob):
+    """``registry inspect`` reads headers of blobs it cannot load."""
+    assert read_header(ite_blob[:-1] + b"\x00")["dense"] is True
+    with pytest.raises(ArtifactError, match="digest"):
+        load_artifact(ite_blob[:-1] + bytes([ite_blob[-1] ^ 1]))
+
+
+def test_old_abi_blob_is_refused_by_tag(ite_blob):
+    header, payload = _split(ite_blob)
+    header["interpreter"] = interpreter_tag().replace("abi2", "abi1")
+    with pytest.raises(ArtifactError, match="built for"):
+        load_artifact(_join(header, payload))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_truncated_or_flipped_blob_never_mis_serves(data, ite_blob):
+    """Any truncation or single-byte change: a typed error, or tables
+    that scan exactly like a fresh compile — never another exception."""
+    index = data.draw(st.integers(0, len(ite_blob) - 1))
+    if data.draw(st.booleans()):
+        mutated = ite_blob[:index]
+    else:
+        flip = data.draw(st.integers(1, 255))
+        mutated = (
+            ite_blob[:index]
+            + bytes([ite_blob[index] ^ flip])
+            + ite_blob[index + 1 :]
+        )
+    try:
+        artifact = load_artifact(mutated)
+    except ArtifactError:
+        return
+    expected = BehavioralTagger(if_then_else(), engine="compiled")
+    for engine in ("compiled", "auto"):
+        got = artifact.tagger(engine=engine).tag(ITE_SAMPLE)
+        assert repr(got) == repr(expected.tag(ITE_SAMPLE))
+
+
+@pytest.mark.parametrize(
+    "shape", [*WRONG_SHAPES, "truncated", "flipped", "junk"]
+)
+def test_registry_heals_every_bad_blob(shape, tmp_path, ite_blob):
+    store = str(tmp_path / "store")
+    ref = Registry(store).publish("g", if_then_else())
+    objects = os.path.join(store, "objects")
+    (name,) = os.listdir(objects)
+    path = os.path.join(objects, name)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    if shape == "truncated":
+        bad = good[: len(good) // 2]
+    elif shape == "flipped":
+        middle = len(good) // 2
+        bad = good[:middle] + bytes([good[middle] ^ 0x40]) + good[middle + 1 :]
+    elif shape == "junk":
+        bad = b"junk"
+    else:
+        bad = _join(*WRONG_SHAPES[shape](*_split(good)))
+    with open(path, "wb") as fh:
+        fh.write(bad)
+    artifact = Registry(store).load(ref)
+    got = artifact.tagger(engine="auto").tag(ITE_SAMPLE)
+    expected = BehavioralTagger(if_then_else()).tag(ITE_SAMPLE)
+    assert repr(got) == repr(expected)
+    # ... and the store holds a loadable blob again.
+    with open(path, "rb") as fh:
+        load_artifact(fh.read())
+
+
+# ----------------------------------------------------------------------
+# one owner
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "module",
+    [
+        "core/maskgen.py",
+        "core/artifact.py",
+        "core/scanir.py",
+        "apps/structgen/beam.py",
+        "apps/structgen/masks.py",
+    ],
+)
+def test_table_consumers_do_not_import_vectorscan(module):
+    """The vector engine is a consumer of the IR like the others, not
+    the owner the others reach through (function-level imports count)."""
+    path = os.path.join(os.path.dirname(repro.__file__), module)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(
+                f"{node.module}.{alias.name}" for alias in node.names
+            )
+    assert not [name for name in imported if "vectorscan" in name]
+    if module.endswith("beam.py"):
+        assert not [name for name in imported if "numpy" in name]

@@ -1,13 +1,12 @@
 """Vector wide-datapath engine ≡ compiled engine ≡ interpreted loop.
 
 The vector engine (:mod:`repro.core.vectorscan`) replaces the compiled
-per-byte loop with 8-byte-window stepping, dead-region skipping and
-cross-flow batch lockstep — none of which may be observable: same
-events, same order, same earliest-start lexemes, same §5.2 error
-positions, same results under any chunking of the stream. This suite
-pins all of that differentially against the compiled and interpreted
-engines, on seeded random byte soup, XML-RPC workloads, and
-TCP-reassembled netstack payloads.
+per-byte loop with 8-byte-window stepping and dead-region skipping —
+neither of which may be observable: same events, same order, same
+earliest-start lexemes, same §5.2 error positions, same results under
+any chunking of the stream. This suite pins all of that differentially
+against the compiled and interpreted engines, on seeded random byte
+soup, XML-RPC workloads, and TCP-reassembled netstack payloads.
 """
 
 import random
@@ -18,17 +17,11 @@ import pytest
 
 from repro.apps.netstack.flows import TCPReassembler
 from repro.apps.netstack.tracegen import TraceGenerator
-from repro.apps.xmlrpc.messages import MethodCall, StringValue
 from repro.apps.xmlrpc.workload import WorkloadGenerator
 from repro.core.compiled import CompiledTagger
 from repro.core.generator import TaggerOptions
 from repro.core.tagger import BehavioralTagger
-from repro.core.vectorscan import (
-    NUMPY_AVAILABLE,
-    BatchScanner,
-    VectorTagger,
-    capability,
-)
+from repro.core.vectorscan import NUMPY_AVAILABLE, VectorTagger, capability
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
 
@@ -190,75 +183,6 @@ def test_dead_region_is_skipped_and_exact():
 
 
 # ----------------------------------------------------------------------
-# cross-flow batch stepping
-# ----------------------------------------------------------------------
-def _bulk_doc() -> bytes:
-    payload = ("Qx7" * 700)[:2048]
-    return MethodCall(method="buy", params=(StringValue(payload),)).encode()
-
-
-@pytest.mark.parametrize("recovery", [False, True])
-def test_batch_lockstep_parity(recovery):
-    """feed_many over ≥min_flows distinct flows (the lockstep kernel)
-    equals per-flow compiled feeding, events and error positions both."""
-    grammar = xmlrpc()
-    options = TaggerOptions(
-        wiring=WiringOptions(error_recovery=recovery)
-    )
-    vector = VectorTagger(grammar, options)
-    compiled = CompiledTagger(grammar, options)
-    scanner = BatchScanner(vector, min_flows=4)
-    rng = random.Random(17)
-    flows = []
-    for i in range(8):
-        data, _ = WorkloadGenerator(seed=200 + i).stream(8)
-        if i % 3 == 1:
-            data = data[:150] + b"\xfe broken" + data[150:]
-        if i % 3 == 2:
-            data = _bulk_doc() * 3
-        flows.append(data)
-    sessions = [scanner.session() for _ in flows]
-    reference = [compiled.stream() for _ in flows]
-    outs = [[] for _ in flows]
-    offsets = [0] * len(flows)
-    while any(o < len(f) for o, f in zip(offsets, flows)):
-        batch_sessions, batch_chunks, indices = [], [], []
-        for i, flow in enumerate(flows):
-            if offsets[i] < len(flow):
-                n = rng.choice((64, 333, 1500, 4096))
-                batch_sessions.append(sessions[i])
-                batch_chunks.append(flow[offsets[i] : offsets[i] + n])
-                indices.append(i)
-                offsets[i] += n
-        for i, events in zip(
-            indices, scanner.feed_many(batch_sessions, batch_chunks)
-        ):
-            outs[i].extend(events)
-    for i, flow in enumerate(flows):
-        expected = []
-        session = reference[i]
-        for j in range(0, len(flow), 777):
-            expected += session.feed(flow[j : j + 777])
-        assert outs[i] + sessions[i].finish() == expected + session.finish()
-        assert sessions[i].errors == session.errors
-    if vector.vector_active and NUMPY_AVAILABLE:
-        assert scanner.batched > 0
-
-
-def test_batch_below_crossover_dispatches_per_flow():
-    vector = VectorTagger(xmlrpc())
-    compiled = CompiledTagger(xmlrpc())
-    scanner = BatchScanner(vector, min_flows=64)
-    data, _ = WorkloadGenerator(seed=1).stream(5)
-    sessions = [scanner.session(), scanner.session()]
-    outs = scanner.feed_many(sessions, [data, data])
-    assert scanner.fallback == 2 and scanner.batched == 0
-    expected = compiled.events(data)
-    for out, session in zip(outs, sessions):
-        assert out + session.finish() == expected
-
-
-# ----------------------------------------------------------------------
 # fallback, construction, pickling
 # ----------------------------------------------------------------------
 def test_fallback_without_tables_is_exact():
@@ -271,12 +195,6 @@ def test_fallback_without_tables_is_exact():
     compiled = CompiledTagger(grammar)
     data, _ = WorkloadGenerator(seed=8).stream(15)
     assert vector.scan(data) == compiled.scan(data)
-    scanner = BatchScanner(vector, min_flows=1)
-    sessions = [scanner.session(), scanner.session()]
-    outs = scanner.feed_many(sessions, [data, data])
-    expected = compiled.events(data)
-    for out, session in zip(outs, sessions):
-        assert out + session.finish() == expected
 
 
 def test_behavioral_tagger_engine_selection():

@@ -174,15 +174,17 @@ def test_render_histogram_custom_bounds():
 
 
 def test_service_batch_and_skip_instruments():
-    """The service-layer bounds register usable instruments: batch
-    sizes land in power-of-two buckets, skip ratios in tenths."""
-    from repro.service.service import BATCH_SIZE_BOUNDS, SKIP_RATIO_BOUNDS
-
+    """Custom bounds register usable instruments: sizes land in
+    power-of-two buckets, ratios in tenths."""
     registry = MetricsRegistry()
-    batch = registry.histogram("batch.size", bounds=BATCH_SIZE_BOUNDS)
+    batch = registry.histogram(
+        "batch.size", bounds=tuple(float(1 << i) for i in range(9))
+    )
     for flows in (1, 2, 8, 32, 300):
         batch.observe(flows)
-    skip = registry.histogram("vector.skip_ratio", bounds=SKIP_RATIO_BOUNDS)
+    skip = registry.histogram(
+        "vector.skip_ratio", bounds=tuple(i / 10 for i in range(1, 11))
+    )
     skip.observe(0.0)
     skip.observe(0.97)
     snapshot = registry.snapshot()
