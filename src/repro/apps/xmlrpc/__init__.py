@@ -19,7 +19,12 @@ from repro.apps.xmlrpc.messages import (
 )
 from repro.apps.xmlrpc.services import ServiceTable, BANK_SHOPPING_TABLE
 from repro.apps.xmlrpc.workload import WorkloadGenerator
-from repro.apps.xmlrpc.router import ContentBasedRouter, NaiveRouter, RoutedMessage
+from repro.apps.xmlrpc.router import (
+    ContentBasedRouter,
+    NaiveRouter,
+    RoutedMessage,
+    RouteRecord,
+)
 
 __all__ = [
     "ArrayValue",
@@ -33,6 +38,7 @@ __all__ = [
     "MethodCall",
     "NaiveRouter",
     "RoutedMessage",
+    "RouteRecord",
     "ServiceTable",
     "StringValue",
     "StructValue",

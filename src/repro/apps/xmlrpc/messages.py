@@ -7,13 +7,18 @@ value (Fig. 14's ``data`` rule is a single optional value). Lexical
 restrictions of the grammar are enforced at construction: STRING
 payloads are alphanumeric, method names are alphanumeric, base64
 payloads use the ``[+/A-Za-z0-9]`` alphabet.
+
+The routed side of the model lives here too — :class:`RoutedMessage`
+and its payload-free form :class:`RouteRecord` — in a module that
+imports nothing of the scan engine, so a client decoding routed
+results off the wire loads only this.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from repro.errors import BackendError
 
@@ -191,3 +196,28 @@ class MethodCall:
 
     def encode(self) -> bytes:
         return self.serialize().encode("ascii")
+
+
+class RouteRecord(NamedTuple):
+    """One routing decision by span: what the streaming router
+    assembles and the wire carries. The message's bytes are
+    ``stream[start:end]`` — whoever holds the stream has the payload."""
+
+    start: int
+    end: int
+    port: int
+    service: str | None
+
+
+@dataclass(frozen=True)
+class RoutedMessage:
+    """One message with its routing decision."""
+
+    start: int
+    end: int
+    port: int
+    service: str | None
+    payload: bytes
+
+    def __str__(self) -> str:
+        return f"[{self.start}:{self.end}] -> port {self.port} ({self.service})"

@@ -9,7 +9,12 @@ message boundary at which the switch commits the route.
 switch packets, not whole streams, so the session feeds arbitrary
 chunks through the compiled tagger's incremental scan and emits each
 message the moment its closing tag is detected — buffering only the
-bytes that can still belong to an undecided message.
+bytes that can still belong to an undecided message. As in the
+paper's back-end, which sees ``(index, data)`` and lets everything but
+the method-name and end-of-message contexts fall in the index encoder,
+the session reads the scan through the packed sink
+(:meth:`~repro.core.compiled.CompiledStream.feed_packed`): only those
+two contexts' hits ever reach Python, ~2 per message.
 
 :class:`NaiveRouter` is the context-free baseline: it string-matches
 service names anywhere in the payload, as a deep-packet-inspection
@@ -20,32 +25,18 @@ service name planted inside a parameter value re-steers the switch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 
+from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
 from repro.apps.xmlrpc.services import BANK_SHOPPING_TABLE, ServiceTable
 from repro.core.api import StreamSession
 from repro.core.compiled import CompiledTagger
-from repro.core.scanplan import DetectEvent
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
 from repro.errors import BackendError
 from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
 from repro.grammar.examples import xmlrpc
 from repro.software.naive import NaiveScanner
-
-
-@dataclass(frozen=True)
-class RoutedMessage:
-    """One message with its routing decision."""
-
-    start: int
-    end: int
-    port: int
-    service: str | None
-    payload: bytes
-
-    def __str__(self) -> str:
-        return f"[{self.start}:{self.end}] -> port {self.port} ({self.service})"
 
 
 class ContentBasedRouter:
@@ -93,6 +84,21 @@ class ContentBasedRouter:
                 f"grammar {self.grammar.name!r} has no data token inside "
                 f"element {method_element!r}"
             )
+        #: The tagger's streaming engine (None: the interpreted and
+        #: gate-level taggers cannot scan incrementally).
+        self._compiled: CompiledTagger | None = (
+            self.tagger
+            if isinstance(self.tagger, CompiledTagger)
+            else getattr(self.tagger, "compiled", None)
+        )
+        #: The packed sink's select mask, one byte per plan unit:
+        #: bit 0 = its lexeme is the service name, bit 1 = its
+        #: detection ends a message.
+        self._select = bytes(
+            (unit in self.method_occurrences)
+            | (unit in self.accepting) << 1
+            for unit in (self._compiled.units if self._compiled else ())
+        )
 
     @staticmethod
     def _accepting_of(tagger) -> set[Occurrence]:
@@ -183,39 +189,45 @@ class RouterSession(StreamSession):
 
     def __init__(self, router: ContentBasedRouter) -> None:
         self.router = router
-        tagger = router.tagger
-        compiled = (
-            tagger
-            if isinstance(tagger, CompiledTagger)
-            else getattr(tagger, "compiled", None)
-        )
-        if compiled is None:
+        if router._compiled is None:
             raise BackendError(
                 "streaming routing needs the compiled tagger engine; "
-                f"{type(tagger).__name__} cannot scan incrementally"
+                f"{type(router.tagger).__name__} cannot scan incrementally"
             )
-        self._stream = compiled.stream()
+        self._stream = router._compiled.stream()
         self._buffer = bytearray()
         self._base = 0  # absolute stream position of _buffer[0]
-        self._message_start: int | None = None
+        #: The packed sink's carry: (message open, message start).
+        self._carry = array("q", (0, 0))
         self._service: str | None = None
 
     # ------------------------------------------------------------------
     def feed(self, chunk: bytes) -> list[RoutedMessage]:
         """Consume one chunk; return the messages it completed."""
         self._check_open()
-        self._buffer += chunk
-        messages = self._apply(self._stream.feed_scan(chunk))
+        messages = self._with_payload(self._scan(chunk))
         self._prune()
         return messages
 
+    def feed_records(self, chunk: bytes) -> list[RouteRecord]:
+        """:meth:`feed` by span: the same decisions without copying
+        the messages' bytes out."""
+        self._check_open()
+        routes = self._scan(chunk)
+        self._prune()
+        return routes
+
     def finish(self) -> list[RoutedMessage]:
         """End the stream; return messages completed by end-of-data."""
+        return self._with_payload(self.finish_records())
+
+    def finish_records(self) -> list[RouteRecord]:
+        """:meth:`finish` by span."""
         self._check_open()
-        messages = self._flush_snapshot()
+        routes = self._flush_snapshot()
         self._stream.close()
         self._finished = True
-        return messages
+        return routes
 
     def peek_finish(self) -> list[RoutedMessage]:
         """Messages finishing now would add, without ending the stream.
@@ -224,64 +236,83 @@ class RouterSession(StreamSession):
         feeding can continue afterwards — the mid-stream inspection
         point per-flow back-ends need.
         """
-        return self._flush_snapshot()
+        return self._with_payload(self._flush_snapshot())
 
-    def _flush_snapshot(self) -> list[RoutedMessage]:
+    def _flush_snapshot(self) -> list[RouteRecord]:
         """The one end-of-data flush path (:meth:`finish` commits it,
-        :meth:`peek_finish` only observes it): run the per-token state
-        machine over a snapshot flush and roll the session's message
-        state back, leaving feeding possible."""
-        saved = (self._message_start, self._service)
-        messages = self._apply(self._stream.finish_scan_snapshot())
-        self._message_start, self._service = saved
-        return messages
+        :meth:`peek_finish` only observes it): assemble a snapshot
+        flush against copies of the message state, leaving feeding
+        possible."""
+        service = self._service
+        routes = self._assemble(
+            self._stream.finish_packed_snapshot(
+                self.router._select, array("q", self._carry)
+            )
+        )
+        self._service = service
+        return routes
 
     # ------------------------------------------------------------------
-    def _apply(
-        self, results: list[tuple[DetectEvent, int]]
-    ) -> list[RoutedMessage]:
-        """The same per-token state machine as :meth:`route`, driven by
-        (event, earliest-start) pairs against the retained buffer."""
-        router = self.router
+    def _scan(self, chunk: bytes) -> list[RouteRecord]:
+        self._buffer += chunk
+        return self._assemble(
+            self._stream.feed_packed(chunk, self.router._select, self._carry)
+        )
+
+    def _assemble(self, records) -> list[RouteRecord]:
+        """The same per-message state machine as :meth:`route`, over
+        packed-sink records (flat ``unit, end, start`` ints): a plain
+        unit is the method name, whose lexeme is still in the retained
+        buffer; a complemented one is the accepting hit, whose start
+        is the message's."""
+        table = self.router.table
         base = self._base
         buffer = self._buffer
-        messages: list[RoutedMessage] = []
-        for event, start in results:
-            if self._message_start is None:
-                self._message_start = start
-            occurrence = event.occurrence
-            if occurrence in router.method_occurrences:
-                lexeme = bytes(buffer[start - base : event.end - base])
-                self._service = lexeme.decode("utf-8", errors="replace")
-            if occurrence in router.accepting:
-                service = self._service
-                message_start = self._message_start
-                messages.append(
-                    RoutedMessage(
-                        start=message_start,
-                        end=event.end,
-                        port=(
-                            router.table.port_of(service)
-                            if service is not None
-                            else router.table.default_port
-                        ),
-                        service=service,
-                        payload=bytes(
-                            buffer[message_start - base : event.end - base]
-                        ),
-                    )
+        service = self._service
+        routes: list[RouteRecord] = []
+        flat = iter(records)
+        for unit, end, start in zip(flat, flat, flat):
+            if unit >= 0:
+                service = buffer[start - base : end - base].decode(
+                    "utf-8", errors="replace"
                 )
-                self._message_start = None
-                self._service = None
-        return messages
+                continue
+            routes.append(
+                RouteRecord(
+                    start,
+                    end,
+                    table.port_of(service)
+                    if service is not None
+                    else table.default_port,
+                    service,
+                )
+            )
+            service = None
+        self._service = service
+        return routes
+
+    def _with_payload(
+        self, routes: list[RouteRecord]
+    ) -> list[RoutedMessage]:
+        """The routes with their bytes sliced from the retained buffer
+        (so: before the next :meth:`_prune`)."""
+        base = self._base
+        buffer = self._buffer
+        return [
+            RoutedMessage(
+                start, end, port, service,
+                bytes(buffer[start - base : end - base]),
+            )
+            for start, end, port, service in routes
+        ]
 
     def _prune(self) -> None:
         """Drop buffered bytes no future message can reference: before
         both the scanner's earliest in-flight match start and the open
         message's start."""
         keep = self._stream.low_watermark()
-        if self._message_start is not None and self._message_start < keep:
-            keep = self._message_start
+        if self._carry[0] and self._carry[1] < keep:
+            keep = self._carry[1]
         drop = keep - self._base
         if drop > 0:
             del self._buffer[:drop]

@@ -25,6 +25,29 @@
  * engine would have produced (same events, same order, same error
  * positions — enforced by tests/core/test_nativescan.py).
  *
+ * Packed sink.  A caller that acts on a few contexts only (the Fig. 12
+ * router: of all tokenizers, the method name and the end of message
+ * drive the switch) passes three more buffers and gets no objects at
+ * all:
+ *
+ *   select[n_units]   one byte per unit: bit 0 = report this unit's
+ *                     hits, bit 1 = this unit's hit closes a message
+ *   carry[2]          int64 (message open, message start), threaded
+ *                     from chunk to chunk by the caller; any hit, of
+ *                     any unit, opens a message at its match start
+ *   out[3 * capacity] int64 records, caller-owned
+ *
+ * For a hit of unit u ending at `end` with match start `start`, bit 0
+ * writes (u, end, start) and bit 1 writes (~u, end, message start) and
+ * closes the message — the complemented unit makes the record stream
+ * self-describing, and a unit with both bits gets both records in that
+ * order.  Hits of unselected units are dropped in the loop, the GIL is
+ * never re-taken mid-chunk, and error positions are not reported.  If
+ * the record buffer cannot take another edge's worth, the call returns
+ * early with the number of bytes consumed and the caller resumes from
+ * there.  The portable twin is repro.core.compiled.pack_selected;
+ * tests/apps/test_router_records.py holds the two equal.
+ *
  * Effect-program bytecode (all int32):
  *   OP_END                        end of program
  *   OP_ERR                        record a §5.2 error position
@@ -471,6 +494,51 @@ drain_hits(const NativeTables *t, const int64_t *hits, Py_ssize_t h,
 }
 
 /* ------------------------------------------------------------------ */
+/* packed sink: filter one edge's hits into caller-owned records       */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    const uint8_t *select; /* per-unit select byte */
+    int64_t *next;         /* write cursor into the record buffer */
+    int64_t *mark;         /* past this, another edge may not fit */
+    int64_t open, start;   /* the carry: message open, message start */
+} PackedSink;
+
+/* Out of line on purpose: the sink's state lives in memory, so the
+ * object drain's loop keeps the registers it had before the sink. */
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+static int
+sink_edge(PackedSink *s, const int64_t *hits, Py_ssize_t h)
+{
+    int64_t *rp = s->next;
+    for (Py_ssize_t k = 0; k < h; k++) {
+        int64_t u = hits[3 * k];
+        if (!s->open) {
+            s->open = 1;
+            s->start = hits[3 * k + 2];
+        }
+        uint8_t bits = s->select[u];
+        if (bits & 1u) {
+            rp[0] = u;
+            rp[1] = hits[3 * k + 1];
+            rp[2] = hits[3 * k + 2];
+            rp += 3;
+        }
+        if (bits & 2u) {
+            rp[0] = ~u;
+            rp[1] = hits[3 * k + 1];
+            rp[2] = s->start;
+            rp += 3;
+            s->open = 0;
+        }
+    }
+    s->next = rp;
+    return rp > s->mark; /* no room for another edge */
+}
+
+/* ------------------------------------------------------------------ */
 /* scan_chunk                                                          */
 /* ------------------------------------------------------------------ */
 
@@ -478,17 +546,20 @@ static PyObject *
 scan_chunk(PyObject *self, PyObject *args)
 {
     PyObject *capsule, *starts_list, *out, *errors;
+    PyObject *select = Py_None, *carry = Py_None;
     int state;
     int pairs = 1;
     long long base;
     Py_buffer data;
+    Py_buffer sel = {0}, car = {0}, rec = {0};
 
-    if (!PyArg_ParseTuple(args, "OiLy*O!O!O|p:scan_chunk",
+    if (!PyArg_ParseTuple(args, "OiLy*O!OO|pOO:scan_chunk",
                           &capsule, &state, &base, &data,
                           &PyList_Type, &starts_list,
-                          &PyList_Type, &out, &errors, &pairs))
+                          &out, &errors, &pairs, &select, &carry))
         return NULL;
 
+    const int packed = (select != Py_None);
     NativeTables *t = PyCapsule_GetPointer(capsule, CAPSULE_NAME);
     if (t == NULL)
         goto arg_error;
@@ -504,13 +575,51 @@ scan_chunk(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "errors must be a list or None");
         goto arg_error;
     }
+    if (!packed) {
+        if (!PyList_Check(out)) {
+            PyErr_SetString(PyExc_TypeError, "out must be a list");
+            goto arg_error;
+        }
+    }
+    else {
+        if (errors != Py_None) {
+            PyErr_SetString(PyExc_ValueError,
+                            "the packed sink reports no error positions");
+            goto arg_error;
+        }
+        if (PyObject_GetBuffer(select, &sel, PyBUF_SIMPLE) < 0 ||
+            PyObject_GetBuffer(carry, &car, PyBUF_WRITABLE) < 0 ||
+            PyObject_GetBuffer(out, &rec, PyBUF_WRITABLE) < 0)
+            goto arg_error;
+        if (sel.len != t->n_units) {
+            PyErr_SetString(PyExc_ValueError, "select mask size mismatch");
+            goto arg_error;
+        }
+        if (car.len < 2 * (Py_ssize_t)sizeof(int64_t)) {
+            PyErr_SetString(PyExc_ValueError, "carry must hold two int64");
+            goto arg_error;
+        }
+        /* One edge writes at most two records per hit. */
+        if (rec.len / (3 * (Py_ssize_t)sizeof(int64_t)) < 2 * t->max_per_edge) {
+            PyErr_SetString(PyExc_ValueError, "record buffer too small");
+            goto arg_error;
+        }
+        if ((uintptr_t)car.buf % sizeof(int64_t) ||
+            (uintptr_t)rec.buf % sizeof(int64_t)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "carry and record buffers must be int64-aligned");
+            goto arg_error;
+        }
+    }
 
     int64_t *starts = NULL, *scratch = NULL, *hits = NULL;
     int32_t *lens = NULL;
     starts = PyMem_Malloc(((size_t)t->total_cap + 1) * sizeof(int64_t));
     lens = PyMem_Malloc(((size_t)t->n_units + 1) * sizeof(int32_t));
     scratch = PyMem_Malloc((size_t)t->max_cap * sizeof(int64_t));
-    hits = PyMem_Malloc((size_t)HITS_CAP * 3 * sizeof(int64_t));
+    /* The packed sink empties the spill buffer after every edge. */
+    hits = PyMem_Malloc((size_t)(packed ? t->max_per_edge : HITS_CAP) *
+                        3 * sizeof(int64_t));
     if (starts == NULL || lens == NULL || scratch == NULL || hits == NULL) {
         PyErr_NoMemory();
         goto mem_error;
@@ -559,6 +668,17 @@ scan_chunk(PyObject *self, PyObject *args)
         int rec_err = (errors != Py_None);
         Py_ssize_t drain_mark = HITS_CAP - t->max_per_edge;
         int fail = 0, corrupt = 0;
+        PackedSink sink = {0};
+        if (packed) {
+            const int64_t *carp = (const int64_t *)car.buf;
+            sink.select = (const uint8_t *)sel.buf;
+            sink.next = (int64_t *)rec.buf;
+            sink.mark = sink.next +
+                        3 * (rec.len / (3 * (Py_ssize_t)sizeof(int64_t)) -
+                             2 * t->max_per_edge);
+            sink.open = carp[0] != 0;
+            sink.start = carp[1];
+        }
 
         Py_BEGIN_ALLOW_THREADS
         while (i < n) {
@@ -572,7 +692,18 @@ scan_chunk(PyObject *self, PyObject *args)
                         corrupt = 1;
                         break;
                     }
-                    if (h >= drain_mark) {
+                    if (packed) {
+                        int full = sink_edge(&sink, hits, h);
+                        h = 0;
+                        if (full) {
+                            /* Finish this byte and hand the rest of
+                             * the chunk back. */
+                            sp = (int32_t)(v >> 2);
+                            i++;
+                            break;
+                        }
+                    }
+                    else if (h >= drain_mark) {
                         Py_BLOCK_THREADS
                         if (drain_hits(t, hits, h, out, errors, pairs) < 0)
                             fail = 1;
@@ -632,7 +763,15 @@ scan_chunk(PyObject *self, PyObject *args)
         PyMem_Free(scratch);
         PyMem_Free(hits);
         PyBuffer_Release(&data);
-        return Py_BuildValue("iL", sp / C, skipped);
+        if (!packed)
+            return Py_BuildValue("iL", sp / C, skipped);
+        ((int64_t *)car.buf)[0] = sink.open;
+        ((int64_t *)car.buf)[1] = sink.start;
+        Py_ssize_t n_records = (sink.next - (int64_t *)rec.buf) / 3;
+        PyBuffer_Release(&sel);
+        PyBuffer_Release(&car);
+        PyBuffer_Release(&rec);
+        return Py_BuildValue("iLnn", sp / C, skipped, n_records, i);
     }
 
 mem_error:
@@ -642,6 +781,9 @@ mem_error:
     PyMem_Free(hits);
 arg_error:
     PyBuffer_Release(&data);
+    PyBuffer_Release(&sel); /* no-ops on the never-acquired */
+    PyBuffer_Release(&car);
+    PyBuffer_Release(&rec);
     return NULL;
 }
 
@@ -651,7 +793,8 @@ static PyMethodDef nativescan_methods[] = {
     {"build_tables", build_tables, METH_VARARGS,
      "Validate and intern the flat scan tables; returns a capsule."},
     {"scan_chunk", scan_chunk, METH_VARARGS,
-     "Scan one chunk through the native loop; returns (state, skipped)."},
+     "Scan one chunk through the native loop; returns (state, skipped), "
+     "or (state, skipped, records, consumed) with the packed sink."},
     {NULL, NULL, 0, NULL},
 };
 

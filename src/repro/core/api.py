@@ -100,6 +100,17 @@ class StreamSession:
         """Flush against end-of-data and end the session."""
         raise NotImplementedError
 
+    def feed_records(self, chunk: bytes) -> list:
+        """:meth:`feed` for a consumer that holds the stream itself
+        (the serving edge: the client keeps what it sent): sessions
+        whose results embed stream bytes override this to report
+        spans instead. The default is :meth:`feed`."""
+        return self.feed(chunk)
+
+    def finish_records(self) -> list:
+        """:meth:`finish`, as :meth:`feed_records` is to :meth:`feed`."""
+        return self.finish()
+
     @property
     def finished(self) -> bool:
         """True once :meth:`finish` has run (feeding now raises)."""

@@ -387,6 +387,37 @@ def install_tables(
     return tables
 
 
+def pack_selected(
+    pairs: list[tuple[DetectEvent, int]],
+    unit_order: dict,
+    select: bytes,
+    carry,
+) -> list[int]:
+    """The packed sink, portably: the records the native kernel writes
+    for ``select`` and ``carry`` (``_nativescan.c`` has the contract),
+    derived from ``(event, match start)`` pairs as a flat list of
+    ``unit, end, start`` ints.
+
+    Any hit opens a message at its match start (``carry`` is the
+    mutable pair *message open*, *message start*).  A unit with select
+    bit 0 is reported as ``(unit, end, start)``; one with bit 1 closes
+    the message and is reported as ``(~unit, end, message start)``.
+    """
+    out: list[int] = []
+    for event, start in pairs:
+        if not carry[0]:
+            carry[0] = 1
+            carry[1] = start
+        unit = unit_order[event.occurrence]
+        bits = select[unit]
+        if bits & 1:
+            out += (unit, event.end, start)
+        if bits & 2:
+            out += (~unit, event.end, carry[1])
+            carry[0] = 0
+    return out
+
+
 class _ScanState:
     """Mutable per-scan registers: the interned global control state
     (pre-shifted by 8 for direct memo keying), the per-unit
@@ -588,6 +619,14 @@ class CompiledTagger:
         st.tid8 = tid8
         st.pos += len(data)
 
+    def _run_packed(self, data: bytes, st: _ScanState, select, carry):
+        """:meth:`_run` through the packed sink: only the hits
+        ``select`` picks, as flat ``unit, end, start`` ints (see
+        :func:`pack_selected`).  Error positions are not reported."""
+        out: list[tuple[DetectEvent, int]] = []
+        self._run(data, st, None, out)
+        return pack_selected(out, self.plan.unit_order, select, carry)
+
     def _flush(
         self, st: _ScanState, out: list[tuple[DetectEvent, int]]
     ) -> None:
@@ -639,6 +678,27 @@ class CompiledStream(StreamSession):
         sink = self.errors if self.tagger.tables.recovery else None
         self.tagger._run(chunk, self.state, sink, out)
         return out
+
+    def feed_packed(self, chunk: bytes, select: bytes, carry):
+        """Feed a chunk through the packed sink: a flat int sequence
+        of ``unit, end, start`` records for the hits ``select`` picks
+        (one byte per plan unit; :func:`pack_selected` has the record
+        rules), with ``carry`` — two mutable int64 slots the caller
+        keeps per stream — threaded across chunks.  On the native
+        engine no per-hit object is built."""
+        self._check_open()
+        return self.tagger._run_packed(chunk, self.state, select, carry)
+
+    def finish_packed_snapshot(self, select: bytes, carry) -> list[int]:
+        """What end-of-data would add to :meth:`feed_packed`'s records,
+        evaluated on a snapshot like :meth:`finish_scan_snapshot`
+        (``carry`` is updated: pass a copy to only observe)."""
+        return pack_selected(
+            self.finish_scan_snapshot(),
+            self.tagger.plan.unit_order,
+            select,
+            carry,
+        )
 
     def finish_scan(self) -> list[tuple[DetectEvent, int]]:
         """Resolve the final byte against end-of-data; end the stream."""

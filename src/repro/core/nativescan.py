@@ -78,7 +78,7 @@ class _NativeTables:
     capsule owned by the C module; shared by every
     :class:`NativeTagger` over that (grammar, wiring) pair."""
 
-    __slots__ = ("ext", "capsule")
+    __slots__ = ("ext", "capsule", "empty_sink")
 
     def __init__(self, ext, ir: ScanIR, units: tuple) -> None:
         n_states = ir.n_states
@@ -122,6 +122,11 @@ class _NativeTables:
             prog_idx.append(offsets[index])
 
         self.ext = ext
+        #: A zeroed packed-sink record buffer, copied per call: 256
+        #: ``(unit, end, start)`` int64 records, or the two per hit one
+        #: edge can write if that is more.  The kernel hands control
+        #: back when it fills, so the size bounds memory, not the input.
+        self.empty_sink = bytes(max(256, 2 * max_per_edge) * 3 * 8)
         self.capsule = ext.build_tables(
             n_states,
             n_classes,
@@ -239,3 +244,33 @@ class NativeTagger(VectorTagger):
         self.bytes_skipped += skipped
         st.tid8 = state << 8
         st.pos += len(data)
+
+    def _run_packed(self, data, st, select, carry):
+        nt = self._nt
+        if nt is None:
+            return super()._run_packed(data, st, select, carry)
+        self.bytes_scanned += len(data)
+        sink = array("q", nt.empty_sink)
+        records = None
+        while True:
+            state, skipped, n_records, consumed = nt.ext.scan_chunk(
+                nt.capsule,
+                st.tid8 >> 8,
+                st.pos,
+                data,
+                st.starts,
+                sink,
+                None,
+                True,
+                select,
+                carry,
+            )
+            self.bytes_skipped += skipped
+            st.tid8 = state << 8
+            st.pos += consumed
+            found = sink[: 3 * n_records]
+            records = found if records is None else records + found
+            if consumed == len(data):
+                return records
+            # The sink filled up: resume behind the last byte taken.
+            data = memoryview(data)[consumed:]

@@ -23,7 +23,11 @@ Connection semantics:
 * **failure** — an ERROR frame addressed to a flow fails that flow's
   pending :meth:`~ClientFlow.finish` with
   :class:`~repro.server.protocol.ServerFault`; a connection-level
-  ERROR or an unexpected close fails every pending flow.
+  ERROR or an unexpected close fails every pending flow;
+* **payload by span** — the server reports each routed message as a
+  span of the flow's bytes and sends no payload back: a scan flow
+  keeps every chunk it was given (by reference) and
+  :meth:`~ClientFlow.finish` slices the payloads out of them.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ class ConnectFailed(ReproError):
 class ClientFlow:
     """One open flow on a client connection.
 
-    Partial RESULT frames (the server streams results as chunks
-    complete messages) accumulate in :attr:`partial`; :meth:`finish`
-    returns the complete, ordered result list for the flow.
+    The server streams RESULT frames while the flow is open; their
+    record blocks accumulate in :attr:`blocks` as received, and
+    :meth:`finish` returns the complete, ordered result list for the
+    flow.
     """
 
     #: Scan and mask flows journal enough history to be re-replayed
@@ -75,22 +80,35 @@ class ClientFlow:
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
         self.client = client
         self.flow_id = flow_id
-        self.partial: list = []
-        #: Replayable history (DATA chunks) when the client journals.
-        self.journal: list[bytes] | None = (
-            [] if client.journal else None
-        )
+        #: Every chunk given to :meth:`send`, by reference (do not
+        #: mutate one afterwards): the bytes the results' spans point
+        #: into, and the history :meth:`replay_onto` re-sends.
+        self.journal: list[bytes] = []
+        #: The record blocks of the RESULT frames received so far,
+        #: undecoded — a relay forwards them as they are.
+        self.blocks: list[bytes] = []
         self._done: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
+
+    @property
+    def partial(self) -> list:
+        """The results received so far (routed ones as spans)."""
+        return self._decode()
+
+    def _decode(self, data: bytes | None = None) -> list:
+        return [
+            item
+            for block in self.blocks
+            for item in protocol.decode_result_block(block, data)
+        ]
 
     # ------------------------------------------------------------------
     async def send(self, chunk: bytes) -> None:
         """Stream one chunk of flow bytes (split to the server's frame
         limit; awaits transport drain, so server backpressure lands
         here as pacing)."""
-        if self.journal is not None:
-            self.journal.append(chunk)
+        self.journal.append(chunk)
         limit = max(1, self.client.server_max_frame - _DATA_OVERHEAD)
         for start in range(0, len(chunk), limit) or (0,):
             piece = chunk[start : start + limit]
@@ -102,41 +120,52 @@ class ClientFlow:
         """Re-create this flow on ``client`` by replaying the journaled
         DATA history; the replacement flow is byte-equivalent because
         scanning is deterministic in the bytes fed so far."""
-        if self.journal is None:
-            raise ServerFault(
-                self.flow_id,
-                ErrorCode.FAILOVER,
-                "flow has no journal to replay",
-            )
         flow = await client.open_flow()
         for chunk in self.journal:
             await flow.send(chunk)
         return flow
 
     async def finish(self, timeout: float | None = None) -> list:
-        """End the flow; wait for (and return) its complete results."""
+        """End the flow; wait for (and return) its complete results,
+        each routed message with its payload sliced from the bytes
+        this flow sent."""
+        await self.finish_blocks(timeout)
+        return self._decode(b"".join(self.journal))
+
+    async def finish_blocks(self, timeout: float | None = None) -> list:
+        """End the flow; wait for its final RESULT and return the
+        flow's record blocks, undecoded."""
         await self.client._send(
             protocol.encode_finish_flow(self.flow_id)
         )
         if timeout is None:
             timeout = self.client.request_timeout
+        # One timer handle, as in BeamFlow._request; the flow is
+        # forgotten on expiry, so a late RESULT is dropped.
+        timer = asyncio.get_running_loop().call_later(
+            timeout, self._expire, timeout
+        )
         try:
-            final = await asyncio.wait_for(
-                asyncio.shield(self._done), timeout=timeout
-            )
-        except asyncio.TimeoutError:
+            await self._done
+        finally:
+            timer.cancel()
+        return self.blocks
+
+    def _expire(self, timeout: float) -> None:
+        if not self._done.done():
             self.client._flows.pop(self.flow_id, None)
-            raise TimeoutError(
-                f"flow {self.flow_id}: no final RESULT within "
-                f"{timeout:g}s"
-            ) from None
-        return final
+            self._done.set_exception(
+                TimeoutError(
+                    f"flow {self.flow_id}: no final RESULT within "
+                    f"{timeout:g}s"
+                )
+            )
 
     # ------------------------------------------------------------------
-    def _deliver(self, final: bool, items: list) -> None:
-        self.partial.extend(items)
+    def _deliver(self, final: bool, block: bytes) -> None:
+        self.blocks.append(block)
         if final and not self._done.done():
-            self._done.set_result(list(self.partial))
+            self._done.set_result(None)
 
     def _fail(self, exc: Exception) -> None:
         if not self._done.done():
@@ -408,9 +437,10 @@ class ScanClient:
         self.max_backoff = max_backoff
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        #: When set, flows record their replayable history (scan DATA
-        #: chunks, mask ADVANCE token ids) so a routing tier can replay
-        #: them onto a replacement backend after a failover.
+        #: When set, mask flows record their acked ADVANCE token ids so
+        #: a routing tier can replay them onto a replacement backend
+        #: after a failover (scan flows keep what they send anyway:
+        #: their results point into it).
         self.journal = journal
         #: The server's advertised frame limit (from its HELLO).
         self.server_max_frame = DEFAULT_MAX_FRAME
@@ -420,6 +450,7 @@ class ScanClient:
 
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
+        self._decoder = protocol.FrameDecoder(max_frame)
         self._reader_task: asyncio.Task | None = None
         self._flows: dict[int, ClientFlow] = {}
         #: Raw frame taps: flow id -> async callable. A tap receives
@@ -447,9 +478,10 @@ class ScanClient:
                     asyncio.open_connection(self.host, self.port),
                     timeout=self.connect_timeout,
                 )
-                await self._handshake()
+                self._decoder = protocol.FrameDecoder(self.max_frame)
+                early = await self._handshake()
                 self._reader_task = asyncio.ensure_future(
-                    self._read_loop()
+                    self._read_loop(early)
                 )
                 return self
             except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
@@ -472,19 +504,20 @@ class ScanClient:
         capped = min(backoff, self.max_backoff)
         return capped * (0.75 + 0.5 * random.random())
 
-    async def _handshake(self) -> None:
+    async def _handshake(self) -> list:
+        """HELLO both ways; returns whatever frames the server's
+        first read carried behind its HELLO."""
         self._writer.write(
             protocol.encode_hello(PROTOCOL_VERSION, self.max_frame)
         )
         await self._writer.drain()
-        from repro.server.server import _read_frame
-
-        frame = await asyncio.wait_for(
-            _read_frame(self._reader, self.max_frame),
+        frames = await asyncio.wait_for(
+            protocol.read_frames(self._reader, self._decoder),
             timeout=self.connect_timeout,
         )
-        if frame is None:
+        if frames is None:
             raise ProtocolError("server closed during handshake")
+        frame = frames[0]
         if frame.type == FrameType.ERROR:
             flow, code, message = protocol.decode_error(frame)
             raise ServerFault(flow, code, message)
@@ -499,6 +532,7 @@ class ScanClient:
             )
         self.server_max_frame = server_max
         self.server_grammars = protocol.decode_hello_grammars(frame)
+        return frames[1:]
 
     async def close(self) -> None:
         """Polite GOODBYE (waits briefly for the server's), then close."""
@@ -650,85 +684,20 @@ class ScanClient:
             self._writer.write(frame_bytes)
             await self._writer.drain()
 
-    async def _read_loop(self) -> None:
-        from repro.server.server import _read_frame
-
+    async def _read_loop(self, frames: list) -> None:
+        """Dispatch ``frames``, then every batch the connection
+        delivers, until GOODBYE or failure."""
         try:
             while True:
-                frame = await _read_frame(self._reader, self.max_frame)
-                if frame is None:
+                for frame in frames:
+                    if await self._on_frame(frame):
+                        return
+                frames = await protocol.read_frames(
+                    self._reader, self._decoder
+                )
+                if frames is None:
                     raise ConnectionResetError(
                         "server closed the connection"
-                    )
-                if self._raw_taps and frame.type in (
-                    FrameType.RESULT,
-                    FrameType.MASK,
-                    FrameType.MASKS,
-                    FrameType.ERROR,
-                ):
-                    # Every reply frame leads with a u32 flow id.
-                    tapped = int.from_bytes(frame.payload[:4], "big")
-                    tap = self._raw_taps.get(tapped)
-                    if tap is not None:
-                        await tap(frame)
-                        continue
-                if frame.type == FrameType.RESULT:
-                    flow_id, final, items = protocol.decode_result(frame)
-                    flow = self._flows.get(flow_id)
-                    if flow is not None:
-                        flow._deliver(final, items)
-                        if final:
-                            del self._flows[flow_id]
-                elif frame.type == FrameType.MASK:
-                    flow_id, state, row = protocol.decode_mask(frame)
-                    flow = self._flows.get(flow_id)
-                    if isinstance(flow, MaskFlow):
-                        flow._deliver_mask(state, row)
-                elif frame.type == FrameType.MASKS:
-                    flow_id, row_bytes, lanes = protocol.decode_masks(
-                        frame
-                    )
-                    flow = self._flows.get(flow_id)
-                    if isinstance(flow, BeamFlow):
-                        flow._deliver_masks(row_bytes, lanes)
-                elif frame.type == FrameType.ERROR:
-                    flow_id, code, message = protocol.decode_error(frame)
-                    fault = ServerFault(flow_id, code, message)
-                    if flow_id == CONNECTION_FLOW:
-                        raise fault
-                    flow = self._flows.get(flow_id)
-                    if (
-                        isinstance(flow, BeamFlow)
-                        and code == ErrorCode.BAD_TOKEN
-                    ):
-                        # The beam is atomic: the rejected op moved
-                        # nothing server-side, so only the request
-                        # fails and the flow stays open.
-                        flow._fail_request(fault)
-                    elif flow is not None:
-                        del self._flows[flow_id]
-                        flow._fail(fault)
-                elif frame.type == FrameType.GOODBYE:
-                    # Flows still pending after a GOODBYE can never
-                    # complete: fail them rather than letting their
-                    # finish() sit out its full timeout. The GOODBYE
-                    # also ends the connection's useful life, so later
-                    # sends fail fast instead of timing out (pools
-                    # key reconnects off :attr:`connected`).
-                    if self._conn_error is None:
-                        self._conn_error = ConnectionResetError(
-                            "server said GOODBYE"
-                        )
-                    self._fail_pending(
-                        ConnectionResetError(
-                            "server said GOODBYE with flows pending"
-                        )
-                    )
-                    self._goodbye.set()
-                    return
-                else:
-                    raise ProtocolError(
-                        f"unexpected {frame.name} frame from server"
                     )
         except asyncio.CancelledError:
             raise
@@ -736,6 +705,74 @@ class ScanClient:
             self._conn_error = exc
             self._fail_pending(exc)
             self._goodbye.set()
+
+    async def _on_frame(self, frame) -> bool:
+        """Route one reply frame to its flow; True on GOODBYE."""
+        if self._raw_taps and frame.type in (
+            FrameType.RESULT,
+            FrameType.MASK,
+            FrameType.MASKS,
+            FrameType.ERROR,
+        ):
+            # Every reply frame leads with a u32 flow id.
+            tapped = int.from_bytes(frame.payload[:4], "big")
+            tap = self._raw_taps.get(tapped)
+            if tap is not None:
+                await tap(frame)
+                return False
+        if frame.type == FrameType.RESULT:
+            flow_id, final, block = protocol.split_result(frame)
+            flow = self._flows.get(flow_id)
+            if flow is not None:
+                flow._deliver(final, block)
+                if final:
+                    del self._flows[flow_id]
+        elif frame.type == FrameType.MASK:
+            flow_id, state, row = protocol.decode_mask(frame)
+            flow = self._flows.get(flow_id)
+            if isinstance(flow, MaskFlow):
+                flow._deliver_mask(state, row)
+        elif frame.type == FrameType.MASKS:
+            flow_id, row_bytes, lanes = protocol.decode_masks(frame)
+            flow = self._flows.get(flow_id)
+            if isinstance(flow, BeamFlow):
+                flow._deliver_masks(row_bytes, lanes)
+        elif frame.type == FrameType.ERROR:
+            flow_id, code, message = protocol.decode_error(frame)
+            fault = ServerFault(flow_id, code, message)
+            if flow_id == CONNECTION_FLOW:
+                raise fault
+            flow = self._flows.get(flow_id)
+            if isinstance(flow, BeamFlow) and code == ErrorCode.BAD_TOKEN:
+                # The beam is atomic: the rejected op moved nothing
+                # server-side, so only the request fails and the flow
+                # stays open.
+                flow._fail_request(fault)
+            elif flow is not None:
+                del self._flows[flow_id]
+                flow._fail(fault)
+        elif frame.type == FrameType.GOODBYE:
+            # Flows still pending after a GOODBYE can never complete:
+            # fail them rather than letting their finish() sit out its
+            # full timeout. The GOODBYE also ends the connection's
+            # useful life, so later sends fail fast instead of timing
+            # out (pools key reconnects off :attr:`connected`).
+            if self._conn_error is None:
+                self._conn_error = ConnectionResetError(
+                    "server said GOODBYE"
+                )
+            self._fail_pending(
+                ConnectionResetError(
+                    "server said GOODBYE with flows pending"
+                )
+            )
+            self._goodbye.set()
+            return True
+        else:
+            raise ProtocolError(
+                f"unexpected {frame.name} frame from server"
+            )
+        return False
 
     def _fail_pending(self, exc: Exception) -> None:
         for flow in list(self._flows.values()):

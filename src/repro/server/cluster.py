@@ -23,8 +23,10 @@ dies mid-flow (connection cut, or a DRAINING goodbye):
 
 * **scan flows** re-replay their journaled DATA history onto the next
   ring backend — scanning is deterministic in the bytes fed, and the
-  proxy holds partial results back until FINISH, so the client sees
-  byte-identical results, just later;
+  proxy holds partial results back until FINISH (as the record blocks
+  the backend sent, which it then forwards unread: a routed result is
+  a span of bytes the client already holds), so the client sees
+  identical results, just later;
 * **mask flows** re-open the vocabulary and replay only the *acked*
   ADVANCE ids (an id is journaled when its MASK reply lands), then
   re-issue the in-flight op — mask tables are pure functions of
@@ -300,6 +302,22 @@ class _Backend:
 # ----------------------------------------------------------------------
 _SCAN, _MASK, _BEAM = "scan", "mask", "beam"
 
+#: Client frame types that open a flow (and of which kind), and those
+#: that operate on an open one.
+_OPENS = {
+    FrameType.OPEN_FLOW: _SCAN,
+    FrameType.OPEN_MASK: _MASK,
+    FrameType.OPEN_BEAM: _BEAM,
+}
+_OPS = frozenset(
+    (
+        FrameType.DATA,
+        FrameType.ADVANCE,
+        FrameType.BATCH_ADVANCE,
+        FrameType.FINISH_FLOW,
+    )
+)
+
 
 class _ProxyFlow:
     __slots__ = (
@@ -328,22 +346,23 @@ class _ClientConn:
         self.reader = reader
         self.writer = writer
         self.conn_id = conn_id
+        self.decoder = protocol.FrameDecoder(proxy.max_frame)
         self.flows: dict[int, _ProxyFlow] = {}
         self.peer_max_frame = DEFAULT_MAX_FRAME
         self.closed = False
         self._write_lock = asyncio.Lock()
 
-    async def send(self, frame_bytes: bytes) -> None:
+    async def send(self, *frames: bytes) -> None:
+        """Write encoded frames (one write, one drain)."""
         if self.closed:
             return
         async with self._write_lock:
             if self.closed:
                 return
-            self.writer.write(frame_bytes)
-            self.proxy.metrics.counter("proxy.tx.frames").inc()
-            self.proxy.metrics.counter("proxy.tx.bytes").inc(
-                len(frame_bytes)
-            )
+            blob = b"".join(frames)
+            self.writer.write(blob)
+            self.proxy.metrics.counter("proxy.tx.frames").inc(len(frames))
+            self.proxy.metrics.counter("proxy.tx.bytes").inc(len(blob))
             await self.writer.drain()
 
     async def send_error(
@@ -360,8 +379,8 @@ class _ClientConn:
 
 def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
     """Re-emit a frame with its leading u32 flow id replaced — the
-    whole translation a beam relay needs, leaving delta chains and
-    pickles untouched."""
+    whole translation a beam relay needs, leaving delta chains
+    untouched."""
     return protocol.encode_frame(
         frame.type, flow_id.to_bytes(4, "big") + frame.payload[4:]
     )
@@ -710,15 +729,12 @@ class ScanProxy:
     # client-facing data plane
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        from repro.server.server import _read_frame  # shared framing
-
         self._conn_seq += 1
         conn = _ClientConn(self, reader, writer, self._conn_seq)
         self._connections[conn.conn_id] = conn
         self.metrics.counter("proxy.connections.opened").inc()
         try:
-            if await self._handshake(conn, _read_frame):
-                await self._frame_loop(conn, _read_frame)
+            await self._frame_loop(conn)
         except (ConnectionError, OSError):
             pass
         except ProtocolError as exc:
@@ -730,10 +746,13 @@ class ScanProxy:
         finally:
             await self._teardown(conn)
 
-    async def _read_with_idle(self, conn: _ClientConn, read_frame):
+    async def _read_frames(self, conn: _ClientConn):
+        """Every frame the next socket read completes (the framing
+        shared with server and client), or None on EOF or idleness."""
+        taken = conn.decoder.taken
         try:
-            frame = await asyncio.wait_for(
-                read_frame(conn.reader, self.max_frame),
+            frames = await asyncio.wait_for(
+                protocol.read_frames(conn.reader, conn.decoder),
                 timeout=self.idle_timeout,
             )
         except asyncio.TimeoutError:
@@ -744,17 +763,14 @@ class ScanProxy:
                 f"no frame for {self.idle_timeout:g}s",
             )
             return None
-        if frame is not None:
-            self.metrics.counter("proxy.rx.frames").inc()
+        if frames is not None:
+            self.metrics.counter("proxy.rx.frames").inc(len(frames))
             self.metrics.counter("proxy.rx.bytes").inc(
-                len(frame.payload) + 5
+                conn.decoder.taken - taken
             )
-        return frame
+        return frames
 
-    async def _handshake(self, conn, read_frame) -> bool:
-        frame = await self._read_with_idle(conn, read_frame)
-        if frame is None:
-            return False
+    async def _hello(self, conn: _ClientConn, frame: Frame) -> bool:
         if frame.type != FrameType.HELLO:
             raise ProtocolError(
                 f"expected HELLO, got {frame.name}",
@@ -777,70 +793,70 @@ class ScanProxy:
         )
         return True
 
-    async def _frame_loop(self, conn: _ClientConn, read_frame) -> None:
-        opens = {
-            FrameType.OPEN_FLOW: _SCAN,
-            FrameType.OPEN_MASK: _MASK,
-            FrameType.OPEN_BEAM: _BEAM,
-        }
-        ops = {
-            FrameType.DATA,
-            FrameType.ADVANCE,
-            FrameType.BATCH_ADVANCE,
-            FrameType.FINISH_FLOW,
-        }
+    async def _frame_loop(self, conn: _ClientConn) -> None:
+        greeted = False
         while True:
-            frame = await self._read_with_idle(conn, read_frame)
-            if frame is None:
+            frames = await self._read_frames(conn)
+            if frames is None:
                 return
-            if frame.type in opens:
-                flow_id = int.from_bytes(frame.payload[:4], "big")
-                if flow_id in conn.flows:
-                    # Mirror the single-server contract: the colliding
-                    # open kills the existing flow.
-                    self._flow_closed(conn, conn.flows[flow_id])
-                    await conn.send_error(
-                        flow_id,
-                        ErrorCode.DUPLICATE_FLOW,
-                        f"flow {flow_id} already open",
-                    )
-                    continue
-                if self._draining:
-                    await conn.send_error(
-                        flow_id,
-                        ErrorCode.DRAINING,
-                        "proxy draining; flow refused",
-                    )
-                    continue
-                kind = opens[frame.type]
-                flow = _ProxyFlow(
-                    flow_id, kind, f"{conn.conn_id}:{flow_id}"
+            for frame in frames:
+                if not greeted:
+                    if not await self._hello(conn, frame):
+                        return
+                    greeted = True
+                elif not await self._dispatch(conn, frame):
+                    return
+
+    async def _dispatch(self, conn: _ClientConn, frame: Frame) -> bool:
+        """Hand one client frame to its flow's worker; False ends the
+        connection (GOODBYE)."""
+        if frame.type in _OPENS:
+            flow_id = int.from_bytes(frame.payload[:4], "big")
+            if flow_id in conn.flows:
+                # Mirror the single-server contract: the colliding
+                # open kills the existing flow.
+                self._flow_closed(conn, conn.flows[flow_id])
+                await conn.send_error(
+                    flow_id,
+                    ErrorCode.DUPLICATE_FLOW,
+                    f"flow {flow_id} already open",
                 )
-                conn.flows[flow_id] = flow
-                self.metrics.counter(f"proxy.flows.{kind}").inc()
-                flow.task = asyncio.ensure_future(
-                    self._flow_worker(conn, flow)
+                return True
+            if self._draining:
+                await conn.send_error(
+                    flow_id,
+                    ErrorCode.DRAINING,
+                    "proxy draining; flow refused",
                 )
-                await flow.queue.put(("open", frame))
-            elif frame.type in ops:
-                flow_id = int.from_bytes(frame.payload[:4], "big")
-                flow = conn.flows.get(flow_id)
-                if flow is None:
-                    await conn.send_error(
-                        flow_id,
-                        ErrorCode.UNKNOWN_FLOW,
-                        f"no open flow {flow_id}",
-                    )
-                    continue
-                await flow.queue.put(("op", frame))
-            elif frame.type == FrameType.GOODBYE:
-                await self._client_goodbye(conn)
-                return
-            else:
-                raise ProtocolError(
-                    f"unexpected {frame.name} frame",
-                    code=ErrorCode.BAD_FRAME,
+                return True
+            kind = _OPENS[frame.type]
+            flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}")
+            conn.flows[flow_id] = flow
+            self.metrics.counter(f"proxy.flows.{kind}").inc()
+            flow.task = asyncio.ensure_future(
+                self._flow_worker(conn, flow)
+            )
+            await flow.queue.put(("open", frame))
+        elif frame.type in _OPS:
+            flow_id = int.from_bytes(frame.payload[:4], "big")
+            flow = conn.flows.get(flow_id)
+            if flow is None:
+                await conn.send_error(
+                    flow_id,
+                    ErrorCode.UNKNOWN_FLOW,
+                    f"no open flow {flow_id}",
                 )
+                return True
+            await flow.queue.put(("op", frame))
+        elif frame.type == FrameType.GOODBYE:
+            await self._client_goodbye(conn)
+            return False
+        else:
+            raise ProtocolError(
+                f"unexpected {frame.name} frame",
+                code=ErrorCode.BAD_FRAME,
+            )
+        return True
 
     async def _client_goodbye(self, conn: _ClientConn) -> None:
         deadline = time.monotonic() + self.idle_timeout
@@ -968,18 +984,20 @@ class ScanProxy:
             )
             return False
         if frame.type == FrameType.FINISH_FLOW:
-            if flow.kind == _SCAN:
-                items = await self._replayable_op(
-                    flow, lambda r: r.finish()
+            # Held until now, which is what makes scan failover
+            # invisible: no partial RESULT can have escaped for a
+            # prefix the replacement backend re-scans. The backend's
+            # record blocks go out unread under the client's flow id
+            # (a mask flow's is the one empty final block).
+            blocks = await self._replayable_op(
+                flow, lambda r: r.finish_blocks()
+            )
+            flow.remote = None
+            await conn.send(
+                *protocol.relay_result_frames(
+                    flow.flow_id, blocks, conn.peer_max_frame
                 )
-                flow.remote = None
-                await self._send_result_batches(conn, flow, items)
-            else:
-                await self._replayable_op(flow, lambda r: r.finish())
-                flow.remote = None
-                await conn.send(
-                    protocol.encode_result(flow.flow_id, True, [])
-                )
+            )
             conn.flows.pop(flow.flow_id, None)
             return True
         raise ServerFault(
@@ -987,29 +1005,6 @@ class ScanProxy:
             ErrorCode.BAD_FRAME,
             f"{frame.name} not valid on a {flow.kind} flow",
         )
-
-    async def _send_result_batches(
-        self, conn: _ClientConn, flow: _ProxyFlow, items: list
-    ) -> None:
-        """The buffered scan results, re-framed within the client's
-        advertised frame limit (buffering until FINISH is what makes
-        scan failover invisible — no partial RESULT can have escaped
-        for a prefix the replacement backend re-scans)."""
-        batch = max(1, len(items))
-        start = 0
-        while True:
-            chunk = items[start : start + batch]
-            final = start + batch >= len(items)
-            encoded = protocol.encode_result(
-                flow.flow_id, final, chunk
-            )
-            if len(encoded) > conn.peer_max_frame and batch > 1:
-                batch = max(1, batch // 2)
-                continue
-            await conn.send(encoded)
-            if final:
-                return
-            start += batch
 
     # -- beam relay ----------------------------------------------------
     async def _execute_beam(
@@ -1261,7 +1256,7 @@ def _silence_flow(remote) -> None:
 
 async def _finish_remote(remote) -> None:
     with contextlib.suppress(Exception):
-        await remote.finish(timeout=2.0)
+        await remote.finish_blocks(timeout=2.0)
     _silence_flow(remote)
 
 

@@ -20,7 +20,7 @@ Frame types::
     OPEN_FLOW    !I    flow_id
     DATA         !I    flow_id + raw bytes
     FINISH_FLOW  !I    flow_id
-    RESULT       !IB   flow_id, final + payload (pickled result list)
+    RESULT       !IB   flow_id, final + one record block (see below)
     ERROR        !IH   flow_id, code + utf-8 message
     GOODBYE      (empty)
     OPEN_MASK    !I    flow_id + 32-byte vocab sha256 (raw digest)
@@ -30,15 +30,12 @@ Frame types::
     BATCH_ADVANCE !IB  flow_id, op + op payload (see below)
     MASKS        !IHH  flow_id, n_lanes, row_bytes + per-lane records
 
-The mask and beam frames carry constrained-decoding flows (additive
-in protocol version 1 — a server that predates them answers
-``BAD_FRAME``): the client opens a mask flow against a vocabulary it
-has precomputed masks for (``repro structgen precompute``), the
-server replies with a MASK frame for the start state, and each
-ADVANCE (one emitted token id) is answered by the MASK for the
-resulting state. Mask rows are raw packed bits (token id ``i`` is bit
-``i``, LSB-first per byte) — no pickle in either direction on mask
-flows.
+The mask and beam frames carry constrained-decoding flows: the client
+opens a mask flow against a vocabulary it has precomputed masks for
+(``repro structgen precompute``), the server replies with a MASK frame
+for the start state, and each ADVANCE (one emitted token id) is
+answered by the MASK for the resulting state. Mask rows are raw packed bits (token id ``i`` is bit
+``i``, LSB-first per byte).
 
 Beam flows batch a whole decode beam into one round trip per step:
 OPEN_BEAM binds ``width`` lanes (all at the start state) to a mask
@@ -69,16 +66,40 @@ the server answers with its own, and each side must keep every frame
 it sends within the other's advertised limit. A version mismatch is
 answered with ``ERROR(VERSION_MISMATCH)`` and a close.
 
-RESULT payloads are pickled lists of whatever the scan backend emits
-(``RoutedMessage`` for router specs, ``DetectEvent`` for tagger
-specs). Only the *client* unpickles, and only bytes sent by the server
-it chose to connect to — the server never unpickles client data, so an
-untrusted client cannot inject objects.
+RESULT record blocks
+--------------------
+A RESULT carries its results as raw fixed-width records, like MASK and
+MASKS — nothing on this wire is pickled, in either direction. After
+``flow_id, final`` comes one self-contained *block*::
+
+    !BII   kind, n_names, n_records
+    n_names   x (!I length + UTF-8 bytes)     the block's name table
+    n_records x one fixed-width record of the block's kind
+
+    kind 0  routed   !QQiI  start, end, port, service id
+    kind 1  event    !IIQI  production, position, end, terminal id
+
+Ids index the block's own name table (``0xFFFFFFFF``: no service was
+named), so a relay forwards a block under another flow id without
+reading it. A routed record is a routing decision *by span*: the
+message's bytes are ``[start, end)`` of what the client sent on the
+flow, which the client still holds — the payload is never sent back
+(:func:`decode_result` slices it out of ``data`` when given the flow's
+bytes, and yields spans otherwise). An event record rebuilds
+``DetectEvent(Occurrence(production, position, Terminal(name)), end)``
+without the grammar. :func:`encode_result_frames` splits a result list
+into as many frames as the receiver's ``max_frame`` asks for; only the
+last carries ``final``. Version 2 is the first with record blocks
+(version 1 pickled the result list and echoed each payload).
+
+Flush rule: a server handles every frame of one socket read, appends
+the results of consecutive DATA frames of a flow into one RESULT, and
+writes once per read and at each FINISH_FLOW — results still stream
+while the flow is open, one frame per read instead of one per DATA.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass
 from typing import Any
@@ -97,6 +118,7 @@ __all__ = [
     "FrameType",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "READ_BLOCK",
     "ServerFault",
     "decode_advance",
     "decode_batch_advance",
@@ -111,6 +133,7 @@ __all__ = [
     "decode_open_flow",
     "decode_open_mask",
     "decode_result",
+    "decode_result_block",
     "encode_advance",
     "encode_batch_advance",
     "encode_data",
@@ -126,10 +149,14 @@ __all__ = [
     "encode_open_flow",
     "encode_open_mask",
     "encode_result",
+    "encode_result_frames",
+    "read_frames",
+    "relay_result_frames",
+    "split_result",
 ]
 
 #: Protocol version spoken by this build (bumped on incompatible change).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default largest accepted frame (type byte + payload), 1 MiB.
 DEFAULT_MAX_FRAME = 1 << 20
@@ -137,10 +164,23 @@ DEFAULT_MAX_FRAME = 1 << 20
 #: ``flow_id`` addressing the connection itself in ERROR frames.
 CONNECTION_FLOW = 0xFFFFFFFF
 
+#: Bytes asked of the socket per read: every frame a read completes is
+#: handled before the next read.
+READ_BLOCK = 1 << 16
+
 _HEADER = struct.Struct("!I")
 _HELLO = struct.Struct("!HI")
 _FLOW = struct.Struct("!I")
 _RESULT_HEAD = struct.Struct("!IB")
+_BLOCK_HEAD = struct.Struct("!BII")
+#: RESULT block kinds and their record layouts.
+_ROUTED, _EVENT = 0, 1
+_RECORD = {
+    _ROUTED: struct.Struct("!QQiI"),
+    _EVENT: struct.Struct("!IIQI"),
+}
+#: Service id of a routed record whose message named no service.
+_NO_NAME = 0xFFFFFFFF
 _ERROR_HEAD = struct.Struct("!IH")
 _MASK_HEAD = struct.Struct("!II")
 _BEAM_OPEN_HEAD = struct.Struct("!IH")
@@ -307,11 +347,93 @@ def encode_finish_flow(flow_id: int) -> bytes:
     return encode_frame(FrameType.FINISH_FLOW, _FLOW.pack(flow_id))
 
 
+def encode_result_frames(
+    flow_id: int,
+    final: bool,
+    items: list,
+    max_frame: int = DEFAULT_MAX_FRAME,
+) -> list[bytes]:
+    """The RESULT frames carrying ``items``, each within the
+    receiver's ``max_frame``; only the last one is ``final``.
+
+    ``items`` are routing decisions (anything with ``start``, ``end``,
+    ``port`` and ``service``: ``RouteRecord``, ``RoutedMessage`` — whose
+    payload stays behind) or ``DetectEvent`` s, all of one kind. The
+    one RESULT encoder: server, pool poller and proxy split here.
+    """
+    if items and hasattr(items[0], "occurrence"):
+        kind = _EVENT
+        rows = [
+            (
+                event.occurrence.production,
+                event.occurrence.position,
+                event.end,
+                event.occurrence.terminal.name,
+            )
+            for event in items
+        ]
+    else:
+        kind = _ROUTED
+        rows = [(m.start, m.end, m.port, m.service) for m in items]
+    spec = _RECORD[kind]
+    # Bytes a frame may spend on names and records.
+    budget = max_frame - 1 - _RESULT_HEAD.size - _BLOCK_HEAD.size
+    frames: list[bytes] = []
+    ids: dict[str, int] = {}
+    names: list[bytes] = []
+    records: list[bytes] = []
+    used = 0
+
+    def close(last: bool) -> None:
+        frames.append(
+            encode_frame(
+                FrameType.RESULT,
+                _RESULT_HEAD.pack(flow_id, 1 if last and final else 0)
+                + _BLOCK_HEAD.pack(kind, len(names), len(records))
+                + b"".join(names)
+                + b"".join(records),
+            )
+        )
+
+    try:
+        for a, b, c, name in rows:
+            while True:
+                ident = _NO_NAME if name is None else ids.get(name)
+                entry = b""
+                if ident is None:
+                    raw = name.encode("utf-8")
+                    entry = _U32.pack(len(raw)) + raw
+                    ident = len(names)
+                if used + len(entry) + spec.size <= budget:
+                    break
+                if not records:
+                    raise ProtocolError(
+                        f"one result record takes {len(entry) + spec.size} "
+                        f"bytes; the peer's frame limit {max_frame} leaves "
+                        f"{budget}",
+                        code=ErrorCode.FRAME_TOO_LARGE,
+                    )
+                # Full: the next frame starts its own name table.
+                close(False)
+                ids.clear()
+                names.clear()
+                records.clear()
+                used = 0
+            if entry:
+                ids[name] = ident
+                names.append(entry)
+            records.append(spec.pack(a, b, c, ident))
+            used += len(entry) + spec.size
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise ProtocolError(f"unencodable result record: {exc}") from exc
+    close(True)
+    return frames
+
+
 def encode_result(flow_id: int, final: bool, items: list) -> bytes:
-    blob = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
-    return encode_frame(
-        FrameType.RESULT, _RESULT_HEAD.pack(flow_id, 1 if final else 0) + blob
-    )
+    """:func:`encode_result_frames` at the default frame limit, as one
+    byte string (one frame unless the results outgrow 1 MiB)."""
+    return b"".join(encode_result_frames(flow_id, final, items))
 
 
 def encode_error(flow_id: int, code: int, message: str) -> bytes:
@@ -474,14 +596,147 @@ def decode_finish_flow(frame: Frame) -> int:
     return _unpack(_FLOW, frame)[0]
 
 
-def decode_result(frame: Frame) -> tuple[int, bool, list]:
-    """-> (flow_id, final, items). Unpickles: server->client only."""
+def split_result(frame: Frame) -> tuple[int, bool, bytes]:
+    """-> (flow_id, final, record block): a RESULT taken apart without
+    reading its records — all a relay, or a client that decodes at
+    ``finish()``, needs per frame."""
     flow_id, final = _unpack(_RESULT_HEAD, frame)
-    try:
-        items = pickle.loads(frame.payload[_RESULT_HEAD.size :])
-    except Exception as exc:
-        raise ProtocolError(f"undecodable RESULT payload: {exc}") from exc
-    return flow_id, bool(final), items
+    if final > 1:
+        raise ProtocolError(f"RESULT final flag is {final}, not 0 or 1")
+    return flow_id, bool(final), frame.payload[_RESULT_HEAD.size :]
+
+
+def decode_result(
+    frame: Frame, data: bytes | None = None
+) -> tuple[int, bool, list]:
+    """-> (flow_id, final, items); :func:`decode_result_block` has
+    what ``items`` are and what ``data`` does."""
+    flow_id, final, block = split_result(frame)
+    return flow_id, final, decode_result_block(block, data)
+
+
+def decode_result_block(block: bytes, data: bytes | None = None) -> list:
+    """The results in one RESULT record block (a RESULT payload behind
+    ``flow_id, final``).
+
+    Event records come back as ``DetectEvent`` s. Routed records come
+    back as ``RouteRecord`` spans, or — given ``data``, the bytes the
+    flow was sent — as ``RoutedMessage`` s whose payload is
+    ``data[start:end]``. Every length, count and id is checked; a block
+    that fails raises :class:`ProtocolError` and nothing else.
+    """
+    if len(block) < _BLOCK_HEAD.size:
+        raise ProtocolError(
+            f"RESULT block too short ({len(block)} < {_BLOCK_HEAD.size} "
+            "bytes)"
+        )
+    kind, n_names, n_records = _BLOCK_HEAD.unpack_from(block)
+    spec = _RECORD.get(kind)
+    if spec is None:
+        raise ProtocolError(f"unknown RESULT block kind {kind}")
+    pos = _BLOCK_HEAD.size
+    names: list[str] = []
+    for _ in range(n_names):
+        if len(block) < pos + _U32.size:
+            raise ProtocolError("RESULT block truncated in its name table")
+        (length,) = _U32.unpack_from(block, pos)
+        pos += _U32.size
+        raw = block[pos : pos + length]
+        if len(raw) != length:
+            raise ProtocolError("RESULT block truncated in a name")
+        try:
+            names.append(str(raw, "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"RESULT name is not UTF-8: {exc}") from exc
+        pos += length
+    if len(block) - pos != n_records * spec.size:
+        raise ProtocolError(
+            f"RESULT block declares {n_records} records of {spec.size} "
+            f"bytes, carries {len(block) - pos} bytes"
+        )
+    rows = spec.iter_unpack(block[pos:])
+    if kind == _EVENT:
+        return _decode_events(rows, names)
+    return _decode_routed(rows, names, data)
+
+
+def _decode_routed(rows, names: list[str], data: bytes | None) -> list:
+    # Imported here, not at the top: a client reading routed results
+    # loads the message model only, never the scan engine.
+    from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
+
+    n_names = len(names)
+    out = []
+    for start, end, port, ident in rows:
+        if start > end:
+            raise ProtocolError(f"RESULT span [{start}:{end}] is reversed")
+        if ident == _NO_NAME:
+            service = None
+        elif ident < n_names:
+            service = names[ident]
+        else:
+            raise ProtocolError(
+                f"RESULT service id {ident} outside a table of {n_names}"
+            )
+        if data is None:
+            out.append(RouteRecord(start, end, port, service))
+        elif end > len(data):
+            raise ProtocolError(
+                f"RESULT span [{start}:{end}] outside the flow's "
+                f"{len(data)} bytes"
+            )
+        else:
+            out.append(
+                RoutedMessage(start, end, port, service, data[start:end])
+            )
+    return out
+
+
+def _decode_events(rows, names: list[str]) -> list:
+    from repro.core.scanplan import DetectEvent
+    from repro.grammar.analysis import Occurrence
+    from repro.grammar.symbols import Terminal
+
+    terminals = [Terminal(name) for name in names]
+    out = []
+    for production, position, end, ident in rows:
+        if ident >= len(terminals):
+            raise ProtocolError(
+                f"RESULT terminal id {ident} outside a table of "
+                f"{len(terminals)}"
+            )
+        out.append(
+            DetectEvent(
+                Occurrence(production, position, terminals[ident]), end
+            )
+        )
+    return out
+
+
+def relay_result_frames(
+    flow_id: int, blocks: list[bytes], max_frame: int = DEFAULT_MAX_FRAME
+) -> list[bytes]:
+    """A finished flow's RESULT record blocks re-framed under another
+    ``flow_id`` — the relay's half of the codec: a block that fits the
+    receiver's ``max_frame`` is forwarded as it arrived, unread; only
+    an oversized one is decoded and split. The last frame is final."""
+    if not blocks:
+        return encode_result_frames(flow_id, True, [], max_frame)
+    frames: list[bytes] = []
+    for index, block in enumerate(blocks):
+        last = index == len(blocks) - 1
+        if 1 + _RESULT_HEAD.size + len(block) <= max_frame:
+            frames.append(
+                encode_frame(
+                    FrameType.RESULT,
+                    _RESULT_HEAD.pack(flow_id, 1 if last else 0) + block,
+                )
+            )
+        else:
+            frames += encode_result_frames(
+                flow_id, last, decode_result_block(block), max_frame
+            )
+    return frames
 
 
 def decode_open_mask(frame: Frame) -> tuple[int, str]:
@@ -595,38 +850,85 @@ class FrameDecoder:
 
     Feed arbitrary byte slices (socket reads, test vectors); complete
     frames come back in arrival order. A declared length above
-    ``max_frame`` raises :class:`ProtocolError` *immediately* — before
-    any of the body arrives — so a hostile length prefix cannot make
-    the receiver buffer an unbounded body.
+    ``max_frame`` raises :class:`ProtocolError` before any of the body
+    arrives, so a hostile length prefix cannot make the receiver
+    buffer an unbounded body. The frames ahead of a bad length in the
+    same slice are still delivered: the error is raised by the next
+    call (and by every call after it).
     """
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
+        #: Bytes of the complete frames handed out so far, heads
+        #: included (what a receiver counts as frame bytes received).
+        self.taken = 0
+        #: The error a bad length raised, or will raise on the next
+        #: :meth:`feed`.
+        self.error: ProtocolError | None = None
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[Frame]:
-        self._buffer += data
+        if self.error is not None:
+            raise self.error
+        buffer = self._buffer
+        # Frames are cut from the read itself unless an earlier read
+        # left the head of one behind.
+        if buffer:
+            buffer += data
+            data = buffer
         frames: list[Frame] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > self.max_frame:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds limit "
-                    f"{self.max_frame}",
-                    code=ErrorCode.FRAME_TOO_LARGE,
+        size = len(data)
+        pos = 0
+        while size - pos >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(data, pos)
+            if not 1 <= length <= self.max_frame:
+                self.error = (
+                    ProtocolError(
+                        f"frame of {length} bytes exceeds limit "
+                        f"{self.max_frame}",
+                        code=ErrorCode.FRAME_TOO_LARGE,
+                    )
+                    if length
+                    else ProtocolError("frame with empty body")
                 )
-            if length < 1:
-                raise ProtocolError("frame with empty body")
-            if len(self._buffer) < _HEADER.size + length:
-                return frames
-            body = bytes(
-                self._buffer[_HEADER.size : _HEADER.size + length]
+                if not frames:
+                    raise self.error
+                break
+            end = pos + _HEADER.size + length
+            if end > size:
+                break
+            frames.append(
+                Frame(data[pos + _HEADER.size], bytes(data[pos + 5 : end]))
             )
-            del self._buffer[: _HEADER.size + length]
-            frames.append(Frame(body[0], body[1:]))
+            pos = end
+        self.taken += pos
+        if data is buffer:
+            del buffer[:pos]
+        else:
+            buffer += data[pos:]
+        return frames
 
     def pending(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buffer)
+
+
+async def read_frames(reader, decoder: FrameDecoder) -> list[Frame] | None:
+    """The next frames off ``reader`` (anything with an awaitable
+    ``read(n)``): block reads of :data:`READ_BLOCK` bytes until one
+    completes at least one frame, then every frame it completed.
+    None on a clean end of stream at a frame boundary; an end inside a
+    frame is a :class:`ProtocolError`, as is anything ``decoder``
+    rejects. The one frame reader server, client and proxy share."""
+    if decoder.error is not None:
+        # Held back behind the frames of the previous batch.
+        raise decoder.error
+    frames: list[Frame] = []
+    while not frames:
+        data = await reader.read(READ_BLOCK)
+        if not data:
+            if decoder.pending():
+                raise ProtocolError("connection cut mid-frame")
+            return None
+        frames = decoder.feed(data)
+    return frames

@@ -17,12 +17,15 @@ Robustness model
 * **Frame-size limit** — a declared frame length above ``max_frame``
   is rejected before the body is read (``ERROR(FRAME_TOO_LARGE)``,
   close), so a hostile length prefix cannot balloon memory.
-* **Backpressure, write side** — every RESULT is written under
-  ``await drain()`` against a bounded transport buffer
-  (``write_high_water``): a consumer that stops reading suspends the
-  connection's handler, which therefore stops *reading* too, and the
-  stall propagates to the producer as TCP flow control. The server
-  never buffers results for a slow client beyond one transport buffer.
+* **Backpressure, write side** — a connection's frames are handled a
+  socket read at a time; what the read's frames produced (the results
+  of consecutive DATA frames of a flow in one RESULT) is written once
+  and awaited with ``drain()`` against a bounded transport buffer
+  (``write_high_water``) before the next read: a consumer that stops
+  reading suspends the connection's handler, which therefore stops
+  *reading* too, and the stall propagates to the producer as TCP flow
+  control. The server never buffers results for a slow client beyond
+  one transport buffer plus one read's worth.
 * **Backpressure, scan side** — with a service pool the server
   submits with ``backpressure="raise"``; :class:`QueueFull` pauses
   the connection's read loop (counted in
@@ -94,31 +97,6 @@ MASK_COLDSTART_BOUNDS_MS = (
 )
 
 
-async def _read_frame(
-    reader: asyncio.StreamReader, max_frame: int
-) -> Frame | None:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection cut mid-header") from exc
-    length = int.from_bytes(header, "big")
-    if length > max_frame:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds limit {max_frame}",
-            code=ErrorCode.FRAME_TOO_LARGE,
-        )
-    if length < 1:
-        raise ProtocolError("frame with empty body")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection cut mid-frame") from exc
-    return Frame(body[0], body[1:])
-
-
 class _Flow:
     """Per-flow server state: the scan session (in-process mode) or
     the service flow key (pool mode), the grammar generation the flow
@@ -151,9 +129,12 @@ class _Generation:
     generation they opened under, which is what lets a hot swap leave
     in-flight flows scanning on the plan they started with."""
 
-    __slots__ = ("gen_id", "ref", "spec", "backend", "service")
+    __slots__ = (
+        "gen_id", "ref", "spec", "backend", "service",
+        "bytes", "flows_opened", "flows_finished", "flows_refused",
+    )
 
-    def __init__(self, gen_id: int, ref: str, spec) -> None:
+    def __init__(self, gen_id: int, ref: str, spec, metrics) -> None:
         self.gen_id = gen_id
         #: Registry ref served by this generation (``"name@version"``),
         #: or the synthetic ``"default"`` for a spec-only server.
@@ -161,39 +142,109 @@ class _Generation:
         self.spec = spec
         self.backend = None
         self.service = None
+        # The tenant's counters, looked up once rather than per frame.
+        self.bytes = metrics.counter(f"tenant.{ref}.bytes")
+        self.flows_opened = metrics.counter(f"tenant.{ref}.flows_opened")
+        self.flows_finished = metrics.counter(
+            f"tenant.{ref}.flows_finished"
+        )
+        self.flows_refused = metrics.counter(f"tenant.{ref}.flows_refused")
 
 
 class _Connection:
-    """One accepted connection: handshake, frame loop, flow registry."""
+    """One accepted connection: handshake, frame loop, flow registry,
+    and the outbound side — frames queue up while a read's frames are
+    handled and leave in one write."""
 
     def __init__(self, server: "ScanServer", reader, writer, conn_id: int):
         self.server = server
         self.reader = reader
         self.writer = writer
         self.conn_id = conn_id
+        self.decoder = protocol.FrameDecoder(server.max_frame)
         self.flows: dict[int, _Flow] = {}
         self.peer_max_frame = DEFAULT_MAX_FRAME
         self.draining = False
         self.closed = False
         self._write_lock = asyncio.Lock()
+        #: Encoded frames awaiting the next :meth:`flush`.
+        self._out: list[bytes] = []
+        #: Results of the DATA frames handled since the last frame of
+        #: another kind or flow. They leave as one RESULT: with the
+        #: flow's own next RESULT, or when anything else is queued or
+        #: the read's frames run out.
+        self._held_flow: int | None = None
+        self._held: list = []
 
     # ------------------------------------------------------------------
-    async def send(self, frame_bytes: bytes) -> None:
-        """Write one encoded frame under backpressure (bounded buffer +
-        drain: a slow reader suspends us here, never grows memory)."""
+    def add_results(self, flow_id: int, results: list) -> None:
+        """Hold a DATA frame's results for the flow's next RESULT."""
+        if self._held_flow != flow_id:
+            self._queue_held()
+            self._held_flow = flow_id
+        self._held += results
+
+    def queue_result(self, flow_id: int, final: bool, results: list):
+        """Queue ``results`` (behind what is held for the same flow, in
+        the same RESULT) as frames within the peer's limit."""
+        if self._held_flow != flow_id:
+            self._queue_held()
+        held, self._held, self._held_flow = self._held, [], None
+        self._queue_frames(flow_id, final, held + results)
+
+    def _queue_held(self) -> None:
+        """What is held leaves now, as a RESULT of its own."""
+        if self._held:
+            held, self._held = self._held, []
+            self._queue_frames(self._held_flow, False, held)
+
+    def _queue_frames(self, flow_id: int, final: bool, results: list):
+        try:
+            frames = protocol.encode_result_frames(
+                flow_id, final, results, self.peer_max_frame
+            )
+        except ProtocolError as exc:
+            # A record the peer's own frame limit has no room for.
+            self.server.metrics.counter("server.errors.sent").inc()
+            frames = [protocol.encode_error(flow_id, exc.code, str(exc))]
+        self._out += frames
+        self.server._tx_frames.inc(len(frames))
+
+    def queue(self, frame_bytes: bytes) -> None:
+        """Queue one encoded frame behind every result held so far
+        (the wire keeps the order the frames were handled in)."""
+        self._queue_held()
+        self._out.append(frame_bytes)
+        self.server._tx_frames.inc()
+
+    async def flush(self) -> None:
+        """Write everything queued in one go, under backpressure
+        (bounded buffer + drain: a slow reader suspends us here, never
+        grows memory)."""
+        self._queue_held()
+        if not self._out:
+            return
         if self.closed:
+            self._out.clear()
             return
         async with self._write_lock:
-            if self.closed:
+            # Whoever held the lock may have written ours too.
+            if not self._out or self.closed:
                 return
+            blob = b"".join(self._out)
+            self._out.clear()
             try:
-                self.writer.write(frame_bytes)
-                metrics = self.server.metrics
-                metrics.counter("server.tx.frames").inc()
-                metrics.counter("server.tx.bytes").inc(len(frame_bytes))
+                self.writer.write(blob)
+                self.server._tx_bytes.inc(len(blob))
                 await self.writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 self.closed = True
+
+    async def send(self, frame_bytes: bytes) -> None:
+        """Queue one encoded frame and write it (with whatever was
+        queued ahead of it) now."""
+        self.queue(frame_bytes)
+        await self.flush()
 
     async def send_error(self, flow_id: int, code: int, message: str):
         self.server.metrics.counter("server.errors.sent").inc()
@@ -293,6 +344,13 @@ class ScanServer:
         self.queue_depth = queue_depth
         self.admin_port = admin_port
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Per-frame metrics, looked up once.
+        self._rx_frames = self.metrics.counter("server.rx.frames")
+        self._rx_bytes = self.metrics.counter("server.rx.bytes")
+        self._tx_frames = self.metrics.counter("server.tx.frames")
+        self._tx_bytes = self.metrics.counter("server.tx.bytes")
+        self._flow_bytes = self.metrics.counter("server.flows.bytes")
+        self._scan_seconds = self.metrics.histogram("latency.scan_s")
         self.write_high_water = write_high_water
         self.workers = workers
         self.quotas = dict(quotas) if quotas else {}
@@ -349,7 +407,7 @@ class ScanServer:
 
     def _new_generation(self, spec: Any, ref: str) -> _Generation:
         self._gen_seq += 1
-        gen = _Generation(self._gen_seq, ref, spec)
+        gen = _Generation(self._gen_seq, ref, spec, self.metrics)
         if self.workers:
             from repro.service import ScanService
 
@@ -690,8 +748,7 @@ class ScanServer:
         self._connections[conn.conn_id] = conn
         self.metrics.counter("server.connections.opened").inc()
         try:
-            if await self._handshake(conn):
-                await self._frame_loop(conn)
+            await self._frame_loop(conn)
         except (ConnectionError, OSError):
             pass
         except ProtocolError as exc:
@@ -700,10 +757,8 @@ class ScanServer:
         finally:
             await self._teardown(conn)
 
-    async def _handshake(self, conn: _Connection) -> bool:
-        frame = await self._read_with_idle(conn)
-        if frame is None:
-            return False
+    async def _hello(self, conn: _Connection, frame: Frame) -> bool:
+        """The client's first frame; False refuses the connection."""
         if frame.type != FrameType.HELLO:
             raise ProtocolError(
                 f"expected HELLO, got {frame.name}",
@@ -726,11 +781,14 @@ class ScanServer:
         )
         return True
 
-    async def _read_with_idle(self, conn: _Connection) -> Frame | None:
-        """One frame, or None on EOF; idle connections are reaped."""
+    async def _read_frames(self, conn: _Connection) -> list[Frame] | None:
+        """Every frame the next socket read completes, or None on EOF;
+        idle connections are reaped (the timer runs per read, so a
+        frame dribbled in slower than the limit counts as idle)."""
+        taken = conn.decoder.taken
         try:
-            frame = await asyncio.wait_for(
-                _read_frame(conn.reader, self.max_frame),
+            frames = await asyncio.wait_for(
+                protocol.read_frames(conn.reader, conn.decoder),
                 timeout=self.idle_timeout,
             )
         except asyncio.TimeoutError:
@@ -741,40 +799,44 @@ class ScanServer:
                 f"no frame for {self.idle_timeout:g}s",
             )
             return None
-        if frame is not None:
+        if frames is not None:
             self._last_rx = time.monotonic()
-            self.metrics.counter("server.rx.frames").inc()
-            self.metrics.counter("server.rx.bytes").inc(
-                len(frame.payload) + 5
-            )
-        return frame
+            self._rx_frames.inc(len(frames))
+            self._rx_bytes.inc(conn.decoder.taken - taken)
+        return frames
 
     async def _frame_loop(self, conn: _Connection) -> None:
+        """Read, handle every frame the read completed, write once."""
+        handlers = {
+            FrameType.DATA: self._data,
+            FrameType.OPEN_FLOW: self._open_flow,
+            FrameType.FINISH_FLOW: self._finish_flow,
+            FrameType.OPEN_MASK: self._open_mask,
+            FrameType.ADVANCE: self._advance,
+            FrameType.OPEN_BEAM: self._open_beam,
+            FrameType.BATCH_ADVANCE: self._batch_advance,
+        }
+        greeted = False
         while not conn.closed:
-            frame = await self._read_with_idle(conn)
-            if frame is None:
+            frames = await self._read_frames(conn)
+            if frames is None:
                 return
-            if frame.type == FrameType.GOODBYE:
-                await self._client_goodbye(conn)
-                return
-            if frame.type == FrameType.OPEN_FLOW:
-                await self._open_flow(conn, frame)
-            elif frame.type == FrameType.DATA:
-                await self._data(conn, frame)
-            elif frame.type == FrameType.FINISH_FLOW:
-                await self._finish_flow(conn, frame)
-            elif frame.type == FrameType.OPEN_MASK:
-                await self._open_mask(conn, frame)
-            elif frame.type == FrameType.ADVANCE:
-                await self._advance(conn, frame)
-            elif frame.type == FrameType.OPEN_BEAM:
-                await self._open_beam(conn, frame)
-            elif frame.type == FrameType.BATCH_ADVANCE:
-                await self._batch_advance(conn, frame)
-            else:
-                raise ProtocolError(
-                    f"unexpected {frame.name} frame from client"
-                )
+            for frame in frames:
+                if not greeted:
+                    if not await self._hello(conn, frame):
+                        return
+                    greeted = True
+                    continue
+                if frame.type == FrameType.GOODBYE:
+                    await self._client_goodbye(conn)
+                    return
+                handler = handlers.get(frame.type)
+                if handler is None:
+                    raise ProtocolError(
+                        f"unexpected {frame.name} frame from client"
+                    )
+                await handler(conn, frame)
+            await conn.flush()
 
     # ------------------------------------------------------------------
     async def _open_flow(self, conn: _Connection, frame: Frame) -> None:
@@ -793,9 +855,7 @@ class ScanServer:
         gen = self._current
         quota = self.quotas.get(gen.ref)
         if quota is not None and self._tenant_open(gen.ref) >= quota:
-            self.metrics.counter(
-                f"tenant.{gen.ref}.flows_refused"
-            ).inc()
+            gen.flows_refused.inc()
             await conn.send_error(
                 flow_id, ErrorCode.OVERLOADED,
                 f"grammar {gen.ref} at its quota of {quota} open flows",
@@ -810,7 +870,7 @@ class ScanServer:
             flow_id, conn.flow_key(flow_id), session, gen
         )
         self.metrics.counter("server.flows.opened").inc()
-        self.metrics.counter(f"tenant.{gen.ref}.flows_opened").inc()
+        gen.flows_opened.inc()
 
     async def _data(self, conn: _Connection, frame: Frame) -> None:
         flow_id, chunk = protocol.decode_data(frame)
@@ -831,28 +891,22 @@ class ScanServer:
             return
         # While draining, flows opened before the drain began may
         # still stream to completion; only OPEN_FLOW is refused.
-        self.metrics.counter("server.flows.bytes").inc(len(chunk))
-        self.metrics.counter(f"tenant.{flow.gen.ref}.bytes").inc(
-            len(chunk)
-        )
+        self._flow_bytes.inc(len(chunk))
+        flow.gen.bytes.inc(len(chunk))
         if flow.gen.service is not None:
             await self._paced(flow.gen.service.submit, flow.key, chunk)
             return
         started = time.perf_counter()
         try:
-            results = flow.session.feed(chunk)
+            results = flow.session.feed_records(chunk)
         except Exception as exc:  # scan fault: report, drop the flow
             self.metrics.counter("server.errors.scan").inc()
             del conn.flows[flow_id]
             await conn.send_error(flow_id, ErrorCode.INTERNAL, str(exc))
             return
-        self.metrics.histogram("latency.scan_s").observe(
-            time.perf_counter() - started
-        )
+        self._scan_seconds.observe(time.perf_counter() - started)
         if results:
-            await conn.send(
-                protocol.encode_result(flow_id, False, results)
-            )
+            conn.add_results(flow_id, results)
 
     async def _finish_flow(self, conn: _Connection, frame: Frame) -> None:
         flow_id = protocol.decode_finish_flow(frame)
@@ -876,7 +930,8 @@ class ScanServer:
                 time.monotonic() - flow.opened_at
             )
             self._retire_idle()
-            await conn.send(protocol.encode_result(flow_id, True, []))
+            conn.queue_result(flow_id, True, [])
+            await conn.flush()
             return
         if flow.gen.service is not None:
             flow.finishing = True
@@ -884,7 +939,7 @@ class ScanServer:
             await self._paced(flow.gen.service.finish_flow, flow.key)
             return
         try:
-            tail = flow.session.finish()
+            tail = flow.session.finish_records()
         except Exception as exc:
             self.metrics.counter("server.errors.scan").inc()
             del conn.flows[flow_id]
@@ -893,13 +948,14 @@ class ScanServer:
         self._observe_flow_done(flow)
         del conn.flows[flow_id]
         self._retire_idle()
-        await conn.send(protocol.encode_result(flow_id, True, tail))
+        # One final RESULT (what this read's DATA frames produced for
+        # the flow rides along), written now, not at the read's end.
+        conn.queue_result(flow_id, True, tail)
+        await conn.flush()
 
     def _observe_flow_done(self, flow: _Flow) -> None:
         self.metrics.counter("server.flows.finished").inc()
-        self.metrics.counter(
-            f"tenant.{flow.gen.ref}.flows_finished"
-        ).inc()
+        flow.gen.flows_finished.inc()
         self.metrics.histogram("latency.flow_s").observe(
             time.monotonic() - flow.opened_at
         )
@@ -1189,9 +1245,8 @@ class ScanServer:
                     if flow is not None:
                         self._observe_flow_done(flow)
                     delivered = True
-                    await conn.send(
-                        protocol.encode_result(flow_id, True, items)
-                    )
+                    conn.queue_result(flow_id, True, items)
+                    await conn.flush()
             if delivered:
                 self._retire_idle()
             await asyncio.sleep(0.001 if self._pending else 0.02)

@@ -4,11 +4,13 @@ each test owns its loop via ``asyncio.run``)."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 
 import pytest
 
 from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
+from repro.server import protocol
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +39,23 @@ async def running_server(**kwargs):
         yield server
     finally:
         await server.stop(drain=False, timeout=5.0)
+
+
+class FrameReader:
+    """Frame-at-a-time view of a raw stream, for tests that speak the
+    protocol by hand — over the block reader the server, client and
+    proxy share (which hands back every frame a read completed)."""
+
+    def __init__(self, reader, max_frame: int = 1 << 20) -> None:
+        self._reader = reader
+        self._decoder = protocol.FrameDecoder(max_frame)
+        self._ready: collections.deque = collections.deque()
+
+    async def frame(self):
+        """The next frame, or None on a clean end of stream."""
+        if not self._ready:
+            frames = await protocol.read_frames(self._reader, self._decoder)
+            if frames is None:
+                return None
+            self._ready.extend(frames)
+        return self._ready.popleft()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.server import ConnectFailed, ScanClient
 
-from tests.server.conftest import running_server
+from tests.server.conftest import FrameReader, running_server
 
 
 def run(coro):
@@ -113,12 +113,12 @@ def test_finish_times_out_when_no_result_arrives():
     async def main():
         async def mute_server(reader, writer):
             from repro.server import protocol
-            from repro.server.server import _read_frame
 
-            await _read_frame(reader, 1 << 20)  # client HELLO
+            frames = FrameReader(reader)
+            await frames.frame()  # client HELLO
             writer.write(protocol.encode_hello())
             await writer.drain()
-            while await _read_frame(reader, 1 << 20) is not None:
+            while await frames.frame() is not None:
                 pass  # swallow everything, answer nothing
 
         listener = await asyncio.start_server(

@@ -31,15 +31,11 @@ from repro.server.cluster import _http_get
 from repro.server.loadgen import _set_bits
 from repro.server.protocol import ErrorCode, ServerFault
 
+from tests.server.conftest import FrameReader
+
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _read_frame(reader, max_frame=1 << 20):
-    from repro.server.server import _read_frame as read
-
-    return await read(reader, max_frame)
 
 
 @pytest.fixture(scope="module")
@@ -222,20 +218,21 @@ def test_proxy_duplicate_and_unknown_flow_errors(table):
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
             reader, writer = await asyncio.open_connection(*proxy.address)
+            frames = FrameReader(reader)
             writer.write(protocol.encode_hello())
             await writer.drain()
-            await _read_frame(reader)  # proxy HELLO
+            await frames.frame()  # proxy HELLO
 
             writer.write(protocol.encode_open_flow(7))
             writer.write(protocol.encode_open_flow(7))  # duplicate
             await writer.drain()
-            frame = await asyncio.wait_for(_read_frame(reader), 5.0)
+            frame = await asyncio.wait_for(frames.frame(), 5.0)
             flow_id, code, _detail = protocol.decode_error(frame)
             assert (flow_id, code) == (7, ErrorCode.DUPLICATE_FLOW)
 
             writer.write(protocol.encode_data(99, b"zz"))  # never opened
             await writer.drain()
-            frame = await asyncio.wait_for(_read_frame(reader), 5.0)
+            frame = await asyncio.wait_for(frames.frame(), 5.0)
             flow_id, code, _detail = protocol.decode_error(frame)
             assert (flow_id, code) == (99, ErrorCode.UNKNOWN_FLOW)
             writer.close()

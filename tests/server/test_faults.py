@@ -7,17 +7,11 @@ import asyncio
 from repro.server import ScanClient, ServerFault, protocol
 from repro.server.protocol import ErrorCode, FrameType
 
-from tests.server.conftest import running_server
+from tests.server.conftest import FrameReader, running_server
 
 
 def run(coro):
     return asyncio.run(coro)
-
-
-async def _read_frame(reader, max_frame=1 << 20):
-    from repro.server.server import _read_frame as read
-
-    return await read(reader, max_frame)
 
 
 # ----------------------------------------------------------------------
@@ -28,17 +22,18 @@ def test_idle_connection_reaped_with_error_frame():
         async with running_server(idle_timeout=0.15) as server:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
             writer.write(protocol.encode_hello())
             await writer.drain()
-            frame = await _read_frame(reader)  # server HELLO
+            frame = await frames.frame()  # server HELLO
             assert frame.type == FrameType.HELLO
             # ... then send nothing: the server must reap us.
-            frame = await asyncio.wait_for(_read_frame(reader), 2.0)
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
             assert frame.type == FrameType.ERROR
             flow, code, message = protocol.decode_error(frame)
             assert code == ErrorCode.IDLE_TIMEOUT
             assert flow == protocol.CONNECTION_FLOW
-            assert await asyncio.wait_for(_read_frame(reader), 2.0) is None
+            assert await asyncio.wait_for(frames.frame(), 2.0) is None
             writer.close()
             assert server.stats()["counters"]["server.timeouts.idle"] == 1
 
@@ -68,17 +63,18 @@ def test_oversized_frame_rejected_and_connection_closed():
         async with running_server(max_frame=4096) as server:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
             writer.write(protocol.encode_hello())
             await writer.drain()
-            await _read_frame(reader)  # server HELLO
+            await frames.frame()  # server HELLO
             writer.write(protocol.encode_open_flow(1))
             writer.write(protocol.encode_data(1, b"x" * 8192))
             await writer.drain()
-            frame = await asyncio.wait_for(_read_frame(reader), 2.0)
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
             assert frame.type == FrameType.ERROR
             _flow, code, _msg = protocol.decode_error(frame)
             assert code == ErrorCode.FRAME_TOO_LARGE
-            assert await asyncio.wait_for(_read_frame(reader), 2.0) is None
+            assert await asyncio.wait_for(frames.frame(), 2.0) is None
             writer.close()
 
     run(main())
@@ -109,9 +105,10 @@ def test_version_mismatch_is_refused():
         async with running_server() as server:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
             writer.write(protocol.encode_hello(version=99))
             await writer.drain()
-            frame = await asyncio.wait_for(_read_frame(reader), 2.0)
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
             assert frame.type == FrameType.ERROR
             _f, code, _m = protocol.decode_error(frame)
             assert code == ErrorCode.VERSION_MISMATCH
@@ -164,16 +161,19 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
     and no unbounded result queue forms server-side."""
 
     async def main():
-        high_water = 8 * 1024
+        # Results are spans now, ~24 bytes a message: a low bound and
+        # a longer stream keep the writer reaching it.
+        high_water = 1024
         async with running_server(write_high_water=high_water) as server:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
             writer.write(protocol.encode_hello())
             await writer.drain()
-            await _read_frame(reader)  # server HELLO
+            await frames.frame()  # server HELLO
             writer.write(protocol.encode_open_flow(1))
             # Pump many result-producing messages without ever reading.
-            data = streams["flow-0"] * 8
+            data = streams["flow-0"] * 64
             for start in range(0, len(data), 1024):
                 writer.write(
                     protocol.encode_data(1, data[start : start + 1024])
@@ -193,7 +193,7 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
             await writer.drain()
             final = None
             while final is None:
-                frame = await asyncio.wait_for(_read_frame(reader), 5.0)
+                frame = await asyncio.wait_for(frames.frame(), 5.0)
                 assert frame.type == FrameType.RESULT
                 _flow, is_final, _items = protocol.decode_result(frame)
                 final = True if is_final else None

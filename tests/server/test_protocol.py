@@ -55,10 +55,31 @@ def test_open_data_finish_roundtrip():
     assert decode_finish_flow(frames[2]) == 7
 
 
-def test_result_roundtrip_carries_objects():
-    items = [{"port": 1, "payload": b"x"}, None, (1, 2)]
-    (frame,) = decode_all(encode_result(9, True, items))
-    assert decode_result(frame) == (9, True, items)
+def test_result_roundtrip_carries_typed_records():
+    """Routed results cross as spans (the payload stays with whoever
+    holds the flow's bytes), tagger results as rebuilt DetectEvents."""
+    from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
+    from repro.core.scanplan import DetectEvent
+    from repro.grammar.analysis import Occurrence
+    from repro.grammar.symbols import Terminal
+
+    data = b"<a>buy</a> <a>?</a>"
+    messages = [
+        RoutedMessage(0, 10, 1, "buy", data[0:10]),
+        RoutedMessage(11, 19, -1, None, data[11:19]),
+    ]
+    (frame,) = decode_all(encode_result(9, True, messages))
+    assert decode_result(frame) == (
+        9, True,
+        [RouteRecord(0, 10, 1, "buy"), RouteRecord(11, 19, -1, None)],
+    )
+    assert decode_result(frame, data) == (9, True, messages)
+    events = [
+        DetectEvent(Occurrence(3, 0, Terminal("STRING")), 7),
+        DetectEvent(Occurrence(4, 2, Terminal("</a>")), 10),
+    ]
+    (frame,) = decode_all(encode_result(9, False, events))
+    assert decode_result(frame) == (9, False, events)
     (frame,) = decode_all(encode_result(9, False, []))
     assert decode_result(frame) == (9, False, [])
 
@@ -120,7 +141,24 @@ def test_short_payload_raises_protocol_error():
         decode_result(Frame(FrameType.RESULT, b"\x00\x00"))
 
 
-def test_undecodable_result_payload_raises():
-    frame = Frame(FrameType.RESULT, struct.pack("!IB", 1, 1) + b"junk")
-    with pytest.raises(ProtocolError):
-        decode_result(frame)
+def test_malformed_result_block_raises_protocol_error():
+    head = struct.pack("!IB", 1, 1)
+    for block in (
+        b"junk",  # shorter than a block header
+        struct.pack("!BII", 7, 0, 0),  # unknown kind
+        struct.pack("!BII", 0, 0, 1),  # a record declared, none carried
+        struct.pack("!BII", 0, 1, 0) + struct.pack("!I", 9) + b"ab",
+        struct.pack("!BII", 0, 0, 1) + struct.pack("!QQiI", 5, 2, 0, 0),
+        struct.pack("!BII", 0, 0, 1)
+        + struct.pack("!QQiI", 0, 2, 0, 3),  # service id, empty table
+        struct.pack("!BII", 0, 1, 0) + struct.pack("!I", 1) + b"\xff",
+    ):
+        with pytest.raises(ProtocolError):
+            decode_result(Frame(FrameType.RESULT, head + block))
+    with pytest.raises(ProtocolError):  # final flag is 0 or 1
+        decode_result(
+            Frame(
+                FrameType.RESULT,
+                struct.pack("!IB", 1, 2) + struct.pack("!BII", 0, 0, 0),
+            )
+        )

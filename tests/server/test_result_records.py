@@ -1,0 +1,395 @@
+"""The packed, echo-free RESULT: codec properties, flows end to end,
+and what the serving edge no longer imports.
+
+* Property tests (Hypothesis) for both record kinds: round trip
+  through :func:`encode_result_frames` at any frame limit; truncated,
+  bit-flipped and over-long frames raise :class:`ProtocolError` or
+  decode, never anything else; :class:`FrameDecoder` yields the same
+  frames however the byte stream is cut.
+* ``RouterSpec`` and ``TaggerSpec`` flows through a server, a
+  one-worker pool and the proxy (a backend lost mid-flow) equal the
+  in-process result — payload included, though it never crosses back.
+* A flow whose results outgrow the client's ``max_frame`` is split by
+  the server (the regression: one 1.5 MB message used to come back as
+  one 1.5 MB frame and kill the connection).
+* ``repro.server`` imports no ``pickle``, and a client decodes routed
+  results without loading the scan engine.
+"""
+
+import ast
+import asyncio
+import pathlib
+import struct
+import subprocess
+import sys
+import textwrap
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
+from repro.apps.xmlrpc.messages import (
+    Base64Value,
+    MethodCall,
+    RoutedMessage,
+    RouteRecord,
+)
+from repro.core.compiled import CompiledTagger
+from repro.core.scanplan import DetectEvent
+from repro.grammar.analysis import Occurrence
+from repro.grammar.examples import xmlrpc
+from repro.grammar.symbols import Terminal
+from repro.server import ScanClient, ScanProxy, ScanServer, protocol
+from repro.server.protocol import (
+    Frame,
+    FrameDecoder,
+    FrameType,
+    ProtocolError,
+    decode_result,
+    encode_frame,
+    encode_result_frames,
+)
+from repro.service import RouterSpec, TaggerSpec
+
+from tests.server.conftest import running_server
+
+U32 = st.integers(0, 2**32 - 1)
+U64 = st.integers(0, 2**64 - 1)
+NAMES = st.text(max_size=12)  # any code point but surrogates: non-ASCII too
+
+
+@st.composite
+def routed(draw):
+    low, high = sorted((draw(U64), draw(U64)))
+    return RouteRecord(
+        low, high, draw(st.integers(-(2**31), 2**31 - 1)),
+        draw(st.none() | NAMES),
+    )
+
+
+@st.composite
+def events(draw):
+    return DetectEvent(
+        Occurrence(draw(U32), draw(U32), Terminal(draw(NAMES))), draw(U64)
+    )
+
+
+RESULTS = st.lists(routed(), max_size=40) | st.lists(events(), max_size=40)
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+# ----------------------------------------------------------------------
+# codec properties
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(U32, st.booleans(), RESULTS, st.integers(128, 2048))
+def test_results_round_trip_at_any_frame_limit(flow, final, items, limit):
+    frames = encode_result_frames(flow, final, items, limit)
+    decoded = FrameDecoder(limit).feed(b"".join(frames))  # each one fits
+    assert len(decoded) == len(frames)
+    got = []
+    for index, frame in enumerate(decoded):
+        flow_id, is_final, part = decode_result(frame)
+        assert flow_id == flow
+        assert is_final == (final and index == len(frames) - 1)
+        got += part
+    assert got == items
+
+
+@settings(max_examples=150, deadline=None)
+@given(RESULTS, st.data())
+def test_mangled_results_raise_protocol_error_only(items, data):
+    (frame,) = FrameDecoder().feed(protocol.encode_result(5, True, items))
+    payload = frame.payload
+    # Cut anywhere, or grown by anything: the counts no longer add up.
+    cut = data.draw(st.integers(0, len(payload) - 1))
+    with pytest.raises(ProtocolError):
+        decode_result(Frame(FrameType.RESULT, payload[:cut]))
+    with pytest.raises(ProtocolError):
+        decode_result(
+            Frame(FrameType.RESULT, payload + data.draw(st.binary(min_size=1)))
+        )
+    # Any byte changed: an error of the protocol's own, or a decode
+    # (a flipped port is still a port) — and of the same shape.
+    at = data.draw(st.integers(0, len(payload) - 1))
+    flipped = bytearray(payload)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    try:
+        flow_id, final, got = decode_result(
+            Frame(FrameType.RESULT, bytes(flipped))
+        )
+    except ProtocolError:
+        return
+    assert isinstance(final, bool) and len(got) == len(items)
+    if at >= 5 + 9 and got:  # behind the heads: same kind, too
+        assert type(got[0]) is type(items[0])
+
+
+def test_payload_comes_from_the_flows_bytes_or_not_at_all():
+    data = b"0123456789"
+    messages = [RoutedMessage(2, 6, 1, "buy", data[2:6])]
+    (frame,) = FrameDecoder().feed(protocol.encode_result(1, True, messages))
+    assert len(frame.payload) < 5 + 9 + 4 + 3 + 24 + 1  # no payload in it
+    assert decode_result(frame, data)[2] == messages
+    with pytest.raises(ProtocolError, match="outside the flow"):
+        decode_result(frame, data[:5])  # a span the client never sent
+
+
+def test_a_record_the_frame_limit_cannot_hold_is_refused():
+    with pytest.raises(ProtocolError) as info:
+        encode_result_frames(1, True, [RouteRecord(0, 1, 0, "x" * 200)], 64)
+    assert info.value.code == protocol.ErrorCode.FRAME_TOO_LARGE
+    with pytest.raises(ProtocolError, match="unencodable"):
+        encode_result_frames(1, True, [RouteRecord(-1, 1, 0, None)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 255), st.binary(max_size=200)), max_size=12
+    ),
+    st.lists(st.integers(0, 3000), max_size=12),
+)
+def test_decoder_yields_the_same_frames_however_the_stream_is_cut(
+    frames, cuts
+):
+    blob = b"".join(encode_frame(kind, body) for kind, body in frames)
+    whole = FrameDecoder().feed(blob)
+    assert [(f.type, f.payload) for f in whole] == frames
+    edges = [0] + sorted(min(cut, len(blob)) for cut in cuts) + [len(blob)]
+    decoder = FrameDecoder()
+    pieces = []
+    for low, high in zip(edges, edges[1:]):
+        pieces += decoder.feed(blob[low:high])
+    assert pieces == whole and decoder.pending() == 0
+
+
+def test_decoder_delivers_the_frames_ahead_of_a_bad_length():
+    decoder = FrameDecoder(max_frame=64)
+    good = encode_frame(FrameType.GOODBYE)
+    assert len(decoder.feed(good + struct.pack("!I", 65))) == 1
+    for _ in range(2):  # then the error, and it stays
+        with pytest.raises(ProtocolError) as info:
+            decoder.feed(b"")
+        assert info.value.code == protocol.ErrorCode.FRAME_TOO_LARGE
+
+
+# ----------------------------------------------------------------------
+# flows end to end
+# ----------------------------------------------------------------------
+def _workload() -> bytes:
+    return WorkloadGenerator(seed=97).stream(12)[0]
+
+
+SPECS = {
+    "router": (RouterSpec(), lambda data: ContentBasedRouter().route(data)),
+    "tagger": (
+        TaggerSpec(xmlrpc()),
+        lambda data: CompiledTagger(xmlrpc()).events(data),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("workers", [0, 1])
+def test_flows_through_server_and_pool_equal_in_process(kind, workers):
+    spec, local = SPECS[kind]
+    data = _workload()
+
+    async def main():
+        async with running_server(spec=spec, workers=workers) as server:
+            async with ScanClient(*server.address) as client:
+                return await client.scan_stream(data, chunk_size=211)
+
+    assert run(main()) == local(data)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_flow_through_proxy_survives_a_backend_loss(kind):
+    """The proxy forwards record blocks it never reads; after the
+    pinned backend dies mid-flow the replayed flow's blocks are the
+    ones forwarded, and the client's result is still the local one."""
+    spec, local = SPECS[kind]
+    data = _workload()
+
+    async def main():
+        servers = [
+            await ScanServer(spec=spec, port=0).start() for _ in range(2)
+        ]
+        proxy = ScanProxy(
+            [s.address for s in servers], port=0, health_interval=0.2
+        )
+        await proxy.start()
+        try:
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_flow()
+                half = len(data) // 2
+                await flow.send(data[:half])
+                pinned = None
+                while pinned is None:
+                    await asyncio.sleep(0.01)
+                    for conn in proxy._connections.values():
+                        held = conn.flows.get(flow.flow_id)
+                        if held is not None and held.backend is not None:
+                            pinned = held.backend.name
+                victim = next(
+                    s for s in servers
+                    if f"{s.address[0]}:{s.address[1]}" == pinned
+                )
+                await victim.stop(drain=False)
+                await flow.send(data[half:])
+                got = await flow.finish(timeout=15.0)
+            assert proxy.metrics.counter("proxy.failovers").value >= 1
+            return got
+        finally:
+            await proxy.stop(drain=False)
+            for server in servers:
+                if not server._stopped.is_set():
+                    await server.stop(drain=False)
+
+    assert run(main()) == local(data)
+
+
+# ----------------------------------------------------------------------
+# results larger than the receiver's frame limit
+# ----------------------------------------------------------------------
+def test_message_larger_than_the_clients_frame_limit_round_trips():
+    """Regression: one 1.5 MB ``Base64Value`` call streamed in 64 KiB
+    DATA frames to a client accepting 1 MiB frames. The RESULT used to
+    echo the message and was never split: ``frame of 1536247 bytes
+    exceeds limit 1048576`` and a dead connection."""
+    call = MethodCall("deposit", (Base64Value("QUJD" * (3 * 128 * 1024)),))
+    data = call.encode() + b"\n"
+    assert len(data) > 1_500_000
+
+    async def main():
+        async with running_server() as server:
+            async with ScanClient(*server.address) as client:
+                assert client.max_frame == 1 << 20
+                return await client.scan_stream(data, chunk_size=1 << 16)
+
+    (message,) = run(main())
+    assert (message.start, message.end) == (0, len(data) - 1)
+    assert (message.port, message.service) == (0, "deposit")
+    assert message.payload == data[:-1]
+
+
+@pytest.mark.parametrize("path", ["server", "pool", "proxy"])
+def test_results_are_split_to_the_peers_frame_limit(path):
+    """Every sender of RESULT shares the one splitting encoder: a
+    client accepting 256-byte frames gets a 60-message flow's results
+    in several frames from the server, the pool poller and the proxy
+    (which re-splits a backend block too large for its client)."""
+    data = WorkloadGenerator(seed=98).stream(60)[0]
+    seen = []
+
+    class CountingFlowClient(ScanClient):
+        async def _on_frame(self, frame):
+            if frame.type == FrameType.RESULT:
+                seen.append(len(frame.payload) + 1)
+            return await super()._on_frame(frame)
+
+    async def main():
+        workers = 1 if path == "pool" else 0
+        async with running_server(workers=workers) as server:
+            address, proxy = server.address, None
+            if path == "proxy":
+                proxy = await ScanProxy([server.address], port=0).start()
+                address = proxy.address
+            try:
+                async with CountingFlowClient(
+                    *address, max_frame=256
+                ) as client:
+                    return await client.scan_stream(data, chunk_size=1 << 16)
+            finally:
+                if proxy is not None:
+                    await proxy.stop(drain=False)
+
+    assert run(main()) == ContentBasedRouter().route(data)
+    assert len(seen) > 4 and max(seen) <= 256
+
+
+# ----------------------------------------------------------------------
+# what the serving edge imports
+# ----------------------------------------------------------------------
+def test_server_package_imports_no_pickle():
+    package = pathlib.Path(protocol.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert not [
+                n for n in names if n.split(".")[0] in ("pickle", "_pickle")
+            ], f"{source.name} imports pickle"
+
+
+_CLIENT_ONLY = """
+import asyncio, os, sys, types
+
+# The packages' __init__ files import the whole library; stand-ins
+# with only a search path leave each module to its own imports.
+src = sys.argv[1]
+for name in ("repro", "repro.server", "repro.apps", "repro.apps.xmlrpc"):
+    package = types.ModuleType(name)
+    package.__path__ = [os.path.join(src, *name.split("."))]
+    sys.modules[name] = package
+
+from repro.server import protocol
+from repro.server.client import ScanClient
+
+DATA = b"<methodCall><methodName>buy</methodName></methodCall>"
+
+
+async def serve(reader, writer):
+    decoder = protocol.FrameDecoder()
+    writer.write(protocol.encode_hello())
+    while True:
+        frames = await protocol.read_frames(reader, decoder)
+        if frames is None:
+            return
+        for frame in frames:
+            if frame.type == protocol.FrameType.FINISH_FLOW:
+                route = types.SimpleNamespace(
+                    start=0, end=len(DATA), port=1, service="buy"
+                )
+                writer.write(protocol.encode_result(1, True, [route]))
+
+
+async def main():
+    listener = await asyncio.start_server(serve, "127.0.0.1", 0)
+    port = listener.sockets[0].getsockname()[1]
+    client = ScanClient("127.0.0.1", port)
+    await client.connect()
+    (message,) = await client.scan_stream(DATA, chunk_size=16)
+    assert type(message).__name__ == "RoutedMessage", message
+    assert (message.port, message.service, message.payload) == (
+        1, "buy", DATA,
+    ), message
+    listener.close()
+
+
+asyncio.run(main())
+loaded = sorted(
+    name for name in sys.modules
+    if name.split(".")[:2] == ["repro", "core"] or name == "pickle"
+)
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_client_decodes_routed_results_without_the_scan_engine():
+    src = str(pathlib.Path(repro.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_CLIENT_ONLY), src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
