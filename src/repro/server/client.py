@@ -22,8 +22,12 @@ Connection semantics:
   client's own ``max_frame``;
 * **failure** — an ERROR frame addressed to a flow fails that flow's
   pending :meth:`~ClientFlow.finish` with
-  :class:`~repro.server.protocol.ServerFault`; a connection-level
-  ERROR or an unexpected close fails every pending flow;
+  :class:`~repro.server.protocol.ServerFault` and closes it — or
+  fails just the one request, where the flow's kind survives the code
+  (the lifecycle table in :mod:`repro.server.flows`, DESIGN.md §8,
+  which also says which reply frames a flow is delivered); a
+  connection-level ERROR or an unexpected close fails every pending
+  flow;
 * **payload by span** — the server reports each routed message as a
   span of the flow's bytes and sends no payload back: a scan flow
   keeps every chunk it was given (by reference) and
@@ -38,10 +42,20 @@ import random
 
 from repro.errors import ReproError
 from repro.server import protocol
+from repro.server.flows import (
+    BEAM,
+    KINDS,
+    MASK,
+    SCAN,
+    Flow,
+    FlowTable,
+    flow_id_of,
+)
 from repro.server.protocol import (
     CONNECTION_FLOW,
     DEFAULT_MAX_FRAME,
     ErrorCode,
+    Frame,
     FrameType,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -59,12 +73,17 @@ __all__ = [
 #: DATA overhead inside a frame body: type byte + u32 flow id.
 _DATA_OVERHEAD = 5
 
+#: The frame types that reply to a flow, and those a raw tap sees
+#: (every one of them leads with the u32 flow id).
+_REPLIES = frozenset().union(*(kind.replies for kind in KINDS))
+_TAPPED = _REPLIES | {FrameType.ERROR}
+
 
 class ConnectFailed(ReproError):
     """Every connection attempt failed (after retries)."""
 
 
-class ClientFlow:
+class ClientFlow(Flow):
     """One open flow on a client connection.
 
     The server streams RESULT frames while the flow is open; their
@@ -76,10 +95,11 @@ class ClientFlow:
     #: Scan and mask flows journal enough history to be re-replayed
     #: onto a fresh backend; beam flows (delta + rollback state) don't.
     replayable = True
+    kind = SCAN
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
+        super().__init__(flow_id)
         self.client = client
-        self.flow_id = flow_id
         #: Every chunk given to :meth:`send`, by reference (do not
         #: mutate one afterwards): the bytes the results' spans point
         #: into, and the history :meth:`replay_onto` re-sends.
@@ -90,6 +110,8 @@ class ClientFlow:
         self._done: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
+        #: Mask/beam requests awaiting their MASK / MASKS, oldest first.
+        self._pending_masks: list[asyncio.Future] = []
 
     @property
     def partial(self) -> list:
@@ -153,7 +175,7 @@ class ClientFlow:
 
     def _expire(self, timeout: float) -> None:
         if not self._done.done():
-            self.client._flows.pop(self.flow_id, None)
+            self.client._table.close(self)
             self._done.set_exception(
                 TimeoutError(
                     f"flow {self.flow_id}: no final RESULT within "
@@ -162,14 +184,43 @@ class ClientFlow:
             )
 
     # ------------------------------------------------------------------
-    def _deliver(self, final: bool, block: bytes) -> None:
+    def _on_reply(self, frame: Frame) -> bool:
+        """Take a reply frame the flow table delivered; True when it
+        was the flow's last (the final RESULT)."""
+        _flow_id, final, block = protocol.split_result(frame)
         self.blocks.append(block)
         if final and not self._done.done():
             self._done.set_result(None)
+        return final
+
+    def _fail_request(self, exc: Exception) -> None:
+        """Fail only the oldest pending request (an ERROR the flow's
+        kind survives: nothing moved server-side, the flow stays
+        usable)."""
+        if self._pending_masks:
+            fut = self._pending_masks.pop(0)
+            if not fut.done():
+                fut.set_exception(exc)
 
     def _fail(self, exc: Exception) -> None:
+        """The flow is dead: fail :meth:`finish` and every request."""
         if not self._done.done():
             self._done.set_exception(exc)
+        for fut in self._pending_masks:
+            if not fut.done():
+                fut.set_exception(exc)
+        self._silence()
+        self._pending_masks.clear()
+
+    def _silence(self) -> None:
+        """Mark this flow's failures retrieved. After one, nobody may
+        ever await ``_done`` (mask/beam callers await per-request
+        futures; a relay abandons the flow), which would otherwise log
+        'Future exception was never retrieved'. Retrieval does not
+        clear it: a later ``finish()`` still raises."""
+        for fut in (self._done, *self._pending_masks):
+            if fut.done() and not fut.cancelled():
+                fut.exception()
 
 
 class MaskFlow(ClientFlow):
@@ -181,6 +232,8 @@ class MaskFlow(ClientFlow):
     state and the packed valid-token bitmask.  :attr:`state` and
     :attr:`mask` track the most recent reply.
     """
+
+    kind = MASK
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
         super().__init__(client, flow_id)
@@ -197,7 +250,6 @@ class MaskFlow(ClientFlow):
         #: never contains an op the backend may not have applied).
         self.acked: list[int] | None = [] if client.journal else None
         self._inflight_tokens: list[int] = []
-        self._pending_masks: list[asyncio.Future] = []
 
     async def advance(
         self, token_id: int, timeout: float | None = None
@@ -244,7 +296,10 @@ class MaskFlow(ClientFlow):
         return flow
 
     # ------------------------------------------------------------------
-    def _deliver_mask(self, state: int, row: bytes) -> None:
+    def _on_reply(self, frame: Frame) -> bool:
+        if frame.type == FrameType.RESULT:
+            return super()._on_reply(frame)
+        _flow_id, state, row = protocol.decode_mask(frame)
         self.state = state
         self.mask = row
         if self.acked is not None and self._inflight_tokens:
@@ -253,14 +308,7 @@ class MaskFlow(ClientFlow):
             fut = self._pending_masks.pop(0)
             if not fut.done():
                 fut.set_result((state, row))
-
-    def _fail(self, exc: Exception) -> None:
-        super()._fail(exc)
-        _mark_retrieved(self._done)
-        for fut in self._pending_masks:
-            if not fut.done():
-                fut.set_exception(exc)
-        self._pending_masks.clear()
+        return False
 
 
 class BeamFlow(ClientFlow):
@@ -282,6 +330,7 @@ class BeamFlow(ClientFlow):
     """
 
     replayable = False
+    kind = BEAM
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
         super().__init__(client, flow_id)
@@ -293,7 +342,6 @@ class BeamFlow(ClientFlow):
         self.lanes_full = 0
         self.lanes_delta = 0
         self.payload_bytes = 0
-        self._pending_masks: list[asyncio.Future] = []
 
     @property
     def width(self) -> int:
@@ -364,9 +412,12 @@ class BeamFlow(ClientFlow):
         await self.finish(timeout=timeout)
 
     # ------------------------------------------------------------------
-    def _deliver_masks(self, row_bytes: int, lanes: list) -> None:
+    def _on_reply(self, frame: Frame) -> bool:
+        if frame.type == FrameType.RESULT:
+            return super()._on_reply(frame)
         from repro.apps.structgen.beam import apply_xor_patch
 
+        _flow_id, _row_bytes, lanes = protocol.decode_masks(frame)
         states = []
         rows = []
         for lane, (state, kind, body) in enumerate(lanes):
@@ -385,32 +436,7 @@ class BeamFlow(ClientFlow):
             fut = self._pending_masks.pop(0)
             if not fut.done():
                 fut.set_result((self.states, rows))
-
-    def _fail_request(self, exc: Exception) -> None:
-        """Fail only the oldest pending request (a BAD_TOKEN reply:
-        the beam did not move, the flow stays usable)."""
-        if self._pending_masks:
-            fut = self._pending_masks.pop(0)
-            if not fut.done():
-                fut.set_exception(exc)
-
-    def _fail(self, exc: Exception) -> None:
-        super()._fail(exc)
-        _mark_retrieved(self._done)
-        for fut in self._pending_masks:
-            if not fut.done():
-                fut.set_exception(exc)
-        self._pending_masks.clear()
-
-
-def _mark_retrieved(fut: asyncio.Future) -> None:
-    """Mask/beam callers await per-op futures, not ``_done`` — after a
-    failure nobody may ever touch ``_done``, so mark its exception
-    retrieved to keep 'exception was never retrieved' out of the logs
-    (retrieval does not clear it; a later ``finish()`` still raises)."""
-    if fut.done() and not fut.cancelled():
-        with contextlib.suppress(Exception):
-            fut.exception()
+        return False
 
 
 class ScanClient:
@@ -452,7 +478,9 @@ class ScanClient:
         self._writer: asyncio.StreamWriter | None = None
         self._decoder = protocol.FrameDecoder(max_frame)
         self._reader_task: asyncio.Task | None = None
-        self._flows: dict[int, ClientFlow] = {}
+        self._table = FlowTable()
+        #: The table's open flows, by flow id.
+        self._flows: dict[int, ClientFlow] = self._table.flows
         #: Raw frame taps: flow id -> async callable. A tap receives
         #: every reply frame addressed to its flow *undecoded* (or
         #: ``None`` when the connection dies), bypassing the flow
@@ -567,9 +595,8 @@ class ScanClient:
     # ------------------------------------------------------------------
     async def open_flow(self) -> ClientFlow:
         """Open a fresh flow (connection-scoped id chosen here)."""
-        self._flow_seq += 1
-        flow = ClientFlow(self, self._flow_seq)
-        self._flows[flow.flow_id] = flow
+        flow = ClientFlow(self, self.allocate_flow_id())
+        self._table.open(flow)
         await self._send(protocol.encode_open_flow(flow.flow_id))
         return flow
 
@@ -586,25 +613,13 @@ class ScanClient:
         ``UNKNOWN_VOCAB`` when the server has no mask table for the
         vocabulary.
         """
-        self._flow_seq += 1
-        flow = MaskFlow(self, self._flow_seq)
+        flow = MaskFlow(self, self.allocate_flow_id())
         flow.vocab_hash = vocab_hash
-        self._flows[flow.flow_id] = flow
-        fut = asyncio.get_running_loop().create_future()
-        flow._pending_masks.append(fut)
-        await self._send(
-            protocol.encode_open_mask(flow.flow_id, vocab_hash)
+        await self._open_replied(
+            flow,
+            protocol.encode_open_mask(flow.flow_id, vocab_hash),
+            timeout,
         )
-        if timeout is None:
-            timeout = self.request_timeout
-        try:
-            await asyncio.wait_for(asyncio.shield(fut), timeout=timeout)
-        except asyncio.TimeoutError:
-            self._flows.pop(flow.flow_id, None)
-            raise TimeoutError(
-                f"flow {flow.flow_id}: no initial MASK within "
-                f"{timeout:g}s"
-            ) from None
         return flow
 
     async def open_beam_flow(
@@ -619,27 +634,33 @@ class ScanClient:
         flow already has every lane's state (0) and packed mask in
         :attr:`BeamFlow.states` / :attr:`BeamFlow.rows`.
         """
-        self._flow_seq += 1
-        flow = BeamFlow(self, self._flow_seq)
-        self._flows[flow.flow_id] = flow
+        flow = BeamFlow(self, self.allocate_flow_id())
+        await self._open_replied(
+            flow,
+            protocol.encode_open_beam(flow.flow_id, width, vocab_hash),
+            timeout,
+        )
+        return flow
+
+    async def _open_replied(
+        self, flow: ClientFlow, opener: bytes, timeout: float | None
+    ) -> None:
+        """Open ``flow`` with a frame the server answers (OPEN_MASK,
+        OPEN_BEAM) and wait for that first reply."""
+        self._table.open(flow)
         fut = asyncio.get_running_loop().create_future()
         flow._pending_masks.append(fut)
-        await self._send(
-            protocol.encode_open_beam(
-                flow.flow_id, width, vocab_hash
-            )
-        )
+        await self._send(opener)
         if timeout is None:
             timeout = self.request_timeout
         try:
             await asyncio.wait_for(asyncio.shield(fut), timeout=timeout)
         except asyncio.TimeoutError:
-            self._flows.pop(flow.flow_id, None)
+            self._table.close(flow)
             raise TimeoutError(
-                f"flow {flow.flow_id}: no initial MASKS within "
+                f"flow {flow.flow_id}: no initial reply within "
                 f"{timeout:g}s"
             ) from None
-        return flow
 
     # ------------------------------------------------------------------
     # raw flow plumbing (for relay tiers)
@@ -708,49 +729,26 @@ class ScanClient:
 
     async def _on_frame(self, frame) -> bool:
         """Route one reply frame to its flow; True on GOODBYE."""
-        if self._raw_taps and frame.type in (
-            FrameType.RESULT,
-            FrameType.MASK,
-            FrameType.MASKS,
-            FrameType.ERROR,
-        ):
-            # Every reply frame leads with a u32 flow id.
-            tapped = int.from_bytes(frame.payload[:4], "big")
-            tap = self._raw_taps.get(tapped)
+        if self._raw_taps and frame.type in _TAPPED:
+            tap = self._raw_taps.get(flow_id_of(frame))
             if tap is not None:
                 await tap(frame)
                 return False
-        if frame.type == FrameType.RESULT:
-            flow_id, final, block = protocol.split_result(frame)
-            flow = self._flows.get(flow_id)
-            if flow is not None:
-                flow._deliver(final, block)
-                if final:
-                    del self._flows[flow_id]
-        elif frame.type == FrameType.MASK:
-            flow_id, state, row = protocol.decode_mask(frame)
-            flow = self._flows.get(flow_id)
-            if isinstance(flow, MaskFlow):
-                flow._deliver_mask(state, row)
-        elif frame.type == FrameType.MASKS:
-            flow_id, row_bytes, lanes = protocol.decode_masks(frame)
-            flow = self._flows.get(flow_id)
-            if isinstance(flow, BeamFlow):
-                flow._deliver_masks(row_bytes, lanes)
+        if frame.type in _REPLIES:
+            flow = self._table.reply(frame)
+            if flow is not None and flow._on_reply(frame):
+                self._table.close(flow)
         elif frame.type == FrameType.ERROR:
             flow_id, code, message = protocol.decode_error(frame)
             fault = ServerFault(flow_id, code, message)
             if flow_id == CONNECTION_FLOW:
                 raise fault
             flow = self._flows.get(flow_id)
-            if isinstance(flow, BeamFlow) and code == ErrorCode.BAD_TOKEN:
-                # The beam is atomic: the rejected op moved nothing
-                # server-side, so only the request fails and the flow
-                # stays open.
-                flow._fail_request(fault)
-            elif flow is not None:
-                del self._flows[flow_id]
-                flow._fail(fault)
+            if flow is not None:
+                if self._table.fault(flow, code):
+                    flow._fail(fault)
+                else:
+                    flow._fail_request(fault)
         elif frame.type == FrameType.GOODBYE:
             # Flows still pending after a GOODBYE can never complete:
             # fail them rather than letting their finish() sit out its

@@ -4,7 +4,11 @@ The paper's device scales by replicating the tagger across ports of
 one reconfigurable fabric; the software reproduction scales the same
 way one tier up — :class:`ScanProxy` speaks the framed wire protocol
 (:mod:`repro.server.protocol`) on its front and fans flows out across
-a fleet of :class:`~repro.server.server.ScanServer` backends.
+a fleet of :class:`~repro.server.server.ScanServer` backends. Its front
+is the same :class:`~repro.server.endpoint.FramedEndpoint` a server is,
+consulting the same lifecycle table (:mod:`repro.server.flows`,
+DESIGN.md §8), so what a client may send when — and the ERROR that
+answers what it may not — cannot differ between the two.
 
 Routing
 -------
@@ -62,14 +66,13 @@ import time
 from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.client import ConnectFailed, ScanClient
+from repro.server.endpoint import Connection, FramedEndpoint, reap
+from repro.server.flows import BEAM, Flow, FlowKind
 from repro.server.protocol import (
-    CONNECTION_FLOW,
     DEFAULT_MAX_FRAME,
     ErrorCode,
     Frame,
     FrameType,
-    PROTOCOL_VERSION,
-    ProtocolError,
     ServerFault,
 )
 from repro.service.metrics import MetricsRegistry, merge_expositions
@@ -300,81 +303,24 @@ class _Backend:
 # ----------------------------------------------------------------------
 # per-connection / per-flow proxy state
 # ----------------------------------------------------------------------
-_SCAN, _MASK, _BEAM = "scan", "mask", "beam"
-
-#: Client frame types that open a flow (and of which kind), and those
-#: that operate on an open one.
-_OPENS = {
-    FrameType.OPEN_FLOW: _SCAN,
-    FrameType.OPEN_MASK: _MASK,
-    FrameType.OPEN_BEAM: _BEAM,
-}
-_OPS = frozenset(
-    (
-        FrameType.DATA,
-        FrameType.ADVANCE,
-        FrameType.BATCH_ADVANCE,
-        FrameType.FINISH_FLOW,
-    )
-)
-
-
-class _ProxyFlow:
+class _ProxyFlow(Flow):
     __slots__ = (
-        "flow_id", "kind", "key", "backend", "remote",
+        "kind", "key", "backend", "remote",
         "raw_client", "raw_fid", "queue", "task", "busy",
     )
 
-    def __init__(self, flow_id: int, kind: str, key: str) -> None:
-        self.flow_id = flow_id
+    def __init__(self, flow_id: int, kind: FlowKind, key: str) -> None:
+        super().__init__(flow_id)
         self.kind = kind
         self.key = key
         self.backend: _Backend | None = None
         self.remote = None              # lib flow (scan/mask)
         self.raw_client: ScanClient | None = None  # beam relay
         self.raw_fid = 0
+        #: Client frames the flow table accepted, in arrival order.
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=64)
         self.task: asyncio.Task | None = None
         self.busy = False
-
-
-class _ClientConn:
-    """The proxy's view of one downstream client connection."""
-
-    def __init__(self, proxy, reader, writer, conn_id: int) -> None:
-        self.proxy = proxy
-        self.reader = reader
-        self.writer = writer
-        self.conn_id = conn_id
-        self.decoder = protocol.FrameDecoder(proxy.max_frame)
-        self.flows: dict[int, _ProxyFlow] = {}
-        self.peer_max_frame = DEFAULT_MAX_FRAME
-        self.closed = False
-        self._write_lock = asyncio.Lock()
-
-    async def send(self, *frames: bytes) -> None:
-        """Write encoded frames (one write, one drain)."""
-        if self.closed:
-            return
-        async with self._write_lock:
-            if self.closed:
-                return
-            blob = b"".join(frames)
-            self.writer.write(blob)
-            self.proxy.metrics.counter("proxy.tx.frames").inc(len(frames))
-            self.proxy.metrics.counter("proxy.tx.bytes").inc(len(blob))
-            await self.writer.drain()
-
-    async def send_error(
-        self, flow_id: int, code: int, message: str
-    ) -> None:
-        await self.send(protocol.encode_error(flow_id, code, message))
-
-    async def close(self) -> None:
-        self.closed = True
-        with contextlib.suppress(Exception):
-            self.writer.close()
-            await self.writer.wait_closed()
 
 
 def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
@@ -414,7 +360,7 @@ async def _http_get(
 # ----------------------------------------------------------------------
 # the proxy
 # ----------------------------------------------------------------------
-class ScanProxy:
+class ScanProxy(FramedEndpoint):
     """Front one framed-protocol listener with N scan-server backends.
 
     .. code-block:: python
@@ -429,6 +375,8 @@ class ScanProxy:
     affinity, health, and failover (see the module docstring for the
     contract per flow kind).
     """
+
+    role = "proxy"
 
     def __init__(
         self,
@@ -452,16 +400,23 @@ class ScanProxy:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate backends in {names}")
-        self.host = host
-        self.port = port
-        self.admin_port = admin_port
+        super().__init__(
+            host,
+            port,
+            admin_port=admin_port,
+            idle_timeout=idle_timeout,
+            max_frame=max_frame,
+            metrics=metrics,
+        )
+        self._admin_routes = {
+            "/metrics": self._aggregate_metrics,
+            "/healthz": self._admin_healthz,
+            "/stats": self._aggregate_stats,
+        }
         self.pool_size = max(1, pool_size)
         self.health_interval = health_interval
         self.probe_timeout = probe_timeout
         self.request_timeout = request_timeout
-        self.idle_timeout = idle_timeout
-        self.max_frame = max_frame
-        self.metrics = metrics or MetricsRegistry()
 
         self.ring = HashRing(replicas=ring_replicas)
         self.backends: dict[str, _Backend] = {}
@@ -470,85 +425,30 @@ class ScanProxy:
             self.ring.add(spec.name)
 
         self._grammars: tuple[str, ...] = ()
-        self._server: asyncio.AbstractServer | None = None
-        self._admin_server: asyncio.AbstractServer | None = None
         self._health_task: asyncio.Task | None = None
-        self._connections: dict[int, _ClientConn] = {}
-        self._conn_seq = 0
-        self._draining = False
-        self._stopped = asyncio.Event()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ScanProxy":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        if self.admin_port is not None:
-            self._admin_server = await asyncio.start_server(
-                self._handle_admin, self.host, self.admin_port
-            )
+        await super().start()
         await self._collect_grammars()
         self._health_task = asyncio.ensure_future(self._health_loop())
         self._refresh_gauges()
         return self
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None, "proxy not started"
-        return self._server.sockets[0].getsockname()[:2]
+    def _busy(self, conn: Connection) -> bool:
+        return any(
+            flow.busy or flow.queue.qsize() for flow in conn.flows.values()
+        )
 
-    @property
-    def admin_address(self) -> tuple[str, int]:
-        assert self._admin_server is not None, "no admin listener"
-        return self._admin_server.sockets[0].getsockname()[:2]
-
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
-
-    async def __aenter__(self) -> "ScanProxy":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        await self.stop(drain=exc_type is None)
-        return False
-
-    async def stop(
-        self, drain: bool = True, timeout: float = 30.0
-    ) -> None:
-        if self._stopped.is_set():
-            return
-        self._draining = True
-        for server in (self._server, self._admin_server):
-            if server is not None:
-                server.close()
-        if drain:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                pending = any(
-                    flow.busy or flow.queue.qsize()
-                    for conn in self._connections.values()
-                    for flow in conn.flows.values()
-                )
-                if not pending:
-                    break
-                await asyncio.sleep(0.01)
-        if self._health_task is not None:
-            self._health_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._health_task
-        for conn in list(self._connections.values()):
-            if drain:
-                with contextlib.suppress(Exception):
-                    await conn.send(protocol.encode_goodbye())
-            await self._teardown(conn)
+    async def _shutdown(self, drain: bool) -> None:
+        await reap(self._health_task)
         for backend in self.backends.values():
             await backend.close_pool()
-        if self._server is not None:
-            with contextlib.suppress(Exception):
-                await self._server.wait_closed()
-        self._stopped.set()
+
+    def grammar_refs(self) -> tuple[str, ...]:
+        return self._grammars
 
     async def _collect_grammars(self) -> None:
         """Union of the grammar refs the backends advertise, for this
@@ -657,7 +557,6 @@ class ScanProxy:
         assert flow.backend is not None
         excluded.add(flow.backend.name)
         self._note_backend_error(flow.backend, fault)
-        _silence_flow(flow.remote)
         while True:
             backend = self._pick_backend(flow.key, excluded)
             if backend is None:
@@ -726,165 +625,25 @@ class ScanProxy:
         return True
 
     # ------------------------------------------------------------------
-    # client-facing data plane
+    # client-facing data plane: frames the flow table accepted
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self._conn_seq += 1
-        conn = _ClientConn(self, reader, writer, self._conn_seq)
-        self._connections[conn.conn_id] = conn
-        self.metrics.counter("proxy.connections.opened").inc()
-        try:
-            await self._frame_loop(conn)
-        except (ConnectionError, OSError):
-            pass
-        except ProtocolError as exc:
-            with contextlib.suppress(Exception):
-                await conn.send_error(
-                    CONNECTION_FLOW, exc.code, str(exc)
-                )
-            self.metrics.counter("proxy.errors.protocol").inc()
-        finally:
-            await self._teardown(conn)
+    async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
+        flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}")
+        conn.table.open(flow)
+        self.metrics.counter(f"proxy.flows.{kind}").inc()
+        flow.task = asyncio.ensure_future(self._flow_worker(conn, flow))
+        await flow.queue.put(frame)
 
-    async def _read_frames(self, conn: _ClientConn):
-        """Every frame the next socket read completes (the framing
-        shared with server and client), or None on EOF or idleness."""
-        taken = conn.decoder.taken
-        try:
-            frames = await asyncio.wait_for(
-                protocol.read_frames(conn.reader, conn.decoder),
-                timeout=self.idle_timeout,
-            )
-        except asyncio.TimeoutError:
-            self.metrics.counter("proxy.timeouts.idle").inc()
-            await conn.send_error(
-                CONNECTION_FLOW,
-                ErrorCode.IDLE_TIMEOUT,
-                f"no frame for {self.idle_timeout:g}s",
-            )
-            return None
-        if frames is not None:
-            self.metrics.counter("proxy.rx.frames").inc(len(frames))
-            self.metrics.counter("proxy.rx.bytes").inc(
-                conn.decoder.taken - taken
-            )
-        return frames
+    async def _op(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
+        # A full queue stops this connection's read loop: the
+        # backend's backpressure, chained to the client.
+        await flow.queue.put(frame)
 
-    async def _hello(self, conn: _ClientConn, frame: Frame) -> bool:
-        if frame.type != FrameType.HELLO:
-            raise ProtocolError(
-                f"expected HELLO, got {frame.name}",
-                code=ErrorCode.BAD_FRAME,
-            )
-        version, peer_max = protocol.decode_hello(frame)
-        if version != PROTOCOL_VERSION:
-            await conn.send_error(
-                CONNECTION_FLOW,
-                ErrorCode.VERSION_MISMATCH,
-                f"proxy speaks v{PROTOCOL_VERSION}, client sent "
-                f"v{version}",
-            )
-            return False
-        conn.peer_max_frame = peer_max
-        await conn.send(
-            protocol.encode_hello(
-                PROTOCOL_VERSION, self.max_frame, self._grammars
-            )
-        )
-        return True
-
-    async def _frame_loop(self, conn: _ClientConn) -> None:
-        greeted = False
-        while True:
-            frames = await self._read_frames(conn)
-            if frames is None:
-                return
-            for frame in frames:
-                if not greeted:
-                    if not await self._hello(conn, frame):
-                        return
-                    greeted = True
-                elif not await self._dispatch(conn, frame):
-                    return
-
-    async def _dispatch(self, conn: _ClientConn, frame: Frame) -> bool:
-        """Hand one client frame to its flow's worker; False ends the
-        connection (GOODBYE)."""
-        if frame.type in _OPENS:
-            flow_id = int.from_bytes(frame.payload[:4], "big")
-            if flow_id in conn.flows:
-                # Mirror the single-server contract: the colliding
-                # open kills the existing flow.
-                self._flow_closed(conn, conn.flows[flow_id])
-                await conn.send_error(
-                    flow_id,
-                    ErrorCode.DUPLICATE_FLOW,
-                    f"flow {flow_id} already open",
-                )
-                return True
-            if self._draining:
-                await conn.send_error(
-                    flow_id,
-                    ErrorCode.DRAINING,
-                    "proxy draining; flow refused",
-                )
-                return True
-            kind = _OPENS[frame.type]
-            flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}")
-            conn.flows[flow_id] = flow
-            self.metrics.counter(f"proxy.flows.{kind}").inc()
-            flow.task = asyncio.ensure_future(
-                self._flow_worker(conn, flow)
-            )
-            await flow.queue.put(("open", frame))
-        elif frame.type in _OPS:
-            flow_id = int.from_bytes(frame.payload[:4], "big")
-            flow = conn.flows.get(flow_id)
-            if flow is None:
-                await conn.send_error(
-                    flow_id,
-                    ErrorCode.UNKNOWN_FLOW,
-                    f"no open flow {flow_id}",
-                )
-                return True
-            await flow.queue.put(("op", frame))
-        elif frame.type == FrameType.GOODBYE:
-            await self._client_goodbye(conn)
-            return False
-        else:
-            raise ProtocolError(
-                f"unexpected {frame.name} frame",
-                code=ErrorCode.BAD_FRAME,
-            )
-        return True
-
-    async def _client_goodbye(self, conn: _ClientConn) -> None:
-        deadline = time.monotonic() + self.idle_timeout
-        while time.monotonic() < deadline and any(
-            flow.busy or flow.queue.qsize()
-            for flow in conn.flows.values()
-        ):
-            await asyncio.sleep(0.005)
-        await conn.send(protocol.encode_goodbye())
-
-    async def _teardown(self, conn: _ClientConn) -> None:
-        self._connections.pop(conn.conn_id, None)
-        current = asyncio.current_task()
-        for flow in list(conn.flows.values()):
-            if flow.task is not None and flow.task is not current:
-                flow.task.cancel()
-            self._abandon_remote(flow)
-        conn.flows.clear()
-        await conn.close()
-
-    def _flow_closed(self, conn: _ClientConn, flow: _ProxyFlow) -> None:
-        """Forget a flow; cancel its worker unless we *are* it."""
-        conn.flows.pop(flow.flow_id, None)
+    def _drop(self, conn, flow: _ProxyFlow) -> None:
+        """Cancel the flow's worker (unless we *are* it) and release
+        its backend-side state."""
         if flow.task is not None and flow.task is not asyncio.current_task():
             flow.task.cancel()
-
-    def _abandon_remote(self, flow: _ProxyFlow) -> None:
-        """Release backend-side state for a flow dying un-finished."""
         if flow.raw_client is not None:
             flow.raw_client.clear_raw_tap(flow.raw_fid)
             asyncio.ensure_future(
@@ -892,85 +651,58 @@ class ScanProxy:
             )
             flow.raw_client = None
         elif flow.remote is not None:
-            _silence_flow(flow.remote)
             asyncio.ensure_future(_finish_remote(flow.remote))
             flow.remote = None
 
     # ------------------------------------------------------------------
     # flow workers
     # ------------------------------------------------------------------
-    async def _flow_worker(
-        self, conn: _ClientConn, flow: _ProxyFlow
-    ) -> None:
+    async def _flow_worker(self, conn, flow: _ProxyFlow) -> None:
         try:
             while True:
-                kind, frame = await flow.queue.get()
+                frame = await flow.queue.get()
                 flow.busy = True
                 try:
-                    done = await self._execute(conn, flow, kind, frame)
+                    done = await self._execute(conn, flow, frame)
                 finally:
                     flow.busy = False
                 if done:
                     return
         except asyncio.CancelledError:
             raise
-        except (ConnectionError, OSError):
-            # The *client* connection is gone; teardown cleans up.
-            conn.flows.pop(flow.flow_id, None)
         except ServerFault as fault:
-            with contextlib.suppress(Exception):
-                await conn.send_error(
-                    flow.flow_id, fault.code, fault.detail
-                )
-            self._flow_closed(conn, flow)
-            self._abandon_remote(flow)
+            await self._fail_flow(conn, flow, fault.code, fault.detail)
         except NoHealthyBackend as exc:
-            with contextlib.suppress(Exception):
-                await conn.send_error(
-                    flow.flow_id, ErrorCode.FAILOVER, str(exc)
-                )
-            self._flow_closed(conn, flow)
+            await self._fail_flow(conn, flow, ErrorCode.FAILOVER, str(exc))
         except Exception as exc:  # noqa: BLE001 - fault barrier
-            with contextlib.suppress(Exception):
-                await conn.send_error(
-                    flow.flow_id,
-                    ErrorCode.INTERNAL,
-                    f"proxy error: {exc}",
-                )
-            self._flow_closed(conn, flow)
-            self._abandon_remote(flow)
-
-    async def _execute(
-        self, conn: _ClientConn, flow: _ProxyFlow, kind: str, frame
-    ) -> bool:
-        """One queued op; True ends the flow (and its worker)."""
-        if flow.kind == _BEAM:
-            return await self._execute_beam(conn, flow, kind, frame)
-        if kind == "open":
-            if flow.kind == _SCAN:
-                _, flow.remote = await self._open_on_ring(
-                    flow, lambda c: c.open_flow()
-                )
-            else:
-                _fid, vocab_hash = protocol.decode_open_mask(frame)
-                _, flow.remote = await self._open_on_ring(
-                    flow, lambda c: c.open_mask_flow(vocab_hash)
-                )
-                await conn.send(
-                    protocol.encode_mask(
-                        flow.flow_id,
-                        flow.remote.state,
-                        flow.remote.mask,
-                    )
-                )
-            return False
-        if frame.type == FrameType.DATA and flow.kind == _SCAN:
-            _fid, chunk = protocol.decode_data(frame)
-            await self._replayable_op(
-                flow, lambda r: r.send(chunk)
+            await self._fail_flow(
+                conn, flow, ErrorCode.INTERNAL, f"proxy error: {exc}"
             )
-            return False
-        if frame.type == FrameType.ADVANCE and flow.kind == _MASK:
+
+    async def _execute(self, conn, flow: _ProxyFlow, frame: Frame) -> bool:
+        """One queued frame — the flow table already vouched that its
+        kind takes it; True ends the flow (and its worker)."""
+        if flow.kind is BEAM:
+            return await self._relay_beam(conn, flow, frame)
+        ftype = frame.type
+        if ftype == FrameType.OPEN_FLOW:
+            _, flow.remote = await self._open_on_ring(
+                flow, lambda c: c.open_flow()
+            )
+        elif ftype == FrameType.OPEN_MASK:
+            _fid, vocab_hash = protocol.decode_open_mask(frame)
+            _, flow.remote = await self._open_on_ring(
+                flow, lambda c: c.open_mask_flow(vocab_hash)
+            )
+            await conn.send(
+                protocol.encode_mask(
+                    flow.flow_id, flow.remote.state, flow.remote.mask
+                )
+            )
+        elif ftype == FrameType.DATA:
+            _fid, chunk = protocol.decode_data(frame)
+            await self._replayable_op(flow, lambda r: r.send(chunk))
+        elif ftype == FrameType.ADVANCE:
             _fid, token_id = protocol.decode_advance(frame)
             started = time.perf_counter()
             state, row = await self._replayable_op(
@@ -979,66 +711,43 @@ class ScanProxy:
             self.metrics.histogram("proxy.latency.op_s").observe(
                 time.perf_counter() - started
             )
-            await conn.send(
-                protocol.encode_mask(flow.flow_id, state, row)
-            )
-            return False
-        if frame.type == FrameType.FINISH_FLOW:
-            # Held until now, which is what makes scan failover
-            # invisible: no partial RESULT can have escaped for a
-            # prefix the replacement backend re-scans. The backend's
-            # record blocks go out unread under the client's flow id
-            # (a mask flow's is the one empty final block).
+            await conn.send(protocol.encode_mask(flow.flow_id, state, row))
+        else:
+            # FINISH_FLOW. Results were held until now, which is what
+            # makes scan failover invisible: no partial RESULT can have
+            # escaped for a prefix the replacement backend re-scans.
+            # The backend's record blocks go out unread under the
+            # client's flow id (a mask flow's is the one empty final
+            # block).
             blocks = await self._replayable_op(
                 flow, lambda r: r.finish_blocks()
             )
             flow.remote = None
+            conn.table.close(flow)
             await conn.send(
                 *protocol.relay_result_frames(
                     flow.flow_id, blocks, conn.peer_max_frame
                 )
             )
-            conn.flows.pop(flow.flow_id, None)
             return True
-        raise ServerFault(
-            flow.flow_id,
-            ErrorCode.BAD_FRAME,
-            f"{frame.name} not valid on a {flow.kind} flow",
-        )
+        return False
 
     # -- beam relay ----------------------------------------------------
-    async def _execute_beam(
-        self, conn: _ClientConn, flow: _ProxyFlow, kind: str, frame
-    ) -> bool:
+    async def _relay_beam(self, conn, flow: _ProxyFlow, frame: Frame) -> bool:
         """Beam frames relay *undecoded* (flow id rewritten) to one
         backend for the flow's whole life; replies flow back through a
         raw tap the same way. On backend loss the client receives the
         typed FAILOVER error — see the module docstring for why beam
         flows are non-replayable by contract."""
-        if kind == "open":
-            backend = self._pick_backend(flow.key)
-            last: Exception | None = None
-            excluded: set[str] = set()
-            while backend is not None:
-                try:
-                    client = await backend.acquire()
-                    break
-                except _BACKEND_FAULTS as exc:
-                    last = exc
-                    excluded.add(backend.name)
-                    self._note_backend_error(backend, exc)
-                    backend = self._pick_backend(flow.key, excluded)
-            else:
-                client = None
-            if backend is None or client is None:
-                raise NoHealthyBackend(
-                    f"no healthy backend for flow {flow.key}"
-                    + (f" (last: {last})" if last else "")
-                )
-            flow.backend = backend
-            flow.raw_client = client
-            flow.raw_fid = client.allocate_flow_id()
-            client.set_raw_tap(
+        if frame.type == FrameType.OPEN_BEAM:
+
+            async def allocate(client: ScanClient) -> int:
+                return client.allocate_flow_id()
+
+            flow.raw_client, flow.raw_fid = await self._open_on_ring(
+                flow, allocate
+            )
+            flow.raw_client.set_raw_tap(
                 flow.raw_fid, self._make_beam_tap(conn, flow)
             )
         if flow.raw_client is None:
@@ -1059,7 +768,7 @@ class ScanProxy:
         # through, which the tap signals by clearing raw_client.
         return False
 
-    def _make_beam_tap(self, conn: _ClientConn, flow: _ProxyFlow):
+    def _make_beam_tap(self, conn, flow: _ProxyFlow):
         async def tap(frame) -> None:
             if frame is None:  # backend connection died
                 await self._beam_failover(
@@ -1067,52 +776,48 @@ class ScanProxy:
                 )
                 return
             if frame.type == FrameType.ERROR:
-                code = int.from_bytes(frame.payload[4:6], "big")
+                _fid, code, detail = protocol.decode_error(frame)
                 if code in _LIFECYCLE_CODES:
-                    await self._beam_failover(
-                        conn,
-                        flow,
-                        frame.payload[6:].decode("utf-8", "replace"),
-                    )
+                    await self._beam_failover(conn, flow, detail)
                     return
-                await conn.send(
-                    _rewrite_flow_id(frame, flow.flow_id)
-                )
-                if code != ErrorCode.BAD_TOKEN:
-                    # Flow-fatal (UNKNOWN_VOCAB, ...): mirror the
-                    # backend dropping it.
-                    self._detach_beam(flow)
-                    self._flow_closed(conn, flow)
+                if conn.table.fault(flow, code):
+                    # Flow-fatal (UNKNOWN_VOCAB, ...): the backend has
+                    # dropped it too.
+                    self._end_beam(flow)
+                await conn.send(_rewrite_flow_id(frame, flow.flow_id))
                 return
-            await conn.send(_rewrite_flow_id(frame, flow.flow_id))
             if frame.type == FrameType.RESULT and frame.payload[4]:
                 # Final RESULT: the close handshake completed.
-                self._detach_beam(flow)
-                self._flow_closed(conn, flow)
+                conn.table.close(flow)
+                self._end_beam(flow)
+            await conn.send(_rewrite_flow_id(frame, flow.flow_id))
 
         return tap
 
-    def _detach_beam(self, flow: _ProxyFlow) -> None:
+    def _end_beam(self, flow: _ProxyFlow) -> None:
+        """The backend is done with the flow: drop the tap, and the
+        worker with nothing left to relay."""
         if flow.raw_client is not None:
             flow.raw_client.clear_raw_tap(flow.raw_fid)
             flow.raw_client = None
+        if flow.task is not None and flow.task is not asyncio.current_task():
+            flow.task.cancel()
 
     async def _beam_failover(
-        self, conn: _ClientConn, flow: _ProxyFlow, detail: str
+        self, conn, flow: _ProxyFlow, detail: str
     ) -> None:
-        self._detach_beam(flow)
-        if flow.flow_id not in conn.flows:
+        self._end_beam(flow)
+        if conn.flows.get(flow.flow_id) is not flow:
             return
         self.metrics.counter("proxy.failover.beam_refused").inc()
         backend = flow.backend.name if flow.backend else "?"
-        with contextlib.suppress(Exception):
-            await conn.send_error(
-                flow.flow_id,
-                ErrorCode.FAILOVER,
-                f"backend {backend} lost ({detail}); beam flows are "
-                "not replayable — reopen to continue",
-            )
-        self._flow_closed(conn, flow)
+        await self._fail_flow(
+            conn,
+            flow,
+            ErrorCode.FAILOVER,
+            f"backend {backend} lost ({detail}); beam flows are "
+            "not replayable — reopen to continue",
+        )
 
     # ------------------------------------------------------------------
     # stats & admin aggregation
@@ -1151,7 +856,7 @@ class ScanProxy:
         except _BACKEND_FAULTS:
             return None
 
-    async def _aggregate_stats(self) -> str:
+    async def _aggregate_stats(self, _method, _query) -> tuple[str, str]:
         merged = self.stats()
         fetched = await asyncio.gather(
             *(
@@ -1171,9 +876,9 @@ class ScanProxy:
                     )
                 except ValueError:
                     entry["stats"] = None
-        return json.dumps(merged, indent=2, sort_keys=True) + "\n"
+        return "200 OK", json.dumps(merged, indent=2, sort_keys=True) + "\n"
 
-    async def _aggregate_metrics(self) -> str:
+    async def _aggregate_metrics(self, _method, _query) -> tuple[str, str]:
         self.stats()  # refresh own gauges
         parts: list[tuple[dict, str]] = [
             ({}, self.metrics.render_prometheus())
@@ -1187,77 +892,20 @@ class ScanProxy:
         for backend, reply in zip(self.backends.values(), fetched):
             if reply is not None and reply[0] == 200:
                 parts.append(({"backend": backend.name}, reply[1]))
-        return merge_expositions(parts)
+        return "200 OK", merge_expositions(parts)
 
-    async def _handle_admin(self, reader, writer) -> None:
-        try:
-            request = await asyncio.wait_for(
-                reader.readline(), timeout=self.idle_timeout
-            )
-            parts = request.decode("latin-1").split()
-            target = parts[1] if len(parts) >= 2 else "/"
-            path, _, _query = target.partition("?")
-            while True:  # drain headers
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.idle_timeout
-                )
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/metrics":
-                status, body = "200 OK", await self._aggregate_metrics()
-            elif path == "/healthz":
-                if any(b.healthy for b in self.backends.values()):
-                    status, body = "200 OK", "ok\n"
-                else:
-                    status, body = (
-                        "503 Service Unavailable",
-                        "no healthy backends\n",
-                    )
-            elif path == "/stats":
-                status, body = "200 OK", await self._aggregate_stats()
-            else:
-                status, body = "404 Not Found", f"no route {path}\n"
-            payload = body.encode("utf-8")
-            writer.write(
-                (
-                    f"HTTP/1.0 {status}\r\n"
-                    "Content-Type: text/plain; version=0.0.4; "
-                    "charset=utf-8\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
-                + payload
-            )
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    async def _admin_healthz(self, _method, _query) -> tuple[str, str]:
+        if any(b.healthy for b in self.backends.values()):
+            return "200 OK", "ok\n"
+        return "503 Service Unavailable", "no healthy backends\n"
 
 
 # ----------------------------------------------------------------------
 # abandoned-flow hygiene
 # ----------------------------------------------------------------------
-def _silence_flow(remote) -> None:
-    """Consume a dead lib flow's pending exception so the event loop
-    doesn't log 'exception was never retrieved' for futures nobody
-    will await after a failover or teardown."""
-    fut = getattr(remote, "_done", None)
-    if fut is not None and fut.done() and not fut.cancelled():
-        with contextlib.suppress(Exception):
-            fut.exception()
-    for fut in getattr(remote, "_pending_masks", ()):
-        if fut.done() and not fut.cancelled():
-            with contextlib.suppress(Exception):
-                fut.exception()
-
-
 async def _finish_remote(remote) -> None:
     with contextlib.suppress(Exception):
         await remote.finish_blocks(timeout=2.0)
-    _silence_flow(remote)
 
 
 async def _finish_raw(client: ScanClient, raw_fid: int) -> None:

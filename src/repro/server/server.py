@@ -11,9 +11,13 @@ sharded :class:`~repro.service.ScanService` pool (``workers=N``).
 
 Robustness model
 ----------------
-* **Idle timeout** — a connection that sends nothing for
-  ``idle_timeout`` seconds is answered with ``ERROR(IDLE_TIMEOUT)``
-  and closed; per-flow state is discarded.
+The listeners, the handshake, the idle timeout, the graceful drain and
+the admin responder are :class:`~repro.server.endpoint.FramedEndpoint`'s
+(shared with the cluster proxy); which frame a flow accepts in which
+state, which ERROR answers one it does not, and which errors close a
+flow is :mod:`repro.server.flows`' lifecycle table (DESIGN.md §8).
+What this module adds:
+
 * **Frame-size limit** — a declared frame length above ``max_frame``
   is rejected before the body is read (``ERROR(FRAME_TOO_LARGE)``,
   close), so a hostile length prefix cannot balloon memory.
@@ -32,56 +36,57 @@ Robustness model
   ``server.backpressure.waits``) until the shard has room, instead of
   buffering chunks. A full queue is thus visible to the client as the
   socket filling up — exactly a hardware FIFO deasserting *ready*.
-* **Graceful drain** — :meth:`stop` (and SIGTERM in the CLI) stops
-  accepting connections, rejects *new* flows with ``ERROR(DRAINING)``,
-  but lets every already-open flow stream to completion (its DATA and
-  FINISH_FLOW are still honored and its final RESULT delivered), up to
-  the drain timeout; then says GOODBYE and closes, discarding flows
-  that never finished.
+* **Graceful drain** — :meth:`ScanServer.stop` (and SIGTERM in the
+  CLI) lets every already-open scan flow stream to completion (its
+  DATA and FINISH_FLOW are still honored and its final RESULT
+  delivered) and every mask/beam op already received get its reply
+  out, up to the drain timeout; flows that never finished are
+  discarded.
 * **Hot swap** — with a grammar registry attached, ``POST
   /swap?grammar=name@version`` on the admin listener loads the new
-  artifact and installs it as a fresh *generation*: new OPEN_FLOWs
-  bind to it immediately, while flows already open keep streaming on
-  the generation (plan, tables, worker pool) they started on — the
-  same drain discipline as :meth:`stop`, applied per grammar version.
-  A generation with no remaining flows is retired (its worker pool
-  closed). Per-tenant traffic is accounted under
+  artifact and installs it as a fresh *generation*: new flows bind to
+  it immediately, while flows already open keep streaming on the
+  generation (plan, tables, worker pool) they started on — the same
+  drain discipline as :meth:`ScanServer.stop`, applied per grammar
+  version. A generation with no remaining flows is retired (its worker
+  pool closed). Per-tenant traffic is accounted under
   ``tenant.<ref>.*`` counters, and optional per-ref quotas bound the
-  open flows a grammar version may hold (``ERROR(OVERLOADED)``).
-
-* **Mask flows** — constrained-decoding sessions
+  open flows — of any kind — a grammar version may hold
+  (``ERROR(OVERLOADED)``).
+* **Mask and beam flows** — constrained-decoding sessions
   (:mod:`repro.apps.structgen`) ride the same framed connections:
-  OPEN_MASK binds a flow to a precomputed mask table (explicit
-  ``mask_tables=`` or lazily loaded from the registry for the served
-  grammar, cold-start timed), each ADVANCE is answered with the MASK
-  row for the resulting state. Mask sessions always run in-process on
-  the event loop — a mask query is a row copy out of the table's
-  state-complete matrix, far below the pool's dispatch cost.
+  OPEN_MASK / OPEN_BEAM bind a flow to a precomputed mask table
+  (explicit ``mask_tables=`` or lazily loaded from the registry for
+  the served grammar, cold-start timed), each ADVANCE /
+  BATCH_ADVANCE is answered with the MASK / MASKS for the resulting
+  state(s). They always run in-process on the event loop — a mask
+  query is a row copy out of the table's state-complete matrix, far
+  below the pool's dispatch cost.
 
 Observability: counters/gauges/histograms land in one
 :class:`~repro.service.metrics.MetricsRegistry` (shared with the
-service pool when there is one), exposed as JSON via :meth:`stats`
-and as Prometheus plaintext on the admin listener (``GET /metrics``,
-plus ``/healthz`` and ``/stats``).
+service pool when there is one), exposed as JSON via
+:meth:`ScanServer.stats` and as Prometheus plaintext on the admin
+listener (``GET /metrics``, plus ``/healthz`` and ``/stats``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import time
 import urllib.parse
 from typing import Any
 
 from repro.server import protocol
+from repro.server.endpoint import Connection, FramedEndpoint, reap
+from repro.server.flows import BEAM, KINDS, MASK, SCAN, Flow, Refused
 from repro.server.protocol import (
-    CONNECTION_FLOW,
     DEFAULT_MAX_FRAME,
+    BeamOp,
     ErrorCode,
     Frame,
     FrameType,
-    PROTOCOL_VERSION,
     ProtocolError,
 )
 from repro.service.errors import QueueFull
@@ -97,30 +102,45 @@ MASK_COLDSTART_BOUNDS_MS = (
 )
 
 
-class _Flow:
-    """Per-flow server state: the scan session (in-process mode) or
-    the service flow key (pool mode), the grammar generation the flow
-    is pinned to, plus timing for latency stats."""
+class _ServerFlow(Flow):
+    """Per-flow server state: the session driving it, the grammar
+    generation it is pinned to, plus timing for latency stats."""
 
-    __slots__ = (
-        "flow_id", "key", "session", "gen", "opened_at", "finishing",
-        "mask", "beam", "beam_rows",
-    )
+    __slots__ = ("session", "gen", "opened_at")
 
-    def __init__(self, flow_id: int, key: str, session, gen) -> None:
-        self.flow_id = flow_id
-        self.key = key
+    def __init__(self, flow_id: int, session, gen) -> None:
+        super().__init__(flow_id)
         self.session = session
         self.gen = gen
         self.opened_at = time.monotonic()
-        self.finishing = False
-        #: The MaskSession when this is a constrained-decoding flow.
-        self.mask = None
-        #: The BeamMaskSession when this is a beam flow.
-        self.beam = None
+
+
+class _ScanFlow(_ServerFlow):
+    """``session`` is the in-process scan session (None with a pool,
+    where ``key`` names the flow to the service)."""
+
+    __slots__ = ("key",)
+    kind = SCAN
+
+
+class _MaskFlow(_ServerFlow):
+    """``session`` is the flow's MaskSession."""
+
+    __slots__ = ()
+    kind = MASK
+
+
+class _BeamFlow(_ServerFlow):
+    """``session`` is the flow's BeamMaskSession."""
+
+    __slots__ = ("rows",)
+    kind = BEAM
+
+    def __init__(self, flow_id: int, session, gen) -> None:
+        super().__init__(flow_id, session, gen)
         #: The rows most recently sent in a MASKS frame, lane-major in
         #: one buffer — the base the next frame's deltas patch against.
-        self.beam_rows = b""
+        self.rows = b""
 
 
 class _Generation:
@@ -151,24 +171,12 @@ class _Generation:
         self.flows_refused = metrics.counter(f"tenant.{ref}.flows_refused")
 
 
-class _Connection:
-    """One accepted connection: handshake, frame loop, flow registry,
-    and the outbound side — frames queue up while a read's frames are
-    handled and leave in one write."""
+class _Connection(Connection):
+    """A server connection also holds scan results back so that they
+    leave merged: one RESULT per flow per read."""
 
     def __init__(self, server: "ScanServer", reader, writer, conn_id: int):
-        self.server = server
-        self.reader = reader
-        self.writer = writer
-        self.conn_id = conn_id
-        self.decoder = protocol.FrameDecoder(server.max_frame)
-        self.flows: dict[int, _Flow] = {}
-        self.peer_max_frame = DEFAULT_MAX_FRAME
-        self.draining = False
-        self.closed = False
-        self._write_lock = asyncio.Lock()
-        #: Encoded frames awaiting the next :meth:`flush`.
-        self._out: list[bytes] = []
+        super().__init__(server, reader, writer, conn_id)
         #: Results of the DATA frames handled since the last frame of
         #: another kind or flow. They leave as one RESULT: with the
         #: flow's own next RESULT, or when anything else is queued or
@@ -176,11 +184,10 @@ class _Connection:
         self._held_flow: int | None = None
         self._held: list = []
 
-    # ------------------------------------------------------------------
     def add_results(self, flow_id: int, results: list) -> None:
         """Hold a DATA frame's results for the flow's next RESULT."""
         if self._held_flow != flow_id:
-            self._queue_held()
+            self._settle()
             self._held_flow = flow_id
         self._held += results
 
@@ -188,11 +195,11 @@ class _Connection:
         """Queue ``results`` (behind what is held for the same flow, in
         the same RESULT) as frames within the peer's limit."""
         if self._held_flow != flow_id:
-            self._queue_held()
+            self._settle()
         held, self._held, self._held_flow = self._held, [], None
         self._queue_frames(flow_id, final, held + results)
 
-    def _queue_held(self) -> None:
+    def _settle(self) -> None:
         """What is held leaves now, as a RESULT of its own."""
         if self._held:
             held, self._held = self._held, []
@@ -205,65 +212,12 @@ class _Connection:
             )
         except ProtocolError as exc:
             # A record the peer's own frame limit has no room for.
-            self.server.metrics.counter("server.errors.sent").inc()
+            self.endpoint._errors_sent.inc()
             frames = [protocol.encode_error(flow_id, exc.code, str(exc))]
-        self._out += frames
-        self.server._tx_frames.inc(len(frames))
-
-    def queue(self, frame_bytes: bytes) -> None:
-        """Queue one encoded frame behind every result held so far
-        (the wire keeps the order the frames were handled in)."""
-        self._queue_held()
-        self._out.append(frame_bytes)
-        self.server._tx_frames.inc()
-
-    async def flush(self) -> None:
-        """Write everything queued in one go, under backpressure
-        (bounded buffer + drain: a slow reader suspends us here, never
-        grows memory)."""
-        self._queue_held()
-        if not self._out:
-            return
-        if self.closed:
-            self._out.clear()
-            return
-        async with self._write_lock:
-            # Whoever held the lock may have written ours too.
-            if not self._out or self.closed:
-                return
-            blob = b"".join(self._out)
-            self._out.clear()
-            try:
-                self.writer.write(blob)
-                self.server._tx_bytes.inc(len(blob))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                self.closed = True
-
-    async def send(self, frame_bytes: bytes) -> None:
-        """Queue one encoded frame and write it (with whatever was
-        queued ahead of it) now."""
-        self.queue(frame_bytes)
-        await self.flush()
-
-    async def send_error(self, flow_id: int, code: int, message: str):
-        self.server.metrics.counter("server.errors.sent").inc()
-        await self.send(protocol.encode_error(flow_id, code, message))
-
-    async def close(self) -> None:
-        self.closed = True
-        with contextlib.suppress(Exception):
-            self.writer.close()
-            await self.writer.wait_closed()
-
-    # ------------------------------------------------------------------
-    def flow_key(self, flow_id: int) -> str:
-        """Service-pool flow identity: connection-scoped ids must not
-        collide across connections sharing the pool."""
-        return f"conn{self.conn_id}/flow{flow_id}"
+        self.queue(*frames)
 
 
-class ScanServer:
+class ScanServer(FramedEndpoint):
     """Asyncio TCP server feeding flows through the scan engines.
 
     Parameters
@@ -285,7 +239,7 @@ class ScanServer:
         ``registry``. The spec's grammar field is replaced by the ref.
     quotas:
         Optional ``{ref: max_open_flows}`` per-tenant limits; a flow
-        opened past its grammar's quota is refused with
+        of any kind opened past its grammar's quota is refused with
         ``ERROR(OVERLOADED)``.
     mask_tables:
         Optional iterable of :class:`~repro.apps.structgen.MaskTable`
@@ -295,6 +249,9 @@ class ScanServer:
         ``structgen.coldstart_ms``); an unknown hash is refused with
         ``ERROR(UNKNOWN_VOCAB)``.
     """
+
+    role = "server"
+    connection_class = _Connection
 
     def __init__(
         self,
@@ -336,22 +293,25 @@ class ScanServer:
             artifact = self._registry.load(grammar)
             spec = self._spec_for_artifact(spec, artifact)
             ref = artifact.ref or grammar
+        super().__init__(
+            host,
+            port,
+            admin_port=admin_port,
+            idle_timeout=idle_timeout,
+            max_frame=max_frame,
+            metrics=metrics,
+            write_high_water=write_high_water,
+        )
+        self._admin_routes = {
+            "/metrics": self._admin_metrics,
+            "/healthz": self._admin_healthz,
+            "/stats": self._admin_stats,
+            "/swap": self._admin_swap,
+        }
         self.spec = spec
-        self.host = host
-        self.port = port
-        self.idle_timeout = idle_timeout
-        self.max_frame = max_frame
         self.queue_depth = queue_depth
-        self.admin_port = admin_port
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Per-frame metrics, looked up once.
-        self._rx_frames = self.metrics.counter("server.rx.frames")
-        self._rx_bytes = self.metrics.counter("server.rx.bytes")
-        self._tx_frames = self.metrics.counter("server.tx.frames")
-        self._tx_bytes = self.metrics.counter("server.tx.bytes")
         self._flow_bytes = self.metrics.counter("server.flows.bytes")
         self._scan_seconds = self.metrics.histogram("latency.scan_s")
-        self.write_high_water = write_high_water
         self.workers = workers
         self.quotas = dict(quotas) if quotas else {}
         #: vocab_hash -> MaskTable handed in explicitly (served as-is,
@@ -373,23 +333,15 @@ class ScanServer:
         self._started_pools = False
         self._current = self._new_generation(spec, ref)
 
-        self._server: asyncio.base_events.Server | None = None
-        self._admin_server: asyncio.base_events.Server | None = None
-        self._connections: dict[int, _Connection] = {}
-        self._conn_seq = 0
-        #: service flow key -> (connection, flow_id): flows whose
+        #: Scan flows opened so far; makes every pool flow key unique.
+        self._flow_seq = 0
+        #: service flow key -> (connection, flow): flows whose
         #: FINISH_FLOW is in the pool awaiting its final results.
-        self._pending: dict[str, tuple[_Connection, int]] = {}
+        self._pending: dict[str, tuple[_Connection, _ScanFlow]] = {}
         self._poll_task: asyncio.Task | None = None
-        self._draining = False
-        self._stopped = asyncio.Event()
-        #: last frame arrival: drain waits for rx quiescence, so
-        #: frames already on the wire when stop() is called still
-        #: reach their flows before connections close.
-        self._last_rx = time.monotonic()
-        #: Mask/beam ops (OPEN_MASK/ADVANCE/OPEN_BEAM/BATCH_ADVANCE)
-        #: received but whose reply write has not completed — counted
-        #: so a graceful drain cannot cut a reply mid-op.
+        #: Mask/beam frames received but whose reply write has not
+        #: completed — counted so a graceful drain cannot cut a reply
+        #: mid-op.
         self._ops_inflight = 0
 
     # ------------------------------------------------------------------
@@ -524,51 +476,20 @@ class ScanServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ScanServer":
-        """Bind the data (and optional admin) listeners and, with a
-        pool, spawn the workers and the result poll task."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        """Bind the listeners and, with a pool, spawn the workers and
+        the result poll task."""
+        await super().start()
         if self.workers:
             self._started_pools = True
             for gen in self._generations.values():
                 if gen.service is not None:
                     gen.service.start()
             self._poll_task = asyncio.ensure_future(self._poll_service())
-        if self.admin_port is not None:
-            self._admin_server = await asyncio.start_server(
-                self._handle_admin, self.host, self.admin_port
-            )
         return self
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — resolves port 0 to the real one."""
-        sockets = self._server.sockets if self._server else ()
-        if not sockets:
-            raise RuntimeError("server not started")
-        return sockets[0].getsockname()[:2]
-
-    @property
-    def admin_address(self) -> tuple[str, int]:
-        sockets = (
-            self._admin_server.sockets if self._admin_server else ()
-        )
-        if not sockets:
-            raise RuntimeError("admin listener not started")
-        return sockets[0].getsockname()[:2]
-
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` is called (from a signal handler,
-        another task, or a test)."""
-        await self._stopped.wait()
-
-    async def __aenter__(self) -> "ScanServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        await self.stop(drain=exc_type is None)
-        return False
+    def _busy(self, conn: Connection) -> bool:
+        """Pool flows of ``conn`` awaiting their final RESULT."""
+        return any(c is conn for c, _flow in self._pending.values())
 
     def _work_in_flight(self) -> bool:
         """Open scan flows (still streaming), pool flows awaiting
@@ -581,60 +502,17 @@ class ScanServer:
             bool(self._pending)
             or self._ops_inflight > 0
             or any(
-                flow.mask is None and flow.beam is None
+                flow.kind is SCAN
                 for conn in self._connections.values()
                 for flow in conn.flows.values()
             )
         )
 
-    async def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, let in-flight flows
-        complete (their final RESULT frames are delivered), close
-        connections.
-
-        With ``drain=False`` (or on drain timeout) connections are cut
-        without flushing.
-        """
-        if self._stopped.is_set():
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        if self._admin_server is not None:
-            self._admin_server.close()
-        if drain:
-            # Quiescence, not just emptiness: frames already in flight
-            # (written but not yet read off the socket) would make an
-            # instant "no open flows" check a lie.
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-                if self._work_in_flight():
-                    continue
-                if time.monotonic() - self._last_rx >= 0.05:
-                    break
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._poll_task
-        for conn in list(self._connections.values()):
-            if drain:
-                for flow in list(conn.flows.values()):
-                    if not flow.finishing:
-                        await conn.send_error(
-                            flow.flow_id,
-                            ErrorCode.DRAINING,
-                            "server draining; flow discarded",
-                        )
-                await conn.send(protocol.encode_goodbye())
-            await conn.close()
+    async def _shutdown(self, drain: bool) -> None:
+        await reap(self._poll_task)
         for gen in self._generations.values():
             if gen.service is not None:
                 gen.service.close(drain=drain)
-        if self._server is not None:
-            with contextlib.suppress(Exception):
-                await self._server.wait_closed()
-        self._stopped.set()
 
     # ------------------------------------------------------------------
     # stats
@@ -642,12 +520,16 @@ class ScanServer:
     def stats(self) -> dict:
         """JSON-safe snapshot of the shared metrics registry plus
         live connection/flow gauges."""
+        by_ref: dict[str, int] = {}
+        by_kind = dict.fromkeys(KINDS, 0)
+        for conn in self._connections.values():
+            for flow in conn.flows.values():
+                by_ref[flow.gen.ref] = by_ref.get(flow.gen.ref, 0) + 1
+                by_kind[flow.kind] += 1
         self.metrics.gauge("server.connections.open").set(
             len(self._connections)
         )
-        self.metrics.gauge("server.flows.open").set(
-            sum(len(c.flows) for c in self._connections.values())
-        )
+        self.metrics.gauge("server.flows.open").set(sum(by_kind.values()))
         self.metrics.gauge("server.flows.pending_results").set(
             len(self._pending)
         )
@@ -656,7 +538,7 @@ class ScanServer:
                 "generation": gen.gen_id,
                 "grammar": gen.ref,
                 "current": gen is self._current,
-                "open_flows": self._tenant_open(gen.ref),
+                "open_flows": by_ref.get(gen.ref, 0),
             }
             for gen in self._generations.values()
         ]
@@ -676,18 +558,8 @@ class ScanServer:
         structgen = {
             "tables": [t.describe() for t in tables],
             "memo": memo,
-            "sessions_open": sum(
-                1
-                for conn in self._connections.values()
-                for flow in conn.flows.values()
-                if flow.mask is not None
-            ),
-            "beams_open": sum(
-                1
-                for conn in self._connections.values()
-                for flow in conn.flows.values()
-                if flow.beam is not None
-            ),
+            "sessions_open": by_kind[MASK],
+            "beams_open": by_kind[BEAM],
         }
         if self.service is not None:
             snapshot = self.service.stats()
@@ -737,160 +609,74 @@ class ScanServer:
         return tagger if isinstance(tagger, VectorTagger) else None
 
     # ------------------------------------------------------------------
-    # data-plane connection handling
+    # data plane: what happens once the flow table accepted a frame
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self._conn_seq += 1
-        conn = _Connection(self, reader, writer, self._conn_seq)
-        writer.transport.set_write_buffer_limits(
-            high=self.write_high_water
-        )
-        self._connections[conn.conn_id] = conn
-        self.metrics.counter("server.connections.opened").inc()
-        try:
-            await self._frame_loop(conn)
-        except (ConnectionError, OSError):
-            pass
-        except ProtocolError as exc:
-            await conn.send_error(CONNECTION_FLOW, exc.code, str(exc))
-            self.metrics.counter("server.errors.protocol").inc()
-        finally:
-            await self._teardown(conn)
-
-    async def _hello(self, conn: _Connection, frame: Frame) -> bool:
-        """The client's first frame; False refuses the connection."""
-        if frame.type != FrameType.HELLO:
-            raise ProtocolError(
-                f"expected HELLO, got {frame.name}",
-                code=ErrorCode.BAD_FRAME,
-            )
-        version, peer_max = protocol.decode_hello(frame)
-        if version != PROTOCOL_VERSION:
-            await conn.send_error(
-                CONNECTION_FLOW,
-                ErrorCode.VERSION_MISMATCH,
-                f"server speaks v{PROTOCOL_VERSION}, client sent "
-                f"v{version}",
-            )
-            return False
-        conn.peer_max_frame = peer_max
-        await conn.send(
-            protocol.encode_hello(
-                PROTOCOL_VERSION, self.max_frame, self.grammar_refs()
-            )
-        )
-        return True
-
-    async def _read_frames(self, conn: _Connection) -> list[Frame] | None:
-        """Every frame the next socket read completes, or None on EOF;
-        idle connections are reaped (the timer runs per read, so a
-        frame dribbled in slower than the limit counts as idle)."""
-        taken = conn.decoder.taken
-        try:
-            frames = await asyncio.wait_for(
-                protocol.read_frames(conn.reader, conn.decoder),
-                timeout=self.idle_timeout,
-            )
-        except asyncio.TimeoutError:
-            self.metrics.counter("server.timeouts.idle").inc()
-            await conn.send_error(
-                CONNECTION_FLOW,
-                ErrorCode.IDLE_TIMEOUT,
-                f"no frame for {self.idle_timeout:g}s",
-            )
-            return None
-        if frames is not None:
-            self._last_rx = time.monotonic()
-            self._rx_frames.inc(len(frames))
-            self._rx_bytes.inc(conn.decoder.taken - taken)
-        return frames
-
-    async def _frame_loop(self, conn: _Connection) -> None:
-        """Read, handle every frame the read completed, write once."""
-        handlers = {
-            FrameType.DATA: self._data,
-            FrameType.OPEN_FLOW: self._open_flow,
-            FrameType.FINISH_FLOW: self._finish_flow,
-            FrameType.OPEN_MASK: self._open_mask,
-            FrameType.ADVANCE: self._advance,
-            FrameType.OPEN_BEAM: self._open_beam,
-            FrameType.BATCH_ADVANCE: self._batch_advance,
-        }
-        greeted = False
-        while not conn.closed:
-            frames = await self._read_frames(conn)
-            if frames is None:
-                return
-            for frame in frames:
-                if not greeted:
-                    if not await self._hello(conn, frame):
-                        return
-                    greeted = True
-                    continue
-                if frame.type == FrameType.GOODBYE:
-                    await self._client_goodbye(conn)
-                    return
-                handler = handlers.get(frame.type)
-                if handler is None:
-                    raise ProtocolError(
-                        f"unexpected {frame.name} frame from client"
-                    )
-                await handler(conn, frame)
-            await conn.flush()
-
-    # ------------------------------------------------------------------
-    async def _open_flow(self, conn: _Connection, frame: Frame) -> None:
-        flow_id = protocol.decode_open_flow(frame)
-        if self._draining:
-            await conn.send_error(
-                flow_id, ErrorCode.DRAINING, "server draining"
-            )
-            return
-        if flow_id in conn.flows or flow_id == CONNECTION_FLOW:
-            await conn.send_error(
-                flow_id, ErrorCode.DUPLICATE_FLOW,
-                f"flow {flow_id} already open",
-            )
-            return
+    def _at_quota(self) -> str | None:
         gen = self._current
         quota = self.quotas.get(gen.ref)
         if quota is not None and self._tenant_open(gen.ref) >= quota:
-            gen.flows_refused.inc()
-            await conn.send_error(
-                flow_id, ErrorCode.OVERLOADED,
-                f"grammar {gen.ref} at its quota of {quota} open flows",
-            )
+            return f"grammar {gen.ref} at its quota of {quota} open flows"
+        return None
+
+    async def _refuse(self, conn: Connection, refusal: Refused) -> None:
+        if refusal.code == ErrorCode.OVERLOADED:
+            self._current.flows_refused.inc()
+        await super()._refuse(conn, refusal)
+
+    def _drop(self, conn: Connection, flow: _ServerFlow) -> None:
+        if flow.kind is SCAN:
+            self._pending.pop(flow.key, None)
+
+    async def _teardown(self, conn: Connection) -> None:
+        await super()._teardown(conn)
+        self._retire_idle()
+
+    async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
+        if kind is not SCAN:
+            # Request/response on the event loop: the reply is owed
+            # from here on.
+            open_decode = self._open_mask if kind is MASK else self._open_beam
+            self._ops_inflight += 1
+            try:
+                await open_decode(conn, flow_id, frame)
+            finally:
+                self._ops_inflight -= 1
             return
+        gen = self._current
         session = (
-            gen.backend.new_session()
-            if gen.backend is not None
-            else None
+            gen.backend.new_session() if gen.backend is not None else None
         )
-        conn.flows[flow_id] = _Flow(
-            flow_id, conn.flow_key(flow_id), session, gen
-        )
+        flow = _ScanFlow(flow_id, session, gen)
+        # Connection-scoped ids must not collide across connections
+        # sharing the pool, nor with a closed flow whose id is reused.
+        self._flow_seq += 1
+        flow.key = f"conn{conn.conn_id}/flow{flow_id}/{self._flow_seq}"
+        conn.table.open(flow)
         self.metrics.counter("server.flows.opened").inc()
         gen.flows_opened.inc()
 
-    async def _data(self, conn: _Connection, frame: Frame) -> None:
-        flow_id, chunk = protocol.decode_data(frame)
-        flow = conn.flows.get(flow_id)
-        if flow is None or flow.finishing:
-            await conn.send_error(
-                flow_id, ErrorCode.UNKNOWN_FLOW,
-                f"DATA for unopened flow {flow_id}",
-            )
+    async def _op(self, conn, flow: _ServerFlow, frame: Frame) -> None:
+        if flow.kind is SCAN:
+            if frame.type == FrameType.DATA:
+                await self._data(conn, flow, frame)
+            else:
+                await self._finish_scan(conn, flow)
             return
-        if flow.mask is not None or flow.beam is not None:
-            del conn.flows[flow_id]
-            await conn.send_error(
-                flow_id, ErrorCode.BAD_FRAME,
-                f"DATA on mask flow {flow_id} "
-                "(use ADVANCE/BATCH_ADVANCE)",
-            )
-            return
+        self._ops_inflight += 1
+        try:
+            if frame.type == FrameType.FINISH_FLOW:
+                # Mask and beam flows have no tail: acknowledge with an
+                # empty final RESULT (same close discipline as scan).
+                await self._finished(conn, flow, [])
+            else:
+                await self._step(conn, flow, frame)
+        finally:
+            self._ops_inflight -= 1
+
+    async def _data(self, conn, flow: _ScanFlow, frame: Frame) -> None:
+        _flow_id, chunk = protocol.decode_data(frame)
         # While draining, flows opened before the drain began may
-        # still stream to completion; only OPEN_FLOW is refused.
+        # still stream to completion; only opening frames are refused.
         self._flow_bytes.inc(len(chunk))
         flow.gen.bytes.inc(len(chunk))
         if flow.gen.service is not None:
@@ -900,68 +686,51 @@ class ScanServer:
         try:
             results = flow.session.feed_records(chunk)
         except Exception as exc:  # scan fault: report, drop the flow
-            self.metrics.counter("server.errors.scan").inc()
-            del conn.flows[flow_id]
-            await conn.send_error(flow_id, ErrorCode.INTERNAL, str(exc))
+            await self._fault(conn, flow, exc)
             return
         self._scan_seconds.observe(time.perf_counter() - started)
         if results:
-            conn.add_results(flow_id, results)
+            conn.add_results(flow.flow_id, results)
 
-    async def _finish_flow(self, conn: _Connection, frame: Frame) -> None:
-        flow_id = protocol.decode_finish_flow(frame)
-        flow = conn.flows.get(flow_id)
-        if flow is None or flow.finishing:
-            await conn.send_error(
-                flow_id, ErrorCode.UNKNOWN_FLOW,
-                f"FINISH_FLOW for unopened flow {flow_id}",
-            )
-            return
-        if flow.mask is not None or flow.beam is not None:
-            # Mask and beam flows have no tail: acknowledge with an
-            # empty final RESULT (same close discipline as scan flows).
-            del conn.flows[flow_id]
-            self.metrics.counter(
-                "structgen.beams_closed"
-                if flow.beam is not None
-                else "structgen.sessions_closed"
-            ).inc()
-            self.metrics.histogram("latency.flow_s").observe(
-                time.monotonic() - flow.opened_at
-            )
-            self._retire_idle()
-            conn.queue_result(flow_id, True, [])
-            await conn.flush()
-            return
+    async def _finish_scan(self, conn, flow: _ScanFlow) -> None:
         if flow.gen.service is not None:
-            flow.finishing = True
-            self._pending[flow.key] = (conn, flow_id)
+            self._pending[flow.key] = (conn, flow)
             await self._paced(flow.gen.service.finish_flow, flow.key)
             return
         try:
             tail = flow.session.finish_records()
         except Exception as exc:
-            self.metrics.counter("server.errors.scan").inc()
-            del conn.flows[flow_id]
-            await conn.send_error(flow_id, ErrorCode.INTERNAL, str(exc))
+            await self._fault(conn, flow, exc)
             return
-        self._observe_flow_done(flow)
-        del conn.flows[flow_id]
-        self._retire_idle()
-        # One final RESULT (what this read's DATA frames produced for
-        # the flow rides along), written now, not at the read's end.
-        conn.queue_result(flow_id, True, tail)
-        await conn.flush()
+        await self._finished(conn, flow, tail)
 
-    def _observe_flow_done(self, flow: _Flow) -> None:
-        self.metrics.counter("server.flows.finished").inc()
-        flow.gen.flows_finished.inc()
+    async def _fault(self, conn, flow: _ServerFlow, exc) -> None:
+        self.metrics.counter("server.errors.scan").inc()
+        await self._fail_flow(conn, flow, ErrorCode.INTERNAL, str(exc))
+
+    async def _finished(self, conn, flow: _ServerFlow, results: list):
+        """Close ``flow`` with its one final RESULT (what this read's
+        DATA frames produced for it rides along), written now, not at
+        the read's end."""
+        conn.table.close(flow)
+        if flow.kind is SCAN:
+            self.metrics.counter("server.flows.finished").inc()
+            flow.gen.flows_finished.inc()
+        else:
+            self.metrics.counter(
+                "structgen.beams_closed"
+                if flow.kind is BEAM
+                else "structgen.sessions_closed"
+            ).inc()
         self.metrics.histogram("latency.flow_s").observe(
             time.monotonic() - flow.opened_at
         )
+        self._retire_idle()
+        conn.queue_result(flow.flow_id, True, results)
+        await conn.flush()
 
     # ------------------------------------------------------------------
-    # constrained-decoding (mask) flows
+    # constrained-decoding (mask and beam) flows
     # ------------------------------------------------------------------
     def _find_mask_table(self, vocab_hash: str):
         """The mask table for a vocabulary hash: explicit tables
@@ -991,19 +760,9 @@ class ScanServer:
         self._mask_loaded[cache_key] = table
         return table
 
-    async def _open_mask(self, conn: _Connection, frame: Frame) -> None:
-        flow_id, vocab_hash = protocol.decode_open_mask(frame)
-        if self._draining:
-            await conn.send_error(
-                flow_id, ErrorCode.DRAINING, "server draining"
-            )
-            return
-        if flow_id in conn.flows or flow_id == CONNECTION_FLOW:
-            await conn.send_error(
-                flow_id, ErrorCode.DUPLICATE_FLOW,
-                f"flow {flow_id} already open",
-            )
-            return
+    async def _mask_table_for(self, conn, flow_id: int, vocab_hash: str):
+        """The table an OPEN_MASK / OPEN_BEAM binds to, or None once
+        the open has been refused with ``UNKNOWN_VOCAB``."""
         table = self._find_mask_table(vocab_hash)
         if table is None:
             await conn.send_error(
@@ -1012,109 +771,26 @@ class ScanServer:
                 f"(grammar {self._current.ref}); run "
                 "`repro structgen precompute`",
             )
+        return table
+
+    async def _open_mask(self, conn, flow_id: int, frame: Frame) -> None:
+        _flow_id, vocab_hash = protocol.decode_open_mask(frame)
+        table = await self._mask_table_for(conn, flow_id, vocab_hash)
+        if table is None:
             return
         from repro.apps.structgen.masks import MaskSession
 
-        flow = _Flow(flow_id, conn.flow_key(flow_id), None, self._current)
-        flow.mask = MaskSession(table, metrics=self.metrics)
-        conn.flows[flow_id] = flow
+        session = MaskSession(table, metrics=self.metrics)
+        conn.table.open(_MaskFlow(flow_id, session, self._current))
         self.metrics.counter("structgen.sessions_opened").inc()
-        self._ops_inflight += 1
-        try:
-            await conn.send(
-                protocol.encode_mask(
-                    flow_id, flow.mask.state, flow.mask.mask()
-                )
-            )
-        finally:
-            self._ops_inflight -= 1
-
-    async def _advance(self, conn: _Connection, frame: Frame) -> None:
-        flow_id, token_id = protocol.decode_advance(frame)
-        flow = conn.flows.get(flow_id)
-        if flow is None or flow.mask is None:
-            await conn.send_error(
-                flow_id, ErrorCode.UNKNOWN_FLOW,
-                f"ADVANCE for unopened mask flow {flow_id}",
-            )
-            return
-        from repro.apps.structgen.masks import MaskError
-
-        started = time.perf_counter()
-        self._ops_inflight += 1
-        try:
-            try:
-                state = flow.mask.advance(token_id)
-                row = flow.mask.mask()
-            except MaskError as exc:
-                del conn.flows[flow_id]
-                await conn.send_error(
-                    flow_id, ErrorCode.BAD_TOKEN, str(exc)
-                )
-                return
-            except Exception as exc:
-                self.metrics.counter("server.errors.scan").inc()
-                del conn.flows[flow_id]
-                await conn.send_error(
-                    flow_id, ErrorCode.INTERNAL, str(exc)
-                )
-                return
-            self.metrics.histogram("latency.mask_s").observe(
-                time.perf_counter() - started
-            )
-            await conn.send(protocol.encode_mask(flow_id, state, row))
-        finally:
-            self._ops_inflight -= 1
-
-    # ------------------------------------------------------------------
-    # beam flows (batched constrained decoding)
-    # ------------------------------------------------------------------
-    def _encode_beam_masks(self, flow: _Flow) -> bytes:
-        """One MASKS frame for the beam's current masks, each lane
-        delta-encoded against the row last sent for that lane index
-        (full on new lanes or when the patch would not be smaller —
-        the resync escape)."""
-        from repro.apps.structgen.beam import encode_lane_records
-
-        beam = flow.beam
-        rb = beam.table.row_bytes
-        packed = beam.masks_packed()
-        states = beam.states
-        records, delta_lanes = encode_lane_records(
-            states, packed, flow.beam_rows, rb
-        )
-        flow.beam_rows = packed
-        self.metrics.counter("structgen.beam_lanes_full").inc(
-            len(states) - delta_lanes
-        )
-        self.metrics.counter("structgen.beam_lanes_delta").inc(
-            delta_lanes
-        )
-        return protocol.encode_masks_records(
-            flow.flow_id, len(states), rb, records
+        await conn.send(
+            protocol.encode_mask(flow_id, session.state, session.mask())
         )
 
-    async def _open_beam(self, conn: _Connection, frame: Frame) -> None:
-        flow_id, width, vocab_hash = protocol.decode_open_beam(frame)
-        if self._draining:
-            await conn.send_error(
-                flow_id, ErrorCode.DRAINING, "server draining"
-            )
-            return
-        if flow_id in conn.flows or flow_id == CONNECTION_FLOW:
-            await conn.send_error(
-                flow_id, ErrorCode.DUPLICATE_FLOW,
-                f"flow {flow_id} already open",
-            )
-            return
-        table = self._find_mask_table(vocab_hash)
+    async def _open_beam(self, conn, flow_id: int, frame: Frame) -> None:
+        _flow_id, width, vocab_hash = protocol.decode_open_beam(frame)
+        table = await self._mask_table_for(conn, flow_id, vocab_hash)
         if table is None:
-            await conn.send_error(
-                flow_id, ErrorCode.UNKNOWN_VOCAB,
-                f"no mask tables for vocabulary {vocab_hash[:16]} "
-                f"(grammar {self._current.ref}); run "
-                "`repro structgen precompute`",
-            )
             return
         if table.row_bytes > protocol.MAX_MASKS_ROW_BYTES:
             # MASKS carries row_bytes and delta byte offsets as u16.
@@ -1128,86 +804,76 @@ class ScanServer:
             return
         from repro.apps.structgen.beam import BeamMaskSession
 
-        flow = _Flow(flow_id, conn.flow_key(flow_id), None, self._current)
-        flow.beam = BeamMaskSession(table, width, metrics=self.metrics)
-        conn.flows[flow_id] = flow
+        session = BeamMaskSession(table, width, metrics=self.metrics)
+        flow = _BeamFlow(flow_id, session, self._current)
+        conn.table.open(flow)
         self.metrics.counter("structgen.beams_opened").inc()
-        self._ops_inflight += 1
-        try:
-            await conn.send(self._encode_beam_masks(flow))
-        finally:
-            self._ops_inflight -= 1
+        await conn.send(self._encode_beam_masks(flow))
 
-    async def _batch_advance(
-        self, conn: _Connection, frame: Frame
-    ) -> None:
-        flow_id, op, arg = protocol.decode_batch_advance(frame)
-        flow = conn.flows.get(flow_id)
-        if flow is None or flow.beam is None:
-            await conn.send_error(
-                flow_id, ErrorCode.UNKNOWN_FLOW,
-                f"BATCH_ADVANCE for unopened beam flow {flow_id}",
-            )
-            return
+    async def _step(self, conn, flow: _ServerFlow, frame: Frame) -> None:
+        """ADVANCE on a mask flow, BATCH_ADVANCE on a beam flow: one
+        MASK / MASKS back. A refused token is ``BAD_TOKEN``: fatal to
+        a mask flow, while a beam — atomic, the failed op moved
+        nothing — stays open on its previous states (the lifecycle
+        table's call, in :meth:`_fail_flow`)."""
         from repro.apps.structgen.masks import MaskError
-        from repro.server.protocol import BeamOp
 
+        step = self._advance if flow.kind is MASK else self._batch_advance
         started = time.perf_counter()
-        self._ops_inflight += 1
         try:
-            try:
-                if op == BeamOp.ADVANCE:
-                    flow.beam.advance(arg)
-                elif op == BeamOp.FORK:
-                    flow.beam.fork(arg)
-                else:
-                    flow.beam.rollback(arg)
-            except MaskError as exc:
-                # The beam is atomic: the failed op moved nothing, so
-                # the flow stays open on its previous states. Report
-                # and let the client pick another token.
-                await conn.send_error(
-                    flow_id, ErrorCode.BAD_TOKEN, str(exc)
-                )
-                return
-            except Exception as exc:
-                self.metrics.counter("server.errors.scan").inc()
-                del conn.flows[flow_id]
-                await conn.send_error(
-                    flow_id, ErrorCode.INTERNAL, str(exc)
-                )
-                return
-            reply = self._encode_beam_masks(flow)
-            self.metrics.histogram("latency.mask_s").observe(
-                time.perf_counter() - started
-            )
-            await conn.send(reply)
-        finally:
-            self._ops_inflight -= 1
+            reply = step(flow, frame)
+        except MaskError as exc:
+            await self._fail_flow(conn, flow, ErrorCode.BAD_TOKEN, str(exc))
+            return
+        except ProtocolError:  # a malformed frame: the connection's fault
+            raise
+        except Exception as exc:
+            await self._fault(conn, flow, exc)
+            return
+        self.metrics.histogram("latency.mask_s").observe(
+            time.perf_counter() - started
+        )
+        await conn.send(reply)
 
-    async def _client_goodbye(self, conn: _Connection) -> None:
-        """Client is done sending: flush its pending pool flows, then
-        answer GOODBYE and close."""
-        deadline = time.monotonic() + self.idle_timeout
-        while (
-            any(c is conn for c, _f in self._pending.values())
-            and time.monotonic() < deadline
-        ):
-            await asyncio.sleep(0.002)
-        await conn.send(protocol.encode_goodbye())
-        await conn.close()
+    def _advance(self, flow: _MaskFlow, frame: Frame) -> bytes:
+        _flow_id, token_id = protocol.decode_advance(frame)
+        state = flow.session.advance(token_id)
+        return protocol.encode_mask(flow.flow_id, state, flow.session.mask())
 
-    async def _teardown(self, conn: _Connection) -> None:
-        self._connections.pop(conn.conn_id, None)
-        self.metrics.counter("server.connections.closed").inc()
-        # Forget pool flows this connection can no longer receive.
-        for key in [
-            k for k, (c, _f) in self._pending.items() if c is conn
-        ]:
-            del self._pending[key]
-        conn.flows.clear()
-        self._retire_idle()
-        await conn.close()
+    def _batch_advance(self, flow: _BeamFlow, frame: Frame) -> bytes:
+        _flow_id, op, arg = protocol.decode_batch_advance(frame)
+        if op == BeamOp.ADVANCE:
+            flow.session.advance(arg)
+        elif op == BeamOp.FORK:
+            flow.session.fork(arg)
+        else:
+            flow.session.rollback(arg)
+        return self._encode_beam_masks(flow)
+
+    def _encode_beam_masks(self, flow: _BeamFlow) -> bytes:
+        """One MASKS frame for the beam's current masks, each lane
+        delta-encoded against the row last sent for that lane index
+        (full on new lanes or when the patch would not be smaller —
+        the resync escape)."""
+        from repro.apps.structgen.beam import encode_lane_records
+
+        beam = flow.session
+        rb = beam.table.row_bytes
+        packed = beam.masks_packed()
+        states = beam.states
+        records, delta_lanes = encode_lane_records(
+            states, packed, flow.rows, rb
+        )
+        flow.rows = packed
+        self.metrics.counter("structgen.beam_lanes_full").inc(
+            len(states) - delta_lanes
+        )
+        self.metrics.counter("structgen.beam_lanes_delta").inc(
+            delta_lanes
+        )
+        return protocol.encode_masks_records(
+            flow.flow_id, len(states), rb, records
+        )
 
     # ------------------------------------------------------------------
     # service-pool plumbing
@@ -1231,30 +897,31 @@ class ScanServer:
         Every live generation's pool is polled: after a hot swap,
         draining generations still owe finals to their flows."""
         while True:
-            delivered = False
             for gen in list(self._generations.values()):
                 if gen.service is None:
                     continue
                 for key in gen.service.poll():
                     items = gen.service.pop_flow(key)
                     target = self._pending.pop(key, None)
-                    if target is None:  # connection went away
-                        continue
-                    conn, flow_id = target
-                    flow = conn.flows.pop(flow_id, None)
-                    if flow is not None:
-                        self._observe_flow_done(flow)
-                    delivered = True
-                    conn.queue_result(flow_id, True, items)
-                    await conn.flush()
-            if delivered:
-                self._retire_idle()
+                    if target is not None:  # else: the flow went away
+                        await self._finished(*target, items)
             await asyncio.sleep(0.001 if self._pending else 0.02)
 
     # ------------------------------------------------------------------
-    # admin endpoint: minimal HTTP/1.0, plaintext
+    # admin routes
     # ------------------------------------------------------------------
-    def _admin_swap(self, method: str, query: str) -> tuple[str, str]:
+    async def _admin_metrics(self, _method, _query) -> tuple[str, str]:
+        self.stats()  # refresh gauges
+        return "200 OK", self.metrics.render_prometheus()
+
+    async def _admin_healthz(self, _method, _query) -> tuple[str, str]:
+        return "200 OK", "ok\n"
+
+    async def _admin_stats(self, _method, _query) -> tuple[str, str]:
+        body = json.dumps(self.stats(), indent=2, sort_keys=True)
+        return "200 OK", body + "\n"
+
+    async def _admin_swap(self, method: str, query: str) -> tuple[str, str]:
         """``POST /swap?grammar=name@version`` — hot-swap the served
         grammar. Wrong method is 405, missing param 400, a registry or
         load failure 409 (the server keeps serving what it was)."""
@@ -1271,50 +938,3 @@ class ScanServer:
         except Exception as exc:
             return "409 Conflict", f"swap failed: {exc}\n"
         return "200 OK", json.dumps(info, sort_keys=True) + "\n"
-
-    async def _handle_admin(self, reader, writer) -> None:
-        try:
-            request = await asyncio.wait_for(
-                reader.readline(), timeout=self.idle_timeout
-            )
-            parts = request.decode("latin-1").split()
-            method = parts[0].upper() if parts else "GET"
-            target = parts[1] if len(parts) >= 2 else "/"
-            path, _, query = target.partition("?")
-            while True:  # drain headers
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.idle_timeout
-                )
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/metrics":
-                self.stats()  # refresh gauges
-                status, body = "200 OK", self.metrics.render_prometheus()
-            elif path == "/healthz":
-                status, body = "200 OK", "ok\n"
-            elif path == "/stats":
-                status, body = "200 OK", json.dumps(
-                    self.stats(), indent=2, sort_keys=True
-                ) + "\n"
-            elif path == "/swap":
-                status, body = self._admin_swap(method, query)
-            else:
-                status, body = "404 Not Found", f"no route {path}\n"
-            payload = body.encode("utf-8")
-            writer.write(
-                (
-                    f"HTTP/1.0 {status}\r\n"
-                    "Content-Type: text/plain; version=0.0.4; "
-                    "charset=utf-8\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
-                + payload
-            )
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()

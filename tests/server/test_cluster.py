@@ -4,9 +4,9 @@ Ring properties (determinism, minimal remap on membership change),
 backend-spec parsing, and the proxy's end-to-end contract: scan, mask
 and beam flows through the proxy are byte-for-byte identical to flows
 against a single server, the aggregated admin endpoint merges backend
-expositions under ``backend="host:port"`` labels, and the protocol
-fault paths (duplicate open, operating on an unknown flow) reply with
-the same typed errors a bare :class:`~repro.server.ScanServer` would.
+expositions under ``backend="host:port"`` labels. That the protocol
+fault paths reply exactly as a bare :class:`~repro.server.ScanServer`
+would is ``test_conformance.py``'s subject.
 """
 
 import asyncio
@@ -25,13 +25,10 @@ from repro.server import (
     ScanProxy,
     ScanServer,
     parse_backend,
-    protocol,
 )
 from repro.server.cluster import _http_get
 from repro.server.loadgen import _set_bits
 from repro.server.protocol import ErrorCode, ServerFault
-
-from tests.server.conftest import FrameReader
 
 
 def run(coro):
@@ -207,35 +204,6 @@ def test_proxied_beam_flow_matches_mirrors(table):
                 await flow.rollback(1)
                 assert flow.width == 4
                 await flow.close()
-
-    run(scenario())
-
-
-# ----------------------------------------------------------------------
-# fault paths mirror the single-server contract
-# ----------------------------------------------------------------------
-def test_proxy_duplicate_and_unknown_flow_errors(table):
-    async def scenario():
-        async with running_cluster(table, n=2) as (proxy, _servers):
-            reader, writer = await asyncio.open_connection(*proxy.address)
-            frames = FrameReader(reader)
-            writer.write(protocol.encode_hello())
-            await writer.drain()
-            await frames.frame()  # proxy HELLO
-
-            writer.write(protocol.encode_open_flow(7))
-            writer.write(protocol.encode_open_flow(7))  # duplicate
-            await writer.drain()
-            frame = await asyncio.wait_for(frames.frame(), 5.0)
-            flow_id, code, _detail = protocol.decode_error(frame)
-            assert (flow_id, code) == (7, ErrorCode.DUPLICATE_FLOW)
-
-            writer.write(protocol.encode_data(99, b"zz"))  # never opened
-            await writer.drain()
-            frame = await asyncio.wait_for(frames.frame(), 5.0)
-            flow_id, code, _detail = protocol.decode_error(frame)
-            assert (flow_id, code) == (99, ErrorCode.UNKNOWN_FLOW)
-            writer.close()
 
     run(scenario())
 

@@ -3,6 +3,7 @@ rejection, slow-consumer backpressure (bounded server memory), pool
 backpressure pauses, and graceful drain delivering in-flight RESULTs."""
 
 import asyncio
+import time
 
 from repro.server import ScanClient, ServerFault, protocol
 from repro.server.protocol import ErrorCode, FrameType
@@ -133,21 +134,31 @@ def test_data_for_unopened_flow_is_flow_error():
     run(main())
 
 
-def test_duplicate_open_flow_fails_that_flow():
+def test_duplicate_open_releases_the_flow():
+    """Regression: after ERROR(DUPLICATE_FLOW) the client drops the
+    flow, so the server must too — a flow it kept would hold a session,
+    a quota slot and its generation, and make a graceful stop wait out
+    its whole drain timeout for a FINISH_FLOW that can never come."""
+
     async def main():
         async with running_server() as server:
-            host, port = server.address
-            client = ScanClient(host, port)
-            await client.connect()
-            flow = await client.open_flow()
-            await client._send(protocol.encode_open_flow(flow.flow_id))
-            await asyncio.sleep(0.05)
-            try:
-                await flow.finish(timeout=2.0)
-                raise AssertionError("expected ServerFault")
-            except ServerFault as fault:
-                assert fault.code == ErrorCode.DUPLICATE_FLOW
-            await client.close()
+            reader, writer = await asyncio.open_connection(*server.address)
+            frames = FrameReader(reader)
+            writer.write(
+                protocol.encode_hello()
+                + protocol.encode_open_flow(7)
+                + protocol.encode_open_flow(7)
+            )
+            await writer.drain()
+            await frames.frame()  # server HELLO
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
+            flow_id, code, _detail = protocol.decode_error(frame)
+            assert (flow_id, code) == (7, ErrorCode.DUPLICATE_FLOW)
+            assert server._tenant_open("default") == 0
+            started = time.monotonic()
+            await server.stop(drain=True, timeout=5)
+            assert time.monotonic() - started < 0.5
+            writer.close()
 
     run(main())
 
