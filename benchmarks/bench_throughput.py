@@ -29,6 +29,7 @@ CPUs to make that honest).
 """
 
 import os
+import random
 import time
 
 import pytest
@@ -60,20 +61,29 @@ def _gbps(n_bytes: int, seconds: float) -> float:
     return n_bytes * 8 / seconds / 1e9
 
 
-def _best_rate(run, data: bytes, reps: int, warmup: int = 1) -> float:
-    """Best-of-``reps`` wall-clock rate in Gbps (noise-resistant).
+def _best_seconds(run, reps: int, warmup: int = 1) -> float:
+    """Best-of-``reps`` wall-clock seconds for ``run()`` (noise-resistant).
 
     ``warmup`` untimed iterations first, so lazily-materialized tables,
     memo warm-up and allocator steady state never pollute the timings.
     """
     for _ in range(warmup):
-        run(data)
+        run()
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        run(data)
+        run()
         best = min(best, time.perf_counter() - start)
-    return _gbps(len(data), best)
+    return best
+
+
+def _best_rate(run, data: bytes, reps: int, warmup: int = 1) -> float:
+    """Best-of-``reps`` rate of ``run(data)`` in Gbps."""
+    return _gbps(len(data), _best_seconds(lambda: run(data), reps, warmup))
+
+
+def _valid_tokens(row: bytes, n_tokens: int) -> list[int]:
+    return [i for i in range(n_tokens) if row[i >> 3] >> (i & 7) & 1]
 
 
 def test_rate_report(report_sink, bench_record, grammar, stream, benchmark):
@@ -203,29 +213,53 @@ def test_structgen_masks(bench_record, grammar):
     alongside the rates, so the trajectory file shows *why* a mask was
     cheap (how much of the vocabulary the trie precomputation covered).
     """
-    from repro.apps.structgen import run_mask_bench, synthetic_vocab
-    from repro.apps.structgen.bench import random_walk_states
-    from repro.apps.structgen.masks import build_mask_table
+    from repro.apps.structgen import (
+        MaskSession,
+        build_mask_table,
+        synthetic_vocab,
+    )
 
     vocab = synthetic_vocab(size=1024)
     table = build_mask_table(grammar, vocab)
-    for state in random_walk_states(table, steps=60):
+    # A seeded decode trajectory: from state 0, repeatedly pick a
+    # uniformly random valid token and advance (reset on dead ends).
+    rng = random.Random(2006)
+    session = MaskSession(table)
+    states = []
+    for _ in range(200):
+        states.append(session.state)
+        valid = _valid_tokens(session.mask(), len(vocab))
+        if valid:
+            session.advance(rng.choice(valid))
+        else:
+            session.reset()
+    for state in states[:60]:
         assert table.mask_row(state) == table.naive_row(state)
 
-    report = run_mask_bench(
-        grammar, vocab=vocab, steps=200, naive_steps=20
-    )
-    bench_record("structgen masks/sec", report["masks_per_s"], unit=None)
+    def precomputed():
+        for state in states:
+            session.state = state
+            session.mask()
+
+    # The naive rescan is orders of magnitude slower, so it runs over
+    # a prefix of the same trajectory; both rates are per mask.
+    naive_states = states[:20]
+
+    def naive():
+        for state in naive_states:
+            table.naive_row(state)
+
+    masks_per_s = len(states) / _best_seconds(precomputed, reps=3)
+    naive_per_s = len(naive_states) / _best_seconds(naive, reps=1)
+    bench_record("structgen masks/sec", masks_per_s, unit=None)
+    bench_record("structgen naive masks/sec", naive_per_s, unit=None)
     bench_record(
-        "structgen naive masks/sec",
-        report["naive_masks_per_s"],
-        unit=None,
+        "structgen speedup", masks_per_s / naive_per_s, unit=None
     )
-    bench_record("structgen speedup", report["speedup"], unit=None)
     bench_record(
-        "structgen ci fraction", report["ci_fraction"], unit=None
+        "structgen ci fraction", table.ci_count / len(vocab), unit=None
     )
-    assert report["speedup"] >= 10.0
+    assert masks_per_s / naive_per_s >= 10.0
 
 
 def test_structgen_beam(bench_record, grammar):
@@ -235,28 +269,97 @@ def test_structgen_beam(bench_record, grammar):
     (byte-identical results are the differential suite's job; this
     test gates the rate and records the wire-delta saving).
     """
-    from repro.apps.structgen import run_beam_bench, synthetic_vocab
-
-    vocab = synthetic_vocab(size=1024)
-    report = run_beam_bench(
-        grammar, vocab=vocab, width=32, steps=120
+    from repro.apps.structgen import (
+        BeamMaskSession,
+        MaskSession,
+        build_mask_table,
+        synthetic_vocab,
     )
+    from repro.apps.structgen.beam import xor_patch
+
+    width = 32
+    vocab = synthetic_vocab(size=1024)
+    table = build_mask_table(grammar, vocab)
+    lanes = [MaskSession(table) for _ in range(width)]
+
+    # A seeded beam trajectory both sides replay: per step one valid
+    # token id per lane, or None — a full-beam reset — when any lane
+    # dead-ends.
+    rng = random.Random(2006)
+    ops: list = []
+    for _ in range(120):
+        choices = [_valid_tokens(lane.mask(), len(vocab)) for lane in lanes]
+        if all(choices):
+            ids = [rng.choice(valid) for valid in choices]
+            for lane, token in zip(lanes, ids):
+                lane.advance(token)
+        else:
+            ids = None
+            for lane in lanes:
+                lane.reset()
+        ops.append(ids)
+
+    beam = BeamMaskSession(table, width)
+
+    def run_beam():
+        beam.reset(width)
+        for ids in ops:
+            if ids is None:
+                beam.reset(width)
+                beam.masks_packed()
+            else:
+                beam.advance_masks(ids)
+
+    def run_sessions():
+        for lane in lanes:
+            lane.reset()
+        for ids in ops:
+            if ids is None:
+                for lane in lanes:
+                    lane.reset()
+            else:
+                for lane, token in zip(lanes, ids):
+                    lane.advance(token)
+            for lane in lanes:
+                lane.mask()
+
+    beam_s = _best_seconds(run_beam, reps=3)
+    sessions_s = _best_seconds(run_sessions, reps=3)
+
+    # Wire accounting: per step, per lane, a delta payload (3 bytes
+    # per changed row byte + 3 bytes of frame overhead) vs the full
+    # row — the MASKS frame picks whichever is smaller.
+    beam.reset(width)
+    prev = list(beam.masks())
+    delta_bytes = full_bytes = 0
+    for ids in ops:
+        if ids is None:
+            beam.reset(width)
+        else:
+            beam.advance(ids)
+        rows = beam.masks()
+        for before, row in zip(prev, rows):
+            full_bytes += table.row_bytes
+            delta_bytes += min(
+                len(xor_patch(before, row)) + 3, table.row_bytes + 1
+            )
+        prev = rows
+
+    masks_total = width * len(ops)
     bench_record(
-        "structgen beam masks/sec",
-        report["beam_masks_per_s"],
-        unit=None,
+        "structgen beam masks/sec", masks_total / beam_s, unit=None
     )
     bench_record(
         "structgen beam sessions masks/sec",
-        report["sessions_masks_per_s"],
+        masks_total / sessions_s,
         unit=None,
     )
     bench_record(
-        "structgen beam speedup", report["speedup"], unit=None
+        "structgen beam speedup", sessions_s / beam_s, unit=None
     )
     bench_record(
         "structgen beam wire delta ratio",
-        report["wire_delta_ratio"],
+        delta_bytes / full_bytes,
         unit=None,
     )
     bench_record(
@@ -264,10 +367,10 @@ def test_structgen_beam(bench_record, grammar):
         float(os.cpu_count() or 1),
         unit=None,
     )
-    assert report["speedup"] >= 5.0
+    assert sessions_s / beam_s >= 5.0
     # The incremental deltas must actually pay on the wire: shipping
     # patched rows beats shipping full rows by a wide margin.
-    assert report["wire_delta_ratio"] <= 0.5
+    assert delta_bytes / full_bytes <= 0.5
 
 
 def test_service_scaling(bench_record, grammar, stream):

@@ -71,8 +71,7 @@ def pytest_sessionfinish(session):
                 existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
             except ValueError:
                 existing = {}
-        # Merge, keeping entries other tools own (e.g. the CLI
-        # client-bench's "server round-trip").
+        # Merge: a run of one test keeps what the others recorded.
         existing.update(_bench_rates)
         from repro.bench.host import host_info
 

@@ -10,7 +10,6 @@ README "Constrained decoding" walkthrough and DESIGN.md §12.
 """
 
 from .beam import BeamMaskSession, beam_capability
-from .bench import run_beam_bench, run_mask_bench
 from .masks import (
     MASK_ABI,
     MASK_FORMAT_REV,
@@ -35,7 +34,5 @@ __all__ = [
     "build_mask_table",
     "load_mask_blob",
     "mask_key",
-    "run_beam_bench",
-    "run_mask_bench",
     "synthetic_vocab",
 ]

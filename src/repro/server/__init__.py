@@ -26,10 +26,11 @@ reproduction:
 * :mod:`repro.server.cluster` — :class:`ScanProxy`: the cluster
   tier — a consistent-hash proxy pinning flows to N backends with
   health probes, journal-replay failover for scan/mask flows, and an
-  aggregated admin endpoint;
-* :mod:`repro.server.loadgen` — the closed-loop load generators
-  behind ``repro client-bench``, ``repro structgen bench --remote``,
-  and ``repro cluster-bench``.
+  aggregated admin endpoint.
+
+There is no load generator in this package: the serving stack is
+measured by ``benchmarks/ledger/`` and verified under load by
+``tests/server/drivers.py``, both through :class:`ScanClient`.
 """
 
 from repro.server.client import (
@@ -45,12 +46,6 @@ from repro.server.cluster import (
     NoHealthyBackend,
     ScanProxy,
     parse_backend,
-)
-from repro.server.loadgen import (
-    generate_flows,
-    run_beam_load,
-    run_load,
-    run_mask_load,
 )
 from repro.server.protocol import (
     CONNECTION_FLOW,
@@ -85,9 +80,5 @@ __all__ = [
     "ScanProxy",
     "ScanServer",
     "ServerFault",
-    "generate_flows",
     "parse_backend",
-    "run_beam_load",
-    "run_load",
-    "run_mask_load",
 ]

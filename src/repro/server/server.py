@@ -626,6 +626,10 @@ class ScanServer(FramedEndpoint):
     def _drop(self, conn: Connection, flow: _ServerFlow) -> None:
         if flow.kind is SCAN:
             self._pending.pop(flow.key, None)
+            if flow.gen.service is not None:
+                # Nobody will finish this flow: without this its worker
+                # session and whole replay journal outlive it.
+                flow.gen.service.abandon(flow.key)
 
     async def _teardown(self, conn: Connection) -> None:
         await super()._teardown(conn)

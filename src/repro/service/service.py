@@ -21,7 +21,9 @@ Operational semantics:
   chunks of its unfinished flows are re-dispatched from flow start
   (scan state is sequential, so recovery must replay). Results the
   dead worker already delivered are suppressed on replay by count,
-  so the merged stream has no duplicates and no holes.
+  so the merged stream has no duplicates and no holes. The journal
+  lives until the flow's finish is acknowledged — or until the caller
+  gives the flow up with :meth:`abandon`.
 * **Graceful shutdown** — :meth:`drain` blocks until every submitted
   task is acknowledged; :meth:`close` drains, stops the workers with
   an end-of-queue message, and joins them. The service is a context
@@ -34,6 +36,7 @@ Operational semantics:
 
 from __future__ import annotations
 
+import collections
 import multiprocessing as mp
 import queue as queue_mod
 import time
@@ -278,6 +281,9 @@ class ScanService:
         #: flow -> replayed results still to suppress.
         self._skip: dict[Any, int] = {}
         self._results: dict[Any, list] = {}
+        #: abandoned flows whose worker has yet to be told (its queue
+        #: was full); retried by every collection sweep.
+        self._abandoned: collections.deque = collections.deque()
         #: flows whose finish was acknowledged since the last poll().
         self._finished_flows: list[Any] = []
         #: task_id -> (worker, op, flow, submit_monotonic)
@@ -342,6 +348,44 @@ class ScanService:
         self._collect()
         self._journal.setdefault(flow, []).append(("finish", None))
         self._dispatch("finish", flow, None, journaled=True, timeout=timeout)
+
+    def abandon(self, flow: Any) -> None:
+        """Forget ``flow`` unfinished: its replay journal, merged
+        results and dedup accounting go now, its worker session as soon
+        as the worker's queue has room.  Never blocks; nothing is
+        acknowledged, and replies still on their way for the flow are
+        dropped like any stale reply.  A flow whose finish was already
+        acknowledged only loses its results.  Do not reuse an abandoned
+        flow's key: a session drop deferred by a full queue would take
+        the new session with it."""
+        if self._closed:
+            return
+        unfinished = self._journal.pop(flow, None) is not None
+        self._emitted.pop(flow, None)
+        self._skip.pop(flow, None)
+        self._results.pop(flow, None)
+        for task_id in [
+            tid
+            for tid, (_w, _op, owner, _t) in self._inflight.items()
+            if owner == flow
+        ]:
+            del self._inflight[task_id]
+        if unfinished:
+            self._abandoned.append(flow)
+            self._flush_abandoned()
+
+    def _flush_abandoned(self) -> None:
+        while self._abandoned:
+            flow = self._abandoned[0]
+            handle = self.workers[self.shards.worker_of(flow)]
+            # A dead worker's sessions died with it, and the replay
+            # that follows its respawn no longer knows the flow.
+            if handle.alive:
+                try:
+                    handle.tasks.put_nowait(("abandon", flow))
+                except queue_mod.Full:
+                    return
+            self._abandoned.popleft()
 
     def peek(self, flow: Any, timeout: float = 30.0) -> list:
         """What end-of-data would add to ``flow`` right now, evaluated
@@ -443,6 +487,8 @@ class ScanService:
         if self._closed:
             # post-close results() reads the already-merged buffers
             return 0
+        if self._abandoned:
+            self._flush_abandoned()
         handled = self._sweep()
         if handled or not block:
             return handled

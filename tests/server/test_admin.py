@@ -7,6 +7,7 @@ import json
 from repro.server import ScanClient
 
 from tests.server.conftest import running_server
+from tests.server.drivers import run_load
 
 
 def run(coro):
@@ -60,7 +61,6 @@ def test_healthz_and_stats_and_404():
 def test_load_generator_closed_loop_verifies(streams):
     """run_load drives a live server and verifies byte-for-byte
     against in-process routing — the network-level differential."""
-    from repro.server import run_load
 
     async def main():
         async with running_server() as server:
@@ -68,26 +68,23 @@ def test_load_generator_closed_loop_verifies(streams):
             report = await run_load(
                 host, port,
                 flows=4, messages=12, chunk=256,
-                concurrency=2, seed=123, verify=True,
+                concurrency=2, seed=123,
             )
         assert report["verified"] is True
         assert report["failures"] == []
-        assert report["bytes"] > 0 and report["gbps"] > 0
-        assert report["latency"]["count"] == 4
+        assert report["bytes"] > 0 and report["flows"] == 4
 
     run(main())
 
 
 def test_load_generator_against_worker_pool():
-    from repro.server import run_load
-
     async def main():
         async with running_server(workers=2) as server:
             host, port = server.address
             report = await run_load(
                 host, port,
                 flows=6, messages=18, chunk=512,
-                concurrency=3, seed=321, verify=True,
+                concurrency=3, seed=321,
             )
         assert report["verified"] is True
 

@@ -27,8 +27,9 @@ from repro.server import (
     parse_backend,
 )
 from repro.server.cluster import _http_get
-from repro.server.loadgen import _set_bits
 from repro.server.protocol import ErrorCode, ServerFault
+
+from tests.server.drivers import set_bits
 
 
 def run(coro):
@@ -164,7 +165,7 @@ def test_proxied_mask_flow_matches_local_session(table):
                 local = MaskSession(table)
                 assert flow.mask == local.mask()
                 for step in range(40):
-                    valid = _set_bits(local.mask())
+                    valid = set_bits(local.mask())
                     if not valid:
                         break
                     token = valid[step % len(valid)]
@@ -190,7 +191,7 @@ def test_proxied_beam_flow_matches_mirrors(table):
                 for step in range(20):
                     ids = []
                     for m in mirror:
-                        valid = _set_bits(m.mask())
+                        valid = set_bits(m.mask())
                         if not valid:
                             return
                         ids.append(valid[0])

@@ -22,11 +22,10 @@ from repro.server import (
     ScanProxy,
     ScanServer,
     ServerFault,
-    run_beam_load,
-    run_mask_load,
 )
-from repro.server.loadgen import _set_bits
 from repro.server.protocol import ErrorCode
+
+from tests.server.drivers import run_beam_load, run_mask_load, set_bits
 
 
 def run(coro):
@@ -118,7 +117,7 @@ def test_mask_flow_survives_backend_kill_byte_for_byte(table):
                 local = MaskSession(table)
 
                 async def step():
-                    valid = _set_bits(local.mask())
+                    valid = set_bits(local.mask())
                     assert valid, "mirror dead-ended mid-test"
                     state, row = await flow.advance(valid[0], timeout=15.0)
                     assert state == local.advance(valid[0])
@@ -141,13 +140,13 @@ def test_beam_flow_gets_typed_failover(table):
         async with failover_cluster(table) as (proxy, servers):
             async with ScanClient(*proxy.address) as client:
                 flow = await client.open_beam_flow(table.vocab_hash, 3)
-                ids = [_set_bits(row)[0] for row in flow.rows]
+                ids = [set_bits(row)[0] for row in flow.rows]
                 await flow.advance(ids)
                 backend = await _pinned_backend(proxy, flow.flow_id, "beam")
                 await _server_named(servers, backend.name).stop(drain=False)
                 with pytest.raises(ServerFault) as info:
                     for _ in range(5):
-                        ids = [_set_bits(row)[0] for row in flow.rows]
+                        ids = [set_bits(row)[0] for row in flow.rows]
                         await flow.advance(ids, timeout=15.0)
                 assert info.value.code == ErrorCode.FAILOVER
                 assert "not replayable" in info.value.detail

@@ -17,12 +17,12 @@ import pytest
 
 from repro.apps.structgen import MaskSession, build_mask_table, synthetic_vocab
 from repro.grammar.examples import xmlrpc
-from repro.server import ScanClient, protocol, run_mask_load
-from repro.server.loadgen import _set_bits
+from repro.server import ScanClient, protocol
 from repro.server.protocol import ErrorCode, ServerFault
 from repro.service import Registry
 
 from tests.server.conftest import running_server
+from tests.server.drivers import run_mask_load, set_bits
 
 
 def run(coro):
@@ -60,7 +60,7 @@ def test_mask_flow_matches_local_session(table):
 
                 rng = random.Random(2006)
                 for _ in range(60):
-                    valid = _set_bits(local.mask())
+                    valid = set_bits(local.mask())
                     if not valid:
                         break
                     token_id = rng.choice(valid)
@@ -116,7 +116,7 @@ def test_invalid_token_faults_the_flow(table):
                 invalid = next(
                     i
                     for i in range(len(table.vocab))
-                    if i not in set(_set_bits(local.mask()))
+                    if i not in set(set_bits(local.mask()))
                 )
                 with pytest.raises(ServerFault) as info:
                     await flow.advance(invalid, timeout=5.0)
@@ -168,7 +168,7 @@ def test_registry_backed_masks_and_admin(tmp_path):
 
                 rng = random.Random(5)
                 for _ in range(20):
-                    valid = _set_bits(local.mask())
+                    valid = set_bits(local.mask())
                     token_id = rng.choice(valid)
                     state, row = await flow.advance(token_id)
                     assert state == local.advance(token_id)
@@ -231,7 +231,6 @@ def test_load_generator_verifies_byte_for_byte(table):
         assert report["failures"] == []
         assert report["mismatches"] == []
         assert report["advances"] > 0
-        assert report["masks_per_s"] > 0
 
     run(main())
 
@@ -251,7 +250,7 @@ def test_mask_flows_with_service_pool(table, streams, expected):
                 scan = await client.open_flow()
                 await scan.send(streams["flow-0"])
                 assert flow.mask == local.mask()
-                token_id = _set_bits(local.mask())[0]
+                token_id = set_bits(local.mask())[0]
                 state, row = await flow.advance(token_id)
                 assert state == local.advance(token_id)
                 assert row == local.mask()

@@ -1,20 +1,23 @@
-"""Gated end-to-end smoke: the real ``repro serve`` process driven by
-the real ``repro client-bench`` CLI over localhost TCP, with
-byte-for-byte verification and a SIGTERM graceful-drain check.
+"""Gated end-to-end smoke: the real ``repro serve --workers 2`` process
+over localhost TCP, driven by the verifying in-test driver
+(byte-for-byte against ``route()``), then a SIGTERM graceful-drain
+check.
 
-Heavier than a unit test (spawns interpreters), so it only runs when
-``RUN_SERVER_SMOKE=1`` — the CI job sets it and enforces a hard
-timeout so a hung drain fails fast.
+Heavier than a unit test (spawns an interpreter and a worker pool), so
+it only runs when ``RUN_SERVER_SMOKE=1`` — the CI job sets it and
+enforces a hard timeout so a hung drain fails fast.
 """
 
+import asyncio
 import os
+import re
 import signal
-import socket
 import subprocess
 import sys
-import time
 
 import pytest
+
+from tests.server.drivers import run_load
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("RUN_SERVER_SMOKE") != "1",
@@ -22,27 +25,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _wait_listening(port: int, deadline_s: float = 30.0) -> None:
-    deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection(("127.0.0.1", port), 0.5):
-                return
-        except OSError:
-            time.sleep(0.1)
-    raise TimeoutError(f"server never listened on port {port}")
-
-
-def test_server_roundtrip_smoke(tmp_path):
-    """serve + client-bench end to end: a few hundred messages, exact
-    results, clean SIGTERM drain."""
-    port = _free_port()
+def test_server_roundtrip_smoke():
+    """serve end to end: 300 messages, exact results, clean SIGTERM
+    drain."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         os.path.abspath("src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -50,37 +35,27 @@ def test_server_roundtrip_smoke(tmp_path):
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", str(port), "--workers", "2",
+            "--port", "0", "--workers", "2",
             "--idle-timeout", "60",
         ],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        cwd=tmp_path,  # client-bench writes BENCH json into its cwd
     )
     try:
-        _wait_listening(port)
-        bench = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "client-bench",
-                "--port", str(port),
-                "--messages", "300", "--flows", "6",
-                "--chunk", "777", "--concurrency", "3",
-                "--json",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            cwd=tmp_path,
+        banner = server.stdout.readline()
+        listening = re.search(r"on (127\.0\.0\.1):(\d+)", banner)
+        assert listening, banner
+        report = asyncio.run(
+            run_load(
+                listening.group(1), int(listening.group(2)),
+                flows=6, messages=300, chunk=777, concurrency=3,
+            )
         )
-        assert bench.returncode == 0, bench.stdout + bench.stderr
-        assert '"verified": true' in bench.stdout
-        assert (tmp_path / "BENCH_throughput.json").exists()
-        assert "server round-trip" in (
-            tmp_path / "BENCH_throughput.json"
-        ).read_text()
+        assert report["failures"] == []
+        assert report["mismatches"] == []
+        assert report["messages"] == 300
 
         server.send_signal(signal.SIGTERM)
         out, _ = server.communicate(timeout=30)

@@ -223,6 +223,28 @@ def test_peek_is_nondestructive(streams, expected):
         assert service.results()[flow] == expected[flow]
 
 
+def test_abandon_forgets_the_flow_on_both_sides(streams, expected):
+    """abandon() gives an unfinished flow up: the parent keeps no
+    journal, results or dedup state for it, and the worker's session
+    is gone — the same key starts again from a clean session."""
+    flow = "flow-3"
+    data = streams[flow]
+    with ScanService(RouterSpec(), n_workers=2) as service:
+        service.submit(flow, data[: len(data) // 2 + 7])  # mid-message
+        service.abandon(flow)
+        held = (service._journal, service._results,
+                service._emitted, service._skip, service._inflight)
+        assert held == ({}, {}, {}, {}, {})
+        # The worker was told at once (its queue had room), so — and
+        # only so — the key can be fed again from a clean session.
+        assert not service._abandoned
+        service.submit(flow, data)
+        service.finish_flow(flow)
+        service.drain()
+        assert service.results()[flow] == expected[flow]
+        assert not service._journal
+
+
 def test_invalid_options():
     with pytest.raises(ServiceError):
         ScanService(RouterSpec(), n_workers=0)

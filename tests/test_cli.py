@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import pytest
 
 from repro.cli import main
 
@@ -94,21 +95,38 @@ class TestStructgen:
         assert main(argv) == 0
         assert "cached" in capsys.readouterr().out
 
-    def test_bench_reports_split(self, capsys):
-        assert main(
-            [
-                "structgen", "bench", "--grammar", "if-then-else",
-                "--vocab-size", "384", "--steps", "40",
-                "--naive-steps", "5", "--repeat", "1", "--no-record",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "masks/s (precomputed path)" in out
-        assert "masks/s (per-token rescan)" in out
-        assert "speedup" in out
-
 
 class TestExperiments:
     def test_ablation_command(self, capsys):
         assert main(["ablation"]) == 0
         assert "case-chain" in capsys.readouterr().out
+
+
+_COMMANDS = [
+    "info", "tag", "generate", "route", "serve", "cluster",
+    "registry", "registry publish", "registry list", "registry inspect",
+    "registry gc", "structgen", "structgen precompute", "structgen serve",
+    "capabilities", "table1", "figure15", "ablation",
+]
+#: Measuring is ``benchmarks/ledger/run.py``'s job, not the CLI's.
+_REMOVED = [
+    "serve-bench", "client-bench", "cluster-bench", "registry bench",
+    "structgen bench",
+]
+
+
+@pytest.mark.parametrize(
+    "command, status",
+    [(c, 0) for c in _COMMANDS] + [(c, 2) for c in _REMOVED],
+)
+def test_command_set(command, status, capsys):
+    """Each of the 18 subcommands builds its ``--help``; the five
+    bench subcommands are usage errors."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--help"])
+    assert exit_info.value.code == status
+    captured = capsys.readouterr()
+    if status == 0:
+        assert f"usage: repro {command}" in captured.out
+    else:
+        assert "invalid choice" in captured.err
