@@ -35,6 +35,7 @@ engine; :func:`capability` reports which path is live.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from collections import deque
 from itertools import islice
@@ -44,13 +45,6 @@ from repro.core.compiled import CompiledTagger
 from repro.core.scanir import ScanIR, scan_ir_for
 from repro.core.scanplan import DetectEvent
 
-try:  # pragma: no cover - exercised via the REPRO_DISABLE_NUMPY job
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        raise ImportError("NumPy disabled by REPRO_DISABLE_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
     "NUMPY_AVAILABLE",
     "VectorTagger",
@@ -58,8 +52,13 @@ __all__ = [
     "capability",
 ]
 
-#: Whether the vector engine can run at all in this process.
-NUMPY_AVAILABLE = _np is not None
+#: Whether the vector engine can run at all in this process. Found,
+#: not imported: NumPy loads when the wide loop first runs (a process
+#: on another engine, native included, never pays for it).
+NUMPY_AVAILABLE = (
+    not os.environ.get("REPRO_DISABLE_NUMPY")
+    and importlib.util.find_spec("numpy") is not None
+)
 
 #: Fused window width in bytes: one ``uint64`` of class codes per step.
 WIDTH = 8
@@ -199,7 +198,7 @@ def _wide_tables_for(tagger: CompiledTagger) -> _WideTables | None:
     """The shared wide tables over the tagger's scan IR, or None when
     the wide loop cannot run: no NumPy, or a product automaton too
     large to densify."""
-    if _np is None:
+    if not NUMPY_AVAILABLE:
         return None
     ir = scan_ir_for(tagger)
     if ir is None:
@@ -254,6 +253,8 @@ class VectorTagger(CompiledTagger):
         self.bytes_scanned += n
         m = n >> 3
         if m:
+            import numpy as _np  # here, not on import: NUMPY_AVAILABLE
+
             cls = data.translate(vt.ir.class_table)
             starts = st.starts
             append = out.append

@@ -57,6 +57,7 @@ from repro.server.protocol import (
     ErrorCode,
     Frame,
     FrameType,
+    Outbound,
     PROTOCOL_VERSION,
     ProtocolError,
     ServerFault,
@@ -128,8 +129,10 @@ class ClientFlow(Flow):
     # ------------------------------------------------------------------
     async def send(self, chunk: bytes) -> None:
         """Stream one chunk of flow bytes (split to the server's frame
-        limit; awaits transport drain, so server backpressure lands
-        here as pacing)."""
+        limit). The frames queue and leave at the end of the loop turn
+        or with the flow's next awaited reply; once 64 KiB wait, here
+        or in the transport, this suspends until they drained, so
+        server backpressure lands here as pacing."""
         self.journal.append(chunk)
         limit = max(1, self.client.server_max_frame - _DATA_OVERHEAD)
         for start in range(0, len(chunk), limit) or (0,):
@@ -160,26 +163,36 @@ class ClientFlow(Flow):
         await self.client._send(
             protocol.encode_finish_flow(self.flow_id)
         )
-        if timeout is None:
-            timeout = self.client.request_timeout
-        # One timer handle, as in BeamFlow._request; the flow is
-        # forgotten on expiry, so a late RESULT is dropped.
-        timer = asyncio.get_running_loop().call_later(
-            timeout, self._expire, timeout
-        )
-        try:
-            await self._done
-        finally:
-            timer.cancel()
+        await self._reply(self._done, timeout, "final RESULT", forget=True)
         return self.blocks
 
-    def _expire(self, timeout: float) -> None:
-        if not self._done.done():
-            self.client._table.close(self)
-            self._done.set_exception(
+    async def _reply(self, fut, timeout, what: str, forget: bool = False):
+        """Write what is queued (the request is in it) and wait for
+        its reply future, ``request_timeout`` by default: one timer
+        handle, no task. A timed-out request's future stays queued, so
+        the late reply still pops it and later replies keep resolving
+        FIFO; with ``forget`` the flow is closed on expiry and a late
+        reply is dropped."""
+        out = self.client._out
+        if out is not None:  # else: closed under us, ``fut`` has failed
+            out.push()
+        if timeout is None:
+            timeout = self.client.request_timeout
+        timer = asyncio.get_running_loop().call_later(
+            timeout, self._expire, fut, timeout, what, forget
+        )
+        try:
+            return await fut
+        finally:
+            timer.cancel()
+
+    def _expire(self, fut, timeout: float, what: str, forget: bool) -> None:
+        if not fut.done():
+            if forget:
+                self.client._table.close(self)
+            fut.set_exception(
                 TimeoutError(
-                    f"flow {self.flow_id}: no final RESULT within "
-                    f"{timeout:g}s"
+                    f"flow {self.flow_id}: no {what} within {timeout:g}s"
                 )
             )
 
@@ -262,18 +275,7 @@ class MaskFlow(ClientFlow):
         await self.client._send(
             protocol.encode_advance(self.flow_id, token_id)
         )
-        if timeout is None:
-            timeout = self.client.request_timeout
-        try:
-            state, row = await asyncio.wait_for(
-                asyncio.shield(fut), timeout=timeout
-            )
-        except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"flow {self.flow_id}: no MASK reply within "
-                f"{timeout:g}s"
-            ) from None
-        return state, row
+        return await self._reply(fut, timeout, "MASK reply")
 
     async def close(self, timeout: float | None = None) -> None:
         """End the mask flow (server drops the session)."""
@@ -350,29 +352,10 @@ class BeamFlow(ClientFlow):
     async def _request(
         self, frame_bytes: bytes, timeout: float | None
     ) -> tuple[tuple[int, ...], list[bytes]]:
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
+        fut = asyncio.get_running_loop().create_future()
         self._pending_masks.append(fut)
         await self.client._send(frame_bytes)
-        if timeout is None:
-            timeout = self.client.request_timeout
-        # One timer handle per op instead of wait_for(shield(...)). A
-        # timed-out future stays queued, so the late reply still pops
-        # it and later replies keep resolving FIFO.
-        timer = loop.call_later(timeout, self._expire, fut, timeout)
-        try:
-            return await fut
-        finally:
-            timer.cancel()
-
-    def _expire(self, fut: asyncio.Future, timeout: float) -> None:
-        if not fut.done():
-            fut.set_exception(
-                TimeoutError(
-                    f"flow {self.flow_id}: no MASKS reply within "
-                    f"{timeout:g}s"
-                )
-            )
+        return await self._reply(fut, timeout, "MASKS reply")
 
     async def advance(
         self, token_ids, timeout: float | None = None
@@ -475,7 +458,9 @@ class ScanClient:
         self.server_grammars: tuple[str, ...] = ()
 
         self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        #: The outbound side (None until connected, and after close):
+        #: the same corked queue a server connection writes through.
+        self._out: Outbound | None = None
         self._decoder = protocol.FrameDecoder(max_frame)
         self._reader_task: asyncio.Task | None = None
         self._table = FlowTable()
@@ -490,7 +475,6 @@ class ScanClient:
         self._flow_seq = 0
         self._goodbye = asyncio.Event()
         self._conn_error: Exception | None = None
-        self._write_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -502,10 +486,11 @@ class ScanClient:
         backoff = self.retry_backoff
         for _attempt in range(max(1, self.connect_retries)):
             try:
-                self._reader, self._writer = await asyncio.wait_for(
+                self._reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, self.port),
                     timeout=self.connect_timeout,
                 )
+                self._out = Outbound(writer)
                 self._decoder = protocol.FrameDecoder(self.max_frame)
                 early = await self._handshake()
                 self._reader_task = asyncio.ensure_future(
@@ -514,10 +499,10 @@ class ScanClient:
                 return self
             except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
                 last = exc
-                if self._writer is not None:
+                if self._out is not None:
                     with contextlib.suppress(Exception):
-                        self._writer.close()
-                    self._reader = self._writer = None
+                        self._out.writer.close()
+                    self._reader = self._out = None
                 await asyncio.sleep(self._next_backoff(backoff))
                 backoff = min(backoff * 2, self.max_backoff)
         raise ConnectFailed(
@@ -535,10 +520,10 @@ class ScanClient:
     async def _handshake(self) -> list:
         """HELLO both ways; returns whatever frames the server's
         first read carried behind its HELLO."""
-        self._writer.write(
+        self._out.queue(
             protocol.encode_hello(PROTOCOL_VERSION, self.max_frame)
         )
-        await self._writer.drain()
+        self._out.push()
         frames = await asyncio.wait_for(
             protocol.read_frames(self._reader, self._decoder),
             timeout=self.connect_timeout,
@@ -564,19 +549,19 @@ class ScanClient:
 
     async def close(self) -> None:
         """Polite GOODBYE (waits briefly for the server's), then close."""
-        if self._writer is None:
+        out, self._out = self._out, None
+        if out is None:
             return
-        with contextlib.suppress(Exception):
-            await self._send(protocol.encode_goodbye())
-            await asyncio.wait_for(self._goodbye.wait(), timeout=2.0)
+        if self._conn_error is None:
+            with contextlib.suppress(Exception):
+                out.queue(protocol.encode_goodbye())
+                out.push()
+                await asyncio.wait_for(self._goodbye.wait(), timeout=2.0)
         if self._reader_task is not None:
             self._reader_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._reader_task
-        with contextlib.suppress(Exception):
-            self._writer.close()
-            await self._writer.wait_closed()
-        self._writer = None
+        await out.close()
         self._fail_pending(ConnectionResetError("client closed"))
 
     async def __aenter__(self) -> "ScanClient":
@@ -588,7 +573,8 @@ class ScanClient:
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None and self._conn_error is None
+        out, dead = self._out, self._conn_error
+        return out is not None and not out.closed and dead is None
 
     # ------------------------------------------------------------------
     # flow API
@@ -651,16 +637,7 @@ class ScanClient:
         fut = asyncio.get_running_loop().create_future()
         flow._pending_masks.append(fut)
         await self._send(opener)
-        if timeout is None:
-            timeout = self.request_timeout
-        try:
-            await asyncio.wait_for(asyncio.shield(fut), timeout=timeout)
-        except asyncio.TimeoutError:
-            self._table.close(flow)
-            raise TimeoutError(
-                f"flow {flow.flow_id}: no initial reply within "
-                f"{timeout:g}s"
-            ) from None
+        await flow._reply(fut, timeout, "initial reply", forget=True)
 
     # ------------------------------------------------------------------
     # raw flow plumbing (for relay tiers)
@@ -697,13 +674,16 @@ class ScanClient:
 
     # ------------------------------------------------------------------
     async def _send(self, frame_bytes: bytes) -> None:
-        if self._writer is None:
+        """Queue one encoded frame (see :class:`Outbound` for when it
+        leaves); raises what killed the connection if something did."""
+        out = self._out
+        if out is None:
             raise ConnectionResetError("client not connected")
         if self._conn_error is not None:
             raise self._conn_error
-        async with self._write_lock:
-            self._writer.write(frame_bytes)
-            await self._writer.drain()
+        await out.send(frame_bytes)
+        if out.error is not None:
+            raise out.error
 
     async def _read_loop(self, frames: list) -> None:
         """Dispatch ``frames``, then every batch the connection

@@ -335,22 +335,26 @@ def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
 async def _http_get(
     host: str, port: int, path: str, timeout: float = 2.0
 ) -> tuple[int, str]:
-    """Minimal HTTP/1.0 GET against an admin endpoint."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        writer.write(
-            f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode(
-                "latin-1"
+    """Minimal HTTP/1.0 GET against an admin endpoint: the whole
+    exchange under one deadline, the reply read to EOF (the responder
+    closes after it — a single read returns only the first segment)."""
+
+    async def exchange() -> bytes:
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(
+                f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode(
+                    "latin-1"
+                )
             )
-        )
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(1 << 22), timeout)
-    finally:
-        with contextlib.suppress(Exception):
-            writer.close()
-            await writer.wait_closed()
+            await writer.drain()
+            return await reader.read()
+        finally:
+            with contextlib.suppress(Exception):
+                writer.close()
+                await writer.wait_closed()
+
+    raw = await asyncio.wait_for(exchange(), timeout)
     head, _, body = raw.partition(b"\r\n\r\n")
     status_line = head.split(b"\r\n", 1)[0].split()
     status = int(status_line[1]) if len(status_line) >= 2 else 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
 
 from repro.server import protocol
@@ -26,6 +27,7 @@ from repro.server.protocol import (
     ErrorCode,
     Frame,
     FrameType,
+    Outbound,
     PROTOCOL_VERSION,
     ProtocolError,
 )
@@ -45,75 +47,35 @@ async def reap(task: asyncio.Task | None) -> None:
         await asyncio.wait([task], timeout=0.1)
 
 
-class Connection:
-    """One accepted connection: its flow table and the outbound side —
-    frames queue up while a read's frames are handled and leave in one
-    write."""
+class Connection(Outbound):
+    """One accepted connection: its flow table, its outbound side and
+    its idle deadline."""
 
     def __init__(self, endpoint: "FramedEndpoint", reader, writer, conn_id):
+        super().__init__(writer, endpoint.write_high_water)
         self.endpoint = endpoint
         self.reader = reader
-        self.writer = writer
         self.conn_id = conn_id
         self.decoder = protocol.FrameDecoder(endpoint.max_frame)
         self.table = FlowTable()
         #: The table's open flows, by connection-scoped flow id.
         self.flows = self.table.flows
         self.peer_max_frame = DEFAULT_MAX_FRAME
-        self.closed = False
-        self._write_lock = asyncio.Lock()
-        #: Encoded frames awaiting the next :meth:`flush`.
-        self._out: list[bytes] = []
+        #: When the read now waiting for a frame will have waited
+        #: ``idle_timeout`` (never, while the connection's frames are
+        #: being handled), and the one timer that checks it.
+        self.idle_at = math.inf
+        self.idle_timer: asyncio.TimerHandle | None = None
 
-    def _settle(self) -> None:
-        """Turn whatever a subclass holds back into queued frames:
-        called before anything else is queued and before a write."""
-
-    def queue(self, *frames: bytes) -> None:
-        """Queue encoded frames for the next write (the wire keeps the
-        order the frames were handled in)."""
-        self._settle()
-        self._out += frames
-        self.endpoint._tx_frames.inc(len(frames))
-
-    async def flush(self) -> None:
-        """Write everything queued in one go, under backpressure
-        (bounded buffer + drain: a slow reader suspends us here, never
-        grows memory)."""
-        self._settle()
-        if not self._out:
-            return
-        if self.closed:
-            self._out.clear()
-            return
-        async with self._write_lock:
-            # Whoever held the lock may have written ours too.
-            if not self._out or self.closed:
-                return
-            blob = b"".join(self._out)
-            self._out.clear()
-            try:
-                self.writer.write(blob)
-                self.endpoint._tx_bytes.inc(len(blob))
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                self.closed = True
-
-    async def send(self, *frames: bytes) -> None:
-        """Queue encoded frames and write them (with whatever was
-        queued ahead of them) now."""
-        self.queue(*frames)
-        await self.flush()
+    def _wrote(self, frames: int, nbytes: int) -> None:
+        endpoint = self.endpoint
+        endpoint._tx_frames.inc(frames)
+        endpoint._tx_writes.inc()
+        endpoint._tx_bytes.inc(nbytes)
 
     async def send_error(self, flow_id: int, code: int, message: str):
         self.endpoint._errors_sent.inc()
         await self.send(protocol.encode_error(flow_id, code, message))
-
-    async def close(self) -> None:
-        self.closed = True
-        with contextlib.suppress(Exception):
-            self.writer.close()
-            await self.writer.wait_closed()
 
 
 class FramedEndpoint:
@@ -143,9 +105,11 @@ class FramedEndpoint:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Per-frame metrics, looked up once.
         counter = self.metrics.counter
+        self._rx_reads = counter(f"{self.role}.rx.reads")
         self._rx_frames = counter(f"{self.role}.rx.frames")
         self._rx_bytes = counter(f"{self.role}.rx.bytes")
         self._tx_frames = counter(f"{self.role}.tx.frames")
+        self._tx_writes = counter(f"{self.role}.tx.writes")
         self._tx_bytes = counter(f"{self.role}.tx.bytes")
         self._errors_sent = counter(f"{self.role}.errors.sent")
         #: ``path -> async (method, query) -> (status line, body)``.
@@ -290,13 +254,15 @@ class FramedEndpoint:
         writer.transport.set_write_buffer_limits(high=self.write_high_water)
         self._connections[conn.conn_id] = conn
         self.metrics.counter(f"{self.role}.connections.opened").inc()
+        self._check_idle(conn)
         try:
             await self._frame_loop(conn)
         except (ConnectionError, OSError):
             pass
         except ProtocolError as exc:
-            await conn.send_error(CONNECTION_FLOW, exc.code, str(exc))
-            self.metrics.counter(f"{self.role}.errors.protocol").inc()
+            if not conn.closed:  # else: the idle deadline cut a frame
+                await conn.send_error(CONNECTION_FLOW, exc.code, str(exc))
+                self.metrics.counter(f"{self.role}.errors.protocol").inc()
         finally:
             await self._teardown(conn)
 
@@ -325,28 +291,46 @@ class FramedEndpoint:
         return True
 
     async def _read_frames(self, conn: Connection) -> list[Frame] | None:
-        """Every frame the next socket read completes, or None on EOF;
-        idle connections are reaped (the timer runs per read, so a
-        frame dribbled in slower than the limit counts as idle)."""
+        """Every frame the next socket read completes, or None on EOF
+        (the peer's, or the idle deadline's close). The deadline runs
+        per call, so a frame dribbled in slower than the limit counts
+        as idle."""
         taken = conn.decoder.taken
+        conn.idle_at = time.monotonic() + self.idle_timeout
         try:
-            frames = await asyncio.wait_for(
-                protocol.read_frames(conn.reader, conn.decoder),
-                timeout=self.idle_timeout,
+            frames = await protocol.read_frames(conn.reader, conn.decoder)
+        finally:
+            conn.idle_at = math.inf
+        if frames is not None:
+            self._last_rx = time.monotonic()
+            self._rx_reads.inc()
+            self._rx_frames.inc(len(frames))
+            self._rx_bytes.inc(conn.decoder.taken - taken)
+        return frames
+
+    def _check_idle(self, conn: Connection) -> None:
+        """The connection's one re-arming timer: reap it once a read
+        has waited ``idle_timeout`` for a frame, else look again when
+        that could next be true. The ERROR and the close happen here;
+        the handler wakes from its read on the resulting EOF."""
+        delay = min(conn.idle_at - time.monotonic(), self.idle_timeout)
+        if delay > 0:
+            conn.idle_timer = asyncio.get_running_loop().call_later(
+                delay, self._check_idle, conn
             )
-        except asyncio.TimeoutError:
-            self.metrics.counter(f"{self.role}.timeouts.idle").inc()
-            await conn.send_error(
+            return
+        self.metrics.counter(f"{self.role}.timeouts.idle").inc()
+        self._errors_sent.inc()
+        conn.queue(
+            protocol.encode_error(
                 CONNECTION_FLOW,
                 ErrorCode.IDLE_TIMEOUT,
                 f"no frame for {self.idle_timeout:g}s",
             )
-            return None
-        if frames is not None:
-            self._last_rx = time.monotonic()
-            self._rx_frames.inc(len(frames))
-            self._rx_bytes.inc(conn.decoder.taken - taken)
-        return frames
+        )
+        conn.push()
+        conn.closed = True
+        conn.writer.close()
 
     async def _frame_loop(self, conn: Connection) -> None:
         """Read, handle every frame the read completed, write once."""
@@ -408,6 +392,7 @@ class FramedEndpoint:
         if self._connections.pop(conn.conn_id, None) is None:
             return
         self.metrics.counter(f"{self.role}.connections.closed").inc()
+        conn.idle_timer.cancel()
         flows = list(conn.flows.values())
         conn.flows.clear()
         for flow in flows:

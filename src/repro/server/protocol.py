@@ -94,12 +94,15 @@ last carries ``final``. Version 2 is the first with record blocks
 
 Flush rule: a server handles every frame of one socket read, appends
 the results of consecutive DATA frames of a flow into one RESULT, and
-writes once per read and at each FINISH_FLOW — results still stream
-while the flow is open, one frame per read instead of one per DATA.
+writes once per read — results still stream while the flow is open,
+one frame per read instead of one per DATA. Every sender writes
+through :class:`Outbound`: one ``transport.write`` per event-loop turn.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import struct
 from dataclasses import dataclass
 from typing import Any
@@ -116,6 +119,7 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "FrameType",
+    "Outbound",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "READ_BLOCK",
@@ -932,3 +936,92 @@ async def read_frames(reader, decoder: FrameDecoder) -> list[Frame] | None:
             return None
         frames = decoder.feed(data)
     return frames
+
+
+class Outbound:
+    """The sending half of a framed connection, the same on server,
+    proxy and client: encoded frames queue and leave in one
+    ``transport.write`` per event-loop turn — when the turn ends at the
+    latest, at once through :meth:`push` (a caller about to wait for
+    the reply), and through an awaited :meth:`flush` once
+    ``high_water`` bytes wait, queued here or unsent in the transport.
+    User-space buffering stays bounded, and a peer that stops reading
+    suspends the sender in :meth:`send`."""
+
+    def __init__(self, writer, high_water: int = 1 << 16) -> None:
+        self.writer = writer
+        self.high_water = high_water
+        #: Nothing more can be written (what is queued is dropped), and
+        #: the write failure behind it, for senders that raise.
+        self.closed = False
+        self.error: Exception | None = None
+        #: Encoded frames awaiting the next :meth:`push`, their size,
+        #: and whether the turn-end push is scheduled.
+        self._out: list[bytes] = []
+        self._queued = 0
+        self._corked = False
+        # drain() takes one waiter at a time before Python 3.11.
+        self._drain_lock = asyncio.Lock()
+
+    def _settle(self) -> None:
+        """Turn whatever a subclass holds back into queued frames:
+        called before anything else is queued and before a write."""
+
+    def _wrote(self, frames: int, nbytes: int) -> None:
+        """Metrics hook: one write of ``frames`` frames, ``nbytes``."""
+
+    def queue(self, *frames: bytes) -> None:
+        """Queue encoded frames for the turn's write (the wire keeps
+        the order the frames were queued in)."""
+        self._settle()
+        self._out += frames
+        self._queued += sum(map(len, frames))
+        if not self._corked:
+            self._corked = True
+            asyncio.get_running_loop().call_soon(self.push)
+
+    def push(self) -> None:
+        """Hand everything queued to the transport in one write."""
+        self._corked = False
+        self._settle()
+        if not self._out:
+            return
+        frames, blob = len(self._out), b"".join(self._out)
+        self._out.clear()
+        self._queued = 0
+        if self.closed:
+            return
+        try:
+            self.writer.write(blob)
+            self._wrote(frames, len(blob))
+        except (ConnectionError, RuntimeError, OSError) as exc:
+            self.closed, self.error = True, exc
+
+    async def flush(self) -> None:
+        """:meth:`push`, then wait out the transport's backpressure
+        (bounded buffer + drain: a slow reader suspends us here, never
+        grows memory)."""
+        self.push()
+        if self.closed:
+            return
+        async with self._drain_lock:
+            try:
+                await self.writer.drain()
+            except (ConnectionError, RuntimeError, OSError) as exc:
+                self.closed, self.error = True, exc
+
+    async def send(self, *frames: bytes) -> None:
+        """Queue encoded frames; :meth:`flush` if a high-water mark's
+        worth is waiting, here or in the transport."""
+        self.queue(*frames)
+        unsent = self.writer.transport.get_write_buffer_size()
+        if max(self._queued, unsent) >= self.high_water:
+            await self.flush()
+
+    async def close(self) -> None:
+        """Write what is queued, then close the transport."""
+        self.push()
+        self.closed = True
+        with contextlib.suppress(Exception):
+            self.writer.close()
+            await self.writer.wait_closed()

@@ -714,8 +714,7 @@ class ScanServer(FramedEndpoint):
 
     async def _finished(self, conn, flow: _ServerFlow, results: list):
         """Close ``flow`` with its one final RESULT (what this read's
-        DATA frames produced for it rides along), written now, not at
-        the read's end."""
+        DATA frames produced for it rides along)."""
         conn.table.close(flow)
         if flow.kind is SCAN:
             self.metrics.counter("server.flows.finished").inc()
@@ -731,7 +730,7 @@ class ScanServer(FramedEndpoint):
         )
         self._retire_idle()
         conn.queue_result(flow.flow_id, True, results)
-        await conn.flush()
+        await conn.send()  # queued above; this is the pacing
 
     # ------------------------------------------------------------------
     # constrained-decoding (mask and beam) flows

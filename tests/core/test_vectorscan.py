@@ -220,3 +220,38 @@ def test_capability_shape():
     assert set(flags) == {"numpy", "disabled_by_env", "width"}
     assert flags["width"] == 8
     assert flags["numpy"] is NUMPY_AVAILABLE
+
+
+_LAZY_NUMPY = """
+import sys
+import repro.cli
+assert "numpy" not in sys.modules, "importing repro.cli loaded NumPy"
+from repro.core.nativescan import NativeTagger
+from repro.core.vectorscan import NUMPY_AVAILABLE, VectorTagger
+from repro.grammar.examples import xmlrpc
+data = b"<methodCall><methodName>buy</methodName></methodCall>"
+native = NativeTagger(xmlrpc())
+events = native.events(data)
+if native.native_active:
+    assert "numpy" not in sys.modules, "the native engine loaded NumPy"
+vector = VectorTagger(xmlrpc())
+assert vector.vector_active is NUMPY_AVAILABLE
+assert vector.events(data) == events
+assert ("numpy" in sys.modules) is NUMPY_AVAILABLE
+print("ok")
+"""
+
+
+def test_numpy_loads_with_the_first_wide_loop_not_on_import():
+    """A process on another engine never pays NumPy's import: it is
+    found at import (``NUMPY_AVAILABLE``) and loaded the first time
+    the wide loop runs — not by ``import repro.cli``, and not by a
+    native-engine tagger (which *is* a ``VectorTagger``)."""
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_NUMPY],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

@@ -281,3 +281,49 @@ def test_proxy_healthz_degrades_to_503(table):
             assert "no healthy backends" in body
 
     run(scenario())
+
+
+def test_http_get_reads_a_split_response_to_the_end():
+    """Regression: a reply that arrives in two segments used to come
+    back cut at the first (one ``read()``), dropping the backend from
+    the proxy's ``/stats`` and truncating its merged ``/metrics``."""
+    body = b"m" * 200_000
+
+    async def responder(reader, writer):
+        await reader.readline()
+        head = (
+            "HTTP/1.0 200 OK\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        writer.write(head + body[:1000])
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        writer.write(body[1000:])
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        listener = await asyncio.start_server(responder, "127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        status, got = await _http_get("127.0.0.1", port, "/metrics")
+        assert status == 200
+        assert len(got) == len(body) and got == body.decode()
+        # ... still under one deadline: a responder that never finishes
+        # is a timeout, not a hang.
+        async def stalled(reader, writer):
+            await reader.read()  # until the client gives up
+            writer.close()
+
+        stall = await asyncio.start_server(stalled, "127.0.0.1", 0)
+        with pytest.raises(asyncio.TimeoutError):
+            await _http_get(
+                "127.0.0.1",
+                stall.sockets[0].getsockname()[1],
+                "/stats",
+                timeout=0.2,
+            )
+        listener.close()
+        stall.close()
+
+    run(scenario())

@@ -56,6 +56,73 @@ def test_idle_timeout_discards_flow_state():
     run(main())
 
 
+def test_busy_connection_is_not_reaped():
+    """The deadline bounds the wait for a frame, not the time spent
+    handling one: a connection whose handler is busy for longer than
+    ``idle_timeout`` (here: held in ``_op``) keeps its connection."""
+
+    async def main():
+        async with running_server(idle_timeout=0.15) as server:
+            release = asyncio.Event()
+            real_op = server._op
+
+            async def slow_op(conn, flow, frame):
+                await release.wait()
+                await real_op(conn, flow, frame)
+
+            server._op = slow_op
+            async with ScanClient(*server.address) as client:
+                flow = await client.open_flow()
+                await flow.send(b"<methodCall>")
+                finishing = asyncio.ensure_future(flow.finish(timeout=5.0))
+                await asyncio.sleep(0.5)  # > 3 idle limits, mid-handling
+                assert len(server._connections) == 1
+                release.set()
+                assert await finishing == []
+            counters = server.stats()["counters"]
+            assert counters.get("server.timeouts.idle", 0) == 0
+
+    run(main())
+
+
+def test_dribbled_frame_counts_as_idle():
+    """A byte every ``idle_timeout / 2`` that never completes a frame
+    does not push the deadline out: the connection is reaped one limit
+    after the last complete frame."""
+
+    async def main():
+        async with running_server(idle_timeout=0.2) as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
+            writer.write(protocol.encode_hello())
+            await writer.drain()
+            assert (await frames.frame()).type == FrameType.HELLO
+
+            async def dribble():
+                for byte in protocol.encode_data(1, b"x" * 64):
+                    writer.write(bytes([byte]))
+                    await asyncio.sleep(0.1)
+
+            task = asyncio.ensure_future(dribble())
+            started = time.monotonic()
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
+            assert time.monotonic() - started < 1.0
+            assert frame.type == FrameType.ERROR
+            _flow, code, _message = protocol.decode_error(frame)
+            assert code == ErrorCode.IDLE_TIMEOUT
+            assert await asyncio.wait_for(frames.frame(), 2.0) is None
+            task.cancel()
+            writer.close()
+            counters = server.stats()["counters"]
+            assert counters["server.timeouts.idle"] == 1
+            # The cut frame is the deadline's doing, not a protocol error.
+            assert counters.get("server.errors.protocol", 0) == 0
+            assert not server._connections
+
+    run(main())
+
+
 # ----------------------------------------------------------------------
 # oversized frames
 # ----------------------------------------------------------------------
