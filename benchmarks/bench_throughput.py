@@ -203,6 +203,13 @@ def test_native_speedup(bench_record, grammar, stream):
                  native_gbps / compiled_gbps, unit=None)
     assert native_gbps / compiled_gbps >= 10.0
 
+    # tag() is the same scan with the kernel's token drain: a finished
+    # TaggedToken (lexeme copied out) may cost at most 2.5x a bare
+    # event on this stream of ~1 token per 8 bytes.
+    tag_gbps = _best_rate(native.compiled.tag, stream, reps=10)
+    bench_record("native tag/events ratio", tag_gbps / native_gbps, unit=None)
+    assert tag_gbps / native_gbps >= 0.4
+
 
 def test_structgen_masks(bench_record, grammar):
     """ISSUE acceptance gate: precomputed per-state token masks serve

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core.tagger import BehavioralTagger
 from repro.core.tokens import TaggedToken
-from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
-from repro.grammar.symbols import Terminal
 
 
 @dataclass(frozen=True)
@@ -59,18 +57,18 @@ class ContentFilter:
         self.grammar = grammar
         self.rules = rules
         self.tagger = tagger if tagger is not None else BehavioralTagger(grammar)
-        self.accepting = set(self.tagger.accepting)
-        #: context name -> occurrences of data tokens inside it
-        self._context_occurrences: dict[str, set[Occurrence]] = {}
-        for production in grammar.productions:
-            bucket = self._context_occurrences.setdefault(
-                production.lhs.name, set()
-            )
-            for position, symbol in enumerate(production.rhs):
-                if isinstance(symbol, Terminal) and not grammar.lexspec.get(
-                    symbol.name
-                ).is_literal:
-                    bucket.add(Occurrence(production.index, position, symbol))
+        # Per-token tests key on the token's encoder index (unique per
+        # unit on a behavioral tagger): an int, hashed in C.
+        index_of = self.tagger.index_of
+        self._accepting = frozenset(map(index_of, self.tagger.accepting))
+        #: context name -> encoder indices of the data tokens inside it
+        self._context_indices: dict[str, set[int]] = {}
+        element_of = {p.index: p.lhs.name for p in grammar.productions}
+        for unit in self.tagger.units:
+            if not grammar.lexspec.get(unit.terminal.name).is_literal:
+                self._context_indices.setdefault(
+                    element_of[unit.production], set()
+                ).add(index_of(unit))
 
     # ------------------------------------------------------------------
     def _rule_matches(self, rule: FilterRule, token: TaggedToken) -> bool:
@@ -78,9 +76,7 @@ class ContentFilter:
             return False
         if rule.context is None:
             return True
-        return token.occurrence in self._context_occurrences.get(
-            rule.context, set()
-        )
+        return token.index in self._context_indices.get(rule.context, ())
 
     def filter(self, data: bytes) -> list[FilterDecision]:
         """Evaluate every message in the stream against the rules."""
@@ -100,7 +96,7 @@ class ContentFilter:
                     if rule.action == "drop":
                         dropped = True
                     flags.append(note)
-            if token.occurrence in self.accepting:
+            if token.index in self._accepting:
                 decisions.append(
                     FilterDecision(
                         start=message_start,

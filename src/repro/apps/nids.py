@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.tagger import BehavioralTagger
-from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
-from repro.grammar.symbols import Terminal
 from repro.software.naive import NaiveScanner, ScanHit
 
 
@@ -74,21 +72,20 @@ class ContextSignatureScanner:
         self.grammar = grammar
         self.signatures = signatures
         self.tagger = tagger if tagger is not None else BehavioralTagger(grammar)
-        #: occurrence -> element (lhs) name, for context lookup
-        self._element_of: dict[Occurrence, str] = {}
-        for production in grammar.productions:
-            for position, symbol in enumerate(production.rhs):
-                if isinstance(symbol, Terminal):
-                    self._element_of[
-                        Occurrence(production.index, position, symbol)
-                    ] = production.lhs.name
+        element_of = {p.index: p.lhs.name for p in grammar.productions}
+        #: token encoder index (unique per unit: an int, hashed in C
+        #: per token) -> element (lhs) name, for context lookup
+        self._element_of: dict[int, str] = {
+            self.tagger.index_of(unit): element_of[unit.production]
+            for unit in self.tagger.units
+        }
 
     # ------------------------------------------------------------------
     def scan(self, data: bytes) -> list[SignatureAlert]:
         """Contextual alerts: signature bytes inside a scoped element."""
         alerts: list[SignatureAlert] = []
         for token in self.tagger.tag(data):
-            element = self._element_of.get(token.occurrence, "")
+            element = self._element_of.get(token.index, "")
             for signature in self.signatures:
                 if element not in signature.contexts:
                     continue

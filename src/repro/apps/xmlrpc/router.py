@@ -32,10 +32,12 @@ from repro.apps.xmlrpc.services import BANK_SHOPPING_TABLE, ServiceTable
 from repro.core.api import StreamSession
 from repro.core.compiled import CompiledTagger
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
+from repro.core.tokens import TaggedToken
 from repro.errors import BackendError
 from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
 from repro.grammar.examples import xmlrpc
+from repro.grammar.symbols import Terminal
 from repro.software.naive import NaiveScanner
 
 
@@ -64,21 +66,21 @@ class ContentBasedRouter:
         self.tagger = tagger if tagger is not None else BehavioralTagger(self.grammar)
 
         #: Occurrences whose detection carries the service name: any
-        #: terminal inside the methodName element's production body.
-        self.method_occurrences: set[Occurrence] = set()
-        self.accepting: set[Occurrence] = set(self._accepting_of(self.tagger))
-        for production in self.grammar.productions:
-            if production.lhs.name != method_element:
-                continue
-            for position, symbol in enumerate(production.rhs):
-                from repro.grammar.symbols import Terminal
-
-                if isinstance(symbol, Terminal) and not self.grammar.lexspec.get(
-                    symbol.name
-                ).is_literal:
-                    self.method_occurrences.add(
-                        Occurrence(production.index, position, symbol)
-                    )
+        #: data token inside the methodName element's production body.
+        self.method_occurrences: set[Occurrence] = {
+            Occurrence(production.index, position, symbol)
+            for production in self.grammar.productions
+            if production.lhs.name == method_element
+            for position, symbol in enumerate(production.rhs)
+            if isinstance(symbol, Terminal)
+            and not self.grammar.lexspec.get(symbol.name).is_literal
+        }
+        behavioral = isinstance(self.tagger, BehavioralTagger)
+        self.accepting: set[Occurrence] = set(
+            self.tagger.accepting
+            if behavioral
+            else self.tagger.circuit.scanner.graph.accepting
+        )
         if not self.method_occurrences:
             raise BackendError(
                 f"grammar {self.grammar.name!r} has no data token inside "
@@ -95,16 +97,25 @@ class ContentBasedRouter:
         #: bit 0 = its lexeme is the service name, bit 1 = its
         #: detection ends a message.
         self._select = bytes(
-            (unit in self.method_occurrences)
-            | (unit in self.accepting) << 1
+            self._role(unit)
             for unit in (self._compiled.units if self._compiled else ())
         )
+        #: :meth:`route`'s one lookup per token: ``token[field]`` ->
+        #: the same two bits.  A behavioral tagger's encoder index is
+        #: unique per unit, so the key is an int; hashing and comparing
+        #: the :class:`Occurrence` costs ten times the rest of the loop.
+        if behavioral:
+            self._key_field = TaggedToken._fields.index("index")
+            index_of = self.tagger.index_of
+            self._roles = {index_of(u): self._role(u) for u in self.tagger.units}
+        else:
+            self._key_field = TaggedToken._fields.index("occurrence")
+            self._roles = {
+                u: self._role(u) for u in self.method_occurrences | self.accepting
+            }
 
-    @staticmethod
-    def _accepting_of(tagger) -> set[Occurrence]:
-        if isinstance(tagger, BehavioralTagger):
-            return set(tagger.accepting)
-        return set(tagger.circuit.scanner.graph.accepting)
+    def _role(self, unit: Occurrence) -> int:
+        return (unit in self.method_occurrences) | (unit in self.accepting) << 1
 
     # ------------------------------------------------------------------
     def route(self, data: bytes) -> list[RoutedMessage]:
@@ -112,12 +123,17 @@ class ContentBasedRouter:
         messages: list[RoutedMessage] = []
         message_start: int | None = None
         service: str | None = None
+        field = self._key_field
+        role_of = self._roles.get
         for token in self.tagger.tag(data):
             if message_start is None:
                 message_start = token.start
-            if token.occurrence in self.method_occurrences:
+            role = role_of(token[field])
+            if not role:
+                continue
+            if role & 1:
                 service = token.text()
-            if token.occurrence in self.accepting:
+            if role & 2:
                 messages.append(
                     RoutedMessage(
                         start=message_start,

@@ -31,7 +31,7 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_nativescan.
 
 #: Bumped when the kernel's Python-visible contract changes, to key the
 #: build cache alongside the source hash.
-_ABI_TAG = "1"
+_ABI_TAG = "2"
 
 _cached_module = None
 _attempted = False
@@ -65,54 +65,48 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-native")
 
 
-def _cache_key() -> str:
-    with open(_SOURCE, "rb") as fh:
+def _source_key(source: str, *tags: str) -> str:
+    """Cache key of one kernel: its source hash plus ``tags``."""
+    with open(source, "rb") as fh:
         digest = hashlib.sha256(fh.read())
-    digest.update(_ABI_TAG.encode())
-    digest.update(sys.implementation.cache_tag.encode())
+    for tag in tags:
+        digest.update(tag.encode())
     return digest.hexdigest()[:16]
 
 
-def _ext_suffix() -> str:
-    return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+def _kernel_target() -> str:
+    """Where the scan kernel's just-in-time build lives in the cache."""
+    key = _source_key(_SOURCE, _ABI_TAG, sys.implementation.cache_tag)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return os.path.join(_cache_dir(), f"_nativescan-{key}{suffix}")
 
 
-def _jit_build() -> str | None:
-    """Compile the kernel into the cache; return the .so path or None."""
+def _compile(source: str, target: str, python_api: bool) -> str | None:
+    """Compile ``source`` into ``target`` (a path in the cache) unless
+    it is already there; return ``target``, or None on any failure."""
     argv = _compiler()
     if argv is None:
         return None
-    cache = _cache_dir()
-    target = os.path.join(cache, f"_nativescan-{_cache_key()}{_ext_suffix()}")
     if os.path.exists(target):
         return target
-    include = sysconfig.get_path("include")
-    if not include:
-        return None
+    includes: list[str] = []
+    if python_api:
+        paths = (sysconfig.get_path("include"), sysconfig.get_path("platinclude"))
+        if not paths[0]:
+            return None
+        includes = [f"-I{path}" for path in dict.fromkeys(paths) if path]
+    cache = os.path.dirname(target)
     try:
         os.makedirs(cache, exist_ok=True)
         # Build into a private temp name, then atomically publish, so
         # concurrent workers racing on a cold cache never load a
         # half-written object.
-        fd, tmp = tempfile.mkstemp(
-            dir=cache, prefix="_nativescan-build-", suffix=_ext_suffix()
-        )
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix="build-", suffix=".so")
         os.close(fd)
     except OSError:
         return None
-    cmd = argv + [
-        "-O2",
-        "-fPIC",
-        "-shared",
-        "-fno-strict-aliasing",
-        f"-I{include}",
-        _SOURCE,
-        "-o",
-        tmp,
-    ]
-    platinclude = sysconfig.get_path("platinclude")
-    if platinclude and platinclude != include:
-        cmd.insert(-3, f"-I{platinclude}")
+    cmd = argv + ["-O2", "-fPIC", "-shared", "-fno-strict-aliasing"]
+    cmd += includes + [source, "-o", tmp]
     try:
         proc = subprocess.run(
             cmd,
@@ -167,9 +161,7 @@ def load_kernel(probe: bool = True):
         # A previous JIT build in the cache loads without a compiler, so
         # even probe=False (capability reporting) may use it: loading a
         # built artifact is cheap and side-effect free.
-        target = os.path.join(
-            _cache_dir(), f"_nativescan-{_cache_key()}{_ext_suffix()}"
-        )
+        target = _kernel_target()
         if os.path.exists(target):
             _cached_module = _load_from(target)
             if _cached_module is not None:
@@ -180,7 +172,7 @@ def load_kernel(probe: bool = True):
         return None
     _attempted = True
     try:
-        path = _jit_build()
+        path = _compile(_SOURCE, _kernel_target(), python_api=True)
         if path is None:
             return None
         _cached_module = _load_from(path)
@@ -198,13 +190,9 @@ def kernel_source() -> str | None:
     return "jit" if _cache_dir() in path else "prebuilt"
 
 
-# ----------------------------------------------------------------------
-# Generic plain-C JIT: same cache/publish discipline as the scan
-# kernel, for auxiliary kernels loaded via ctypes (no Python.h, so the
-# artifact is interpreter-independent and needs no EXT_SUFFIX).
-# ----------------------------------------------------------------------
 def jit_shared_library(source: str, abi_tag: str) -> str | None:
-    """Compile ``source`` (plain C, no CPython API) into the native
+    """Compile ``source`` (plain C, no CPython API, so the artifact is
+    interpreter-independent and loads via ctypes) into the native
     build cache and return the shared-object path, or None.
 
     Degrades exactly like the scan kernel: ``REPRO_DISABLE_NATIVE=1``,
@@ -215,54 +203,10 @@ def jit_shared_library(source: str, abi_tag: str) -> str | None:
     """
     if _disabled():
         return None
-    argv = _compiler()
-    if argv is None:
-        return None
     try:
-        with open(source, "rb") as fh:
-            digest = hashlib.sha256(fh.read())
+        key = _source_key(source, abi_tag)
     except OSError:
         return None
-    digest.update(abi_tag.encode())
-    key = digest.hexdigest()[:16]
-    cache = _cache_dir()
     name = os.path.splitext(os.path.basename(source))[0]
-    target = os.path.join(cache, f"{name}-{key}.so")
-    if os.path.exists(target):
-        return target
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=cache, prefix=f"{name}-build-", suffix=".so"
-        )
-        os.close(fd)
-    except OSError:
-        return None
-    cmd = argv + [
-        "-O2",
-        "-fPIC",
-        "-shared",
-        "-fno-strict-aliasing",
-        source,
-        "-o",
-        tmp,
-    ]
-    try:
-        proc = subprocess.run(
-            cmd,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=120,
-            check=False,
-        )
-        if proc.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, target)
-        return target
-    except (OSError, subprocess.SubprocessError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return None
+    target = os.path.join(_cache_dir(), f"{name}-{key}.so")
+    return _compile(source, target, python_api=False)

@@ -21,9 +21,15 @@
  * edges run their tiny program against C-resident earliest-start
  * registers, appending (unit, end, match_start) triples to a spill
  * buffer.  Only those sparse triples ever surface to Python, where
- * they are materialized as the exact DetectEvent pairs the compiled
- * engine would have produced (same events, same order, same error
- * positions — enforced by tests/core/test_nativescan.py).
+ * they are materialized as exactly what the compiled engine would have
+ * produced (same events, same order, same error positions — enforced
+ * by tests/core/test_nativescan.py), in one of three drain modes:
+ *
+ *   DRAIN_EVENTS  bare DetectEvent(unit, end)           -> events()
+ *   DRAIN_PAIRS   (DetectEvent, match_start) pairs      -> scan()/feed
+ *   DRAIN_TOKENS  finished TaggedToken(name, unit, lexeme, start, end,
+ *                 index), the lexeme copied out of the chunk being
+ *                 scanned                               -> tag()
  *
  * Packed sink.  A caller that acts on a few contexts only (the Fig. 12
  * router: of all tokenizers, the method name and the end of message
@@ -69,6 +75,7 @@
 #define CAPSULE_NAME "repro.core._nativescan.tables"
 
 enum { OP_END = 0, OP_ERR = 1, OP_EVENT = 2, OP_STARTS = 3 };
+enum { DRAIN_EVENTS = 0, DRAIN_PAIRS = 1, DRAIN_TOKENS = 2 };
 
 /* Spill-buffer capacity in (unit, end, start) triples: drained (with
  * the GIL re-acquired) whenever fewer than max_per_edge slots remain,
@@ -92,8 +99,11 @@ typedef struct {
     uint8_t *live_all;      /* n_skip_rows * 256 */
     int32_t *unit_ofs;      /* n_units + 1 prefix offsets */
     int32_t *unit_caps;     /* n_units */
-    PyObject *units;        /* tuple of unit objects (strong ref) */
+    PyObject *rows;         /* per unit (token name, unit, encoder index)
+                             * tuples, the objects every hit of that unit
+                             * shares (strong ref) */
     PyTypeObject *det_type; /* DetectEvent, a tuple subclass (strong) */
+    PyTypeObject *tok_type; /* TaggedToken, likewise */
 } NativeTables;
 
 static void
@@ -108,8 +118,9 @@ tables_free(NativeTables *t)
     PyMem_Free(t->live_all);
     PyMem_Free(t->unit_ofs);
     PyMem_Free(t->unit_caps);
-    Py_XDECREF(t->units);
+    Py_XDECREF(t->rows);
     Py_XDECREF((PyObject *)t->det_type);
+    Py_XDECREF((PyObject *)t->tok_type);
     PyMem_Free(t);
 }
 
@@ -197,22 +208,34 @@ validate_progs(const int32_t *progs, Py_ssize_t n_progs,
     return at_start ? 0 : -1; /* must end exactly on a program boundary */
 }
 
+/* A type the drain may allocate with tp_alloc(type, n) and fill like a
+ * tuple: a tuple subclass that adds no storage (a NamedTuple). */
+static int
+plain_tuple_subclass(PyObject *type)
+{
+    return PyType_Check(type) &&
+           PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type) &&
+           ((PyTypeObject *)type)->tp_itemsize ==
+               (Py_ssize_t)sizeof(PyObject *) &&
+           ((PyTypeObject *)type)->tp_basicsize == PyTuple_Type.tp_basicsize;
+}
+
 static PyObject *
 build_tables(PyObject *self, PyObject *args)
 {
     int n_states, n_classes, n_units, max_per_edge;
     Py_buffer class_table = {0}, step = {0}, prog_idx = {0}, progs = {0};
     Py_buffer skip_ofs = {0}, live_all = {0}, unit_caps = {0};
-    PyObject *units, *det;
+    PyObject *rows, *det, *tok;
     NativeTables *t = NULL;
     uint8_t *bitmap = NULL;
 
     if (!PyArg_ParseTuple(
-            args, "iiiy*y*y*y*y*y*y*O!Oi:build_tables",
+            args, "iiiy*y*y*y*y*y*y*O!OOi:build_tables",
             &n_states, &n_classes, &n_units,
             &class_table, &step, &prog_idx, &progs,
             &skip_ofs, &live_all, &unit_caps,
-            &PyTuple_Type, &units, &det, &max_per_edge))
+            &PyTuple_Type, &rows, &det, &tok, &max_per_edge))
         return NULL;
 
 #define FAIL(msg)                                                     \
@@ -235,13 +258,20 @@ build_tables(PyObject *self, PyObject *args)
         FAIL("progs/skip_ofs size mismatch");
     if (live_all.len % 256 || unit_caps.len != (Py_ssize_t)n_units * 4)
         FAIL("live_all/unit_caps size mismatch");
-    if (PyTuple_GET_SIZE(units) != n_units)
-        FAIL("units tuple size mismatch");
-    if (!PyType_Check(det) ||
-        !PyType_IsSubtype((PyTypeObject *)det, &PyTuple_Type) ||
-        ((PyTypeObject *)det)->tp_itemsize != (Py_ssize_t)sizeof(PyObject *) ||
-        ((PyTypeObject *)det)->tp_basicsize != PyTuple_Type.tp_basicsize)
-        FAIL("event type must be a plain tuple subclass");
+    if (PyTuple_GET_SIZE(rows) != n_units)
+        FAIL("token rows size mismatch");
+    for (int u = 0; u < n_units; u++) {
+        /* (token name, unit, encoder index): what the drains copy
+         * into every DetectEvent / TaggedToken of this unit. */
+        PyObject *row = PyTuple_GET_ITEM(rows, u);
+        if (!PyTuple_CheckExact(row) || PyTuple_GET_SIZE(row) != 3 ||
+            !PyUnicode_Check(PyTuple_GET_ITEM(row, 0)) ||
+            !(PyLong_Check(PyTuple_GET_ITEM(row, 2)) ||
+              PyTuple_GET_ITEM(row, 2) == Py_None))
+            FAIL("token row must be (str name, unit, int index or None)");
+    }
+    if (!plain_tuple_subclass(det) || !plain_tuple_subclass(tok))
+        FAIL("event and token types must be plain tuple subclasses");
     if (max_per_edge < 1 || max_per_edge > HITS_CAP / 2)
         FAIL("bad max_per_edge");
 
@@ -325,10 +355,12 @@ build_tables(PyObject *self, PyObject *args)
 
     PyMem_Free(bitmap);
     bitmap = NULL;
-    Py_INCREF(units);
-    t->units = units;
+    Py_INCREF(rows);
+    t->rows = rows;
     Py_INCREF(det);
     t->det_type = (PyTypeObject *)det;
+    Py_INCREF(tok);
+    t->tok_type = (PyTypeObject *)tok;
 
     PyBuffer_Release(&class_table);
     PyBuffer_Release(&step);
@@ -430,63 +462,89 @@ run_prog(const NativeTables *t, const int32_t *pc,
 /* drain: materialize spill-buffer triples as Python objects           */
 /* ------------------------------------------------------------------ */
 
+/* The chunk being scanned: what DRAIN_TOKENS copies lexemes out of. */
+typedef struct {
+    const uint8_t *dp;
+    Py_ssize_t n;
+    long long base; /* absolute stream position of dp[0] */
+} Chunk;
+
+/* Fill a fresh tuple with n owned references; a NULL among them, or a
+ * NULL tuple, fails the lot.  For DetectEvent and TaggedToken the
+ * tuple comes straight from the subclass's tp_alloc — what
+ * tuple.__new__ would do, skipping the namedtuple's Python-level
+ * __new__. */
+static inline PyObject *
+filled(PyObject *tuple, Py_ssize_t n, PyObject *const *fields)
+{
+    int ok = tuple != NULL;
+    for (Py_ssize_t k = 0; k < n; k++)
+        ok &= fields[k] != NULL;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (ok)
+            PyTuple_SET_ITEM(tuple, k, fields[k]);
+        else
+            Py_XDECREF(fields[k]);
+    }
+    if (!ok)
+        Py_CLEAR(tuple);
+    return tuple;
+}
+
 static int
 drain_hits(const NativeTables *t, const int64_t *hits, Py_ssize_t h,
-           PyObject *out, PyObject *errors, int pairs)
+           PyObject *out, PyObject *errors, int mode, const Chunk *chunk)
 {
     for (Py_ssize_t i = 0; i < h; i++) {
         int64_t u = hits[3 * i];
         long long pos = (long long)hits[3 * i + 1];
+        long long start = (long long)hits[3 * i + 2];
+        PyObject *item, *sink = out;
         if (u < 0) {
-            PyObject *p = PyLong_FromLongLong(pos);
-            if (p == NULL)
+            item = PyLong_FromLongLong(pos);
+            sink = errors;
+        }
+        else if (mode == DRAIN_TOKENS) {
+            /* TaggedToken(name, unit, lexeme, start, end, index): name,
+             * unit and index are the unit's interned row, the lexeme is
+             * the chunk's bytes [start, pos).  A span that is not
+             * inside the chunk (a token begun in an earlier chunk) is
+             * refused, never read. */
+            if (start < chunk->base || start > pos ||
+                pos - chunk->base > (long long)chunk->n) {
+                PyErr_SetString(PyExc_ValueError,
+                                "token starts outside the chunk being scanned");
                 return -1;
-            int r = PyList_Append(errors, p);
-            Py_DECREF(p);
-            if (r < 0)
-                return -1;
-            continue;
+            }
+            PyObject *row = PyTuple_GET_ITEM(t->rows, (Py_ssize_t)u);
+            PyObject *fields[6] = {
+                Py_NewRef(PyTuple_GET_ITEM(row, 0)),
+                Py_NewRef(PyTuple_GET_ITEM(row, 1)),
+                PyBytes_FromStringAndSize(
+                    (const char *)chunk->dp + (start - chunk->base),
+                    (Py_ssize_t)(pos - start)),
+                PyLong_FromLongLong(start),
+                PyLong_FromLongLong(pos),
+                Py_NewRef(PyTuple_GET_ITEM(row, 2)),
+            };
+            item = filled(t->tok_type->tp_alloc(t->tok_type, 6), 6, fields);
         }
-        /* DetectEvent(unit, end): allocated directly as the tuple
-         * subclass (what tuple.__new__ would do), skipping the
-         * namedtuple's Python-level __new__. */
-        PyObject *event = t->det_type->tp_alloc(t->det_type, 2);
-        if (event == NULL)
+        else {
+            PyObject *row = PyTuple_GET_ITEM(t->rows, (Py_ssize_t)u);
+            PyObject *event[2] = {Py_NewRef(PyTuple_GET_ITEM(row, 1)),
+                                  PyLong_FromLongLong(pos)};
+            item = filled(t->det_type->tp_alloc(t->det_type, 2), 2, event);
+            if (item != NULL && mode == DRAIN_PAIRS) {
+                /* (event, match_start): DRAIN_EVENTS skips the pair
+                 * events() would immediately strip. */
+                PyObject *pair[2] = {item, PyLong_FromLongLong(start)};
+                item = filled(PyTuple_New(2), 2, pair);
+            }
+        }
+        if (item == NULL)
             return -1;
-        PyObject *unit = PyTuple_GET_ITEM(t->units, (Py_ssize_t)u);
-        Py_INCREF(unit);
-        PyTuple_SET_ITEM(event, 0, unit);
-        PyObject *end = PyLong_FromLongLong(pos);
-        if (end == NULL) {
-            Py_DECREF(event);
-            return -1;
-        }
-        PyTuple_SET_ITEM(event, 1, end);
-        if (!pairs) {
-            /* events-only mode: the caller wants the bare DetectEvent
-             * stream (CompiledTagger.events()), so skip the (event,
-             * match_start) pair it would immediately strip. */
-            int r0 = PyList_Append(out, event);
-            Py_DECREF(event);
-            if (r0 < 0)
-                return -1;
-            continue;
-        }
-        PyObject *start = PyLong_FromLongLong((long long)hits[3 * i + 2]);
-        if (start == NULL) {
-            Py_DECREF(event);
-            return -1;
-        }
-        PyObject *pair = PyTuple_New(2);
-        if (pair == NULL) {
-            Py_DECREF(event);
-            Py_DECREF(start);
-            return -1;
-        }
-        PyTuple_SET_ITEM(pair, 0, event);
-        PyTuple_SET_ITEM(pair, 1, start);
-        int r = PyList_Append(out, pair);
-        Py_DECREF(pair);
+        int r = PyList_Append(sink, item);
+        Py_DECREF(item);
         if (r < 0)
             return -1;
     }
@@ -548,72 +606,63 @@ scan_chunk(PyObject *self, PyObject *args)
     PyObject *capsule, *starts_list, *out, *errors;
     PyObject *select = Py_None, *carry = Py_None;
     int state;
-    int pairs = 1;
+    int mode = DRAIN_PAIRS;
     long long base;
     Py_buffer data;
     Py_buffer sel = {0}, car = {0}, rec = {0};
+    int64_t *starts = NULL, *scratch = NULL, *hits = NULL;
+    int32_t *lens = NULL;
+    PyObject *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "OiLy*O!OO|pOO:scan_chunk",
+    if (!PyArg_ParseTuple(args, "OiLy*O!OO|iOO:scan_chunk",
                           &capsule, &state, &base, &data,
                           &PyList_Type, &starts_list,
-                          &out, &errors, &pairs, &select, &carry))
+                          &out, &errors, &mode, &select, &carry))
         return NULL;
+
+#define FAIL(exc, msg)                                                \
+    do {                                                              \
+        PyErr_SetString(exc, msg);                                    \
+        goto done;                                                    \
+    } while (0)
 
     const int packed = (select != Py_None);
     NativeTables *t = PyCapsule_GetPointer(capsule, CAPSULE_NAME);
     if (t == NULL)
-        goto arg_error;
-    if (state < 0 || state >= t->n_states) {
-        PyErr_SetString(PyExc_ValueError, "state id out of range");
-        goto arg_error;
-    }
-    if (PyList_GET_SIZE(starts_list) != t->n_units) {
-        PyErr_SetString(PyExc_ValueError, "starts list size mismatch");
-        goto arg_error;
-    }
-    if (errors != Py_None && !PyList_Check(errors)) {
-        PyErr_SetString(PyExc_TypeError, "errors must be a list or None");
-        goto arg_error;
-    }
+        goto done;
+    if (state < 0 || state >= t->n_states)
+        FAIL(PyExc_ValueError, "state id out of range");
+    if (mode < DRAIN_EVENTS || mode > DRAIN_TOKENS)
+        FAIL(PyExc_ValueError, "unknown drain mode");
+    if (PyList_GET_SIZE(starts_list) != t->n_units)
+        FAIL(PyExc_ValueError, "starts list size mismatch");
+    if (errors != Py_None && !PyList_Check(errors))
+        FAIL(PyExc_TypeError, "errors must be a list or None");
     if (!packed) {
-        if (!PyList_Check(out)) {
-            PyErr_SetString(PyExc_TypeError, "out must be a list");
-            goto arg_error;
-        }
+        if (!PyList_Check(out))
+            FAIL(PyExc_TypeError, "out must be a list");
     }
     else {
-        if (errors != Py_None) {
-            PyErr_SetString(PyExc_ValueError,
-                            "the packed sink reports no error positions");
-            goto arg_error;
-        }
+        if (errors != Py_None)
+            FAIL(PyExc_ValueError,
+                 "the packed sink reports no error positions");
         if (PyObject_GetBuffer(select, &sel, PyBUF_SIMPLE) < 0 ||
             PyObject_GetBuffer(carry, &car, PyBUF_WRITABLE) < 0 ||
             PyObject_GetBuffer(out, &rec, PyBUF_WRITABLE) < 0)
-            goto arg_error;
-        if (sel.len != t->n_units) {
-            PyErr_SetString(PyExc_ValueError, "select mask size mismatch");
-            goto arg_error;
-        }
-        if (car.len < 2 * (Py_ssize_t)sizeof(int64_t)) {
-            PyErr_SetString(PyExc_ValueError, "carry must hold two int64");
-            goto arg_error;
-        }
+            goto done;
+        if (sel.len != t->n_units)
+            FAIL(PyExc_ValueError, "select mask size mismatch");
+        if (car.len < 2 * (Py_ssize_t)sizeof(int64_t))
+            FAIL(PyExc_ValueError, "carry must hold two int64");
         /* One edge writes at most two records per hit. */
-        if (rec.len / (3 * (Py_ssize_t)sizeof(int64_t)) < 2 * t->max_per_edge) {
-            PyErr_SetString(PyExc_ValueError, "record buffer too small");
-            goto arg_error;
-        }
+        if (rec.len / (3 * (Py_ssize_t)sizeof(int64_t)) < 2 * t->max_per_edge)
+            FAIL(PyExc_ValueError, "record buffer too small");
         if ((uintptr_t)car.buf % sizeof(int64_t) ||
-            (uintptr_t)rec.buf % sizeof(int64_t)) {
-            PyErr_SetString(PyExc_ValueError,
-                            "carry and record buffers must be int64-aligned");
-            goto arg_error;
-        }
+            (uintptr_t)rec.buf % sizeof(int64_t))
+            FAIL(PyExc_ValueError,
+                 "carry and record buffers must be int64-aligned");
     }
 
-    int64_t *starts = NULL, *scratch = NULL, *hits = NULL;
-    int32_t *lens = NULL;
     starts = PyMem_Malloc(((size_t)t->total_cap + 1) * sizeof(int64_t));
     lens = PyMem_Malloc(((size_t)t->n_units + 1) * sizeof(int32_t));
     scratch = PyMem_Malloc((size_t)t->max_cap * sizeof(int64_t));
@@ -622,7 +671,7 @@ scan_chunk(PyObject *self, PyObject *args)
                         3 * sizeof(int64_t));
     if (starts == NULL || lens == NULL || scratch == NULL || hits == NULL) {
         PyErr_NoMemory();
-        goto mem_error;
+        goto done;
     }
 
     /* Load the per-unit earliest-start registers. */
@@ -638,27 +687,22 @@ scan_chunk(PyObject *self, PyObject *args)
             items = ((PyTupleObject *)row)->ob_item;
             nrow = PyTuple_GET_SIZE(row);
         }
-        else {
-            PyErr_SetString(PyExc_TypeError,
-                            "starts rows must be lists or tuples");
-            goto mem_error;
-        }
-        if (nrow > t->unit_caps[u]) {
-            PyErr_SetString(PyExc_ValueError,
-                            "starts row exceeds unit capacity");
-            goto mem_error;
-        }
+        else
+            FAIL(PyExc_TypeError, "starts rows must be lists or tuples");
+        if (nrow > t->unit_caps[u])
+            FAIL(PyExc_ValueError, "starts row exceeds unit capacity");
         lens[u] = (int32_t)nrow;
         int64_t *su = starts + t->unit_ofs[u];
         for (Py_ssize_t j = 0; j < nrow; j++) {
             su[j] = PyLong_AsLongLong(items[j]);
             if (su[j] == -1 && PyErr_Occurred())
-                goto mem_error;
+                goto done;
         }
     }
 
     {
         const uint8_t *dp = (const uint8_t *)data.buf;
+        const Chunk chunk = {dp, data.len, base};
         const uint8_t *ct = t->class_table;
         const int32_t *steps = t->step;
         const int32_t C = t->n_classes;
@@ -705,7 +749,8 @@ scan_chunk(PyObject *self, PyObject *args)
                     }
                     else if (h >= drain_mark) {
                         Py_BLOCK_THREADS
-                        if (drain_hits(t, hits, h, out, errors, pairs) < 0)
+                        if (drain_hits(t, hits, h, out, errors, mode,
+                                       &chunk) < 0)
                             fail = 1;
                         h = 0;
                         Py_UNBLOCK_THREADS
@@ -733,58 +778,50 @@ scan_chunk(PyObject *self, PyObject *args)
         }
         Py_END_ALLOW_THREADS
 
-        if (corrupt) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "native effect program out of bounds");
-            goto mem_error;
-        }
-        if (fail || (h && drain_hits(t, hits, h, out, errors, pairs) < 0))
-            goto mem_error;
+        if (corrupt)
+            FAIL(PyExc_RuntimeError, "native effect program out of bounds");
+        if (fail ||
+            (h && drain_hits(t, hits, h, out, errors, mode, &chunk) < 0))
+            goto done;
 
         /* Write the registers back as fresh Python lists. */
         for (int32_t u = 0; u < t->n_units; u++) {
             PyObject *row = PyList_New(lens[u]);
             if (row == NULL)
-                goto mem_error;
+                goto done;
             const int64_t *su = starts + t->unit_ofs[u];
             for (int32_t j = 0; j < lens[u]; j++) {
                 PyObject *v2 = PyLong_FromLongLong((long long)su[j]);
                 if (v2 == NULL) {
                     Py_DECREF(row);
-                    goto mem_error;
+                    goto done;
                 }
                 PyList_SET_ITEM(row, j, v2);
             }
             PyList_SetItem(starts_list, u, row); /* steals row */
         }
 
-        PyMem_Free(starts);
-        PyMem_Free(lens);
-        PyMem_Free(scratch);
-        PyMem_Free(hits);
-        PyBuffer_Release(&data);
         if (!packed)
-            return Py_BuildValue("iL", sp / C, skipped);
-        ((int64_t *)car.buf)[0] = sink.open;
-        ((int64_t *)car.buf)[1] = sink.start;
-        Py_ssize_t n_records = (sink.next - (int64_t *)rec.buf) / 3;
-        PyBuffer_Release(&sel);
-        PyBuffer_Release(&car);
-        PyBuffer_Release(&rec);
-        return Py_BuildValue("iLnn", sp / C, skipped, n_records, i);
+            result = Py_BuildValue("iL", sp / C, skipped);
+        else {
+            ((int64_t *)car.buf)[0] = sink.open;
+            ((int64_t *)car.buf)[1] = sink.start;
+            Py_ssize_t n_records = (sink.next - (int64_t *)rec.buf) / 3;
+            result = Py_BuildValue("iLnn", sp / C, skipped, n_records, i);
+        }
     }
 
-mem_error:
+done: /* every exit: result is still NULL on an error */
     PyMem_Free(starts);
     PyMem_Free(lens);
     PyMem_Free(scratch);
     PyMem_Free(hits);
-arg_error:
     PyBuffer_Release(&data);
     PyBuffer_Release(&sel); /* no-ops on the never-acquired */
     PyBuffer_Release(&car);
     PyBuffer_Release(&rec);
-    return NULL;
+    return result;
+#undef FAIL
 }
 
 /* ------------------------------------------------------------------ */
@@ -793,8 +830,10 @@ static PyMethodDef nativescan_methods[] = {
     {"build_tables", build_tables, METH_VARARGS,
      "Validate and intern the flat scan tables; returns a capsule."},
     {"scan_chunk", scan_chunk, METH_VARARGS,
-     "Scan one chunk through the native loop; returns (state, skipped), "
-     "or (state, skipped, records, consumed) with the packed sink."},
+     "Scan one chunk through the native loop, draining hits as events "
+     "(mode 0), (event, start) pairs (1, the default) or finished tokens "
+     "(2); returns (state, skipped), or (state, skipped, records, "
+     "consumed) with the packed sink."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -488,11 +488,14 @@ class CompiledTagger:
     # ------------------------------------------------------------------
     # one-shot API (mirrors BehavioralTagger)
     # ------------------------------------------------------------------
-    def scan(self, data: bytes) -> list[tuple[DetectEvent, int]]:
-        """(event, earliest match start) pairs in stream order."""
+    def scan(
+        self, data: bytes, error_sink: list[int] | None = None
+    ) -> list[tuple[DetectEvent, int]]:
+        """(event, earliest match start) pairs in stream order; §5.2
+        error positions are appended to ``error_sink`` if given."""
         out: list[tuple[DetectEvent, int]] = []
         state = self.new_state()
-        self._run(data, state, None, out)
+        self._run(data, state, error_sink, out)
         self._flush(state, out)
         return out
 
@@ -507,25 +510,19 @@ class CompiledTagger:
         if not self.tables.recovery:
             raise ValueError("tagger built without error_recovery")
         errors: list[int] = []
-        out: list[tuple[DetectEvent, int]] = []
-        state = self.new_state()
-        self._run(data, state, errors, out)
-        self._flush(state, out)
-        return [event for event, _start in out], errors
+        return [event for event, _start in self.scan(data, errors)], errors
 
     def tag(self, data: bytes) -> list[TaggedToken]:
         """Tagged tokens with lexemes (earliest-start reconstruction)."""
+        return self._tokens(data, self.scan(data))
+
+    def _tokens(self, data, pairs) -> list[TaggedToken]:
+        """The finished tokens of ``(event, match start)`` pairs."""
         index_of = self._index_of
+        of = TaggedToken.of
         return [
-            TaggedToken(
-                token=event.occurrence.terminal.name,
-                occurrence=event.occurrence,
-                lexeme=data[start : event.end],
-                start=start,
-                end=event.end,
-                index=index_of[event.occurrence],
-            )
-            for event, start in self.scan(data)
+            of(unit, data[start:end], start, end, index_of[unit])
+            for (unit, end), start in pairs
         ]
 
     # ------------------------------------------------------------------

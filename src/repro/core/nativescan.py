@@ -42,6 +42,7 @@ from weakref import WeakKeyDictionary
 from repro.core import _native_build
 from repro.core.scanir import ScanIR, scan_ir_for
 from repro.core.scanplan import DetectEvent
+from repro.core.tokens import TaggedToken
 from repro.core.vectorscan import VectorTagger
 
 __all__ = ["NativeTagger", "capability"]
@@ -80,7 +81,7 @@ class _NativeTables:
 
     __slots__ = ("ext", "capsule", "empty_sink")
 
-    def __init__(self, ext, ir: ScanIR, units: tuple) -> None:
+    def __init__(self, ext, ir: ScanIR, plan) -> None:
         n_states = ir.n_states
         n_classes = ir.n_classes
 
@@ -130,7 +131,7 @@ class _NativeTables:
         self.capsule = ext.build_tables(
             n_states,
             n_classes,
-            len(units),
+            len(plan.units),
             ir.class_table,
             step,
             prog_idx,
@@ -138,8 +139,14 @@ class _NativeTables:
             skip_ofs,
             live_all,
             array("i", ir.unit_caps),
-            tuple(units),
+            # What every hit of a unit shares: (token name, unit,
+            # encoder index).
+            tuple(
+                (unit.terminal.name, unit, plan.index_of[unit])
+                for unit in plan.units
+            ),
             DetectEvent,
+            TaggedToken,
             max_per_edge,
         )
 
@@ -162,7 +169,7 @@ def _native_tables_for(tagger) -> _NativeTables | None:
     if nt is None:
         if array("i").itemsize == 4:
             try:
-                nt = _NativeTables(ext, ir, tagger.plan.units)
+                nt = _NativeTables(ext, ir, tagger.plan)
             except (ValueError, MemoryError, OverflowError):
                 nt = _UNBUILDABLE
         else:  # pragma: no cover - exotic int width
@@ -203,6 +210,30 @@ class NativeTagger(VectorTagger):
         return (NativeTagger, (self.grammar, self.options))
 
     # ------------------------------------------------------------------
+    def _kernel(self, data, st, out, error_sink, mode: int = 1) -> None:
+        """One kernel call over ``data`` from scan state ``st``, hits
+        drained into ``out`` as bare events (``mode`` 0), ``(event,
+        match start)`` pairs (1) or finished tokens (2)."""
+        nt = self._nt
+        self.bytes_scanned += len(data)
+        state, skipped = nt.ext.scan_chunk(
+            nt.capsule, st.tid8 >> 8, st.pos, data, st.starts, out,
+            error_sink, mode,
+        )
+        self.bytes_skipped += skipped
+        st.tid8 = state << 8
+        st.pos += len(data)
+
+    def _drain(self, data, mode: int) -> tuple[list, list]:
+        """The whole input in one kernel call, plus the end-of-data
+        tail as the ``(event, match start)`` pairs ``_flush`` resolves."""
+        st = self.new_state()
+        out: list = []
+        self._kernel(data, st, out, None, mode)
+        tail: list = []
+        self._flush(st, tail)
+        return out, tail
+
     def events(self, data):
         """Raw detection events, bit-exact with the other engines.
 
@@ -210,40 +241,29 @@ class NativeTagger(VectorTagger):
         objects, skipping the (event, match start) pairs ``scan()``
         carries and ``events()`` would immediately strip.
         """
-        nt = self._nt
-        if nt is None:
+        if self._nt is None:
             return super().events(data)
-        st = self.new_state()
-        out: list = []
-        self.bytes_scanned += len(data)
-        state, skipped = nt.ext.scan_chunk(
-            nt.capsule, 0, 0, data, st.starts, out, None, False
-        )
-        self.bytes_skipped += skipped
-        st.tid8 = state << 8
-        st.pos = len(data)
-        tail: list = []
-        self._flush(st, tail)
+        out, tail = self._drain(data, 0)
         out += [event for event, _start in tail]
         return out
 
+    def tag(self, data):
+        """Tagged tokens, field for field the other engines'.
+
+        Native fast path: the kernel builds each finished
+        :class:`~repro.core.tokens.TaggedToken` — lexeme included — as
+        it drains, so no per-token Python runs.
+        """
+        if self._nt is None:
+            return super().tag(data)
+        out, tail = self._drain(data, 2)
+        out += self._tokens(data, tail)
+        return out
+
     def _run(self, data, st, error_sink, out) -> None:
-        nt = self._nt
-        if nt is None:
+        if self._nt is None:
             return super()._run(data, st, error_sink, out)
-        self.bytes_scanned += len(data)
-        state, skipped = nt.ext.scan_chunk(
-            nt.capsule,
-            st.tid8 >> 8,
-            st.pos,
-            data,
-            st.starts,
-            out,
-            error_sink,
-        )
-        self.bytes_skipped += skipped
-        st.tid8 = state << 8
-        st.pos += len(data)
+        self._kernel(data, st, out, error_sink)
 
     def _run_packed(self, data, st, select, carry):
         nt = self._nt

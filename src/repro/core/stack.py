@@ -236,12 +236,8 @@ class StackTagger:
                         continue
                     end = position + length
                     token = StackedToken(
-                        token=TaggedToken(
-                            token=occurrence.terminal.name,
-                            occurrence=occurrence,
-                            lexeme=data[position:end],
-                            start=position,
-                            end=end,
+                        token=TaggedToken.of(
+                            occurrence, data[position:end], position, end
                         ),
                         depth=len(new_stack),
                     )

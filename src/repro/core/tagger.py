@@ -186,19 +186,11 @@ class BehavioralTagger:
         """Tagged tokens with lexemes (earliest-start reconstruction)."""
         if self.compiled is not None:
             return self.compiled.tag(data)
-        tokens: list[TaggedToken] = []
-        for event, start in self._scan(data):
-            tokens.append(
-                TaggedToken(
-                    token=event.occurrence.terminal.name,
-                    occurrence=event.occurrence,
-                    lexeme=data[start : event.end],
-                    start=start,
-                    end=event.end,
-                    index=self._index_of[event.occurrence],
-                )
-            )
-        return tokens
+        index_of = self._index_of
+        return [
+            TaggedToken.of(unit, data[start:end], start, end, index_of[unit])
+            for (unit, end), start in self._scan(data)
+        ]
 
     # ------------------------------------------------------------------
     def _scan(self, data: bytes, error_sink: list[int] | None = None):
@@ -305,14 +297,6 @@ class BehavioralTagger:
 _REVERSE_NFA_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _reverse_nfas_for(grammar: Grammar) -> dict[str, NFA]:
-    cached = _REVERSE_NFA_CACHE.get(grammar)
-    if cached is None:
-        cached = {}
-        _REVERSE_NFA_CACHE[grammar] = cached
-    return cached
-
-
 class GateLevelTagger:
     """Runs the generated netlist and decodes its outputs.
 
@@ -328,8 +312,8 @@ class GateLevelTagger:
             port: occurrence
             for occurrence, port in circuit.detect_ports.items()
         }
-        self._reverse_nfas: dict[str, NFA] = _reverse_nfas_for(
-            circuit.grammar
+        self._reverse_nfas: dict[str, NFA] = _REVERSE_NFA_CACHE.setdefault(
+            circuit.grammar, {}
         )
 
     # ------------------------------------------------------------------
@@ -413,35 +397,34 @@ class GateLevelTagger:
 
     def tag(self, data: bytes) -> list[TaggedToken]:
         """Tagged tokens; lexemes recovered by reversed-pattern match."""
+        # Reversed once per call: every event matches its reversed
+        # pattern from its own offset into the one reversed stream.
+        reversed_data = data[::-1]
+        index_of = self.circuit.index_of
         tokens: list[TaggedToken] = []
-        for event in self.events(data):
-            start = self._recover_start(data, event)
+        for unit, end in self.events(data):
+            start = self._recover_start(reversed_data, unit, end)
             tokens.append(
-                TaggedToken(
-                    token=event.occurrence.terminal.name,
-                    occurrence=event.occurrence,
-                    lexeme=data[start : event.end],
-                    start=start,
-                    end=event.end,
-                    index=self.circuit.index_of(event.occurrence),
-                )
+                TaggedToken.of(unit, data[start:end], start, end, index_of(unit))
             )
         return tokens
 
-    def _recover_start(self, data: bytes, event: DetectEvent) -> int:
-        """Earliest start of a match ending at ``event.end``.
+    def _recover_start(
+        self, reversed_data: bytes, unit: Occurrence, end: int
+    ) -> int:
+        """Earliest start of ``unit``'s match ending at ``end``.
 
         The hardware reports only ends; the longest match of the
-        reversed pattern over the reversed prefix gives the start.
+        reversed pattern over the reversed stream, from the byte
+        before ``end`` backwards, gives the start.
         """
-        name = event.occurrence.terminal.name
+        name = unit.terminal.name
         nfa: NFA | None = self._reverse_nfas.get(name)
         if nfa is None:
             pattern = self.circuit.grammar.lexspec.get(name).pattern
             nfa = compile_nfa(rx.reverse(pattern))
             self._reverse_nfas[name] = nfa
-        reversed_prefix = bytes(reversed(data[: event.end]))
-        length = nfa.longest_match(reversed_prefix, 0)
+        length = nfa.longest_match(reversed_data, len(reversed_data) - end)
         if not length:
-            return event.end - 1
-        return event.end - length
+            return end - 1
+        return end - length

@@ -8,18 +8,24 @@ tag), the matched lexeme, and stream positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.grammar.analysis import Occurrence
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class TaggedToken:
+
+class TaggedToken(NamedTuple):
     """One detected token with its grammatical context.
 
     ``end`` is exclusive: the lexeme is ``data[start:end]``. ``index``
     is the hardware token index emitted by the encoder (§3.4); it is
     ``None`` for behavioral runs configured without an encoder map.
+
+    A named tuple for the reason :class:`~repro.core.scanplan.
+    DetectEvent` is one: ``tag()`` emits these in bulk, and a tuple
+    subclass is something the native kernel's drain can allocate and
+    fill directly (``_nativescan.c``, ``DRAIN_TOKENS``).
     """
 
     token: str
@@ -28,6 +34,16 @@ class TaggedToken:
     start: int
     end: int
     index: int | None = None
+
+    @classmethod
+    def of(cls, occurrence, lexeme, start, end, index=None) -> "TaggedToken":
+        """The engines' one builder: positional, the token name read off
+        the occurrence, the lexeme as ``bytes`` (a slice of a
+        ``bytearray`` or ``memoryview`` input is not one yet)."""
+        return _new(
+            cls,
+            (occurrence.terminal.name, occurrence, bytes(lexeme), start, end, index),
+        )
 
     @property
     def context(self) -> str:

@@ -156,12 +156,8 @@ class LL1Parser:
                         f"expected {symbol.name!r}", position=position
                     )
                 assert occurrence is not None
-                tagged = TaggedToken(
-                    token=lookahead.name,
-                    occurrence=occurrence,
-                    lexeme=lookahead.lexeme,
-                    start=lookahead.start,
-                    end=lookahead.end,
+                tagged = TaggedToken.of(
+                    occurrence, lookahead.lexeme, lookahead.start, lookahead.end
                 )
                 tokens.append(tagged)
                 node.token = tagged

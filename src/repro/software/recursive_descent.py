@@ -102,13 +102,7 @@ class _State:
                 position=self.position,
             )
         self.tokens.append(
-            TaggedToken(
-                token=token.name,
-                occurrence=occurrence,
-                lexeme=token.lexeme,
-                start=token.start,
-                end=token.end,
-            )
+            TaggedToken.of(occurrence, token.lexeme, token.start, token.end)
         )
         self.lookahead = None
         self.lookahead_valid = False

@@ -21,15 +21,20 @@ import zlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.xmlrpc.workload import WorkloadGenerator
+from repro.core import _native_build, nativescan
 from repro.core.compiled import CompiledTagger
 from repro.core.generator import TaggerOptions
 from repro.core.nativescan import NativeTagger, capability
+from repro.core.scanir import scan_ir_for
 from repro.core.tagger import BehavioralTagger
+from repro.core.tokens import TaggedToken
 from repro.core.vectorscan import VectorTagger
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
+from tests.core.test_fuzz_grammars import _derive, random_grammars
 
 GRAMMARS = {
     "ite": if_then_else,
@@ -69,6 +74,17 @@ def _random_streams(seed: int, count: int, max_len: int = 200):
         yield bytes(rng.choice(ALPHABET) for _ in range(n))
 
 
+def _assert_same_tokens(got, expected, data) -> None:
+    """``got`` is ``expected`` field by field: a plain list of complete
+    tokens, each lexeme the ``bytes`` of its span in ``data``."""
+    assert type(got) is list and len(got) == len(expected)
+    for token, reference in zip(got, expected):
+        assert type(token) is TaggedToken and type(token.lexeme) is bytes
+        assert tuple(token) == tuple(reference)
+        assert token.token == token.occurrence.terminal.name
+        assert token.lexeme == bytes(data[token.start : token.end])
+
+
 def _random_chunks(data: bytes, rng: random.Random):
     """Adversarial split boundaries: single bytes, odd runs, MTU runs."""
     i = 0
@@ -84,8 +100,9 @@ def _random_chunks(data: bytes, rng: random.Random):
 @pytest.mark.parametrize("gname", GRAMMARS)
 @pytest.mark.parametrize("vname", VARIANTS)
 def test_differential_random_streams(gname, vname):
-    """scan() (events AND earliest starts) matches the compiled engine
-    on every grammar × wiring corner."""
+    """scan() (events AND earliest starts) and tag() (the kernel's
+    token drain) match the compiled engine on every grammar × wiring
+    corner."""
     grammar = GRAMMARS[gname]()
     options = TaggerOptions(wiring=VARIANTS[vname])
     compiled = CompiledTagger(grammar, options)
@@ -93,6 +110,7 @@ def test_differential_random_streams(gname, vname):
     seed = zlib.crc32(f"native/{gname}/{vname}".encode())
     for data in _random_streams(seed=seed, count=40):
         assert native.scan(data) == compiled.scan(data)
+        _assert_same_tokens(native.tag(data), compiled.tag(data), data)
 
 
 @pytest.mark.parametrize("gname", GRAMMARS)
@@ -110,6 +128,9 @@ def test_four_way_agreement(gname):
         assert native.scan(data) == expected
         assert vector.scan(data) == expected
         assert expected == list(interpreted._scan(data, error_sink=None))
+        tokens = compiled.tag(data)
+        _assert_same_tokens(native.tag(data), tokens, data)
+        assert vector.tag(data) == tokens == interpreted.tag(data)
 
 
 @needs_native
@@ -129,6 +150,135 @@ def test_xmlrpc_workload_events_and_tags():
     assert native.events(data) == compiled.events(data)
     assert native.scan(data) == compiled.scan(data)
     assert native.tag(data) == compiled.tag(data)
+
+
+# ----------------------------------------------------------------------
+# tag(): finished tokens out of the kernel's drain
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["kernel", "REPRO_DISABLE_NATIVE=1"])
+def tag_pair(request, monkeypatch):
+    """(native, compiled) over XML-RPC, with the kernel live (where it
+    builds) and with it disabled: one eager tag() per engine, the same
+    tokens either way."""
+    if request.param != "kernel":
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    native = NativeTagger(xmlrpc())
+    assert native.native_active == (request.param == "kernel" and NATIVE_BUILT)
+    return native, CompiledTagger(xmlrpc())
+
+
+def test_tag_drains_mid_chunk(tag_pair):
+    """More tokens than the spill buffer holds: the drain runs (with
+    the GIL re-taken) in the middle of the chunk, several times."""
+    native, compiled = tag_pair
+    data, _ = WorkloadGenerator(seed=17).stream(360)
+    tokens = native.tag(data)
+    assert len(tokens) > 2 * 4096  # HITS_CAP
+    _assert_same_tokens(tokens, compiled.tag(data), data)
+
+
+def test_tag_last_token_comes_from_the_flush_tail(tag_pair):
+    """A token ending on the final byte has no look-ahead byte: the
+    kernel cannot resolve it, ``_flush`` does, and it is built by the
+    portable builder — indistinguishable from the kernel's."""
+    native, compiled = tag_pair
+    data = (
+        b"<methodCall><methodName>buy</methodName>"
+        b"<params></params></methodCall>"
+    )
+    tokens = native.tag(data)
+    assert tokens[-1].end == len(data) and tokens[-1].lexeme == b"</methodCall>"
+    _assert_same_tokens(tokens, compiled.tag(data), data)
+    assert native.tag(b"") == compiled.tag(b"") == []
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=lambda w: w.__name__)
+def test_tag_accepts_any_buffer_and_returns_bytes(tag_pair, wrap):
+    native, compiled = tag_pair
+    data, _ = WorkloadGenerator(seed=23).stream(6)
+    if wrap is memoryview and native.vector_active and not native.native_active:
+        pytest.skip("the vector loop calls data.translate(): no memoryview")
+    _assert_same_tokens(native.tag(wrap(data)), compiled.tag(data), data)
+    _assert_same_tokens(compiled.tag(bytearray(data)), compiled.tag(data), data)
+
+
+@given(
+    grammar=random_grammars(),
+    seed=st.integers(0, 10_000),
+    junk=st.text(alphabet="abcdefghxz ", max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_tag_matches_compiled_on_fuzzed_grammars(grammar, seed, junk):
+    """Arbitrary small CFGs, derived sentences with junk spliced in."""
+    rng = random.Random(seed)
+    native, compiled = NativeTagger(grammar), CompiledTagger(grammar)
+    sentence = _derive(grammar, rng, spaced=rng.random() < 0.5)
+    cut = rng.randrange(len(sentence) + 1)
+    for data in (sentence, sentence[:cut] + junk.encode() + sentence[cut:]):
+        _assert_same_tokens(native.tag(data), compiled.tag(data), data)
+
+
+@needs_native
+def test_token_drain_refuses_a_start_outside_the_chunk():
+    """The drain slices caller memory by computed offsets, so a token
+    begun in an earlier chunk is a ValueError, never a read; so is a
+    drain mode the kernel does not have."""
+    native = NativeTagger(xmlrpc())
+    nt = native._nt
+    head, rest = b"<methodCall><methodNa", b"me>buy</methodName>"
+
+    def scan(state, base, chunk, starts, mode):
+        out: list = []
+        state, _skipped = nt.ext.scan_chunk(
+            nt.capsule, state, base, chunk, starts, out, None, mode
+        )
+        return state, out
+
+    starts = native.new_state().starts
+    state, tokens = scan(0, 0, head, starts, 2)
+    assert [t.lexeme for t in tokens] == [b"<methodCall>"]
+    with pytest.raises(ValueError, match="outside the chunk"):
+        scan(state, len(head), rest, starts, 2)  # <methodName> began in head
+    with pytest.raises(ValueError, match="drain mode"):
+        scan(0, 0, head, native.new_state().starts, 3)
+
+
+@needs_native
+def test_build_tables_rejects_malformed_token_rows():
+    """Rows and result types are validated once, at interning — the
+    drain then fills tuples without a check per token."""
+    ext = _native_build.load_kernel()
+    tagger = NativeTagger(xmlrpc())
+    captured = []
+
+    class Spy:
+        def build_tables(self, *args):
+            captured.append(args)
+            return ext.build_tables(*args)
+
+    nativescan._NativeTables(Spy(), scan_ir_for(tagger), tagger.plan)
+    (good,) = captured
+    rows = good[10]
+    assert rows[0] == ("<methodCall>", tagger.units[0], 1)
+    assert good[11:13] == (nativescan.DetectEvent, TaggedToken)
+
+    class Roomy(tuple):  # has a __dict__: not fillable as a bare tuple
+        pass
+
+    name, unit, index = rows[0]
+    for at, bad in (
+        (10, rows[:-1]),
+        (10, ((name, unit),) + rows[1:]),
+        (10, ([name, unit, index],) + rows[1:]),
+        (10, ((b"bytes", unit, index),) + rows[1:]),
+        (10, ((name, unit, "1"),) + rows[1:]),
+        (11, Roomy),
+        (12, Roomy),
+        (12, tuple()),
+    ):
+        with pytest.raises(ValueError, match="token row|tuple subclass"):
+            ext.build_tables(*good[:at], bad, *good[at + 1 :])
+    ext.build_tables(*good[:10], ((name, unit, None),) + rows[1:], *good[11:])
 
 
 # ----------------------------------------------------------------------

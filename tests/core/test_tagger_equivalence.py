@@ -74,6 +74,15 @@ class TestFixedInputs:
             for t in gate_tokens
         ]
 
+    def test_start_recovery_over_a_stream(self, xmlrpc_pair, xmlrpc_stream):
+        """Start recovery reverses the stream once and matches each
+        event from its own offset: the tokens are those the behavioral
+        tagger's earliest-start registers give, message after message."""
+        behavioral, gate = xmlrpc_pair
+        assert [tuple(t)[:5] for t in gate.tag(xmlrpc_stream)] == [
+            tuple(t)[:5] for t in behavioral.tag(xmlrpc_stream)
+        ]
+
     def test_multi_message_stream(self, xmlrpc_pair, xmlrpc_stream):
         behavioral, gate = xmlrpc_pair
         assert behavioral.events(xmlrpc_stream) == gate.events(xmlrpc_stream)

@@ -1,5 +1,9 @@
 """TaggedToken model and the back-end pipeline protocol."""
 
+import pickle
+
+import pytest
+
 from repro.core.backend import Backend, TaggingPipeline
 from repro.core.tagger import BehavioralTagger
 from repro.core.tokens import TaggedToken
@@ -31,15 +35,38 @@ class TestTaggedToken:
         assert "[24:31]" in text
 
     def test_frozen(self):
-        import dataclasses
-
         token = _token()
-        try:
+        with pytest.raises(AttributeError):
             token.start = 0  # type: ignore[misc]
-            raised = False
-        except dataclasses.FrozenInstanceError:
-            raised = True
-        assert raised
+        with pytest.raises(AttributeError):
+            token.extra = 0  # no instance dict either
+
+    def test_tuple_form_round_trips(self):
+        """Immutable, hashable, equal by value, picklable — what the
+        frozen dataclass was, now as the tuple the kernel can build."""
+        token = _token()
+        same = _token()
+        assert token == same and hash(token) == hash(same)
+        assert token != same._replace(end=32)
+        assert len({token, same, same._replace(index=6)}) == 2
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(token, protocol))
+            assert type(copy) is TaggedToken
+            assert copy == token and hash(copy) == hash(token)
+        assert tuple(token) == (
+            "STRING", token.occurrence, b"deposit", 24, 31, 5
+        )
+
+    def test_positional_builder(self):
+        """``of`` names the token after the occurrence, coerces the
+        lexeme to ``bytes`` and leaves ``index`` optional."""
+        occurrence = Occurrence(1, 1, Terminal("STRING"))
+        built = TaggedToken.of(occurrence, bytearray(b"deposit"), 24, 31, 5)
+        assert built == _token()
+        assert type(built) is TaggedToken and type(built.lexeme) is bytes
+        view = memoryview(b"xdeposit")[1:]
+        assert TaggedToken.of(occurrence, view, 24, 31).lexeme == b"deposit"
+        assert TaggedToken.of(occurrence, b"", 0, 0).index is None
 
     def test_bad_utf8_replaced(self):
         token = TaggedToken(
