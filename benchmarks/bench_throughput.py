@@ -313,9 +313,9 @@ def test_structgen_beam(bench_record, grammar):
         for ids in ops:
             if ids is None:
                 beam.reset(width)
-                beam.masks_packed()
             else:
-                beam.advance_masks(ids)
+                beam.advance(ids)
+            beam.masks_packed()
 
     def run_sessions():
         for lane in lanes:

@@ -12,7 +12,6 @@ README "Constrained decoding" walkthrough and DESIGN.md §12.
 from .beam import BeamMaskSession, beam_capability
 from .masks import (
     MASK_ABI,
-    MASK_FORMAT_REV,
     MaskError,
     MaskSession,
     MaskTable,
@@ -25,7 +24,6 @@ from .vocab import Vocabulary, synthetic_vocab
 __all__ = [
     "BeamMaskSession",
     "MASK_ABI",
-    "MASK_FORMAT_REV",
     "MaskError",
     "MaskSession",
     "MaskTable",

@@ -3,14 +3,15 @@
  * Three tiny hot loops, called via ctypes from
  * repro.apps.structgen.beam with every table flattened ahead of time:
  *
- *   beam_advance       — walk each lane's token class string through
- *                        the class-indexed step table (the
- *                        per-decode-step batched transition);
+ *   beam_step          — the decode step behind advance(): range-check
+ *                        each lane's token, walk its class string
+ *                        through the class-indexed step table, commit
+ *                        atomically, then gather the new rows;
  *   beam_gather        — copy each lane's packed validity row out of
  *                        the table's row matrix (the batched mask
- *                        lookup; rows are state-complete, the Python
- *                        side completes a state before its first
- *                        gather);
+ *                        lookup after a fork, rollback, reset or a
+ *                        row's first completion; the Python side
+ *                        completes a state before it hands out a row);
  *   beam_encode_masks  — delta-encode the gathered rows against the
  *                        rows last sent, as MASKS lane records.
  *
@@ -21,41 +22,6 @@
 
 #include <stdint.h>
 #include <string.h>
-
-/* Walk lane l's token (toks[l]) from states[l].  codes/offs/lens are
- * the vocabulary's byte-class strings, concatenated and indexed by
- * token id.  err marks states whose next step reports an error
- * (walking out of them is invalid); doomed marks final states no
- * detection can ever leave.
- *
- * Returns -1 when every lane advanced, else the index of the first
- * invalid lane.  states is updated in place lane by lane, so on
- * failure earlier lanes have already moved: callers pass a scratch
- * copy and discard it unless the call returns -1 (atomic commit). */
-long beam_advance(const int32_t *step, int32_t n_classes,
-                  const uint8_t *err, const uint8_t *doomed,
-                  const uint8_t *codes, const int32_t *offs,
-                  const int32_t *lens, const int32_t *toks,
-                  int32_t *states, int32_t n_lanes)
-{
-    int32_t lane;
-    for (lane = 0; lane < n_lanes; lane++) {
-        int32_t s = states[lane];
-        int32_t tok = toks[lane];
-        const uint8_t *p = codes + offs[tok];
-        int32_t len = lens[tok];
-        int32_t i;
-        for (i = 0; i < len; i++) {
-            if (err[s])
-                return lane;
-            s = step[(int64_t)s * n_classes + p[i]];
-        }
-        if (doomed[s])
-            return lane;
-        states[lane] = s;
-    }
-    return -1;
-}
 
 /* Copy each lane's packed row into out (n_lanes * row_bytes). */
 void beam_gather(const uint8_t *rows, int64_t row_bytes,
@@ -87,12 +53,16 @@ typedef struct {
     int32_t n_vocab;
 } beam_plan;
 
-/* The fused decode step: range-check and advance every lane from
- * prev[] into next[], then gather every lane's row — one ctypes
- * transition per generated token for the whole beam.  Returns -1 on
- * success; on the first invalid lane (bad token id, error edge, or
- * doomed final state) returns that lane's index and prev[] is
- * untouched, so commit stays atomic. */
+/* The decode step: range-check and advance every lane from prev[]
+ * into next[], then gather every lane's row — one ctypes transition
+ * per generated token for the whole beam.  Lane l walks its token
+ * (toks[l]) from prev[l]; codes/offs/lens are the vocabulary's
+ * byte-class strings, concatenated and indexed by token id.  err marks
+ * states whose next step reports an error (walking out of them is
+ * invalid); doomed marks final states no detection can ever leave.
+ * Returns -1 on success; on the first invalid lane (bad token id,
+ * error edge, or doomed final state) returns that lane's index and
+ * prev[] is untouched, so commit stays atomic. */
 long beam_step(const beam_plan *plan, const int32_t *toks,
                const int32_t *prev, int32_t *next,
                int32_t n_lanes, uint8_t *out)

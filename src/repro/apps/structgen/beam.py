@@ -22,14 +22,18 @@ suites in ``tests/apps/test_beam.py`` and
 ``tests/apps/test_beam_complete.py`` enforce it): a ctypes kernel
 JIT-built from ``_beamscan.c`` via the ``_nativescan`` build
 machinery, and a tight pure-Python loop (the portable path, what
-``REPRO_DISABLE_NATIVE=1`` or a missing compiler selects).  Both read
-the table's one row matrix
+``REPRO_DISABLE_NATIVE=1`` or a missing compiler selects).  A session
+takes the kernel whenever it loads; there is nothing to choose.  Both
+read the table's one row matrix
 (:attr:`~repro.apps.structgen.masks.MaskTable.matrix`): CI eager, CD
-completed once per state — a gather first makes sure its lanes'
-states are complete (a flag check per lane, and only on tables that
-have CD tokens), then copies rows; neither path looks at a token.
-The kernel steps the scan IR's ``next`` array in place — the same
-object the scan engines and mask lowering read.
+completed once per state — ``masks_packed()`` first makes sure its
+lanes' states are complete (a flag check per lane, and only on tables
+that have CD tokens), then hands out rows; neither path looks at a
+token.  On the kernel ``advance()`` is one ``beam_step`` call — range
+check, atomic advance, gather — and ``masks_packed()`` returns the
+rows that call gathered unless something moved the beam or completed
+a row since.  The kernel steps the scan IR's ``next`` array in place —
+the same object the scan engines and mask lowering read.
 
 :func:`encode_lane_records` turns gathered rows into the MASKS wire
 frame's lane records, delta-encoded against the rows last sent — in
@@ -59,7 +63,10 @@ _SOURCE = os.path.join(
 )
 
 #: Bumped when the ``_beamscan.c`` calling contract changes.
-_KERNEL_ABI = "2"
+_KERNEL_ABI = "3"
+
+#: Mutating calls :meth:`BeamMaskSession.rollback` can undo.
+_HISTORY_CAP = 1024
 
 _kernel = None
 _kernel_attempted = False
@@ -105,19 +112,6 @@ def _load_kernel():
     except OSError:
         return None
     c = ctypes
-    lib.beam_advance.restype = c.c_long
-    lib.beam_advance.argtypes = [
-        c.c_void_p,  # step table (the scan IR's int32 next array)
-        c.c_int32,  # n_classes
-        c.c_char_p,  # err (u8 per state)
-        c.c_char_p,  # doomed (u8 per state)
-        c.c_char_p,  # codes blob
-        c.c_char_p,  # offs (native int32 bytes)
-        c.c_char_p,  # lens (native int32 bytes)
-        c.c_char_p,  # toks (native int32 bytes)
-        c.POINTER(c.c_int32),  # states (in/out scratch)
-        c.c_int32,  # n_lanes
-    ]
     lib.beam_gather.restype = None
     lib.beam_gather.argtypes = [
         c.c_void_p,  # rows (the table's mutable matrix)
@@ -247,8 +241,12 @@ def encode_lane_records(
 
 
 def beam_capability() -> dict:
-    """Which beam compute paths are live (``/stats``, CLI)."""
-    return {"native": _load_kernel() is not None}
+    """Whether new beam sessions in this process run on the kernel
+    (``/stats``).  Reads the handle as already loaded — the first
+    session loads it — so a scrape never triggers a build."""
+    from repro.core import _native_build
+
+    return {"native": _kernel is not None and not _native_build._disabled()}
 
 
 # ----------------------------------------------------------------------
@@ -256,22 +254,16 @@ def beam_capability() -> dict:
 # MaskTable._beam_cache (built once, read-only afterwards).
 # ----------------------------------------------------------------------
 class _NativeTables:
-    __slots__ = (
-        "lib", "step", "n_classes", "err", "doomed",
-        "codes", "offs", "lens", "rows", "row_bytes",
-        "plan", "planref",
-    )
+    __slots__ = ("lib", "step", "rows", "row_bytes", "plan", "planref")
 
     def __init__(self, table: MaskTable, lib) -> None:
         lowering = table.lowering
         ir = lowering.ir
         self.lib = lib
-        self.n_classes = ir.n_classes
         # The IR's array itself, not a copy: the kernel steps the very
-        # table the scan engines and the mask walks read.
+        # table the scan engines and the mask walks read.  (Held here
+        # because the plan stores only its address.)
         self.step = (ctypes.c_int32 * len(ir.next)).from_buffer(ir.next)
-        self.err = ir.lost
-        self.doomed = lowering.doomed
         offs = array("i")
         lens = array("i")
         pos = 0
@@ -279,9 +271,6 @@ class _NativeTables:
             offs.append(pos)
             lens.append(len(c))
             pos += len(c)
-        self.codes = b"".join(table.codes)
-        self.offs = offs.tobytes()
-        self.lens = lens.tobytes()
         # The kernel reads the table's matrix in place, so rows
         # completed after this plan was built are the rows it gathers.
         self.rows = (ctypes.c_ubyte * len(table.matrix)).from_buffer(
@@ -290,22 +279,26 @@ class _NativeTables:
         self.row_bytes = table.row_bytes
         plan = _CPlan()
         plan.step = ctypes.addressof(self.step)
-        plan.err = self.err
-        plan.doomed = self.doomed
-        plan.codes = self.codes
-        plan.offs = self.offs
-        plan.lens = self.lens
+        plan.err = ir.lost
+        plan.doomed = lowering.doomed
+        plan.codes = b"".join(table.codes)
+        plan.offs = offs.tobytes()
+        plan.lens = lens.tobytes()
         plan.rows = ctypes.addressof(self.rows)
         plan.row_bytes = self.row_bytes
-        plan.n_classes = self.n_classes
+        plan.n_classes = ir.n_classes
         plan.n_vocab = len(table.codes)
         self.plan = plan
         self.planref = ctypes.byref(plan)
 
 
-def _prepared(table: MaskTable) -> _NativeTables:
+def _prepared(table: MaskTable) -> _NativeTables | None:
+    """The kernel's plan for ``table``; None when no kernel loads."""
+    lib = _load_kernel()
+    if lib is None:
+        return None
     if table._beam_cache is None:
-        table._beam_cache = _NativeTables(table, _load_kernel())
+        table._beam_cache = _NativeTables(table, lib)
     return table._beam_cache
 
 
@@ -314,52 +307,36 @@ class BeamMaskSession:
     """N decode cursors over one shared :class:`MaskTable`, every
     operation a single batched call.
 
-    ``path`` selects the compute path: ``"auto"`` takes the kernel
-    when it is loaded and the portable Python loop otherwise; forcing
-    ``"native"`` raises :class:`MaskError` when the kernel is
-    unavailable.  Both paths are bit-identical to N independent
+    The session runs on the kernel when it loads and on the portable
+    Python loop otherwise; both are bit-identical to N independent
     :class:`~repro.apps.structgen.MaskSession`\\ s.
     """
 
     __slots__ = (
         "table",
-        "path",
         "counters",
-        "history_cap",
         "_states",
         "_history",
         "_nt",
         "_nbuf",
-        "_nsync",
+        "_kept",
         "_metrics",
     )
 
     def __init__(
-        self,
-        table: MaskTable,
-        width: int = 1,
-        *,
-        metrics=None,
-        path: str = "auto",
-        history_cap: int = 1024,
+        self, table: MaskTable, width: int = 1, *, metrics=None
     ) -> None:
         if width < 1:
             raise MaskError("beam width must be >= 1")
-        if path == "auto":
-            path = "native" if _load_kernel() is not None else "python"
-        elif path == "native":
-            if _load_kernel() is None:
-                raise MaskError("native beam kernel unavailable")
-        elif path != "python":
-            raise MaskError(f"unknown beam path {path!r}")
         self.table = table
-        self.path = path
-        self.history_cap = history_cap
         self._states: list[int] = [0] * width
         self._history: list[tuple[int, ...]] = []
-        self._nt = _prepared(table) if path == "native" else None
+        self._nt = _prepared(table)
         self._nbuf = None
-        self._nsync = False
+        #: ``table.memo_misses`` when the last kernel step gathered its
+        #: rows, -1 once the beam moved any other way: the kept rows
+        #: are current iff no row of the matrix was completed since.
+        self._kept = -1
         self._metrics = metrics
         self.counters = {
             "masks_served": 0,
@@ -395,13 +372,17 @@ class BeamMaskSession:
         ]
 
     def masks_packed(self) -> bytes:
-        """All lanes' rows as one lane-major buffer (the wire shape)."""
-        rows = self._gather_packed()
-        self._count_masks()
-        return rows
-
-    def _count_masks(self) -> None:
+        """All lanes' rows as one lane-major buffer (the wire shape).
+        Straight after a kernel :meth:`advance` these are the rows that
+        step gathered; a fork, rollback, reset or a row completed since
+        (a CD state's first visit) gathers afresh."""
         table = self.table
+        if table.cd_ids:
+            table.complete_rows(self._states)
+        if self._kept == table.memo_misses:
+            rows = bytes(self._nbuf[3])
+        else:
+            rows = self._gather()
         w = len(self._states)
         counters = self.counters
         counters["masks_served"] += w
@@ -416,14 +397,9 @@ class BeamMaskSession:
             metrics.counter("structgen.cd_checks").inc(
                 len(table.cd_ids) * w
             )
+        return rows
 
-    def _gather_packed(self) -> bytes:
-        table = self.table
-        if table.cd_ids:
-            table.complete_rows(self._states)
-        return self._gather_raw()
-
-    def _gather_raw(self) -> bytes:
+    def _gather(self) -> bytes:
         """Copy every lane's row out of the matrix; the lanes' states
         are already complete."""
         states = self._states
@@ -448,39 +424,8 @@ class BeamMaskSession:
     # ------------------------------------------------------------------
     def advance(self, token_ids) -> tuple[int, ...]:
         """Step every lane by its token, atomically: an invalid token
-        in any lane raises :class:`MaskError` naming the lane, and no
-        lane moves."""
-        states = self._states
-        toks = list(token_ids)
-        if len(toks) != len(states):
-            raise MaskError(
-                f"advance() got {len(toks)} token ids for "
-                f"{len(states)} lanes"
-            )
-        vocab_size = len(self.table.vocab)
-        for lane, tok in enumerate(toks):
-            if not 0 <= tok < vocab_size:
-                raise MaskError(
-                    f"lane {lane}: token id {tok} out of range "
-                    f"(vocabulary has {vocab_size} tokens)"
-                )
-        if self._nt is not None:
-            new = self._advance_native(toks)
-        else:
-            new = self._advance_python(toks)
-        self._push_history()
-        self._states = new
-        self._nsync = False
-        self.counters["advances"] += len(new)
-        if self._metrics is not None:
-            self._metrics.counter("structgen.advances").inc(len(new))
-        return tuple(new)
-
-    def advance_masks(self, token_ids) -> tuple[tuple[int, ...], bytes]:
-        """The fused decode step: advance every lane and return
-        ``(new_states, packed_rows)`` in one engine transition — what
-        a BATCH_ADVANCE wire frame costs server-side.  Same atomic
-        failure contract as :meth:`advance`."""
+        in any lane raises :class:`MaskError` naming the first such
+        lane, and no lane moves."""
         toks = (
             token_ids
             if type(token_ids) in (list, tuple)
@@ -491,9 +436,8 @@ class BeamMaskSession:
                 f"advance() got {len(toks)} token ids for "
                 f"{len(self._states)} lanes"
             )
-        packed = None
         if self._nt is not None:
-            new, packed = self._step_native(toks)
+            new = self._step_native(toks)
         else:
             new = self._advance_python(toks)
         self._push_history()
@@ -501,15 +445,11 @@ class BeamMaskSession:
         self.counters["advances"] += len(new)
         if self._metrics is not None:
             self._metrics.counter("structgen.advances").inc(len(new))
-        if packed is None:
-            packed = self._gather_packed()
-        elif self.table.cd_ids and self.table.complete_rows(new):
-            # The kernel gathered a row before its first completion.
-            packed = self._gather_raw()
-        self._count_masks()
-        return tuple(new), packed
+        return tuple(new)
 
-    def _step_native(self, toks) -> tuple[tuple[int, ...], bytes]:
+    def _step_native(self, toks) -> tuple[int, ...]:
+        """One ``beam_step``: range check, advance into the shadow
+        state array, gather the new rows into the kept buffer."""
         nt = self._nt
         w = len(toks)
         buf = self._nbuf
@@ -523,20 +463,27 @@ class BeamMaskSession:
                 (ctypes.c_ubyte * len(out)).from_buffer(out),
                 struct.Struct(f"{w}i"),
             )
-            self._nsync = False
+            self._kept = -1
         _, prev, nxt, outb, outv, lanes = buf
-        if not self._nsync:
+        if self._kept < 0:
             prev[:] = self._states
-        ret = nt.lib.beam_step(
-            nt.planref, lanes.pack(*toks), prev, nxt, w, outv
-        )
+        try:
+            packed = lanes.pack(*toks)
+        except struct.error:
+            # An id no int32 holds (the wire's are u32): the kernel
+            # gets -1 in its place and refuses that lane in order,
+            # like any other out-of-range id.
+            packed = lanes.pack(
+                *[t if 0 <= t < 1 << 31 else -1 for t in toks]
+            )
+        ret = nt.lib.beam_step(nt.planref, packed, prev, nxt, w, outv)
         if ret >= 0:
             self._fail(int(ret), toks)
         # Swap prev/next so the committed states stay resident for
         # the next step without a resync copy.
         self._nbuf = (w, nxt, prev, outb, outv, lanes)
-        self._nsync = True
-        return lanes.unpack(nxt), bytes(outb)
+        self._kept = self.table.memo_misses
+        return lanes.unpack(nxt)
 
     def _fail(self, lane: int, toks) -> None:
         tok = toks[lane]
@@ -561,26 +508,6 @@ class BeamMaskSession:
                 self._fail(lane, toks)
         return new
 
-    def _advance_native(self, toks) -> list[int]:
-        nt = self._nt
-        w = len(toks)
-        scratch = (ctypes.c_int32 * w)(*self._states)
-        ret = nt.lib.beam_advance(
-            nt.step,
-            nt.n_classes,
-            nt.err,
-            nt.doomed,
-            nt.codes,
-            nt.offs,
-            nt.lens,
-            array("i", toks).tobytes(),
-            scratch,
-            w,
-        )
-        if ret >= 0:
-            self._fail(int(ret), toks)
-        return list(scratch)
-
     def fork(self, lane: int) -> int:
         """Duplicate lane ``lane``; returns the new lane's index."""
         states = self._states
@@ -591,7 +518,7 @@ class BeamMaskSession:
             )
         self._push_history()
         self._states = [*states, states[lane]]
-        self._nsync = False
+        self._kept = -1
         self.counters["forks"] += 1
         return len(states)
 
@@ -607,14 +534,14 @@ class BeamMaskSession:
         for _ in range(k):
             snapshot = history.pop()
         self._states = list(snapshot)
-        self._nsync = False
+        self._kept = -1
         self.counters["rollbacks"] += 1
         return tuple(self._states)
 
     def _push_history(self) -> None:
         history = self._history
         history.append(tuple(self._states))
-        if len(history) > self.history_cap:
+        if len(history) > _HISTORY_CAP:
             del history[0]
 
     def reset(self, width: int | None = None) -> None:
@@ -624,4 +551,4 @@ class BeamMaskSession:
             raise MaskError("beam width must be >= 1")
         self._states = [0] * width
         self._history = []
-        self._nsync = False
+        self._kept = -1

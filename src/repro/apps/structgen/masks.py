@@ -25,10 +25,11 @@ three things a serving stack needs:
   token's bytes.  Sessions mirror their counters into a
   :class:`~repro.service.metrics.MetricsRegistry` when given one.
 
-* **The mask artifact.** ``RMSK`` blobs, ABI-tagged like ``RART`` and
-  keyed ``content_id × vocab_hash`` (:func:`mask_key`) — the same
-  artifact, byte for byte, for every interpreter, because the payload
-  is raw packed rows rather than marshal.  A table fingerprint
+* **The mask artifact.** ``RMSK`` blobs, ABI-tagged and sealed with a
+  sha256 trailer like ``RART`` and keyed ``content_id × vocab_hash``
+  (:func:`mask_key`) — the same artifact, byte for byte, for every
+  interpreter, because the payload is raw packed rows rather than
+  marshal.  A table fingerprint
   (:meth:`~repro.core.maskgen.MaskLowering.fingerprint`) guards
   against state-id drift: rows are only served when the loader's
   lowered tables hash identically to the builder's.
@@ -50,7 +51,6 @@ from .vocab import Vocabulary
 
 __all__ = [
     "MASK_ABI",
-    "MASK_FORMAT_REV",
     "MaskError",
     "MaskSession",
     "MaskTable",
@@ -58,21 +58,17 @@ __all__ = [
     "load_mask_blob",
     "mask_key",
     "read_mask_header",
+    "read_mask_sections",
 ]
 
 #: Bumped whenever the RMSK layout changes *incompatibly*; part of
 #: :func:`mask_key`, so old blobs are never looked up again (same
-#: discipline as ``ARTIFACT_ABI``).
-MASK_ABI = 1
-
-#: Format revision this build writes.  Rev 2 appended a delta-table
-#: section *after* the vocabulary; state-complete rows left it without
-#: a reader (EXPERIMENTS.md), so blobs are rev 1 again.  The loader
-#: stops at the last token either way: rev-2 blobs load unchanged and
-#: their tail is ignored.
-MASK_FORMAT_REV = 1
+#: discipline as ``ARTIFACT_ABI``).  ABI 2: the blob ends with a sha256
+#: trailer and nothing may follow the vocabulary.
+MASK_ABI = 2
 
 _MAGIC = b"RMSK"
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Default per-token byte-class-length cap for the precomputed set:
 #: longer tokens are context-dependent regardless of budget.
@@ -125,7 +121,6 @@ class MaskTable:
         "grammar_name",
         "wiring",
         "build_ms",
-        "rev",
         "memo_hits",
         "memo_misses",
         "_complete",
@@ -156,8 +151,6 @@ class MaskTable:
         self.grammar_name = grammar_name
         self.wiring = wiring or []
         self.build_ms = build_ms
-        #: RMSK format revision this table was loaded from.
-        self.rev = MASK_FORMAT_REV
         # Seeded with the CI rows; complete as built iff no token is CD.
         self.matrix = bytearray(self.rows)
         self._complete = bytearray([not self.cd_ids]) * lowering.n_states
@@ -200,7 +193,6 @@ class MaskTable:
             "ci": self.ci_count,
             "cd": len(self.cd_ids),
             "row_bytes": self.row_bytes,
-            "rev": self.rev,
         }
 
     # ------------------------------------------------------------------
@@ -276,6 +268,7 @@ class MaskTable:
 
     # ------------------------------------------------------------------
     # serialization: RMSK | u32 header len | JSON header | raw sections
+    # (rows, cd ids, vocabulary) | sha256 of every byte before it
     # ------------------------------------------------------------------
     def to_blob(self) -> bytes:
         header = {
@@ -299,11 +292,13 @@ class MaskTable:
         for token in self.vocab.tokens:
             parts.append(len(token).to_bytes(4, "big"))
             parts.append(token)
-        return b"".join(parts)
+        body = b"".join(parts)
+        return body + hashlib.sha256(body).digest()
 
 
 def read_mask_header(blob: bytes) -> dict:
-    """Parse and validate an RMSK header without touching the rows."""
+    """Parse and validate an RMSK header without touching the sections
+    or checking the digest (``registry inspect``)."""
     if blob[:4] != _MAGIC:
         raise MaskError("not a mask artifact (bad magic)")
     head_len = int.from_bytes(blob[4:8], "big")
@@ -313,7 +308,61 @@ def read_mask_header(blob: bytes) -> dict:
         header = json.loads(blob[8 : 8 + head_len])
     except ValueError as exc:
         raise MaskError(f"corrupt mask artifact header: {exc}") from None
+    if not isinstance(header, dict):
+        raise MaskError("mask artifact header is not a JSON object")
     return header
+
+
+def _field(header: dict, name: str, kind: type):
+    value = header.get(name)
+    if type(value) is not kind or (kind is int and value < 0):
+        raise MaskError(
+            f"mask artifact header field {name!r} is {value!r}"
+        )
+    return value
+
+
+def read_mask_sections(
+    blob: bytes,
+) -> tuple[dict, bytes, tuple[int, ...], Vocabulary]:
+    """-> (header, CI rows, CD token ids, vocabulary): the one reader
+    of the RMSK layout.  Every missing or ill-typed header
+    field and every section that does not fit the blob exactly is a
+    :class:`MaskError`.  The digest is :func:`load_mask_blob`'s to
+    check — the registry heals from a damaged blob's vocabulary, which
+    its own hash vouches for."""
+    header = read_mask_header(blob)
+    n_states = _field(header, "states", int)
+    row_bytes = _field(header, "row_bytes", int)
+    vocab_size = _field(header, "vocab_size", int)
+    cd_count = _field(header, "cd", int)
+    body_end = len(blob) - _DIGEST_BYTES
+    offset = 8 + int.from_bytes(blob[4:8], "big")
+    rows_end = offset + n_states * row_bytes
+    cd_end = rows_end + 4 * cd_count
+    if row_bytes != (vocab_size + 7) // 8 or cd_end > body_end:
+        raise MaskError("mask artifact sections do not fit its header")
+    cd_ids = tuple(
+        int.from_bytes(blob[i : i + 4], "big")
+        for i in range(rows_end, cd_end, 4)
+    )
+    if any(t >= vocab_size for t in cd_ids):
+        raise MaskError("mask artifact CD token id out of range")
+    tokens = []
+    pos = cd_end
+    for _ in range(vocab_size):
+        end = pos + 4 + int.from_bytes(blob[pos : pos + 4], "big")
+        if end > body_end:
+            raise MaskError("truncated mask artifact vocabulary")
+        tokens.append(blob[pos + 4 : end])
+        pos = end
+    if pos != body_end:
+        raise MaskError("mask artifact carries bytes past its vocabulary")
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as exc:  # no tokens, or an empty one
+        raise MaskError(f"mask artifact vocabulary: {exc}") from None
+    return header, blob[offset:rows_end], cd_ids, vocab
 
 
 # ----------------------------------------------------------------------
@@ -401,15 +450,21 @@ def load_mask_blob(
 ) -> MaskTable:
     """Restore a mask table from an RMSK blob.
 
-    ``grammar``/``options`` must be the artifact the masks were built
-    against (normally the registry hands both over).  The lowering is
-    recomputed — cheap next to the trie precompute — and its
-    fingerprint must match the builder's, which pins the state-id
-    interning order; a mismatch raises :class:`MaskError` so callers
-    rebuild instead of serving misaligned rows.
+    The sha256 trailer is checked before anything is parsed, and a
+    blob that is corrupt, wrong-shaped or of another ABI raises
+    :class:`MaskError` and nothing else.  ``grammar``/``options`` must
+    be the artifact the masks were built against (normally the
+    registry hands both over).  The lowering is recomputed — cheap
+    next to the trie precompute — and its fingerprint must match the
+    builder's, which pins the state-id interning order; a mismatch
+    raises :class:`MaskError` so callers rebuild instead of serving
+    misaligned rows.
     """
     start = time.perf_counter()
-    header = read_mask_header(blob)
+    body_end = len(blob) - _DIGEST_BYTES
+    if hashlib.sha256(blob[:body_end]).digest() != blob[body_end:]:
+        raise MaskError("mask artifact digest mismatch (corrupt blob)")
+    header, rows, cd_ids, vocab = read_mask_sections(blob)
     if header.get("abi") != MASK_ABI:
         raise MaskError(
             f"mask artifact ABI {header.get('abi')!r}, "
@@ -425,30 +480,8 @@ def load_mask_blob(
             "mask artifact fingerprint mismatch (grammar tables "
             "drifted); rebuild the masks"
         )
-    n_states = header["states"]
-    row_bytes = header["row_bytes"]
-    vocab_size = header["vocab_size"]
-    cd_count = header["cd"]
-    offset = 8 + int.from_bytes(blob[4:8], "big")
-    rows_end = offset + n_states * row_bytes
-    cd_end = rows_end + 4 * cd_count
-    if len(blob) < cd_end:
-        raise MaskError("truncated mask artifact payload")
-    rows = blob[offset:rows_end]
-    cd_ids = tuple(
-        int.from_bytes(blob[i : i + 4], "big")
-        for i in range(rows_end, cd_end, 4)
-    )
-    tokens = []
-    pos = cd_end
-    for _ in range(vocab_size):
-        if len(blob) < pos + 4:
-            raise MaskError("truncated mask artifact vocabulary")
-        tlen = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        tokens.append(blob[pos : pos + tlen])
-        pos += tlen
-    vocab = Vocabulary(tokens)
+    if header["states"] != lowering.n_states:
+        raise MaskError("mask artifact state count mismatch")
     if vocab.vocab_hash != header.get("vocab_hash"):
         raise MaskError("mask artifact vocabulary hash mismatch")
     table = MaskTable(
@@ -456,13 +489,10 @@ def load_mask_blob(
         vocab,
         rows,
         cd_ids,
-        header["content"],
-        grammar_name=header.get("grammar", "grammar"),
-        wiring=header.get("wiring", []),
+        _field(header, "content", str),
+        grammar_name=_field(header, "grammar", str),
+        wiring=_field(header, "wiring", list),
     )
-    # A rev-2 blob carries a delta section past this point; nothing
-    # reads it any more, so it is left where it is.
-    table.rev = header.get("rev", 1)
     table.build_ms = (time.perf_counter() - start) * 1e3
     return table
 

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 import urllib.parse
 from typing import Any
@@ -555,11 +556,18 @@ class ScanServer(FramedEndpoint):
         self.metrics.counter("structgen.memo_misses").value = memo[
             "misses"
         ]
+        # Whether beams run on the C kernel: false until the first one
+        # opens (that is what loads it), afterwards iff they fell back
+        # to Python.  Looked up, not imported — a scan server need not
+        # load the decoding subsystem to say it has no kernel.
+        beam = sys.modules.get("repro.apps.structgen.beam")
+        beam_native = beam is not None and beam.beam_capability()["native"]
         structgen = {
             "tables": [t.describe() for t in tables],
             "memo": memo,
             "sessions_open": by_kind[MASK],
             "beams_open": by_kind[BEAM],
+            "beam_native": beam_native,
         }
         if self.service is not None:
             snapshot = self.service.stats()

@@ -349,17 +349,17 @@ class Registry:
 
         The scan artifact is loaded first so the mask rows land on the
         exact interned state ids they were built against (the blob's
-        table fingerprint enforces it); a missing/foreign blob heals by
-        rebuilding from the vocabulary stored inside it when possible.
+        table fingerprint enforces it); a foreign or damaged blob heals
+        by rebuilding from the vocabulary stored inside it, when that
+        still hashes to ``vocab_hash``.
         """
         from repro.apps.structgen.masks import (
             MaskError,
             build_mask_table,
             load_mask_blob,
             mask_key,
-            read_mask_header,
+            read_mask_sections,
         )
-        from repro.apps.structgen.vocab import Vocabulary
 
         name, version, entry, manifest = self._resolve_version(ref)
         masks = entry.get("masks", {})
@@ -386,25 +386,27 @@ class Registry:
             with open(self._mask_path(key), "rb") as fh:
                 blob = fh.read()
             table = load_mask_blob(blob, artifact.grammar, artifact.options)
+            if table.vocab_hash != vocab_hash:
+                raise MaskError("mask artifact is for another vocabulary")
         except (OSError, MaskError):
             # Heal: the vocabulary rides inside the blob, so a
-            # fingerprint/ABI mismatch rebuilds in place; a missing or
-            # unreadable blob cannot (no vocabulary to rebuild from).
-            tokens = None
+            # fingerprint mismatch or damage elsewhere rebuilds in
+            # place; a missing blob, or one whose vocabulary no longer
+            # hashes to what was asked for, cannot.
+            vocab = None
             if blob is not None:
                 try:
-                    header = read_mask_header(blob)
-                    tokens = self._blob_vocab(blob, header)
+                    vocab = read_mask_sections(blob)[3]
                 except MaskError:
-                    tokens = None
-            if tokens is None:
+                    pass
+            if vocab is None or vocab.vocab_hash != vocab_hash:
                 raise RegistryError(
                     f"mask artifact for {name}@{version} × "
                     f"{vocab_hash[:16]} is missing or unreadable; "
                     "re-run `repro structgen precompute`"
                 ) from None
             table = build_mask_table(
-                artifact.grammar, Vocabulary(tokens), artifact.options
+                artifact.grammar, vocab, artifact.options
             )
             try:
                 self._write_atomic(self._mask_path(key), table.to_blob())
@@ -412,27 +414,6 @@ class Registry:
                 pass  # read-only store: serve the in-memory build
         self._masks[key] = table
         return table
-
-    @staticmethod
-    def _blob_vocab(blob: bytes, header: dict) -> list[bytes] | None:
-        """Extract the trailing vocabulary section from an RMSK blob
-        (used to heal a fingerprint-mismatched artifact in place)."""
-        try:
-            offset = 8 + int.from_bytes(blob[4:8], "big")
-            pos = (
-                offset
-                + header["states"] * header["row_bytes"]
-                + 4 * header["cd"]
-            )
-            tokens = []
-            for _ in range(header["vocab_size"]):
-                tlen = int.from_bytes(blob[pos : pos + 4], "big")
-                pos += 4
-                tokens.append(blob[pos : pos + tlen])
-                pos += tlen
-            return tokens if len(tokens) == header["vocab_size"] else None
-        except (KeyError, IndexError, ValueError):
-            return None
 
     # ------------------------------------------------------------------
     # introspection / maintenance
@@ -539,7 +520,6 @@ class Registry:
 
                     header = read_mask_header(blob)
                     mask["abi"] = header.get("abi")
-                    mask["rev"] = header.get("rev", 1)
                 except (OSError, KeyError, ReproError) as exc:
                     mask["error"] = str(exc)
                 info["masks"][vocab_hash[:16]] = mask

@@ -1,23 +1,22 @@
 """Batched beam mask engine: differential and delta-format tests.
 
 The acceptance invariant: every ``masks``/``advance``/``fork``/
-``rollback`` result out of a :class:`BeamMaskSession` — on every
-available compute path — is bit-identical to N independent
-:class:`MaskSession` mirrors replaying the same operations.  Plus the
-RMSK format revisions (rev-1 written, rev-2 delta tail accepted and
-ignored), the wire XOR patch codec, the state-complete row counters,
-and the HuggingFace tokenizer.json importer.  The CD-heavy
-differential and kernel-encoder suites live in
-``test_beam_complete.py``.
+``rollback`` result out of a :class:`BeamMaskSession` — on the kernel
+and on the portable loop (``REPRO_DISABLE_NATIVE=1``) — is
+bit-identical to N independent :class:`MaskSession` mirrors replaying
+the same operations.  Plus the RMSK blob round trip, the wire XOR
+patch codec, the state-complete row counters, and the HuggingFace
+tokenizer.json importer.  The CD-heavy differential and
+kernel-encoder suites live in ``test_beam_complete.py``.
 """
 
+import inspect
 import json
 import random
 
 import pytest
 
 from repro.apps.structgen import (
-    MASK_FORMAT_REV,
     MaskError,
     MaskSession,
     Vocabulary,
@@ -25,6 +24,7 @@ from repro.apps.structgen import (
     load_mask_blob,
     synthetic_vocab,
 )
+from repro.apps.structgen import beam as beam_mod
 from repro.apps.structgen.beam import (
     BeamMaskSession,
     apply_xor_patch,
@@ -33,7 +33,6 @@ from repro.apps.structgen.beam import (
 )
 from repro.apps.structgen.masks import read_mask_header
 from repro.grammar.examples import xmlrpc
-from tests.conftest import rev2_blob
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +40,15 @@ def table():
     return build_mask_table(xmlrpc(), synthetic_vocab(size=384, seed=7))
 
 
-def available_paths():
-    paths = ["python"]
-    if beam_capability()["native"]:
-        paths.append("native")
-    return paths
+#: Both compute paths, for ``parametrize("path", PATHS, indirect=True)``
+#: (the ``path`` fixture lives in ``conftest.py``).
+PATHS = ("python", "native")
+
+
+def _beam(table, width, path) -> BeamMaskSession:
+    beam = BeamMaskSession(table, width)
+    assert (beam._nt is not None) == (path == "native")
+    return beam
 
 
 def _valid_ids(row: bytes, n: int) -> list[int]:
@@ -55,13 +58,13 @@ def _valid_ids(row: bytes, n: int) -> list[int]:
 # ----------------------------------------------------------------------
 # differential: beam ≡ N independent sessions, all paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("path", available_paths())
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 def test_beam_differential_fork_rollback(table, path):
     """A seeded schedule of advances, forks, and rollbacks: states and
     every packed mask byte-identical to independent mirrors."""
     n = len(table.vocab)
     rng = random.Random(11)
-    beam = BeamMaskSession(table, 4, path=path)
+    beam = _beam(table, 4, path)
     mirror = [MaskSession(table) for _ in range(4)]
     history: list[list[int]] = []
     for step in range(50):
@@ -98,13 +101,14 @@ def test_beam_differential_fork_rollback(table, path):
                 history.clear()
             else:
                 history.append([m.state for m in mirror])
-                states, packed = beam.advance_masks(ids)
+                states = beam.advance(ids)
+                packed = beam.masks_packed()
                 for m, t in zip(mirror, ids):
                     m.advance(t)
                 assert states == tuple(m.state for m in mirror)
                 assert packed == b"".join(
                     bytes(m.mask()) for m in mirror
-                ), f"fused packed rows diverged at step {step}"
+                ), f"the step's own rows diverged at step {step}"
         assert beam.states == tuple(m.state for m in mirror)
         assert beam.masks() == [bytes(m.mask()) for m in mirror]
         assert beam.masks_packed() == b"".join(
@@ -112,11 +116,11 @@ def test_beam_differential_fork_rollback(table, path):
         )
 
 
-@pytest.mark.parametrize("path", available_paths())
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 def test_beam_atomic_failure(table, path):
     """An invalid token in any lane raises and moves nothing."""
     n = len(table.vocab)
-    beam = BeamMaskSession(table, 3, path=path)
+    beam = _beam(table, 3, path)
     valid = _valid_ids(beam.masks()[0], n)
     invalid = next(
         i for i in range(n) if i not in set(valid)
@@ -125,17 +129,28 @@ def test_beam_atomic_failure(table, path):
     with pytest.raises(MaskError, match="lane 1"):
         beam.advance([valid[0], invalid, valid[0]])
     assert beam.states == before
-    with pytest.raises(MaskError, match="out of range"):
-        beam.advance_masks([valid[0], n + 5, valid[0]])
+    # Out of range for the vocabulary, for int32 (wire ids are u32),
+    # and negative: refused the same way, the first bad lane named.
+    for bad in (n + 5, 2**31 + 5, 2**32 - 1, -1):
+        with pytest.raises(MaskError, match=r"lane 1: .* out of range"):
+            beam.advance([valid[0], bad, invalid])
+        assert beam.states == before
+    with pytest.raises(MaskError, match="lane 0: token"):
+        beam.advance([invalid, n + 5, valid[0]])
     assert beam.states == before
-    # The beam still works after the failed ops.
+    # The beam still works after the failed ops, and a failed step
+    # left no rows behind for masks_packed() to hand out.
+    assert beam.masks_packed() == table.mask_row(before[0]) * 3
     states = beam.advance([valid[0]] * 3)
     assert states == beam.states
+    assert beam.masks_packed() == b"".join(
+        table.mask_row(s) for s in states
+    )
 
 
-@pytest.mark.parametrize("path", available_paths())
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 def test_beam_fork_rollback_width(table, path):
-    beam = BeamMaskSession(table, 2, path=path)
+    beam = _beam(table, 2, path)
     n = len(table.vocab)
     ids = [
         _valid_ids(row, n)[0] for row in beam.masks()
@@ -155,15 +170,39 @@ def test_beam_fork_rollback_width(table, path):
 def test_beam_width_and_path_validation(table):
     with pytest.raises(MaskError, match="width"):
         BeamMaskSession(table, 0)
-    with pytest.raises(MaskError, match="unknown beam path"):
-        BeamMaskSession(table, 2, path="fpga")
-    beam = BeamMaskSession(table, 2, path="python")
+    beam = BeamMaskSession(table, 2)
+    with pytest.raises(MaskError, match="width"):
+        beam.reset(0)
     with pytest.raises(MaskError, match="2 lanes"):
         beam.advance([1])
+    with pytest.raises(MaskError, match="2 lanes"):
+        beam.advance(iter([1, 2, 3]))
+    # Nothing selects the compute path or sizes the history.
+    params = inspect.signature(BeamMaskSession.__init__).parameters
+    assert [(p.name, p.kind.name) for p in params.values()][1:] == [
+        ("table", "POSITIONAL_OR_KEYWORD"),
+        ("width", "POSITIONAL_OR_KEYWORD"),
+        ("metrics", "KEYWORD_ONLY"),
+    ]
+    assert not hasattr(beam, "advance_masks")
+
+
+def test_capability_reads_the_loaded_handle_and_never_builds(monkeypatch):
+    """``/stats`` scrapes call this: before any session has loaded the
+    kernel it answers False rather than compiling one."""
+    from repro.core import _native_build
+
+    def build(*_args):
+        raise AssertionError("a capability read must not build")
+
+    monkeypatch.setattr(beam_mod, "_kernel", None)
+    monkeypatch.setattr(beam_mod, "_kernel_attempted", False)
+    monkeypatch.setattr(_native_build, "jit_shared_library", build)
+    assert beam_capability() == {"native": False}
 
 
 # ----------------------------------------------------------------------
-# the XOR patch codec and the RMSK format revisions
+# the XOR patch codec and the RMSK round trip
 # ----------------------------------------------------------------------
 def test_xor_patch_roundtrip():
     rng = random.Random(3)
@@ -179,41 +218,24 @@ def test_xor_patch_roundtrip():
     assert xor_patch(a, a) == b""
 
 
-def test_rev2_blob_loads_ignoring_delta_tail(table):
-    """A rev-2 blob (delta section after the vocabulary) loads as is:
-    the tail is ignored, ``rev`` reports what was loaded, and a blob
-    written from the loaded table is rev 1 again."""
-    loaded = load_mask_blob(rev2_blob(table), xmlrpc())
-    assert loaded.describe()["rev"] == 2
-    assert loaded.rows == table.rows
-    assert loaded.cd_ids == table.cd_ids
-    for state in (0, 1, table.n_states - 1):
-        assert loaded.mask_row(state) == table.mask_row(state)
-    rewritten = load_mask_blob(loaded.to_blob(), xmlrpc())
-    assert rewritten.describe()["rev"] == MASK_FORMAT_REV == 1
-    assert rewritten.rows == table.rows
-
-
 def test_old_format_blob_loads_without_deltas(table):
-    """Rev 1 is what this build writes: no delta section, no delta
+    """What this build writes: no delta section, no delta or revision
     keys in the header or the summary."""
-    assert table.describe()["rev"] == 1
-    assert "deltas" not in table.describe()
+    assert not {"deltas", "rev"} & set(table.describe())
     blob = table.to_blob()
-    assert "deltas" not in read_mask_header(blob)
+    assert not {"deltas", "rev"} & set(read_mask_header(blob))
     loaded = load_mask_blob(blob, xmlrpc())
     assert loaded.describe() == table.describe()
     assert loaded.rows == table.rows
 
 
-@pytest.mark.parametrize("path", available_paths())
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 def test_beam_serves_identically_without_deltas(table, path):
-    """The delta section never fed the served masks: a table loaded
-    from a rev-2 blob (tail ignored) and one built fresh serve the
-    same rows on every path."""
-    loaded = load_mask_blob(rev2_blob(table), xmlrpc())
-    beam = BeamMaskSession(loaded, 3, path=path)
-    ref = BeamMaskSession(table, 3, path=path)
+    """A table loaded from a blob and one built fresh serve the same
+    rows on every path."""
+    loaded = load_mask_blob(table.to_blob(), xmlrpc())
+    beam = _beam(loaded, 3, path)
+    ref = _beam(table, 3, path)
     n = len(table.vocab)
     rng = random.Random(9)
     for _ in range(20):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.structgen import (
+    MaskError,
     MaskSession,
     build_mask_table,
     load_mask_blob,
@@ -34,7 +35,7 @@ from repro.apps.structgen.beam import (
 from repro.grammar.examples import xmlrpc
 from repro.server import protocol
 from repro.server.protocol import FrameType
-from tests.apps.test_beam import _valid_ids, available_paths
+from tests.apps.test_beam import PATHS, _beam, _valid_ids
 
 #: name -> (build_mask_table kwargs, least share of tokens left CD):
 #: every token longer than two classes, and everything the smallest
@@ -83,16 +84,17 @@ def test_every_state_completes_to_naive_row(config, oracle):
     assert table.rows == _build(config).rows
 
 
-@pytest.mark.parametrize("path", available_paths())
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 @pytest.mark.parametrize("config", CD_HEAVY)
 def test_beam_schedule_matches_naive_rows(config, path, oracle):
-    """Seeded advances (plain and fused), forks and rollbacks on a
+    """Seeded advances (rows read straight after every other one, so
+    CD states are first visited both ways), forks and rollbacks on a
     fresh table per path, so each path does its own completing."""
     table = _build(config)
     n = len(table.vocab)
     rb = table.row_bytes
     rng = random.Random(23)
-    beam = BeamMaskSession(table, 3, path=path)
+    beam = _beam(table, 3, path)
     depth = 0
     for step in range(60):
         roll = rng.random()
@@ -114,10 +116,10 @@ def test_beam_schedule_matches_naive_rows(config, path, oracle):
                 beam.reset()
                 depth = 0
             elif step % 2:
-                states, packed = beam.advance_masks(ids)
-                assert packed == b"".join(
+                states = beam.advance(ids)
+                assert beam.masks_packed() == b"".join(
                     oracle(config, s) for s in states
-                ), f"fused rows diverged at step {step}"
+                ), f"the step's own rows diverged at step {step}"
                 depth += 1
             else:
                 beam.advance(ids)
@@ -170,6 +172,68 @@ def test_two_sessions_complete_the_same_state(config, oracle):
     assert table.memo_misses == misses + 2
 
 
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+@pytest.mark.parametrize("config", CD_HEAVY)
+def test_rows_kept_by_a_step_are_never_served_stale(config, path, oracle):
+    """``advance()`` on the kernel keeps the rows it gathered for the
+    next ``masks_packed()``.  Everything that can outdate them in
+    between — a CD state's first visit (by this beam or by another
+    session sharing the table), fork, rollback, reset, a width change,
+    a failed step — must end in the oracle's rows."""
+    table = _build(config)
+    n = len(table.vocab)
+    beam = _beam(table, 2, path)
+
+    def expect():
+        rows = b"".join(oracle(config, s) for s in beam.states)
+        assert beam.masks_packed() == rows
+        assert beam.masks_packed() == rows  # and again, unchanged
+
+    rng = random.Random(41)
+
+    def step(ids=None):
+        if ids is None:
+            ids = [rng.choice(_valid_ids(r, n)) for r in beam.masks()]
+        return ids, beam.advance(ids)
+
+    expect()  # open
+    ids, states = step()  # first visit: gathered before completion
+    assert not any(table._complete[s] for s in states)
+    expect()
+    beam.rollback(1)
+    assert step(ids)[1] == states  # second visit: the kept rows serve
+    misses = table.memo_misses
+    expect()
+    assert table.memo_misses == misses
+    # Another session completes a row between the step and the read.
+    for _ in range(200):
+        _ids, states = step()
+        if not table._complete[states[0]]:
+            break
+    else:
+        pytest.fail("the walk met no unvisited state")
+    assert table.mask_row(states[0]) == oracle(config, states[0])
+    expect()
+    step()
+    beam.fork(1)
+    expect()  # wider than the kept buffer
+    step()  # a step at the new width
+    expect()
+    beam.rollback(2)  # narrower again, states from before the fork
+    expect()
+    step()
+    with pytest.raises(MaskError):
+        beam.advance([n, n])
+    expect()  # the refused step moved nothing and kept nothing
+    step()
+    beam.reset()
+    expect()
+    beam.reset(5)
+    expect()
+    step()
+    expect()
+
+
 # ----------------------------------------------------------------------
 # MASKS lane records: kernel == portable == encode_masks(xor_patch)
 # ----------------------------------------------------------------------
@@ -195,17 +259,12 @@ def _reference_frame(states, packed, prev, rb) -> bytes:
     return protocol.encode_masks(7, rb, lanes)
 
 
-def _impls():
-    impls = ["portable"]
-    if beam_mod.beam_capability()["native"]:
-        impls.append("kernel")
-    return impls
-
-
-@pytest.fixture(params=_impls())
+@pytest.fixture(params=["portable", "kernel"])
 def encoder(request, monkeypatch):
     if request.param == "portable":
-        monkeypatch.setattr(beam_mod, "_load_kernel", lambda: None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    elif beam_mod._load_kernel() is None:
+        pytest.skip("beam kernel unavailable (no compiler)")
     return encode_lane_records
 
 

@@ -291,7 +291,7 @@ def test_blob_roundtrip_bit_exact():
             table.mask_row(state)
         )
     header = read_mask_header(blob)
-    assert header["abi"] == 1
+    assert header["abi"] == 2
     assert header["vocab_size"] == len(vocab)
 
 
@@ -308,8 +308,11 @@ def test_blob_fingerprint_guard():
             grammar,
             TaggerOptions(wiring=WiringOptions(error_recovery=True)),
         )
-    with pytest.raises(MaskError, match="magic"):
+    # The trailer covers the magic too, and is checked first.
+    with pytest.raises(MaskError, match="digest"):
         load_mask_blob(b"JUNK" + blob[4:], grammar)
+    with pytest.raises(MaskError, match="magic"):
+        read_mask_header(b"JUNK" + blob[4:])
 
 
 # ----------------------------------------------------------------------

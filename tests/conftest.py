@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.apps.xmlrpc import WorkloadGenerator
@@ -50,26 +48,3 @@ def xmlrpc_stream() -> bytes:
     generator = WorkloadGenerator(seed=1234)
     stream, _truth = generator.stream(8)
     return stream
-
-
-def rev2_blob(table) -> bytes:
-    """``table``'s RMSK blob as the rev-2 writer laid it out: ``rev``
-    and ``deltas`` header keys plus a per-state delta section after
-    the vocabulary (state 1 patched against state 0, the rest cold).
-    This build writes rev 1; loaders must keep accepting rev 2."""
-    blob = table.to_blob()
-    head_len = int.from_bytes(blob[4:8], "big")
-    header = json.loads(blob[8 : 8 + head_len])
-    header["rev"] = 2
-    header["deltas"] = {
-        "rows_deltified": 1,
-        "mean_popcount": 1.0,
-        "payload_bytes": 9,
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    tail = [b"\xff\xff\xff\xff\x00\x00"] * table.n_states
-    tail[1] = b"\x00\x00\x00\x00\x00\x01" + b"\x00\x00\x01"
-    return b"".join(
-        [blob[:4], len(head).to_bytes(4, "big"), head,
-         blob[8 + head_len :], *tail]
-    )

@@ -2,6 +2,7 @@
 dedup, load on the exact interned state ids, heal foreign blobs,
 inspect, and garbage-collect — keyed ``content_id × vocab_hash``."""
 
+import hashlib
 import os
 
 import pytest
@@ -12,7 +13,7 @@ from repro.core.generator import TaggerOptions
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.service.registry import Registry, RegistryError
-from tests.conftest import rev2_blob
+from tests.apps.test_mask_blob import reseal
 
 
 @pytest.fixture()
@@ -118,7 +119,8 @@ def test_inspect_describes_masks(registry, vocab):
     assert described["states"] == summary["states"]
     assert described["ci"] + described["cd"] == 384
     assert 0.0 <= described["ci_fraction"] <= 1.0
-    assert described["abi"] == 1
+    assert described["abi"] == 2
+    assert "rev" not in described
     assert described["key"] == summary["key"]
 
     listing = [
@@ -164,41 +166,63 @@ def _mask_path(registry, summary):
     )
 
 
-def test_inspect_reports_format_rev(registry, vocab):
-    """``registry inspect`` surfaces the blob's format rev: 1 for what
-    this build publishes, 2 for a delta-carrying blob left by an
-    earlier one."""
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: reseal(blob, lambda h: h.pop("content")),
+        lambda blob: reseal(blob, lambda h: h.update(content=7)),
+        lambda blob: reseal(blob, lambda h: h.update(abi=1)),
+        # One flipped bit in the row section, trailer left as it was.
+        lambda blob: blob[:4000] + bytes([blob[4000] ^ 4]) + blob[4001:],
+    ],
+    ids=["no-content", "content-retyped", "abi-1", "row-bit-flip"],
+)
+def test_damaged_blob_heals_from_its_vocabulary(registry, vocab, damage):
+    """Whatever fails the load, the store heals while the embedded
+    vocabulary still hashes to the one asked for — never a KeyError
+    out of ``load_masks``, never the damaged rows served."""
     ref = registry.publish("xmlrpc", xmlrpc())
     summary = registry.publish_masks(ref, vocab)
-    described = registry.inspect(ref)["masks"][vocab.vocab_hash[:16]]
-    assert described["rev"] == 1
-    assert "deltas" not in described
-    with open(_mask_path(registry, summary), "wb") as fh:
-        fh.write(rev2_blob(build_mask_table(xmlrpc(), vocab)))
-    described = registry.inspect(ref)["masks"][vocab.vocab_hash[:16]]
-    assert described["rev"] == 2
-    assert "error" not in described
-
-
-def test_rev2_blob_is_served_without_republish(registry, vocab):
-    """A rev-2 blob loads cleanly with its delta tail ignored; nothing
-    heals or rewrites it — there is one way to read a mask blob."""
-    ref = registry.publish("xmlrpc", xmlrpc())
-    summary = registry.publish_masks(ref, vocab)
-    fresh = build_mask_table(xmlrpc(), vocab)
-    legacy = rev2_blob(fresh)
     path = _mask_path(registry, summary)
-    with open(path, "wb") as fh:
-        fh.write(legacy)
-
-    loaded = Registry(registry.root).load_masks(ref)
-    assert loaded.describe()["rev"] == 2
-    assert loaded.rows == fresh.rows
-    assert loaded.cd_ids == fresh.cd_ids
-    for state in (0, 1, fresh.n_states - 1):
-        assert loaded.mask_row(state) == fresh.mask_row(state)
     with open(path, "rb") as fh:
-        assert fh.read() == legacy
+        good = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(damage(good))
+    healed = Registry(registry.root).load_masks(ref)
+    assert healed.rows == build_mask_table(xmlrpc(), vocab).rows
+    with open(path, "rb") as fh:  # and the healed blob was written back
+        rewritten = fh.read()
+    assert rewritten[-32:] == hashlib.sha256(rewritten[:-32]).digest()
+    assert (
+        read_mask_header(rewritten)["content"]
+        == registry.inspect(ref)["content"]
+    )
+
+
+def test_heal_refuses_a_vocabulary_that_hashes_differently(registry, vocab):
+    """The blob at the key carries some other vocabulary (here: one
+    token changed, so the load's hash check fails too): rebuilding
+    from it would serve masks for tokens nobody asked for."""
+    ref = registry.publish("xmlrpc", xmlrpc())
+    summary = registry.publish_masks(ref, vocab)
+    path = _mask_path(registry, summary)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    at = len(good) - 32 - 1  # the last token's last byte
+    swapped = good[:at] + bytes([good[at] ^ 1]) + good[at + 1 :]
+    for blob in (
+        swapped,
+        swapped[:-32] + hashlib.sha256(swapped[:-32]).digest(),
+        build_mask_table(
+            xmlrpc(), synthetic_vocab(size=385, seed=13)
+        ).to_blob(),
+    ):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(RegistryError, match="precompute"):
+            Registry(registry.root).load_masks(ref)
+        with open(path, "rb") as fh:
+            assert fh.read() == blob  # nothing was healed over it
 
 
 def _race_loader(root, ref, vocab_hash, barrier, out_q):
@@ -252,7 +276,7 @@ def test_concurrent_heal_republish_is_atomic(registry, vocab):
             vocab.vocab_hash[:16]
         ]
         assert "error" not in described, described
-        assert described["rev"] == 1, described
+        assert described["abi"] == 2, described
     results = [out_q.get(timeout=30) for _ in loaders]
     for proc in loaders:
         proc.join(timeout=30)

@@ -17,12 +17,14 @@ import struct
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.structgen import (
     MaskSession,
     build_mask_table,
     synthetic_vocab,
 )
+from repro.apps.structgen import beam as beam_mod
 from repro.apps.structgen.beam import BeamMaskSession
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.server import ScanClient, protocol
@@ -132,6 +134,95 @@ def test_masks_roundtrip_full_and_delta():
         decode_masks(Frame(FrameType.MASKS, frame.payload + b"\x00"))
 
 
+U32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _masks_shape(draw):
+    rb = draw(st.integers(1, 40))
+    full = st.tuples(U32, st.just(0), st.binary(min_size=rb, max_size=rb))
+    delta = st.tuples(
+        U32,
+        st.just(1),
+        st.integers(0, 5).flatmap(
+            lambda n: st.binary(min_size=3 * n, max_size=3 * n)
+        ),
+    )
+    return rb, draw(st.lists(st.one_of(full, delta), max_size=6))
+
+
+#: (encoder, its decoder, strategy for the encoder's arguments).
+BEAM_CODECS = [
+    (
+        encode_open_beam,
+        decode_open_beam,
+        st.tuples(
+            U32,
+            st.integers(1, MAX_BEAM_WIDTH),
+            st.binary(min_size=32, max_size=32).map(bytes.hex),
+        ),
+    ),
+    (
+        encode_batch_advance,
+        decode_batch_advance,
+        st.one_of(
+            st.tuples(
+                U32,
+                st.just(BeamOp.ADVANCE),
+                st.lists(U32, min_size=1, max_size=40).map(tuple),
+            ),
+            st.tuples(
+                U32, st.sampled_from([BeamOp.FORK, BeamOp.ROLLBACK]), U32
+            ),
+        ),
+    ),
+    (
+        encode_masks,
+        decode_masks,
+        _masks_shape().flatmap(
+            lambda shape: st.tuples(U32, st.just(shape[0]), st.just(shape[1]))
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "encode,decode,values",
+    BEAM_CODECS,
+    ids=["OPEN_BEAM", "BATCH_ADVANCE", "MASKS"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mangled_beam_frames_raise_protocol_error_only(
+    encode, decode, values, data
+):
+    """Cut, grown, or with any byte changed, a beam frame is a
+    ProtocolError or decodes to a value that encodes back to exactly
+    the bytes received — never another exception, never a value the
+    frame does not spell."""
+    value = data.draw(values)
+    (frame,) = decode_all(encode(*value))
+    assert decode(frame) == value
+    payload = frame.payload
+    at = data.draw(st.integers(0, len(payload) - 1))
+    how = data.draw(st.sampled_from(["cut", "grow", "flip"]))
+    if how == "cut":
+        mangled = payload[:at]
+    elif how == "grow":
+        mangled = payload + data.draw(st.binary(min_size=1, max_size=9))
+    else:
+        flip = data.draw(st.integers(1, 255))
+        mangled = (
+            payload[:at] + bytes([payload[at] ^ flip]) + payload[at + 1 :]
+        )
+    try:
+        got = decode(Frame(frame.type, mangled))
+    except ProtocolError:
+        return
+    (again,) = decode_all(encode(*got))
+    assert again.payload == mangled
+
+
 # ----------------------------------------------------------------------
 # server round trips
 # ----------------------------------------------------------------------
@@ -238,6 +329,12 @@ def test_bad_token_keeps_beam_flow_open(table):
                 assert info.value.code == ErrorCode.BAD_TOKEN
                 assert "lane 1" in str(info.value)
                 assert flow.states == before
+                # Ids are u32 on the wire; one no int32 holds is the
+                # same refusal, not a fault that takes the flow down.
+                with pytest.raises(ServerFault) as info:
+                    await flow.advance([valid[0], 2**32 - 1], timeout=5.0)
+                assert info.value.code == ErrorCode.BAD_TOKEN
+                assert "lane 1" in str(info.value)
                 states, rows = await flow.advance([valid[0], valid[0]])
                 local.advance([valid[0], valid[0]])
                 assert states == local.states
@@ -458,7 +555,12 @@ def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
                     counters["structgen.masks_served"]
                 )
                 assert memo["hits"] > 0
-                assert table_info["rev"] == 1
+                assert "rev" not in table_info
+                # The open beam loaded the kernel, or fell back: the
+                # scrape says which.
+                assert sg["beam_native"] is (
+                    beam_mod._load_kernel() is not None
+                )
                 assert counters["structgen.memo_hits"] == memo["hits"]
                 assert counters["structgen.memo_misses"] == (
                     memo["misses"]
