@@ -18,7 +18,9 @@ the compiled engine at >= 5x the interpreted one on the XML-RPC
 workload, ``test_vector_speedup`` gates the vector wide-datapath
 engine at >= 2x the compiled one, ``test_native_speedup`` gates the
 native C kernel at >= 10x the compiled one (skipping where no kernel
-can be built), ``test_structgen_masks`` gates precomputed constrained-decoding
+can be built), ``test_cold_tagger_setup`` gates cold native-tagger
+construction at <= 1.5x a bare ``import repro`` in fresh interpreters,
+``test_structgen_masks`` gates precomputed constrained-decoding
 token masks at >= 10x the naive per-token rescan,
 ``test_structgen_beam`` gates the batched beam-of-32 engine at
 >= 5x thirty-two independent sessions (and the delta encoding at
@@ -29,11 +31,15 @@ CPUs to make that honest).
 """
 
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.apps.xmlrpc import WorkloadGenerator
 from repro.core.generator import TaggerGenerator
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
@@ -209,6 +215,48 @@ def test_native_speedup(bench_record, grammar, stream):
     tag_gbps = _best_rate(native.compiled.tag, stream, reps=10)
     bench_record("native tag/events ratio", tag_gbps / native_gbps, unit=None)
     assert tag_gbps / native_gbps >= 0.4
+
+
+_COLD_NATIVE = """
+import time
+from repro.core.tagger import BehavioralTagger
+from repro.grammar.examples import xmlrpc
+start = time.perf_counter()
+tagger = BehavioralTagger(xmlrpc(), engine="native")
+print(time.perf_counter() - start, tagger.compiled.native_active)
+"""
+
+
+def _child(code: str) -> tuple[float, str]:
+    """(wall seconds, stdout) of ``python -c code`` in a fresh
+    interpreter that imports this checkout's ``repro``."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return time.perf_counter() - start, done.stdout
+
+
+def test_cold_tagger_setup(bench_record):
+    """Cold-start gate: in a fresh interpreter, constructing the native
+    XML-RPC tagger (scan IR closure and kernel lowering included) takes
+    at most 1.5x the wall time of ``python -c "import repro"``.  Both
+    are timed on the same host, so the ratio carries no host speed;
+    best of three children each."""
+    _wall, stdout = _child(_COLD_NATIVE)  # untimed: builds the kernel
+    if stdout.split()[1] != "True":
+        pytest.skip("native kernel unavailable (no compiler or disabled)")
+    import_s = min(_child("import repro")[0] for _ in range(3))
+    cold_s = min(float(_child(_COLD_NATIVE)[1].split()[0]) for _ in range(3))
+    bench_record("cold native tagger / import repro", cold_s / import_s,
+                 unit=None)
+    assert cold_s <= 1.5 * import_s
 
 
 def test_structgen_masks(bench_record, grammar):

@@ -13,8 +13,8 @@ restores it through the owning modules' install functions so every
 engine on the ladder starts without paying the closure again.  The
 native kernel's flattened int32 tables re-lower from the restored IR
 (a few milliseconds) rather than being stored: they embed a C capsule
-that cannot round-trip, and lowering is three orders of magnitude
-cheaper than the closure it consumes.
+that cannot round-trip, and lowering is an order of magnitude cheaper
+than the closure it consumes.
 
 Blob layout::
 

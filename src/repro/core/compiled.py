@@ -45,7 +45,8 @@ concatenated buffers. Compiled tables are memoized per (grammar,
 wiring) alongside the shared :class:`~repro.core.scanplan.ScanPlan`,
 so constructing many taggers for the same grammar costs one build —
 and the lazily-materialized rows warmed by one tagger are reused by
-every later one.
+every later one (after a scan IR closure, which steps one byte per
+byte class, the memo holds those representative bytes only).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from repro.grammar.regex.glushkov import Glushkov
 EOF = 256
 
 _ALL_NEXT = (1 << 257) - 1
+_ALL_BYTES = (1 << 256) - 1
 
 #: Safety valve for adversarial inputs: past this many memoized global
 #: steps, further steps are computed on the fly without being cached
@@ -242,6 +244,22 @@ class _CompiledTables:
             self.tids[t] = tid
             self.tstates.append(t)
         return tid
+
+    def _byte_classes(self) -> list[int]:
+        """The Fig. 5 decoder: {0..255} refined by every byte set a step
+        tests (delimiters; each position's bytes, for ``build_prog``;
+        each position's qualifying next bytes, for detect masks and
+        ``build_qual``), as 256-bit masks ordered by lowest byte.  The
+        bytes of a class step alike from every state, so a new byte
+        test in :meth:`build_step` must refine this too."""
+        tests = {sum(1 << b for b in range(256) if self.delim[b])}
+        for dfa in self.unit_dfas:
+            tests.update(dfa.auto.byte_masks())
+            tests.update(mask & _ALL_BYTES for mask in dfa.qual_masks)
+        classes = [_ALL_BYTES]
+        for test in tests:
+            classes = [p for c in classes for p in (c & test, c & ~test) if p]
+        return sorted(classes, key=lambda c: c & -c)
 
     def build_step(self, tid: int, byte: int):
         """Materialize (and memoize) one global step.

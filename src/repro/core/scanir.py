@@ -4,10 +4,10 @@ The paper's generator derives the datapath from the grammar once — one
 shared character-class decoder (Fig. 5), one Follow-set wiring — and
 every downstream block is wired to that one netlist.  :class:`ScanIR`
 is the software counterpart: the lazily-materialized product automaton
-of :mod:`repro.core.compiled` closed over every reachable
-``(state, byte)`` edge, the 256 byte values collapsed into *byte
-classes* (bytes with identical full transition columns), and the
-result stored class-indexed in flat arrays.  It is built once per
+of :mod:`repro.core.compiled` closed over every reachable state — one
+step per byte class the plan's byte sets predict, never per byte — and
+stored class-indexed in flat arrays (a class: bytes with identical full
+transition columns).  It is built once per
 (grammar, wiring) pair — or restored from an ``RART`` artifact — and
 every table consumer (the native and vector scan engines, mask
 lowering, the beam kernel, the artifact serializer; DESIGN.md §15
@@ -56,7 +56,9 @@ __all__ = ["ScanIR", "install_scan_ir", "scan_ir_for"]
 
 #: Closure bail-out: a product automaton past this many states is not
 #: worth densifying (the closure alone would dominate), so consumers
-#: run without an IR (the scan engines on the compiled loop).
+#: run without an IR (the scan engines on the compiled loop).  The
+#: closure steps byte classes, so bailing out costs at most cap × C
+#: steps, not cap × 256.
 _MAX_PRODUCT_STATES = 2048
 
 #: A state is skippable when at least this many of its 256 byte edges
@@ -129,121 +131,98 @@ class ScanIR:
     # ------------------------------------------------------------------
     @classmethod
     def close(cls, tables: _CompiledTables) -> "ScanIR | None":
-        """BFS-materialize every reachable ``(state, byte)`` edge of
-        ``tables`` and flatten the result; None past the state cap.
+        """Step every state of ``tables`` on the lowest byte of each
+        a-priori byte class (``_CompiledTables._byte_classes``) and
+        flatten the result; None past the state cap.
 
-        State ids are the tables' interning order and class codes are
-        numbered by first byte, so the IR of a given grammar is the
-        same in every process (mask artifacts pin this through
-        :meth:`~repro.core.maskgen.MaskLowering.fingerprint`).
-        """
+        States are stepped in id order as the steps intern them —
+        breadth-first, in the order a 256-byte sweep interns them — and
+        class codes are numbered by first byte, so the IR of a grammar
+        is the same in every process (mask artifacts pin this through
+        :meth:`~repro.core.maskgen.MaskLowering.fingerprint`)."""
+        classes = tables._byte_classes()
+        reps = [(mask & -mask).bit_length() - 1 for mask in classes]
+        width = len(reps)
         memo_get = tables.memo.get
         build_step = tables.build_step
         effects: list = [None]
         effect_ids: dict[tuple, int] = {}
-        # Raw-byte rows laid end to end, ``[state << 8 | byte]``, in
-        # two int arrays rather than lists of rows: a list keeps one
-        # int object alive per edge until the closure ends, and a
-        # quarter of a million of them freed at once leave holes all
-        # through the heap that the process's later allocations pay
-        # for (the ledger's dense in-process scan rate read 20 % lower).
-        all_next = array("i")
-        all_effect = array("i")
-        blank_row = array("i", bytes(256 * all_next.itemsize))
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            discovered = []
-            for tid in frontier:
-                base = tid << 8
-                while len(all_next) < base + 256:
-                    all_next.extend(blank_row)
-                    all_effect.extend(blank_row)
-                for edge in range(base, base + 256):
-                    step = memo_get(edge)
-                    if step is None:
-                        step = build_step(tid, edge & 0xFF)
-                    if step.__class__ is int:
-                        ntid = step >> 8
-                    else:
-                        ntid = step[0] >> 8
-                        sig = step[1:]
-                        index = effect_ids.get(sig)
-                        if index is None:
-                            index = effect_ids[sig] = len(effects)
-                            effects.append(sig)
-                        all_effect[edge] = index
-                    all_next[edge] = ntid
-                    if ntid not in seen:
-                        if len(seen) >= _MAX_PRODUCT_STATES:
-                            return None
-                        seen.add(ntid)
-                        discovered.append(ntid)
-            frontier = discovered
-        n = len(seen)
+        # Rows over the a-priori classes, ``[state * width + class]``.
+        nxt = array("i")
+        eff = array("i")
+        tid = 0
+        while tid < len(tables.tstates):
+            if tid == _MAX_PRODUCT_STATES:
+                return None
+            for byte in reps:
+                step = memo_get(tid << 8 | byte)
+                if step is None:
+                    step = build_step(tid, byte)
+                if step.__class__ is int:
+                    nxt.append(step >> 8)
+                    eff.append(0)
+                    continue
+                nxt.append(step[0] >> 8)
+                sig = step[1:]
+                index = effect_ids.get(sig)
+                if index is None:
+                    index = effect_ids[sig] = len(effects)
+                    effects.append(sig)
+                eff.append(index)
+            tid += 1
+        n = tid
 
-        # Byte classes: the product-machine version of the paper's
-        # character-class decoder.  A byte's full transition column is
-        # the slice [byte::256].
+        # Classes no reachable state tells apart merge: a class code is
+        # a distinct full column ([k::width]), numbered by first byte.
         columns: dict[bytes, int] = {}
         class_of = bytearray(256)
-        repr_byte: list[int] = []
-        for byte in range(256):
-            column = (
-                all_next[byte::256].tobytes()
-                + all_effect[byte::256].tobytes()
-            )
+        keep: list[int] = []
+        for k, mask in enumerate(classes):
+            column = nxt[k::width].tobytes() + eff[k::width].tobytes()
             code = columns.setdefault(column, len(columns))
-            if code == len(repr_byte):
-                repr_byte.append(byte)
-            class_of[byte] = code
+            if code == len(keep):
+                keep.append(k)
+            while mask:
+                low = mask & -mask
+                class_of[low.bit_length() - 1] = code
+                mask ^= low
 
         self = cls()
         self.n_states = n
-        self.n_classes = len(repr_byte)
-        self.class_table = bytes(class_of)
+        self.n_classes = len(keep)
+        self.class_table = class_table = bytes(class_of)
         self.next = array("i")
         self.effect = array("i")
         self.effects = effects
         self.skip_live = {}
         self.unit_caps = tables.unit_caps()
-        lost = bytearray(n)
-        eos = bytearray(n)
-        emits = bytearray(n)
+        lost, eos, emits = bytearray(n), bytearray(n), bytearray(n)
         tstates = tables.tstates
         unit_dfas = tables.unit_dfas
         for tid in range(n):
-            row_next = all_next[tid << 8 : (tid + 1) << 8]
-            row_effect = all_effect[tid << 8 : (tid + 1) << 8]
-            self.next.extend([row_next[byte] for byte in repr_byte])
-            self.effect.extend([row_effect[byte] for byte in repr_byte])
+            row_next = [nxt[tid * width + k] for k in keep]
+            row_effect = [eff[tid * width + k] for k in keep]
+            self.next.extend(row_next)
+            self.effect.extend(row_effect)
             items, armed, pdet, first = tstates[tid]
             # Lost (§5.2): the liveness cut depends only on the source
             # state, so "this step reports an error" is per-state.
-            lost[tid] = (
-                tables.recovery
-                and not first
-                and not (items or armed or pdet)
+            lost[tid] = tables.recovery and not (
+                first or items or armed or pdet
             )
             # EOF detection mirrors CompiledTagger._flush.
             eos[tid] = any(
                 unit_dfas[u].detect_masks[s] >> EOF & 1 for u, s in items
             )
-            emits[tid] = any(
-                index and effects[index][0] for index in set(row_effect)
-            )
+            emits[tid] = any(i and effects[i][0] for i in set(row_effect))
             if not armed:
-                live = bytes(
-                    [
-                        ntid != tid or index != 0
-                        for ntid, index in zip(row_next, row_effect)
-                    ]
+                live_class = bytes(
+                    [nt != tid or i > 0 for nt, i in zip(row_next, row_effect)]
                 )
+                live = class_table.translate(live_class.ljust(256, b"\0"))
                 if live.count(0) >= _SKIP_MIN_COVERAGE:
                     self.skip_live[tid] = live
-        self.lost = bytes(lost)
-        self.eos = bytes(eos)
-        self.emits = bytes(emits)
+        self.lost, self.eos, self.emits = bytes(lost), bytes(eos), bytes(emits)
         return self
 
     # ------------------------------------------------------------------

@@ -4,7 +4,11 @@ Pins what the IR *is* (its ``next`` / ``effect`` arrays expanded
 through ``class_table`` reproduce ``_CompiledTables.build_step`` for
 every byte of every state, over the grammars × wiring corners of the
 engine differential suites; its flags agree with the raw-byte oracle of
-``tests/apps/test_structgen.py``), that it survives its payload form
+``tests/apps/test_structgen.py``), that the class-stepped closure
+builds field for field the IR a 256-byte sweep builds (``_raw_close``),
+in the same interning order and with one step per (state, class), that
+the state-cap bail-out leaves every engine on the compiled loop, that
+it survives its payload form
 field for field, that a wrong-shaped or corrupted ``RART`` blob raises
 :class:`ArtifactError` (or loads tables that scan exactly like a fresh
 compile) and never anything else, that the registry heals every such
@@ -17,11 +21,14 @@ import hashlib
 import json
 import marshal
 import os
+from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.core import scanir
 from repro.core.artifact import (
     ArtifactError,
     build_artifact,
@@ -29,14 +36,19 @@ from repro.core.artifact import (
     load_artifact,
     read_header,
 )
-from repro.core.compiled import CompiledTagger
+from repro.core.compiled import EOF, CompiledTagger, _CompiledTables
 from repro.core.generator import TaggerOptions
 from repro.core.maskgen import MaskLowering
+from repro.core.nativescan import NativeTagger
 from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanplan import build_scan_plan
 from repro.core.tagger import BehavioralTagger
+from repro.core.vectorscan import VectorTagger
+from repro.core.wiring import WiringOptions
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.service.registry import Registry
 from tests.apps.test_structgen import GRAMMARS, VARIANTS, Oracle
+from tests.core.test_fuzz_grammars import random_grammars
 
 FIELDS = [name for name in ScanIR.__slots__ if not name.startswith("__")]
 
@@ -46,7 +58,123 @@ XMLRPC_FINGERPRINT = (
     "d8c2b95f1ac56cc60595f60bc67b39bb9519e44c84f67ea96c4e40bc8ca49863"
 )
 
+#: sha256 of ``build_artifact(xmlrpc())`` from the 256-byte closure,
+#: per interpreter tag (the blob is marshal output, so only the
+#: interpreter it was recorded under can check it).  The class-stepped
+#: closure must keep publishing the same bytes.
+XMLRPC_ARTIFACT_SHA256 = {
+    "abi2-cpython-311": (
+        "b2c2b20e808bec576bdc0913fe94b0276e19d1a2fd98faa03dc3a310d52687d8"
+    ),
+}
+
+#: sha256 of ``repr`` of the same blob's unmarshalled payload: the
+#: interpreter-independent half of the pin.
+XMLRPC_PAYLOAD_SHA256 = (
+    "e00ff0e073c4fb334f0fa387ad9122c9d9c83a6d44c79f84f07155644f5a5598"
+)
+
 ITE_SAMPLE = b"if true then go else stop"
+
+XMLRPC_SAMPLE = (
+    b"<methodCall><methodName>buy</methodName>"
+    b"<params></params></methodCall>\n"
+) * 4
+
+
+def _raw_close(tables: _CompiledTables) -> ScanIR | None:
+    """The closure as a 256-byte sweep: every ``(state, byte)`` edge
+    stepped, byte classes found afterwards by comparing full columns.
+    The oracle for :meth:`ScanIR.close`."""
+    effects: list = [None]
+    effect_ids: dict[tuple, int] = {}
+    all_next: dict[int, int] = {}
+    all_effect: dict[int, int] = {}
+    frontier = [0]
+    seen = {0}
+    while frontier:
+        discovered = []
+        for tid in frontier:
+            for byte in range(256):
+                step = tables.build_step(tid, byte)
+                edge = tid << 8 | byte
+                if step.__class__ is int:
+                    ntid, index = step >> 8, 0
+                else:
+                    ntid, sig = step[0] >> 8, step[1:]
+                    index = effect_ids.setdefault(sig, len(effects))
+                    if index == len(effects):
+                        effects.append(sig)
+                all_next[edge], all_effect[edge] = ntid, index
+                if ntid not in seen:
+                    if len(seen) >= scanir._MAX_PRODUCT_STATES:
+                        return None
+                    seen.add(ntid)
+                    discovered.append(ntid)
+        frontier = discovered
+    n = len(seen)
+    columns: dict[tuple, int] = {}
+    class_of = bytearray(256)
+    repr_byte: list[int] = []
+    for byte in range(256):
+        column = tuple(
+            (all_next[tid << 8 | byte], all_effect[tid << 8 | byte])
+            for tid in range(n)
+        )
+        code = columns.setdefault(column, len(columns))
+        if code == len(repr_byte):
+            repr_byte.append(byte)
+        class_of[byte] = code
+    ir = ScanIR()
+    ir.n_states = n
+    ir.n_classes = len(repr_byte)
+    ir.class_table = bytes(class_of)
+    ir.next = array("i")
+    ir.effect = array("i")
+    ir.effects = effects
+    ir.skip_live = {}
+    ir.unit_caps = tables.unit_caps()
+    lost, eos, emits = bytearray(n), bytearray(n), bytearray(n)
+    for tid in range(n):
+        row_next = [all_next[tid << 8 | byte] for byte in range(256)]
+        row_effect = [all_effect[tid << 8 | byte] for byte in range(256)]
+        ir.next.extend([row_next[byte] for byte in repr_byte])
+        ir.effect.extend([row_effect[byte] for byte in repr_byte])
+        items, armed, pdet, first = tables.tstates[tid]
+        lost[tid] = tables.recovery and not first and not (
+            items or armed or pdet
+        )
+        eos[tid] = any(
+            tables.unit_dfas[u].detect_masks[s] >> EOF & 1 for u, s in items
+        )
+        emits[tid] = any(i and effects[i][0] for i in set(row_effect))
+        if not armed:
+            live = bytes(
+                [nt != tid or i != 0 for nt, i in zip(row_next, row_effect)]
+            )
+            if live.count(0) >= scanir._SKIP_MIN_COVERAGE:
+                ir.skip_live[tid] = live
+    ir.lost, ir.eos, ir.emits = bytes(lost), bytes(eos), bytes(emits)
+    return ir
+
+
+def _fresh_tables(grammar, wiring) -> _CompiledTables:
+    """Tables outside the process-wide cache: nothing stepped yet."""
+    return _CompiledTables(build_scan_plan(grammar, wiring))
+
+
+def _assert_close_matches_sweep(grammar, wiring) -> None:
+    tables = _fresh_tables(grammar, wiring)
+    oracle_tables = _fresh_tables(grammar, wiring)
+    ir = ScanIR.close(tables)
+    expected = _raw_close(oracle_tables)
+    assert ir is not None and expected is not None
+    for name in FIELDS:
+        assert getattr(ir, name) == getattr(expected, name), name
+    # Same interning order, so the artifact's stored states are too.
+    assert tables.tstates == oracle_tables.tstates
+    for dfa, oracle_dfa in zip(tables.unit_dfas, oracle_tables.unit_dfas):
+        assert dfa.state_positions == oracle_dfa.state_positions
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +215,75 @@ def test_ir_reproduces_build_step_and_oracle_flags(gname, vname):
         for byte in range(256):
             inert = build_step(tid, byte) == tid << 8
             assert live[byte] == (not inert), (tid, byte)
+
+
+#: The wiring corners plus the keyword boundary: the one byte test
+#: (folded into the qualifying masks) no position byte set implies.
+CLOSURE_VARIANTS = {
+    **VARIANTS,
+    "boundary": replace(
+        WiringOptions(),
+        tokenizer=replace(WiringOptions().tokenizer, keyword_boundary=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("vname", CLOSURE_VARIANTS)
+@pytest.mark.parametrize("gname", GRAMMARS)
+def test_class_closure_equals_byte_sweep(gname, vname):
+    _assert_close_matches_sweep(GRAMMARS[gname](), CLOSURE_VARIANTS[vname])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    grammar=random_grammars(),
+    vname=st.sampled_from(sorted(CLOSURE_VARIANTS)),
+)
+def test_class_closure_equals_byte_sweep_on_random_grammars(grammar, vname):
+    _assert_close_matches_sweep(grammar, CLOSURE_VARIANTS[vname])
+
+
+@pytest.mark.parametrize("gname", GRAMMARS)
+def test_closure_steps_each_class_once(gname):
+    """The closure's work is states × a-priori classes, not × 256."""
+    tables = _fresh_tables(GRAMMARS[gname](), VARIANTS["default"])
+    ir = ScanIR.close(tables)
+    n_classes = len(tables._byte_classes())
+    assert len(tables.memo) == ir.n_states * n_classes
+    if gname == "xmlrpc":
+        assert (ir.n_states, n_classes) == (456, 37)
+        assert len(tables.memo) == 16_872
+
+
+def test_xmlrpc_artifact_bytes_are_pinned():
+    blob = build_artifact(xmlrpc())
+    head_len = int.from_bytes(blob[4:8], "big")
+    payload = marshal.loads(blob[8 + head_len : -32])
+    assert hashlib.sha256(repr(payload).encode()).hexdigest() == (
+        XMLRPC_PAYLOAD_SHA256
+    )
+    expected = XMLRPC_ARTIFACT_SHA256.get(interpreter_tag())
+    if expected is not None:
+        assert hashlib.sha256(blob).hexdigest() == expected
+
+
+def test_state_cap_bail_out_falls_back_to_compiled(monkeypatch):
+    """Past the cap there is no IR, every dense engine stays on the
+    compiled loop, and the results are the compiled engine's."""
+    monkeypatch.setattr(scanir, "_MAX_PRODUCT_STATES", 100)
+    grammar = xmlrpc()  # a fresh grammar: nothing cached for it
+    compiled = CompiledTagger(grammar)
+    assert scan_ir_for(compiled) is None
+    native = NativeTagger(grammar)
+    vector = VectorTagger(grammar)
+    assert not native.native_active
+    assert not vector.vector_active
+    expected = compiled.tag(XMLRPC_SAMPLE)
+    for tagger in (native, vector):
+        assert tagger.events(XMLRPC_SAMPLE) == compiled.events(XMLRPC_SAMPLE)
+        got = tagger.tag(XMLRPC_SAMPLE)
+        assert [tuple(t) for t in got] == [tuple(t) for t in expected]
+    assert expected
 
 
 @pytest.mark.parametrize("gname", GRAMMARS)
