@@ -24,7 +24,8 @@ construction at <= 1.5x a bare ``import repro`` in fresh interpreters,
 token masks at >= 10x the naive per-token rescan,
 ``test_structgen_beam`` gates the batched beam-of-32 engine at
 >= 5x thirty-two independent sessions (and the delta encoding at
-<= 0.5x full-row wire bytes), and
+<= 0.5x full-row wire bytes), ``test_masks_apply`` gates the client's
+native MASKS apply at >= 5x the portable decode + XOR patch, and
 ``test_service_scaling`` records the sharded multi-process service's
 1-worker vs 4-worker rates (gating >= 2x only on hosts with enough
 CPUs to make that honest).
@@ -426,6 +427,72 @@ def test_structgen_beam(bench_record, grammar):
     # The incremental deltas must actually pay on the wire: shipping
     # patched rows beats shipping full rows by a wide margin.
     assert delta_bytes / full_bytes <= 0.5
+
+
+def test_masks_apply(bench_record, grammar):
+    """The client's MASKS apply: one native call rebuilding every lane
+    of a reply >= 5x ``decode_masks`` + per-lane ``apply_xor_patch``
+    (the portable twin) on a seeded 8-lane stream of 2 KiB-row frames.
+    A ratio of two timings on one host, where an absolute rate would
+    be flaky; both rates are recorded, and both paths must rebuild the
+    same rows."""
+    from repro.apps.structgen import (
+        BeamMaskSession,
+        build_mask_table,
+        synthetic_vocab,
+    )
+    from repro.apps.structgen.beam import encode_lane_records
+    from repro.core import _native_build
+    from repro.server import protocol
+
+    if _native_build.load_kernel() is None:
+        pytest.skip("native module unavailable (no compiler)")
+    width = 8
+    vocab = synthetic_vocab(size=16384)
+    table = build_mask_table(grammar, vocab)
+    assert table.row_bytes == 2048
+
+    rng = random.Random(2006)
+    beam = BeamMaskSession(table, width)
+    sent = b""
+    payloads = []
+    for _ in range(200):
+        choices = [_valid_tokens(row, len(vocab)) for row in beam.masks()]
+        if all(choices):
+            beam.advance([rng.choice(valid) for valid in choices])
+        else:
+            beam.reset(width)
+        packed = beam.masks_packed()
+        records, _deltas = encode_lane_records(
+            beam.states, packed, sent, table.row_bytes
+        )
+        payloads.append(
+            protocol.encode_masks_records(1, width, table.row_bytes, records)
+        )
+        sent = packed
+    frames = protocol.FrameDecoder(1 << 20).feed(b"".join(payloads))
+
+    def replay(apply):
+        rows: list = []
+        for frame in frames:
+            rows = apply(frame, rows)[1]
+        return rows
+
+    assert replay(protocol.apply_masks) == replay(
+        protocol._apply_masks_portable
+    ) == beam.masks()
+    kernel_s = _best_seconds(lambda: replay(protocol.apply_masks), reps=5)
+    portable_s = _best_seconds(
+        lambda: replay(protocol._apply_masks_portable), reps=5
+    )
+    bench_record(
+        "masks apply kernel frames/sec", len(frames) / kernel_s, unit=None
+    )
+    bench_record(
+        "masks apply portable frames/sec", len(frames) / portable_s, unit=None
+    )
+    bench_record("masks apply speedup", portable_s / kernel_s, unit=None)
+    assert portable_s / kernel_s >= 5.0
 
 
 def test_service_scaling(bench_record, grammar, stream):

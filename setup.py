@@ -6,8 +6,9 @@ PEP 660 editable installs cannot build; this shim lets
 ``pip install -e .`` via the fallback) use the classic develop path.
 All project metadata lives in ``pyproject.toml``.
 
-The native scan kernel (``repro.core._nativescan``) is declared here
-as an *optional* extension: when a C compiler is present the wheel
+The native kernel module (``repro.core._nativescan``: the scan loop,
+the beam step and the MASKS codec) is declared here as an *optional*
+extension: when a C compiler is present the wheel
 ships the prebuilt kernel; when compilation fails (or
 ``REPRO_DISABLE_NATIVE=1`` is set at build time) the build completes
 without it and the engine ladder falls back at runtime.  A source

@@ -19,21 +19,17 @@ vectorized calls:
 
 Two compute paths produce bit-identical results (the differential
 suites in ``tests/apps/test_beam.py`` and
-``tests/apps/test_beam_complete.py`` enforce it): a ctypes kernel
-JIT-built from ``_beamscan.c`` via the ``_nativescan`` build
-machinery, and a tight pure-Python loop (the portable path, what
-``REPRO_DISABLE_NATIVE=1`` or a missing compiler selects).  A session
-takes the kernel whenever it loads; there is nothing to choose.  Both
-read the table's one row matrix
-(:attr:`~repro.apps.structgen.masks.MaskTable.matrix`): CI eager, CD
-completed once per state — ``masks_packed()`` first makes sure its
-lanes' states are complete (a flag check per lane, and only on tables
-that have CD tokens), then hands out rows; neither path looks at a
-token.  On the kernel ``advance()`` is one ``beam_step`` call — range
-check, atomic advance, gather — and ``masks_packed()`` returns the
-rows that call gathered unless something moved the beam or completed
-a row since.  The kernel steps the scan IR's ``next`` array in place —
-the same object the scan engines and mask lowering read.
+``tests/apps/test_beam_complete.py`` enforce it): the beam entries of
+the native module (``_nativescan.c``, built and loaded like the scan
+kernel), and a tight pure-Python loop (the portable path, what
+``REPRO_DISABLE_NATIVE=1`` or a missing compiler selects); a session
+takes the kernel whenever the module loads.  Both read the table's one
+row matrix (:attr:`~repro.apps.structgen.masks.MaskTable.matrix`): CI
+eager, CD completed once per state by ``masks_packed()`` before it
+hands out rows.  On the kernel ``advance()`` is one ``beam_step`` call
+— range check, atomic advance over the scan IR's ``next`` array in
+place, gather — and ``masks_packed()`` returns the rows that call
+gathered unless something moved the beam or completed a row since.
 
 :func:`encode_lane_records` turns gathered rows into the MASKS wire
 frame's lane records, delta-encoded against the rows last sent — in
@@ -42,11 +38,12 @@ the kernel when it is loaded, over :func:`xor_patch` otherwise.
 
 from __future__ import annotations
 
-import ctypes
-import os
 import re
 import struct
 from array import array
+from itertools import accumulate
+
+from repro.core import _native_build
 
 from .masks import MaskError, MaskTable
 
@@ -58,90 +55,8 @@ __all__ = [
     "xor_patch",
 ]
 
-_SOURCE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "_beamscan.c"
-)
-
-#: Bumped when the ``_beamscan.c`` calling contract changes.
-_KERNEL_ABI = "3"
-
 #: Mutating calls :meth:`BeamMaskSession.rollback` can undo.
 _HISTORY_CAP = 1024
-
-_kernel = None
-_kernel_attempted = False
-
-
-class _CPlan(ctypes.Structure):
-    """Mirror of ``beam_plan`` in ``_beamscan.c`` — every per-table
-    pointer marshalled once, so the per-step call passes five
-    arguments instead of thirteen."""
-
-    _fields_ = [
-        ("step", ctypes.c_void_p),
-        ("err", ctypes.c_char_p),
-        ("doomed", ctypes.c_char_p),
-        ("codes", ctypes.c_char_p),
-        ("offs", ctypes.c_char_p),
-        ("lens", ctypes.c_char_p),
-        ("rows", ctypes.c_void_p),
-        ("row_bytes", ctypes.c_int64),
-        ("n_classes", ctypes.c_int32),
-        ("n_vocab", ctypes.c_int32),
-    ]
-
-
-def _load_kernel():
-    """The ctypes-loaded beam kernel, or None (no compiler, disabled,
-    unwritable cache).  Cached per process like the scan kernel."""
-    global _kernel, _kernel_attempted
-    from repro.core import _native_build
-
-    if _native_build._disabled():
-        return None
-    if _kernel is not None:
-        return _kernel
-    if _kernel_attempted:
-        return None
-    _kernel_attempted = True
-    path = _native_build.jit_shared_library(_SOURCE, _KERNEL_ABI)
-    if path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return None
-    c = ctypes
-    lib.beam_gather.restype = None
-    lib.beam_gather.argtypes = [
-        c.c_void_p,  # rows (the table's mutable matrix)
-        c.c_int64,  # row_bytes
-        c.POINTER(c.c_int32),  # states
-        c.c_int32,  # n_lanes
-        c.POINTER(c.c_ubyte),  # out
-    ]
-    lib.beam_step.restype = c.c_long
-    lib.beam_step.argtypes = [
-        c.POINTER(_CPlan),  # plan
-        c.c_char_p,  # toks (native int32 bytes)
-        c.POINTER(c.c_int32),  # prev states
-        c.POINTER(c.c_int32),  # next states
-        c.c_int32,  # n_lanes
-        c.POINTER(c.c_ubyte),  # out rows
-    ]
-    lib.beam_encode_masks.restype = c.c_int64
-    lib.beam_encode_masks.argtypes = [
-        c.c_char_p,  # rows (lane-major, n_lanes * row_bytes)
-        c.c_char_p,  # rows last sent (n_prev * row_bytes)
-        c.c_int32,  # n_prev
-        c.POINTER(c.c_int32),  # states
-        c.c_int32,  # n_lanes
-        c.c_int64,  # row_bytes
-        c.c_char_p,  # out records
-        c.POINTER(c.c_int32),  # out: delta lane count
-    ]
-    _kernel = lib
-    return lib
 
 
 _NONZERO = re.compile(rb"[^\x00]")
@@ -202,24 +117,10 @@ def encode_lane_records(
             f"{len(packed)} packed bytes for {w} lanes of "
             f"{row_bytes}-byte rows"
         )
+    ext = _native_build.load_kernel()
+    if ext is not None:
+        return ext.beam_encode_masks(packed, prev, states, row_bytes)
     n_prev = min(len(prev) // row_bytes, w)
-    lib = _load_kernel()
-    if lib is not None:
-        out = ctypes.create_string_buffer(
-            w * (_LANE_HEAD.size + row_bytes)
-        )
-        deltas = ctypes.c_int32()
-        size = lib.beam_encode_masks(
-            packed,
-            prev,
-            n_prev,
-            (ctypes.c_int32 * w)(*states),
-            w,
-            row_bytes,
-            out,
-            deltas,
-        )
-        return ctypes.string_at(out, size), deltas.value
     parts = []
     deltas = 0
     for lane, state in enumerate(states):
@@ -242,63 +143,25 @@ def encode_lane_records(
 
 def beam_capability() -> dict:
     """Whether new beam sessions in this process run on the kernel
-    (``/stats``).  Reads the handle as already loaded — the first
-    session loads it — so a scrape never triggers a build."""
-    from repro.core import _native_build
-
-    return {"native": _kernel is not None and not _native_build._disabled()}
+    (``/stats``): the native module as already loaded or prebuilt, so
+    a scrape never triggers a build."""
+    return {"native": _native_build.load_kernel(probe=False) is not None}
 
 
-# ----------------------------------------------------------------------
-# The kernel's per-table plan, shared across sessions via
-# MaskTable._beam_cache (built once, read-only afterwards).
-# ----------------------------------------------------------------------
-class _NativeTables:
-    __slots__ = ("lib", "step", "rows", "row_bytes", "plan", "planref")
-
-    def __init__(self, table: MaskTable, lib) -> None:
-        lowering = table.lowering
-        ir = lowering.ir
-        self.lib = lib
-        # The IR's array itself, not a copy: the kernel steps the very
-        # table the scan engines and the mask walks read.  (Held here
-        # because the plan stores only its address.)
-        self.step = (ctypes.c_int32 * len(ir.next)).from_buffer(ir.next)
-        offs = array("i")
-        lens = array("i")
-        pos = 0
-        for c in table.codes:
-            offs.append(pos)
-            lens.append(len(c))
-            pos += len(c)
-        # The kernel reads the table's matrix in place, so rows
-        # completed after this plan was built are the rows it gathers.
-        self.rows = (ctypes.c_ubyte * len(table.matrix)).from_buffer(
-            table.matrix
-        )
-        self.row_bytes = table.row_bytes
-        plan = _CPlan()
-        plan.step = ctypes.addressof(self.step)
-        plan.err = ir.lost
-        plan.doomed = lowering.doomed
-        plan.codes = b"".join(table.codes)
-        plan.offs = offs.tobytes()
-        plan.lens = lens.tobytes()
-        plan.rows = ctypes.addressof(self.rows)
-        plan.row_bytes = self.row_bytes
-        plan.n_classes = ir.n_classes
-        plan.n_vocab = len(table.codes)
-        self.plan = plan
-        self.planref = ctypes.byref(plan)
-
-
-def _prepared(table: MaskTable) -> _NativeTables | None:
-    """The kernel's plan for ``table``; None when no kernel loads."""
-    lib = _load_kernel()
-    if lib is None:
-        return None
+def _plan(table: MaskTable, ext):
+    """The kernel's plan for ``table``, built once and shared by every
+    session on it.  It views the IR's ``next`` array and the table's
+    matrix themselves, not copies, so it gathers rows completed later."""
     if table._beam_cache is None:
-        table._beam_cache = _NativeTables(table, lib)
+        lowering = table.lowering
+        table._beam_cache = ext.beam_plan(
+            lowering.ir.next,
+            lowering.ir.lost,
+            lowering.doomed,
+            b"".join(table.codes),
+            array("i", accumulate(map(len, table.codes), initial=0)),
+            table.matrix,
+        )
     return table._beam_cache
 
 
@@ -317,6 +180,7 @@ class BeamMaskSession:
         "counters",
         "_states",
         "_history",
+        "_kstep",
         "_nt",
         "_nbuf",
         "_kept",
@@ -331,7 +195,10 @@ class BeamMaskSession:
         self.table = table
         self._states: list[int] = [0] * width
         self._history: list[tuple[int, ...]] = []
-        self._nt = _prepared(table)
+        ext = _native_build.load_kernel()
+        self._kstep = None if ext is None else ext.beam_step
+        self._nt = None if ext is None else _plan(table, ext)
+        #: (prev states, next states, gathered rows) of the kernel step.
         self._nbuf = None
         #: ``table.memo_misses`` when the last kernel step gathered its
         #: rows, -1 once the beam moved any other way: the kept rows
@@ -380,9 +247,13 @@ class BeamMaskSession:
         if table.cd_ids:
             table.complete_rows(self._states)
         if self._kept == table.memo_misses:
-            rows = bytes(self._nbuf[3])
-        else:
-            rows = self._gather()
+            rows = bytes(self._nbuf[2])
+        else:  # gather afresh; the lanes' states are complete
+            rb = table.row_bytes
+            matrix = memoryview(table.matrix)
+            rows = b"".join(
+                [matrix[s * rb : (s + 1) * rb] for s in self._states]
+            )
         w = len(self._states)
         counters = self.counters
         counters["masks_served"] += w
@@ -398,26 +269,6 @@ class BeamMaskSession:
                 len(table.cd_ids) * w
             )
         return rows
-
-    def _gather(self) -> bytes:
-        """Copy every lane's row out of the matrix; the lanes' states
-        are already complete."""
-        states = self._states
-        nt = self._nt
-        if nt is not None:
-            w = len(states)
-            out = bytearray(w * nt.row_bytes)
-            nt.lib.beam_gather(
-                nt.rows,
-                nt.row_bytes,
-                (ctypes.c_int32 * w)(*states),
-                w,
-                (ctypes.c_ubyte * len(out)).from_buffer(out),
-            )
-            return bytes(out)
-        rb = self.table.row_bytes
-        matrix = memoryview(self.table.matrix)
-        return b"".join([matrix[s * rb : (s + 1) * rb] for s in states])
 
     # ------------------------------------------------------------------
     # advance / fork / rollback
@@ -450,40 +301,22 @@ class BeamMaskSession:
     def _step_native(self, toks) -> tuple[int, ...]:
         """One ``beam_step``: range check, advance into the shadow
         state array, gather the new rows into the kept buffer."""
-        nt = self._nt
-        w = len(toks)
-        buf = self._nbuf
-        if buf is None or buf[0] != w:
-            out = bytearray(w * nt.row_bytes)
-            buf = self._nbuf = (
-                w,
-                (ctypes.c_int32 * w)(),
-                (ctypes.c_int32 * w)(),
-                out,
-                (ctypes.c_ubyte * len(out)).from_buffer(out),
-                struct.Struct(f"{w}i"),
-            )
-            self._kept = -1
-        _, prev, nxt, outb, outv, lanes = buf
         if self._kept < 0:
-            prev[:] = self._states
-        try:
-            packed = lanes.pack(*toks)
-        except struct.error:
-            # An id no int32 holds (the wire's are u32): the kernel
-            # gets -1 in its place and refuses that lane in order,
-            # like any other out-of-range id.
-            packed = lanes.pack(
-                *[t if 0 <= t < 1 << 31 else -1 for t in toks]
+            # The beam moved some other way (or never stepped): resync.
+            self._nbuf = (
+                array("i", self._states),
+                array("i", self._states),
+                bytearray(len(toks) * self.table.row_bytes),
             )
-        ret = nt.lib.beam_step(nt.planref, packed, prev, nxt, w, outv)
-        if ret >= 0:
-            self._fail(int(ret), toks)
+        prev, nxt, rows = self._nbuf
+        lane = self._kstep(self._nt, toks, prev, nxt, rows)
+        if lane >= 0:
+            self._fail(lane, toks)
         # Swap prev/next so the committed states stay resident for
         # the next step without a resync copy.
-        self._nbuf = (w, nxt, prev, outb, outv, lanes)
+        self._nbuf = (nxt, prev, rows)
         self._kept = self.table.memo_misses
-        return lanes.unpack(nxt)
+        return tuple(nxt)
 
     def _fail(self, lane: int, toks) -> None:
         tok = toks[lane]

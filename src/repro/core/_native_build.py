@@ -1,7 +1,8 @@
-"""Build and load the native scan kernel.
+"""Build and load the native kernel module.
 
-The kernel ships as C source (``_nativescan.c``) next to this module.
-It can be built two ways:
+The scan kernel and the beam kernels are one CPython extension,
+``_nativescan``, shipped as C source (``_nativescan.c``) next to this
+module.  It can be built two ways:
 
 * ahead of time, by ``pip install`` / ``python setup.py build_ext``
   (the optional extension declared in ``setup.py``), which drops
@@ -12,8 +13,8 @@ It can be built two ways:
   still gets the native loop without any install step.
 
 Everything degrades to ``None`` — no compiler, sandboxed filesystem,
-``REPRO_DISABLE_NATIVE=1`` — and callers fall back down the engine
-ladder (native → vector → compiled).
+``REPRO_DISABLE_NATIVE=1`` — and callers fall back to their portable
+twins (the scan engine down its ladder: native → vector → compiled).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_nativescan.
 
 #: Bumped when the kernel's Python-visible contract changes, to key the
 #: build cache alongside the source hash.
-_ABI_TAG = "2"
+_ABI_TAG = "3"
 
 _cached_module = None
 _attempted = False
@@ -65,36 +66,27 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-native")
 
 
-def _source_key(source: str, *tags: str) -> str:
-    """Cache key of one kernel: its source hash plus ``tags``."""
-    with open(source, "rb") as fh:
-        digest = hashlib.sha256(fh.read())
-    for tag in tags:
-        digest.update(tag.encode())
-    return digest.hexdigest()[:16]
-
-
 def _kernel_target() -> str:
-    """Where the scan kernel's just-in-time build lives in the cache."""
-    key = _source_key(_SOURCE, _ABI_TAG, sys.implementation.cache_tag)
+    """Where the kernel's just-in-time build lives in the cache, keyed
+    by the source hash, the ABI tag and the interpreter."""
+    with open(_SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read())
+    digest.update((_ABI_TAG + sys.implementation.cache_tag).encode())
+    key = digest.hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     return os.path.join(_cache_dir(), f"_nativescan-{key}{suffix}")
 
 
-def _compile(source: str, target: str, python_api: bool) -> str | None:
-    """Compile ``source`` into ``target`` (a path in the cache) unless
-    it is already there; return ``target``, or None on any failure."""
+def _compile(target: str) -> str | None:
+    """Compile the extension into ``target`` (a path in the cache);
+    return ``target``, or None on any failure."""
     argv = _compiler()
     if argv is None:
         return None
-    if os.path.exists(target):
-        return target
-    includes: list[str] = []
-    if python_api:
-        paths = (sysconfig.get_path("include"), sysconfig.get_path("platinclude"))
-        if not paths[0]:
-            return None
-        includes = [f"-I{path}" for path in dict.fromkeys(paths) if path]
+    paths = (sysconfig.get_path("include"), sysconfig.get_path("platinclude"))
+    if not paths[0]:
+        return None
+    includes = [f"-I{path}" for path in dict.fromkeys(paths) if path]
     cache = os.path.dirname(target)
     try:
         os.makedirs(cache, exist_ok=True)
@@ -106,7 +98,7 @@ def _compile(source: str, target: str, python_api: bool) -> str | None:
     except OSError:
         return None
     cmd = argv + ["-O2", "-fPIC", "-shared", "-fno-strict-aliasing"]
-    cmd += includes + [source, "-o", tmp]
+    cmd += includes + [_SOURCE, "-o", tmp]
     try:
         proc = subprocess.run(
             cmd,
@@ -126,15 +118,6 @@ def _compile(source: str, target: str, python_api: bool) -> str | None:
         except OSError:
             pass
         return None
-
-
-def _load_from(path: str):
-    spec = importlib.util.spec_from_file_location("repro.core._nativescan", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_kernel(probe: bool = True):
@@ -157,27 +140,25 @@ def load_kernel(probe: bool = True):
         return _cached_module
     except ImportError:
         pass
+    # A previous JIT build in the cache loads without a compiler, so
+    # even probe=False (capability reporting) may use it: loading a
+    # built artifact is cheap and side-effect free.
     try:
-        # A previous JIT build in the cache loads without a compiler, so
-        # even probe=False (capability reporting) may use it: loading a
-        # built artifact is cheap and side-effect free.
         target = _kernel_target()
-        if os.path.exists(target):
-            _cached_module = _load_from(target)
-            if _cached_module is not None:
-                return _cached_module
+        if not os.path.exists(target):
+            if not probe or _attempted:
+                return None
+            _attempted = True
+            if _compile(target) is None:
+                return None
+        spec = importlib.util.spec_from_file_location(
+            "repro.core._nativescan", target
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _cached_module = module
     except Exception:
         pass
-    if not probe or _attempted:
-        return None
-    _attempted = True
-    try:
-        path = _compile(_SOURCE, _kernel_target(), python_api=True)
-        if path is None:
-            return None
-        _cached_module = _load_from(path)
-    except Exception:
-        _cached_module = None
     return _cached_module
 
 
@@ -189,24 +170,3 @@ def kernel_source() -> str | None:
     path = getattr(module, "__file__", "") or ""
     return "jit" if _cache_dir() in path else "prebuilt"
 
-
-def jit_shared_library(source: str, abi_tag: str) -> str | None:
-    """Compile ``source`` (plain C, no CPython API, so the artifact is
-    interpreter-independent and loads via ctypes) into the native
-    build cache and return the shared-object path, or None.
-
-    Degrades exactly like the scan kernel: ``REPRO_DISABLE_NATIVE=1``,
-    a missing compiler, or an unwritable cache all yield None and the
-    caller falls back down its engine ladder.  The cache key is the
-    source hash plus ``abi_tag``, and the object is published
-    atomically so racing workers never load a half-written file.
-    """
-    if _disabled():
-        return None
-    try:
-        key = _source_key(source, abi_tag)
-    except OSError:
-        return None
-    name = os.path.splitext(os.path.basename(source))[0]
-    target = os.path.join(_cache_dir(), f"{name}-{key}.so")
-    return _compile(source, target, python_api=False)

@@ -65,6 +65,11 @@
  *
  * The program order (ERR, EVENTs, STARTS) mirrors one iteration of the
  * compiled per-byte loop, which is what makes bit-exactness structural.
+ *
+ * Beam kernels.  The constrained-decoding beam and the MASKS codec are
+ * FASTCALL entries over buffer-protocol arguments (beam_plan, beam_step,
+ * beam_encode_masks, apply_masks); the beam suites hold each equal to
+ * its portable twin in repro.apps.structgen.beam / repro.server.protocol.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -81,6 +86,13 @@ enum { DRAIN_EVENTS = 0, DRAIN_PAIRS = 1, DRAIN_TOKENS = 2 };
  * the GIL re-acquired) whenever fewer than max_per_edge slots remain,
  * so one edge's program can never overflow it. */
 #define HITS_CAP 4096
+
+/* Set an exception and unwind through the function's done: label. */
+#define RAISE(exc, msg)                                               \
+    do {                                                              \
+        PyErr_SetString(exc, msg);                                    \
+        goto done;                                                    \
+    } while (0)
 
 typedef struct {
     int32_t n_states;
@@ -620,46 +632,40 @@ scan_chunk(PyObject *self, PyObject *args)
                           &out, &errors, &mode, &select, &carry))
         return NULL;
 
-#define FAIL(exc, msg)                                                \
-    do {                                                              \
-        PyErr_SetString(exc, msg);                                    \
-        goto done;                                                    \
-    } while (0)
-
     const int packed = (select != Py_None);
     NativeTables *t = PyCapsule_GetPointer(capsule, CAPSULE_NAME);
     if (t == NULL)
         goto done;
     if (state < 0 || state >= t->n_states)
-        FAIL(PyExc_ValueError, "state id out of range");
+        RAISE(PyExc_ValueError, "state id out of range");
     if (mode < DRAIN_EVENTS || mode > DRAIN_TOKENS)
-        FAIL(PyExc_ValueError, "unknown drain mode");
+        RAISE(PyExc_ValueError, "unknown drain mode");
     if (PyList_GET_SIZE(starts_list) != t->n_units)
-        FAIL(PyExc_ValueError, "starts list size mismatch");
+        RAISE(PyExc_ValueError, "starts list size mismatch");
     if (errors != Py_None && !PyList_Check(errors))
-        FAIL(PyExc_TypeError, "errors must be a list or None");
+        RAISE(PyExc_TypeError, "errors must be a list or None");
     if (!packed) {
         if (!PyList_Check(out))
-            FAIL(PyExc_TypeError, "out must be a list");
+            RAISE(PyExc_TypeError, "out must be a list");
     }
     else {
         if (errors != Py_None)
-            FAIL(PyExc_ValueError,
+            RAISE(PyExc_ValueError,
                  "the packed sink reports no error positions");
         if (PyObject_GetBuffer(select, &sel, PyBUF_SIMPLE) < 0 ||
             PyObject_GetBuffer(carry, &car, PyBUF_WRITABLE) < 0 ||
             PyObject_GetBuffer(out, &rec, PyBUF_WRITABLE) < 0)
             goto done;
         if (sel.len != t->n_units)
-            FAIL(PyExc_ValueError, "select mask size mismatch");
+            RAISE(PyExc_ValueError, "select mask size mismatch");
         if (car.len < 2 * (Py_ssize_t)sizeof(int64_t))
-            FAIL(PyExc_ValueError, "carry must hold two int64");
+            RAISE(PyExc_ValueError, "carry must hold two int64");
         /* One edge writes at most two records per hit. */
         if (rec.len / (3 * (Py_ssize_t)sizeof(int64_t)) < 2 * t->max_per_edge)
-            FAIL(PyExc_ValueError, "record buffer too small");
+            RAISE(PyExc_ValueError, "record buffer too small");
         if ((uintptr_t)car.buf % sizeof(int64_t) ||
             (uintptr_t)rec.buf % sizeof(int64_t))
-            FAIL(PyExc_ValueError,
+            RAISE(PyExc_ValueError,
                  "carry and record buffers must be int64-aligned");
     }
 
@@ -688,9 +694,9 @@ scan_chunk(PyObject *self, PyObject *args)
             nrow = PyTuple_GET_SIZE(row);
         }
         else
-            FAIL(PyExc_TypeError, "starts rows must be lists or tuples");
+            RAISE(PyExc_TypeError, "starts rows must be lists or tuples");
         if (nrow > t->unit_caps[u])
-            FAIL(PyExc_ValueError, "starts row exceeds unit capacity");
+            RAISE(PyExc_ValueError, "starts row exceeds unit capacity");
         lens[u] = (int32_t)nrow;
         int64_t *su = starts + t->unit_ofs[u];
         for (Py_ssize_t j = 0; j < nrow; j++) {
@@ -779,7 +785,7 @@ scan_chunk(PyObject *self, PyObject *args)
         Py_END_ALLOW_THREADS
 
         if (corrupt)
-            FAIL(PyExc_RuntimeError, "native effect program out of bounds");
+            RAISE(PyExc_RuntimeError, "native effect program out of bounds");
         if (fail ||
             (h && drain_hits(t, hits, h, out, errors, mode, &chunk) < 0))
             goto done;
@@ -821,10 +827,328 @@ done: /* every exit: result is still NULL on an error */
     PyBuffer_Release(&car);
     PyBuffer_Release(&rec);
     return result;
-#undef FAIL
 }
 
 /* ------------------------------------------------------------------ */
+/* beam kernels                                                        */
+/* ------------------------------------------------------------------ */
+
+#define BEAM_PLAN_NAME "repro.core._nativescan.beam_plan"
+#define ARGC(want, sig)                                               \
+    if (nargs != (want)) {                                            \
+        PyErr_SetString(PyExc_TypeError, sig);                        \
+        return NULL;                                                  \
+    }
+
+/* One mask table: views on the scan IR's int32 next array, the lost
+ * and doomed flags, the class strings (concatenated, n_vocab + 1 int32
+ * offsets) and the row matrix, each kept alive and unresizable and read
+ * in place — rows completed after the plan was built are gathered. */
+enum { V_NEXT, V_LOST, V_DOOMED, V_CODES, V_OFFS, V_MATRIX, N_VIEWS };
+
+typedef struct {
+    Py_buffer v[N_VIEWS];
+    Py_ssize_t n_states, n_classes, n_vocab, row_bytes;
+} BeamPlan;
+
+static void
+beam_plan_free(BeamPlan *p)
+{
+    for (int i = 0; i < N_VIEWS; i++)
+        PyBuffer_Release(&p->v[i]); /* a no-op on the never-acquired */
+    PyMem_Free(p);
+}
+
+static void
+beam_plan_destructor(PyObject *capsule)
+{
+    beam_plan_free(PyCapsule_GetPointer(capsule, BEAM_PLAN_NAME));
+}
+
+/* A list or tuple, read without running Python code that could change it. */
+static int
+fast_sequence(PyObject *seq)
+{
+    if (PyList_Check(seq) || PyTuple_Check(seq))
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "expected a list or tuple");
+    return -1;
+}
+
+/* beam_plan(next, lost, doomed, codes, offs, matrix) -> capsule, every
+ * index the step reads validated once. */
+static PyObject *
+beam_plan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *capsule = NULL;
+    ARGC(N_VIEWS, "beam_plan(next, lost, doomed, codes, offs, matrix)");
+    BeamPlan *p = PyMem_Calloc(1, sizeof(BeamPlan));
+    if (p == NULL)
+        return PyErr_NoMemory();
+    for (int i = 0; i < N_VIEWS; i++)
+        if (PyObject_GetBuffer(args[i], &p->v[i], PyBUF_SIMPLE) < 0)
+            goto done;
+    const int32_t *next = p->v[V_NEXT].buf, *offs = p->v[V_OFFS].buf;
+    const uint8_t *codes = p->v[V_CODES].buf;
+    Py_ssize_t n = p->n_states = p->v[V_LOST].len;
+    if (n < 1 || n > INT32_MAX || p->v[V_DOOMED].len != n ||
+        p->v[V_NEXT].len % (4 * n) || p->v[V_OFFS].len % 4 ||
+        p->v[V_OFFS].len < 4 || ((uintptr_t)next | (uintptr_t)offs) % 4 ||
+        p->v[V_MATRIX].len % n)
+        RAISE(PyExc_ValueError, "bad beam table shapes");
+    Py_ssize_t c = p->n_classes = p->v[V_NEXT].len / 4 / n;
+    Py_ssize_t v = p->n_vocab = p->v[V_OFFS].len / 4 - 1;
+    if (c < 1 || c > 256 || p->v[V_MATRIX].len / n != (p->row_bytes = (v + 7) / 8))
+        RAISE(PyExc_ValueError, "bad beam table shapes");
+    for (Py_ssize_t e = 0; e < n * c; e++)
+        if (next[e] < 0 || next[e] >= n)
+            RAISE(PyExc_ValueError, "next state out of range");
+    for (Py_ssize_t t = 0; t < v; t++)
+        if (offs[t + 1] < offs[t])
+            RAISE(PyExc_ValueError, "class string offsets out of order");
+    if (offs[0] != 0 || offs[v] != p->v[V_CODES].len)
+        RAISE(PyExc_ValueError, "class string offsets out of range");
+    for (Py_ssize_t e = 0; e < p->v[V_CODES].len; e++)
+        if (codes[e] >= c)
+            RAISE(PyExc_ValueError, "class string byte out of range");
+    capsule = PyCapsule_New(p, BEAM_PLAN_NAME, beam_plan_destructor);
+done:
+    if (capsule == NULL)
+        beam_plan_free(p);
+    return capsule;
+}
+
+/* beam_step(plan, toks, prev, next, out) -> -1, or the first refused
+ * lane: lane l walks token id toks[l] from int32 prev[l] into next[l],
+ * then every row is gathered into out.  Refused: an id outside the
+ * vocabulary (one no int32 holds included), a step out of a lost state,
+ * a doomed end.  A refusal leaves prev and out untouched (atomic). */
+static PyObject *
+beam_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[3] = {{0}}; /* prev, next, out */
+    PyObject *result = NULL;
+    Py_ssize_t lane, refused = -1;
+    ARGC(5, "beam_step(plan, toks, prev, next, out)");
+    BeamPlan *p = PyCapsule_GetPointer(args[0], BEAM_PLAN_NAME);
+    if (p == NULL || fast_sequence(args[1]) < 0)
+        return NULL;
+    Py_ssize_t n_lanes = PySequence_Fast_GET_SIZE(args[1]);
+    PyObject **toks = PySequence_Fast_ITEMS(args[1]);
+    if (PyObject_GetBuffer(args[2], &b[0], PyBUF_SIMPLE) < 0 ||
+        PyObject_GetBuffer(args[3], &b[1], PyBUF_WRITABLE) < 0 ||
+        PyObject_GetBuffer(args[4], &b[2], PyBUF_WRITABLE) < 0)
+        goto done;
+    const int32_t *prev = b[0].buf, *step = p->v[V_NEXT].buf;
+    const int32_t *offs = p->v[V_OFFS].buf;
+    const uint8_t *codes = p->v[V_CODES].buf, *lost = p->v[V_LOST].buf;
+    const uint8_t *doomed = p->v[V_DOOMED].buf, *rows = p->v[V_MATRIX].buf;
+    int32_t *next = b[1].buf;
+    if (b[0].len != 4 * n_lanes || b[1].len != 4 * n_lanes ||
+        ((uintptr_t)prev | (uintptr_t)next) % 4 ||
+        b[2].len != n_lanes * p->row_bytes)
+        RAISE(PyExc_ValueError, "prev, next and out must fit the beam");
+    for (lane = 0; lane < n_lanes && refused < 0; lane++) {
+        int overflow;
+        int32_t s = prev[lane];
+        if (!PyLong_Check(toks[lane]))
+            RAISE(PyExc_TypeError, "token ids must be ints");
+        if (s < 0 || s >= p->n_states)
+            RAISE(PyExc_ValueError, "beam state out of range");
+        long long tok = PyLong_AsLongLongAndOverflow(toks[lane], &overflow);
+        if (overflow || tok < 0 || tok >= p->n_vocab) {
+            refused = lane;
+            break;
+        }
+        int32_t i = offs[tok];
+        while (i < offs[tok + 1] && !lost[s])
+            s = step[(Py_ssize_t)s * p->n_classes + codes[i++]];
+        if (i < offs[tok + 1] || doomed[s])
+            refused = lane;
+        next[lane] = s;
+    }
+    if (refused < 0)
+        for (lane = 0; lane < n_lanes; lane++)
+            memcpy((uint8_t *)b[2].buf + lane * p->row_bytes,
+                   rows + (Py_ssize_t)next[lane] * p->row_bytes,
+                   (size_t)p->row_bytes);
+    result = PyLong_FromSsize_t(refused);
+done:
+    for (int i = 0; i < 3; i++)
+        PyBuffer_Release(&b[i]);
+    return result;
+}
+
+/* beam_encode_masks(packed, prev, states, row_bytes) -> (records,
+ * n_delta): per lane a u32 state and a kind byte, then the full row
+ * (kind 0) or a u16 count of (u16 index, u8 XOR) entries against prev's
+ * row for that lane (kind 1, iff prev has one and 3*count + 2 <
+ * row_bytes) — byte for byte encode_masks over xor_patch. */
+static PyObject *
+beam_encode_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[2] = {{0}}; /* packed, prev */
+    PyObject *out = NULL, *result = NULL;
+    Py_ssize_t deltas = 0;
+    ARGC(4, "beam_encode_masks(packed, prev, states, row_bytes)");
+    Py_ssize_t rb = PyLong_AsSsize_t(args[3]);
+    if ((rb == -1 && PyErr_Occurred()) || fast_sequence(args[2]) < 0)
+        return NULL;
+    Py_ssize_t n_lanes = PySequence_Fast_GET_SIZE(args[2]);
+    PyObject **states = PySequence_Fast_ITEMS(args[2]);
+    if (PyObject_GetBuffer(args[0], &b[0], PyBUF_SIMPLE) < 0 ||
+        PyObject_GetBuffer(args[1], &b[1], PyBUF_SIMPLE) < 0)
+        goto done;
+    if (rb < 1 || rb > 0xFFFF || b[0].len != n_lanes * rb)
+        RAISE(PyExc_ValueError, "packed must be one 1..65535-byte row a lane");
+    Py_ssize_t n_prev = Py_MIN(b[1].len / rb, n_lanes);
+    Py_ssize_t max_count = rb >= 3 ? (rb - 3) / 3 : -1;
+    if ((out = PyBytes_FromStringAndSize(NULL, n_lanes * (5 + rb))) == NULL)
+        goto done;
+    uint8_t *base = (uint8_t *)PyBytes_AS_STRING(out), *o = base;
+    for (Py_ssize_t lane = 0; lane < n_lanes; lane++) {
+        const uint8_t *row = (const uint8_t *)b[0].buf + lane * rb;
+        Py_ssize_t count = max_count + 1;
+        unsigned long state = PyLong_AsUnsignedLong(states[lane]);
+        if (state == (unsigned long)-1 && PyErr_Occurred())
+            goto done;
+        if (state > 0xFFFFFFFFUL)
+            RAISE(PyExc_OverflowError, "lane state does not fit a u32");
+        for (int k = 0; k < 4; k++)
+            o[k] = (uint8_t)(state >> (24 - 8 * k));
+        if (lane < n_prev) {
+            const uint8_t *old = (const uint8_t *)b[1].buf + lane * rb;
+            uint8_t *entry = o + 7;
+            Py_ssize_t i = 0;
+            for (count = 0; i < rb && count <= max_count; i++) {
+                if (i + 8 <= rb && memcmp(row + i, old + i, 8) == 0) {
+                    i += 7; /* a whole equal word */
+                    continue;
+                }
+                if (row[i] != old[i] && count++ < max_count) {
+                    entry[0] = (uint8_t)(i >> 8);
+                    entry[1] = (uint8_t)i;
+                    entry[2] = row[i] ^ old[i];
+                    entry += 3;
+                }
+            }
+        }
+        if (count <= max_count) {
+            o[4] = 1;
+            o[5] = (uint8_t)(count >> 8);
+            o[6] = (uint8_t)count;
+            o += 7 + 3 * count;
+            deltas++;
+        }
+        else {
+            o[4] = 0;
+            memcpy(o + 5, row, (size_t)rb);
+            o += 5 + rb;
+        }
+    }
+    if (_PyBytes_Resize(&out, o - base) == 0)
+        result = Py_BuildValue("(On)", out, deltas);
+done:
+    Py_XDECREF(out);
+    PyBuffer_Release(&b[0]);
+    PyBuffer_Release(&b[1]);
+    return result;
+}
+
+/* apply_masks(payload, offset, n_lanes, row_bytes, prev_rows) ->
+ * (states, rows, n_full, n_delta, body_bytes): the lane records at
+ * payload[offset:] as full rows, delta entries XORed into a copy of
+ * prev_rows[lane].  A ValueError for what decode_masks refuses, a delta
+ * lane without a previous row of row_bytes, an entry past the row. */
+static PyObject *
+apply_masks(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b = {0};
+    PyObject *states = NULL, *rows = NULL, *result = NULL;
+    Py_ssize_t n_full = 0, n_delta = 0, body = 0, arg[3];
+    ARGC(5, "apply_masks(payload, offset, n_lanes, row_bytes, prev_rows)");
+    for (int i = 0; i < 3; i++)
+        if ((arg[i] = PyLong_AsSsize_t(args[i + 1])) == -1 && PyErr_Occurred())
+            return NULL;
+    if (fast_sequence(args[4]) < 0 ||
+        PyObject_GetBuffer(args[0], &b, PyBUF_SIMPLE) < 0)
+        return NULL;
+    Py_ssize_t pos = arg[0], n_lanes = arg[1], rb = arg[2], len = b.len;
+    Py_ssize_t n_prev = PySequence_Fast_GET_SIZE(args[4]);
+    PyObject **prev = PySequence_Fast_ITEMS(args[4]);
+    const uint8_t *d = b.buf;
+    if (pos < 0 || pos > len || n_lanes < 0 || rb < 0)
+        RAISE(PyExc_ValueError, "bad MASKS frame geometry");
+    if ((len - pos) / 5 < n_lanes) /* every lane record has a 5-byte head */
+        RAISE(PyExc_ValueError, "MASKS frame truncated in lane header");
+    if ((states = PyTuple_New(n_lanes)) == NULL ||
+        (rows = PyList_New(n_lanes)) == NULL)
+        goto done;
+    for (Py_ssize_t lane = 0; lane < n_lanes; lane++) {
+        const uint8_t *src;
+        Py_ssize_t count = 0;
+        if (len - pos < 5)
+            RAISE(PyExc_ValueError, "MASKS frame truncated in lane header");
+        PyObject *state = PyLong_FromUnsignedLong(
+            (unsigned long)d[pos] << 24 | (unsigned long)d[pos + 1] << 16 |
+            (unsigned long)d[pos + 2] << 8 | d[pos + 3]);
+        if (state == NULL)
+            goto done;
+        PyTuple_SET_ITEM(states, lane, state);
+        uint8_t kind = d[pos + 4];
+        pos += 5;
+        if (kind == 0) {
+            if (len - pos < rb)
+                RAISE(PyExc_ValueError, "MASKS frame truncated in full row");
+            src = d + pos;
+            pos += rb;
+            body += rb;
+            n_full++;
+        }
+        else if (kind == 1) {
+            if (len - pos < 2 ||
+                len - pos - 2 < 3 * (count = d[pos] << 8 | d[pos + 1]))
+                RAISE(PyExc_ValueError, "MASKS frame truncated in delta");
+            PyObject *old = lane < n_prev ? prev[lane] : NULL;
+            if (old == NULL || !PyBytes_Check(old) ||
+                PyBytes_GET_SIZE(old) != rb)
+                RAISE(PyExc_ValueError,
+                      "MASKS delta lane without a previous row of its width");
+            src = (const uint8_t *)PyBytes_AS_STRING(old);
+            pos += 2;
+            body += 3 * count;
+            n_delta++;
+        }
+        else
+            RAISE(PyExc_ValueError, "unknown MASKS lane kind");
+        /* A NULL source allocates (never the shared one-byte bytes) and
+         * no entry can write the shared empty one: safe to patch. */
+        PyObject *row = PyBytes_FromStringAndSize(NULL, rb);
+        if (row == NULL)
+            goto done;
+        PyList_SET_ITEM(rows, lane, row);
+        uint8_t *r = (uint8_t *)PyBytes_AS_STRING(row);
+        memcpy(r, src, (size_t)rb);
+        for (; count > 0; count--, pos += 3) {
+            Py_ssize_t at = d[pos] << 8 | d[pos + 1];
+            if (at >= rb)
+                RAISE(PyExc_ValueError, "MASKS delta entry past the row's end");
+            r[at] ^= d[pos + 2];
+        }
+    }
+    if (pos != len)
+        RAISE(PyExc_ValueError, "MASKS frame has trailing bytes");
+    result = Py_BuildValue("(OOnnn)", states, rows, n_full, n_delta, body);
+done:
+    Py_XDECREF(states);
+    Py_XDECREF(rows);
+    PyBuffer_Release(&b);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+
+#define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
 static PyMethodDef nativescan_methods[] = {
     {"build_tables", build_tables, METH_VARARGS,
@@ -834,6 +1158,11 @@ static PyMethodDef nativescan_methods[] = {
      "(mode 0), (event, start) pairs (1, the default) or finished tokens "
      "(2); returns (state, skipped), or (state, skipped, records, "
      "consumed) with the packed sink."},
+    {"beam_plan", FASTCALL(beam_plan), "Validate one mask table."},
+    {"beam_step", FASTCALL(beam_step), "Atomic beam step plus gather."},
+    {"beam_encode_masks", FASTCALL(beam_encode_masks),
+     "MASKS lane records for gathered rows."},
+    {"apply_masks", FASTCALL(apply_masks), "Rebuild rows from MASKS."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -398,27 +398,18 @@ class BeamFlow(ClientFlow):
     def _on_reply(self, frame: Frame) -> bool:
         if frame.type == FrameType.RESULT:
             return super()._on_reply(frame)
-        from repro.apps.structgen.beam import apply_xor_patch
-
-        _flow_id, _row_bytes, lanes = protocol.decode_masks(frame)
-        states = []
-        rows = []
-        for lane, (state, kind, body) in enumerate(lanes):
-            if kind == 0:
-                row = body
-                self.lanes_full += 1
-            else:
-                row = apply_xor_patch(self.rows[lane], body)
-                self.lanes_delta += 1
-            self.payload_bytes += len(body)
-            states.append(state)
-            rows.append(row)
-        self.states = tuple(states)
+        states, rows, n_full, n_delta, body_bytes = protocol.apply_masks(
+            frame, self.rows
+        )
+        self.states = states
         self.rows = rows
+        self.lanes_full += n_full
+        self.lanes_delta += n_delta
+        self.payload_bytes += body_bytes
         if self._pending_masks:
             fut = self._pending_masks.pop(0)
             if not fut.done():
-                fut.set_result((self.states, rows))
+                fut.set_result((states, rows))
         return False
 
 

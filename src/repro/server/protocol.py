@@ -124,6 +124,7 @@ __all__ = [
     "ProtocolError",
     "READ_BLOCK",
     "ServerFault",
+    "apply_masks",
     "decode_advance",
     "decode_batch_advance",
     "decode_data",
@@ -839,6 +840,53 @@ def decode_masks(frame: Frame) -> tuple[int, int, list]:
             f"MASKS frame has {len(payload) - pos} trailing bytes"
         )
     return flow_id, row_bytes, lanes
+
+
+def apply_masks(frame: Frame, prev_rows: list) -> tuple:
+    """Every lane's row from a MASKS frame, deltas patched onto
+    ``prev_rows`` -> ``(states, rows, n_full, n_delta, body_bytes)``;
+    ProtocolError for what :func:`decode_masks` refuses, a delta lane
+    without a previous row of the frame's width, an entry past it."""
+    from repro.core import _native_build  # not for a scan-only client
+
+    ext = _native_build.load_kernel()
+    if ext is None:
+        return _apply_masks_portable(frame, prev_rows)
+    _flow_id, n_lanes, row_bytes = _unpack(_MASKS_HEAD, frame)
+    try:
+        return ext.apply_masks(
+            frame.payload, _MASKS_HEAD.size, n_lanes, row_bytes, prev_rows
+        )
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _apply_masks_portable(frame: Frame, prev_rows: list) -> tuple:
+    from repro.apps.structgen.beam import apply_xor_patch
+
+    _flow_id, row_bytes, lanes = decode_masks(frame)
+    rows = []
+    n_delta = 0
+    for lane, (_state, kind, body) in enumerate(lanes):
+        if kind:
+            try:
+                body = apply_xor_patch(prev_rows[lane], body)
+            except IndexError:  # no previous row, or an entry past its end
+                body = None
+            if body is None or len(body) != row_bytes:
+                raise ProtocolError(
+                    f"MASKS delta lane {lane} does not patch onto a "
+                    f"previous {row_bytes}-byte row"
+                )
+            n_delta += 1
+        rows.append(body)
+    return (
+        tuple(lane[0] for lane in lanes),
+        rows,
+        len(lanes) - n_delta,
+        n_delta,
+        sum(len(lane[2]) for lane in lanes),
+    )
 
 
 def decode_error(frame: Frame) -> tuple[int, int, str]:

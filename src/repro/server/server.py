@@ -556,10 +556,10 @@ class ScanServer(FramedEndpoint):
         self.metrics.counter("structgen.memo_misses").value = memo[
             "misses"
         ]
-        # Whether beams run on the C kernel: false until the first one
-        # opens (that is what loads it), afterwards iff they fell back
-        # to Python.  Looked up, not imported — a scan server need not
-        # load the decoding subsystem to say it has no kernel.
+        # Whether beams run on the C kernel: the native module as loaded
+        # or prebuilt (never built by a scrape), so true before any beam
+        # opens.  Looked up, not imported — a scan server need not load
+        # the decoding subsystem to say it serves no beams.
         beam = sys.modules.get("repro.apps.structgen.beam")
         beam_native = beam is not None and beam.beam_capability()["native"]
         structgen = {

@@ -10,6 +10,7 @@ tokenizer.json importer.  The CD-heavy differential and
 kernel-encoder suites live in ``test_beam_complete.py``.
 """
 
+import importlib.util
 import inspect
 import json
 import random
@@ -24,7 +25,6 @@ from repro.apps.structgen import (
     load_mask_blob,
     synthetic_vocab,
 )
-from repro.apps.structgen import beam as beam_mod
 from repro.apps.structgen.beam import (
     BeamMaskSession,
     apply_xor_patch,
@@ -187,18 +187,29 @@ def test_beam_width_and_path_validation(table):
     assert not hasattr(beam, "advance_masks")
 
 
-def test_capability_reads_the_loaded_handle_and_never_builds(monkeypatch):
-    """``/stats`` scrapes call this: before any session has loaded the
-    kernel it answers False rather than compiling one."""
+def test_capability_reads_the_loaded_handle_and_never_builds(
+    monkeypatch, tmp_path
+):
+    """``/stats`` scrapes call this: with no module loaded, none
+    prebuilt and an empty build cache it answers False rather than
+    compiling one; a module already built answers True without a
+    session having opened."""
     from repro.core import _native_build
+
+    built = _native_build.load_kernel()
 
     def build(*_args):
         raise AssertionError("a capability read must not build")
 
-    monkeypatch.setattr(beam_mod, "_kernel", None)
-    monkeypatch.setattr(beam_mod, "_kernel_attempted", False)
-    monkeypatch.setattr(_native_build, "jit_shared_library", build)
-    assert beam_capability() == {"native": False}
+    monkeypatch.setattr(_native_build, "_cached_module", None)
+    monkeypatch.setattr(_native_build, "_attempted", False)
+    monkeypatch.setattr(_native_build, "_compile", build)
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    prebuilt = importlib.util.find_spec("repro.core._nativescan")
+    assert beam_capability() == {"native": prebuilt is not None}
+    if built is not None:
+        monkeypatch.setattr(_native_build, "_cached_module", built)
+        assert beam_capability() == {"native": True}
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,13 @@ from repro.apps.structgen import (
     load_mask_blob,
     synthetic_vocab,
 )
-from repro.apps.structgen import beam as beam_mod
 from repro.apps.structgen.beam import (
     BeamMaskSession,
     apply_xor_patch,
     encode_lane_records,
     xor_patch,
 )
+from repro.core import _native_build
 from repro.grammar.examples import xmlrpc
 from repro.server import protocol
 from repro.server.protocol import FrameType
@@ -263,8 +263,8 @@ def _reference_frame(states, packed, prev, rb) -> bytes:
 def encoder(request, monkeypatch):
     if request.param == "portable":
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    elif beam_mod._load_kernel() is None:
-        pytest.skip("beam kernel unavailable (no compiler)")
+    elif _native_build.load_kernel() is None:
+        pytest.skip("native module unavailable (no compiler)")
     return encode_lane_records
 
 

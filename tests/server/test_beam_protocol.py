@@ -5,9 +5,12 @@ streams back over OPEN_BEAM/BATCH_ADVANCE — advances, forks, and
 rollbacks, with lanes delta-encoded on the wire — reconstructs to
 byte-for-byte what an in-process :class:`BeamMaskSession` (and N
 independent :class:`MaskSession` mirrors) on the same table produces.
-Plus the frame codecs, the atomicity contract (``BAD_TOKEN`` leaves
-the beam flow open), hot swap mid-beam pinning, drain discipline, and
-the admin exposition of the row-completion and beam telemetry.
+The client rebuilds the rows in one native call (``apply_masks``) or
+on the portable twin; both run here and must agree on every frame,
+malformed ones included.  Plus the frame codecs, the atomicity
+contract (``BAD_TOKEN`` leaves the beam flow open), hot swap mid-beam
+pinning, drain discipline, and the admin exposition of the
+row-completion and beam telemetry.
 """
 
 import asyncio
@@ -24,10 +27,11 @@ from repro.apps.structgen import (
     build_mask_table,
     synthetic_vocab,
 )
-from repro.apps.structgen import beam as beam_mod
-from repro.apps.structgen.beam import BeamMaskSession
+from repro.apps.structgen.beam import BeamMaskSession, apply_xor_patch
+from repro.core import _native_build
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.server import ScanClient, protocol
+from repro.server.client import BeamFlow
 from repro.server.protocol import (
     MAX_BEAM_WIDTH,
     BeamOp,
@@ -44,7 +48,7 @@ from repro.server.protocol import (
     encode_masks,
     encode_open_beam,
 )
-from repro.service import Registry, TaggerSpec
+from repro.service import Registry, RouterSpec, TaggerSpec
 from tests.server.conftest import running_server
 from tests.server.drivers import run_beam_load, set_bits
 from tests.server.test_hot_swap import _admin
@@ -223,12 +227,124 @@ def test_mangled_beam_frames_raise_protocol_error_only(
     assert again.payload == mangled
 
 
+@st.composite
+def _masks_reply(draw):
+    """A valid MASKS frame and the previous rows it patches: delta
+    lanes only where a previous row exists, every entry inside it."""
+    rb = draw(st.integers(1, 40))
+    prev = draw(st.lists(st.binary(min_size=rb, max_size=rb), max_size=6))
+    lanes = []
+    for lane in range(draw(st.integers(0, 6))):
+        if lane < len(prev) and draw(st.booleans()):
+            at = draw(st.lists(st.integers(0, rb - 1), max_size=5))
+            body = b"".join(
+                i.to_bytes(2, "big") + bytes([draw(st.integers(1, 255))])
+                for i in at
+            )
+            lanes.append((draw(U32), 1, body))
+        else:
+            row = draw(st.binary(min_size=rb, max_size=rb))
+            lanes.append((draw(U32), 0, row))
+    return encode_masks(draw(U32), rb, lanes), prev
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply=_masks_reply(), data=st.data())
+def test_mangled_masks_apply_the_same_on_both_paths(reply, data):
+    """The client's apply — one kernel call, or the portable twin — on
+    a valid MASKS frame that is then cut, grown or has one byte
+    flipped: a ProtocolError on both, or equal states, rows and
+    ``(n_full, n_delta, body_bytes)``.  Untouched, both rebuild what
+    ``decode_masks`` + ``apply_xor_patch`` spell."""
+    if _native_build.load_kernel() is None:
+        pytest.skip("native module unavailable (no compiler)")
+    blob, prev = reply
+    (frame,) = decode_all(blob)
+    payload = frame.payload
+    at = data.draw(st.integers(0, len(payload) - 1))
+    how = data.draw(st.sampled_from(["keep", "cut", "grow", "flip"]))
+    if how == "cut":
+        payload = payload[:at]
+    elif how == "grow":
+        payload += data.draw(st.binary(min_size=1, max_size=9))
+    elif how == "flip":
+        flip = data.draw(st.integers(1, 255))
+        payload = payload[:at] + bytes([payload[at] ^ flip]) + payload[at + 1 :]
+    outcomes = []
+    for apply in (protocol.apply_masks, protocol._apply_masks_portable):
+        try:
+            outcomes.append(apply(Frame(FrameType.MASKS, payload), prev))
+        except ProtocolError:
+            outcomes.append(ProtocolError)
+    assert outcomes[0] == outcomes[1]
+    if how == "keep":
+        _fid, _rb, lanes = decode_masks(frame)
+        assert outcomes[0] == (
+            tuple(state for state, _kind, _body in lanes),
+            [
+                apply_xor_patch(prev[lane], body) if kind else body
+                for lane, (_state, kind, body) in enumerate(lanes)
+            ],
+            sum(1 for _s, kind, _b in lanes if not kind),
+            sum(kind for _s, kind, _b in lanes),
+            sum(len(body) for _s, _kind, body in lanes),
+        )
+
+
+@pytest.mark.parametrize("apply_path", ["kernel", "portable"])
+def test_beam_flow_refuses_what_it_cannot_patch(apply_path, monkeypatch):
+    """A delta entry past the row's end, and a delta lane the client
+    holds no previous row for, are ProtocolErrors out of
+    ``BeamFlow._on_reply`` — not an IndexError the connection would
+    report untyped — and leave the flow's rows as they were."""
+    if apply_path == "portable":
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    elif _native_build.load_kernel() is None:
+        pytest.skip("native module unavailable (no compiler)")
+    rb = 4
+
+    def masks(*lanes):
+        (frame,) = decode_all(encode_masks(1, rb, list(lanes)))
+        return frame
+
+    async def main():
+        flow = BeamFlow(ScanClient(), 1)
+        flow._on_reply(masks((5, 0, b"\x01\x02\x03\x04"), (6, 0, b"\0" * 4)))
+        before = (flow.states, flow.rows)
+        with pytest.raises(ProtocolError, match="MASKS delta"):
+            flow._on_reply(masks((5, 1, b"\x00\x04\x01"), (6, 0, b"\0" * 4)))
+        with pytest.raises(ProtocolError, match="MASKS delta"):
+            flow._on_reply(
+                masks((5, 0, b"\0" * 4), (6, 0, b"\0" * 4), (7, 1, b""))
+            )
+        assert (flow.states, flow.rows) == before
+        flow._on_reply(masks((5, 1, b"\x00\x03\xff"), (6, 0, b"\0" * 4)))
+        assert flow.rows == [b"\x01\x02\x03\xfb", b"\0" * 4]
+        assert (flow.lanes_full, flow.lanes_delta, flow.payload_bytes) == (
+            3, 1, 15
+        )
+
+    run(main())
+
+
 # ----------------------------------------------------------------------
 # server round trips
 # ----------------------------------------------------------------------
-def test_beam_flow_matches_local_sessions(table):
+def _apply_paths(monkeypatch):
+    """The client's MASKS apply on the kernel when the native module
+    builds here, then on the portable twin (``REPRO_DISABLE_NATIVE``,
+    which puts the in-process server's encoder and beams on their
+    portable paths too)."""
+    if _native_build.load_kernel() is not None:
+        yield "kernel"
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    yield "portable"
+
+
+def test_beam_flow_matches_local_sessions(table, monkeypatch):
     """Seeded beam decode over TCP — advances, forks, rollbacks —
-    byte-identical to in-process mirrors after delta reconstruction."""
+    byte-identical to in-process mirrors after delta reconstruction,
+    on both client apply paths, with the same wire accounting."""
 
     async def main():
         async with running_server(mask_tables=[table]) as server:
@@ -282,14 +398,17 @@ def test_beam_flow_matches_local_sessions(table):
             assert snapshot["counters"]["structgen.beams_closed"] == 1
             assert snapshot["counters"]["structgen.beam_lanes_delta"] > 0
             assert snapshot["structgen"]["beams_open"] == 0
+            return flow.lanes_full, flow.lanes_delta, flow.payload_bytes
 
-    run(main())
+    accounts = {path: run(main()) for path in _apply_paths(monkeypatch)}
+    assert len(set(accounts.values())) == 1, accounts
 
 
-def test_beam_load_generator_verifies_byte_for_byte(table):
+def test_beam_load_generator_verifies_byte_for_byte(table, monkeypatch):
     """The acceptance check: the beam load generator's every remote
     reply — across forks, rollbacks, and dead-end reopens — equals
-    the in-process mirrors, over real TCP."""
+    the in-process mirrors, over real TCP, on both client apply paths
+    and with the same wire accounting."""
 
     async def main():
         async with running_server(mask_tables=[table]) as server:
@@ -302,8 +421,13 @@ def test_beam_load_generator_verifies_byte_for_byte(table):
         assert report["mismatches"] == []
         assert report["ops"] > 0 and report["lanes_delta"] > 0
         assert 0 < report["wire_payload_bytes"] <= report["wire_full_bytes"]
+        return tuple(
+            report[key]
+            for key in ("ops", "lanes_full", "lanes_delta", "wire_payload_bytes")
+        )
 
-    run(main())
+    accounts = {path: run(main()) for path in _apply_paths(monkeypatch)}
+    assert len(set(accounts.values())) == 1, accounts
 
 
 def test_bad_token_keeps_beam_flow_open(table):
@@ -505,6 +629,25 @@ def test_swap_mid_beam_pins_generation(tmp_path):
 # ----------------------------------------------------------------------
 # admin exposition: row-completion counters, beam telemetry
 # ----------------------------------------------------------------------
+def test_stats_say_beam_native_before_any_beam_opens(table, monkeypatch):
+    """A ``--engine native`` server answers ``structgen.beam_native``
+    from the native module as loaded or prebuilt: true before the
+    first beam opens when the kernel builds here."""
+    monkeypatch.setattr(_native_build, "_cached_module", None)
+    monkeypatch.setattr(_native_build, "_attempted", False)
+
+    async def main():
+        async with running_server(
+            spec=RouterSpec(grammar=xmlrpc(), engine="native"),
+            mask_tables=[table],
+        ) as server:
+            sg = server.stats()["structgen"]
+            assert sg["beams_open"] == 0
+            return sg["beam_native"]
+
+    assert run(main()) is (_native_build.load_kernel() is not None)
+
+
 def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
     """/stats carries the memo block (rows served already complete /
     completed on demand), the table summary and beams_open; /metrics
@@ -559,7 +702,7 @@ def test_admin_exposes_memo_and_beam_telemetry(tmp_path):
                 # The open beam loaded the kernel, or fell back: the
                 # scrape says which.
                 assert sg["beam_native"] is (
-                    beam_mod._load_kernel() is not None
+                    _native_build.load_kernel() is not None
                 )
                 assert counters["structgen.memo_hits"] == memo["hits"]
                 assert counters["structgen.memo_misses"] == (
