@@ -14,7 +14,7 @@ Commands mirror the paper's workflow:
   versioned grammars compiled ahead-of-time into an artifact store;
 * ``structgen`` — the constrained-decoding subsystem: precompute
   per-state valid-token masks for a grammar × vocabulary and serve
-  mask flows over the wire protocol;
+  beam flows over the wire protocol;
 * ``capabilities`` — which scan engines are live on this host;
 * ``table1`` / ``figure15`` / ``ablation`` — print the experiment
   reproductions.
@@ -574,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sg_serve = sgsub.add_parser(
         "serve",
-        help="serve mask flows (OPEN_MASK/ADVANCE) over the wire "
-        "protocol",
+        help="serve beam flows (OPEN_BEAM/BATCH_ADVANCE; a single "
+        "decode is a beam of width 1) over the wire protocol",
     )
     sg_serve.add_argument("ref", nargs="?", default="xmlrpc",
                           help="registry ref (with --store) or grammar "

@@ -8,9 +8,9 @@ reproduction:
 * :mod:`repro.server.protocol` — the versioned, length-prefixed frame
   format (HELLO / OPEN_FLOW / DATA / FINISH_FLOW / RESULT / ERROR /
   GOODBYE) and its sans-IO encoder/decoder;
-* :mod:`repro.server.flows` — the flow lifecycle (scan, mask, beam ×
-  open / op / finish / error) as one sans-IO table that server, proxy
-  and client all consult;
+* :mod:`repro.server.flows` — the flow lifecycle (scan, beam × open /
+  op / finish / error) as one sans-IO table that server, proxy and
+  client all consult;
 * :mod:`repro.server.endpoint` — :class:`FramedEndpoint`: the
   listeners, handshake, idle-timed frame loop, drain and admin
   responder that server and proxy share;
@@ -21,11 +21,11 @@ reproduction:
   frame-size limits, read-pausing backpressure, graceful drain, and a
   plaintext admin/metrics endpoint;
 * :mod:`repro.server.client` — :class:`ScanClient`: the asyncio
-  client library (connect/retry/timeout, flow multiplexing, mask
+  client library (connect/retry/timeout, flow multiplexing, beam
   flows for constrained decoding);
 * :mod:`repro.server.cluster` — :class:`ScanProxy`: the cluster
   tier — a consistent-hash proxy pinning flows to N backends with
-  health probes, journal-replay failover for scan/mask flows, and an
+  health probes, journal-replay failover for every flow kind, and an
   aggregated admin endpoint.
 
 There is no load generator in this package: the serving stack is
@@ -37,7 +37,6 @@ from repro.server.client import (
     BeamFlow,
     ClientFlow,
     ConnectFailed,
-    MaskFlow,
     ScanClient,
 )
 from repro.server.cluster import (
@@ -72,7 +71,6 @@ __all__ = [
     "FrameDecoder",
     "FrameType",
     "HashRing",
-    "MaskFlow",
     "NoHealthyBackend",
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -42,15 +42,7 @@ import random
 
 from repro.errors import ReproError
 from repro.server import protocol
-from repro.server.flows import (
-    BEAM,
-    KINDS,
-    MASK,
-    SCAN,
-    Flow,
-    FlowTable,
-    flow_id_of,
-)
+from repro.server.flows import BEAM, KINDS, SCAN, Flow, FlowTable, flow_id_of
 from repro.server.protocol import (
     CONNECTION_FLOW,
     DEFAULT_MAX_FRAME,
@@ -67,7 +59,6 @@ __all__ = [
     "BeamFlow",
     "ClientFlow",
     "ConnectFailed",
-    "MaskFlow",
     "ScanClient",
 ]
 
@@ -93,9 +84,6 @@ class ClientFlow(Flow):
     flow.
     """
 
-    #: Scan and mask flows journal enough history to be re-replayed
-    #: onto a fresh backend; beam flows (delta + rollback state) don't.
-    replayable = True
     kind = SCAN
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
@@ -111,7 +99,7 @@ class ClientFlow(Flow):
         self._done: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
-        #: Mask/beam requests awaiting their MASK / MASKS, oldest first.
+        #: Beam requests awaiting their MASKS, oldest first.
         self._pending_masks: list[asyncio.Future] = []
 
     @property
@@ -227,7 +215,7 @@ class ClientFlow(Flow):
 
     def _silence(self) -> None:
         """Mark this flow's failures retrieved. After one, nobody may
-        ever await ``_done`` (mask/beam callers await per-request
+        ever await ``_done`` (beam callers await per-request
         futures; a relay abandons the flow), which would otherwise log
         'Future exception was never retrieved'. Retrieval does not
         clear it: a later ``finish()`` still raises."""
@@ -236,86 +224,10 @@ class ClientFlow(Flow):
                 fut.exception()
 
 
-class MaskFlow(ClientFlow):
-    """One open *mask* (constrained-decoding) flow.
-
-    Where a scan flow streams DATA and collects RESULTs, a mask flow
-    is strictly request/response: every OPEN_MASK or ADVANCE sent is
-    answered by exactly one MASK frame carrying the new automaton
-    state and the packed valid-token bitmask.  :attr:`state` and
-    :attr:`mask` track the most recent reply.
-    """
-
-    kind = MASK
-
-    def __init__(self, client: "ScanClient", flow_id: int) -> None:
-        super().__init__(client, flow_id)
-        #: Automaton state from the most recent MASK reply.
-        self.state: int = 0
-        #: Packed bitmask bytes from the most recent MASK reply
-        #: (LSB-first: bit ``i`` of the row = token ``i`` valid).
-        self.mask: bytes = b""
-        #: The vocabulary this flow was opened for (set by
-        #: :meth:`ScanClient.open_mask_flow`; needed for replay).
-        self.vocab_hash: bytes | str = b""
-        #: Acked ADVANCE token ids when the client journals (an id is
-        #: recorded only once its MASK reply lands, so the journal
-        #: never contains an op the backend may not have applied).
-        self.acked: list[int] | None = [] if client.journal else None
-        self._inflight_tokens: list[int] = []
-
-    async def advance(
-        self, token_id: int, timeout: float | None = None
-    ) -> tuple[int, bytes]:
-        """Feed one token id; return ``(new_state, packed_mask)``."""
-        fut = asyncio.get_running_loop().create_future()
-        self._pending_masks.append(fut)
-        if self.acked is not None:
-            self._inflight_tokens.append(token_id)
-        await self.client._send(
-            protocol.encode_advance(self.flow_id, token_id)
-        )
-        return await self._reply(fut, timeout, "MASK reply")
-
-    async def close(self, timeout: float | None = None) -> None:
-        """End the mask flow (server drops the session)."""
-        await self.finish(timeout=timeout)
-
-    async def replay_onto(self, client: "ScanClient") -> "MaskFlow":
-        """Re-create this flow on ``client`` by re-opening the vocab
-        and replaying the acked ADVANCE history; mask tables are pure
-        functions of (grammar, vocab, token history), so the replayed
-        replies are bitwise what the original backend already sent."""
-        if self.acked is None:
-            raise ServerFault(
-                self.flow_id,
-                ErrorCode.FAILOVER,
-                "mask flow has no journal to replay",
-            )
-        flow = await client.open_mask_flow(self.vocab_hash)
-        for token_id in self.acked:
-            await flow.advance(token_id)
-        return flow
-
-    # ------------------------------------------------------------------
-    def _on_reply(self, frame: Frame) -> bool:
-        if frame.type == FrameType.RESULT:
-            return super()._on_reply(frame)
-        _flow_id, state, row = protocol.decode_mask(frame)
-        self.state = state
-        self.mask = row
-        if self.acked is not None and self._inflight_tokens:
-            self.acked.append(self._inflight_tokens.pop(0))
-        if self._pending_masks:
-            fut = self._pending_masks.pop(0)
-            if not fut.done():
-                fut.set_result((state, row))
-        return False
-
-
 class BeamFlow(ClientFlow):
     """One open *beam* flow: a whole decode beam behind one round
-    trip per step.
+    trip per step. A single decode is a beam of width 1:
+    ``advance([token_id])`` returns ``((state,), [row])``.
 
     Every request (:meth:`advance`, :meth:`fork`, :meth:`rollback`)
     is answered by exactly one MASKS frame carrying all lanes' states
@@ -324,14 +236,8 @@ class BeamFlow(ClientFlow):
     full packed mask. A ``BAD_TOKEN`` server error fails only the
     request that caused it — the beam did not move (the engine is
     atomic) and the flow stays open.
-
-    Beam flows are **not replayable** across backends: fork/rollback
-    history plus per-lane delta chains make the wire replies depend on
-    the whole session, so a failover surfaces a typed ``FAILOVER``
-    error instead of silently re-deriving state.
     """
 
-    replayable = False
     kind = BEAM
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
@@ -350,12 +256,12 @@ class BeamFlow(ClientFlow):
         return len(self.states)
 
     async def _request(
-        self, frame_bytes: bytes, timeout: float | None
+        self, frame_bytes: bytes, timeout: float | None, forget: bool = False
     ) -> tuple[tuple[int, ...], list[bytes]]:
         fut = asyncio.get_running_loop().create_future()
         self._pending_masks.append(fut)
         await self.client._send(frame_bytes)
-        return await self._reply(fut, timeout, "MASKS reply")
+        return await self._reply(fut, timeout, "MASKS reply", forget)
 
     async def advance(
         self, token_ids, timeout: float | None = None
@@ -427,7 +333,6 @@ class ScanClient:
         max_backoff: float = 2.0,
         request_timeout: float = 30.0,
         max_frame: int = DEFAULT_MAX_FRAME,
-        journal: bool = False,
     ) -> None:
         self.host = host
         self.port = port
@@ -437,11 +342,6 @@ class ScanClient:
         self.max_backoff = max_backoff
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        #: When set, mask flows record their acked ADVANCE token ids so
-        #: a routing tier can replay them onto a replacement backend
-        #: after a failover (scan flows keep what they send anyway:
-        #: their results point into it).
-        self.journal = journal
         #: The server's advertised frame limit (from its HELLO).
         self.server_max_frame = DEFAULT_MAX_FRAME
         #: Registry refs the server advertised in its HELLO (empty for
@@ -577,58 +477,28 @@ class ScanClient:
         await self._send(protocol.encode_open_flow(flow.flow_id))
         return flow
 
-    async def open_mask_flow(
-        self,
-        vocab_hash: "bytes | str",
-        timeout: float | None = None,
-    ) -> MaskFlow:
-        """Open a constrained-decoding flow for ``vocab_hash``.
-
-        Waits for the server's initial MASK (state 0's bitmask), so a
-        returned flow already has :attr:`MaskFlow.mask` populated.
-        Raises :class:`~repro.server.protocol.ServerFault` with
-        ``UNKNOWN_VOCAB`` when the server has no mask table for the
-        vocabulary.
-        """
-        flow = MaskFlow(self, self.allocate_flow_id())
-        flow.vocab_hash = vocab_hash
-        await self._open_replied(
-            flow,
-            protocol.encode_open_mask(flow.flow_id, vocab_hash),
-            timeout,
-        )
-        return flow
-
     async def open_beam_flow(
         self,
         vocab_hash: "bytes | str",
         width: int,
         timeout: float | None = None,
     ) -> BeamFlow:
-        """Open a beam flow of ``width`` lanes for ``vocab_hash``.
+        """Open a constrained-decoding flow of ``width`` lanes (1 for
+        a single decode) for ``vocab_hash``.
 
         Waits for the server's initial MASKS frame, so the returned
         flow already has every lane's state (0) and packed mask in
-        :attr:`BeamFlow.states` / :attr:`BeamFlow.rows`.
+        :attr:`BeamFlow.states` / :attr:`BeamFlow.rows`. Raises
+        :class:`~repro.server.protocol.ServerFault` with
+        ``UNKNOWN_VOCAB`` when the server has no mask table for the
+        vocabulary, ``FRAME_TOO_LARGE`` when ``width`` full rows would
+        not fit this client's ``max_frame``.
         """
         flow = BeamFlow(self, self.allocate_flow_id())
-        await self._open_replied(
-            flow,
-            protocol.encode_open_beam(flow.flow_id, width, vocab_hash),
-            timeout,
-        )
-        return flow
-
-    async def _open_replied(
-        self, flow: ClientFlow, opener: bytes, timeout: float | None
-    ) -> None:
-        """Open ``flow`` with a frame the server answers (OPEN_MASK,
-        OPEN_BEAM) and wait for that first reply."""
+        opener = protocol.encode_open_beam(flow.flow_id, width, vocab_hash)
         self._table.open(flow)
-        fut = asyncio.get_running_loop().create_future()
-        flow._pending_masks.append(fut)
-        await self._send(opener)
-        await flow._reply(fut, timeout, "initial reply", forget=True)
+        await flow._request(opener, timeout, forget=True)
+        return flow
 
     # ------------------------------------------------------------------
     # raw flow plumbing (for relay tiers)

@@ -12,34 +12,35 @@ answers what it may not — cannot differ between the two.
 
 Routing
 -------
-Every flow (scan, mask, or beam) is pinned to a backend chosen by
-consistent hashing: the flow's key ``(connection, flow id)`` lands on
-a :class:`HashRing` of virtual nodes (``ring_replicas`` per backend,
+Every flow (scan or beam) is pinned to a backend chosen by consistent
+hashing: the flow's key ``(connection, flow id)`` lands on a
+:class:`HashRing` of virtual nodes (``ring_replicas`` per backend,
 blake2b-placed), and the lookup walks the ring to the first *healthy*
 backend. Adding or removing one backend therefore only remaps the
 flows that hashed to it — the rest of the fleet keeps its affinity.
 
 Failover contract
 -----------------
-Backends are dialed through pooled, *journaling*
-:class:`~repro.server.client.ScanClient` connections. When a backend
-dies mid-flow (connection cut, or a DRAINING goodbye):
+Backends are dialed through pooled
+:class:`~repro.server.client.ScanClient` connections. A backend's
+replies are a pure function of a flow's history (the engines are
+deterministic automata), so one rule covers every kind: when a
+backend is lost mid-flow (connection cut, a DRAINING or IDLE_TIMEOUT
+error, a failed send), the proxy replays the flow's acked history onto
+the next healthy ring backend, or answers ``ERROR(FAILOVER)``.
 
-* **scan flows** re-replay their journaled DATA history onto the next
-  ring backend — scanning is deterministic in the bytes fed, and the
-  proxy holds partial results back until FINISH (as the record blocks
-  the backend sent, which it then forwards unread: a routed result is
-  a span of bytes the client already holds), so the client sees
-  identical results, just later;
-* **mask flows** re-open the vocabulary and replay only the *acked*
-  ADVANCE ids (an id is journaled when its MASK reply lands), then
-  re-issue the in-flight op — mask tables are pure functions of
-  (grammar, vocab, history), so replies are bitwise stable;
-* **beam flows** carry fork/rollback history and per-lane delta
-  chains the proxy deliberately relays *undecoded* (frames are
-  forwarded with only the flow id rewritten), so they cannot be
-  replayed: the client gets a typed ``ERROR(FAILOVER)`` and must
-  reopen.
+* **scan flows** replay their DATA history — the proxy holds partial
+  results back until FINISH (as the record blocks the backend sent,
+  which it then forwards unread: a routed result is a span of bytes
+  the client already holds), so the client sees identical results,
+  just later;
+* **beam flows** are relayed *undecoded* (only the flow id is
+  rewritten): the client's delta chain runs against the backend's.
+  The proxy journals each frame whose MASKS reply it forwarded and
+  keeps a sha256 over those replies; a replay hashes the new backend's
+  replies instead, and goes on only when the digests are equal (so its
+  delta base is the client's rows), re-sending the frames not yet
+  answered. A mismatch or an ERROR in the replay is ``FAILOVER``.
 
 Health & admin
 --------------
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import collections
 import contextlib
 import hashlib
 import json
@@ -96,8 +98,11 @@ _BACKEND_FAULTS = (
 )
 
 #: ERROR codes that signal backend lifecycle, not client mistakes —
-#: these trigger failover (or a typed FAILOVER for beam flows).
+#: these trigger failover.
 _LIFECYCLE_CODES = (ErrorCode.DRAINING, ErrorCode.IDLE_TIMEOUT)
+
+#: Queued to a beam's worker when its backend is lost, to wake it.
+_LOST = Frame(0, b"")
 
 
 class NoHealthyBackend(ReproError):
@@ -238,8 +243,8 @@ class HashRing:
 # backend connection pooling
 # ----------------------------------------------------------------------
 class _Backend:
-    """Live state for one backend: health plus a small pool of
-    journaling client connections, shared by the flows pinned here."""
+    """Live state for one backend: health plus a small pool of client
+    connections, shared by the flows pinned here."""
 
     def __init__(self, spec: BackendSpec, proxy: "ScanProxy") -> None:
         self.spec = spec
@@ -267,7 +272,6 @@ class _Backend:
             client = ScanClient(
                 self.spec.host,
                 self.spec.port,
-                journal=True,
                 connect_timeout=self.proxy.probe_timeout,
                 connect_retries=2,
                 retry_backoff=0.05,
@@ -304,23 +308,38 @@ class _Backend:
 # per-connection / per-flow proxy state
 # ----------------------------------------------------------------------
 class _ProxyFlow(Flow):
-    __slots__ = (
-        "kind", "key", "backend", "remote",
-        "raw_client", "raw_fid", "queue", "task", "busy",
-    )
+    __slots__ = ("kind", "key", "backend", "remote", "queue", "task", "busy")
 
     def __init__(self, flow_id: int, kind: FlowKind, key: str) -> None:
         super().__init__(flow_id)
         self.kind = kind
         self.key = key
         self.backend: _Backend | None = None
-        self.remote = None              # lib flow (scan/mask)
-        self.raw_client: ScanClient | None = None  # beam relay
-        self.raw_fid = 0
+        self.remote = None  # the backend-side ClientFlow (scan)
         #: Client frames the flow table accepted, in arrival order.
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=64)
         self.task: asyncio.Task | None = None
         self.busy = False
+
+
+class _ProxyBeam(_ProxyFlow):
+    """A beam relayed raw to ``raw_client``'s backend as ``raw_fid``,
+    plus what a replay needs: the client frames sent there and not yet
+    answered (FIFO), the acked journal (frames whose MASKS reply was
+    forwarded, the OPEN_BEAM first) and a sha256 over those MASKS
+    payloads, taken past the flow id."""
+
+    __slots__ = ("raw_client", "raw_fid", "sent", "acked", "digest", "lost")
+
+    def __init__(self, flow_id: int, kind: FlowKind, key: str) -> None:
+        super().__init__(flow_id, kind, key)
+        self.raw_client: ScanClient | None = None
+        self.raw_fid = 0
+        self.sent: collections.deque = collections.deque()
+        self.acked: list[Frame] = []
+        self.digest = hashlib.sha256()
+        #: Why the backend was lost (None: it was not).
+        self.lost = None
 
 
 def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
@@ -535,12 +554,9 @@ class ScanProxy(FramedEndpoint):
             return client, remote
 
     async def _replayable_op(self, flow: _ProxyFlow, op):
-        """Run ``op(remote)``; on backend loss, replay the journaled
-        flow onto the next ring candidate and re-run the op there.
-
-        The journal holds only *acked* history, so an op the dead
-        backend may or may not have applied is simply re-issued — the
-        engines are deterministic, replies are bitwise stable."""
+        """Run ``op(remote)`` on a scan flow; on backend loss, replay
+        the journaled flow onto the next ring candidate and re-run the
+        op there (the engines are deterministic, results stable)."""
         excluded: set[str] = set()
         while True:
             try:
@@ -557,7 +573,8 @@ class ScanProxy(FramedEndpoint):
         self, flow: _ProxyFlow, fault: Exception, excluded: set
     ) -> None:
         """Move ``flow`` onto a new backend (mutates flow in place);
-        raises ``ServerFault(FAILOVER)`` when nothing is left."""
+        raises ``ServerFault(FAILOVER)`` when nothing is left, or when
+        a beam's replay does not line up."""
         assert flow.backend is not None
         excluded.add(flow.backend.name)
         self._note_backend_error(flow.backend, fault)
@@ -573,7 +590,10 @@ class ScanProxy(FramedEndpoint):
                 )
             try:
                 client = await backend.acquire()
-                flow.remote = await flow.remote.replay_onto(client)
+                if flow.kind is BEAM:
+                    await self._replay_beam(flow, client)
+                else:
+                    flow.remote = await flow.remote.replay_onto(client)
             except _BACKEND_FAULTS as exc:
                 excluded.add(backend.name)
                 self._note_backend_error(backend, exc)
@@ -632,13 +652,23 @@ class ScanProxy(FramedEndpoint):
     # client-facing data plane: frames the flow table accepted
     # ------------------------------------------------------------------
     async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
-        flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}")
+        key = f"{conn.conn_id}:{flow_id}"
+        if kind is BEAM:
+            # Relayed unread, so checked here: a malformed frame is the
+            # client connection's fault, as on a server — it must not
+            # reach (and be replayed onto) backend connections.
+            protocol.decode_open_beam(frame)
+            flow = _ProxyBeam(flow_id, kind, key)
+        else:
+            flow = _ProxyFlow(flow_id, kind, key)
         conn.table.open(flow)
         self.metrics.counter(f"proxy.flows.{kind}").inc()
         flow.task = asyncio.ensure_future(self._flow_worker(conn, flow))
         await flow.queue.put(frame)
 
     async def _op(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
+        if frame.type == FrameType.BATCH_ADVANCE:
+            protocol.decode_batch_advance(frame)  # see _open
         # A full queue stops this connection's read loop: the
         # backend's backpressure, chained to the client.
         await flow.queue.put(frame)
@@ -648,12 +678,13 @@ class ScanProxy(FramedEndpoint):
         its backend-side state."""
         if flow.task is not None and flow.task is not asyncio.current_task():
             flow.task.cancel()
-        if flow.raw_client is not None:
-            flow.raw_client.clear_raw_tap(flow.raw_fid)
-            asyncio.ensure_future(
-                _finish_raw(flow.raw_client, flow.raw_fid)
-            )
-            flow.raw_client = None
+        if flow.kind is BEAM:
+            if flow.raw_client is not None:
+                flow.raw_client.clear_raw_tap(flow.raw_fid)
+                asyncio.ensure_future(
+                    _finish_raw(flow.raw_client, flow.raw_fid)
+                )
+                flow.raw_client = None
         elif flow.remote is not None:
             asyncio.ensure_future(_finish_remote(flow.remote))
             flow.remote = None
@@ -693,36 +724,15 @@ class ScanProxy(FramedEndpoint):
             _, flow.remote = await self._open_on_ring(
                 flow, lambda c: c.open_flow()
             )
-        elif ftype == FrameType.OPEN_MASK:
-            _fid, vocab_hash = protocol.decode_open_mask(frame)
-            _, flow.remote = await self._open_on_ring(
-                flow, lambda c: c.open_mask_flow(vocab_hash)
-            )
-            await conn.send(
-                protocol.encode_mask(
-                    flow.flow_id, flow.remote.state, flow.remote.mask
-                )
-            )
         elif ftype == FrameType.DATA:
             _fid, chunk = protocol.decode_data(frame)
             await self._replayable_op(flow, lambda r: r.send(chunk))
-        elif ftype == FrameType.ADVANCE:
-            _fid, token_id = protocol.decode_advance(frame)
-            started = time.perf_counter()
-            state, row = await self._replayable_op(
-                flow, lambda r: r.advance(token_id)
-            )
-            self.metrics.histogram("proxy.latency.op_s").observe(
-                time.perf_counter() - started
-            )
-            await conn.send(protocol.encode_mask(flow.flow_id, state, row))
         else:
             # FINISH_FLOW. Results were held until now, which is what
             # makes scan failover invisible: no partial RESULT can have
             # escaped for a prefix the replacement backend re-scans.
             # The backend's record blocks go out unread under the
-            # client's flow id (a mask flow's is the one empty final
-            # block).
+            # client's flow id.
             blocks = await self._replayable_op(
                 flow, lambda r: r.finish_blocks()
             )
@@ -737,60 +747,68 @@ class ScanProxy(FramedEndpoint):
         return False
 
     # -- beam relay ----------------------------------------------------
-    async def _relay_beam(self, conn, flow: _ProxyFlow, frame: Frame) -> bool:
-        """Beam frames relay *undecoded* (flow id rewritten) to one
-        backend for the flow's whole life; replies flow back through a
-        raw tap the same way. On backend loss the client receives the
-        typed FAILOVER error — see the module docstring for why beam
-        flows are non-replayable by contract."""
+    async def _relay_beam(self, conn, flow: _ProxyBeam, frame: Frame) -> bool:
+        """Relay undecoded (flow id rewritten); replies come back via
+        :meth:`_beam_tap`. A lost backend is replayed (its stale tap
+        dropped first), then the frames it never answered are re-sent.
+        The tap ends the worker once the final RESULT has passed."""
         if frame.type == FrameType.OPEN_BEAM:
-
-            async def allocate(client: ScanClient) -> int:
-                return client.allocate_flow_id()
-
             flow.raw_client, flow.raw_fid = await self._open_on_ring(
-                flow, allocate
+                flow, _allocate
             )
             flow.raw_client.set_raw_tap(
-                flow.raw_fid, self._make_beam_tap(conn, flow)
+                flow.raw_fid, self._beam_tap(conn, flow)
             )
-        if flow.raw_client is None:
-            # Tap already tore the flow down (backend died between
-            # queued ops); everything left is a no-op.
-            return True
-        try:
-            await flow.raw_client.send_raw(
-                _rewrite_flow_id(frame, flow.raw_fid)
+        if frame is not _LOST:
+            flow.sent.append(frame)
+            if flow.lost is None:
+                await _send_beam(flow, [frame])
+        excluded: set[str] = set()
+        while flow.lost is not None:
+            flow.raw_client.clear_raw_tap(flow.raw_fid)
+            await self._failover(flow, flow.lost, excluded)
+            flow.lost = None
+            flow.raw_client.set_raw_tap(
+                flow.raw_fid, self._beam_tap(conn, flow)
             )
-        except _BACKEND_FAULTS as exc:
-            if flow.backend is not None:
-                self._note_backend_error(flow.backend, exc)
-            await self._beam_failover(conn, flow, str(exc))
-            return True
-        # Replies (MASKS / final RESULT / ERROR) arrive via the tap;
-        # FINISH ends the *worker* once the final RESULT has passed
-        # through, which the tap signals by clearing raw_client.
+            await _send_beam(flow, list(flow.sent))
         return False
 
-    def _make_beam_tap(self, conn, flow: _ProxyFlow):
+    def _beam_tap(self, conn, flow: _ProxyBeam):
+        """What a beam's backend answers: MASKS moves the oldest sent
+        frame to the acked journal and into the digest, an ERROR pops
+        it (a survivable one moved nothing), a lifecycle ERROR or a
+        dead connection loses the backend — the worker, woken, replays
+        before it relays anything else."""
+
         async def tap(frame) -> None:
-            if frame is None:  # backend connection died
-                await self._beam_failover(
-                    conn, flow, "backend connection lost"
-                )
+            if flow.lost is not None:
                 return
-            if frame.type == FrameType.ERROR:
+            code = None
+            if frame is not None and frame.type == FrameType.ERROR:
                 _fid, code, detail = protocol.decode_error(frame)
-                if code in _LIFECYCLE_CODES:
-                    await self._beam_failover(conn, flow, detail)
+            if frame is None or code in _LIFECYCLE_CODES:
+                flow.lost = detail if code else "backend connection lost"
+                with contextlib.suppress(asyncio.QueueFull):
+                    flow.queue.put_nowait(_LOST)
+                return
+            if frame.type == FrameType.MASKS:
+                flow.acked.append(flow.sent.popleft())
+                flow.digest.update(memoryview(frame.payload)[4:])
+                if 1 + len(frame.payload) > conn.peer_max_frame:
+                    await self._fail_flow(
+                        conn, flow, ErrorCode.FRAME_TOO_LARGE,
+                        f"{1 + len(frame.payload)}-byte MASKS frame, "
+                        f"limit {conn.peer_max_frame}",
+                    )
                     return
+            elif code is not None:
+                flow.sent.popleft()
                 if conn.table.fault(flow, code):
                     # Flow-fatal (UNKNOWN_VOCAB, ...): the backend has
                     # dropped it too.
                     self._end_beam(flow)
-                await conn.send(_rewrite_flow_id(frame, flow.flow_id))
-                return
-            if frame.type == FrameType.RESULT and frame.payload[4]:
+            elif frame.payload[4]:
                 # Final RESULT: the close handshake completed.
                 conn.table.close(flow)
                 self._end_beam(flow)
@@ -798,7 +816,41 @@ class ScanProxy(FramedEndpoint):
 
         return tap
 
-    def _end_beam(self, flow: _ProxyFlow) -> None:
+    async def _replay_beam(self, flow: _ProxyBeam, client) -> None:
+        """Re-send the acked journal to ``client``'s backend, hashing
+        the replies: the digest of what was forwarded, or FAILOVER.
+        Equal replies leave its delta base equal to the client's rows."""
+        fid = client.allocate_flow_id()
+        replies: asyncio.Queue = asyncio.Queue()
+        client.set_raw_tap(fid, replies.put)
+        digest = hashlib.sha256()
+        try:
+            for frame in flow.acked:
+                await client.send_raw(_rewrite_flow_id(frame, fid))
+            for _frame in flow.acked:
+                reply = await asyncio.wait_for(
+                    replies.get(), self.request_timeout
+                )
+                if reply is None:
+                    raise ConnectionResetError("backend lost in replay")
+                if reply.type != FrameType.MASKS:
+                    raise ServerFault(
+                        flow.flow_id, ErrorCode.FAILOVER,
+                        f"replay answered {reply.name}",
+                    )
+                digest.update(memoryview(reply.payload)[4:])
+            if digest.digest() != flow.digest.digest():
+                raise ServerFault(
+                    flow.flow_id, ErrorCode.FAILOVER,
+                    "replayed masks differ from those already sent",
+                )
+        except BaseException:
+            client.clear_raw_tap(fid)
+            asyncio.ensure_future(_finish_raw(client, fid))
+            raise
+        flow.raw_client, flow.raw_fid = client, fid
+
+    def _end_beam(self, flow: _ProxyBeam) -> None:
         """The backend is done with the flow: drop the tap, and the
         worker with nothing left to relay."""
         if flow.raw_client is not None:
@@ -806,22 +858,6 @@ class ScanProxy(FramedEndpoint):
             flow.raw_client = None
         if flow.task is not None and flow.task is not asyncio.current_task():
             flow.task.cancel()
-
-    async def _beam_failover(
-        self, conn, flow: _ProxyFlow, detail: str
-    ) -> None:
-        self._end_beam(flow)
-        if conn.flows.get(flow.flow_id) is not flow:
-            return
-        self.metrics.counter("proxy.failover.beam_refused").inc()
-        backend = flow.backend.name if flow.backend else "?"
-        await self._fail_flow(
-            conn,
-            flow,
-            ErrorCode.FAILOVER,
-            f"backend {backend} lost ({detail}); beam flows are "
-            "not replayable — reopen to continue",
-        )
 
     # ------------------------------------------------------------------
     # stats & admin aggregation
@@ -915,3 +951,18 @@ async def _finish_remote(remote) -> None:
 async def _finish_raw(client: ScanClient, raw_fid: int) -> None:
     with contextlib.suppress(Exception):
         await client.send_raw(protocol.encode_finish_flow(raw_fid))
+
+
+async def _allocate(client: ScanClient) -> int:
+    return client.allocate_flow_id()
+
+
+async def _send_beam(flow: _ProxyBeam, frames) -> None:
+    """Relay ``frames`` to the beam's backend; a failed send loses it."""
+    try:
+        for frame in frames:
+            await flow.raw_client.send_raw(
+                _rewrite_flow_id(frame, flow.raw_fid)
+            )
+    except _BACKEND_FAULTS as exc:
+        flow.lost = exc

@@ -1,8 +1,9 @@
 """The flow lifecycle, written down once (sans-IO).
 
-A connection multiplexes *flows* of three kinds — scan, mask, beam —
-and every flow lives the same small automaton: an opening frame admits
-it, op frames drive it, ``FINISH_FLOW`` starts its close, the final
+A connection multiplexes *flows* of two kinds — scan and beam (a
+decode of any width; a single decode is a beam of width 1) — and every
+flow lives the same small automaton: an opening frame admits it, op
+frames drive it, ``FINISH_FLOW`` starts its close, the final
 ``RESULT`` (or a fatal ``ERROR``) ends it. Server, proxy and client
 all walk that automaton; this module owns it, as data plus one
 per-connection :class:`FlowTable`, the way
@@ -12,7 +13,6 @@ per-connection :class:`FlowTable`, the way
 kind        opened by     ops (client → server)       replies
 ==========  ============  ==========================  ==================
 ``scan``    OPEN_FLOW     DATA, FINISH_FLOW           RESULT
-``mask``    OPEN_MASK     ADVANCE, FINISH_FLOW        MASK, RESULT
 ``beam``    OPEN_BEAM     BATCH_ADVANCE, FINISH_FLOW  MASKS, RESULT
 ==========  ============  ==========================  ==================
 
@@ -28,8 +28,8 @@ the flow the refusal closed, if it closed one:
   for every kind;
 * an op on an id that is not open, or whose FINISH_FLOW was already
   taken, is ``UNKNOWN_FLOW`` (nothing to close);
-* an op its flow's kind does not take (DATA on a mask flow, ADVANCE on
-  a beam flow, …) is ``BAD_FRAME`` and closes the flow;
+* an op its flow's kind does not take (DATA on a beam flow,
+  BATCH_ADVANCE on a scan flow) is ``BAD_FRAME`` and closes the flow;
 * any other frame type is not a client's to send: a plain
   :class:`~repro.server.protocol.ProtocolError`, fatal to the
   connection.
@@ -60,7 +60,6 @@ __all__ = [
     "FlowKind",
     "FlowTable",
     "KINDS",
-    "MASK",
     "OPENERS",
     "Refused",
     "SCAN",
@@ -80,7 +79,7 @@ def flow_id_of(frame: Frame) -> int:
 
 class FlowKind(str):
     """One row of the lifecycle table; its value is the kind's name
-    (``"scan"``, ``"mask"``, ``"beam"``)."""
+    (``"scan"``, ``"beam"``)."""
 
     #: The frame type that opens a flow of this kind.
     opener: int
@@ -103,7 +102,6 @@ class FlowKind(str):
 
 
 SCAN = FlowKind("scan", FrameType.OPEN_FLOW, FrameType.DATA, FrameType.RESULT)
-MASK = FlowKind("mask", FrameType.OPEN_MASK, FrameType.ADVANCE, FrameType.MASK)
 BEAM = FlowKind(
     "beam",
     FrameType.OPEN_BEAM,
@@ -111,7 +109,7 @@ BEAM = FlowKind(
     FrameType.MASKS,
     survives=(ErrorCode.BAD_TOKEN,),
 )
-KINDS = (SCAN, MASK, BEAM)
+KINDS = (SCAN, BEAM)
 
 #: Opening frame type -> the kind it opens.
 OPENERS = {kind.opener: kind for kind in KINDS}

@@ -23,25 +23,22 @@ Frame types::
     RESULT       !IB   flow_id, final + one record block (see below)
     ERROR        !IH   flow_id, code + utf-8 message
     GOODBYE      (empty)
-    OPEN_MASK    !I    flow_id + 32-byte vocab sha256 (raw digest)
-    ADVANCE      !II   flow_id, token_id
-    MASK         !II   flow_id, state + packed validity row
     OPEN_BEAM    !IH   flow_id, width + 32-byte vocab sha256
     BATCH_ADVANCE !IB  flow_id, op + op payload (see below)
     MASKS        !IHH  flow_id, n_lanes, row_bytes + per-lane records
 
-The mask and beam frames carry constrained-decoding flows: the client
-opens a mask flow against a vocabulary it has precomputed masks for
-(``repro structgen precompute``), the server replies with a MASK frame
-for the start state, and each ADVANCE (one emitted token id) is
-answered by the MASK for the resulting state. Mask rows are raw packed bits (token id ``i`` is bit
-``i``, LSB-first per byte).
+Type codes run 0x01 (HELLO) to 0x0D (MASKS) in the order listed,
+skipping 0x08-0x0A: those are unassigned, and a frame of an
+unassigned type is fatal to the connection.
 
-Beam flows batch a whole decode beam into one round trip per step:
-OPEN_BEAM binds ``width`` lanes (all at the start state) to a mask
-table and is answered by a MASKS frame; each BATCH_ADVANCE mutates
-every lane at once and is answered by one MASKS frame. The op byte
-selects the mutation::
+The beam frames carry constrained-decoding flows: the client opens a
+beam of ``width`` decode lanes against a vocabulary it has precomputed
+masks for (``repro structgen precompute``); a single decode is a beam
+of width 1. OPEN_BEAM binds the lanes (all at the start state) to a
+mask table and is answered by a MASKS frame; each BATCH_ADVANCE
+mutates every lane at once and is answered by one MASKS frame. Mask
+rows are raw packed bits (token id ``i`` is bit ``i``, LSB-first per
+byte). The op byte selects the mutation::
 
     op 0  ADVANCE   width × u32 token ids (one per lane, in order)
     op 1  FORK      !I lane — duplicate that lane (width grows by 1)
@@ -55,6 +52,10 @@ row the server sent for that lane index* — new lanes (opens, forks,
 width growth on rollback) are always sent full, and the server falls
 back to full whenever the patch would not be smaller (the resync
 escape, also the recovery path for any client that discards rows).
+A server keeps every MASKS frame within the peer's ``max_frame`` even
+when all its lanes are full: it refuses an OPEN_BEAM whose full-row
+frame would not fit (``FRAME_TOO_LARGE``), and a FORK past
+``MAX_BEAM_WIDTH`` or past that size (``BAD_TOKEN``).
 
 Connections are multiplexed: ``flow_id`` is a connection-scoped u32
 chosen by the client; ``CONNECTION_FLOW`` (``0xFFFFFFFF``) in an ERROR
@@ -68,8 +69,8 @@ answered with ``ERROR(VERSION_MISMATCH)`` and a close.
 
 RESULT record blocks
 --------------------
-A RESULT carries its results as raw fixed-width records, like MASK and
-MASKS — nothing on this wire is pickled, in either direction. After
+A RESULT carries its results as raw fixed-width records, like MASKS —
+nothing on this wire is pickled, in either direction. After
 ``flow_id, final`` comes one self-contained *block*::
 
     !BII   kind, n_names, n_records
@@ -90,7 +91,8 @@ bytes, and yields spans otherwise). An event record rebuilds
 without the grammar. :func:`encode_result_frames` splits a result list
 into as many frames as the receiver's ``max_frame`` asks for; only the
 last carries ``final``. Version 2 is the first with record blocks
-(version 1 pickled the result list and echoed each payload).
+(version 1 pickled the result list and echoed each payload); version
+3 retired the single-lane mask frame types 0x08-0x0A.
 
 Flush rule: a server handles every frame of one socket read, appends
 the results of consecutive DATA frames of a flow into one RESULT, and
@@ -125,21 +127,17 @@ __all__ = [
     "READ_BLOCK",
     "ServerFault",
     "apply_masks",
-    "decode_advance",
     "decode_batch_advance",
     "decode_data",
     "decode_error",
     "decode_finish_flow",
     "decode_hello",
     "decode_hello_grammars",
-    "decode_mask",
     "decode_masks",
     "decode_open_beam",
     "decode_open_flow",
-    "decode_open_mask",
     "decode_result",
     "decode_result_block",
-    "encode_advance",
     "encode_batch_advance",
     "encode_data",
     "encode_error",
@@ -147,21 +145,20 @@ __all__ = [
     "encode_frame",
     "encode_goodbye",
     "encode_hello",
-    "encode_mask",
     "encode_masks",
     "encode_masks_records",
     "encode_open_beam",
     "encode_open_flow",
-    "encode_open_mask",
     "encode_result",
     "encode_result_frames",
+    "masks_frame_size",
     "read_frames",
     "relay_result_frames",
     "split_result",
 ]
 
 #: Protocol version spoken by this build (bumped on incompatible change).
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default largest accepted frame (type byte + payload), 1 MiB.
 DEFAULT_MAX_FRAME = 1 << 20
@@ -187,7 +184,6 @@ _RECORD = {
 #: Service id of a routed record whose message named no service.
 _NO_NAME = 0xFFFFFFFF
 _ERROR_HEAD = struct.Struct("!IH")
-_MASK_HEAD = struct.Struct("!II")
 _BEAM_OPEN_HEAD = struct.Struct("!IH")
 _BATCH_HEAD = struct.Struct("!IB")
 _MASKS_HEAD = struct.Struct("!IHH")
@@ -198,12 +194,19 @@ _LANE_HEAD = struct.Struct("!IB")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 
-#: Raw sha256 digest length carried by OPEN_MASK.
+#: Raw sha256 digest length carried by OPEN_BEAM.
 _VOCAB_HASH_LEN = 32
 
-#: Largest beam width OPEN_BEAM accepts (the field is u16; the cap
-#: keeps a hostile open from allocating thousands of lanes).
+#: Largest beam width OPEN_BEAM accepts and FORK grows to (the field
+#: is u16; the cap keeps a hostile flow from allocating thousands of
+#: lanes).
 MAX_BEAM_WIDTH = 1024
+
+
+def masks_frame_size(width: int, row_bytes: int) -> int:
+    """The size (type byte + payload) of a MASKS frame whose ``width``
+    lanes are all full rows — the largest one such a beam is sent."""
+    return 1 + _MASKS_HEAD.size + width * (_LANE_HEAD.size + row_bytes)
 
 
 class FrameType:
@@ -216,9 +219,6 @@ class FrameType:
     RESULT = 0x05
     ERROR = 0x06
     GOODBYE = 0x07
-    OPEN_MASK = 0x08
-    ADVANCE = 0x09
-    MASK = 0x0A
     OPEN_BEAM = 0x0B
     BATCH_ADVANCE = 0x0C
     MASKS = 0x0D
@@ -231,9 +231,6 @@ class FrameType:
         RESULT: "RESULT",
         ERROR: "ERROR",
         GOODBYE: "GOODBYE",
-        OPEN_MASK: "OPEN_MASK",
-        ADVANCE: "ADVANCE",
-        MASK: "MASK",
         OPEN_BEAM: "OPEN_BEAM",
         BATCH_ADVANCE: "BATCH_ADVANCE",
         MASKS: "MASKS",
@@ -264,9 +261,10 @@ class ErrorCode:
     INTERNAL = 9
     UNKNOWN_VOCAB = 10
     BAD_TOKEN = 11
-    #: A routing tier lost the flow's backend and could not (or by
-    #: contract will not) replay it onto another — beam flows, or
-    #: replay exhaustion. The flow is dead; reopen to continue.
+    #: A routing tier lost the flow's backend and could not replay it
+    #: onto another: no healthy backend was left, the replay hit an
+    #: ERROR, or its replies differed from those already forwarded.
+    #: The flow is dead; reopen to continue.
     FAILOVER = 12
 
     NAMES = {
@@ -452,40 +450,11 @@ def encode_goodbye() -> bytes:
     return encode_frame(FrameType.GOODBYE)
 
 
-def encode_open_mask(flow_id: int, vocab_hash: str | bytes) -> bytes:
-    """Open a constrained-decoding flow against a vocabulary,
-    identified by its sha256 (hex string or 32 raw bytes)."""
-    digest = (
-        bytes.fromhex(vocab_hash)
-        if isinstance(vocab_hash, str)
-        else bytes(vocab_hash)
-    )
-    if len(digest) != _VOCAB_HASH_LEN:
-        raise ProtocolError(
-            f"vocab hash must be {_VOCAB_HASH_LEN} bytes, "
-            f"got {len(digest)}"
-        )
-    return encode_frame(FrameType.OPEN_MASK, _FLOW.pack(flow_id) + digest)
-
-
-def encode_advance(flow_id: int, token_id: int) -> bytes:
-    return encode_frame(
-        FrameType.ADVANCE, _MASK_HEAD.pack(flow_id, token_id)
-    )
-
-
-def encode_mask(flow_id: int, state: int, row: bytes) -> bytes:
-    """A packed validity row for ``state`` (bit *i*, LSB-first per
-    byte, is token *i*). Raw bits — no pickle on mask flows."""
-    return encode_frame(
-        FrameType.MASK, _MASK_HEAD.pack(flow_id, state) + row
-    )
-
-
 def encode_open_beam(
     flow_id: int, width: int, vocab_hash: str | bytes
 ) -> bytes:
-    """Open a beam flow of ``width`` lanes against a vocabulary."""
+    """Open a beam flow of ``width`` lanes against a vocabulary,
+    identified by its sha256 (hex string or 32 raw bytes)."""
     if not 1 <= width <= MAX_BEAM_WIDTH:
         raise ProtocolError(
             f"beam width {width} outside [1, {MAX_BEAM_WIDTH}]"
@@ -509,16 +478,20 @@ def encode_open_beam(
 def encode_batch_advance(flow_id: int, op: int, arg) -> bytes:
     """One beam mutation: op ``BeamOp.ADVANCE`` takes the per-lane
     token id list, ``FORK`` the lane index, ``ROLLBACK`` the step
-    count."""
-    head = _BATCH_HEAD.pack(flow_id, op)
-    if op == BeamOp.ADVANCE:
-        if not arg:
-            raise ProtocolError("ADVANCE carries no token ids")
-        body = struct.pack(f"!{len(arg)}I", *arg)
-    elif op in (BeamOp.FORK, BeamOp.ROLLBACK):
-        body = _U32.pack(arg)
-    else:
-        raise ProtocolError(f"unknown beam op {op}")
+    count — each a u32 on the wire, so anything else (negative, too
+    large, not an int) is a ProtocolError."""
+    try:
+        head = _BATCH_HEAD.pack(flow_id, op)
+        if op == BeamOp.ADVANCE:
+            if not arg:
+                raise ProtocolError("ADVANCE carries no token ids")
+            body = struct.pack(f"!{len(arg)}I", *arg)
+        elif op in (BeamOp.FORK, BeamOp.ROLLBACK):
+            body = _U32.pack(arg)
+        else:
+            raise ProtocolError(f"unknown beam op {op}")
+    except struct.error as exc:
+        raise ProtocolError(f"unencodable BATCH_ADVANCE: {exc}") from None
     return encode_frame(FrameType.BATCH_ADVANCE, head + body)
 
 
@@ -742,29 +715,6 @@ def relay_result_frames(
                 flow_id, last, decode_result_block(block), max_frame
             )
     return frames
-
-
-def decode_open_mask(frame: Frame) -> tuple[int, str]:
-    """-> (flow_id, vocab_hash hex)."""
-    (flow_id,) = _unpack(_FLOW, frame)
-    digest = frame.payload[_FLOW.size :]
-    if len(digest) != _VOCAB_HASH_LEN:
-        raise ProtocolError(
-            f"OPEN_MASK carries {len(digest)} hash bytes, "
-            f"expected {_VOCAB_HASH_LEN}"
-        )
-    return flow_id, digest.hex()
-
-
-def decode_advance(frame: Frame) -> tuple[int, int]:
-    """-> (flow_id, token_id)."""
-    return _unpack(_MASK_HEAD, frame)  # type: ignore[return-value]
-
-
-def decode_mask(frame: Frame) -> tuple[int, int, bytes]:
-    """-> (flow_id, state, packed row)."""
-    flow_id, state = _unpack(_MASK_HEAD, frame)
-    return flow_id, state, frame.payload[_MASK_HEAD.size :]
 
 
 def decode_open_beam(frame: Frame) -> tuple[int, int, str]:

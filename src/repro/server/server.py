@@ -39,9 +39,8 @@ What this module adds:
 * **Graceful drain** — :meth:`ScanServer.stop` (and SIGTERM in the
   CLI) lets every already-open scan flow stream to completion (its
   DATA and FINISH_FLOW are still honored and its final RESULT
-  delivered) and every mask/beam op already received get its reply
-  out, up to the drain timeout; flows that never finished are
-  discarded.
+  delivered) and every beam op already received get its reply out, up
+  to the drain timeout; flows that never finished are discarded.
 * **Hot swap** — with a grammar registry attached, ``POST
   /swap?grammar=name@version`` on the admin listener loads the new
   artifact and installs it as a fresh *generation*: new flows bind to
@@ -53,15 +52,16 @@ What this module adds:
   ``tenant.<ref>.*`` counters, and optional per-ref quotas bound the
   open flows — of any kind — a grammar version may hold
   (``ERROR(OVERLOADED)``).
-* **Mask and beam flows** — constrained-decoding sessions
-  (:mod:`repro.apps.structgen`) ride the same framed connections:
-  OPEN_MASK / OPEN_BEAM bind a flow to a precomputed mask table
-  (explicit ``mask_tables=`` or lazily loaded from the registry for
-  the served grammar, cold-start timed), each ADVANCE /
-  BATCH_ADVANCE is answered with the MASK / MASKS for the resulting
-  state(s). They always run in-process on the event loop — a mask
-  query is a row copy out of the table's state-complete matrix, far
-  below the pool's dispatch cost.
+* **Beam flows** — constrained-decoding sessions
+  (:mod:`repro.apps.structgen`; a single decode is a beam of width 1)
+  ride the same framed connections: OPEN_BEAM binds a flow to a
+  precomputed mask table (explicit ``mask_tables=`` or lazily loaded
+  from the registry for the served grammar, cold-start timed), each
+  BATCH_ADVANCE is answered with the MASKS for the resulting states,
+  and no MASKS frame outgrows the peer's ``max_frame``. They always
+  run in-process on the event loop — a mask query is a row copy out
+  of the table's state-complete matrix, far below the pool's dispatch
+  cost.
 
 Observability: counters/gauges/histograms land in one
 :class:`~repro.service.metrics.MetricsRegistry` (shared with the
@@ -81,9 +81,10 @@ from typing import Any
 
 from repro.server import protocol
 from repro.server.endpoint import Connection, FramedEndpoint, reap
-from repro.server.flows import BEAM, KINDS, MASK, SCAN, Flow, Refused
+from repro.server.flows import BEAM, KINDS, SCAN, Flow, Refused
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME,
+    MAX_BEAM_WIDTH,
     BeamOp,
     ErrorCode,
     Frame,
@@ -122,13 +123,6 @@ class _ScanFlow(_ServerFlow):
 
     __slots__ = ("key",)
     kind = SCAN
-
-
-class _MaskFlow(_ServerFlow):
-    """``session`` is the flow's MaskSession."""
-
-    __slots__ = ()
-    kind = MASK
 
 
 class _BeamFlow(_ServerFlow):
@@ -244,7 +238,7 @@ class ScanServer(FramedEndpoint):
         ``ERROR(OVERLOADED)``.
     mask_tables:
         Optional iterable of :class:`~repro.apps.structgen.MaskTable`
-        served to OPEN_MASK flows, keyed by vocabulary hash. With a
+        served to beam flows, keyed by vocabulary hash. With a
         registry attached, tables not listed here are lazily loaded
         from the store for the served grammar (cold-start timed into
         ``structgen.coldstart_ms``); an unknown hash is refused with
@@ -327,7 +321,7 @@ class ScanServer(FramedEndpoint):
         self._mask_loaded: dict[tuple[str, str], Any] = {}
         #: (ref, vocab_hash) pairs that already failed a registry
         #: lookup — refused without re-probing the store every
-        #: OPEN_MASK (cleared on hot swap).
+        #: OPEN_BEAM (cleared on hot swap).
         self._mask_misses: set[tuple[str, str]] = set()
         self._gen_seq = 0
         self._generations: dict[int, _Generation] = {}
@@ -340,7 +334,7 @@ class ScanServer(FramedEndpoint):
         #: FINISH_FLOW is in the pool awaiting its final results.
         self._pending: dict[str, tuple[_Connection, _ScanFlow]] = {}
         self._poll_task: asyncio.Task | None = None
-        #: Mask/beam frames received but whose reply write has not
+        #: Beam frames received but whose reply write has not
         #: completed — counted so a graceful drain cannot cut a reply
         #: mid-op.
         self._ops_inflight = 0
@@ -494,11 +488,11 @@ class ScanServer(FramedEndpoint):
 
     def _work_in_flight(self) -> bool:
         """Open scan flows (still streaming), pool flows awaiting
-        their final RESULT, or mask/beam ops whose reply is not yet
-        fully written. Idle mask/beam flows are request-response and
-        have no tail to flush, so they never hold the drain open —
-        but an ADVANCE/BATCH_ADVANCE already received gets its one
-        reply out before GOODBYE (``_ops_inflight``)."""
+        their final RESULT, or beam ops whose reply is not yet fully
+        written. Idle beam flows are request-response and have no tail
+        to flush, so they never hold the drain open — but a
+        BATCH_ADVANCE already received gets its one reply out before
+        GOODBYE (``_ops_inflight``)."""
         return (
             bool(self._pending)
             or self._ops_inflight > 0
@@ -565,7 +559,6 @@ class ScanServer(FramedEndpoint):
         structgen = {
             "tables": [t.describe() for t in tables],
             "memo": memo,
-            "sessions_open": by_kind[MASK],
             "beams_open": by_kind[BEAM],
             "beam_native": beam_native,
         }
@@ -644,13 +637,12 @@ class ScanServer(FramedEndpoint):
         self._retire_idle()
 
     async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
-        if kind is not SCAN:
+        if kind is BEAM:
             # Request/response on the event loop: the reply is owed
             # from here on.
-            open_decode = self._open_mask if kind is MASK else self._open_beam
             self._ops_inflight += 1
             try:
-                await open_decode(conn, flow_id, frame)
+                await self._open_beam(conn, flow_id, frame)
             finally:
                 self._ops_inflight -= 1
             return
@@ -677,8 +669,8 @@ class ScanServer(FramedEndpoint):
         self._ops_inflight += 1
         try:
             if frame.type == FrameType.FINISH_FLOW:
-                # Mask and beam flows have no tail: acknowledge with an
-                # empty final RESULT (same close discipline as scan).
+                # Beam flows have no tail: acknowledge with an empty
+                # final RESULT (same close discipline as scan).
                 await self._finished(conn, flow, [])
             else:
                 await self._step(conn, flow, frame)
@@ -728,11 +720,7 @@ class ScanServer(FramedEndpoint):
             self.metrics.counter("server.flows.finished").inc()
             flow.gen.flows_finished.inc()
         else:
-            self.metrics.counter(
-                "structgen.beams_closed"
-                if flow.kind is BEAM
-                else "structgen.sessions_closed"
-            ).inc()
+            self.metrics.counter("structgen.beams_closed").inc()
         self.metrics.histogram("latency.flow_s").observe(
             time.monotonic() - flow.opened_at
         )
@@ -741,7 +729,7 @@ class ScanServer(FramedEndpoint):
         await conn.send()  # queued above; this is the pacing
 
     # ------------------------------------------------------------------
-    # constrained-decoding (mask and beam) flows
+    # constrained-decoding (beam) flows
     # ------------------------------------------------------------------
     def _find_mask_table(self, vocab_hash: str):
         """The mask table for a vocabulary hash: explicit tables
@@ -772,8 +760,8 @@ class ScanServer(FramedEndpoint):
         return table
 
     async def _mask_table_for(self, conn, flow_id: int, vocab_hash: str):
-        """The table an OPEN_MASK / OPEN_BEAM binds to, or None once
-        the open has been refused with ``UNKNOWN_VOCAB``."""
+        """The table an OPEN_BEAM binds to, or None once the open has
+        been refused with ``UNKNOWN_VOCAB``."""
         table = self._find_mask_table(vocab_hash)
         if table is None:
             await conn.send_error(
@@ -783,20 +771,6 @@ class ScanServer(FramedEndpoint):
                 "`repro structgen precompute`",
             )
         return table
-
-    async def _open_mask(self, conn, flow_id: int, frame: Frame) -> None:
-        _flow_id, vocab_hash = protocol.decode_open_mask(frame)
-        table = await self._mask_table_for(conn, flow_id, vocab_hash)
-        if table is None:
-            return
-        from repro.apps.structgen.masks import MaskSession
-
-        session = MaskSession(table, metrics=self.metrics)
-        conn.table.open(_MaskFlow(flow_id, session, self._current))
-        self.metrics.counter("structgen.sessions_opened").inc()
-        await conn.send(
-            protocol.encode_mask(flow_id, session.state, session.mask())
-        )
 
     async def _open_beam(self, conn, flow_id: int, frame: Frame) -> None:
         _flow_id, width, vocab_hash = protocol.decode_open_beam(frame)
@@ -813,6 +787,15 @@ class ScanServer(FramedEndpoint):
                 f"{protocol.MAX_MASKS_ROW_BYTES}-byte rows",
             )
             return
+        size = protocol.masks_frame_size(width, table.row_bytes)
+        if size > conn.peer_max_frame:
+            await conn.send_error(
+                flow_id, ErrorCode.FRAME_TOO_LARGE,
+                f"{width} lanes of {table.row_bytes}-byte rows make "
+                f"{size}-byte MASKS frames; the peer's limit is "
+                f"{conn.peer_max_frame}",
+            )
+            return
         from repro.apps.structgen.beam import BeamMaskSession
 
         session = BeamMaskSession(table, width, metrics=self.metrics)
@@ -821,18 +804,16 @@ class ScanServer(FramedEndpoint):
         self.metrics.counter("structgen.beams_opened").inc()
         await conn.send(self._encode_beam_masks(flow))
 
-    async def _step(self, conn, flow: _ServerFlow, frame: Frame) -> None:
-        """ADVANCE on a mask flow, BATCH_ADVANCE on a beam flow: one
-        MASK / MASKS back. A refused token is ``BAD_TOKEN``: fatal to
-        a mask flow, while a beam — atomic, the failed op moved
+    async def _step(self, conn, flow: _BeamFlow, frame: Frame) -> None:
+        """One BATCH_ADVANCE: one MASKS back. A refused op is
+        ``BAD_TOKEN``, and the beam — atomic, the failed op moved
         nothing — stays open on its previous states (the lifecycle
         table's call, in :meth:`_fail_flow`)."""
         from repro.apps.structgen.masks import MaskError
 
-        step = self._advance if flow.kind is MASK else self._batch_advance
         started = time.perf_counter()
         try:
-            reply = step(flow, frame)
+            reply = self._batch_advance(conn, flow, frame)
         except MaskError as exc:
             await self._fail_flow(conn, flow, ErrorCode.BAD_TOKEN, str(exc))
             return
@@ -846,16 +827,24 @@ class ScanServer(FramedEndpoint):
         )
         await conn.send(reply)
 
-    def _advance(self, flow: _MaskFlow, frame: Frame) -> bytes:
-        _flow_id, token_id = protocol.decode_advance(frame)
-        state = flow.session.advance(token_id)
-        return protocol.encode_mask(flow.flow_id, state, flow.session.mask())
-
-    def _batch_advance(self, flow: _BeamFlow, frame: Frame) -> bytes:
+    def _batch_advance(self, conn, flow: _BeamFlow, frame: Frame) -> bytes:
         _flow_id, op, arg = protocol.decode_batch_advance(frame)
         if op == BeamOp.ADVANCE:
             flow.session.advance(arg)
         elif op == BeamOp.FORK:
+            from repro.apps.structgen.masks import MaskError
+
+            # Refused before the beam moves, like a bad token.
+            width = flow.session.width + 1
+            size = protocol.masks_frame_size(
+                width, flow.session.table.row_bytes
+            )
+            if width > MAX_BEAM_WIDTH or size > conn.peer_max_frame:
+                raise MaskError(
+                    f"fork refused: {width} lanes (cap {MAX_BEAM_WIDTH}) "
+                    f"make {size}-byte MASKS frames (limit "
+                    f"{conn.peer_max_frame})"
+                )
             flow.session.fork(arg)
         else:
             flow.session.rollback(arg)

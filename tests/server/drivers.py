@@ -5,7 +5,7 @@ Each driver runs a closed loop — a fixed population of
 one queue — against a live server or proxy and checks *every* reply
 against the in-process reference (``ContentBasedRouter.route`` for
 scan flows, :class:`~repro.apps.structgen.MaskSession` mirrors for
-mask and beam flows).  They measure nothing: a run returns what was
+beam flows — a single decode is ``run_beam_load(width=1)``).  They measure nothing: a run returns what was
 done, ``failures`` (exceptions, as ``"<unit>: <error>"``),
 ``mismatches`` (replies that differed from the reference) and
 ``verified`` (neither).  Numbers come from ``benchmarks/ledger/``.
@@ -109,70 +109,6 @@ async def run_load(
     )
 
 
-async def run_mask_load(
-    host: str,
-    port: int,
-    table,
-    *,
-    sessions: int = 4,
-    steps: int = 64,
-    concurrency: int = 2,
-    seed: int = 2006,
-    request_timeout: float = 30.0,
-) -> dict:
-    """Each session opens one mask flow and walks ``steps`` seeded
-    valid tokens; at every step the remote ``(state, row)`` must equal
-    a local :class:`MaskSession`'s on the same ``table`` (the initial
-    state-0 mask included)."""
-    failures: list[str] = []
-    mismatches: list[str] = []
-    advances = 0
-
-    async def drive(client: ScanClient, name: str, index: int) -> None:
-        nonlocal advances
-        rng = random.Random(seed + index)
-        local = MaskSession(table)
-        flow = await client.open_mask_flow(table.vocab_hash)
-        try:
-            if flow.state != local.state or flow.mask != local.mask():
-                mismatches.append(f"{name}: initial mask")
-                return
-            for step in range(steps):
-                valid = set_bits(local.mask())
-                if not valid:
-                    # No reset frame: reopen by closing this flow and
-                    # starting a fresh one mid-session.
-                    local.reset()
-                    await flow.close()
-                    flow = await client.open_mask_flow(table.vocab_hash)
-                    if flow.mask != local.mask():
-                        mismatches.append(f"{name}: mask after reset")
-                        return
-                    continue
-                token_id = rng.choice(valid)
-                state, row = await flow.advance(token_id)
-                advances += 1
-                if state != local.advance(token_id) or row != local.mask():
-                    mismatches.append(
-                        f"{name}: step {step} token {token_id}"
-                    )
-                    return
-        finally:
-            try:
-                await flow.close()
-            except Exception:
-                pass
-
-    await _closed_loop(
-        host, port,
-        [(f"session-{index}", index) for index in range(sessions)],
-        drive, concurrency, request_timeout, failures,
-    )
-    return _report(
-        failures, mismatches, sessions=sessions, advances=advances
-    )
-
-
 async def run_beam_load(
     host: str,
     port: int,
@@ -262,7 +198,7 @@ async def run_beam_load(
                     choices = [set_bits(m.mask()) for m in mirror]
                     if not all(choices):
                         # Dead end: no beam-wide reset frame, so
-                        # reopen (same discipline as mask flows).
+                        # reopen.
                         await flow.close()
                         settle(flow)
                         mirror = [

@@ -114,6 +114,25 @@ def test_batch_advance_roundtrip():
         decode_batch_advance(bad)
 
 
+@pytest.mark.parametrize(
+    "op,arg",
+    [
+        (BeamOp.ADVANCE, [-1]),
+        (BeamOp.ADVANCE, [1 << 32]),
+        (BeamOp.ADVANCE, [1.5]),
+        (BeamOp.FORK, -1),
+        (BeamOp.ROLLBACK, 1 << 40),
+    ],
+    ids=["advance-negative", "advance-u33", "advance-float", "fork-negative",
+         "rollback-u41"],
+)
+def test_batch_advance_refuses_what_no_u32_holds(op, arg):
+    """Every BATCH_ADVANCE argument is a u32 on the wire; one that is
+    not is a ProtocolError at the encoder, not a struct.error."""
+    with pytest.raises(ProtocolError, match="unencodable BATCH_ADVANCE"):
+        encode_batch_advance(9, op, arg)
+
+
 def test_masks_roundtrip_full_and_delta():
     row = bytes(range(48))
     patch = b"\x00\x05\xff" + b"\x00\x2e\x01"  # two 3-byte entries
@@ -524,6 +543,81 @@ def test_oversized_rows_refused_at_open_beam(table):
                 flow = await client.open_beam_flow(table.vocab_hash, 2)
                 assert flow.rows == [table.mask_row(0)] * 2
                 await flow.close()
+
+    run(main())
+
+
+async def _second_flow_finishes(client, table) -> None:
+    """The connection outlived a refusal: another flow on it still
+    opens, steps and closes."""
+    flow = await client.open_beam_flow(table.vocab_hash, 2)
+    local = BeamMaskSession(table, 2)
+    ids = [set_bits(bytearray(row))[0] for row in flow.rows]
+    states, rows = await flow.advance(ids)
+    local.advance(ids)
+    assert (states, rows) == (local.states, local.masks())
+    await flow.close()
+    assert client.connected
+
+
+def test_open_beam_refused_past_the_peer_frame_limit(table):
+    """A beam whose all-full MASKS frame (``1 + 8 + w·(5 + row_bytes)``
+    bytes) would exceed the client's ``max_frame`` is refused at
+    OPEN_BEAM with FRAME_TOO_LARGE — no frame the client must reject,
+    no flow left on the server, the connection unharmed."""
+    rb = table.row_bytes
+    assert protocol.masks_frame_size(20, rb) == 1 + 8 + 20 * (5 + rb) > 1024
+
+    async def main():
+        async with running_server(mask_tables=[table]) as server:
+            host, port = server.address
+            async with ScanClient(host, port, max_frame=1024) as client:
+                with pytest.raises(ServerFault) as info:
+                    await client.open_beam_flow(table.vocab_hash, 20)
+                assert info.value.code == ErrorCode.FRAME_TOO_LARGE
+                (conn,) = server._connections.values()
+                assert conn.flows == {}
+                await _second_flow_finishes(client, table)
+
+    run(main())
+
+
+def test_fork_refused_at_the_width_cap_and_frame_limit(table):
+    """FORK is BAD_TOKEN, the beam unchanged, when it would grow past
+    ``MAX_BEAM_WIDTH`` lanes (the cap OPEN_BEAM enforces) or past the
+    client's frame limit."""
+
+    async def refused(flow, why):
+        before = (flow.states, flow.rows)
+        with pytest.raises(ServerFault) as info:
+            await flow.fork(0, timeout=5.0)
+        assert info.value.code == ErrorCode.BAD_TOKEN
+        assert why in info.value.detail
+        assert (flow.states, flow.rows) == before
+        # Nothing moved server-side either: a rollback has no fork to
+        # undo, and the beam still answers at its width.
+        with pytest.raises(ServerFault):
+            await flow.rollback(1, timeout=5.0)
+        states, _rows = await flow.advance(
+            [set_bits(bytearray(row))[0] for row in flow.rows]
+        )
+        assert len(states) == len(before[0])
+
+    async def main():
+        async with running_server(mask_tables=[table]) as server:
+            host, port = server.address
+            async with ScanClient(host, port) as client:
+                flow = await client.open_beam_flow(
+                    table.vocab_hash, MAX_BEAM_WIDTH
+                )
+                await refused(flow, f"{MAX_BEAM_WIDTH + 1} lanes")
+                await flow.close()
+                await _second_flow_finishes(client, table)
+            async with ScanClient(host, port, max_frame=1024) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 19)
+                await refused(flow, "1069-byte MASKS frames (limit 1024)")
+                await flow.close()
+                await _second_flow_finishes(client, table)
 
     run(main())
 

@@ -1,10 +1,11 @@
 """The cluster tier: consistent-hash ring and the ScanProxy.
 
 Ring properties (determinism, minimal remap on membership change),
-backend-spec parsing, and the proxy's end-to-end contract: scan, mask
-and beam flows through the proxy are byte-for-byte identical to flows
-against a single server, the aggregated admin endpoint merges backend
-expositions under ``backend="host:port"`` labels. That the protocol
+backend-spec parsing, and the proxy's end-to-end contract: scan and
+beam flows (width 1 included) through the proxy are byte-for-byte
+identical to flows against a single server, the aggregated admin
+endpoint merges backend expositions under ``backend="host:port"``
+labels. That the protocol
 fault paths reply exactly as a bare :class:`~repro.server.ScanServer`
 would is ``test_conformance.py``'s subject.
 """
@@ -158,20 +159,22 @@ def test_proxied_scan_matches_direct(table):
 
 
 def test_proxied_mask_flow_matches_local_session(table):
+    """A single-lane decode (a width-1 beam) through the proxy."""
+
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
             async with ScanClient(*proxy.address) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
                 local = MaskSession(table)
-                assert flow.mask == local.mask()
+                assert flow.rows == [local.mask()]
                 for step in range(40):
                     valid = set_bits(local.mask())
                     if not valid:
                         break
                     token = valid[step % len(valid)]
-                    state, row = await flow.advance(token)
-                    assert state == local.advance(token), f"step {step}"
-                    assert row == local.mask(), f"step {step}"
+                    states, rows = await flow.advance([token])
+                    assert states == (local.advance(token),), f"step {step}"
+                    assert rows == [local.mask()], f"step {step}"
                 await flow.close()
 
     run(scenario())
@@ -205,6 +208,31 @@ def test_proxied_beam_flow_matches_mirrors(table):
                 await flow.rollback(1)
                 assert flow.width == 4
                 await flow.close()
+
+    run(scenario())
+
+
+def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
+    """The backend answers the proxy, whose frame limit is larger than
+    this client's; a MASKS reply the client could not read fails its
+    flow with FRAME_TOO_LARGE instead of being written, and the
+    client's connection keeps serving."""
+
+    async def scenario():
+        async with running_cluster(table, n=2) as (proxy, _servers):
+            async with ScanClient(*proxy.address, max_frame=1024) as client:
+                with pytest.raises(ServerFault) as info:
+                    await client.open_beam_flow(table.vocab_hash, 20)
+                assert info.value.code == ErrorCode.FRAME_TOO_LARGE
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                mirror = [MaskSession(table) for _ in range(2)]
+                ids = [set_bits(m.mask())[0] for m in mirror]
+                await flow.advance(ids)
+                for m, token in zip(mirror, ids):
+                    m.advance(token)
+                assert flow.rows == [m.mask() for m in mirror]
+                await flow.close()
+                assert client.connected
 
     run(scenario())
 

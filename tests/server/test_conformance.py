@@ -7,6 +7,12 @@ closed?)``. Both targets must report the literal expectation, so they
 report the same thing: the server/proxy divergences this replaces
 tests for (duplicate open, wrong-kind ops) cannot come back on one
 side only.
+
+The scenario kinds are ``scan``, ``mask`` — a single-lane decode, a
+beam of width 1 advanced by one-token BATCH_ADVANCEs (labelled
+``ADVANCE``, after ``BeamOp.ADVANCE``) — and ``beam``, of width 2.
+``mask`` and ``beam`` are one flow kind on the wire, so an advance of
+the other's width is a survivable BAD_TOKEN, not a BAD_FRAME.
 """
 
 import asyncio
@@ -85,27 +91,25 @@ class Peer:
     def opener(self, kind: str, flow_id: int = FLOW) -> bytes:
         if kind == "scan":
             return protocol.encode_open_flow(flow_id)
-        if kind == "mask":
-            return protocol.encode_open_mask(flow_id, self.table.vocab_hash)
-        return protocol.encode_open_beam(flow_id, 2, self.table.vocab_hash)
+        return protocol.encode_open_beam(
+            flow_id, WIDTH[kind], self.table.vocab_hash
+        )
 
-    def op(self, ftype: int, token: int | None = None) -> bytes:
+    def op(self, label: str, token: int | None = None) -> bytes:
         token = self.good if token is None else token
-        if ftype == FrameType.DATA:
+        if label == "DATA":
             return protocol.encode_data(FLOW, b"<methodCall>")
-        if ftype == FrameType.ADVANCE:
-            return protocol.encode_advance(FLOW, token)
         return protocol.encode_batch_advance(
-            FLOW, BeamOp.ADVANCE, [token, token]
+            FLOW, BeamOp.ADVANCE, [token] * (1 if label == "ADVANCE" else 2)
         )
 
     async def open(self, kind: str) -> None:
         """Open flow 7 and, where the kind answers its opener, wait
-        for that first MASK / MASKS."""
+        for that first MASKS."""
         await self.send(self.opener(kind))
         if kind != "scan":
             frame = await self.reply()
-            assert frame.type in (FrameType.MASK, FrameType.MASKS)
+            assert frame.type == FrameType.MASKS
 
 
 # ----------------------------------------------------------------------
@@ -120,12 +124,12 @@ def duplicate_open(kind):
     return scenario
 
 
-def unknown_flow(ftype):
+def unknown_flow(label):
     async def scenario(peer, _front):
         frame = (
             protocol.encode_finish_flow(FLOW)
-            if ftype == FrameType.FINISH_FLOW
-            else peer.op(ftype)
+            if label == "FINISH_FLOW"
+            else peer.op(label)
         )
         await peer.send(frame)
         return await peer.error(), await peer.closed()
@@ -133,10 +137,10 @@ def unknown_flow(ftype):
     return scenario
 
 
-def wrong_kind(kind, ftype):
+def wrong_kind(kind, label):
     async def scenario(peer, _front):
         await peer.open(kind)
-        await peer.send(peer.op(ftype))
+        await peer.send(peer.op(label))
         return await peer.error(), await peer.closed()
 
     return scenario
@@ -146,12 +150,12 @@ async def op_after_finish(peer, _front):
     await peer.send(
         peer.opener("scan"),
         protocol.encode_finish_flow(FLOW),
-        peer.op(FrameType.DATA),
+        peer.op("DATA"),
     )
     # The final RESULT and the ERROR come in either order.
     seen = {(await peer.reply()).type, (await peer.reply()).type}
     assert seen == {FrameType.RESULT, FrameType.ERROR}
-    await peer.send(peer.op(FrameType.DATA))
+    await peer.send(peer.op("DATA"))
     return await peer.error(), await peer.closed()
 
 
@@ -169,37 +173,47 @@ def open_while_draining(kind):
 def bad_token(kind):
     async def scenario(peer, _front):
         await peer.open(kind)
-        ftype = FrameType.ADVANCE if kind == "mask" else FrameType.BATCH_ADVANCE
-        await peer.send(peer.op(ftype, peer.bad))
+        await peer.send(peer.op(OPS[kind], peer.bad))
         return await peer.error(), await peer.closed()
+
+    return scenario
+
+
+def retired(ftype):
+    """A frame of a type protocol v3 retired: unassigned, so fatal to
+    the connection — the ERROR addresses it, and it closes."""
+
+    async def scenario(peer, _front):
+        await peer.send(protocol.encode_frame(ftype, FLOW.to_bytes(4, "big")))
+        code = await peer.error(protocol.CONNECTION_FLOW)
+        assert await asyncio.wait_for(peer.frames.frame(), 5.0) is None
+        return code, True
 
     return scenario
 
 
 E = ErrorCode
 KINDS = ("scan", "mask", "beam")
-OPS = {
-    "scan": FrameType.DATA,
-    "mask": FrameType.ADVANCE,
-    "beam": FrameType.BATCH_ADVANCE,
-}
+WIDTH = {"mask": 1, "beam": 2}
+OPS = {"scan": "DATA", "mask": "ADVANCE", "beam": "BATCH_ADVANCE"}
+DECODE = {"mask", "beam"}
 SCENARIOS = {
     **{
         f"duplicate-open/{kind}": (duplicate_open(kind), E.DUPLICATE_FLOW, True)
         for kind in KINDS
     },
     **{
-        f"unknown-flow/{FrameType.NAMES[ftype]}": (
-            unknown_flow(ftype), E.UNKNOWN_FLOW, True,
-        )
-        for ftype in (*OPS.values(), FrameType.FINISH_FLOW)
+        f"unknown-flow/{label}": (unknown_flow(label), E.UNKNOWN_FLOW, True)
+        for label in (*OPS.values(), "FINISH_FLOW")
     },
     **{
-        f"wrong-kind/{FrameType.NAMES[ftype]}-on-{kind}": (
-            wrong_kind(kind, ftype), E.BAD_FRAME, True,
+        f"wrong-kind/{label}-on-{kind}": (
+            (wrong_kind(kind, label), E.BAD_TOKEN, False)
+            if {kind, other} == DECODE
+            else (wrong_kind(kind, label), E.BAD_FRAME, True)
         )
         for kind in KINDS
-        for other, ftype in OPS.items()
+        for other, label in OPS.items()
         if other != kind
     },
     "op-after-finish": (op_after_finish, E.UNKNOWN_FLOW, True),
@@ -209,8 +223,12 @@ SCENARIOS = {
         )
         for kind in KINDS
     },
-    "bad-token/mask": (bad_token("mask"), E.BAD_TOKEN, True),
+    "bad-token/mask": (bad_token("mask"), E.BAD_TOKEN, False),
     "bad-token/beam": (bad_token("beam"), E.BAD_TOKEN, False),
+    **{
+        f"retired/0x{ftype:02X}": (retired(ftype), E.BAD_FRAME, True)
+        for ftype in (0x08, 0x09, 0x0A)
+    },
 }
 
 

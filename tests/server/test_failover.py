@@ -1,10 +1,12 @@
 """Failover: killing a backend under live flows.
 
-The proxy's failover contract (DESIGN.md §14): scan and mask flows
-are journal-replayed onto a surviving backend and the client sees
-byte-for-byte the same results it would have seen with no kill; beam
-flows are *not* replayable (their server state is a delta chain) and
-the client receives a typed FAILOVER error instead of silently wrong
+The proxy's failover contract (DESIGN.md §14) is one rule for every
+flow kind: the flow's acked history is replayed onto a surviving
+backend and the client sees byte-for-byte the same replies it would
+have seen with no kill — scan results, and beam masks of any width
+(after forks and rollbacks, through the delta chain). A beam replay
+whose replies differ from those already forwarded, and a ring with no
+backend left, end the flow with a typed FAILOVER instead of wrong
 masks. All kills here are hard (``stop(drain=False)`` — TCP reset
 semantics, no DRAINING courtesy), the worst case.
 """
@@ -16,7 +18,7 @@ import pytest
 
 from repro.apps.structgen import MaskSession, build_mask_table, synthetic_vocab
 from repro.apps.xmlrpc import ContentBasedRouter, MethodCall
-from repro.grammar.examples import xmlrpc
+from repro.grammar.examples import if_then_else, xmlrpc
 from repro.server import (
     ScanClient,
     ScanProxy,
@@ -25,7 +27,7 @@ from repro.server import (
 )
 from repro.server.protocol import ErrorCode
 
-from tests.server.drivers import run_beam_load, run_mask_load, set_bits
+from tests.server.drivers import run_beam_load, set_bits
 
 
 def run(coro):
@@ -38,11 +40,14 @@ def table():
 
 
 @contextlib.asynccontextmanager
-async def failover_cluster(table, n=3):
-    """N backends behind a fast-probing proxy; the test kills some."""
+async def failover_cluster(table, n=3, tables=None):
+    """N backends behind a fast-probing proxy; the test kills some.
+    Backend ``i`` serves ``tables[i]`` (default: ``table`` on all)."""
     servers = []
-    for _ in range(n):
-        server = ScanServer(port=0, mask_tables=[table])
+    for i in range(n):
+        server = ScanServer(
+            port=0, mask_tables=[tables[i] if tables else table]
+        )
         await server.start()
         servers.append(server)
     proxy = ScanProxy(
@@ -86,7 +91,7 @@ async def _pinned_backend(proxy, flow_id, kind=None, timeout=5.0):
 
 
 # ----------------------------------------------------------------------
-# single-flow kills: exact bytes (scan/mask), typed error (beam)
+# single-flow kills: exact bytes, or a typed FAILOVER
 # ----------------------------------------------------------------------
 def test_scan_flow_survives_backend_kill_byte_for_byte(table):
     async def scenario():
@@ -109,26 +114,98 @@ def test_scan_flow_survives_backend_kill_byte_for_byte(table):
     run(scenario())
 
 
+class _Mirror:
+    """Per-lane MaskSession mirrors of a beam, forks and rollbacks
+    included, and the check that a flow's rows equal them."""
+
+    def __init__(self, table, width):
+        self.table = table
+        self.lanes = [MaskSession(table) for _ in range(width)]
+        self.history = []
+
+    def ids(self):
+        return [set_bits(m.mask())[0] for m in self.lanes]
+
+    def advance(self, ids):
+        self.history.append([m.state for m in self.lanes])
+        for m, token in zip(self.lanes, ids):
+            m.advance(token)
+
+    def fork(self, lane):
+        self.history.append([m.state for m in self.lanes])
+        twin = MaskSession(self.table)
+        twin.state = self.lanes[lane].state
+        self.lanes.append(twin)
+
+    def rollback(self, k):
+        for _ in range(k):
+            snapshot = self.history.pop()
+        self.lanes = [MaskSession(self.table) for _ in snapshot]
+        for m, state in zip(self.lanes, snapshot):
+            m.state = state
+
+    def check(self, flow, what):
+        assert flow.states == tuple(m.state for m in self.lanes), what
+        assert flow.rows == [m.mask() for m in self.lanes], what
+
+
+async def _walk(flow, mirror, steps, what):
+    for step in range(steps):
+        ids = mirror.ids()
+        await flow.advance(ids, timeout=15.0)
+        mirror.advance(ids)
+        mirror.check(flow, f"{what} step {step}")
+
+
 def test_mask_flow_survives_backend_kill_byte_for_byte(table):
+    """A single-lane decode (a width-1 beam) replayed onto another
+    backend goes on byte-for-byte."""
+
     async def scenario():
         async with failover_cluster(table) as (proxy, servers):
             async with ScanClient(*proxy.address) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
-                local = MaskSession(table)
-
-                async def step():
-                    valid = set_bits(local.mask())
-                    assert valid, "mirror dead-ended mid-test"
-                    state, row = await flow.advance(valid[0], timeout=15.0)
-                    assert state == local.advance(valid[0])
-                    assert row == local.mask()
-
-                for _ in range(10):
-                    await step()
-                backend = await _pinned_backend(proxy, flow.flow_id, "mask")
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
+                mirror = _Mirror(table, 1)
+                await _walk(flow, mirror, 10, "before the kill")
+                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
                 await _server_named(servers, backend.name).stop(drain=False)
-                for _ in range(10):  # replayed journal → identical bytes
-                    await step()
+                await _walk(flow, mirror, 10, "after the kill")
+                await flow.close()
+            assert proxy.metrics.counter("proxy.failovers").value >= 1
+
+    run(scenario())
+
+
+def test_beam_flow_survives_backend_kill_byte_for_byte(table):
+    """A width-3 beam that forked, rolled back and had a token refused
+    before the kill: the replayed delta chain lines up, every row after
+    it is exact."""
+
+    async def scenario():
+        async with failover_cluster(table) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 3)
+                mirror = _Mirror(table, 3)
+                await _walk(flow, mirror, 4, "advance")
+                with pytest.raises(ServerFault) as info:
+                    await flow.advance([len(table.vocab)] * 3, timeout=15.0)
+                assert info.value.code == ErrorCode.BAD_TOKEN
+                await flow.fork(1)
+                mirror.fork(1)
+                await _walk(flow, mirror, 3, "after the fork")
+                await flow.rollback(2)
+                mirror.rollback(2)
+                mirror.check(flow, "rollback")
+                assert flow.lanes_delta > 0
+                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
+                await _server_named(servers, backend.name).stop(drain=False)
+                await _walk(flow, mirror, 6, "after the kill")
+                await flow.fork(0)
+                mirror.fork(0)
+                mirror.check(flow, "fork after the kill")
+                await flow.rollback(1)
+                mirror.rollback(1)
+                mirror.check(flow, "rollback after the kill")
                 await flow.close()
             assert proxy.metrics.counter("proxy.failovers").value >= 1
 
@@ -136,20 +213,51 @@ def test_mask_flow_survives_backend_kill_byte_for_byte(table):
 
 
 def test_beam_flow_gets_typed_failover(table):
+    """No backend left to replay onto: the beam ends with FAILOVER."""
+
     async def scenario():
-        async with failover_cluster(table) as (proxy, servers):
+        async with failover_cluster(table, n=1) as (proxy, servers):
             async with ScanClient(*proxy.address) as client:
                 flow = await client.open_beam_flow(table.vocab_hash, 3)
-                ids = [set_bits(row)[0] for row in flow.rows]
-                await flow.advance(ids)
-                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
-                await _server_named(servers, backend.name).stop(drain=False)
+                await flow.advance(_Mirror(table, 3).ids())
+                await servers[0].stop(drain=False)
                 with pytest.raises(ServerFault) as info:
-                    for _ in range(5):
-                        ids = [set_bits(row)[0] for row in flow.rows]
-                        await flow.advance(ids, timeout=15.0)
+                    await flow.finish(timeout=15.0)
                 assert info.value.code == ErrorCode.FAILOVER
-                assert "not replayable" in info.value.detail
+                assert "no healthy backend" in info.value.detail
+            assert (
+                proxy.metrics.counter("proxy.failover.exhausted").value == 1
+            )
+
+    run(scenario())
+
+
+def test_digest_mismatch_gets_typed_failover(table):
+    """Two backends share the vocabulary hash but serve masks of
+    different grammars: replaying onto the other one does not reproduce
+    the replies already forwarded, so the beam ends with FAILOVER and
+    the client never sees a row of the other grammar."""
+    other = build_mask_table(if_then_else(), synthetic_vocab(size=384, seed=7))
+    assert other.vocab_hash == table.vocab_hash
+    assert other.mask_row(0) != table.mask_row(0)
+
+    async def scenario():
+        async with failover_cluster(
+            table, n=2, tables=[table, other]
+        ) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
+                owner = _server_named(servers, backend.name)
+                mirror = _Mirror(owner._mask_tables[table.vocab_hash], 2)
+                mirror.check(flow, "open")
+                await _walk(flow, mirror, 5, "before the kill")
+                await owner.stop(drain=False)
+                with pytest.raises(ServerFault) as info:
+                    await flow.finish(timeout=15.0)
+                assert info.value.code == ErrorCode.FAILOVER
+                mirror.check(flow, "after the FAILOVER")
+            assert proxy.metrics.counter("proxy.failovers").value == 0
 
     run(scenario())
 
@@ -172,64 +280,41 @@ async def _kill_first_owner(proxy, servers, kind, timeout=10.0):
     raise AssertionError(f"no {kind} flow ever pinned")
 
 
+async def _beam_load_under_kill(table, **load):
+    """run_beam_load through the proxy with the first beam owner
+    hard-killed mid-run."""
+    async with failover_cluster(table) as (proxy, servers):
+        host, port = proxy.address
+        task = asyncio.ensure_future(
+            run_beam_load(
+                host, port, table, concurrency=2, request_timeout=30.0,
+                **load,
+            )
+        )
+        await asyncio.sleep(0.1)
+        await _kill_first_owner(proxy, servers, "beam")
+        report = await asyncio.wait_for(task, 120.0)
+        assert proxy.metrics.counter("proxy.failovers").value >= 1
+        return report
+
+
 def test_mask_load_survives_backend_kill(table):
-    """run_mask_load with a backend hard-killed mid-run: every reply —
-    including those after the journal re-replay — must still match the
-    in-process mirrors, so verified stays True."""
-
-    async def scenario():
-        async with failover_cluster(table) as (proxy, servers):
-            host, port = proxy.address
-            load = asyncio.ensure_future(
-                run_mask_load(
-                    host,
-                    port,
-                    table,
-                    sessions=6,
-                    steps=600,  # must outlast the 0.1 s before the kill
-                    concurrency=3,
-                    request_timeout=30.0,
-                )
-            )
-            await asyncio.sleep(0.1)
-            await _kill_first_owner(proxy, servers, "mask")
-            report = await asyncio.wait_for(load, 120.0)
-            assert report["failures"] == []
-            assert report["mismatches"] == []
-            assert report["verified"] is True
-            assert report["sessions"] == 6
-
-    run(scenario())
+    """run_beam_load at width 1 with a backend hard-killed mid-run:
+    every reply — including those after the replay — must still match
+    the in-process mirrors, so verified stays True."""
+    report = run(
+        # steps must outlast the 0.1 s before the kill
+        _beam_load_under_kill(table, beams=6, width=1, steps=600)
+    )
+    assert report["failures"] == []
+    assert report["mismatches"] == []
+    assert report["verified"] is True
+    assert report["beams"] == 6
 
 
-def test_beam_load_surfaces_failover_not_garbage(table):
-    """run_beam_load with the beam-owning backend killed mid-run: the
-    affected beams end with a typed FAILOVER failure, and — crucially —
-    zero mismatches: the proxy never forwards masks from a replacement
-    backend whose delta chain wouldn't line up."""
-
-    async def scenario():
-        async with failover_cluster(table) as (proxy, servers):
-            host, port = proxy.address
-            load = asyncio.ensure_future(
-                run_beam_load(
-                    host,
-                    port,
-                    table,
-                    beams=4,
-                    width=4,
-                    steps=1000,  # must outlast the 0.1 s before the kill
-                    concurrency=2,
-                    request_timeout=30.0,
-                )
-            )
-            await asyncio.sleep(0.1)
-            killed = await _kill_first_owner(proxy, servers, "beam")
-            report = await asyncio.wait_for(load, 120.0)
-            assert report["mismatches"] == []
-            assert any("FAILOVER" in f for f in report["failures"]), (
-                killed,
-                report["failures"],
-            )
-
-    run(scenario())
+def test_beam_load_survives_backend_kill(table):
+    """The same at width 4, forks and rollbacks mixed in."""
+    report = run(_beam_load_under_kill(table, beams=4, width=4, steps=1000))
+    assert report["failures"] == []
+    assert report["mismatches"] == []
+    assert report["verified"] is True

@@ -185,6 +185,29 @@ def test_version_mismatch_is_refused():
     run(main())
 
 
+def test_v2_hello_gets_version_mismatch():
+    """A v2 peer (one that could still send the retired single-lane
+    mask frames) is refused at HELLO with a typed VERSION_MISMATCH,
+    never mid-flow."""
+    assert protocol.PROTOCOL_VERSION == 3
+
+    async def main():
+        async with running_server() as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            frames = FrameReader(reader)
+            writer.write(protocol.encode_hello(version=2))
+            await writer.drain()
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
+            assert frame.type == FrameType.ERROR
+            _f, code, message = protocol.decode_error(frame)
+            assert code == ErrorCode.VERSION_MISMATCH
+            assert "v3" in message and "v2" in message
+            assert await asyncio.wait_for(frames.frame(), 2.0) is None
+            writer.close()
+
+    run(main())
+
+
 def test_data_for_unopened_flow_is_flow_error():
     async def main():
         async with running_server() as server:
@@ -426,10 +449,10 @@ def test_drain_rejects_new_flows_but_completes_open_ones(
 
 
 def test_drain_waits_for_inflight_mask_op():
-    """Regression: a BATCH_ADVANCE/ADVANCE whose reply write is
-    backpressured must get its one reply out before GOODBYE —
-    mask/beam ops were invisible to the drain accounting and a
-    stop(drain=True) could cut the connection mid-op."""
+    """Regression: a BATCH_ADVANCE whose reply write is backpressured
+    must get its one reply out before GOODBYE — decode ops were
+    invisible to the drain accounting and a stop(drain=True) could cut
+    the connection mid-op. Shown on a single-lane decode."""
 
     async def main():
         from repro.apps.structgen import build_mask_table, synthetic_vocab
@@ -440,9 +463,9 @@ def test_drain_waits_for_inflight_mask_op():
             host, port = server.address
             client = ScanClient(host, port)
             await client.connect()
-            flow = await client.open_mask_flow(table.vocab_hash)
+            flow = await client.open_beam_flow(table.vocab_hash, 1)
             token = next(
-                t for t in range(384) if flow.mask[t // 8] >> (t % 8) & 1
+                t for t in range(384) if flow.rows[0][t // 8] >> (t % 8) & 1
             )
 
             # Simulate write-side backpressure: the next reply stalls
@@ -461,7 +484,7 @@ def test_drain_waits_for_inflight_mask_op():
                 await real_send(frame_bytes)
 
             conn.send = stalling_send
-            reply = asyncio.ensure_future(flow.advance(token))
+            reply = asyncio.ensure_future(flow.advance([token]))
             await stalled.wait()
 
             stopper = asyncio.ensure_future(
@@ -473,7 +496,7 @@ def test_drain_waits_for_inflight_mask_op():
             assert not stopper.done(), "drain cut an in-flight mask op"
 
             release.set()
-            state, row = await reply  # the reply made it out
+            (state,), (row,) = await reply  # the reply made it out
             assert row == bytes(table.mask_row(state))
             await stopper
             await client.close()

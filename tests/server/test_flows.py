@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.server.flows import BEAM, KINDS, MASK, OPENERS, SCAN
+from repro.server.flows import BEAM, KINDS, OPENERS, SCAN
 from repro.server.flows import Flow, FlowTable, Refused
 from repro.server.protocol import (
     CONNECTION_FLOW,
@@ -21,8 +21,11 @@ from repro.server.protocol import (
     ProtocolError,
 )
 
+#: The single-lane mask frame types protocol v3 retired: unassigned
+#: now, so fatal to the connection like any byte no type has.
+RETIRED = {0x08: "OPEN_MASK", 0x09: "ADVANCE", 0x0A: "MASK"}
 FRAME_TYPES = sorted(FrameType.NAMES)
-NAME = FrameType.NAMES
+NAME = {**FrameType.NAMES, **RETIRED}
 
 
 class _Flow(Flow):
@@ -71,33 +74,36 @@ def outcome(table: FlowTable, ftype: int) -> str:
 DUP = "DUPLICATE_FLOW+closed"
 UNK = "UNKNOWN_FLOW"
 BAD = "BAD_FRAME+closed"
+FATAL = ("fatal",) * 4
 EXPECTED = {
-    #                 absent   scan   mask   beam    finishing (any kind)
-    "HELLO":         ("fatal", "fatal", "fatal", "fatal", "fatal"),
-    "OPEN_FLOW":     ("admit", DUP, DUP, DUP, DUP),
-    "DATA":          (UNK, "open", BAD, BAD, UNK),
-    "FINISH_FLOW":   (UNK, "finishing", "finishing", "finishing", UNK),
-    "RESULT":        ("fatal", "fatal", "fatal", "fatal", "fatal"),
-    "ERROR":         ("fatal", "fatal", "fatal", "fatal", "fatal"),
-    "GOODBYE":       ("fatal", "fatal", "fatal", "fatal", "fatal"),
-    "OPEN_MASK":     ("admit", DUP, DUP, DUP, DUP),
-    "ADVANCE":       (UNK, BAD, "open", BAD, UNK),
-    "MASK":          ("fatal", "fatal", "fatal", "fatal", "fatal"),
-    "OPEN_BEAM":     ("admit", DUP, DUP, DUP, DUP),
-    "BATCH_ADVANCE": (UNK, BAD, BAD, "open", UNK),
-    "MASKS":         ("fatal", "fatal", "fatal", "fatal", "fatal"),
+    #                 absent   scan   beam    finishing (any kind)
+    "HELLO":         FATAL,
+    "OPEN_FLOW":     ("admit", DUP, DUP, DUP),
+    "DATA":          (UNK, "open", BAD, UNK),
+    "FINISH_FLOW":   (UNK, "finishing", "finishing", UNK),
+    "RESULT":        FATAL,
+    "ERROR":         FATAL,
+    "GOODBYE":       FATAL,
+    "OPEN_MASK":     FATAL,
+    "ADVANCE":       FATAL,
+    "MASK":          FATAL,
+    "OPEN_BEAM":     ("admit", DUP, DUP, DUP),
+    "BATCH_ADVANCE": (UNK, BAD, "open", UNK),
+    "MASKS":         FATAL,
 }
 
 
 def test_expected_table_names_every_frame_type():
+    assert len(FrameType.NAMES) == 10
+    assert not set(RETIRED) & set(FrameType.NAMES)
     assert sorted(EXPECTED) == sorted(NAME.values())
 
 
-@pytest.mark.parametrize("ftype", FRAME_TYPES, ids=NAME.get)
+@pytest.mark.parametrize("ftype", sorted(NAME), ids=NAME.get)
 def test_kind_state_frame_matrix(ftype):
-    absent, scan, mask, beam, finishing = EXPECTED[NAME[ftype]]
+    absent, scan, beam, finishing = EXPECTED[NAME[ftype]]
     assert outcome(table_with(None, "absent")[0], ftype) == absent
-    for kind, expected in ((SCAN, scan), (MASK, mask), (BEAM, beam)):
+    for kind, expected in ((SCAN, scan), (BEAM, beam)):
         assert outcome(table_with(kind, "open")[0], ftype) == expected, kind
         got = outcome(table_with(kind, "finishing")[0], ftype)
         assert got == finishing, kind
@@ -113,7 +119,7 @@ def test_admission_order():
             table.admit(opener, draining, full)
         return info.value
 
-    table, flow = table_with(MASK, "open")
+    table, flow = table_with(BEAM, "open")
     refusal = refused(table, draining=True, full="quota spent")
     assert refusal.code == ErrorCode.DUPLICATE_FLOW
     assert refusal.closed is flow and not table.flows
@@ -156,7 +162,6 @@ def test_replies_reach_only_the_kinds_that_take_them():
     }
     assert delivered == {
         (SCAN, "RESULT"),
-        (MASK, "RESULT"), (MASK, "MASK"),
         (BEAM, "RESULT"), (BEAM, "MASKS"),
     }
     assert FlowTable().reply(frame(FrameType.RESULT)) is None
@@ -178,7 +183,7 @@ def test_close_is_by_identity():
     """A stale flow object cannot close the flow that reused its id."""
     table, old = table_with(SCAN, "open")
     table.close(old)
-    new = _Flow(7, MASK)
+    new = _Flow(7, BEAM)
     table.open(new)
     table.close(old)
     assert table.fault(old, ErrorCode.INTERNAL) and table.flows == {7: new}
@@ -202,7 +207,7 @@ def model_step(model: dict, ftype: int, flow_id: int, refusing: bool):
 
 
 inbound = st.tuples(
-    st.sampled_from(FRAME_TYPES + ["final"]),
+    st.sampled_from(sorted(NAME) + ["final"]),
     st.sampled_from([1, 2, 3, CONNECTION_FLOW]),
     st.booleans(),
     st.booleans(),

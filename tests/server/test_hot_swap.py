@@ -195,9 +195,10 @@ def test_quota_refuses_flows_past_the_limit(registry):
 
 @pytest.mark.parametrize("second", ["scan", "mask", "beam"])
 def test_quota_counts_and_refuses_every_kind(registry, second):
-    """Admission is one check: an idle mask flow holds its grammar's
-    one quota slot, and the next open — of any kind — is OVERLOADED
-    (mask and beam opens used to take slots but never be refused)."""
+    """Admission is one check: an idle single-lane decode holds its
+    grammar's one quota slot, and the next open — a scan, a one-lane
+    ("mask") or a wider beam — is OVERLOADED (decode opens used to
+    take slots but never be refused)."""
     from repro.apps.structgen import build_mask_table, synthetic_vocab
 
     table = build_mask_table(xmlrpc(), synthetic_vocab(size=384, seed=7))
@@ -210,16 +211,15 @@ def test_quota_counts_and_refuses_every_kind(registry, second):
             mask_tables=[table],
         ) as server:
             async with ScanClient(*server.address) as client:
-                held = await client.open_mask_flow(table.vocab_hash)
+                held = await client.open_beam_flow(table.vocab_hash, 1)
                 assert server._tenant_open(registry.xml_ref) == 1
                 with pytest.raises(ServerFault) as excinfo:
                     if second == "scan":
                         flow = await client.open_flow()
                         await flow.finish(timeout=5)
-                    elif second == "mask":
-                        await client.open_mask_flow(table.vocab_hash)
                     else:
-                        await client.open_beam_flow(table.vocab_hash, 2)
+                        width = 1 if second == "mask" else 2
+                        await client.open_beam_flow(table.vocab_hash, width)
                 assert excinfo.value.code == ErrorCode.OVERLOADED
                 assert server._tenant_open(registry.xml_ref) == 1
                 await held.close()

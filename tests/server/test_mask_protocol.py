@@ -1,16 +1,19 @@
-"""Mask flows over the framed wire protocol.
+"""Single-lane decode over the framed wire protocol: a beam of width 1.
 
 The acceptance invariant: every (state, mask) a live ``ScanServer``
-streams back over OPEN_MASK/ADVANCE must be byte-for-byte what an
-in-process :class:`~repro.apps.structgen.MaskSession` on the same
-table produces — through explicit in-memory tables and through
-registry-backed lazy loading — plus the fault paths (unknown
-vocabulary, DATA on a mask flow, invalid token) and the admin
-endpoint's structgen exposition.
+streams back over OPEN_BEAM/BATCH_ADVANCE for a one-lane beam must be
+byte-for-byte what an in-process
+:class:`~repro.apps.structgen.MaskSession` on the same table produces
+— through explicit in-memory tables and through registry-backed lazy
+loading — plus the fault paths (unknown vocabulary, DATA on the flow,
+an invalid token that fails only its request) and the admin
+endpoint's structgen exposition. Wider beams, forks and rollbacks are
+``test_beam_protocol.py``'s subject.
 """
 
 import asyncio
 import json
+import random
 import time
 
 import pytest
@@ -22,7 +25,7 @@ from repro.server.protocol import ErrorCode, ServerFault
 from repro.service import Registry
 
 from tests.server.conftest import running_server
-from tests.server.drivers import run_mask_load, set_bits
+from tests.server.drivers import run_beam_load, set_bits
 
 
 def run(coro):
@@ -44,6 +47,19 @@ async def _http_get(address, path: str) -> tuple[str, str]:
     return head.splitlines()[0].split(" ", 1)[1], body
 
 
+async def _walk(flow, local: MaskSession, rng, steps: int) -> None:
+    """``steps`` seeded valid tokens through the one-lane ``flow``,
+    every reply equal to the mirror's."""
+    for _ in range(steps):
+        valid = set_bits(local.mask())
+        if not valid:
+            break
+        token_id = rng.choice(valid)
+        states, rows = await flow.advance([token_id])
+        assert states == (local.advance(token_id),)
+        assert rows == [local.mask()]
+
+
 # ----------------------------------------------------------------------
 def test_mask_flow_matches_local_session(table):
     """Seeded decode over TCP ≡ in-process session, every reply."""
@@ -53,25 +69,15 @@ def test_mask_flow_matches_local_session(table):
             host, port = server.address
             local = MaskSession(table)
             async with ScanClient(host, port) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
-                assert flow.state == local.state
-                assert flow.mask == local.mask()
-                import random
-
-                rng = random.Random(2006)
-                for _ in range(60):
-                    valid = set_bits(local.mask())
-                    if not valid:
-                        break
-                    token_id = rng.choice(valid)
-                    state, row = await flow.advance(token_id)
-                    assert state == local.advance(token_id)
-                    assert row == local.mask()
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
+                assert flow.states == (local.state,)
+                assert flow.rows == [local.mask()]
+                await _walk(flow, local, random.Random(2006), 60)
                 await flow.close()
             snapshot = server.stats()
-            assert snapshot["counters"]["structgen.sessions_opened"] == 1
-            assert snapshot["counters"]["structgen.sessions_closed"] == 1
-            assert snapshot["structgen"]["sessions_open"] == 0
+            assert snapshot["counters"]["structgen.beams_opened"] == 1
+            assert snapshot["counters"]["structgen.beams_closed"] == 1
+            assert snapshot["structgen"]["beams_open"] == 0
             assert snapshot["structgen"]["tables"][0]["vocab_size"] == 384
 
     run(main())
@@ -83,7 +89,7 @@ def test_unknown_vocab_refused(table):
             host, port = server.address
             async with ScanClient(host, port) as client:
                 with pytest.raises(ServerFault) as info:
-                    await client.open_mask_flow("ab" * 32)
+                    await client.open_beam_flow("ab" * 32, 1)
                 assert info.value.code == ErrorCode.UNKNOWN_VOCAB
                 assert "precompute" in str(info.value)
 
@@ -95,32 +101,40 @@ def test_data_on_mask_flow_rejected(table):
         async with running_server(mask_tables=[table]) as server:
             host, port = server.address
             async with ScanClient(host, port) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
                 await client._send(
                     protocol.encode_data(flow.flow_id, b"<x>")
                 )
                 with pytest.raises(ServerFault) as info:
-                    await flow.advance(0, timeout=5.0)
+                    await flow.advance([0], timeout=5.0)
                 assert info.value.code == ErrorCode.BAD_FRAME
 
     run(main())
 
 
-def test_invalid_token_faults_the_flow(table):
+def test_invalid_token_fails_only_the_request(table):
+    """A token the lane's state refuses is ``BAD_TOKEN`` for that one
+    request: the one-lane beam did not move, stays open, and its next
+    valid advance is answered as if the bad one never happened."""
+
     async def main():
         async with running_server(mask_tables=[table]) as server:
             host, port = server.address
             local = MaskSession(table)
             async with ScanClient(host, port) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
+                valid = set_bits(local.mask())
                 invalid = next(
-                    i
-                    for i in range(len(table.vocab))
-                    if i not in set(set_bits(local.mask()))
+                    i for i in range(len(table.vocab)) if i not in valid
                 )
                 with pytest.raises(ServerFault) as info:
-                    await flow.advance(invalid, timeout=5.0)
+                    await flow.advance([invalid], timeout=5.0)
                 assert info.value.code == ErrorCode.BAD_TOKEN
+                assert flow.states == (local.state,)
+                states, rows = await flow.advance([valid[0]])
+                assert states == (local.advance(valid[0]),)
+                assert rows == [local.mask()]
+                await flow.close()
 
     run(main())
 
@@ -134,7 +148,7 @@ def test_drain_does_not_wait_for_mask_flows(table):
             host, port = server.address
             client = ScanClient(host, port)
             await client.connect()
-            await client.open_mask_flow(table.vocab_hash)
+            await client.open_beam_flow(table.vocab_hash, 1)
             started = time.perf_counter()
             await server.stop(drain=True, timeout=10.0)
             assert time.perf_counter() - started < 5.0
@@ -162,17 +176,9 @@ def test_registry_backed_masks_and_admin(tmp_path):
             host, port = server.address
             local = MaskSession(table)
             async with ScanClient(host, port) as client:
-                flow = await client.open_mask_flow(vocab.vocab_hash)
-                assert flow.mask == local.mask()
-                import random
-
-                rng = random.Random(5)
-                for _ in range(20):
-                    valid = set_bits(local.mask())
-                    token_id = rng.choice(valid)
-                    state, row = await flow.advance(token_id)
-                    assert state == local.advance(token_id)
-                    assert row == local.mask()
+                flow = await client.open_beam_flow(vocab.vocab_hash, 1)
+                assert flow.rows == [local.mask()]
+                await _walk(flow, local, random.Random(5), 20)
                 await flow.close()
 
             status, body = await _http_get(
@@ -197,7 +203,7 @@ def test_registry_backed_masks_and_admin(tmp_path):
 
 def test_unknown_vocab_negative_cache(tmp_path):
     """A vocab hash with no artifact is refused (and the registry is
-    not re-probed per OPEN_MASK — the miss is cached)."""
+    not re-probed per OPEN_BEAM — the miss is cached)."""
     registry = Registry(str(tmp_path / "store"))
     ref = registry.publish("xmlrpc", xmlrpc())
 
@@ -209,7 +215,7 @@ def test_unknown_vocab_negative_cache(tmp_path):
             async with ScanClient(host, port) as client:
                 for _ in range(2):
                     with pytest.raises(ServerFault) as info:
-                        await client.open_mask_flow("cd" * 32)
+                        await client.open_beam_flow("cd" * 32, 1)
                     assert info.value.code == ErrorCode.UNKNOWN_VOCAB
             assert len(server._mask_misses) == 1
 
@@ -218,25 +224,25 @@ def test_unknown_vocab_negative_cache(tmp_path):
 
 # ----------------------------------------------------------------------
 def test_load_generator_verifies_byte_for_byte(table):
-    """The acceptance check: the mask load generator's every remote
-    reply equals the in-process session, over real TCP."""
+    """The acceptance check: the beam load generator at width 1 —
+    every remote reply equals the in-process session, over real TCP."""
 
     async def main():
         async with running_server(mask_tables=[table]) as server:
             host, port = server.address
-            report = await run_mask_load(
-                host, port, table, sessions=3, steps=25
+            report = await run_beam_load(
+                host, port, table, beams=3, width=1, steps=25
             )
         assert report["verified"] is True
         assert report["failures"] == []
         assert report["mismatches"] == []
-        assert report["advances"] > 0
+        assert report["ops"] > 0
 
     run(main())
 
 
 def test_mask_flows_with_service_pool(table, streams, expected):
-    """Mask flows stay on the event loop even when scans run through
+    """Decode flows stay on the event loop even when scans run through
     the sharded worker pool — both kinds multiplex one connection."""
 
     async def main():
@@ -246,18 +252,18 @@ def test_mask_flows_with_service_pool(table, streams, expected):
             host, port = server.address
             local = MaskSession(table)
             async with ScanClient(host, port) as client:
-                flow = await client.open_mask_flow(table.vocab_hash)
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
                 scan = await client.open_flow()
                 await scan.send(streams["flow-0"])
-                assert flow.mask == local.mask()
+                assert flow.rows == [local.mask()]
                 token_id = set_bits(local.mask())[0]
-                state, row = await flow.advance(token_id)
-                assert state == local.advance(token_id)
-                assert row == local.mask()
+                states, rows = await flow.advance([token_id])
+                assert states == (local.advance(token_id),)
+                assert rows == [local.mask()]
                 results = await scan.finish()
                 assert results == expected["flow-0"]
                 await flow.close()
             snapshot = server.stats()
-            assert snapshot["structgen"]["sessions_open"] == 0
+            assert snapshot["structgen"]["beams_open"] == 0
 
     run(main())
