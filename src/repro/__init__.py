@@ -20,44 +20,71 @@ Quickstart
 ['if', 'true', 'then', 'go', 'else', 'stop']
 """
 
-from repro.core import (
-    BehavioralTagger,
-    BufferedSession,
-    GateLevelTagger,
-    StreamSession,
-    TaggedToken,
-    TaggerCircuit,
-    TaggerGenerator,
-    TaggerOptions,
-    TokenTagger,
-)
-from repro.core.backend import Backend, TaggingPipeline
-from repro.core.stack import StackTagger
-from repro.core.wide import WideGateLevelTagger, WideTaggerGenerator
-from repro.core.decoder import DecoderOptions
-from repro.core.tokenizer import TokenizerTemplateOptions
-from repro.core.wiring import WiringOptions
-from repro.errors import ReproError
-from repro.fpga import Device, get_device, implement, techmap
-from repro.grammar import Grammar, LexSpec
-from repro.grammar.dtd import dtd_to_grammar, parse_dtd
-from repro.grammar.yacc_parser import load_yacc_grammar, parse_yacc_grammar
-from repro.rtl import Netlist, Simulator, emit_vhdl
-from repro.service import (
-    CompiledArtifact,
-    MetricsRegistry,
-    QueueFull,
-    Registry,
-    RouterSpec,
-    ScanService,
-    TaggerSpec,
-)
-
 __version__ = "1.0.0"
 
-#: Friendly alias used throughout the examples.
-grammar_from_yacc = parse_yacc_grammar
-grammar_from_dtd = dtd_to_grammar
+
+def _lazy_surface(namespace: dict, table: dict[str, tuple[str, ...]]):
+    """PEP 562 ``(__getattr__, __dir__)`` for the package owning
+    ``namespace``, from its public names keyed by defining module.
+
+    Importing the package then loads nothing else: a name's module is
+    imported on first access and the object cached in the package
+    globals.  ``"attr as name"`` exports ``attr`` under ``name``, the
+    way an import line would.  The resolved table ``{name: (module,
+    attr)}`` is kept as the package's ``_SURFACE``."""
+    from importlib import import_module
+
+    where = namespace["_SURFACE"] = {}
+    for module, entries in table.items():
+        for entry in entries:
+            attr, _, name = entry.partition(" as ")
+            where[name or attr] = (module, attr)
+
+    def __getattr__(name: str):
+        try:
+            module, attr = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(import_module(module), attr)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(where))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.core": (
+        "BehavioralTagger", "BufferedSession", "GateLevelTagger",
+        "StreamSession", "TaggedToken", "TaggerCircuit", "TaggerGenerator",
+        "TaggerOptions", "TokenTagger",
+    ),
+    "repro.core.backend": ("Backend", "TaggingPipeline"),
+    "repro.core.stack": ("StackTagger",),
+    "repro.core.wide": ("WideGateLevelTagger", "WideTaggerGenerator"),
+    "repro.core.options": (
+        "DecoderOptions", "TokenizerTemplateOptions", "WiringOptions",
+    ),
+    "repro.errors": ("ReproError",),
+    "repro.fpga": ("Device", "get_device", "implement", "techmap"),
+    "repro.grammar": ("Grammar", "LexSpec"),
+    # grammar_from_*: friendly aliases used throughout the examples.
+    "repro.grammar.dtd": (
+        "dtd_to_grammar", "parse_dtd", "dtd_to_grammar as grammar_from_dtd",
+    ),
+    "repro.grammar.yacc_parser": (
+        "load_yacc_grammar", "parse_yacc_grammar",
+        "parse_yacc_grammar as grammar_from_yacc",
+    ),
+    "repro.rtl": ("Netlist", "Simulator", "emit_vhdl"),
+    "repro.service": (
+        "CompiledArtifact", "MetricsRegistry", "QueueFull", "Registry",
+        "RouterSpec", "ScanService", "TaggerSpec",
+    ),
+})
 
 __all__ = [
     "Backend",

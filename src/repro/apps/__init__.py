@@ -13,16 +13,18 @@
   structgen``).
 """
 
-from repro.apps.xmlrpc import (
-    ContentBasedRouter,
-    MethodCall,
-    NaiveRouter,
-    RoutedMessage,
-    ServiceTable,
-    WorkloadGenerator,
-)
-from repro.apps.content_filter import ContentFilter, FilterRule
-from repro.apps.nids import ContextSignatureScanner, Signature, SignatureAlert
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.apps.xmlrpc": (
+        "ContentBasedRouter", "MethodCall", "NaiveRouter", "RoutedMessage",
+        "ServiceTable", "WorkloadGenerator",
+    ),
+    "repro.apps.content_filter": ("ContentFilter", "FilterRule"),
+    "repro.apps.nids": (
+        "ContextSignatureScanner", "Signature", "SignatureAlert",
+    ),
+})
 
 __all__ = [
     "ContentBasedRouter",

@@ -42,8 +42,8 @@ import json
 import time
 
 from repro.core.compiled import CompiledTagger
-from repro.core.generator import TaggerOptions
 from repro.core.maskgen import MaskInfeasible, MaskLowering
+from repro.core.options import TaggerOptions
 from repro.errors import ReproError
 from repro.grammar.writer import write_yacc_grammar
 

@@ -6,25 +6,19 @@ message. This signal is then used to control a switch which routes
 the message to the appropriate destination." (Fig. 12)
 """
 
-from repro.apps.xmlrpc.messages import (
-    Base64Value,
-    DateTimeValue,
-    DoubleValue,
-    I4Value,
-    IntValue,
-    MethodCall,
-    StringValue,
-    StructValue,
-    ArrayValue,
-)
-from repro.apps.xmlrpc.services import ServiceTable, BANK_SHOPPING_TABLE
-from repro.apps.xmlrpc.workload import WorkloadGenerator
-from repro.apps.xmlrpc.router import (
-    ContentBasedRouter,
-    NaiveRouter,
-    RoutedMessage,
-    RouteRecord,
-)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.apps.xmlrpc.messages": (
+        "Base64Value", "DateTimeValue", "DoubleValue", "I4Value", "IntValue",
+        "MethodCall", "StringValue", "StructValue", "ArrayValue",
+    ),
+    "repro.apps.xmlrpc.services": ("ServiceTable", "BANK_SHOPPING_TABLE"),
+    "repro.apps.xmlrpc.workload": ("WorkloadGenerator",),
+    "repro.apps.xmlrpc.router": (
+        "ContentBasedRouter", "NaiveRouter", "RoutedMessage", "RouteRecord",
+    ),
+})
 
 __all__ = [
     "ArrayValue",

@@ -28,21 +28,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.generator import TaggerGenerator
-from repro.core.stack import StackTagger
-from repro.core.tagger import BehavioralTagger, GateLevelTagger
 from repro.errors import ReproError
-from repro.fpga.device import DEVICES, get_device
-from repro.fpga.report import implement
-from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
-from repro.grammar.yacc_parser import load_yacc_grammar
-from repro.rtl.vhdl import emit_vhdl
 
-_BUILTIN_GRAMMARS = {
-    "xmlrpc": xmlrpc,
-    "if-then-else": if_then_else,
-    "balanced-parens": balanced_parens,
-}
+#: Builtin grammar names; each names the function (hyphens as
+#: underscores) in :mod:`repro.grammar.examples` that returns it.
+_BUILTIN_GRAMMARS = ("xmlrpc", "if-then-else", "balanced-parens")
 
 #: ``--engine`` choices of the serving commands: streaming sessions
 #: need a compiled-family engine (auto = best available).
@@ -50,9 +40,12 @@ _SERVING_ENGINES = ("auto", "compiled", "vector", "native")
 
 
 def _load_grammar(spec: str):
-    builder = _BUILTIN_GRAMMARS.get(spec)
-    if builder is not None:
-        return builder()
+    if spec in _BUILTIN_GRAMMARS:
+        from repro.grammar import examples
+
+        return getattr(examples, spec.replace("-", "_"))()
+    from repro.grammar.yacc_parser import load_yacc_grammar
+
     return load_yacc_grammar(spec)
 
 
@@ -80,14 +73,21 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     data = _read_input(args.input)
     if args.stack:
+        from repro.core.stack import StackTagger
+
         tagger = StackTagger(grammar, stream=args.stream)
         for stacked in tagger.run(data):
             print(f"{stacked.token}  depth={stacked.depth}")
         return 0
     if args.gate_level:
+        from repro.core.generator import TaggerGenerator
+        from repro.core.tagger import GateLevelTagger
+
         circuit = TaggerGenerator().generate(grammar)
         tokens = GateLevelTagger(circuit).tag(data)
     else:
+        from repro.core.tagger import BehavioralTagger
+
         tokens = BehavioralTagger(grammar, engine=args.engine).tag(data)
     for token in tokens:
         print(token)
@@ -95,6 +95,13 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.core.generator import TaggerGenerator
+    from repro.fpga.device import DEVICES, get_device
+    from repro.fpga.report import implement
+    from repro.rtl.vhdl import emit_vhdl
+
+    # An unknown --device exits 2 (DeviceError) before any generation.
+    devices = [get_device(key) for key in args.device or DEVICES]
     grammar = _load_grammar(args.grammar)
     circuit = TaggerGenerator().generate(grammar)
     print(circuit.describe())
@@ -104,8 +111,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             handle.write(text)
         print(f"wrote {len(text.splitlines())} lines of VHDL to {args.vhdl}")
     if args.report:
-        for key in args.device or list(DEVICES):
-            report = implement(circuit, get_device(key))
+        for device in devices:
+            report = implement(circuit, device)
             print(report.timing.summary(), f"({report.n_luts} LUTs, "
                   f"{report.utilization:.2%} of device)")
     return 0
@@ -290,10 +297,9 @@ def _structgen_precompute(args: argparse.Namespace) -> int:
         # Unknown ref but a builtin grammar name: publish it first so
         # `precompute xmlrpc` works against an empty store.
         name, _version = parse_ref(args.ref)
-        builder = _BUILTIN_GRAMMARS.get(name)
-        if builder is None:
+        if name not in _BUILTIN_GRAMMARS:
             raise
-        registry.publish(name, builder())
+        registry.publish(name, _load_grammar(name))
         summary = registry.publish_masks(args.ref, vocab)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -443,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("grammar")
     generate.add_argument("--vhdl", metavar="FILE", help="emit VHDL")
     generate.add_argument("--device", action="append",
-                          choices=sorted(DEVICES),
-                          help="implementation report device(s)")
+                          help="implementation report device(s), e.g. "
+                          "virtex4-lx200 (default: every known device)")
     generate.add_argument("--report", action="store_true",
                           help="print area/timing reports")
     generate.set_defaults(func=_cmd_generate)

@@ -53,11 +53,13 @@ import marshal
 import sys
 
 from repro.core.compiled import CompiledTagger, install_tables
-from repro.core.generator import TaggerOptions
+from repro.core.options import (
+    TaggerOptions,
+    TokenizerTemplateOptions,
+    WiringOptions,
+)
 from repro.core.scanir import ScanIR, install_scan_ir, scan_ir_for
 from repro.core.scanplan import _wiring_key, build_scan_plan
-from repro.core.tokenizer import TokenizerTemplateOptions
-from repro.core.wiring import WiringOptions
 from repro.errors import ArtifactError, ReproError
 from repro.grammar.cfg import Grammar
 from repro.grammar.writer import write_yacc_grammar

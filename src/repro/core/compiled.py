@@ -54,7 +54,7 @@ from __future__ import annotations
 from weakref import WeakKeyDictionary
 
 from repro.core.api import StreamSession
-from repro.core.generator import TaggerOptions
+from repro.core.options import TaggerOptions
 from repro.core.scanplan import (
     DetectEvent,
     ScanPlan,

@@ -32,8 +32,7 @@ across the copies, dividing the worst-case fan-out per decoded wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.options import DecoderOptions
 from repro.rtl.netlist import Net, Netlist
 
 #: Pipeline stage (register count from the input pins) of the
@@ -46,18 +45,6 @@ CUR_STAGE = NXT_STAGE + 1
 
 #: A net paired with its pipeline depth (registers from the inputs).
 _Timed = tuple[Net, int]
-
-
-@dataclass
-class DecoderOptions:
-    """Construction options for :class:`DecoderBank`."""
-
-    nibble_sharing: bool = True
-    replicas: int = 1
-
-    def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
 
 
 class DecoderBank:

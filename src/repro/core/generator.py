@@ -20,10 +20,9 @@ encoder index map, pipeline latencies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
-from repro.core.decoder import DecoderBank, DecoderOptions
+from repro.core.decoder import DecoderBank
 from repro.core.encoder import (
     EncoderResult,
     assign_nested_indices,
@@ -31,10 +30,10 @@ from repro.core.encoder import (
     build_mask_encoder,
     build_or_tree_encoder,
 )
+from repro.core.options import TaggerOptions
 from repro.core.tokenizer import DETECT_LATENCY
 from repro.core.wiring import (
     WiredScanner,
-    WiringOptions,
     build_scanner,
     estimate_conflict_groups,
 )
@@ -42,22 +41,6 @@ from repro.errors import GenerationError
 from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
 from repro.rtl.netlist import Netlist
-
-
-@dataclass
-class TaggerOptions:
-    """All generation options, grouped by subsystem."""
-
-    wiring: WiringOptions = field(default_factory=WiringOptions)
-    decoder: DecoderOptions = field(default_factory=DecoderOptions)
-    #: "or-tree" (default, eqs. 1–4), "priority" (eq. 5 masks),
-    #: "case" (naive chain, ablation) or "none" (detect wires only).
-    encoder_style: Literal["or-tree", "priority", "case", "none"] = "or-tree"
-    #: Also expose one output port per occurrence detect wire.
-    expose_detects: bool = True
-    #: Expose an "accept" port: OR of the accepting-occurrence detects
-    #: (used by stream back-ends to find message boundaries).
-    expose_accept: bool = True
 
 
 @dataclass

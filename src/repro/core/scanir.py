@@ -47,8 +47,8 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from repro.core.compiled import EOF, CompiledTagger, _CompiledTables
+from repro.core.options import WiringOptions
 from repro.core.scanplan import _wiring_key
-from repro.core.wiring import WiringOptions
 from repro.errors import ArtifactError
 from repro.grammar.cfg import Grammar
 

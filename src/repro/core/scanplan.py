@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from repro.core.wiring import WiringOptions
+from repro.core.options import WiringOptions
 from repro.grammar.analysis import (
     Occurrence,
     analyze_grammar_cached,

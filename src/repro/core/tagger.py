@@ -21,12 +21,12 @@ into tagged tokens. It is the ground truth.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 from weakref import WeakKeyDictionary
 
 from repro.core.api import BufferedSession, StreamSession
 from repro.core.compiled import CompiledTagger
-from repro.core.generator import TaggerCircuit, TaggerOptions
+from repro.core.options import TaggerOptions
 from repro.core.scanplan import DetectEvent, build_scan_plan
 from repro.core.tokens import TaggedToken
 from repro.grammar.analysis import Occurrence
@@ -35,7 +35,8 @@ from repro.grammar.regex import ast as rx
 from repro.grammar.regex.glushkov import Glushkov
 from repro.grammar.regex.nfa import NFA, compile_nfa
 
-from repro.rtl.simulator import Simulator, stimulus_with_valid
+if TYPE_CHECKING:
+    from repro.core.generator import TaggerCircuit
 
 __all__ = [
     "BehavioralTagger",
@@ -306,6 +307,8 @@ class GateLevelTagger:
     """
 
     def __init__(self, circuit: TaggerCircuit) -> None:
+        from repro.rtl.simulator import Simulator
+
         self.circuit = circuit
         self.simulator = Simulator(circuit.netlist)
         self._occurrence_of_port = {
@@ -345,13 +348,19 @@ class GateLevelTagger:
         scan incrementally; chunks are scanned at ``finish()``)."""
         return BufferedSession(self)
 
+    def _frames(self, data: bytes) -> list[dict[str, int]]:
+        """Reset the simulator; the input frames for ``data``."""
+        from repro.rtl.simulator import stimulus_with_valid
+
+        self.simulator.reset()
+        return stimulus_with_valid(data, self._flush_cycles())
+
     def _simulate(
         self, data: bytes, collect_errors: bool
     ) -> tuple[list[DetectEvent], list[int]]:
         """One pass over the netlist reading detect (and optionally
         parse_error) pins, converting cycles to byte positions."""
-        self.simulator.reset()
-        frames = stimulus_with_valid(data, self._flush_cycles())
+        frames = self._frames(data)
         latency = self.circuit.detect_latency
         events: list[DetectEvent] = []
         errors: list[int] = []
@@ -381,8 +390,7 @@ class GateLevelTagger:
         """
         if self.circuit.encoder is None:
             raise ValueError("circuit has no encoder")
-        self.simulator.reset()
-        frames = stimulus_with_valid(data, self._flush_cycles())
+        frames = self._frames(data)
         latency = self.circuit.index_latency
         width = self.circuit.encoder.width
         stream: list[tuple[int, int]] = []

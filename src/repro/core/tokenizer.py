@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decoder import CUR_STAGE, DecoderBank
+from repro.core.options import TokenizerTemplateOptions
 from repro.grammar.lexspec import TokenDef
 from repro.grammar.regex import ast as rx
 from repro.grammar.regex.glushkov import Glushkov, build_glushkov
@@ -36,23 +37,6 @@ from repro.rtl.netlist import Net, Netlist
 #: whose token ends at that byte (the aligned decode pipeline plus the
 #: detect/position register).
 DETECT_LATENCY = CUR_STAGE + 1
-
-
-@dataclass
-class TokenizerTemplateOptions:
-    """Per-tokenizer construction options."""
-
-    #: Fig. 7 look-ahead: report only the longest match of trailing
-    #: repeats. Disabling reproduces the "detection at every cycle"
-    #: behaviour the paper describes for a+ on a run of 'a's.
-    longest_match: bool = True
-    #: Require a non-token character after literal keyword tokens whose
-    #: last byte is alphanumeric (prevents "go" firing inside "gone").
-    #: Off by default — the paper instead assumes conforming input.
-    keyword_boundary: bool = False
-    #: Build the per-tokenizer liveness net consumed by the §5.2 error
-    #: detector (set automatically when error recovery is enabled).
-    track_liveness: bool = False
 
 
 @dataclass

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.decoder import DecoderBank, DecoderOptions
+from repro.core.decoder import DecoderBank
+from repro.core.options import DecoderOptions
 from repro.core.tagger import DetectEvent
 from repro.core.tokenizer import DETECT_LATENCY
 from repro.errors import GenerationError

@@ -15,15 +15,11 @@ per terminal, reproducing the coarser Fig. 11 wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 from repro.core.decoder import DecoderBank
-from repro.core.tokenizer import (
-    TokenizerInstance,
-    TokenizerTemplateOptions,
-    build_tokenizer,
-)
+from repro.core.options import WiringOptions
+from repro.core.tokenizer import TokenizerInstance, build_tokenizer
 from repro.errors import GenerationError
 from repro.grammar.analysis import (
     GrammarAnalysis,
@@ -36,32 +32,6 @@ from repro.grammar.cfg import Grammar
 from repro.grammar.regex.glushkov import Glushkov, build_glushkov
 from repro.grammar.symbols import END, Terminal
 from repro.rtl.netlist import Net, Netlist
-
-
-@dataclass
-class WiringOptions:
-    """Options controlling the syntactic control-flow construction."""
-
-    #: Duplicate tokens per grammatical context (§3.2). The ablation
-    #: (False) instantiates one tokenizer per terminal and uses the
-    #: terminal-level Follow table — tags then carry no context.
-    context_duplication: bool = True
-    #: "once": start tokenizers enabled at the beginning of the data;
-    #: "always": enabled every cycle, scanning at every byte alignment
-    #: (both modes are described in §3.3).
-    start_mode: Literal["once", "always"] = "once"
-    #: Re-arm the start tokenizers whenever a sentence may have ended,
-    #: so a stream of back-to-back messages is tagged continuously
-    #: (needed by the XML-RPC router of §4).
-    loop_on_accept: bool = True
-    #: §5.2 error detection & recovery: when no tokenizer holds any
-    #: state ("the parse died"), raise a registered error flag and
-    #: re-arm the start tokenizers so processing "continues from the
-    #: point of the error".
-    error_recovery: bool = False
-    tokenizer: TokenizerTemplateOptions = field(
-        default_factory=TokenizerTemplateOptions
-    )
 
 
 @dataclass

@@ -6,13 +6,17 @@ grammar files (Fig. 14) and DTDs (Fig. 13), and the built-in example
 grammars used throughout the paper.
 """
 
-from repro.grammar.symbols import EPSILON, NonTerminal, Symbol, Terminal
-from repro.grammar.cfg import Grammar, Production
-from repro.grammar.lexspec import LexSpec, TokenDef
-from repro.grammar.analysis import GrammarAnalysis, analyze_grammar
-from repro.grammar.yacc_parser import parse_yacc_grammar
-from repro.grammar.writer import save_yacc_grammar, write_yacc_grammar
-from repro.grammar.dtd import dtd_to_grammar, parse_dtd
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.grammar.symbols": ("EPSILON", "NonTerminal", "Symbol", "Terminal"),
+    "repro.grammar.cfg": ("Grammar", "Production"),
+    "repro.grammar.lexspec": ("LexSpec", "TokenDef"),
+    "repro.grammar.analysis": ("GrammarAnalysis", "analyze_grammar"),
+    "repro.grammar.yacc_parser": ("parse_yacc_grammar",),
+    "repro.grammar.writer": ("save_yacc_grammar", "write_yacc_grammar"),
+    "repro.grammar.dtd": ("dtd_to_grammar", "parse_dtd"),
+})
 
 __all__ = [
     "EPSILON",

@@ -6,15 +6,21 @@ simulator, structural analysis (logic levels, fanout, pipeline depth),
 and a VHDL emitter mirroring the paper's code generator output.
 """
 
-from repro.rtl.netlist import Gate, GateKind, Net, Netlist, Register
-from repro.rtl.simulator import Simulator
-from repro.rtl.bitsim import BitParallelSimulator
-from repro.rtl.analysis import NetlistStats, analyze, fanout_map, logic_levels
-from repro.rtl.stack import build_counter_stack, build_stack
-from repro.rtl.vhdl import emit_vhdl
-from repro.rtl.testbench import emit_testbench
-from repro.rtl.vcd import VCDWriter, dump_vcd
-from repro.rtl.waveform import Waveform
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.rtl.netlist": ("Gate", "GateKind", "Net", "Netlist", "Register"),
+    "repro.rtl.simulator": ("Simulator",),
+    "repro.rtl.bitsim": ("BitParallelSimulator",),
+    "repro.rtl.analysis": (
+        "NetlistStats", "analyze", "fanout_map", "logic_levels",
+    ),
+    "repro.rtl.stack": ("build_counter_stack", "build_stack"),
+    "repro.rtl.vhdl": ("emit_vhdl",),
+    "repro.rtl.testbench": ("emit_testbench",),
+    "repro.rtl.vcd": ("VCDWriter", "dump_vcd"),
+    "repro.rtl.waveform": ("Waveform",),
+})
 
 __all__ = [
     "BitParallelSimulator",

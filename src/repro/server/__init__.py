@@ -33,31 +33,23 @@ measured by ``benchmarks/ledger/`` and verified under load by
 ``tests/server/drivers.py``, both through :class:`ScanClient`.
 """
 
-from repro.server.client import (
-    BeamFlow,
-    ClientFlow,
-    ConnectFailed,
-    ScanClient,
-)
-from repro.server.cluster import (
-    BackendSpec,
-    HashRing,
-    NoHealthyBackend,
-    ScanProxy,
-    parse_backend,
-)
-from repro.server.protocol import (
-    CONNECTION_FLOW,
-    DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
-    ErrorCode,
-    Frame,
-    FrameDecoder,
-    FrameType,
-    ProtocolError,
-    ServerFault,
-)
-from repro.server.server import ScanServer
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.server.client": (
+        "BeamFlow", "ClientFlow", "ConnectFailed", "ScanClient",
+    ),
+    "repro.server.cluster": (
+        "BackendSpec", "HashRing", "NoHealthyBackend", "ScanProxy",
+        "parse_backend",
+    ),
+    "repro.server.protocol": (
+        "CONNECTION_FLOW", "DEFAULT_MAX_FRAME", "PROTOCOL_VERSION",
+        "ErrorCode", "Frame", "FrameDecoder", "FrameType", "ProtocolError",
+        "ServerFault",
+    ),
+    "repro.server.server": ("ScanServer",),
+})
 
 __all__ = [
     "BackendSpec",

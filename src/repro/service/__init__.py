@@ -18,17 +18,18 @@ OS processes:
 * :mod:`repro.service.errors` — :class:`QueueFull` and friends.
 """
 
-from repro.core.artifact import CompiledArtifact
-from repro.service.errors import (
-    QueueFull,
-    ServiceClosed,
-    ServiceError,
-    WorkerCrashed,
-)
-from repro.service.metrics import MetricsRegistry
-from repro.service.registry import Registry, RegistryError
-from repro.service.service import RouterSpec, ScanService, TaggerSpec
-from repro.service.shard import ShardRouter, shard_of
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.core.artifact": ("CompiledArtifact",),
+    "repro.service.errors": (
+        "QueueFull", "ServiceClosed", "ServiceError", "WorkerCrashed",
+    ),
+    "repro.service.metrics": ("MetricsRegistry",),
+    "repro.service.registry": ("Registry", "RegistryError"),
+    "repro.service.service": ("RouterSpec", "ScanService", "TaggerSpec"),
+    "repro.service.shard": ("ShardRouter", "shard_of"),
+})
 
 __all__ = [
     "CompiledArtifact",

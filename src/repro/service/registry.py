@@ -52,7 +52,7 @@ from repro.core.artifact import (
     read_header,
     wiring_fields,
 )
-from repro.core.generator import TaggerOptions
+from repro.core.options import TaggerOptions
 from repro.errors import ReproError
 from repro.grammar.cfg import Grammar
 from repro.grammar.writer import write_yacc_grammar

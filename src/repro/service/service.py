@@ -37,13 +37,12 @@ Operational semantics:
 from __future__ import annotations
 
 import collections
-import multiprocessing as mp
 import queue as queue_mod
 import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.generator import TaggerOptions
+from repro.core.options import TaggerOptions
 from repro.grammar.cfg import Grammar
 from repro.service.errors import (
     QueueFull,
@@ -52,7 +51,6 @@ from repro.service.errors import (
     WorkerCrashed,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.service.pool import WorkerHandle
 from repro.service.shard import ShardRouter
 
 __all__ = [
@@ -205,11 +203,6 @@ class TaggerSpec:
 
 
 # ----------------------------------------------------------------------
-def _default_context() -> mp.context.BaseContext:
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
 class ScanService:
     """Sharded multi-process scanning with bounded queues.
 
@@ -260,12 +253,16 @@ class ScanService:
         self.queue_depth = queue_depth
         self.respawn_limit = respawn_limit
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The pool's modules load here, not with the package: a server
+        # without workers never imports multiprocessing.
+        import multiprocessing as mp
+        from repro.service.pool import WorkerHandle
+
         self.shards = ShardRouter(n_workers)
-        self._ctx = (
-            mp.get_context(start_method)
-            if start_method is not None
-            else _default_context()
-        )
+        if start_method is None:
+            methods = mp.get_all_start_methods()
+            start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = mp.get_context(start_method)
         self.workers = [
             WorkerHandle(i, spec, queue_depth, self._ctx)
             for i in range(n_workers)
@@ -498,7 +495,9 @@ class ScanService:
             if handle.readable
         ]
         if readers:
-            mp.connection.wait(readers, timeout=wait)
+            from multiprocessing.connection import wait as wait_any
+
+            wait_any(readers, timeout=wait)
         return self._sweep()
 
     def _sweep(self) -> int:

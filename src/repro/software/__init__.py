@@ -14,10 +14,14 @@ This package implements all three:
   false-positive baseline of the paper's introduction.
 """
 
-from repro.software.lexer import ContextSensitiveLexer, Lexer, LexedToken
-from repro.software.ll1 import LL1Parser
-from repro.software.recursive_descent import RecursiveDescentParser
-from repro.software.naive import NaiveScanner
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(globals(), {
+    "repro.software.lexer": ("ContextSensitiveLexer", "Lexer", "LexedToken"),
+    "repro.software.ll1": ("LL1Parser",),
+    "repro.software.recursive_descent": ("RecursiveDescentParser",),
+    "repro.software.naive": ("NaiveScanner",),
+})
 
 __all__ = [
     "ContextSensitiveLexer",

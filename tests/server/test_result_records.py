@@ -332,16 +332,9 @@ def test_server_package_imports_no_pickle():
 
 
 _CLIENT_ONLY = """
-import asyncio, os, sys, types
+import asyncio, sys, types
 
-# The packages' __init__ files import the whole library; stand-ins
-# with only a search path leave each module to its own imports.
-src = sys.argv[1]
-for name in ("repro", "repro.server", "repro.apps", "repro.apps.xmlrpc"):
-    package = types.ModuleType(name)
-    package.__path__ = [os.path.join(src, *name.split("."))]
-    sys.modules[name] = package
-
+sys.path.insert(0, sys.argv[1])
 from repro.server import protocol
 from repro.server.client import ScanClient
 

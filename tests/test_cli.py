@@ -62,6 +62,14 @@ class TestInfoGenerate:
         out = capsys.readouterr().out
         assert "MHz" in out and "LUTs" in out
 
+    def test_generate_unknown_device_lists_the_known_ones(self, capsys):
+        argv = ["generate", "if-then-else", "--report", "--device", "virtex9"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unknown device 'virtex9'" in captured.err
+        assert "virtex4-lx200" in captured.err
+        assert captured.out == ""  # refused before any generation
+
     def test_missing_grammar_file(self, capsys):
         assert main(["info", "/nonexistent/g.y"]) == 2
 
