@@ -255,6 +255,8 @@ class VectorTagger(CompiledTagger):
         if m:
             import numpy as _np  # here, not on import: NUMPY_AVAILABLE
 
+            if data.__class__ is not bytes:
+                data = bytes(data)  # translate() takes no memoryview
             cls = data.translate(vt.ir.class_table)
             starts = st.starts
             append = out.append

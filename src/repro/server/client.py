@@ -91,10 +91,10 @@ class ClientFlow(Flow):
         self.client = client
         #: Every chunk given to :meth:`send`, by reference (do not
         #: mutate one afterwards): the bytes the results' spans point
-        #: into, and the history :meth:`replay_onto` re-sends.
+        #: into.
         self.journal: list[bytes] = []
         #: The record blocks of the RESULT frames received so far,
-        #: undecoded — a relay forwards them as they are.
+        #: undecoded until :meth:`finish` (or :attr:`partial`).
         self.blocks: list[bytes] = []
         self._done: asyncio.Future = (
             asyncio.get_running_loop().create_future()
@@ -129,30 +129,15 @@ class ClientFlow(Flow):
                 protocol.encode_data(self.flow_id, piece)
             )
 
-    async def replay_onto(self, client: "ScanClient") -> "ClientFlow":
-        """Re-create this flow on ``client`` by replaying the journaled
-        DATA history; the replacement flow is byte-equivalent because
-        scanning is deterministic in the bytes fed so far."""
-        flow = await client.open_flow()
-        for chunk in self.journal:
-            await flow.send(chunk)
-        return flow
-
     async def finish(self, timeout: float | None = None) -> list:
         """End the flow; wait for (and return) its complete results,
         each routed message with its payload sliced from the bytes
         this flow sent."""
-        await self.finish_blocks(timeout)
-        return self._decode(b"".join(self.journal))
-
-    async def finish_blocks(self, timeout: float | None = None) -> list:
-        """End the flow; wait for its final RESULT and return the
-        flow's record blocks, undecoded."""
         await self.client._send(
             protocol.encode_finish_flow(self.flow_id)
         )
         await self._reply(self._done, timeout, "final RESULT", forget=True)
-        return self.blocks
+        return self._decode(b"".join(self.journal))
 
     async def _reply(self, fut, timeout, what: str, forget: bool = False):
         """Write what is queued (the request is in it) and wait for
@@ -216,7 +201,7 @@ class ClientFlow(Flow):
     def _silence(self) -> None:
         """Mark this flow's failures retrieved. After one, nobody may
         ever await ``_done`` (beam callers await per-request
-        futures; a relay abandons the flow), which would otherwise log
+        futures; a caller may abandon the flow), which would otherwise log
         'Future exception was never retrieved'. Retrieval does not
         clear it: a later ``finish()`` still raises."""
         for fut in (self._done, *self._pending_masks):

@@ -19,28 +19,30 @@ blake2b-placed), and the lookup walks the ring to the first *healthy*
 backend. Adding or removing one backend therefore only remaps the
 flows that hashed to it — the rest of the fleet keeps its affinity.
 
-Failover contract
------------------
-Backends are dialed through pooled
-:class:`~repro.server.client.ScanClient` connections. A backend's
-replies are a pure function of a flow's history (the engines are
-deterministic automata), so one rule covers every kind: when a
-backend is lost mid-flow (connection cut, a DRAINING or IDLE_TIMEOUT
-error, a failed send), the proxy replays the flow's acked history onto
-the next healthy ring backend, or answers ``ERROR(FAILOVER)``.
+Relay and failover
+------------------
+Every flow kind is relayed one way: the proxy rewrites the flow id and
+forwards the frame to a pooled
+:class:`~repro.server.client.ScanClient` connection, and the backend's
+replies come back through that client's raw tap, re-addressed the same
+way — a beam's delta chain and a scan's record blocks pass unread.
+Per flow the proxy keeps a journal of the client frames it accepted,
+a cursor (how much of it the backend was sent), the count of replies
+it forwarded with a sha256 over them (beam MASKS; a scan forwards
+nothing before its final RESULT) and the RESULT record blocks, held
+until the final one — so no partial result escapes before FINISH.
 
-* **scan flows** replay their DATA history — the proxy holds partial
-  results back until FINISH (as the record blocks the backend sent,
-  which it then forwards unread: a routed result is a span of bytes
-  the client already holds), so the client sees identical results,
-  just later;
-* **beam flows** are relayed *undecoded* (only the flow id is
-  rewritten): the client's delta chain runs against the backend's.
-  The proxy journals each frame whose MASKS reply it forwarded and
-  keeps a sha256 over those replies; a replay hashes the new backend's
-  replies instead, and goes on only when the digests are equal (so its
-  delta base is the client's rows), re-sending the frames not yet
-  answered. A mismatch or an ERROR in the replay is ``FAILOVER``.
+A backend's replies are a pure function of a flow's history (the
+engines are deterministic automata), so one routine,
+:meth:`ScanProxy._place`, opens a flow and fails it over: walk the
+ring, re-send the journal's answered prefix and require the digest of
+what was already forwarded (so a beam's delta base is the client's
+rows), install the live tap, send from the cursor until caught up. A
+lost backend (connection cut, a DRAINING or IDLE_TIMEOUT error, a
+failed send) starts it again; no backend left, a digest mismatch or an
+ERROR in the replay is ``ERROR(FAILOVER)``. A task exists only while a
+flow is being placed; otherwise frames go out from the connection's
+frame loop.
 
 Health & admin
 --------------
@@ -59,13 +61,11 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import collections
 import contextlib
 import hashlib
 import json
 import time
 
-from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.client import ConnectFailed, ScanClient
 from repro.server.endpoint import Connection, FramedEndpoint, reap
@@ -101,12 +101,10 @@ _BACKEND_FAULTS = (
 #: these trigger failover.
 _LIFECYCLE_CODES = (ErrorCode.DRAINING, ErrorCode.IDLE_TIMEOUT)
 
-#: Queued to a beam's worker when its backend is lost, to wake it.
-_LOST = Frame(0, b"")
 
-
-class NoHealthyBackend(ReproError):
-    """Every candidate backend is ejected or unreachable."""
+class NoHealthyBackend(ServerFault):
+    """Every candidate backend is ejected or unreachable: the flow's
+    ``FAILOVER``."""
 
 
 class BackendSpec:
@@ -308,47 +306,81 @@ class _Backend:
 # per-connection / per-flow proxy state
 # ----------------------------------------------------------------------
 class _ProxyFlow(Flow):
-    __slots__ = ("kind", "key", "backend", "remote", "queue", "task", "busy")
+    """One relayed client flow, and all a placement needs.
 
-    def __init__(self, flow_id: int, kind: FlowKind, key: str) -> None:
+    The backend holds it as flow ``fid`` on ``client`` (None while it
+    is unplaced). ``journal`` is every client frame the flow table
+    accepted, in order; the backend was sent ``journal[:cursor]`` and
+    answered ``journal[:answered]`` — the frames whose MASKS reply was
+    forwarded, and ``digest`` is a sha256 over those payloads past the
+    flow id (a survivable ``BAD_TOKEN`` moved nothing, so its frame
+    leaves the journal). ``blocks`` are the RESULT record blocks held
+    until the final one."""
+
+    __slots__ = (
+        "kind", "key", "backend", "client", "fid", "journal", "cursor",
+        "answered", "digest", "blocks", "placing", "excluded",
+    )
+
+    def __init__(
+        self, flow_id: int, kind: FlowKind, key: str, opener: Frame
+    ) -> None:
         super().__init__(flow_id)
         self.kind = kind
         self.key = key
+        #: The backend the flow is (or was last) placed on.
         self.backend: _Backend | None = None
-        self.remote = None  # the backend-side ClientFlow (scan)
-        #: Client frames the flow table accepted, in arrival order.
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=64)
-        self.task: asyncio.Task | None = None
-        self.busy = False
-
-
-class _ProxyBeam(_ProxyFlow):
-    """A beam relayed raw to ``raw_client``'s backend as ``raw_fid``,
-    plus what a replay needs: the client frames sent there and not yet
-    answered (FIFO), the acked journal (frames whose MASKS reply was
-    forwarded, the OPEN_BEAM first) and a sha256 over those MASKS
-    payloads, taken past the flow id."""
-
-    __slots__ = ("raw_client", "raw_fid", "sent", "acked", "digest", "lost")
-
-    def __init__(self, flow_id: int, kind: FlowKind, key: str) -> None:
-        super().__init__(flow_id, kind, key)
-        self.raw_client: ScanClient | None = None
-        self.raw_fid = 0
-        self.sent: collections.deque = collections.deque()
-        self.acked: list[Frame] = []
+        self.client: ScanClient | None = None
+        self.fid = 0
+        self.journal: list[Frame] = [opener]
+        self.cursor = 0
+        self.answered = 0
         self.digest = hashlib.sha256()
-        #: Why the backend was lost (None: it was not).
-        self.lost = None
+        self.blocks: list[bytes] = []
+        #: The task placing the flow on a backend, while one is.
+        self.placing: asyncio.Task | None = None
+        #: Backends the running placement gave up on.
+        self.excluded: set[str] = set()
+
+    @property
+    def owed(self) -> bool:
+        """A reply is owed to the client: the flow is being placed, its
+        FINISH was taken and no final RESULT came, or a beam op is
+        unanswered."""
+        return (
+            self.placing is not None
+            or self.finishing
+            or (self.kind is BEAM and self.answered < len(self.journal))
+        )
 
 
 def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
     """Re-emit a frame with its leading u32 flow id replaced — the
-    whole translation a beam relay needs, leaving delta chains
-    untouched."""
+    whole translation a relay needs, leaving delta chains and record
+    blocks untouched."""
     return protocol.encode_frame(
         frame.type, flow_id.to_bytes(4, "big") + frame.payload[4:]
     )
+
+
+async def _relay(client: ScanClient, fid: int, frame: Frame) -> None:
+    """Send a client frame to ``client``'s backend as flow ``fid``; a
+    DATA body larger than the backend's frame limit goes as several."""
+    limit = max(1, client.server_max_frame - 5)  # type byte + flow id
+    if frame.type != FrameType.DATA or len(frame.payload) - 4 <= limit:
+        await client.send_raw(_rewrite_flow_id(frame, fid))
+        return
+    body = frame.payload[4:]
+    for start in range(0, len(body), limit):
+        await client.send_raw(
+            protocol.encode_data(fid, body[start : start + limit])
+        )
+
+
+async def _finish_raw(client: ScanClient, fid: int) -> None:
+    """Abandon a backend flow (its late replies find no tap)."""
+    with contextlib.suppress(Exception):
+        await client.send_raw(protocol.encode_finish_flow(fid))
 
 
 async def _http_get(
@@ -396,7 +428,7 @@ class ScanProxy(FramedEndpoint):
     Clients connect to :attr:`address` exactly as they would to a
     single :class:`~repro.server.server.ScanServer`; the proxy owns
     affinity, health, and failover (see the module docstring for the
-    contract per flow kind).
+    one relay and failover contract every flow kind shares).
     """
 
     role = "proxy"
@@ -461,9 +493,7 @@ class ScanProxy(FramedEndpoint):
         return self
 
     def _busy(self, conn: Connection) -> bool:
-        return any(
-            flow.busy or flow.queue.qsize() for flow in conn.flows.values()
-        )
+        return any(flow.owed for flow in conn.flows.values())
 
     async def _shutdown(self, drain: bool) -> None:
         await reap(self._health_task)
@@ -527,80 +557,126 @@ class ScanProxy(FramedEndpoint):
             sum(1 for b in self.backends.values() if b.healthy)
         )
 
-    async def _open_on_ring(self, flow: _ProxyFlow, opener):
-        """Open a remote flow on the first working ring candidate.
+    async def _place(self, conn, flow: _ProxyFlow) -> None:
+        """Put ``flow`` on a backend and bring that up to date — its
+        first open and every failover: :meth:`_attach` to the ring's
+        first working backend, then send the journal from the cursor
+        until caught up (frames the client sends meanwhile are only
+        journaled, and go out here, in order). A backend lost on the
+        way starts the walk again; a flow that cannot be placed ends
+        with its typed ERROR."""
+        try:
+            while flow.client is None or flow.cursor < len(flow.journal):
+                if flow.client is None:
+                    await self._attach(conn, flow)
+                else:
+                    flow.cursor += 1
+                    await self._forward(
+                        conn, flow, flow.journal[flow.cursor - 1]
+                    )
+            flow.excluded.clear()
+        except ServerFault as fault:
+            await self._fail_flow(conn, flow, fault.code, fault.detail)
+        except Exception as exc:  # noqa: BLE001 - fault barrier
+            await self._fail_flow(
+                conn, flow, ErrorCode.INTERNAL, f"proxy error: {exc}"
+            )
+        finally:
+            flow.placing = None
 
-        ``opener(client)`` performs the protocol open; backend faults
-        rotate to the next candidate, request-level ServerFaults
-        (UNKNOWN_VOCAB, ...) propagate to the caller."""
-        excluded: set[str] = set()
-        last: Exception | None = None
+    async def _attach(self, conn, flow: _ProxyFlow) -> None:
+        """Walk the ring to the first backend that takes ``flow``: a
+        fresh flow id there, the journal's answered prefix replayed
+        onto it (:meth:`_replay`), then the live tap. Backend faults
+        rotate to the next candidate; none left is ``FAILOVER``."""
+        last = flow.backend.last_error if flow.backend else None
         while True:
-            backend = self._pick_backend(flow.key, excluded)
+            backend = self._pick_backend(flow.key, flow.excluded)
             if backend is None:
+                if flow.backend is not None:
+                    self.metrics.counter("proxy.failover.exhausted").inc()
                 raise NoHealthyBackend(
-                    f"no healthy backend for flow {flow.key}"
-                    + (f" (last: {last})" if last else "")
-                )
-            try:
-                client = await backend.acquire()
-                remote = await opener(client)
-            except _BACKEND_FAULTS as exc:
-                last = exc
-                excluded.add(backend.name)
-                self._note_backend_error(backend, exc)
-                continue
-            flow.backend = backend
-            return client, remote
-
-    async def _replayable_op(self, flow: _ProxyFlow, op):
-        """Run ``op(remote)`` on a scan flow; on backend loss, replay
-        the journaled flow onto the next ring candidate and re-run the
-        op there (the engines are deterministic, results stable)."""
-        excluded: set[str] = set()
-        while True:
-            try:
-                return await op(flow.remote)
-            except _BACKEND_FAULTS as exc:
-                fault: Exception = exc
-            except ServerFault as exc:
-                if exc.code not in _LIFECYCLE_CODES:
-                    raise
-                fault = exc
-            await self._failover(flow, fault, excluded)
-
-    async def _failover(
-        self, flow: _ProxyFlow, fault: Exception, excluded: set
-    ) -> None:
-        """Move ``flow`` onto a new backend (mutates flow in place);
-        raises ``ServerFault(FAILOVER)`` when nothing is left, or when
-        a beam's replay does not line up."""
-        assert flow.backend is not None
-        excluded.add(flow.backend.name)
-        self._note_backend_error(flow.backend, fault)
-        while True:
-            backend = self._pick_backend(flow.key, excluded)
-            if backend is None:
-                self.metrics.counter("proxy.failover.exhausted").inc()
-                raise ServerFault(
                     flow.flow_id,
                     ErrorCode.FAILOVER,
-                    "no healthy backend left to replay flow onto "
-                    f"(last: {fault})",
+                    f"no healthy backend left for flow {flow.key}"
+                    + (f" (last: {last})" if last else ""),
                 )
             try:
                 client = await backend.acquire()
-                if flow.kind is BEAM:
-                    await self._replay_beam(flow, client)
-                else:
-                    flow.remote = await flow.remote.replay_onto(client)
+                fid = client.allocate_flow_id()
+                if flow.answered:
+                    await self._replay(flow, client, fid)
             except _BACKEND_FAULTS as exc:
-                excluded.add(backend.name)
+                last = exc
+                flow.excluded.add(backend.name)
                 self._note_backend_error(backend, exc)
                 continue
-            flow.backend = backend
+            break
+        if flow.backend is not None:
             self.metrics.counter("proxy.failovers").inc()
-            return
+        flow.backend, flow.client, flow.fid = backend, client, fid
+        flow.cursor = flow.answered
+        client.set_raw_tap(fid, self._tap(conn, flow, client, fid))
+
+    async def _replay(self, flow: _ProxyFlow, client, fid: int) -> None:
+        """Re-send the journal's answered prefix to ``client`` as
+        ``fid``, hashing the replies instead of forwarding them: the
+        digest of what was forwarded, or FAILOVER. Equal replies leave
+        the backend's delta base equal to the client's rows."""
+        replies: asyncio.Queue = asyncio.Queue()
+        client.set_raw_tap(fid, replies.put)
+        digest = hashlib.sha256()
+        try:
+            for frame in flow.journal[: flow.answered]:
+                await _relay(client, fid, frame)
+            for _ in range(flow.answered):
+                reply = await asyncio.wait_for(
+                    replies.get(), self.request_timeout
+                )
+                if reply is None:
+                    raise ConnectionResetError("backend lost in replay")
+                if reply.type != FrameType.MASKS:
+                    raise ServerFault(
+                        flow.flow_id, ErrorCode.FAILOVER,
+                        f"replay answered {reply.name}",
+                    )
+                digest.update(memoryview(reply.payload)[4:])
+            if digest.digest() != flow.digest.digest():
+                raise ServerFault(
+                    flow.flow_id, ErrorCode.FAILOVER,
+                    "replayed masks differ from those already sent",
+                )
+        except BaseException:
+            client.clear_raw_tap(fid)
+            asyncio.ensure_future(_finish_raw(client, fid))
+            raise
+
+    async def _forward(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
+        """Send one journaled frame to the flow's backend; a failed
+        send loses the backend."""
+        client = flow.client
+        try:
+            await _relay(client, flow.fid, frame)
+        except _BACKEND_FAULTS as exc:
+            if flow.client is client:
+                self._lose(conn, flow, exc)
+
+    def _lose(self, conn, flow: _ProxyFlow, fault) -> None:
+        """The flow's backend is gone: drop what it sent, and place the
+        flow again — now, or in the placement already running."""
+        self._detach(flow)
+        flow.excluded.add(flow.backend.name)
+        self._note_backend_error(flow.backend, fault)
+        flow.blocks.clear()
+        if flow.placing is None:
+            flow.placing = asyncio.ensure_future(self._place(conn, flow))
+
+    @staticmethod
+    def _detach(flow: _ProxyFlow) -> None:
+        """Stop listening to the flow's backend."""
+        if flow.client is not None:
+            flow.client.clear_raw_tap(flow.fid)
+            flow.client = None
 
     # ------------------------------------------------------------------
     # health probing
@@ -652,212 +728,91 @@ class ScanProxy(FramedEndpoint):
     # client-facing data plane: frames the flow table accepted
     # ------------------------------------------------------------------
     async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
-        key = f"{conn.conn_id}:{flow_id}"
         if kind is BEAM:
             # Relayed unread, so checked here: a malformed frame is the
             # client connection's fault, as on a server — it must not
             # reach (and be replayed onto) backend connections.
             protocol.decode_open_beam(frame)
-            flow = _ProxyBeam(flow_id, kind, key)
-        else:
-            flow = _ProxyFlow(flow_id, kind, key)
+        flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}", frame)
         conn.table.open(flow)
         self.metrics.counter(f"proxy.flows.{kind}").inc()
-        flow.task = asyncio.ensure_future(self._flow_worker(conn, flow))
-        await flow.queue.put(frame)
+        flow.placing = asyncio.ensure_future(self._place(conn, flow))
 
     async def _op(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
         if frame.type == FrameType.BATCH_ADVANCE:
             protocol.decode_batch_advance(frame)  # see _open
-        # A full queue stops this connection's read loop: the
-        # backend's backpressure, chained to the client.
-        await flow.queue.put(frame)
+        flow.journal.append(frame)
+        if flow.placing is None:
+            # Caught up: straight out. A backend that stops reading
+            # suspends this connection's frame loop here — its
+            # backpressure, chained to the client.
+            flow.cursor += 1
+            await self._forward(conn, flow, frame)
 
     def _drop(self, conn, flow: _ProxyFlow) -> None:
-        """Cancel the flow's worker (unless we *are* it) and release
-        its backend-side state."""
-        if flow.task is not None and flow.task is not asyncio.current_task():
-            flow.task.cancel()
-        if flow.kind is BEAM:
-            if flow.raw_client is not None:
-                flow.raw_client.clear_raw_tap(flow.raw_fid)
-                asyncio.ensure_future(
-                    _finish_raw(flow.raw_client, flow.raw_fid)
-                )
-                flow.raw_client = None
-        elif flow.remote is not None:
-            asyncio.ensure_future(_finish_remote(flow.remote))
-            flow.remote = None
+        """Cancel the flow's placement (unless we *are* it) and abandon
+        its backend flow."""
+        placing = flow.placing
+        if placing is not None and placing is not asyncio.current_task():
+            placing.cancel()
+        client, fid = flow.client, flow.fid
+        if client is not None:
+            self._detach(flow)
+            asyncio.ensure_future(_finish_raw(client, fid))
 
-    # ------------------------------------------------------------------
-    # flow workers
-    # ------------------------------------------------------------------
-    async def _flow_worker(self, conn, flow: _ProxyFlow) -> None:
-        try:
-            while True:
-                frame = await flow.queue.get()
-                flow.busy = True
-                try:
-                    done = await self._execute(conn, flow, frame)
-                finally:
-                    flow.busy = False
-                if done:
-                    return
-        except asyncio.CancelledError:
-            raise
-        except ServerFault as fault:
-            await self._fail_flow(conn, flow, fault.code, fault.detail)
-        except NoHealthyBackend as exc:
-            await self._fail_flow(conn, flow, ErrorCode.FAILOVER, str(exc))
-        except Exception as exc:  # noqa: BLE001 - fault barrier
-            await self._fail_flow(
-                conn, flow, ErrorCode.INTERNAL, f"proxy error: {exc}"
-            )
-
-    async def _execute(self, conn, flow: _ProxyFlow, frame: Frame) -> bool:
-        """One queued frame — the flow table already vouched that its
-        kind takes it; True ends the flow (and its worker)."""
-        if flow.kind is BEAM:
-            return await self._relay_beam(conn, flow, frame)
-        ftype = frame.type
-        if ftype == FrameType.OPEN_FLOW:
-            _, flow.remote = await self._open_on_ring(
-                flow, lambda c: c.open_flow()
-            )
-        elif ftype == FrameType.DATA:
-            _fid, chunk = protocol.decode_data(frame)
-            await self._replayable_op(flow, lambda r: r.send(chunk))
-        else:
-            # FINISH_FLOW. Results were held until now, which is what
-            # makes scan failover invisible: no partial RESULT can have
-            # escaped for a prefix the replacement backend re-scans.
-            # The backend's record blocks go out unread under the
-            # client's flow id.
-            blocks = await self._replayable_op(
-                flow, lambda r: r.finish_blocks()
-            )
-            flow.remote = None
-            conn.table.close(flow)
-            await conn.send(
-                *protocol.relay_result_frames(
-                    flow.flow_id, blocks, conn.peer_max_frame
-                )
-            )
-            return True
-        return False
-
-    # -- beam relay ----------------------------------------------------
-    async def _relay_beam(self, conn, flow: _ProxyBeam, frame: Frame) -> bool:
-        """Relay undecoded (flow id rewritten); replies come back via
-        :meth:`_beam_tap`. A lost backend is replayed (its stale tap
-        dropped first), then the frames it never answered are re-sent.
-        The tap ends the worker once the final RESULT has passed."""
-        if frame.type == FrameType.OPEN_BEAM:
-            flow.raw_client, flow.raw_fid = await self._open_on_ring(
-                flow, _allocate
-            )
-            flow.raw_client.set_raw_tap(
-                flow.raw_fid, self._beam_tap(conn, flow)
-            )
-        if frame is not _LOST:
-            flow.sent.append(frame)
-            if flow.lost is None:
-                await _send_beam(flow, [frame])
-        excluded: set[str] = set()
-        while flow.lost is not None:
-            flow.raw_client.clear_raw_tap(flow.raw_fid)
-            await self._failover(flow, flow.lost, excluded)
-            flow.lost = None
-            flow.raw_client.set_raw_tap(
-                flow.raw_fid, self._beam_tap(conn, flow)
-            )
-            await _send_beam(flow, list(flow.sent))
-        return False
-
-    def _beam_tap(self, conn, flow: _ProxyBeam):
-        """What a beam's backend answers: MASKS moves the oldest sent
-        frame to the acked journal and into the digest, an ERROR pops
-        it (a survivable one moved nothing), a lifecycle ERROR or a
-        dead connection loses the backend — the worker, woken, replays
-        before it relays anything else."""
+    def _tap(self, conn, flow: _ProxyFlow, client, fid: int):
+        """What the flow's backend answers, re-addressed to the client.
+        MASKS is forwarded and counted into the digest; RESULT blocks
+        are held, and the final one sends them all (unread:
+        :func:`~repro.server.protocol.relay_result_frames`) and closes
+        the flow; an ERROR is forwarded with the lifecycle table's
+        effect. A dead connection or a lifecycle ERROR loses the
+        backend — the tap never awaits a replay itself."""
 
         async def tap(frame) -> None:
-            if flow.lost is not None:
+            if flow.client is not client or flow.fid != fid:
+                return  # a backend the flow has left
+            if frame is None:
+                self._lose(conn, flow, "backend connection lost")
                 return
-            code = None
-            if frame is not None and frame.type == FrameType.ERROR:
-                _fid, code, detail = protocol.decode_error(frame)
-            if frame is None or code in _LIFECYCLE_CODES:
-                flow.lost = detail if code else "backend connection lost"
-                with contextlib.suppress(asyncio.QueueFull):
-                    flow.queue.put_nowait(_LOST)
-                return
-            if frame.type == FrameType.MASKS:
-                flow.acked.append(flow.sent.popleft())
+            ftype = frame.type
+            if ftype == FrameType.MASKS:
+                flow.answered += 1
                 flow.digest.update(memoryview(frame.payload)[4:])
-                if 1 + len(frame.payload) > conn.peer_max_frame:
+                size = 1 + len(frame.payload)
+                if size > conn.peer_max_frame:
                     await self._fail_flow(
                         conn, flow, ErrorCode.FRAME_TOO_LARGE,
-                        f"{1 + len(frame.payload)}-byte MASKS frame, "
+                        f"{size}-byte MASKS frame, "
                         f"limit {conn.peer_max_frame}",
                     )
+                else:
+                    await conn.send(_rewrite_flow_id(frame, flow.flow_id))
+            elif ftype == FrameType.RESULT:
+                _fid, final, block = protocol.split_result(frame)
+                flow.blocks.append(block)
+                if final:
+                    self._detach(flow)
+                    conn.table.close(flow)
+                    await conn.send(
+                        *protocol.relay_result_frames(
+                            flow.flow_id, flow.blocks, conn.peer_max_frame
+                        )
+                    )
+            else:
+                _fid, code, detail = protocol.decode_error(frame)
+                if code in _LIFECYCLE_CODES:
+                    self._lose(conn, flow, detail)
                     return
-            elif code is not None:
-                flow.sent.popleft()
-                if conn.table.fault(flow, code):
-                    # Flow-fatal (UNKNOWN_VOCAB, ...): the backend has
-                    # dropped it too.
-                    self._end_beam(flow)
-            elif frame.payload[4]:
-                # Final RESULT: the close handshake completed.
-                conn.table.close(flow)
-                self._end_beam(flow)
-            await conn.send(_rewrite_flow_id(frame, flow.flow_id))
+                if code in flow.kind.survives:
+                    # The refused op moved nothing: no replay re-sends it.
+                    del flow.journal[flow.answered]
+                    flow.cursor -= 1
+                else:
+                    self._detach(flow)  # the backend dropped the flow too
+                await self._fail_flow(conn, flow, code, detail)
 
         return tap
-
-    async def _replay_beam(self, flow: _ProxyBeam, client) -> None:
-        """Re-send the acked journal to ``client``'s backend, hashing
-        the replies: the digest of what was forwarded, or FAILOVER.
-        Equal replies leave its delta base equal to the client's rows."""
-        fid = client.allocate_flow_id()
-        replies: asyncio.Queue = asyncio.Queue()
-        client.set_raw_tap(fid, replies.put)
-        digest = hashlib.sha256()
-        try:
-            for frame in flow.acked:
-                await client.send_raw(_rewrite_flow_id(frame, fid))
-            for _frame in flow.acked:
-                reply = await asyncio.wait_for(
-                    replies.get(), self.request_timeout
-                )
-                if reply is None:
-                    raise ConnectionResetError("backend lost in replay")
-                if reply.type != FrameType.MASKS:
-                    raise ServerFault(
-                        flow.flow_id, ErrorCode.FAILOVER,
-                        f"replay answered {reply.name}",
-                    )
-                digest.update(memoryview(reply.payload)[4:])
-            if digest.digest() != flow.digest.digest():
-                raise ServerFault(
-                    flow.flow_id, ErrorCode.FAILOVER,
-                    "replayed masks differ from those already sent",
-                )
-        except BaseException:
-            client.clear_raw_tap(fid)
-            asyncio.ensure_future(_finish_raw(client, fid))
-            raise
-        flow.raw_client, flow.raw_fid = client, fid
-
-    def _end_beam(self, flow: _ProxyBeam) -> None:
-        """The backend is done with the flow: drop the tap, and the
-        worker with nothing left to relay."""
-        if flow.raw_client is not None:
-            flow.raw_client.clear_raw_tap(flow.raw_fid)
-            flow.raw_client = None
-        if flow.task is not None and flow.task is not asyncio.current_task():
-            flow.task.cancel()
 
     # ------------------------------------------------------------------
     # stats & admin aggregation
@@ -938,31 +893,3 @@ class ScanProxy(FramedEndpoint):
         if any(b.healthy for b in self.backends.values()):
             return "200 OK", "ok\n"
         return "503 Service Unavailable", "no healthy backends\n"
-
-
-# ----------------------------------------------------------------------
-# abandoned-flow hygiene
-# ----------------------------------------------------------------------
-async def _finish_remote(remote) -> None:
-    with contextlib.suppress(Exception):
-        await remote.finish_blocks(timeout=2.0)
-
-
-async def _finish_raw(client: ScanClient, raw_fid: int) -> None:
-    with contextlib.suppress(Exception):
-        await client.send_raw(protocol.encode_finish_flow(raw_fid))
-
-
-async def _allocate(client: ScanClient) -> int:
-    return client.allocate_flow_id()
-
-
-async def _send_beam(flow: _ProxyBeam, frames) -> None:
-    """Relay ``frames`` to the beam's backend; a failed send loses it."""
-    try:
-        for frame in frames:
-            await flow.raw_client.send_raw(
-                _rewrite_flow_id(frame, flow.raw_fid)
-            )
-    except _BACKEND_FAULTS as exc:
-        flow.lost = exc

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.apps.structgen import MaskSession, build_mask_table, synthetic_vocab
-from repro.apps.xmlrpc import ContentBasedRouter, MethodCall
+from repro.apps.xmlrpc import ContentBasedRouter, MethodCall, WorkloadGenerator
 from repro.grammar.examples import xmlrpc
 from repro.server import (
     BackendSpec,
@@ -233,6 +233,60 @@ def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
                 assert flow.rows == [m.mask() for m in mirror]
                 await flow.close()
                 assert client.connected
+
+    run(scenario())
+
+
+def test_proxy_splits_data_to_a_backends_smaller_frame_limit():
+    """One 64 KiB DATA frame fits the proxy's limit, not the backend's
+    4 KiB one: the relay re-frames it in pieces the backend takes."""
+    data = (WorkloadGenerator(seed=9).stream(200)[0] * 2)[: 1 << 16]
+    assert len(data) == 1 << 16
+
+    async def scenario():
+        server = await ScanServer(port=0, max_frame=4096).start()
+        proxy = await ScanProxy([server.address], port=0).start()
+        try:
+            async with ScanClient(*proxy.address) as client:
+                got = await client.scan_stream(data, chunk_size=len(data))
+            rx = server.stats()["counters"]["server.rx.frames"]
+            assert rx > len(data) // 4096  # HELLO, OPEN, FINISH and DATA
+        finally:
+            await proxy.stop(drain=False)
+            await server.stop(drain=False)
+        return got
+
+    assert run(scenario()) == ContentBasedRouter().route(data)
+
+
+def test_proxy_drain_delivers_a_beam_op_in_flight(table):
+    """Regression: a proxy drain used to see a beam as idle once its
+    BATCH_ADVANCE was relayed, and sent DRAINING while the MASKS reply
+    was still owed. A server drain delivers that reply; so must the
+    proxy's, with a backend that takes 0.4 s per step."""
+
+    class SlowStep(ScanServer):
+        async def _step(self, conn, flow, frame):
+            await asyncio.sleep(0.4)
+            await super()._step(conn, flow, frame)
+
+    async def scenario():
+        server = await SlowStep(port=0, mask_tables=[table]).start()
+        proxy = await ScanProxy([server.address], port=0).start()
+        try:
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 1)
+                local = MaskSession(table)
+                token = set_bits(local.mask())[0]
+                step = asyncio.ensure_future(flow.advance([token]))
+                await asyncio.sleep(0.1)  # relayed; the backend steps
+                await proxy.stop(drain=True)
+                states, rows = await step
+                assert states == (local.advance(token),)
+                assert rows == [local.mask()]
+        finally:
+            await proxy.stop(drain=False)
+            await server.stop(drain=False)
 
     run(scenario())
 

@@ -212,6 +212,70 @@ def test_beam_flow_survives_backend_kill_byte_for_byte(table):
     run(scenario())
 
 
+def test_pipelined_frames_keep_their_order_across_a_kill(table):
+    """Frames sent without awaiting between them, across a hard kill of
+    the backends holding a scan flow and a width-3 beam: the frames
+    reach the proxy while it places the flows again and must still go
+    out in order — the scan's three DATA and FINISH, and the beam's
+    gathered advances, answered byte for byte."""
+
+    async def scenario():
+        router = ContentBasedRouter()
+        data = b"".join(
+            MethodCall(name).encode() + b" "
+            for name in ("buy", "sell", "deposit", "withdraw", "transfer")
+        )
+        head, rest = data[: len(data) // 4], data[len(data) // 4 :]
+        third = -(-len(rest) // 3)
+        pieces = [rest[i : i + third] for i in range(0, len(rest), third)]
+        assert len(pieces) == 3
+        async with failover_cluster(table) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                scan = await client.open_flow()
+                await scan.send(head)
+                beam = await client.open_beam_flow(table.vocab_hash, 3)
+                mirror = _Mirror(table, 3)
+                await _walk(beam, mirror, 3, "before the kill")
+                owners = {
+                    _server_named(servers, backend.name)
+                    for backend in (
+                        await _pinned_backend(proxy, scan.flow_id, "scan"),
+                        await _pinned_backend(proxy, beam.flow_id, "beam"),
+                    )
+                }
+                steps = []
+                for _ in range(6):
+                    ids = mirror.ids()
+                    mirror.advance(ids)
+                    steps.append((
+                        ids,
+                        (
+                            tuple(m.state for m in mirror.lanes),
+                            [m.mask() for m in mirror.lanes],
+                        ),
+                    ))
+                before = asyncio.gather(
+                    *(beam.advance(ids, timeout=15.0) for ids, _ in steps[:3])
+                )
+                await asyncio.sleep(0)  # queued, on the wire at turn end
+                for owner in owners:
+                    await owner.stop(drain=False)
+                for piece in pieces:
+                    await scan.send(piece)
+                after = asyncio.gather(
+                    *(beam.advance(ids, timeout=15.0) for ids, _ in steps[3:])
+                )
+                got = await scan.finish(timeout=15.0)
+                replies = [*await before, *await after]
+                assert replies == [expected for _, expected in steps]
+                mirror.check(beam, "after the kill")
+                await beam.close()
+            assert got == router.route(data)
+            assert proxy.metrics.counter("proxy.failovers").value >= 1
+
+    run(scenario())
+
+
 def test_beam_flow_gets_typed_failover(table):
     """No backend left to replay onto: the beam ends with FAILOVER."""
 
