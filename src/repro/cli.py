@@ -8,8 +8,9 @@ Commands mirror the paper's workflow:
   and an implementation report;
 * ``route`` — run the XML-RPC router demo on a synthetic workload;
 * ``serve`` — the asyncio TCP scan server (framed wire protocol,
-  optional worker pool and admin/metrics endpoint);
-* ``cluster`` — the consistent-hash proxy over N such servers;
+  optional admin/metrics endpoint);
+* ``cluster`` — the consistent-hash proxy over N such servers (the
+  way to use N cores);
 * ``registry`` — publish, list, inspect, and garbage-collect named
   versioned grammars compiled ahead-of-time into an artifact store;
 * ``structgen`` — the constrained-decoding subsystem: precompute
@@ -171,6 +172,12 @@ def _serve(endpoint, what: str, detail: str) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.workers != 0:
+        raise ReproError(
+            f"--workers {args.workers}: serve scans in-process only "
+            "(--workers 0); to use N cores, run N `repro serve` "
+            "processes behind `repro cluster --backend HOST:PORT ...`"
+        )
     from repro.server import ScanServer
     from repro.service import RouterSpec
 
@@ -195,19 +202,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spec,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         idle_timeout=args.idle_timeout,
         max_frame=args.max_frame,
-        queue_depth=args.queue_depth,
         admin_port=args.admin_port,
         **registry_kwargs,
     )
-    mode = (
-        f"{args.workers}-worker service pool"
-        if args.workers
-        else "in-process sessions"
+    return _serve(
+        server, "repro scan server listening", "(in-process sessions)"
     )
-    return _serve(server, "repro scan server listening", f"({mode})")
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
@@ -474,19 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--admin-port", type=int, default=None,
                         help="plaintext /metrics + /healthz listener")
     server.add_argument("--workers", type=int, default=0,
-                        help="scan-service worker processes "
-                        "(0 = in-process sessions)")
+                        help="only 0 (in-process sessions); N cores "
+                        "are N serve processes behind `repro cluster`")
     server.add_argument("--grammar", default="xmlrpc",
                         help="router grammar (builtin name or file)")
     server.add_argument("--idle-timeout", type=float, default=30.0,
                         help="seconds before an idle connection is cut")
     server.add_argument("--max-frame", type=int, default=1 << 20,
                         help="largest accepted wire frame in bytes")
-    server.add_argument("--queue-depth", type=int, default=64,
-                        help="per-worker bounded queue depth")
     server.add_argument("--engine", choices=_SERVING_ENGINES,
                         default="compiled",
-                        help="scan engine for sessions and workers "
+                        help="scan engine for the sessions "
                         "(streaming needs a compiled-family engine; "
                         "auto = best available)")
     server.add_argument("--registry", metavar="STORE", default=None,

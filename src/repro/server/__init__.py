@@ -15,18 +15,17 @@ reproduction:
   listeners, handshake, idle-timed frame loop, drain and admin
   responder that server and proxy share;
 * :mod:`repro.server.server` — :class:`ScanServer`: the asyncio TCP
-  server multiplexing per-connection flows into streaming scan
-  sessions, in-process or through a sharded
-  :class:`~repro.service.ScanService` pool, with idle timeouts,
-  frame-size limits, read-pausing backpressure, graceful drain, and a
-  plaintext admin/metrics endpoint;
+  server multiplexing per-connection flows into in-process streaming
+  scan sessions, with idle timeouts, frame-size limits, read-pausing
+  backpressure, graceful drain, and a plaintext admin/metrics
+  endpoint;
 * :mod:`repro.server.client` — :class:`ScanClient`: the asyncio
   client library (connect/retry/timeout, flow multiplexing, beam
   flows for constrained decoding);
 * :mod:`repro.server.cluster` — :class:`ScanProxy`: the cluster
-  tier — a consistent-hash proxy pinning flows to N backends with
-  health probes, journal-replay failover for every flow kind, and an
-  aggregated admin endpoint.
+  tier (the way to use N cores) — a consistent-hash proxy pinning
+  flows to N backends with health probes, journal-replay failover for
+  every flow kind, and an aggregated admin endpoint.
 
 There is no load generator in this package: the serving stack is
 measured by ``benchmarks/ledger/`` and verified under load by

@@ -362,7 +362,7 @@ def encode_result_frames(
     ``items`` are routing decisions (anything with ``start``, ``end``,
     ``port`` and ``service``: ``RouteRecord``, ``RoutedMessage`` — whose
     payload stays behind) or ``DetectEvent`` s, all of one kind. The
-    one RESULT encoder: server, pool poller and proxy split here.
+    one RESULT encoder: server and proxy split here.
     """
     if items and hasattr(items[0], "occurrence"):
         kind = _EVENT

@@ -4,10 +4,10 @@ This is the reproduction's answer to the paper's deployment picture
 (Figs. 1, 12-14): the tagger as a *network device*. A
 :class:`ScanServer` listens on TCP, speaks the
 :mod:`repro.server.protocol` framing, and feeds each connection's
-multiplexed flows through per-flow streaming sessions — either
-in-process (``workers=0``: the connection handler drives a
-:class:`~repro.core.api.StreamSession` directly) or through a shared
-sharded :class:`~repro.service.ScanService` pool (``workers=N``).
+multiplexed flows through per-flow streaming sessions: the connection
+handler drives a :class:`~repro.core.api.StreamSession` in-process, on
+the event loop. N cores are N such servers behind ``repro cluster``
+(:mod:`repro.server.cluster`).
 
 Robustness model
 ----------------
@@ -21,7 +21,7 @@ What this module adds:
 * **Frame-size limit** — a declared frame length above ``max_frame``
   is rejected before the body is read (``ERROR(FRAME_TOO_LARGE)``,
   close), so a hostile length prefix cannot balloon memory.
-* **Backpressure, write side** — a connection's frames are handled a
+* **Backpressure** — a connection's frames are handled a
   socket read at a time; what the read's frames produced (the results
   of consecutive DATA frames of a flow in one RESULT) is written once
   and awaited with ``drain()`` against a bounded transport buffer
@@ -30,12 +30,6 @@ What this module adds:
   *reading* too, and the stall propagates to the producer as TCP flow
   control. The server never buffers results for a slow client beyond
   one transport buffer plus one read's worth.
-* **Backpressure, scan side** — with a service pool the server
-  submits with ``backpressure="raise"``; :class:`QueueFull` pauses
-  the connection's read loop (counted in
-  ``server.backpressure.waits``) until the shard has room, instead of
-  buffering chunks. A full queue is thus visible to the client as the
-  socket filling up — exactly a hardware FIFO deasserting *ready*.
 * **Graceful drain** — :meth:`ScanServer.stop` (and SIGTERM in the
   CLI) lets every already-open scan flow stream to completion (its
   DATA and FINISH_FLOW are still honored and its final RESULT
@@ -45,34 +39,28 @@ What this module adds:
   /swap?grammar=name@version`` on the admin listener loads the new
   artifact and installs it as a fresh *generation*: new flows bind to
   it immediately, while flows already open keep streaming on the
-  generation (plan, tables, worker pool) they started on — the same
-  drain discipline as :meth:`ScanServer.stop`, applied per grammar
-  version. A generation with no remaining flows is retired (its worker
-  pool closed). Per-tenant traffic is accounted under
-  ``tenant.<ref>.*`` counters, and optional per-ref quotas bound the
-  open flows — of any kind — a grammar version may hold
-  (``ERROR(OVERLOADED)``).
+  generation (plan, tables) they started on — the same drain
+  discipline as :meth:`ScanServer.stop`, applied per grammar version.
+  A generation with no remaining flows is retired. Per-tenant traffic
+  is accounted under ``tenant.<ref>.*`` counters, and optional per-ref
+  quotas bound the open flows — of any kind — a grammar version may
+  hold (``ERROR(OVERLOADED)``).
 * **Beam flows** — constrained-decoding sessions
   (:mod:`repro.apps.structgen`; a single decode is a beam of width 1)
   ride the same framed connections: OPEN_BEAM binds a flow to a
   precomputed mask table (explicit ``mask_tables=`` or lazily loaded
   from the registry for the served grammar, cold-start timed), each
   BATCH_ADVANCE is answered with the MASKS for the resulting states,
-  and no MASKS frame outgrows the peer's ``max_frame``. They always
-  run in-process on the event loop — a mask query is a row copy out
-  of the table's state-complete matrix, far below the pool's dispatch
-  cost.
+  and no MASKS frame outgrows the peer's ``max_frame``.
 
 Observability: counters/gauges/histograms land in one
-:class:`~repro.service.metrics.MetricsRegistry` (shared with the
-service pool when there is one), exposed as JSON via
+:class:`~repro.service.metrics.MetricsRegistry`, exposed as JSON via
 :meth:`ScanServer.stats` and as Prometheus plaintext on the admin
 listener (``GET /metrics``, plus ``/healthz`` and ``/stats``).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import sys
 import time
@@ -80,7 +68,7 @@ import urllib.parse
 from typing import Any
 
 from repro.server import protocol
-from repro.server.endpoint import Connection, FramedEndpoint, reap
+from repro.server.endpoint import Connection, FramedEndpoint
 from repro.server.flows import BEAM, KINDS, SCAN, Flow, Refused
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME,
@@ -91,7 +79,6 @@ from repro.server.protocol import (
     FrameType,
     ProtocolError,
 )
-from repro.service.errors import QueueFull
 from repro.service.metrics import MetricsRegistry
 
 __all__ = ["ScanServer"]
@@ -118,10 +105,9 @@ class _ServerFlow(Flow):
 
 
 class _ScanFlow(_ServerFlow):
-    """``session`` is the in-process scan session (None with a pool,
-    where ``key`` names the flow to the service)."""
+    """``session`` is the flow's scan session."""
 
-    __slots__ = ("key",)
+    __slots__ = ()
     kind = SCAN
 
 
@@ -139,13 +125,13 @@ class _BeamFlow(_ServerFlow):
 
 
 class _Generation:
-    """One served grammar version: its spec plus either an in-process
-    backend or a dedicated worker pool. Flows are pinned to the
-    generation they opened under, which is what lets a hot swap leave
-    in-flight flows scanning on the plan they started with."""
+    """One served grammar version: its spec and the backend built from
+    it. Flows are pinned to the generation they opened under, which is
+    what lets a hot swap leave in-flight flows scanning on the plan
+    they started with."""
 
     __slots__ = (
-        "gen_id", "ref", "spec", "backend", "service",
+        "gen_id", "ref", "spec", "backend",
         "bytes", "flows_opened", "flows_finished", "flows_refused",
     )
 
@@ -155,8 +141,7 @@ class _Generation:
         #: or the synthetic ``"default"`` for a spec-only server.
         self.ref = ref
         self.spec = spec
-        self.backend = None
-        self.service = None
+        self.backend = spec.build()
         # The tenant's counters, looked up once rather than per frame.
         self.bytes = metrics.counter(f"tenant.{ref}.bytes")
         self.flows_opened = metrics.counter(f"tenant.{ref}.flows_opened")
@@ -218,13 +203,9 @@ class ScanServer(FramedEndpoint):
     Parameters
     ----------
     spec:
-        A picklable worker spec (:class:`~repro.service.RouterSpec` /
-        :class:`~repro.service.TaggerSpec`); defaults to the XML-RPC
-        content router. ``spec.build()`` provides in-process sessions,
-        and the same spec is shipped to pool workers.
-    workers:
-        0 (default) scans in-process on the event loop; N >= 1 starts a
-        sharded :class:`~repro.service.ScanService` with N processes.
+        A :class:`~repro.service.RouterSpec` /
+        :class:`~repro.service.TaggerSpec`; defaults to the XML-RPC
+        content router. ``spec.build()`` provides the sessions.
     registry:
         A :class:`~repro.service.registry.Registry` (or store root
         path) enabling the admin hot-swap endpoint and the HELLO
@@ -254,10 +235,8 @@ class ScanServer(FramedEndpoint):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 0,
         idle_timeout: float = 30.0,
         max_frame: int = DEFAULT_MAX_FRAME,
-        queue_depth: int = 64,
         admin_port: int | None = None,
         metrics: MetricsRegistry | None = None,
         write_high_water: int = 1 << 16,
@@ -304,10 +283,8 @@ class ScanServer(FramedEndpoint):
             "/swap": self._admin_swap,
         }
         self.spec = spec
-        self.queue_depth = queue_depth
         self._flow_bytes = self.metrics.counter("server.flows.bytes")
         self._scan_seconds = self.metrics.histogram("latency.scan_s")
-        self.workers = workers
         self.quotas = dict(quotas) if quotas else {}
         #: vocab_hash -> MaskTable handed in explicitly (served as-is,
         #: independent of the current grammar generation).
@@ -325,15 +302,7 @@ class ScanServer(FramedEndpoint):
         self._mask_misses: set[tuple[str, str]] = set()
         self._gen_seq = 0
         self._generations: dict[int, _Generation] = {}
-        self._started_pools = False
         self._current = self._new_generation(spec, ref)
-
-        #: Scan flows opened so far; makes every pool flow key unique.
-        self._flow_seq = 0
-        #: service flow key -> (connection, flow): flows whose
-        #: FINISH_FLOW is in the pool awaiting its final results.
-        self._pending: dict[str, tuple[_Connection, _ScanFlow]] = {}
-        self._poll_task: asyncio.Task | None = None
         #: Beam frames received but whose reply write has not
         #: completed — counted so a graceful drain cannot cut a reply
         #: mid-op.
@@ -342,39 +311,15 @@ class ScanServer(FramedEndpoint):
     # ------------------------------------------------------------------
     # grammar generations
     # ------------------------------------------------------------------
-    @property
-    def service(self):
-        """The current generation's worker pool (None in-process)."""
-        return self._current.service
-
-    @property
-    def _backend(self):
-        """The current generation's in-process backend (None w/ pool)."""
-        return self._current.backend
-
     def _new_generation(self, spec: Any, ref: str) -> _Generation:
         self._gen_seq += 1
         gen = _Generation(self._gen_seq, ref, spec, self.metrics)
-        if self.workers:
-            from repro.service import ScanService
-
-            gen.service = ScanService(
-                spec,
-                n_workers=self.workers,
-                queue_depth=self.queue_depth,
-                backpressure="raise",
-                metrics=self.metrics,
-            )
-            if self._started_pools:
-                gen.service.start()
-        else:
-            gen.backend = spec.build()
         self._generations[gen.gen_id] = gen
         return gen
 
     def _spec_for_artifact(self, spec: Any, artifact) -> Any:
-        """The spec rebased onto a registry artifact's ref (workers
-        re-load the same artifact from the same store)."""
+        """The spec rebased onto a registry artifact's ref (the build
+        loads the artifact from the same store)."""
         import dataclasses
 
         try:
@@ -394,8 +339,8 @@ class ScanServer(FramedEndpoint):
         """Hot-swap: serve ``ref`` for new flows, drain old ones.
 
         Loads the artifact from the registry (warming this process's
-        caches), installs a fresh generation — with its own worker
-        pool when ``workers > 0`` — and points new OPEN_FLOWs at it.
+        caches), installs a fresh generation and points new OPEN_FLOWs
+        at it.
         Flows already open keep their original generation until they
         finish; a fully drained generation is then retired. Returns a
         summary dict (also the admin endpoint's response body).
@@ -409,8 +354,8 @@ class ScanServer(FramedEndpoint):
         spec = self._spec_for_artifact(self.spec, artifact)
         previous = self._current
         # Reuse a still-live generation already serving this exact ref
-        # (swap back to the old version mid-drain without doubling
-        # pools).
+        # (swap back to the old version mid-drain without building it
+        # twice).
         for gen in self._generations.values():
             if gen.ref == pinned:
                 self._current = gen
@@ -441,10 +386,7 @@ class ScanServer(FramedEndpoint):
             for flow in conn.flows.values():
                 live.add(flow.gen.gen_id)
         for gen_id in [g for g in self._generations if g not in live]:
-            gen = self._generations.pop(gen_id)
-            if gen.service is not None:
-                gen.service.close(drain=False)
-            gen.backend = None
+            del self._generations[gen_id]
             self.metrics.counter("server.swaps.retired").inc()
 
     def _tenant_open(self, ref: str) -> int:
@@ -470,44 +412,17 @@ class ScanServer(FramedEndpoint):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "ScanServer":
-        """Bind the listeners and, with a pool, spawn the workers and
-        the result poll task."""
-        await super().start()
-        if self.workers:
-            self._started_pools = True
-            for gen in self._generations.values():
-                if gen.service is not None:
-                    gen.service.start()
-            self._poll_task = asyncio.ensure_future(self._poll_service())
-        return self
-
-    def _busy(self, conn: Connection) -> bool:
-        """Pool flows of ``conn`` awaiting their final RESULT."""
-        return any(c is conn for c, _flow in self._pending.values())
-
     def _work_in_flight(self) -> bool:
-        """Open scan flows (still streaming), pool flows awaiting
-        their final RESULT, or beam ops whose reply is not yet fully
-        written. Idle beam flows are request-response and have no tail
-        to flush, so they never hold the drain open — but a
-        BATCH_ADVANCE already received gets its one reply out before
+        """Open scan flows (still streaming) or beam ops whose reply is
+        not yet fully written. Idle beam flows are request-response and
+        have no tail to flush, so they never hold the drain open — but
+        a BATCH_ADVANCE already received gets its one reply out before
         GOODBYE (``_ops_inflight``)."""
-        return (
-            bool(self._pending)
-            or self._ops_inflight > 0
-            or any(
-                flow.kind is SCAN
-                for conn in self._connections.values()
-                for flow in conn.flows.values()
-            )
+        return self._ops_inflight > 0 or any(
+            flow.kind is SCAN
+            for conn in self._connections.values()
+            for flow in conn.flows.values()
         )
-
-    async def _shutdown(self, drain: bool) -> None:
-        await reap(self._poll_task)
-        for gen in self._generations.values():
-            if gen.service is not None:
-                gen.service.close(drain=drain)
 
     # ------------------------------------------------------------------
     # stats
@@ -525,9 +440,6 @@ class ScanServer(FramedEndpoint):
             len(self._connections)
         )
         self.metrics.gauge("server.flows.open").set(sum(by_kind.values()))
-        self.metrics.gauge("server.flows.pending_results").set(
-            len(self._pending)
-        )
         generations = [
             {
                 "generation": gen.gen_id,
@@ -562,18 +474,18 @@ class ScanServer(FramedEndpoint):
             "beams_open": by_kind[BEAM],
             "beam_native": beam_native,
         }
-        if self.service is not None:
-            snapshot = self.service.stats()
-            snapshot["generations"] = generations
-            snapshot["structgen"] = structgen
-            return snapshot
-        # In-process mode: report every engine's capability flags
-        # (pool mode reports them through the service's stats), plus
-        # the wide-loop skip-efficiency counters when live.
-        from repro.core.capabilities import engine_capabilities
+        # Every engine's capability flags under the engine the spec
+        # resolved to, plus the wide-loop skip-efficiency counters when
+        # live.
+        from repro.core.capabilities import (
+            engine_capabilities,
+            resolve_engine,
+        )
 
         engine = engine_capabilities(
-            getattr(self.spec, "engine", "compiled")
+            resolve_engine(
+                getattr(self.spec, "engine", "compiled"), streaming=True
+            )
         )
         tagger = self._vector_tagger()
         if tagger is not None:
@@ -600,7 +512,7 @@ class ScanServer(FramedEndpoint):
         spec built (None on the compiled/interpreted paths)."""
         from repro.core.vectorscan import VectorTagger
 
-        backend = self._backend
+        backend = self._current.backend
         tagger = getattr(backend, "tagger", None)
         if tagger is None:
             router = getattr(backend, "router", None)
@@ -624,14 +536,6 @@ class ScanServer(FramedEndpoint):
             self._current.flows_refused.inc()
         await super()._refuse(conn, refusal)
 
-    def _drop(self, conn: Connection, flow: _ServerFlow) -> None:
-        if flow.kind is SCAN:
-            self._pending.pop(flow.key, None)
-            if flow.gen.service is not None:
-                # Nobody will finish this flow: without this its worker
-                # session and whole replay journal outlive it.
-                flow.gen.service.abandon(flow.key)
-
     async def _teardown(self, conn: Connection) -> None:
         await super()._teardown(conn)
         self._retire_idle()
@@ -647,15 +551,7 @@ class ScanServer(FramedEndpoint):
                 self._ops_inflight -= 1
             return
         gen = self._current
-        session = (
-            gen.backend.new_session() if gen.backend is not None else None
-        )
-        flow = _ScanFlow(flow_id, session, gen)
-        # Connection-scoped ids must not collide across connections
-        # sharing the pool, nor with a closed flow whose id is reused.
-        self._flow_seq += 1
-        flow.key = f"conn{conn.conn_id}/flow{flow_id}/{self._flow_seq}"
-        conn.table.open(flow)
+        conn.table.open(_ScanFlow(flow_id, gen.backend.new_session(), gen))
         self.metrics.counter("server.flows.opened").inc()
         gen.flows_opened.inc()
 
@@ -683,9 +579,6 @@ class ScanServer(FramedEndpoint):
         # still stream to completion; only opening frames are refused.
         self._flow_bytes.inc(len(chunk))
         flow.gen.bytes.inc(len(chunk))
-        if flow.gen.service is not None:
-            await self._paced(flow.gen.service.submit, flow.key, chunk)
-            return
         started = time.perf_counter()
         try:
             results = flow.session.feed_records(chunk)
@@ -697,10 +590,6 @@ class ScanServer(FramedEndpoint):
             conn.add_results(flow.flow_id, results)
 
     async def _finish_scan(self, conn, flow: _ScanFlow) -> None:
-        if flow.gen.service is not None:
-            self._pending[flow.key] = (conn, flow)
-            await self._paced(flow.gen.service.finish_flow, flow.key)
-            return
         try:
             tail = flow.session.finish_records()
         except Exception as exc:
@@ -874,38 +763,6 @@ class ScanServer(FramedEndpoint):
         return protocol.encode_masks_records(
             flow.flow_id, len(states), rb, records
         )
-
-    # ------------------------------------------------------------------
-    # service-pool plumbing
-    # ------------------------------------------------------------------
-    async def _paced(self, submit, *args) -> None:
-        """Run one pool submission (``submit``/``finish_flow``); a full
-        shard queue pauses this connection's read loop (we simply stop
-        reading) until there is room — QueueFull is propagated as
-        *pacing*, not buffering."""
-        while True:
-            try:
-                submit(*args)
-                return
-            except QueueFull:
-                self.metrics.counter("server.backpressure.waits").inc()
-                await asyncio.sleep(0.002)
-
-    async def _poll_service(self) -> None:
-        """Deliver final RESULT frames as the pools acknowledge
-        FINISH_FLOWs (each pool merges per-flow results in order).
-        Every live generation's pool is polled: after a hot swap,
-        draining generations still owe finals to their flows."""
-        while True:
-            for gen in list(self._generations.values()):
-                if gen.service is None:
-                    continue
-                for key in gen.service.poll():
-                    items = gen.service.pop_flow(key)
-                    target = self._pending.pop(key, None)
-                    if target is not None:  # else: the flow went away
-                        await self._finished(*target, items)
-            await asyncio.sleep(0.001 if self._pending else 0.02)
 
     # ------------------------------------------------------------------
     # admin routes

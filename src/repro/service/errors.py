@@ -10,11 +10,11 @@ class ServiceError(ReproError):
 
 
 class QueueFull(ServiceError):
-    """A worker's submission queue is full (``backpressure="raise"``).
+    """A worker's submission queue stayed full for a submit's whole
+    ``timeout``.
 
     The caller owns the retry decision: drop the chunk, buffer it, or
-    slow the producer down. With ``backpressure="block"`` the service
-    makes that decision itself by blocking the submitter.
+    slow the producer down.
     """
 
     def __init__(self, worker: int, depth: int) -> None:

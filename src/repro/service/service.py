@@ -11,19 +11,17 @@ spawn, and the parent merges per-flow results in submission order.
 Operational semantics:
 
 * **Backpressure** — every worker's task queue is bounded
-  (``queue_depth``). ``backpressure="block"`` (default) makes
-  :meth:`submit` wait for space, pushing the stall onto the producer
-  the way a full hardware FIFO deasserts *ready*;
-  ``backpressure="raise"`` raises :class:`~repro.service.errors.
-  QueueFull` immediately so the caller can shed load.
+  (``queue_depth``): :meth:`submit` waits for space, pushing the stall
+  onto the producer the way a full hardware FIFO deasserts *ready*,
+  and raises :class:`~repro.service.errors.QueueFull` once its
+  ``timeout`` runs out.
 * **Crash recovery** — a worker that dies is detected by
   supervision, respawned into the same shard, and the journaled
   chunks of its unfinished flows are re-dispatched from flow start
   (scan state is sequential, so recovery must replay). Results the
   dead worker already delivered are suppressed on replay by count,
   so the merged stream has no duplicates and no holes. The journal
-  lives until the flow's finish is acknowledged — or until the caller
-  gives the flow up with :meth:`abandon`.
+  lives until the flow's finish is acknowledged.
 * **Graceful shutdown** — :meth:`drain` blocks until every submitted
   task is acknowledged; :meth:`close` drains, stops the workers with
   an end-of-queue message, and joins them. The service is a context
@@ -36,7 +34,6 @@ Operational semantics:
 
 from __future__ import annotations
 
-import collections
 import queue as queue_mod
 import time
 from dataclasses import dataclass
@@ -223,38 +220,21 @@ class ScanService:
         spec: Any,
         n_workers: int = 2,
         queue_depth: int = 64,
-        backpressure: str = "block",
         start_method: str | None = None,
         respawn_limit: int = 3,
-        metrics: MetricsRegistry | None = None,
-        engine: str | None = None,
     ) -> None:
-        if backpressure not in ("block", "raise"):
-            raise ServiceError(f"unknown backpressure policy {backpressure!r}")
         if n_workers < 1:
             raise ServiceError("need at least one worker")
-        if engine is not None:
-            # Convenience knob: override the spec's engine without the
-            # caller having to rebuild it by hand.
-            import dataclasses
-
-            try:
-                spec = dataclasses.replace(spec, engine=engine)
-            except TypeError:
-                raise ServiceError(
-                    f"spec {type(spec).__name__} does not take an "
-                    f"engine override"
-                ) from None
         self.spec = spec
         self.engine = _resolve_service_engine(
             getattr(spec, "engine", "compiled")
         )
-        self.backpressure = backpressure
         self.queue_depth = queue_depth
         self.respawn_limit = respawn_limit
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # The pool's modules load here, not with the package: a server
-        # without workers never imports multiprocessing.
+        self.metrics = MetricsRegistry()
+        # The pool's modules load here, not with the package: importing
+        # repro.service (the registry, the specs) never loads
+        # multiprocessing.
         import multiprocessing as mp
         from repro.service.pool import WorkerHandle
 
@@ -278,11 +258,6 @@ class ScanService:
         #: flow -> replayed results still to suppress.
         self._skip: dict[Any, int] = {}
         self._results: dict[Any, list] = {}
-        #: abandoned flows whose worker has yet to be told (its queue
-        #: was full); retried by every collection sweep.
-        self._abandoned: collections.deque = collections.deque()
-        #: flows whose finish was acknowledged since the last poll().
-        self._finished_flows: list[Any] = []
         #: task_id -> (worker, op, flow, submit_monotonic)
         self._inflight: dict[int, tuple[int, str, Any, float]] = {}
         self._peeks: dict[int, list] = {}
@@ -324,10 +299,8 @@ class ScanService:
         """Queue one chunk of ``flow`` for scanning.
 
         Chunks of one flow are scanned in submission order on one
-        worker. With ``backpressure="block"`` this call waits for
-        queue space (up to ``timeout`` seconds, then
-        :class:`QueueFull`); with ``"raise"`` a full queue raises
-        :class:`QueueFull` immediately.
+        worker. A full queue makes this call wait for space (up to
+        ``timeout`` seconds, then :class:`QueueFull`).
         """
         self._ensure_open()
         self.start()
@@ -345,44 +318,6 @@ class ScanService:
         self._collect()
         self._journal.setdefault(flow, []).append(("finish", None))
         self._dispatch("finish", flow, None, journaled=True, timeout=timeout)
-
-    def abandon(self, flow: Any) -> None:
-        """Forget ``flow`` unfinished: its replay journal, merged
-        results and dedup accounting go now, its worker session as soon
-        as the worker's queue has room.  Never blocks; nothing is
-        acknowledged, and replies still on their way for the flow are
-        dropped like any stale reply.  A flow whose finish was already
-        acknowledged only loses its results.  Do not reuse an abandoned
-        flow's key: a session drop deferred by a full queue would take
-        the new session with it."""
-        if self._closed:
-            return
-        unfinished = self._journal.pop(flow, None) is not None
-        self._emitted.pop(flow, None)
-        self._skip.pop(flow, None)
-        self._results.pop(flow, None)
-        for task_id in [
-            tid
-            for tid, (_w, _op, owner, _t) in self._inflight.items()
-            if owner == flow
-        ]:
-            del self._inflight[task_id]
-        if unfinished:
-            self._abandoned.append(flow)
-            self._flush_abandoned()
-
-    def _flush_abandoned(self) -> None:
-        while self._abandoned:
-            flow = self._abandoned[0]
-            handle = self.workers[self.shards.worker_of(flow)]
-            # A dead worker's sessions died with it, and the replay
-            # that follows its respawn no longer knows the flow.
-            if handle.alive:
-                try:
-                    handle.tasks.put_nowait(("abandon", flow))
-                except queue_mod.Full:
-                    return
-            self._abandoned.popleft()
 
     def peek(self, flow: Any, timeout: float = 30.0) -> list:
         """What end-of-data would add to ``flow`` right now, evaluated
@@ -442,16 +377,11 @@ class ScanService:
                     return None
                 continue  # non-journaled ops retry against the respawn
             try:
-                if self.backpressure == "raise":
-                    handle.tasks.put_nowait(message)
-                else:
-                    handle.tasks.put(message, timeout=0.05)
+                handle.tasks.put(message, timeout=0.05)
                 break
             except queue_mod.Full:
                 self._collect()
-                if self.backpressure == "raise" or (
-                    deadline is not None and time.monotonic() > deadline
-                ):
+                if deadline is not None and time.monotonic() > deadline:
                     if journaled:
                         # Undo the journal entry: this task was never
                         # delivered, and a future replay must not
@@ -484,8 +414,6 @@ class ScanService:
         if self._closed:
             # post-close results() reads the already-merged buffers
             return 0
-        if self._abandoned:
-            self._flush_abandoned()
         handled = self._sweep()
         if handled or not block:
             return handled
@@ -560,7 +488,6 @@ class ScanService:
             # parent: the replay journal has done its job.
             self._journal.pop(flow, None)
             self._skip.pop(flow, None)
-            self._finished_flows.append(flow)
 
     def _check_workers(self) -> None:
         """Detect dead workers and recover their shards."""
@@ -640,34 +567,6 @@ class ScanService:
             raise ServiceError(
                 "worker task failed:\n" + self._worker_errors[0]
             )
-
-    def poll(self) -> list[Any]:
-        """Non-blocking supervision + collection sweep.
-
-        Detects dead workers (recovering their shards), drains every
-        readable result queue, and returns the flows whose
-        :meth:`finish_flow` has been acknowledged since the last call
-        — the event-loop-friendly alternative to :meth:`drain` for
-        callers (like the asyncio server) that must never block.
-        """
-        self._ensure_open()
-        if self._started:
-            self._check_workers()
-        self._collect()
-        done, self._finished_flows = self._finished_flows, []
-        return done
-
-    def pop_flow(self, flow: Any) -> list:
-        """Hand over one flow's merged results (buffers cleared).
-
-        Meant for flows :meth:`poll` reported finished: popping a flow
-        that is still streaming also discards its crash-replay dedup
-        base, so a later replay could double-deliver its results.
-        """
-        self._collect()
-        self._emitted.pop(flow, None)
-        self._skip.pop(flow, None)
-        return self._results.pop(flow, [])
 
     def results(self) -> dict[Any, list]:
         """Per-flow merged results so far (submission order within a

@@ -77,15 +77,22 @@ def test_load_generator_closed_loop_verifies(streams):
     run(main())
 
 
-def test_load_generator_against_worker_pool():
+def test_auto_engine_server_answers_stats_and_metrics():
+    """``--engine auto`` names no engine of its own: /stats reports the
+    one it resolved to, and neither route drops the connection."""
+    from repro.core.capabilities import resolve_engine
+    from repro.service import RouterSpec
+
     async def main():
-        async with running_server(workers=2) as server:
-            host, port = server.address
-            report = await run_load(
-                host, port,
-                flows=6, messages=18, chunk=512,
-                concurrency=3, seed=321,
-            )
-        assert report["verified"] is True
+        async with running_server(
+            spec=RouterSpec(engine="auto"), admin_port=0
+        ) as server:
+            status, body = await _http_get(server.admin_address, "/stats")
+            assert status == "200 OK"
+            engine = json.loads(body)["engine"]
+            assert engine["name"] == resolve_engine("auto", streaming=True)
+            status, body = await _http_get(server.admin_address, "/metrics")
+            assert status == "200 OK"
+            assert "repro_server_connections_open 0" in body
 
     run(main())

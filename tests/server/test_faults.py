@@ -303,82 +303,17 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
     run(main())
 
 
-def test_pool_queue_full_pauses_reads_not_memory(streams, expected):
-    """With a tiny shard queue the server hits QueueFull and paces the
-    producer (counted waits) instead of buffering chunks; results are
-    still exact."""
-
-    async def main():
-        async with running_server(workers=1, queue_depth=2) as server:
-            host, port = server.address
-            async with ScanClient(host, port) as client:
-                got = {
-                    name: await client.scan_stream(data, chunk_size=64)
-                    for name, data in streams.items()
-                }
-            waits = server.stats()["counters"].get(
-                "server.backpressure.waits", 0
-            )
-        assert got == expected
-        assert waits > 0
-
-    run(main())
-
-
-def test_pool_flow_dropped_unfinished_is_abandoned(streams, expected):
-    """A pool-mode scan flow whose connection vanishes mid-stream is
-    abandoned: the service keeps no journal, results or dedup state
-    for it (it used to keep every DATA chunk until the pool closed),
-    and the pool still routes the next flow exactly."""
-
-    async def settled(condition) -> bool:
-        deadline = time.monotonic() + 5.0
-        while not condition() and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        return condition()
-
-    async def main():
-        async with running_server(workers=1) as server:
-            host, port = server.address
-            service = server.service
-            reader, writer = await asyncio.open_connection(host, port)
-            frames = FrameReader(reader)
-            writer.write(protocol.encode_hello())
-            await writer.drain()
-            await frames.frame()  # server HELLO
-            data = streams["flow-0"]
-            writer.write(protocol.encode_open_flow(1))
-            writer.write(protocol.encode_data(1, data[: len(data) // 2]))
-            await writer.drain()
-            assert await settled(lambda: bool(service._journal))
-            writer.transport.abort()
-            assert await settled(lambda: not server._connections)
-            # ... and what the worker still replies for it is dropped.
-            assert await settled(lambda: not service._inflight)
-            await asyncio.sleep(0.05)
-            held = (service._journal, service._results,
-                    service._emitted, service._skip)
-            assert held == ({}, {}, {}, {})
-
-            async with ScanClient(host, port) as client:
-                got = await client.scan_stream(streams["flow-1"])
-            assert got == expected["flow-1"]
-            assert held == ({}, {}, {}, {})
-
-    run(main())
-
-
 # ----------------------------------------------------------------------
 # graceful drain
 # ----------------------------------------------------------------------
 def test_graceful_drain_delivers_inflight_results(streams, expected):
-    """stop(drain=True) with FINISH_FLOWs in flight through the pool:
-    every final RESULT frame arrives before the close."""
+    """stop(drain=True) with FINISH_FLOWs in flight: every final
+    RESULT frame arrives before the close."""
 
     async def main():
         from repro.server import ScanServer
 
-        server = ScanServer(port=0, workers=2)
+        server = ScanServer(port=0)
         await server.start()
         host, port = server.address
         client = ScanClient(host, port)

@@ -241,14 +241,12 @@ def test_load_generator_verifies_byte_for_byte(table):
     run(main())
 
 
-def test_mask_flows_with_service_pool(table, streams, expected):
-    """Decode flows stay on the event loop even when scans run through
-    the sharded worker pool — both kinds multiplex one connection."""
+def test_decode_and_scan_flows_share_a_connection(table, streams, expected):
+    """A single-lane decode and a scan multiplex one connection, each
+    answered exactly."""
 
     async def main():
-        async with running_server(
-            mask_tables=[table], workers=1
-        ) as server:
+        async with running_server(mask_tables=[table]) as server:
             host, port = server.address
             local = MaskSession(table)
             async with ScanClient(host, port) as client:

@@ -195,13 +195,12 @@ SPECS = {
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
-@pytest.mark.parametrize("workers", [0, 1])
-def test_flows_through_server_and_pool_equal_in_process(kind, workers):
+def test_flows_through_server_equal_in_process(kind):
     spec, local = SPECS[kind]
     data = _workload()
 
     async def main():
-        async with running_server(spec=spec, workers=workers) as server:
+        async with running_server(spec=spec) as server:
             async with ScanClient(*server.address) as client:
                 return await client.scan_stream(data, chunk_size=211)
 
@@ -278,12 +277,12 @@ def test_message_larger_than_the_clients_frame_limit_round_trips():
     assert message.payload == data[:-1]
 
 
-@pytest.mark.parametrize("path", ["server", "pool", "proxy"])
+@pytest.mark.parametrize("path", ["server", "proxy"])
 def test_results_are_split_to_the_peers_frame_limit(path):
     """Every sender of RESULT shares the one splitting encoder: a
     client accepting 256-byte frames gets a 60-message flow's results
-    in several frames from the server, the pool poller and the proxy
-    (which re-splits a backend block too large for its client)."""
+    in several frames from the server and the proxy (which re-splits a
+    backend block too large for its client)."""
     data = WorkloadGenerator(seed=98).stream(60)[0]
     seen = []
 
@@ -294,8 +293,7 @@ def test_results_are_split_to_the_peers_frame_limit(path):
             return await super()._on_frame(frame)
 
     async def main():
-        workers = 1 if path == "pool" else 0
-        async with running_server(workers=workers) as server:
+        async with running_server() as server:
             address, proxy = server.address, None
             if path == "proxy":
                 proxy = await ScanProxy([server.address], port=0).start()

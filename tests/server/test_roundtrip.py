@@ -1,8 +1,7 @@
 """Differential correctness over TCP: results streamed through the
 framed protocol must be byte-for-byte what the single-process
 ``ContentBasedRouter.route`` produces — multi-flow, chunked at
-adversarial boundaries, through both the in-process backend and the
-sharded service pool."""
+adversarial boundaries."""
 
 import asyncio
 
@@ -41,25 +40,14 @@ async def _scan_all(server, streams, chunk_size):
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, 313, 4096])
 def test_in_process_roundtrip_matches_route(streams, expected, chunk_size):
-    """The acceptance invariant, in-process backend: every adversarial
-    chunking merges to the exact single-process results."""
+    """The acceptance invariant: every adversarial chunking merges to
+    the exact single-process results."""
 
     async def main():
         async with running_server() as server:
             got = await _scan_all(server, streams, chunk_size)
-        assert got == expected
-
-    run(main())
-
-
-def test_service_pool_roundtrip_matches_route(streams, expected):
-    """The acceptance invariant through the sharded worker pool."""
-
-    async def main():
-        async with running_server(workers=2) as server:
-            got = await _scan_all(server, streams, 313)
         assert got == expected
 
     run(main())

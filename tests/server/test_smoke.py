@@ -1,11 +1,11 @@
-"""Gated end-to-end smoke: the real ``repro serve --workers 2`` process
-over localhost TCP, driven by the verifying in-test driver
-(byte-for-byte against ``route()``), then a SIGTERM graceful-drain
-check.
+"""Gated end-to-end smoke: the N-core deployment — ``repro cluster``
+over two ``repro serve`` processes — over localhost TCP, driven by the
+verifying in-test driver (byte-for-byte against ``route()``), then a
+SIGTERM graceful-drain check of the proxy and both backends.
 
-Heavier than a unit test (spawns an interpreter and a worker pool), so
-it only runs when ``RUN_SERVER_SMOKE=1`` — the CI job sets it and
-enforces a hard timeout so a hung drain fails fast.
+Heavier than a unit test (spawns three interpreters), so it only runs
+when ``RUN_SERVER_SMOKE=1`` — the CI job sets it and enforces a hard
+timeout so a hung drain fails fast.
 """
 
 import asyncio
@@ -25,31 +25,41 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_server_roundtrip_smoke():
-    """serve end to end: 300 messages, exact results, clean SIGTERM
-    drain."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        os.path.abspath("src") + os.pathsep + env.get("PYTHONPATH", "")
-    )
-    server = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2",
-            "--idle-timeout", "60",
-        ],
+def _launch(env, *argv):
+    """One ``repro`` process on an ephemeral port: (process, port)."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv,
+         "--port", "0", "--idle-timeout", "60"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
+    banner = process.stdout.readline()
+    listening = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
+    assert listening, banner
+    return process, int(listening.group(1))
+
+
+def test_server_roundtrip_smoke():
+    """cluster over two serve processes end to end: 300 messages,
+    exact results, clean SIGTERM drain of every process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.abspath("src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    processes = []
     try:
-        banner = server.stdout.readline()
-        listening = re.search(r"on (127\.0\.0\.1):(\d+)", banner)
-        assert listening, banner
+        backends = []
+        for _ in range(2):
+            process, port = _launch(env, "serve", "--workers", "0")
+            processes.append(process)
+            backends += ["--backend", f"127.0.0.1:{port}"]
+        proxy, port = _launch(env, "cluster", *backends)
+        processes.insert(0, proxy)
         report = asyncio.run(
             run_load(
-                listening.group(1), int(listening.group(2)),
+                "127.0.0.1", port,
                 flows=6, messages=300, chunk=777, concurrency=3,
             )
         )
@@ -57,11 +67,14 @@ def test_server_roundtrip_smoke():
         assert report["mismatches"] == []
         assert report["messages"] == 300
 
-        server.send_signal(signal.SIGTERM)
-        out, _ = server.communicate(timeout=30)
-        assert server.returncode == 0, out
-        assert "drained and stopped" in out
+        # The proxy first (its clients are gone), then the backends.
+        for process in processes:
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=30)
+            assert process.returncode == 0, out
+            assert "drained and stopped" in out
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.communicate(timeout=10)
+        for process in processes:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=10)

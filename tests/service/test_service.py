@@ -2,7 +2,6 @@
 chunk-split invariance, backpressure, crash recovery, lifecycle."""
 
 import os
-import time
 
 import pytest
 
@@ -97,40 +96,9 @@ def test_tagger_spec_raw_events(streams):
 
 
 # ----------------------------------------------------------------------
-def test_backpressure_raise_policy(streams):
-    """With backpressure="raise" a full bounded queue raises QueueFull
-    instead of blocking; the journal stays consistent (the rejected
-    chunk is not replayed later)."""
-    data = streams["flow-2"]
-    with ScanService(
-        RouterSpec(), n_workers=1, queue_depth=1, backpressure="raise"
-    ) as service:
-        rejected = 0
-        for _ in range(200):
-            try:
-                service.submit("slow-flow", data)
-            except QueueFull as exc:
-                rejected += 1
-                assert exc.worker == 0
-        assert rejected > 0
-        while True:
-            try:
-                service.finish_flow("slow-flow")
-                break
-            except QueueFull:
-                time.sleep(0.01)
-        service.drain()
-        accepted = 200 - rejected
-        expected = ContentBasedRouter().route(data * accepted)
-        assert service.results()["slow-flow"] == expected
-        assert (
-            service.stats()["counters"]["errors.queue_full"] >= rejected
-        )
-
-
 def test_block_policy_timeout(streams):
-    """backpressure="block" with a timeout raises QueueFull once the
-    deadline passes rather than waiting forever."""
+    """A submit with a timeout raises QueueFull once the deadline
+    passes rather than waiting forever."""
     big = streams["flow-3"] * 1000  # keeps the one worker busy a while
     with ScanService(RouterSpec(), n_workers=1, queue_depth=1) as service:
         service.submit("f", big)
@@ -223,33 +191,9 @@ def test_peek_is_nondestructive(streams, expected):
         assert service.results()[flow] == expected[flow]
 
 
-def test_abandon_forgets_the_flow_on_both_sides(streams, expected):
-    """abandon() gives an unfinished flow up: the parent keeps no
-    journal, results or dedup state for it, and the worker's session
-    is gone — the same key starts again from a clean session."""
-    flow = "flow-3"
-    data = streams[flow]
-    with ScanService(RouterSpec(), n_workers=2) as service:
-        service.submit(flow, data[: len(data) // 2 + 7])  # mid-message
-        service.abandon(flow)
-        held = (service._journal, service._results,
-                service._emitted, service._skip, service._inflight)
-        assert held == ({}, {}, {}, {}, {})
-        # The worker was told at once (its queue had room), so — and
-        # only so — the key can be fed again from a clean session.
-        assert not service._abandoned
-        service.submit(flow, data)
-        service.finish_flow(flow)
-        service.drain()
-        assert service.results()[flow] == expected[flow]
-        assert not service._journal
-
-
 def test_invalid_options():
     with pytest.raises(ServiceError):
         ScanService(RouterSpec(), n_workers=0)
-    with pytest.raises(ServiceError):
-        ScanService(RouterSpec(), backpressure="shed")
 
 
 def test_stats_shape(streams):

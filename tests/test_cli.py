@@ -89,6 +89,16 @@ class TestRoute:
         assert code == 1
 
 
+class TestServe:
+    def test_workers_other_than_zero_points_at_cluster(self, capsys):
+        """N cores are N `repro serve` behind `repro cluster`: a worker
+        count is a usage error that says so, before anything binds."""
+        assert main(["serve", "--workers", "2", "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "repro cluster" in captured.err
+        assert captured.out == ""
+
+
 class TestStructgen:
     def test_precompute_autopublishes_builtin(self, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -78,7 +78,7 @@ cli._serve = lambda endpoint, what, detail: built.append(endpoint) or 0
 assert cli.main(["serve", "--engine", "native", "--workers", "0",
                  "--port", "0"]) == 0
 (server,) = built
-session = server._backend.new_session()
+session = server._current.backend.new_session()
 data = (b"<methodCall><methodName>buy</methodName><params></params>"
         b"</methodCall> ")
 (message,) = session.feed(data) + session.finish()
@@ -87,7 +87,7 @@ assert message.service == "buy", message
 
 #: What a scan server never runs: the gate-level generator and its
 #: netlist modules, the RTL and FPGA models, the wide and stack
-#: taggers, the back-end pipeline and (with no workers) the pool.
+#: taggers, the back-end pipeline and the worker pool.
 _NOT_ON_THE_SERVING_PATH = [
     "repro.rtl",
     "repro.fpga",
