@@ -7,12 +7,13 @@ reproduction:
 
 * :mod:`repro.server.protocol` — the versioned, length-prefixed frame
   format (HELLO / OPEN_FLOW / DATA / FINISH_FLOW / RESULT / ERROR /
-  GOODBYE) and its sans-IO encoder/decoder;
+  GOODBYE), its sans-IO encoder/decoder, and the one
+  ``asyncio.Protocol`` every framed connection is;
 * :mod:`repro.server.flows` — the flow lifecycle (scan, beam × open /
   op / finish / error) as one sans-IO table that server, proxy and
   client all consult;
 * :mod:`repro.server.endpoint` — :class:`FramedEndpoint`: the
-  listeners, handshake, idle-timed frame loop, drain and admin
+  listeners, handshake, idle deadline, frame handling, drain and admin
   responder that server and proxy share;
 * :mod:`repro.server.server` — :class:`ScanServer`: the asyncio TCP
   server multiplexing per-connection flows into in-process streaming

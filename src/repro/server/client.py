@@ -1,7 +1,9 @@
 """Asyncio client library for the scan server's framed protocol.
 
-:class:`ScanClient` owns one TCP connection, performs the versioned
-HELLO handshake, and multiplexes flows over it:
+:class:`ScanClient` owns one TCP connection — the same
+:class:`~repro.server.protocol.FramedProtocol` a server connection is,
+so replies are handled inside its read callback as zero-copy frames —
+performs the versioned HELLO handshake, and multiplexes flows over it:
 
 .. code-block:: python
 
@@ -15,6 +17,9 @@ Connection semantics:
 * **connect/retry** — :meth:`connect` retries with exponential
   backoff (``connect_retries`` attempts, ``connect_timeout`` per
   attempt), so clients can start before the server finishes binding;
+  a failed handshake closes its connection and leaves the client
+  unconnected, and a refused one (an ERROR answering our HELLO) raises
+  :class:`~repro.server.protocol.ServerFault` at once;
 * **timeouts** — :meth:`ClientFlow.finish` waits at most
   ``request_timeout`` for the flow's final RESULT;
 * **frame limits** — DATA is split to fit the *server's* advertised
@@ -49,7 +54,7 @@ from repro.server.protocol import (
     ErrorCode,
     Frame,
     FrameType,
-    Outbound,
+    FramedProtocol,
     PROTOCOL_VERSION,
     ProtocolError,
     ServerFault,
@@ -174,7 +179,7 @@ class ClientFlow(Flow):
         """Take a reply frame the flow table delivered; True when it
         was the flow's last (the final RESULT)."""
         _flow_id, final, block = protocol.split_result(frame)
-        self.blocks.append(block)
+        self.blocks.append(bytes(block))  # a view would pin its read
         if final and not self._done.done():
             self._done.set_result(None)
         return final
@@ -304,6 +309,32 @@ class BeamFlow(ClientFlow):
         return False
 
 
+class _Link(FramedProtocol):
+    """A client's connection: every frame goes to the client (None
+    once the client gave the connection up)."""
+
+    def __init__(self, client: "ScanClient") -> None:
+        super().__init__(client.max_frame)
+        self.client: ScanClient | None = client
+
+    def frame_received(self, frame: Frame) -> None:
+        if self.client is not None:
+            self.client._on_frame(self, frame)
+
+    def failed(self, exc: Exception) -> None:
+        if self.client is not None:
+            self.client._lost(self, exc)
+        self.close()
+
+    def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
+        if self.client is not None:
+            self.client._lost(
+                self,
+                exc or ConnectionResetError("server closed the connection"),
+            )
+
+
 class ScanClient:
     """One framed-protocol connection multiplexing many flows."""
 
@@ -333,12 +364,12 @@ class ScanClient:
         #: servers without a grammar registry or predating the field).
         self.server_grammars: tuple[str, ...] = ()
 
-        self._reader: asyncio.StreamReader | None = None
-        #: The outbound side (None until connected, and after close):
-        #: the same corked queue a server connection writes through.
-        self._out: Outbound | None = None
-        self._decoder = protocol.FrameDecoder(max_frame)
-        self._reader_task: asyncio.Task | None = None
+        #: The connection (None until connected, and after close): it
+        #: reads, and writes through the same corked queue a server
+        #: connection does.
+        self._out: _Link | None = None
+        #: What the handshake waits on, while it does.
+        self._hello: asyncio.Future | None = None
         self._table = FlowTable()
         #: The table's open flows, by flow id.
         self._flows: dict[int, ClientFlow] = self._table.flows
@@ -357,34 +388,48 @@ class ScanClient:
     # ------------------------------------------------------------------
     async def connect(self) -> "ScanClient":
         """Dial with retry/backoff, then handshake. Raises
-        :class:`ConnectFailed` once the retry budget is spent."""
+        :class:`ConnectFailed` once the retry budget is spent, and a
+        refused handshake's :class:`ServerFault` at once."""
         last: Exception | None = None
         backoff = self.retry_backoff
+        loop = asyncio.get_running_loop()
         for _attempt in range(max(1, self.connect_retries)):
+            hello = self._hello = loop.create_future()
             try:
-                self._reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
+                _transport, self._out = await asyncio.wait_for(
+                    loop.create_connection(
+                        lambda: _Link(self), self.host, self.port
+                    ),
                     timeout=self.connect_timeout,
                 )
-                self._out = Outbound(writer)
-                self._decoder = protocol.FrameDecoder(self.max_frame)
-                early = await self._handshake()
-                self._reader_task = asyncio.ensure_future(
-                    self._read_loop(early)
+                self._out.queue(
+                    protocol.encode_hello(PROTOCOL_VERSION, self.max_frame)
                 )
+                self._out.push()
+                await asyncio.wait_for(hello, self.connect_timeout)
                 return self
             except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
                 last = exc
-                if self._out is not None:
-                    with contextlib.suppress(Exception):
-                        self._out.writer.close()
-                    self._reader = self._out = None
+                self._unconnect()
                 await asyncio.sleep(self._next_backoff(backoff))
                 backoff = min(backoff * 2, self.max_backoff)
+            except BaseException:
+                self._unconnect()
+                raise
+            finally:
+                self._hello = None
         raise ConnectFailed(
             f"could not connect to {self.host}:{self.port} after "
             f"{self.connect_retries} attempts: {last}"
         )
+
+    def _unconnect(self) -> None:
+        """A handshake that failed: close its connection, so the
+        client is not :attr:`connected`."""
+        link, self._out = self._out, None
+        if link is not None:
+            link.client = None
+            link.close()
 
     def _next_backoff(self, backoff: float) -> float:
         """Cap the doubled backoff and spread it ±25 % so a fleet of
@@ -393,20 +438,9 @@ class ScanClient:
         capped = min(backoff, self.max_backoff)
         return capped * (0.75 + 0.5 * random.random())
 
-    async def _handshake(self) -> list:
-        """HELLO both ways; returns whatever frames the server's
-        first read carried behind its HELLO."""
-        self._out.queue(
-            protocol.encode_hello(PROTOCOL_VERSION, self.max_frame)
-        )
-        self._out.push()
-        frames = await asyncio.wait_for(
-            protocol.read_frames(self._reader, self._decoder),
-            timeout=self.connect_timeout,
-        )
-        if frames is None:
-            raise ProtocolError("server closed during handshake")
-        frame = frames[0]
+    def _greet(self, frame: Frame) -> None:
+        """The server's first frame: its HELLO, or why the handshake
+        failed. Done before any frame behind it is handled."""
         if frame.type == FrameType.ERROR:
             flow, code, message = protocol.decode_error(frame)
             raise ServerFault(flow, code, message)
@@ -421,7 +455,6 @@ class ScanClient:
             )
         self.server_max_frame = server_max
         self.server_grammars = protocol.decode_hello_grammars(frame)
-        return frames[1:]
 
     async def close(self) -> None:
         """Polite GOODBYE (waits briefly for the server's), then close."""
@@ -433,11 +466,9 @@ class ScanClient:
                 out.queue(protocol.encode_goodbye())
                 out.push()
                 await asyncio.wait_for(self._goodbye.wait(), timeout=2.0)
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reader_task
-        await out.close()
+        out.close()
+        with contextlib.suppress(Exception):
+            await out.wait_closed()
         self._fail_pending(ConnectionResetError("client closed"))
 
     async def __aenter__(self) -> "ScanClient":
@@ -451,6 +482,18 @@ class ScanClient:
     def connected(self) -> bool:
         out, dead = self._out, self._conn_error
         return out is not None and not out.closed and dead is None
+
+    @property
+    def paused(self) -> bool:
+        """The server is not taking our writes: the transport holds a
+        high-water mark's worth of unsent bytes."""
+        return self._out is not None and self._out.paused
+
+    async def writable(self) -> None:
+        """Return once the server takes our writes again (at once
+        unless :attr:`paused`)."""
+        if self._out is not None:
+            await self._out.writable()
 
     # ------------------------------------------------------------------
     # flow API
@@ -496,13 +539,20 @@ class ScanClient:
 
     def set_raw_tap(self, flow_id: int, handler) -> None:
         """Route reply frames for ``flow_id`` to ``handler(frame)``
-        (an async callable) instead of the flow machinery; the handler
-        is called with ``None`` once if the connection fails or says
-        GOODBYE while the tap is installed."""
+        (an async callable, started inside the read callback: while one
+        is suspended, the frames behind it wait) instead of the flow
+        machinery; the handler is called with ``None`` once if the
+        connection fails or says GOODBYE while the tap is installed."""
         self._raw_taps[flow_id] = handler
 
     def clear_raw_tap(self, flow_id: int) -> None:
         self._raw_taps.pop(flow_id, None)
+
+    def queue_raw(self, frame_bytes: bytes) -> None:
+        """Queue one pre-encoded frame for the turn's write, without
+        waiting: the relay's sync :meth:`send_raw` (pace it with
+        :attr:`paused` / :meth:`writable`)."""
+        self._link().queue(frame_bytes)
 
     async def send_raw(self, frame_bytes: bytes) -> None:
         """Write one pre-encoded frame (raw-tap counterpart of the
@@ -519,47 +569,45 @@ class ScanClient:
         return await flow.finish()
 
     # ------------------------------------------------------------------
-    async def _send(self, frame_bytes: bytes) -> None:
-        """Queue one encoded frame (see :class:`Outbound` for when it
-        leaves); raises what killed the connection if something did."""
+    def _link(self) -> _Link:
+        """The live connection, or what killed it raised."""
         out = self._out
         if out is None:
             raise ConnectionResetError("client not connected")
         if self._conn_error is not None:
             raise self._conn_error
+        if out.error is not None:
+            raise out.error
+        return out
+
+    async def _send(self, frame_bytes: bytes) -> None:
+        """Queue one encoded frame (:class:`FramedProtocol` says when
+        it leaves); raises what killed the connection if something
+        did."""
+        out = self._link()
         await out.send(frame_bytes)
         if out.error is not None:
             raise out.error
 
-    async def _read_loop(self, frames: list) -> None:
-        """Dispatch ``frames``, then every batch the connection
-        delivers, until GOODBYE or failure."""
-        try:
-            while True:
-                for frame in frames:
-                    if await self._on_frame(frame):
-                        return
-                frames = await protocol.read_frames(
-                    self._reader, self._decoder
-                )
-                if frames is None:
-                    raise ConnectionResetError(
-                        "server closed the connection"
-                    )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._conn_error = exc
-            self._fail_pending(exc)
-            self._goodbye.set()
-
-    async def _on_frame(self, frame) -> bool:
-        """Route one reply frame to its flow; True on GOODBYE."""
+    def _on_frame(self, link: _Link, frame: Frame) -> None:
+        """Route one frame from the server to its flow."""
+        if self._hello is not None:
+            hello, self._hello = self._hello, None
+            try:
+                self._greet(frame)
+            except Exception as exc:
+                self._unconnect()
+                if not hello.done():
+                    hello.set_exception(exc)
+            else:
+                if not hello.done():
+                    hello.set_result(None)
+            return
         if self._raw_taps and frame.type in _TAPPED:
             tap = self._raw_taps.get(flow_id_of(frame))
             if tap is not None:
-                await tap(frame)
-                return False
+                link.run(tap(frame))
+                return
         if frame.type in _REPLIES:
             flow = self._table.reply(frame)
             if flow is not None and flow._on_reply(frame):
@@ -581,22 +629,33 @@ class ScanClient:
             # full timeout. The GOODBYE also ends the connection's
             # useful life, so later sends fail fast instead of timing
             # out (pools key reconnects off :attr:`connected`).
-            if self._conn_error is None:
-                self._conn_error = ConnectionResetError(
-                    "server said GOODBYE"
-                )
-            self._fail_pending(
+            self._lost(
+                link,
+                ConnectionResetError("server said GOODBYE"),
                 ConnectionResetError(
                     "server said GOODBYE with flows pending"
-                )
+                ),
             )
-            self._goodbye.set()
-            return True
+            link.close()
         else:
             raise ProtocolError(
                 f"unexpected {frame.name} frame from server"
             )
-        return False
+
+    def _lost(self, link: _Link, exc: Exception, pending=None) -> None:
+        """``link`` is dead (``exc`` says why): fail the handshake, or
+        every flow and tap (with ``pending``, if given)."""
+        if self._hello is not None:
+            hello, self._hello = self._hello, None
+            if not hello.done():
+                hello.set_exception(
+                    ProtocolError(f"server closed during handshake: {exc}")
+                )
+            return
+        if self._conn_error is None:
+            self._conn_error = exc
+        self._fail_pending(pending or exc)
+        self._goodbye.set()
 
     def _fail_pending(self, exc: Exception) -> None:
         for flow in list(self._flows.values()):
@@ -604,7 +663,7 @@ class ScanClient:
         self._flows.clear()
         for tap in list(self._raw_taps.values()):
             # Notify taps off-loop: _fail_pending is synchronous and
-            # may run from the dying read loop itself.
+            # runs from the dying connection's callbacks.
             asyncio.ensure_future(_notify_tap_dead(tap))
         self._raw_taps.clear()
 

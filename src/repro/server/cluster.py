@@ -27,22 +27,27 @@ forwards the frame to a pooled
 replies come back through that client's raw tap, re-addressed the same
 way — a beam's delta chain and a scan's record blocks pass unread.
 Per flow the proxy keeps a journal of the client frames it accepted,
-a cursor (how much of it the backend was sent), the count of replies
-it forwarded with a sha256 over them (beam MASKS; a scan forwards
-nothing before its final RESULT) and the RESULT record blocks, held
-until the final one — so no partial result escapes before FINISH.
+the count of replies it forwarded with a sha256 over them (beam MASKS;
+a scan forwards nothing before its final RESULT) and the RESULT record
+blocks, held until the final one — so no partial result escapes before
+FINISH.
 
 A backend's replies are a pure function of a flow's history (the
 engines are deterministic automata), so one routine,
 :meth:`ScanProxy._place`, opens a flow and fails it over: walk the
 ring, re-send the journal's answered prefix and require the digest of
 what was already forwarded (so a beam's delta base is the client's
-rows), install the live tap, send from the cursor until caught up. A
+rows), install the live tap, send the journal's unanswered tail. A
 lost backend (connection cut, a DRAINING or IDLE_TIMEOUT error, a
 failed send) starts it again; no backend left, a digest mismatch or an
-ERROR in the replay is ``ERROR(FAILOVER)``. A task exists only while a
-flow is being placed; otherwise frames go out from the connection's
-frame loop.
+ERROR in the replay is ``ERROR(FAILOVER)``. Placement starts eagerly
+inside the client connection's read callback, and a task exists only
+while it waits (a dial, a pool lock, a replay); meanwhile the flow's
+later frames are only journaled, and the connection's other flows keep
+moving. Otherwise frames go out from the read callback. Backpressure
+chains both ways: a backend that stops reading stops the proxy reading
+the clients that feed it, and a client that stops reading stops the
+taps of its backend connections.
 
 Health & admin
 --------------
@@ -310,15 +315,17 @@ class _ProxyFlow(Flow):
 
     The backend holds it as flow ``fid`` on ``client`` (None while it
     is unplaced). ``journal`` is every client frame the flow table
-    accepted, in order; the backend was sent ``journal[:cursor]`` and
-    answered ``journal[:answered]`` — the frames whose MASKS reply was
-    forwarded, and ``digest`` is a sha256 over those payloads past the
-    flow id (a survivable ``BAD_TOKEN`` moved nothing, so its frame
-    leaves the journal). ``blocks`` are the RESULT record blocks held
-    until the final one."""
+    accepted, in order (all of it sent to a placed flow's backend),
+    and the backend answered ``journal[:answered]`` — the frames whose
+    MASKS reply was forwarded, and ``digest`` is a sha256 over those
+    payloads past the flow id (a survivable ``BAD_TOKEN`` moved
+    nothing, so its frame leaves the journal). ``blocks`` are the
+    RESULT record blocks held until the final one. Both keep copies: a
+    view of a frame would pin its whole read for as long as the flow
+    lives."""
 
     __slots__ = (
-        "kind", "key", "backend", "client", "fid", "journal", "cursor",
+        "kind", "key", "backend", "client", "fid", "journal",
         "answered", "digest", "blocks", "placing", "excluded",
     )
 
@@ -332,13 +339,13 @@ class _ProxyFlow(Flow):
         self.backend: _Backend | None = None
         self.client: ScanClient | None = None
         self.fid = 0
-        self.journal: list[Frame] = [opener]
-        self.cursor = 0
+        self.journal: list[Frame] = [_copy(opener)]
         self.answered = 0
         self.digest = hashlib.sha256()
         self.blocks: list[bytes] = []
-        #: The task placing the flow on a backend, while one is.
-        self.placing: asyncio.Task | None = None
+        #: The task placing the flow on a backend, while one is (True
+        #: while its first, eager step runs).
+        self.placing: asyncio.Task | bool | None = None
         #: Backends the running placement gave up on.
         self.excluded: set[str] = set()
 
@@ -354,6 +361,10 @@ class _ProxyFlow(Flow):
         )
 
 
+def _copy(frame: Frame) -> Frame:
+    return Frame(frame.type, bytes(frame.payload))
+
+
 def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
     """Re-emit a frame with its leading u32 flow id replaced — the
     whole translation a relay needs, leaving delta chains and record
@@ -363,24 +374,24 @@ def _rewrite_flow_id(frame: Frame, flow_id: int) -> bytes:
     )
 
 
-async def _relay(client: ScanClient, fid: int, frame: Frame) -> None:
-    """Send a client frame to ``client``'s backend as flow ``fid``; a
+def _relay(client: ScanClient, fid: int, frame: Frame) -> None:
+    """Queue a client frame to ``client``'s backend as flow ``fid``; a
     DATA body larger than the backend's frame limit goes as several."""
     limit = max(1, client.server_max_frame - 5)  # type byte + flow id
     if frame.type != FrameType.DATA or len(frame.payload) - 4 <= limit:
-        await client.send_raw(_rewrite_flow_id(frame, fid))
+        client.queue_raw(_rewrite_flow_id(frame, fid))
         return
     body = frame.payload[4:]
     for start in range(0, len(body), limit):
-        await client.send_raw(
+        client.queue_raw(
             protocol.encode_data(fid, body[start : start + limit])
         )
 
 
-async def _finish_raw(client: ScanClient, fid: int) -> None:
+def _finish_raw(client: ScanClient, fid: int) -> None:
     """Abandon a backend flow (its late replies find no tap)."""
     with contextlib.suppress(Exception):
-        await client.send_raw(protocol.encode_finish_flow(fid))
+        client.queue_raw(protocol.encode_finish_flow(fid))
 
 
 async def _http_get(
@@ -560,25 +571,23 @@ class ScanProxy(FramedEndpoint):
     async def _place(self, conn, flow: _ProxyFlow) -> None:
         """Put ``flow`` on a backend and bring that up to date — its
         first open and every failover: :meth:`_attach` to the ring's
-        first working backend, then send the journal from the cursor
-        until caught up (frames the client sends meanwhile are only
-        journaled, and go out here, in order). A backend lost on the
-        way starts the walk again; a flow that cannot be placed ends
-        with its typed ERROR."""
+        first working backend, then send it the journal's unanswered
+        tail (frames the client sends meanwhile are only journaled, and
+        go out here, in order). A backend lost on the way starts the
+        walk again; a flow that cannot be placed ends with its typed
+        ERROR."""
         try:
-            while flow.client is None or flow.cursor < len(flow.journal):
-                if flow.client is None:
-                    await self._attach(conn, flow)
-                else:
-                    flow.cursor += 1
-                    await self._forward(
-                        conn, flow, flow.journal[flow.cursor - 1]
-                    )
+            while flow.client is None:
+                await self._attach(conn, flow)
+                for frame in flow.journal[flow.answered :]:
+                    self._forward(conn, flow, frame)
+                    if flow.client is None:
+                        break
             flow.excluded.clear()
         except ServerFault as fault:
-            await self._fail_flow(conn, flow, fault.code, fault.detail)
+            self._fail_flow(conn, flow, fault.code, fault.detail)
         except Exception as exc:  # noqa: BLE001 - fault barrier
-            await self._fail_flow(
+            self._fail_flow(
                 conn, flow, ErrorCode.INTERNAL, f"proxy error: {exc}"
             )
         finally:
@@ -615,7 +624,6 @@ class ScanProxy(FramedEndpoint):
         if flow.backend is not None:
             self.metrics.counter("proxy.failovers").inc()
         flow.backend, flow.client, flow.fid = backend, client, fid
-        flow.cursor = flow.answered
         client.set_raw_tap(fid, self._tap(conn, flow, client, fid))
 
     async def _replay(self, flow: _ProxyFlow, client, fid: int) -> None:
@@ -628,7 +636,7 @@ class ScanProxy(FramedEndpoint):
         digest = hashlib.sha256()
         try:
             for frame in flow.journal[: flow.answered]:
-                await _relay(client, fid, frame)
+                _relay(client, fid, frame)
             for _ in range(flow.answered):
                 reply = await asyncio.wait_for(
                     replies.get(), self.request_timeout
@@ -648,18 +656,22 @@ class ScanProxy(FramedEndpoint):
                 )
         except BaseException:
             client.clear_raw_tap(fid)
-            asyncio.ensure_future(_finish_raw(client, fid))
+            _finish_raw(client, fid)
             raise
 
-    async def _forward(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
+    def _forward(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
         """Send one journaled frame to the flow's backend; a failed
-        send loses the backend."""
+        send loses the backend. A backend that stops reading stops this
+        connection reading: its backpressure, chained to the client."""
         client = flow.client
         try:
-            await _relay(client, flow.fid, frame)
+            _relay(client, flow.fid, frame)
         except _BACKEND_FAULTS as exc:
             if flow.client is client:
                 self._lose(conn, flow, exc)
+            return
+        if client.paused:
+            conn.run(client.writable())
 
     def _lose(self, conn, flow: _ProxyFlow, fault) -> None:
         """The flow's backend is gone: drop what it sent, and place the
@@ -669,7 +681,16 @@ class ScanProxy(FramedEndpoint):
         self._note_backend_error(flow.backend, fault)
         flow.blocks.clear()
         if flow.placing is None:
-            flow.placing = asyncio.ensure_future(self._place(conn, flow))
+            self._start_placing(conn, flow)
+
+    def _start_placing(self, conn, flow: _ProxyFlow) -> None:
+        """Run :meth:`_place` now: to the end when nothing needs waiting
+        for (a pooled backend connection, no replay), else as a task
+        the flow's later frames wait behind."""
+        flow.placing = True
+        task = protocol.start_eagerly(self._place(conn, flow))
+        if flow.placing is not None:
+            flow.placing = task
 
     @staticmethod
     def _detach(flow: _ProxyFlow) -> None:
@@ -727,7 +748,7 @@ class ScanProxy(FramedEndpoint):
     # ------------------------------------------------------------------
     # client-facing data plane: frames the flow table accepted
     # ------------------------------------------------------------------
-    async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
+    def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
         if kind is BEAM:
             # Relayed unread, so checked here: a malformed frame is the
             # client connection's fault, as on a server — it must not
@@ -736,29 +757,28 @@ class ScanProxy(FramedEndpoint):
         flow = _ProxyFlow(flow_id, kind, f"{conn.conn_id}:{flow_id}", frame)
         conn.table.open(flow)
         self.metrics.counter(f"proxy.flows.{kind}").inc()
-        flow.placing = asyncio.ensure_future(self._place(conn, flow))
+        self._start_placing(conn, flow)
 
-    async def _op(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
+    def _op(self, conn, flow: _ProxyFlow, frame: Frame) -> None:
         if frame.type == FrameType.BATCH_ADVANCE:
             protocol.decode_batch_advance(frame)  # see _open
-        flow.journal.append(frame)
+        flow.journal.append(_copy(frame))
         if flow.placing is None:
-            # Caught up: straight out. A backend that stops reading
-            # suspends this connection's frame loop here — its
-            # backpressure, chained to the client.
-            flow.cursor += 1
-            await self._forward(conn, flow, frame)
+            self._forward(conn, flow, frame)  # else: _place sends it
 
     def _drop(self, conn, flow: _ProxyFlow) -> None:
         """Cancel the flow's placement (unless we *are* it) and abandon
         its backend flow."""
         placing = flow.placing
-        if placing is not None and placing is not asyncio.current_task():
+        if (
+            isinstance(placing, asyncio.Task)
+            and placing is not asyncio.current_task()
+        ):
             placing.cancel()
         client, fid = flow.client, flow.fid
         if client is not None:
             self._detach(flow)
-            asyncio.ensure_future(_finish_raw(client, fid))
+            _finish_raw(client, fid)
 
     def _tap(self, conn, flow: _ProxyFlow, client, fid: int):
         """What the flow's backend answers, re-addressed to the client.
@@ -767,7 +787,9 @@ class ScanProxy(FramedEndpoint):
         :func:`~repro.server.protocol.relay_result_frames`) and closes
         the flow; an ERROR is forwarded with the lifecycle table's
         effect. A dead connection or a lifecycle ERROR loses the
-        backend — the tap never awaits a replay itself."""
+        backend — the tap never awaits a replay itself. It runs in the
+        backend connection's read callback, and waits (so that
+        connection stops reading) while the client does not read."""
 
         async def tap(frame) -> None:
             if flow.client is not client or flow.fid != fid:
@@ -781,20 +803,20 @@ class ScanProxy(FramedEndpoint):
                 flow.digest.update(memoryview(frame.payload)[4:])
                 size = 1 + len(frame.payload)
                 if size > conn.peer_max_frame:
-                    await self._fail_flow(
+                    self._fail_flow(
                         conn, flow, ErrorCode.FRAME_TOO_LARGE,
                         f"{size}-byte MASKS frame, "
                         f"limit {conn.peer_max_frame}",
                     )
                 else:
-                    await conn.send(_rewrite_flow_id(frame, flow.flow_id))
+                    conn.queue(_rewrite_flow_id(frame, flow.flow_id))
             elif ftype == FrameType.RESULT:
                 _fid, final, block = protocol.split_result(frame)
-                flow.blocks.append(block)
+                flow.blocks.append(bytes(block))
                 if final:
                     self._detach(flow)
                     conn.table.close(flow)
-                    await conn.send(
+                    conn.queue(
                         *protocol.relay_result_frames(
                             flow.flow_id, flow.blocks, conn.peer_max_frame
                         )
@@ -807,10 +829,10 @@ class ScanProxy(FramedEndpoint):
                 if code in flow.kind.survives:
                     # The refused op moved nothing: no replay re-sends it.
                     del flow.journal[flow.answered]
-                    flow.cursor -= 1
                 else:
                     self._detach(flow)  # the backend dropped the flow too
-                await self._fail_flow(conn, flow, code, detail)
+                self._fail_flow(conn, flow, code, detail)
+            await conn.writable()
 
         return tap
 

@@ -3,20 +3,22 @@
 :class:`FramedEndpoint` is what :class:`~repro.server.server.ScanServer`
 and :class:`~repro.server.cluster.ScanProxy` have in common: the data
 and admin listeners and their lifecycle, the HELLO/version handshake,
-the idle-timed block read, the per-read frame loop that asks the
-connection's :class:`~repro.server.flows.FlowTable` about every
-inbound frame (and answers a refusal with its ERROR), the drain on
+the idle deadline, the frame handler that asks the connection's
+:class:`~repro.server.flows.FlowTable` about every inbound frame (and
+answers a refusal with its ERROR), the drain on
 :meth:`~FramedEndpoint.stop`, and the minimal HTTP/1.0 admin
-responder. The two differ by a metric prefix (:attr:`role`), an admin
-route table, and what they do with a frame once the table accepted it
-(:meth:`_open` / :meth:`_op`).
+responder. Every accepted connection is one :class:`Connection` — the
+shared :class:`~repro.server.protocol.FramedProtocol` — whose frames
+are handled inside its read callback, by plain functions that queue
+their replies. The two endpoints differ by a metric prefix
+(:attr:`role`), an admin route table, and what they do with a frame
+once the table accepted it (:meth:`_open` / :meth:`_op`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import math
 import time
 
 from repro.server import protocol
@@ -27,7 +29,7 @@ from repro.server.protocol import (
     ErrorCode,
     Frame,
     FrameType,
-    Outbound,
+    FramedProtocol,
     PROTOCOL_VERSION,
     ProtocolError,
 )
@@ -47,25 +49,57 @@ async def reap(task: asyncio.Task | None) -> None:
         await asyncio.wait([task], timeout=0.1)
 
 
-class Connection(Outbound):
-    """One accepted connection: its flow table, its outbound side and
-    its idle deadline."""
+class Connection(FramedProtocol):
+    """One accepted connection: its flow table, its two halves and its
+    idle deadline. It stops reading while its transport is paused for
+    writing: a peer that does not read stops us reading."""
 
-    def __init__(self, endpoint: "FramedEndpoint", reader, writer, conn_id):
-        super().__init__(writer, endpoint.write_high_water)
+    def __init__(self, endpoint: "FramedEndpoint", conn_id: int) -> None:
+        super().__init__(endpoint.max_frame, endpoint.write_high_water)
         self.endpoint = endpoint
-        self.reader = reader
         self.conn_id = conn_id
-        self.decoder = protocol.FrameDecoder(endpoint.max_frame)
         self.table = FlowTable()
         #: The table's open flows, by connection-scoped flow id.
         self.flows = self.table.flows
         self.peer_max_frame = DEFAULT_MAX_FRAME
-        #: When the read now waiting for a frame will have waited
-        #: ``idle_timeout`` (never, while the connection's frames are
-        #: being handled), and the one timer that checks it.
-        self.idle_at = math.inf
+        self.greeted = False
+        #: When the connection will have waited ``idle_timeout`` for a
+        #: frame, and the one timer that checks it.
+        self.idle_at = time.monotonic() + endpoint.idle_timeout
         self.idle_timer: asyncio.TimerHandle | None = None
+
+    def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
+        self.endpoint._teardown(self)
+
+    def received(self, frames: int, nbytes: int) -> None:
+        # A frame dribbled in over several reads completes in the last
+        # one: only a complete frame pushes the deadline out.
+        endpoint = self.endpoint
+        now = endpoint._last_rx = time.monotonic()
+        self.idle_at = now + endpoint.idle_timeout
+        endpoint._rx_reads.inc()
+        endpoint._rx_frames.inc(frames)
+        endpoint._rx_bytes.inc(nbytes)
+
+    def frame_received(self, frame: Frame) -> None:
+        self.endpoint._frame(self, frame)
+
+    def failed(self, exc: Exception) -> None:
+        self.endpoint._failed(self, exc)
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        self.hold()
+
+    def resume_writing(self) -> None:
+        if self.paused:
+            self.release()
+        super().resume_writing()
+
+    def release(self) -> None:
+        super().release()
+        self.idle_at = time.monotonic() + self.endpoint.idle_timeout
 
     def _wrote(self, frames: int, nbytes: int) -> None:
         endpoint = self.endpoint
@@ -73,9 +107,9 @@ class Connection(Outbound):
         endpoint._tx_writes.inc()
         endpoint._tx_bytes.inc(nbytes)
 
-    async def send_error(self, flow_id: int, code: int, message: str):
+    def send_error(self, flow_id: int, code: int, message: str) -> None:
         self.endpoint._errors_sent.inc()
-        await self.send(protocol.encode_error(flow_id, code, message))
+        self.queue(protocol.encode_error(flow_id, code, message))
 
 
 class FramedEndpoint:
@@ -136,14 +170,14 @@ class FramedEndpoint:
         """Why no new flow fits right now (None: one does)."""
         return None
 
-    async def _open(
+    def _open(
         self, conn: Connection, kind: FlowKind, flow_id: int, frame: Frame
     ) -> None:
         """An admitted opening frame: build the flow and open it in
         ``conn.table`` (or refuse it for a reason of one's own)."""
         raise NotImplementedError
 
-    async def _op(self, conn: Connection, flow: Flow, frame: Frame) -> None:
+    def _op(self, conn: Connection, flow: Flow, frame: Frame) -> None:
         """An op frame its open flow accepts."""
         raise NotImplementedError
 
@@ -155,8 +189,12 @@ class FramedEndpoint:
         return False
 
     def _work_in_flight(self) -> bool:
-        """What a graceful drain waits for."""
-        return any(self._busy(conn) for conn in self._connections.values())
+        """What a graceful drain waits for: replies owed, and frames
+        waiting behind a coroutine on their connection's frame path."""
+        return any(
+            conn.running or self._busy(conn)
+            for conn in self._connections.values()
+        )
 
     async def _shutdown(self, drain: bool) -> None:
         """Stop background tasks and backends (connections are closed)."""
@@ -166,8 +204,8 @@ class FramedEndpoint:
     # ------------------------------------------------------------------
     async def start(self):
         """Bind the data (and optional admin) listeners."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self.host, self.port
         )
         if self.admin_port is not None:
             self._admin_server = await asyncio.start_server(
@@ -228,17 +266,21 @@ class FramedEndpoint:
                     continue
                 if time.monotonic() - self._last_rx >= 0.05:
                     break
-        for conn in list(self._connections.values()):
+        conns = list(self._connections.values())
+        for conn in conns:
             if drain:
                 for flow in list(conn.flows.values()):
                     if not flow.finishing:
-                        await conn.send_error(
+                        conn.send_error(
                             flow.flow_id,
                             ErrorCode.DRAINING,
                             f"{self.role} draining; flow discarded",
                         )
-                await conn.send(protocol.encode_goodbye())
-            await self._teardown(conn)
+                conn.queue(protocol.encode_goodbye())
+            self._teardown(conn)
+        for conn in conns:
+            with contextlib.suppress(Exception):
+                await conn.wait_closed()
         await self._shutdown(drain)
         if self._server is not None:
             with contextlib.suppress(Exception):
@@ -248,26 +290,32 @@ class FramedEndpoint:
     # ------------------------------------------------------------------
     # data-plane connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
+    def _accept(self) -> Connection:
         self._conn_seq += 1
-        conn = self.connection_class(self, reader, writer, self._conn_seq)
-        writer.transport.set_write_buffer_limits(high=self.write_high_water)
+        conn = self.connection_class(self, self._conn_seq)
         self._connections[conn.conn_id] = conn
         self.metrics.counter(f"{self.role}.connections.opened").inc()
         self._check_idle(conn)
-        try:
-            await self._frame_loop(conn)
-        except (ConnectionError, OSError):
-            pass
-        except ProtocolError as exc:
-            if not conn.closed:  # else: the idle deadline cut a frame
-                await conn.send_error(CONNECTION_FLOW, exc.code, str(exc))
-                self.metrics.counter(f"{self.role}.errors.protocol").inc()
-        finally:
-            await self._teardown(conn)
+        return conn
 
-    async def _hello(self, conn: Connection, frame: Frame) -> bool:
-        """The client's first frame; False refuses the connection."""
+    def _failed(self, conn: Connection, exc: Exception) -> None:
+        """The connection's fault: a bad frame, an end of stream inside
+        one (answered with a connection ERROR), a lost socket — or a
+        bug, reported to the loop. Either way it closes."""
+        if isinstance(exc, ProtocolError):
+            if not conn.closed:
+                conn.send_error(CONNECTION_FLOW, exc.code, str(exc))
+                self.metrics.counter(f"{self.role}.errors.protocol").inc()
+        elif not isinstance(exc, (ConnectionError, OSError)):
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": f"{self.role} frame handler failed",
+                 "exception": exc}
+            )
+        conn.close()
+
+    def _hello(self, conn: Connection, frame: Frame) -> None:
+        """The client's first frame: answered with HELLO, or refused
+        and the connection closed."""
         if frame.type != FrameType.HELLO:
             raise ProtocolError(
                 f"expected HELLO, got {frame.name}",
@@ -275,120 +323,90 @@ class FramedEndpoint:
             )
         version, peer_max = protocol.decode_hello(frame)
         if version != PROTOCOL_VERSION:
-            await conn.send_error(
+            conn.send_error(
                 CONNECTION_FLOW,
                 ErrorCode.VERSION_MISMATCH,
                 f"{self.role} speaks v{PROTOCOL_VERSION}, client sent "
                 f"v{version}",
             )
-            return False
+            conn.close()
+            return
         conn.peer_max_frame = peer_max
-        await conn.send(
+        conn.greeted = True
+        conn.queue(
             protocol.encode_hello(
                 PROTOCOL_VERSION, self.max_frame, self.grammar_refs()
             )
         )
-        return True
-
-    async def _read_frames(self, conn: Connection) -> list[Frame] | None:
-        """Every frame the next socket read completes, or None on EOF
-        (the peer's, or the idle deadline's close). The deadline runs
-        per call, so a frame dribbled in slower than the limit counts
-        as idle."""
-        taken = conn.decoder.taken
-        conn.idle_at = time.monotonic() + self.idle_timeout
-        try:
-            frames = await protocol.read_frames(conn.reader, conn.decoder)
-        finally:
-            conn.idle_at = math.inf
-        if frames is not None:
-            self._last_rx = time.monotonic()
-            self._rx_reads.inc()
-            self._rx_frames.inc(len(frames))
-            self._rx_bytes.inc(conn.decoder.taken - taken)
-        return frames
 
     def _check_idle(self, conn: Connection) -> None:
-        """The connection's one re-arming timer: reap it once a read
-        has waited ``idle_timeout`` for a frame, else look again when
-        that could next be true. The ERROR and the close happen here;
-        the handler wakes from its read on the resulting EOF."""
-        delay = min(conn.idle_at - time.monotonic(), self.idle_timeout)
+        """The connection's one re-arming timer: reap it once it has
+        waited ``idle_timeout`` for a frame, else look again when that
+        could next be true. The ERROR and the close happen here."""
+        delay = self.idle_timeout
+        if not conn._holds:  # held: busy, not idle
+            delay = min(conn.idle_at - time.monotonic(), delay)
         if delay > 0:
             conn.idle_timer = asyncio.get_running_loop().call_later(
                 delay, self._check_idle, conn
             )
             return
         self.metrics.counter(f"{self.role}.timeouts.idle").inc()
-        self._errors_sent.inc()
-        conn.queue(
-            protocol.encode_error(
-                CONNECTION_FLOW,
-                ErrorCode.IDLE_TIMEOUT,
-                f"no frame for {self.idle_timeout:g}s",
-            )
+        conn.send_error(
+            CONNECTION_FLOW,
+            ErrorCode.IDLE_TIMEOUT,
+            f"no frame for {self.idle_timeout:g}s",
         )
-        conn.push()
-        conn.closed = True
-        conn.writer.close()
+        conn.close()
 
-    async def _frame_loop(self, conn: Connection) -> None:
-        """Read, handle every frame the read completed, write once."""
+    def _frame(self, conn: Connection, frame: Frame) -> None:
+        """One inbound frame: the handshake, GOODBYE, or what the flow
+        table makes of it."""
+        if not conn.greeted:
+            self._hello(conn, frame)
+            return
+        if frame.type == FrameType.GOODBYE:
+            conn.run(self._client_goodbye(conn))
+            return
+        kind = OPENERS.get(frame.type)
         table = conn.table
-        greeted = False
-        while not conn.closed:
-            frames = await self._read_frames(conn)
-            if frames is None:
-                return
-            for frame in frames:
-                if not greeted:
-                    if not await self._hello(conn, frame):
-                        return
-                    greeted = True
-                    continue
-                if frame.type == FrameType.GOODBYE:
-                    await self._client_goodbye(conn)
-                    return
-                kind = OPENERS.get(frame.type)
-                try:
-                    if kind is None:
-                        flow = table.route(frame)
-                    else:
-                        flow_id = table.admit(
-                            frame, self._draining, self._at_quota()
-                        )
-                except Refused as refusal:
-                    await self._refuse(conn, refusal)
-                    continue
-                if kind is None:
-                    await self._op(conn, flow, frame)
-                else:
-                    await self._open(conn, kind, flow_id, frame)
-            await conn.flush()
+        try:
+            if kind is None:
+                flow = table.route(frame)
+            else:
+                flow_id = table.admit(frame, self._draining, self._at_quota())
+        except Refused as refusal:
+            self._refuse(conn, refusal)
+            return
+        if kind is None:
+            self._op(conn, flow, frame)
+        else:
+            self._open(conn, kind, flow_id, frame)
 
-    async def _refuse(self, conn: Connection, refusal: Refused) -> None:
+    def _refuse(self, conn: Connection, refusal: Refused) -> None:
         if refusal.closed is not None:
             self._drop(conn, refusal.closed)
-        await conn.send_error(refusal.flow_id, refusal.code, str(refusal))
+        conn.send_error(refusal.flow_id, refusal.code, str(refusal))
 
-    async def _fail_flow(
+    def _fail_flow(
         self, conn: Connection, flow: Flow, code: int, message: str
     ) -> None:
         """Answer ``flow`` with ``ERROR(code)``; the table says whether
         that closes it."""
         if conn.table.fault(flow, code):
             self._drop(conn, flow)
-        await conn.send_error(flow.flow_id, code, message)
+        conn.send_error(flow.flow_id, code, message)
 
     async def _client_goodbye(self, conn: Connection) -> None:
         """Client is done sending: deliver what it is still owed, then
-        answer GOODBYE."""
+        answer GOODBYE and close."""
         deadline = time.monotonic() + self.idle_timeout
         while self._busy(conn) and time.monotonic() < deadline:
             await asyncio.sleep(0.002)
-        await conn.send(protocol.encode_goodbye())
+        conn.queue(protocol.encode_goodbye())
+        conn.close()
 
-    async def _teardown(self, conn: Connection) -> None:
+    def _teardown(self, conn: Connection) -> None:
         if self._connections.pop(conn.conn_id, None) is None:
             return
         self.metrics.counter(f"{self.role}.connections.closed").inc()
@@ -397,7 +415,7 @@ class FramedEndpoint:
         conn.flows.clear()
         for flow in flows:
             self._drop(conn, flow)
-        await conn.close()
+        conn.close()
 
     # ------------------------------------------------------------------
     # admin endpoint: minimal HTTP/1.0, plaintext

@@ -97,15 +97,18 @@ last carries ``final``. Version 2 is the first with record blocks
 Flush rule: a server handles every frame of one socket read, appends
 the results of consecutive DATA frames of a flow into one RESULT, and
 writes once per read — results still stream while the flow is open,
-one frame per read instead of one per DATA. Every sender writes
-through :class:`Outbound`: one ``transport.write`` per event-loop turn.
+one frame per read instead of one per DATA. Every framed connection is
+one :class:`FramedProtocol`: frames are handled inside its read
+callback as zero-copy :class:`FrameDecoder` views of the read, and it
+writes once per event-loop turn.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import collections
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -121,10 +124,9 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "FrameType",
-    "Outbound",
+    "FramedProtocol",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "READ_BLOCK",
     "ServerFault",
     "apply_masks",
     "decode_batch_advance",
@@ -152,7 +154,6 @@ __all__ = [
     "encode_result",
     "encode_result_frames",
     "masks_frame_size",
-    "read_frames",
     "relay_result_frames",
     "split_result",
 ]
@@ -165,10 +166,6 @@ DEFAULT_MAX_FRAME = 1 << 20
 
 #: ``flow_id`` addressing the connection itself in ERROR frames.
 CONNECTION_FLOW = 0xFFFFFFFF
-
-#: Bytes asked of the socket per read: every frame a read completes is
-#: handled before the next read.
-READ_BLOCK = 1 << 16
 
 _HEADER = struct.Struct("!I")
 _HELLO = struct.Struct("!HI")
@@ -304,10 +301,12 @@ class ServerFault(ReproError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded wire frame: type code plus raw payload."""
+    """One decoded wire frame: type code plus raw payload — a read-only
+    ``memoryview`` into the read it arrived in, which it keeps alive
+    (``bytes(frame.payload)`` before concatenating it)."""
 
     type: int
-    payload: bytes
+    payload: bytes | memoryview
 
     @property
     def name(self) -> str:
@@ -557,7 +556,7 @@ def decode_hello_grammars(frame: Frame) -> tuple[str, ...]:
     extra = frame.payload[_HELLO.size :]
     if not extra:
         return ()
-    text = extra.decode("utf-8", "replace")
+    text = str(extra, "utf-8", "replace")
     return tuple(ref for ref in text.split(",") if ref)
 
 
@@ -829,7 +828,7 @@ def _apply_masks_portable(frame: Frame, prev_rows: list) -> tuple:
                     f"previous {row_bytes}-byte row"
                 )
             n_delta += 1
-        rows.append(body)
+        rows.append(bytes(body))
     return (
         tuple(lane[0] for lane in lanes),
         rows,
@@ -842,7 +841,7 @@ def _apply_masks_portable(frame: Frame, prev_rows: list) -> tuple:
 def decode_error(frame: Frame) -> tuple[int, int, str]:
     """-> (flow_id, code, message)."""
     flow_id, code = _unpack(_ERROR_HEAD, frame)
-    message = frame.payload[_ERROR_HEAD.size :].decode("utf-8", "replace")
+    message = str(frame.payload[_ERROR_HEAD.size :], "utf-8", "replace")
     return flow_id, code, message
 
 
@@ -850,116 +849,190 @@ def decode_error(frame: Frame) -> tuple[int, int, str]:
 class FrameDecoder:
     """Incremental sans-IO frame parser with a hard size limit.
 
-    Feed arbitrary byte slices (socket reads, test vectors); complete
-    frames come back in arrival order. A declared length above
-    ``max_frame`` raises :class:`ProtocolError` before any of the body
-    arrives, so a hostile length prefix cannot make the receiver
-    buffer an unbounded body. The frames ahead of a bad length in the
-    same slice are still delivered: the error is raised by the next
-    call (and by every call after it).
-    """
+    Feed reads (immutable ``bytes``); complete frames come back in order,
+    each payload a ``memoryview`` slice of its read (no copy; valid as
+    long as it is kept). A frame straddling reads is joined once, when
+    whole. A declared length above ``max_frame`` raises
+    :class:`ProtocolError` before its body arrives; frames ahead of it
+    in the same read are still returned, the error kept in :attr:`error`
+    for the receiver to raise once it handled them."""
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
         #: Bytes of the complete frames handed out so far, heads
         #: included (what a receiver counts as frame bytes received).
         self.taken = 0
-        #: The error a bad length raised, or will raise on the next
-        #: :meth:`feed`.
         self.error: ProtocolError | None = None
-        self._buffer = bytearray()
+        #: The pieces of a straddling frame, their size, and the size
+        #: that completes what they begin (its head while that is
+        #: incomplete; 0: no frame straddles).
+        self._parts: list = []
+        self._held = 0
+        self._need = 0
+
+    def _check(self, length: int) -> int:
+        if not 1 <= length <= self.max_frame:
+            self.error = ProtocolError(
+                f"frame of {length} bytes exceeds limit {self.max_frame}",
+                code=ErrorCode.FRAME_TOO_LARGE,
+            ) if length else ProtocolError("frame with empty body")
+            raise self.error
+        return length
 
     def feed(self, data: bytes) -> list[Frame]:
         if self.error is not None:
             raise self.error
-        buffer = self._buffer
-        # Frames are cut from the read itself unless an earlier read
-        # left the head of one behind.
-        if buffer:
-            buffer += data
-            data = buffer
+        view = memoryview(data)
         frames: list[Frame] = []
-        size = len(data)
-        pos = 0
+        while self._need:  # complete the straddling frame first
+            piece = view[: self._need - self._held]
+            view = view[len(piece) :]
+            self._parts.append(piece)
+            self._held += len(piece)
+            if self._held < self._need:
+                return frames
+            block = b"".join(self._parts)
+            self._parts = [block]
+            if self._need == _HEADER.size:  # now its size is known
+                self._need += self._check(_HEADER.unpack(block)[0])
+                continue
+            self._parts, self._held, self._need = [], 0, 0
+            self.taken += len(block)
+            frames.append(Frame(block[4], memoryview(block)[5:]))
+        size, pos, limit = len(view), 0, self.max_frame
         while size - pos >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(data, pos)
-            if not 1 <= length <= self.max_frame:
-                self.error = (
-                    ProtocolError(
-                        f"frame of {length} bytes exceeds limit "
-                        f"{self.max_frame}",
-                        code=ErrorCode.FRAME_TOO_LARGE,
-                    )
-                    if length
-                    else ProtocolError("frame with empty body")
-                )
-                if not frames:
-                    raise self.error
-                break
+            (length,) = _HEADER.unpack_from(view, pos)
+            if not 1 <= length <= limit:
+                try:
+                    self._check(length)
+                except ProtocolError:
+                    if frames:
+                        return frames
+                    raise
             end = pos + _HEADER.size + length
             if end > size:
                 break
-            frames.append(
-                Frame(data[pos + _HEADER.size], bytes(data[pos + 5 : end]))
-            )
+            frames.append(Frame(view[pos + 4], view[pos + 5 : end]))
+            self.taken += end - pos
             pos = end
-        self.taken += pos
-        if data is buffer:
-            del buffer[:pos]
-        else:
-            buffer += data[pos:]
+        if pos < size:
+            self._parts.append(view[pos:])
+            self._held = size - pos
+            self._need = end - pos if self._held >= 4 else _HEADER.size
         return frames
 
     def pending(self) -> int:
-        """Bytes buffered awaiting the rest of a frame."""
-        return len(self._buffer)
+        """Bytes held awaiting the rest of a frame."""
+        return self._held
 
 
-async def read_frames(reader, decoder: FrameDecoder) -> list[Frame] | None:
-    """The next frames off ``reader`` (anything with an awaitable
-    ``read(n)``): block reads of :data:`READ_BLOCK` bytes until one
-    completes at least one frame, then every frame it completed.
-    None on a clean end of stream at a frame boundary; an end inside a
-    frame is a :class:`ProtocolError`, as is anything ``decoder``
-    rejects. The one frame reader server, client and proxy share."""
-    if decoder.error is not None:
-        # Held back behind the frames of the previous batch.
-        raise decoder.error
-    frames: list[Frame] = []
-    while not frames:
-        data = await reader.read(READ_BLOCK)
-        if not data:
-            if decoder.pending():
-                raise ProtocolError("connection cut mid-frame")
-            return None
-        frames = decoder.feed(data)
-    return frames
+class _Resume:
+    """The rest of a coroutine that suspended on ``first`` in its first
+    step, for a task to run: every later step is the coroutine's own."""
+
+    def __init__(self, coro, first) -> None:
+        self.coro, self.first = coro, first
+
+    def __await__(self):
+        pending = self.first
+        while True:
+            try:
+                sent = yield pending
+            except BaseException as exc:  # thrown in by the task
+                step, arg = self.coro.throw, exc
+            else:
+                step, arg = self.coro.send, sent
+            try:
+                pending = step(arg)
+            except StopIteration as stop:
+                return stop.value
 
 
-class Outbound:
-    """The sending half of a framed connection, the same on server,
-    proxy and client: encoded frames queue and leave in one
-    ``transport.write`` per event-loop turn — when the turn ends at the
-    latest, at once through :meth:`push` (a caller about to wait for
-    the reply), and through an awaited :meth:`flush` once
-    ``high_water`` bytes wait, queued here or unsent in the transport.
-    User-space buffering stays bounded, and a peer that stops reading
-    suspends the sender in :meth:`send`."""
+def start_eagerly(coro) -> asyncio.Task | None:
+    """Run ``coro`` now, to its first suspension: None if it finished
+    (raising what it raised), else the task running the rest — Python
+    3.12's eager task start, for every version the package supports.
+    From 3.12 on that step runs inside its task (``wait_for`` needs
+    one there); before, outside any task, where nothing needs one."""
+    if sys.version_info >= (3, 12):
+        task = asyncio.Task(
+            coro, loop=asyncio.get_running_loop(), eager_start=True
+        )
+        if not task.done():
+            return task
+        task.result()
+        return None
+    try:
+        first = coro.send(None)
+    except StopIteration:
+        return None
+    return asyncio.ensure_future(_Resume(coro, first))
 
-    def __init__(self, writer, high_water: int = 1 << 16) -> None:
-        self.writer = writer
+
+class FramedProtocol(asyncio.Protocol):
+    """One framed connection — server, proxy front, client, the proxy's
+    backend pool. ``data_received`` hands the read's frames one by one
+    to :meth:`frame_received`; a handler that must wait starts a
+    coroutine through :meth:`run`, and only if that suspends does the
+    connection stop reading, the frames behind it waiting in order.
+    Frames queued by :meth:`queue` leave in one ``transport.write`` per
+    loop turn (at once through :meth:`push`); :attr:`paused` while the
+    transport holds ``high_water`` unsent bytes, and :meth:`send` then
+    waits until it drained."""
+
+    def __init__(
+        self, max_frame: int = DEFAULT_MAX_FRAME, high_water: int = 1 << 16
+    ) -> None:
+        self.decoder = FrameDecoder(max_frame)
+        self.transport: asyncio.Transport | None = None
         self.high_water = high_water
         #: Nothing more can be written (what is queued is dropped), and
         #: the write failure behind it, for senders that raise.
         self.closed = False
         self.error: Exception | None = None
+        self.paused = False
         #: Encoded frames awaiting the next :meth:`push`, their size,
         #: and whether the turn-end push is scheduled.
         self._out: list[bytes] = []
         self._queued = 0
         self._corked = False
-        # drain() takes one waiter at a time before Python 3.11.
-        self._drain_lock = asyncio.Lock()
+        #: Resolved when writing resumes / the connection is gone.
+        self._resumed: asyncio.Future | None = None
+        self._lost: asyncio.Future | None = None
+        #: Reasons reading is paused.
+        self._holds = 0
+        #: The tasks of coroutines :meth:`run` started that are still
+        #: running, and the frames waiting behind them (None: none is).
+        self.running: set[asyncio.Task] = set()
+        self._backlog: collections.deque | None = None
+
+    # -- writing ---------------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(high=self.high_water)
+        self._lost = asyncio.get_running_loop().create_future()
+
+    def connection_lost(self, exc) -> None:
+        self.closed = True
+        self.resume_writing()  # nothing will drain: wake the writers
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self._resumed is not None:
+            self._resumed.set_result(None)
+            self._resumed = None
+
+    async def writable(self) -> None:
+        """Return once the transport takes writes (at once unless
+        :attr:`paused`)."""
+        if self.paused and not self.closed:
+            if self._resumed is None:
+                self._resumed = asyncio.get_running_loop().create_future()
+            await asyncio.shield(self._resumed)
 
     def _settle(self) -> None:
         """Turn whatever a subclass holds back into queued frames:
@@ -990,36 +1063,106 @@ class Outbound:
         if self.closed:
             return
         try:
-            self.writer.write(blob)
+            self.transport.write(blob)
             self._wrote(frames, len(blob))
         except (ConnectionError, RuntimeError, OSError) as exc:
             self.closed, self.error = True, exc
 
-    async def flush(self) -> None:
-        """:meth:`push`, then wait out the transport's backpressure
-        (bounded buffer + drain: a slow reader suspends us here, never
-        grows memory)."""
-        self.push()
-        if self.closed:
-            return
-        async with self._drain_lock:
-            try:
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError) as exc:
-                self.closed, self.error = True, exc
-
     async def send(self, *frames: bytes) -> None:
-        """Queue encoded frames; :meth:`flush` if a high-water mark's
-        worth is waiting, here or in the transport."""
+        """Queue encoded frames; with ``high_water`` bytes queued, or
+        the transport paused, write and wait until it drained (a slow
+        reader suspends us here, never grows memory)."""
         self.queue(*frames)
-        unsent = self.writer.transport.get_write_buffer_size()
-        if max(self._queued, unsent) >= self.high_water:
-            await self.flush()
+        if self._queued >= self.high_water or self.paused:
+            self.push()
+            await self.writable()
 
-    async def close(self) -> None:
-        """Write what is queued, then close the transport."""
+    def close(self) -> None:
+        """Write what is queued, then close the transport (which sends
+        what it holds first)."""
         self.push()
         self.closed = True
-        with contextlib.suppress(Exception):
-            self.writer.close()
-            await self.writer.wait_closed()
+        if self.transport is not None:
+            self.transport.close()
+
+    async def wait_closed(self) -> None:
+        await asyncio.shield(self._lost)
+
+    # -- reading ---------------------------------------------------------
+    def frame_received(self, frame: Frame) -> None:
+        raise NotImplementedError
+
+    def received(self, frames: int, nbytes: int) -> None:
+        """A read completed ``frames`` frames of ``nbytes`` bytes."""
+
+    def failed(self, exc: Exception) -> None:
+        """A bad frame, an end of stream inside one, or a handler's
+        exception: the connection is unusable."""
+        self.close()
+
+    def data_received(self, data: bytes) -> None:
+        taken = self.decoder.taken
+        try:
+            frames = self.decoder.feed(data)
+        except ProtocolError as exc:
+            self.failed(exc)
+            return
+        if frames:
+            self.received(len(frames), self.decoder.taken - taken)
+            self._corked = True  # the push below is the read's one write
+            if self._backlog is None:
+                self._dispatch(frames)
+            else:
+                self._backlog.extend(frames)
+        self.push()
+
+    def eof_received(self) -> None:
+        if self.decoder.pending():
+            self.failed(ProtocolError("connection cut mid-frame"))
+
+    def _dispatch(self, frames) -> None:
+        for index, frame in enumerate(frames):
+            if self.closed:
+                return
+            try:
+                self.frame_received(frame)
+            except Exception as exc:
+                self.failed(exc)
+                return
+            if self.running:
+                self._backlog.extend(frames[index + 1 :])
+                return
+        if self.decoder.error is not None and not self.closed:
+            self.failed(self.decoder.error)
+
+    def hold(self) -> None:
+        self._holds += 1
+        if self._holds == 1:
+            self.transport.pause_reading()
+
+    def release(self) -> None:
+        self._holds -= 1
+        if not self._holds and not self.closed:
+            self.transport.resume_reading()
+
+    def run(self, coro) -> asyncio.Task | None:
+        """:func:`start_eagerly`, holding this connection's frames while
+        the task it returns runs."""
+        task = start_eagerly(coro)
+        if task is not None:
+            self.running.add(task)
+            if self._backlog is None:
+                self._backlog = collections.deque()
+            self.hold()
+            task.add_done_callback(self._ran)
+        return task
+
+    def _ran(self, task: asyncio.Task) -> None:
+        self.running.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self.failed(task.exception())
+        if not self.running:
+            backlog, self._backlog = self._backlog, None
+            self._dispatch(list(backlog))
+            self.push()
+        self.release()

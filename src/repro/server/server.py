@@ -4,10 +4,10 @@ This is the reproduction's answer to the paper's deployment picture
 (Figs. 1, 12-14): the tagger as a *network device*. A
 :class:`ScanServer` listens on TCP, speaks the
 :mod:`repro.server.protocol` framing, and feeds each connection's
-multiplexed flows through per-flow streaming sessions: the connection
-handler drives a :class:`~repro.core.api.StreamSession` in-process, on
-the event loop. N cores are N such servers behind ``repro cluster``
-(:mod:`repro.server.cluster`).
+multiplexed flows through per-flow streaming sessions: the connection's
+frame handler drives a :class:`~repro.core.api.StreamSession`
+in-process, on the event loop. N cores are N such servers behind
+``repro cluster`` (:mod:`repro.server.cluster`).
 
 Robustness model
 ----------------
@@ -21,15 +21,15 @@ What this module adds:
 * **Frame-size limit** — a declared frame length above ``max_frame``
   is rejected before the body is read (``ERROR(FRAME_TOO_LARGE)``,
   close), so a hostile length prefix cannot balloon memory.
-* **Backpressure** — a connection's frames are handled a
-  socket read at a time; what the read's frames produced (the results
-  of consecutive DATA frames of a flow in one RESULT) is written once
-  and awaited with ``drain()`` against a bounded transport buffer
-  (``write_high_water``) before the next read: a consumer that stops
-  reading suspends the connection's handler, which therefore stops
-  *reading* too, and the stall propagates to the producer as TCP flow
-  control. The server never buffers results for a slow client beyond
-  one transport buffer plus one read's worth.
+* **Backpressure** — a connection's frames are handled inside its
+  read callback; what one read's frames produced (the results of
+  consecutive DATA frames of a flow in one RESULT) is written once, at
+  the end of the read. Once the transport holds ``write_high_water``
+  unsent bytes it pauses our writing, and the connection stops
+  *reading* until it resumes: a consumer that stops reading stops the
+  server reading its requests, and the stall propagates to the
+  producer as TCP flow control. The server never buffers results for
+  a slow client beyond one transport buffer plus one read's worth.
 * **Graceful drain** — :meth:`ScanServer.stop` (and SIGTERM in the
   CLI) lets every already-open scan flow stream to completion (its
   DATA and FINISH_FLOW are still honored and its final RESULT
@@ -155,8 +155,8 @@ class _Connection(Connection):
     """A server connection also holds scan results back so that they
     leave merged: one RESULT per flow per read."""
 
-    def __init__(self, server: "ScanServer", reader, writer, conn_id: int):
-        super().__init__(server, reader, writer, conn_id)
+    def __init__(self, server: "ScanServer", conn_id: int) -> None:
+        super().__init__(server, conn_id)
         #: Results of the DATA frames handled since the last frame of
         #: another kind or flow. They leave as one RESULT: with the
         #: flow's own next RESULT, or when anything else is queued or
@@ -303,10 +303,6 @@ class ScanServer(FramedEndpoint):
         self._gen_seq = 0
         self._generations: dict[int, _Generation] = {}
         self._current = self._new_generation(spec, ref)
-        #: Beam frames received but whose reply write has not
-        #: completed — counted so a graceful drain cannot cut a reply
-        #: mid-op.
-        self._ops_inflight = 0
 
     # ------------------------------------------------------------------
     # grammar generations
@@ -413,12 +409,11 @@ class ScanServer(FramedEndpoint):
     # lifecycle
     # ------------------------------------------------------------------
     def _work_in_flight(self) -> bool:
-        """Open scan flows (still streaming) or beam ops whose reply is
-        not yet fully written. Idle beam flows are request-response and
-        have no tail to flush, so they never hold the drain open — but
-        a BATCH_ADVANCE already received gets its one reply out before
-        GOODBYE (``_ops_inflight``)."""
-        return self._ops_inflight > 0 or any(
+        """Open scan flows (still streaming). Beam flows are
+        request-response: a BATCH_ADVANCE is answered in the read that
+        brought it, its reply queued ahead of the GOODBYE, so an idle
+        beam never holds the drain open."""
+        return super()._work_in_flight() or any(
             flow.kind is SCAN
             for conn in self._connections.values()
             for flow in conn.flows.values()
@@ -531,49 +526,39 @@ class ScanServer(FramedEndpoint):
             return f"grammar {gen.ref} at its quota of {quota} open flows"
         return None
 
-    async def _refuse(self, conn: Connection, refusal: Refused) -> None:
+    def _refuse(self, conn: Connection, refusal: Refused) -> None:
         if refusal.code == ErrorCode.OVERLOADED:
             self._current.flows_refused.inc()
-        await super()._refuse(conn, refusal)
+        super()._refuse(conn, refusal)
 
-    async def _teardown(self, conn: Connection) -> None:
-        await super()._teardown(conn)
+    def _teardown(self, conn: Connection) -> None:
+        super()._teardown(conn)
         self._retire_idle()
 
-    async def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
+    def _open(self, conn, kind, flow_id: int, frame: Frame) -> None:
         if kind is BEAM:
-            # Request/response on the event loop: the reply is owed
-            # from here on.
-            self._ops_inflight += 1
-            try:
-                await self._open_beam(conn, flow_id, frame)
-            finally:
-                self._ops_inflight -= 1
+            self._open_beam(conn, flow_id, frame)
             return
         gen = self._current
         conn.table.open(_ScanFlow(flow_id, gen.backend.new_session(), gen))
         self.metrics.counter("server.flows.opened").inc()
         gen.flows_opened.inc()
 
-    async def _op(self, conn, flow: _ServerFlow, frame: Frame) -> None:
+    def _op(self, conn, flow: _ServerFlow, frame: Frame) -> None:
         if flow.kind is SCAN:
             if frame.type == FrameType.DATA:
-                await self._data(conn, flow, frame)
+                self._data(conn, flow, frame)
             else:
-                await self._finish_scan(conn, flow)
+                self._finish_scan(conn, flow)
             return
-        self._ops_inflight += 1
-        try:
-            if frame.type == FrameType.FINISH_FLOW:
-                # Beam flows have no tail: acknowledge with an empty
-                # final RESULT (same close discipline as scan).
-                await self._finished(conn, flow, [])
-            else:
-                await self._step(conn, flow, frame)
-        finally:
-            self._ops_inflight -= 1
+        if frame.type == FrameType.FINISH_FLOW:
+            # Beam flows have no tail: acknowledge with an empty
+            # final RESULT (same close discipline as scan).
+            self._finished(conn, flow, [])
+        else:
+            self._step(conn, flow, frame)
 
-    async def _data(self, conn, flow: _ScanFlow, frame: Frame) -> None:
+    def _data(self, conn, flow: _ScanFlow, frame: Frame) -> None:
         _flow_id, chunk = protocol.decode_data(frame)
         # While draining, flows opened before the drain began may
         # still stream to completion; only opening frames are refused.
@@ -583,25 +568,25 @@ class ScanServer(FramedEndpoint):
         try:
             results = flow.session.feed_records(chunk)
         except Exception as exc:  # scan fault: report, drop the flow
-            await self._fault(conn, flow, exc)
+            self._fault(conn, flow, exc)
             return
         self._scan_seconds.observe(time.perf_counter() - started)
         if results:
             conn.add_results(flow.flow_id, results)
 
-    async def _finish_scan(self, conn, flow: _ScanFlow) -> None:
+    def _finish_scan(self, conn, flow: _ScanFlow) -> None:
         try:
             tail = flow.session.finish_records()
         except Exception as exc:
-            await self._fault(conn, flow, exc)
+            self._fault(conn, flow, exc)
             return
-        await self._finished(conn, flow, tail)
+        self._finished(conn, flow, tail)
 
-    async def _fault(self, conn, flow: _ServerFlow, exc) -> None:
+    def _fault(self, conn, flow: _ServerFlow, exc) -> None:
         self.metrics.counter("server.errors.scan").inc()
-        await self._fail_flow(conn, flow, ErrorCode.INTERNAL, str(exc))
+        self._fail_flow(conn, flow, ErrorCode.INTERNAL, str(exc))
 
-    async def _finished(self, conn, flow: _ServerFlow, results: list):
+    def _finished(self, conn, flow: _ServerFlow, results: list) -> None:
         """Close ``flow`` with its one final RESULT (what this read's
         DATA frames produced for it rides along)."""
         conn.table.close(flow)
@@ -615,7 +600,6 @@ class ScanServer(FramedEndpoint):
         )
         self._retire_idle()
         conn.queue_result(flow.flow_id, True, results)
-        await conn.send()  # queued above; this is the pacing
 
     # ------------------------------------------------------------------
     # constrained-decoding (beam) flows
@@ -648,12 +632,12 @@ class ScanServer(FramedEndpoint):
         self._mask_loaded[cache_key] = table
         return table
 
-    async def _mask_table_for(self, conn, flow_id: int, vocab_hash: str):
+    def _mask_table_for(self, conn, flow_id: int, vocab_hash: str):
         """The table an OPEN_BEAM binds to, or None once the open has
         been refused with ``UNKNOWN_VOCAB``."""
         table = self._find_mask_table(vocab_hash)
         if table is None:
-            await conn.send_error(
+            conn.send_error(
                 flow_id, ErrorCode.UNKNOWN_VOCAB,
                 f"no mask tables for vocabulary {vocab_hash[:16]} "
                 f"(grammar {self._current.ref}); run "
@@ -661,14 +645,14 @@ class ScanServer(FramedEndpoint):
             )
         return table
 
-    async def _open_beam(self, conn, flow_id: int, frame: Frame) -> None:
+    def _open_beam(self, conn, flow_id: int, frame: Frame) -> None:
         _flow_id, width, vocab_hash = protocol.decode_open_beam(frame)
-        table = await self._mask_table_for(conn, flow_id, vocab_hash)
+        table = self._mask_table_for(conn, flow_id, vocab_hash)
         if table is None:
             return
         if table.row_bytes > protocol.MAX_MASKS_ROW_BYTES:
             # MASKS carries row_bytes and delta byte offsets as u16.
-            await conn.send_error(
+            conn.send_error(
                 flow_id, ErrorCode.UNKNOWN_VOCAB,
                 f"vocabulary {vocab_hash[:16]} has "
                 f"{len(table.vocab)} tokens ({table.row_bytes}-byte "
@@ -678,7 +662,7 @@ class ScanServer(FramedEndpoint):
             return
         size = protocol.masks_frame_size(width, table.row_bytes)
         if size > conn.peer_max_frame:
-            await conn.send_error(
+            conn.send_error(
                 flow_id, ErrorCode.FRAME_TOO_LARGE,
                 f"{width} lanes of {table.row_bytes}-byte rows make "
                 f"{size}-byte MASKS frames; the peer's limit is "
@@ -691,9 +675,9 @@ class ScanServer(FramedEndpoint):
         flow = _BeamFlow(flow_id, session, self._current)
         conn.table.open(flow)
         self.metrics.counter("structgen.beams_opened").inc()
-        await conn.send(self._encode_beam_masks(flow))
+        conn.queue(self._encode_beam_masks(flow))
 
-    async def _step(self, conn, flow: _BeamFlow, frame: Frame) -> None:
+    def _step(self, conn, flow: _BeamFlow, frame: Frame) -> None:
         """One BATCH_ADVANCE: one MASKS back. A refused op is
         ``BAD_TOKEN``, and the beam — atomic, the failed op moved
         nothing — stays open on its previous states (the lifecycle
@@ -704,17 +688,17 @@ class ScanServer(FramedEndpoint):
         try:
             reply = self._batch_advance(conn, flow, frame)
         except MaskError as exc:
-            await self._fail_flow(conn, flow, ErrorCode.BAD_TOKEN, str(exc))
+            self._fail_flow(conn, flow, ErrorCode.BAD_TOKEN, str(exc))
             return
         except ProtocolError:  # a malformed frame: the connection's fault
             raise
         except Exception as exc:
-            await self._fault(conn, flow, exc)
+            self._fault(conn, flow, exc)
             return
         self.metrics.histogram("latency.mask_s").observe(
             time.perf_counter() - started
         )
-        await conn.send(reply)
+        conn.queue(reply)
 
     def _batch_advance(self, conn, flow: _BeamFlow, frame: Frame) -> bytes:
         _flow_id, op, arg = protocol.decode_batch_advance(frame)

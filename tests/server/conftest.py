@@ -42,9 +42,8 @@ async def running_server(**kwargs):
 
 
 class FrameReader:
-    """Frame-at-a-time view of a raw stream, for tests that speak the
-    protocol by hand — over the block reader the server, client and
-    proxy share (which hands back every frame a read completed)."""
+    """Frame-at-a-time view of a raw ``asyncio.StreamReader``, for
+    tests that speak the protocol by hand."""
 
     def __init__(self, reader, max_frame: int = 1 << 20) -> None:
         self._reader = reader
@@ -52,10 +51,13 @@ class FrameReader:
         self._ready: collections.deque = collections.deque()
 
     async def frame(self):
-        """The next frame, or None on a clean end of stream."""
-        if not self._ready:
-            frames = await protocol.read_frames(self._reader, self._decoder)
-            if frames is None:
+        """The next frame, or None on a clean end of stream (an end
+        inside a frame is a ProtocolError)."""
+        while not self._ready:
+            data = await self._reader.read(1 << 16)
+            if not data:
+                if self._decoder.pending():
+                    raise protocol.ProtocolError("connection cut mid-frame")
                 return None
-            self._ready.extend(frames)
+            self._ready.extend(self._decoder.feed(data))
         return self._ready.popleft()

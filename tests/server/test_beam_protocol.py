@@ -154,7 +154,7 @@ def test_masks_roundtrip_full_and_delta():
     with pytest.raises(ProtocolError):
         decode_masks(Frame(FrameType.MASKS, frame.payload[:-1]))
     with pytest.raises(ProtocolError):
-        decode_masks(Frame(FrameType.MASKS, frame.payload + b"\x00"))
+        decode_masks(Frame(FrameType.MASKS, bytes(frame.payload) + b"\x00"))
 
 
 U32 = st.integers(0, 2**32 - 1)
@@ -226,7 +226,7 @@ def test_mangled_beam_frames_raise_protocol_error_only(
     value = data.draw(values)
     (frame,) = decode_all(encode(*value))
     assert decode(frame) == value
-    payload = frame.payload
+    payload = bytes(frame.payload)
     at = data.draw(st.integers(0, len(payload) - 1))
     how = data.draw(st.sampled_from(["cut", "grow", "flip"]))
     if how == "cut":
@@ -279,7 +279,7 @@ def test_mangled_masks_apply_the_same_on_both_paths(reply, data):
         pytest.skip("native module unavailable (no compiler)")
     blob, prev = reply
     (frame,) = decode_all(blob)
-    payload = frame.payload
+    payload = bytes(frame.payload)
     at = data.draw(st.integers(0, len(payload) - 1))
     how = data.draw(st.sampled_from(["keep", "cut", "grow", "flip"]))
     if how == "cut":

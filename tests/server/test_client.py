@@ -148,7 +148,7 @@ def test_server_vanishing_fails_pending_flows():
             await flow.send(b"<methodCall><methodName>bu")
             # Cut every connection without drain.
             for conn in list(server._connections.values()):
-                conn.writer.transport.abort()
+                conn.transport.abort()
             with pytest.raises((ConnectionError, OSError)):
                 await flow.finish(timeout=5.0)
             await client.close()
@@ -179,5 +179,35 @@ def test_concurrent_flows_on_one_connection_interleave():
                     )
                 )
         assert dict(zip(payloads, results)) == expected
+
+    run(main())
+
+
+def test_refused_handshake_leaves_the_client_unconnected(monkeypatch):
+    """A server that answers HELLO with ERROR(VERSION_MISMATCH): connect()
+    raises the ServerFault at once, and the client is left closed — not
+    ``connected``, and a flow opened next fails at once instead of
+    waiting out its request timeout."""
+    from repro.server import ServerFault, client as client_module, protocol
+
+    monkeypatch.setattr(client_module, "PROTOCOL_VERSION", 2)
+
+    async def main():
+        async with running_server() as server:
+            client = ScanClient(
+                *server.address, connect_retries=3, request_timeout=2.0
+            )
+            started = time.monotonic()
+            with pytest.raises(ServerFault) as info:
+                await client.connect()
+            assert info.value.code == protocol.ErrorCode.VERSION_MISMATCH
+            assert time.monotonic() - started < 1.0  # no retries
+            assert not client.connected
+            started = time.monotonic()
+            with pytest.raises(ConnectionError):
+                flow = await client.open_flow()
+                await flow.finish()
+            assert time.monotonic() - started < 0.5
+            await client.close()
 
     run(main())

@@ -212,6 +212,85 @@ def test_proxied_beam_flow_matches_mirrors(table):
     run(scenario())
 
 
+def test_proxy_dials_its_pool_while_placing_flows(table):
+    """More flows than backends, two pooled connections per backend:
+    the proxy's start dialed one slot of each, so placing the flows
+    dials the other — every flow is still served, scans and beams."""
+    payloads = [MethodCall(f"m{i}").encode() + b" " for i in range(6)]
+
+    async def beam(client):
+        flow = await client.open_beam_flow(table.vocab_hash, 2)
+        mirror = [MaskSession(table) for _ in range(2)]
+        ids = [set_bits(m.mask())[0] for m in mirror]
+        await flow.advance(ids)
+        for m, token in zip(mirror, ids):
+            m.advance(token)
+        assert flow.rows == [m.mask() for m in mirror]
+        await flow.close()
+
+    async def scenario():
+        async with running_cluster(table, n=2, pool_size=2) as (proxy, _):
+            async with ScanClient(*proxy.address) as client:
+                results = await asyncio.gather(
+                    *(client.scan_stream(p, chunk_size=9) for p in payloads),
+                    *(beam(client) for _ in range(6)),
+                )
+            router = ContentBasedRouter()
+            assert results[:6] == [router.route(p) for p in payloads]
+            pooled = [b["pooled"] for b in proxy.stats()["backends"].values()]
+            assert pooled == [2, 2]
+            counters = proxy.stats()["counters"]
+            assert counters.get("proxy.errors.sent", 0) == 0
+
+    run(scenario())
+
+
+def test_a_flow_being_placed_does_not_stall_its_connection(
+    table, monkeypatch
+):
+    """While one flow's placement waits (here: its backend dial),
+    the other flows on the same client connection keep moving, and
+    the waiting flow's own frames go out, in order, once placed."""
+    from repro.server import cluster
+
+    gate = asyncio.Event()
+    acquire = cluster._Backend.acquire
+    held = []
+
+    async def slow_first_acquire(self):
+        if not held:
+            held.append(self.name)
+            await gate.wait()
+        return await acquire(self)
+
+    data = WorkloadGenerator(seed=5).stream(20)[0]
+
+    async def scenario():
+        async with running_cluster(table, n=2) as (proxy, _servers):
+            monkeypatch.setattr(
+                cluster._Backend, "acquire", slow_first_acquire
+            )
+            async with ScanClient(*proxy.address) as client:
+                stuck = await client.open_flow()
+                await stuck.send(data[:100])
+                await asyncio.sleep(0.05)
+                assert held  # its placement is waiting
+                beam = await asyncio.wait_for(
+                    client.open_beam_flow(table.vocab_hash, 1), 5.0
+                )
+                other = await asyncio.wait_for(client.scan_stream(data), 5.0)
+                await beam.close()
+                await stuck.send(data[100:])
+                gate.set()
+                got = await stuck.finish(timeout=5.0)
+        return other, got
+
+    other, got = run(scenario())
+    expected = ContentBasedRouter().route(data)
+    assert other == expected
+    assert got == expected
+
+
 def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
     """The backend answers the proxy, whose frame limit is larger than
     this client's; a MASKS reply the client could not read fails its
@@ -266,9 +345,12 @@ def test_proxy_drain_delivers_a_beam_op_in_flight(table):
     proxy's, with a backend that takes 0.4 s per step."""
 
     class SlowStep(ScanServer):
-        async def _step(self, conn, flow, frame):
-            await asyncio.sleep(0.4)
-            await super()._step(conn, flow, frame)
+        def _step(self, conn, flow, frame):
+            async def slow():
+                await asyncio.sleep(0.4)
+                ScanServer._step(self, conn, flow, frame)
+
+            conn.run(slow())
 
     async def scenario():
         server = await SlowStep(port=0, mask_tables=[table]).start()

@@ -1,5 +1,5 @@
 """The corked wire: one ``transport.write`` per event-loop turn on
-every hop (``protocol.Outbound`` — client, proxy and server write
+every hop (``protocol.FramedProtocol`` — client, proxy and server write
 through the same one), bounded by the 64 KiB high-water mark.
 
 What is pinned here are counts that repeat exactly — writes and reads
@@ -27,7 +27,7 @@ def run(coro):
 
 def _count_writes(client) -> list:
     """Every blob ``client``'s transport is handed from now on."""
-    writer = client._out.writer
+    writer = client._out.transport
     blobs: list = []
     real = writer.write
 
@@ -228,7 +228,7 @@ def test_sender_is_bounded_and_suspends_against_a_stalled_peer():
         with contextlib.suppress(asyncio.CancelledError):
             await task
         release.set()
-        client._out.writer.transport.abort()
+        client._out.transport.abort()
         listener.close()
 
     run(main())

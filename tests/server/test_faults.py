@@ -59,16 +59,20 @@ def test_idle_timeout_discards_flow_state():
 def test_busy_connection_is_not_reaped():
     """The deadline bounds the wait for a frame, not the time spent
     handling one: a connection whose handler is busy for longer than
-    ``idle_timeout`` (here: held in ``_op``) keeps its connection."""
+    ``idle_timeout`` (here: ``_op`` waits in a coroutine on the
+    connection's frame path) keeps its connection."""
 
     async def main():
         async with running_server(idle_timeout=0.15) as server:
             release = asyncio.Event()
             real_op = server._op
 
-            async def slow_op(conn, flow, frame):
-                await release.wait()
-                await real_op(conn, flow, frame)
+            def slow_op(conn, flow, frame):
+                async def held():
+                    await release.wait()
+                    real_op(conn, flow, frame)
+
+                conn.run(held())
 
             server._op = slow_op
             async with ScanClient(*server.address) as client:
@@ -142,6 +146,24 @@ def test_oversized_frame_rejected_and_connection_closed():
             assert frame.type == FrameType.ERROR
             _flow, code, _msg = protocol.decode_error(frame)
             assert code == ErrorCode.FRAME_TOO_LARGE
+            assert await asyncio.wait_for(frames.frame(), 2.0) is None
+            writer.close()
+
+    run(main())
+
+
+def test_end_of_stream_inside_a_frame_is_a_protocol_error():
+    async def main():
+        async with running_server() as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            frames = FrameReader(reader)
+            writer.write(protocol.encode_hello())
+            await frames.frame()  # server HELLO
+            writer.write(protocol.encode_data(1, b"x" * 64)[:20])
+            writer.write_eof()
+            frame = await asyncio.wait_for(frames.frame(), 2.0)
+            _flow, code, message = protocol.decode_error(frame)
+            assert code == ErrorCode.BAD_FRAME and "mid-frame" in message
             assert await asyncio.wait_for(frames.frame(), 2.0) is None
             writer.close()
 
@@ -287,7 +309,7 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
             # transport bound (plus at most one in-flight frame).
             conns = list(server._connections.values())
             assert conns, "connection should still be alive (paused)"
-            buffered = conns[0].writer.transport.get_write_buffer_size()
+            buffered = conns[0].transport.get_write_buffer_size()
             assert buffered <= high_water + protocol.DEFAULT_MAX_FRAME
             # Start consuming: everything completes normally.
             writer.write(protocol.encode_finish_flow(1))
@@ -299,6 +321,81 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
                 _flow, is_final, _items = protocol.decode_result(frame)
                 final = True if is_final else None
             writer.close()
+
+    run(main())
+
+
+def _socket_buffer_bound() -> int:
+    """The most a loopback connection's kernel buffers can hold, both
+    ends together (16 MiB where the limits cannot be read)."""
+    try:
+        total = 0
+        for kind in ("rmem", "wmem"):
+            with open(f"/proc/sys/net/ipv4/tcp_{kind}") as limits:
+                total += int(limits.read().split()[2])
+        return total
+    except (OSError, ValueError, IndexError):
+        return 16 << 20
+
+
+def test_stalled_backend_stops_the_proxy_reading_its_client():
+    """A backend that stops reading: what the proxy reads off the
+    client feeding it is bounded by one backend connection's buffers,
+    so the proxy stops reading that client — chained backpressure —
+    and everything flows again once the backend reads."""
+    from repro.server import ScanProxy
+
+    async def main():
+        release = asyncio.Event()
+
+        async def backend(reader, writer):
+            writer.write(protocol.encode_hello())
+            await release.wait()  # read nothing until released
+            while await reader.read(1 << 16):
+                pass
+            writer.close()
+
+        listener = await asyncio.start_server(backend, "127.0.0.1", 0)
+        proxy = await ScanProxy(
+            [listener.sockets[0].getsockname()[:2]], port=0, pool_size=1
+        ).start()
+        try:
+            reader, writer = await asyncio.open_connection(*proxy.address)
+            frames = FrameReader(reader)
+            writer.write(protocol.encode_hello())
+            assert (await frames.frame()).type == FrameType.HELLO
+            sent = protocol.encode_hello() + protocol.encode_open_flow(1)
+            writer.write(sent[len(protocol.encode_hello()) :])
+            total = len(sent)
+            frame = protocol.encode_data(1, b"<x>" * 5461)
+            bound = _socket_buffer_bound() + (4 << 20)
+            while total < 4 * bound:
+                writer.write(frame)
+                total += len(frame)
+                try:
+                    await asyncio.wait_for(writer.drain(), 0.5)
+                except asyncio.TimeoutError:
+                    break  # the proxy stopped reading us
+            assert total < 4 * bound, "the proxy never stopped reading"
+
+            def taken() -> int:
+                return proxy.stats()["counters"]["proxy.rx.bytes"]
+
+            held = taken()
+            await asyncio.sleep(0.3)
+            assert taken() == held < total
+            assert held <= bound
+            release.set()
+            await asyncio.wait_for(writer.drain(), 10.0)
+            deadline = time.monotonic() + 10.0
+            while taken() < total and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert taken() == total
+            writer.close()
+        finally:
+            release.set()
+            await proxy.stop(drain=False)
+            listener.close()
 
     run(main())
 
@@ -384,10 +481,11 @@ def test_drain_rejects_new_flows_but_completes_open_ones(
 
 
 def test_drain_waits_for_inflight_mask_op():
-    """Regression: a BATCH_ADVANCE whose reply write is backpressured
-    must get its one reply out before GOODBYE — decode ops were
-    invisible to the drain accounting and a stop(drain=True) could cut
-    the connection mid-op. Shown on a single-lane decode."""
+    """Regression: a BATCH_ADVANCE whose handling waits (a coroutine on
+    the connection's frame path) must get its one reply out before
+    GOODBYE — decode ops were invisible to the drain accounting and a
+    stop(drain=True) could cut the connection mid-op. Shown on a
+    single-lane decode."""
 
     async def main():
         from repro.apps.structgen import build_mask_table, synthetic_vocab
@@ -403,22 +501,20 @@ def test_drain_waits_for_inflight_mask_op():
                 t for t in range(384) if flow.rows[0][t // 8] >> (t % 8) & 1
             )
 
-            # Simulate write-side backpressure: the next reply stalls
-            # inside the server's send until we release it.
-            conn = next(iter(server._connections.values()))
-            real_send = conn.send
+            # The next op stalls on the connection's frame path until
+            # we release it.
+            real_op = server._op
             stalled, release = asyncio.Event(), asyncio.Event()
-            first = True
 
-            async def stalling_send(frame_bytes):
-                nonlocal first
-                if first:
-                    first = False
+            def stalling_op(conn, flow, frame):
+                async def held():
                     stalled.set()
                     await release.wait()
-                await real_send(frame_bytes)
+                    real_op(conn, flow, frame)
 
-            conn.send = stalling_send
+                conn.run(held())
+
+            server._op = stalling_op
             reply = asyncio.ensure_future(flow.advance([token]))
             await stalled.wait()
 

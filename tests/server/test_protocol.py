@@ -1,9 +1,13 @@
 """Wire-protocol framing: encode/decode round trips, incremental
 parsing at adversarial split points, and the frame-size limit."""
 
+import asyncio
+import contextlib
 import struct
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.protocol import (
     CONNECTION_FLOW,
@@ -22,10 +26,12 @@ from repro.server.protocol import (
     encode_data,
     encode_error,
     encode_finish_flow,
+    encode_frame,
     encode_goodbye,
     encode_hello,
     encode_open_flow,
     encode_result,
+    start_eagerly,
 )
 
 
@@ -100,15 +106,58 @@ def test_goodbye_is_minimal():
 
 # ----------------------------------------------------------------------
 def test_decoder_handles_byte_at_a_time_delivery():
+    """Every frame comes out whole however the reads are cut; frames
+    ahead of a bad length still do, and the length then raises."""
     blob = encode_open_flow(1) + encode_data(1, b"abc") + encode_goodbye()
+    for tail in (b"", struct.pack("!I", 1 << 30) + b"never read"):
+        decoder = FrameDecoder()
+        frames = []
+        data = blob + tail
+        cut = pytest.raises(ProtocolError) if tail else contextlib.nullcontext()
+        with cut:
+            for i in range(len(data)):
+                frames += decoder.feed(data[i : i + 1])
+        assert [f.type for f in frames] == [
+            FrameType.OPEN_FLOW, FrameType.DATA, FrameType.GOODBYE,
+        ]
+        assert decode_data(frames[1]) == (1, b"abc")
+        assert decoder.pending() == (4 if tail else 0)
+
+
+FRAMES = st.lists(
+    st.tuples(st.integers(1, 255), st.binary(max_size=300)), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=FRAMES, bad_tail=st.booleans(), data=st.data())
+def test_decoder_is_split_invariant_and_keeps_frames_intact(
+    frames, bad_tail, data
+):
+    """A frame sequence cut at random points and fed piece by piece
+    yields the frames one ``feed`` does; a frame handed out stays equal
+    to what it was however many reads follow (no buffer is reused
+    under it); the frames ahead of a bad length are still returned."""
+    blob = b"".join(encode_frame(t, p) for t, p in frames)
+    if bad_tail:
+        blob += struct.pack("!I", 1 << 30) + b"junk"
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=24)))
     decoder = FrameDecoder()
-    frames = []
-    for i in range(len(blob)):
-        frames += decoder.feed(blob[i : i + 1])
-    assert [f.type for f in frames] == [
-        FrameType.OPEN_FLOW, FrameType.DATA, FrameType.GOODBYE,
-    ]
-    assert decoder.pending() == 0
+    kept: list = []
+    raised = False
+    for start, end in zip([0] + cuts, cuts + [len(blob)]):
+        try:
+            got = decoder.feed(blob[start:end])
+        except ProtocolError:
+            raised = True
+            break
+        kept += [(frame, bytes(frame.payload)) for frame in got]
+        assert all(frame.payload == copy for frame, copy in kept)
+    assert [(f.type, copy) for f, copy in kept] == frames
+    assert (raised or decoder.error is not None) == bad_tail
+    if not bad_tail:
+        assert decoder.pending() == 0 and decoder.taken == len(blob)
+        assert FrameDecoder().feed(blob) == [f for f, _copy in kept]
 
 
 def test_decoder_rejects_oversized_length_before_body():
@@ -162,3 +211,50 @@ def test_malformed_result_block_raises_protocol_error():
                 struct.pack("!IB", 1, 2) + struct.pack("!BII", 0, 0, 0),
             )
         )
+
+
+# ----------------------------------------------------------------------
+def test_start_eagerly_from_a_read_callback():
+    """Started from a plain loop callback (as a read callback is), a
+    coroutine's first step runs at once, and one that suspends there
+    on ``wait_for`` — which from Python 3.12 on needs a current task —
+    finishes in the task returned; one that never suspends returns
+    None, raising what it raised."""
+    seen = []
+
+    async def dial(fut):
+        seen.append(("first", asyncio.current_task()))
+        got = await asyncio.wait_for(fut, 5.0)
+        seen.append(("rest", asyncio.current_task()))
+        return got
+
+    async def at_once():
+        seen.append("ran")
+
+    async def broken():
+        raise ValueError("first step")
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
+        started = loop.create_future()
+
+        def callback():
+            try:
+                started.set_result(start_eagerly(dial(fut)))
+            except Exception as exc:  # noqa: BLE001 - for the test to see
+                started.set_exception(exc)
+
+        loop.call_soon(callback)
+        task = await started
+        assert isinstance(task, asyncio.Task) and seen[0][0] == "first"
+        fut.set_result(7)
+        assert await task == 7
+        assert seen[1] == ("rest", task)
+        if sys.version_info >= (3, 12):
+            assert seen[0][1] is task  # the first step ran in its task
+        assert start_eagerly(at_once()) is None and seen[-1] == "ran"
+        with pytest.raises(ValueError):
+            start_eagerly(broken())
+
+    asyncio.run(scenario())
