@@ -7,19 +7,17 @@ run through its own tagger back-end — here the §4 XML-RPC router.
 
 Per-flow state mirrors the hardware reality: one scanning context per
 flow (the FPX TCP scanner kept per-flow matcher state the same way).
-Three back-end arrangements are supported:
+Two back-end arrangements are supported:
 
 * **local streaming** (default): each flow owns a
   :class:`~repro.apps.xmlrpc.router.RouterSession`, so payload bytes
   are tagged as packets arrive;
-* **sharded**: pass a running :class:`~repro.service.ScanService` and
-  reassembled flow bytes are submitted to the worker pool instead,
-  hash-sharded by :class:`~repro.apps.netstack.flows.FlowKey` — the
-  multi-process arrangement for heavy multi-flow traffic (results are
-  collected at :meth:`results`/:meth:`finish` time);
 * **whole-stream fallback**: taggers that cannot scan incrementally
   (e.g. gate-level) are re-run over each flow's bytes at inspection
   time.
+
+Served traffic scales out through ``repro cluster`` (one
+``repro serve`` per core), not inside the wrapper.
 
 The wrapper itself implements the
 :class:`~repro.core.api.StreamSession` contract — ``feed(frame)``
@@ -65,30 +63,20 @@ class TaggingWrapper(StreamSession):
     1
     """
 
-    def __init__(
-        self,
-        router: ContentBasedRouter | None = None,
-        service=None,
-    ) -> None:
+    def __init__(self, router: ContentBasedRouter | None = None) -> None:
         self.router = router if router is not None else ContentBasedRouter()
-        #: A started :class:`~repro.service.ScanService` (RouterSpec
-        #: workers); when set, flow bytes are scanned by the pool.
-        self.service = service
         self.reassembler = TCPReassembler()
         self._payloads: dict[FlowKey, bytearray] = {}
         self._sessions: dict[FlowKey, RouterSession] = {}
         self._messages: dict[FlowKey, list[RoutedMessage]] = {}
         self._final: list[FlowResult] | None = None
-        if service is not None:
+        try:
+            self.router.stream()
             self._streaming = True
-        else:
-            try:
-                self.router.stream()
-                self._streaming = True
-            except BackendError:
-                # e.g. a gate-level tagger: route whole streams at
-                # inspection time instead
-                self._streaming = False
+        except BackendError:
+            # e.g. a gate-level tagger: route whole streams at
+            # inspection time instead
+            self._streaming = False
         self.malformed = 0
 
     # ------------------------------------------------------------------
@@ -96,12 +84,7 @@ class TaggingWrapper(StreamSession):
     # ------------------------------------------------------------------
     def feed(self, frame: bytes) -> list[tuple[FlowKey, RoutedMessage]]:
         """Consume one wire frame; return the (flow, message) pairs it
-        completed (parse errors are counted, not fatal).
-
-        With a sharded service attached, scanning is asynchronous and
-        this returns ``[]``; completed messages are collected by
-        :meth:`results` / :meth:`finish`.
-        """
+        completed (parse errors are counted, not fatal)."""
         self._check_open()
         try:
             packet = Packet.parse(frame)
@@ -119,9 +102,7 @@ class TaggingWrapper(StreamSession):
         completed: list[tuple[FlowKey, RoutedMessage]] = []
         if data:
             self._payloads.setdefault(key, bytearray()).extend(data)
-            if self.service is not None:
-                self.service.submit(key, bytes(data))
-            elif self._streaming:
+            if self._streaming:
                 session = self._sessions.get(key)
                 if session is None:
                     session = self._sessions[key] = self.router.stream()
@@ -138,32 +119,16 @@ class TaggingWrapper(StreamSession):
         :meth:`results` keeps answering afterwards).
         """
         self._check_open()
-        if self.service is not None:
-            for key in self._payloads:
-                self.service.finish_flow(key)
-            self.service.drain()
-            merged = self.service.results()
-            results = [
-                FlowResult(
-                    key=key,
-                    payload=bytes(payload),
-                    messages=list(merged.get(key, [])),
-                )
-                for key, payload in self._payloads.items()
-            ]
-        else:
-            results = []
-            for key, payload in self._payloads.items():
-                data = bytes(payload)
-                if self._streaming:
-                    messages = self._messages[key] + self._sessions[
-                        key
-                    ].finish()
-                else:
-                    messages = self.router.route(data)
-                results.append(
-                    FlowResult(key=key, payload=data, messages=messages)
-                )
+        results = []
+        for key, payload in self._payloads.items():
+            data = bytes(payload)
+            if self._streaming:
+                messages = self._messages[key] + self._sessions[key].finish()
+            else:
+                messages = self.router.route(data)
+            results.append(
+                FlowResult(key=key, payload=data, messages=messages)
+            )
         self._finished = True
         self._final = results
         return results
@@ -176,26 +141,11 @@ class TaggingWrapper(StreamSession):
 
         Streaming flows report the messages already emitted plus
         whatever end-of-data would complete right now, evaluated on a
-        snapshot — local sessions via
-        :meth:`~repro.apps.xmlrpc.router.RouterSession.peek_finish`,
-        sharded flows via a worker-side
-        :meth:`~repro.service.ScanService.peek` round trip — so later
-        packets still tag incrementally.
+        snapshot (:meth:`~repro.apps.xmlrpc.router.RouterSession.peek_finish`),
+        so later packets still tag incrementally.
         """
         if self._final is not None:
             return self._final
-        if self.service is not None:
-            self.service.drain()
-            merged = self.service.results()
-            return [
-                FlowResult(
-                    key=key,
-                    payload=bytes(payload),
-                    messages=list(merged.get(key, []))
-                    + self.service.peek(key),
-                )
-                for key, payload in self._payloads.items()
-            ]
         results = []
         for key, payload in self._payloads.items():
             data = bytes(payload)

@@ -162,25 +162,6 @@ class ContentBasedRouter:
         """A fresh incremental routing session (one per flow)."""
         return RouterSession(self)
 
-    def shard(self, n_workers: int = 2, **service_options):
-        """A sharded multi-process scan service over this router's
-        grammar and table (see :class:`repro.service.ScanService`).
-
-        Flows submitted to the returned service are hash-sharded to
-        ``n_workers`` OS processes, each running independent
-        :class:`RouterSession` state per flow; per-flow results are
-        byte-for-byte what :meth:`route` produces on the concatenated
-        stream.
-        """
-        from repro.service import RouterSpec, ScanService
-
-        spec = RouterSpec(
-            grammar=self.grammar,
-            table=self.table,
-            method_element=self.method_element,
-        )
-        return ScanService(spec, n_workers=n_workers, **service_options)
-
 
 class RouterSession(StreamSession):
     """Incremental routing over a chunked byte stream.

@@ -256,7 +256,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         admin_port=args.admin_port,
-        pool_size=args.pool_size,
         health_interval=args.health_interval,
         idle_timeout=args.idle_timeout,
         max_frame=args.max_frame,
@@ -539,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--admin-port", type=int, default=None,
                          help="aggregated /metrics + /healthz + /stats "
                          "listener")
-    cluster.add_argument("--pool-size", type=int, default=2,
-                         help="client connections pooled per backend")
     cluster.add_argument("--health-interval", type=float, default=0.5,
                          help="seconds between backend health probes")
     cluster.add_argument("--idle-timeout", type=float, default=30.0,

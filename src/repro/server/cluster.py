@@ -14,7 +14,7 @@ Routing
 -------
 Every flow (scan or beam) is pinned to a backend chosen by consistent
 hashing: the flow's key ``(connection, flow id)`` lands on a
-:class:`HashRing` of virtual nodes (``ring_replicas`` per backend,
+:class:`HashRing` of virtual nodes (:data:`RING_REPLICAS` per backend,
 blake2b-placed), and the lookup walks the ring to the first *healthy*
 backend. Adding or removing one backend therefore only remaps the
 flows that hashed to it — the rest of the fleet keeps its affinity.
@@ -22,10 +22,13 @@ flows that hashed to it — the rest of the fleet keeps its affinity.
 Relay and failover
 ------------------
 Every flow kind is relayed one way: the proxy rewrites the flow id and
-forwards the frame to a pooled
+forwards the frame to the backend's one
 :class:`~repro.server.client.ScanClient` connection, and the backend's
 replies come back through that client's raw tap, re-addressed the same
-way — a beam's delta chain and a scan's record blocks pass unread.
+way — a beam's delta chain and a scan's record blocks pass unread. One
+connection per backend is all a backend can use: a
+:class:`~repro.server.server.ScanServer` scans on one thread, so N
+cores are N backends, not N connections into one.
 Per flow the proxy keeps a journal of the client frames it accepted,
 the count of replies it forwarded with a sha256 over them (beam MASKS;
 a scan forwards nothing before its final RESULT) and the RESULT record
@@ -42,9 +45,9 @@ lost backend (connection cut, a DRAINING or IDLE_TIMEOUT error, a
 failed send) starts it again; no backend left, a digest mismatch or an
 ERROR in the replay is ``ERROR(FAILOVER)``. Placement starts eagerly
 inside the client connection's read callback, and a task exists only
-while it waits (a dial, a pool lock, a replay); meanwhile the flow's
-later frames are only journaled, and the connection's other flows keep
-moving. Otherwise frames go out from the read callback. Backpressure
+while it waits (a dial, the backend's dial lock, a replay); meanwhile
+the flow's later frames are only journaled, and the connection's other
+flows keep moving. Otherwise frames go out from the read callback. Backpressure
 chains both ways: a backend that stops reading stops the proxy reading
 the clients that feed it, and a client that stops reading stops the
 taps of its backend connections.
@@ -54,7 +57,7 @@ Health & admin
 A probe task polls each backend (admin ``/healthz`` when an admin
 port is configured, a bare TCP dial otherwise) every
 ``health_interval`` seconds; failures eject the backend from routing
-and drain its connection pool (which fails the pinned flows over),
+and close its connection (which fails the pinned flows over),
 recoveries readmit it. The proxy's own admin endpoint aggregates the
 fleet: ``/healthz`` is ok while any backend is, ``/stats`` merges
 backend registries under per-backend keys, and ``/metrics`` renders
@@ -69,7 +72,6 @@ import bisect
 import contextlib
 import hashlib
 import json
-import time
 
 from repro.server import protocol
 from repro.server.client import ConnectFailed, ScanClient
@@ -105,6 +107,13 @@ _BACKEND_FAULTS = (
 #: ERROR codes that signal backend lifecycle, not client mistakes —
 #: these trigger failover.
 _LIFECYCLE_CODES = (ErrorCode.DRAINING, ErrorCode.IDLE_TIMEOUT)
+
+#: Virtual nodes per backend on the hash ring.
+RING_REPLICAS = 64
+#: Deadline (s) of a backend dial, a health probe and an admin fetch.
+PROBE_TIMEOUT = 1.0
+#: How long (s) a replayed beam op waits for its MASKS reply.
+REQUEST_TIMEOUT = 30.0
 
 
 class NoHealthyBackend(ServerFault):
@@ -182,7 +191,7 @@ class HashRing:
     and yields members in first-encounter order, so a caller can skip
     unhealthy members and still get stable, minimal re-mapping."""
 
-    def __init__(self, replicas: int = 64) -> None:
+    def __init__(self, replicas: int = RING_REPLICAS) -> None:
         self.replicas = replicas
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
@@ -243,54 +252,52 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# backend connection pooling
+# backend connections
 # ----------------------------------------------------------------------
 class _Backend:
-    """Live state for one backend: health plus a small pool of client
-    connections, shared by the flows pinned here."""
+    """Live state for one backend: health plus the one client
+    connection the flows pinned here share."""
 
     def __init__(self, spec: BackendSpec, proxy: "ScanProxy") -> None:
         self.spec = spec
         self.proxy = proxy
         self.healthy = True
         self.last_error: str | None = None
-        self.ejected_at: float | None = None
-        self._pool: list[ScanClient | None] = [None] * proxy.pool_size
-        self._next = 0
+        self._client: ScanClient | None = None
         self._lock = asyncio.Lock()
 
     @property
     def name(self) -> str:
         return self.spec.name
 
+    @property
+    def connected(self) -> bool:
+        return self._client is not None and self._client.connected
+
     async def acquire(self) -> ScanClient:
-        """A connected pooled client (round-robin), dialing if the
-        slot is empty or its connection has died."""
+        """The backend's connected client, dialed under the lock when
+        there is none or its connection has died."""
         async with self._lock:
-            slot = self._next % len(self._pool)
-            self._next += 1
-            client = self._pool[slot]
-            if client is not None and client.connected:
-                return client
+            if self.connected:
+                return self._client
             client = ScanClient(
                 self.spec.host,
                 self.spec.port,
-                connect_timeout=self.proxy.probe_timeout,
+                connect_timeout=PROBE_TIMEOUT,
                 connect_retries=2,
                 retry_backoff=0.05,
-                request_timeout=self.proxy.request_timeout,
+                request_timeout=REQUEST_TIMEOUT,
                 max_frame=self.proxy.max_frame,
             )
             await client.connect()
-            self._pool[slot] = client
+            self._client = client
             return client
 
-    async def close_pool(self) -> None:
-        clients, self._pool = self._pool, [None] * len(self._pool)
-        for client in clients:
-            if client is not None:
-                with contextlib.suppress(Exception):
-                    await client.close()
+    async def close(self) -> None:
+        client, self._client = self._client, None
+        if client is not None:
+            with contextlib.suppress(Exception):
+                await client.close()
 
     def describe(self) -> dict:
         return {
@@ -299,11 +306,7 @@ class _Backend:
             "admin_port": self.spec.admin_port,
             "healthy": self.healthy,
             "last_error": self.last_error,
-            "pooled": sum(
-                1
-                for c in self._pool
-                if c is not None and c.connected
-            ),
+            "connected": self.connected,
         }
 
 
@@ -451,11 +454,7 @@ class ScanProxy(FramedEndpoint):
         port: int = 0,
         *,
         admin_port: int | None = None,
-        ring_replicas: int = 64,
-        pool_size: int = 2,
         health_interval: float = 0.5,
-        probe_timeout: float = 1.0,
-        request_timeout: float = 30.0,
         idle_timeout: float = 30.0,
         max_frame: int = DEFAULT_MAX_FRAME,
         metrics: MetricsRegistry | None = None,
@@ -479,12 +478,9 @@ class ScanProxy(FramedEndpoint):
             "/healthz": self._admin_healthz,
             "/stats": self._aggregate_stats,
         }
-        self.pool_size = max(1, pool_size)
         self.health_interval = health_interval
-        self.probe_timeout = probe_timeout
-        self.request_timeout = request_timeout
 
-        self.ring = HashRing(replicas=ring_replicas)
+        self.ring = HashRing()
         self.backends: dict[str, _Backend] = {}
         for spec in specs:
             self.backends[spec.name] = _Backend(spec, self)
@@ -509,7 +505,7 @@ class ScanProxy(FramedEndpoint):
     async def _shutdown(self, drain: bool) -> None:
         await reap(self._health_task)
         for backend in self.backends.values():
-            await backend.close_pool()
+            await backend.close()
 
     def grammar_refs(self) -> tuple[str, ...]:
         return self._grammars
@@ -545,18 +541,16 @@ class ScanProxy(FramedEndpoint):
         backend.last_error = str(exc) or exc.__class__.__name__
         if backend.healthy:
             backend.healthy = False
-            backend.ejected_at = time.monotonic()
             self.metrics.counter("proxy.backend.ejected").inc()
             self._refresh_gauges()
-            # Drain the pool so every flow pinned here fails over
+            # Close the connection so every flow pinned here fails over
             # promptly instead of waiting out request timeouts.
-            asyncio.ensure_future(backend.close_pool())
+            asyncio.ensure_future(backend.close())
 
     def _readmit(self, backend: _Backend) -> None:
         if not backend.healthy:
             backend.healthy = True
             backend.last_error = None
-            backend.ejected_at = None
             self.metrics.counter("proxy.backend.readmitted").inc()
             self._refresh_gauges()
 
@@ -639,7 +633,7 @@ class ScanProxy(FramedEndpoint):
                 _relay(client, fid, frame)
             for _ in range(flow.answered):
                 reply = await asyncio.wait_for(
-                    replies.get(), self.request_timeout
+                    replies.get(), REQUEST_TIMEOUT
                 )
                 if reply is None:
                     raise ConnectionResetError("backend lost in replay")
@@ -685,7 +679,7 @@ class ScanProxy(FramedEndpoint):
 
     def _start_placing(self, conn, flow: _ProxyFlow) -> None:
         """Run :meth:`_place` now: to the end when nothing needs waiting
-        for (a pooled backend connection, no replay), else as a task
+        for (a connected backend, no replay), else as a task
         the flow's later frames wait behind."""
         flow.placing = True
         task = protocol.start_eagerly(self._place(conn, flow))
@@ -728,7 +722,7 @@ class ScanProxy(FramedEndpoint):
                     spec.host,
                     spec.admin_port,
                     "/healthz",
-                    timeout=self.probe_timeout,
+                    timeout=PROBE_TIMEOUT,
                 )
                 return status == 200
             except _BACKEND_FAULTS:
@@ -736,7 +730,7 @@ class ScanProxy(FramedEndpoint):
         try:
             _, writer = await asyncio.wait_for(
                 asyncio.open_connection(spec.host, spec.port),
-                self.probe_timeout,
+                PROBE_TIMEOUT,
             )
         except _BACKEND_FAULTS:
             return False
@@ -868,7 +862,7 @@ class ScanProxy(FramedEndpoint):
                 spec.host,
                 spec.admin_port,
                 path,
-                timeout=self.probe_timeout,
+                timeout=PROBE_TIMEOUT,
             )
         except _BACKEND_FAULTS:
             return None

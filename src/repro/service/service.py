@@ -71,10 +71,6 @@ class _RouterBackend:
     def new_session(self):
         return self.router.stream()
 
-    @staticmethod
-    def peek(session):
-        return session.peek_finish()
-
 
 class _TaggerBackend:
     """Per-worker raw-event tagging backend (one session per flow)."""
@@ -84,10 +80,6 @@ class _TaggerBackend:
 
     def new_session(self):
         return self.tagger.stream()
-
-    @staticmethod
-    def peek(session):
-        return [event for event, _start in session.finish_scan_snapshot()]
 
 
 def _resolve_service_engine(engine: str) -> str:
@@ -260,7 +252,6 @@ class ScanService:
         self._results: dict[Any, list] = {}
         #: task_id -> (worker, op, flow, submit_monotonic)
         self._inflight: dict[int, tuple[int, str, Any, float]] = {}
-        self._peeks: dict[int, list] = {}
         self._worker_errors: list[str] = []
         self._respawns = [0] * n_workers
 
@@ -308,7 +299,7 @@ class ScanService:
         self._journal.setdefault(flow, []).append(("feed", chunk))
         self.metrics.counter("submitted.chunks").inc()
         self.metrics.counter("submitted.bytes").inc(len(chunk))
-        self._dispatch("feed", flow, chunk, journaled=True, timeout=timeout)
+        self._dispatch("feed", flow, chunk, timeout=timeout)
 
     def finish_flow(self, flow: Any, timeout: float | None = None) -> None:
         """Queue the end-of-data flush for ``flow`` (its tail results
@@ -317,25 +308,7 @@ class ScanService:
         self.start()
         self._collect()
         self._journal.setdefault(flow, []).append(("finish", None))
-        self._dispatch("finish", flow, None, journaled=True, timeout=timeout)
-
-    def peek(self, flow: Any, timeout: float = 30.0) -> list:
-        """What end-of-data would add to ``flow`` right now, evaluated
-        on a worker-side snapshot (the flow keeps streaming). Blocks
-        for the round trip."""
-        self._ensure_open()
-        self.start()
-        task_id = self._dispatch("peek", flow, None, journaled=False)
-        deadline = time.monotonic() + timeout
-        while task_id not in self._peeks:
-            self._collect(block=True, wait=0.05)
-            self._check_workers()
-            if task_id not in self._inflight and task_id not in self._peeks:
-                # lost to a crash: the shard was respawned, ask again
-                task_id = self._dispatch("peek", flow, None, journaled=False)
-            if time.monotonic() > deadline:
-                raise ServiceError(f"peek({flow!r}) timed out")
-        return self._peeks.pop(task_id)
+        self._dispatch("finish", flow, None, timeout=timeout)
 
     # ------------------------------------------------------------------
     def _next_task(self) -> int:
@@ -347,15 +320,10 @@ class ScanService:
         op: str,
         flow: Any,
         chunk: bytes | None,
-        journaled: bool,
         timeout: float | None = None,
-    ) -> int | None:
-        """Hand one task to the owning shard, honoring backpressure.
-
-        Returns the task id, or None when a crash-respawn replayed the
-        journal (which already contains a journaled task, so it is in
-        flight without a dedicated dispatch).
-        """
+    ) -> None:
+        """Hand one journaled task to the owning shard, honoring
+        backpressure."""
         worker = self.shards.worker_of(flow)
         task_id = self._next_task()
         message = (
@@ -370,29 +338,24 @@ class ScanService:
         while True:
             if not handle.alive and not handle.stopping:
                 self._recover(worker)
-                if journaled:
-                    # The replay delivered this task (it was journaled
-                    # before dispatch); nothing left to enqueue.
-                    self._observe_wait(started)
-                    return None
-                continue  # non-journaled ops retry against the respawn
+                # The replay delivered this task (it was journaled
+                # before dispatch); nothing left to enqueue.
+                self._observe_wait(started)
+                return
             try:
                 handle.tasks.put(message, timeout=0.05)
                 break
             except queue_mod.Full:
                 self._collect()
                 if deadline is not None and time.monotonic() > deadline:
-                    if journaled:
-                        # Undo the journal entry: this task was never
-                        # delivered, and a future replay must not
-                        # invent it.
-                        self._journal[flow].pop()
+                    # Undo the journal entry: this task was never
+                    # delivered, and a future replay must not invent it.
+                    self._journal[flow].pop()
                     self.metrics.counter("errors.queue_full").inc()
                     raise QueueFull(worker, self.queue_depth) from None
 
         self._observe_wait(started)
         self._inflight[task_id] = (worker, op, flow, time.monotonic())
-        return task_id
 
     def _observe_wait(self, started: float) -> None:
         self.metrics.histogram("latency.submit_wait_s").observe(
@@ -461,10 +424,6 @@ class ScanService:
             self.metrics.counter("errors.worker").inc()
             self._worker_errors.append(error)
             return
-        if op == "peek":
-            if known:
-                self._peeks[task_id] = out
-            return
         if not known:
             # A task superseded by journal replay (its worker died
             # after computing it): the replay regenerates these
@@ -514,7 +473,7 @@ class ScanService:
         self.metrics.counter("respawns").inc()
         # In-flight tasks addressed to the dead worker are void: either
         # their results were banked above, or the journal regenerates
-        # them. Peeks waiting on it are re-asked by their caller.
+        # them.
         for task_id in [
             tid
             for tid, (w, _op, _flow, _t) in self._inflight.items()

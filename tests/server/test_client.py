@@ -120,6 +120,7 @@ def test_finish_times_out_when_no_result_arrives():
             await writer.drain()
             while await frames.frame() is not None:
                 pass  # swallow everything, answer nothing
+            writer.close()
 
         listener = await asyncio.start_server(
             mute_server, "127.0.0.1", 0

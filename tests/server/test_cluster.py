@@ -212,10 +212,10 @@ def test_proxied_beam_flow_matches_mirrors(table):
     run(scenario())
 
 
-def test_proxy_dials_its_pool_while_placing_flows(table):
-    """More flows than backends, two pooled connections per backend:
-    the proxy's start dialed one slot of each, so placing the flows
-    dials the other — every flow is still served, scans and beams."""
+def test_proxy_redials_its_backends_while_placing_flows(table):
+    """The backend connections the proxy's start dialed are closed,
+    so placing the flows dials them again — every flow is still
+    served, scans and beams, and every backend ends up connected."""
     payloads = [MethodCall(f"m{i}").encode() + b" " for i in range(6)]
 
     async def beam(client):
@@ -229,7 +229,9 @@ def test_proxy_dials_its_pool_while_placing_flows(table):
         await flow.close()
 
     async def scenario():
-        async with running_cluster(table, n=2, pool_size=2) as (proxy, _):
+        async with running_cluster(table, n=2) as (proxy, _):
+            for backend in proxy.backends.values():
+                await backend.close()
             async with ScanClient(*proxy.address) as client:
                 results = await asyncio.gather(
                     *(client.scan_stream(p, chunk_size=9) for p in payloads),
@@ -237,8 +239,8 @@ def test_proxy_dials_its_pool_while_placing_flows(table):
                 )
             router = ContentBasedRouter()
             assert results[:6] == [router.route(p) for p in payloads]
-            pooled = [b["pooled"] for b in proxy.stats()["backends"].values()]
-            assert pooled == [2, 2]
+            backends = proxy.stats()["backends"].values()
+            assert [b["connected"] for b in backends] == [True, True]
             counters = proxy.stats()["counters"]
             assert counters.get("proxy.errors.sent", 0) == 0
 

@@ -97,7 +97,7 @@ def test_proxy_adds_one_write_per_direction():
 
     async def main():
         async with running_server() as server:
-            proxy = ScanProxy([server.address], port=0, pool_size=1)
+            proxy = ScanProxy([server.address], port=0)
             await proxy.start()
             try:
                 async with ScanClient(*proxy.address) as client:
@@ -111,13 +111,8 @@ def test_proxy_adds_one_write_per_direction():
                         server, *(f"server.{n}" for n in names)
                     )
                     blobs = _count_writes(client)
-                    (pooled,) = [
-                        c
-                        for b in proxy.backends.values()
-                        for c in b._pool
-                        if c is not None
-                    ]
-                    relayed = _count_writes(pooled)
+                    (backend,) = proxy.backends.values()
+                    relayed = _count_writes(backend._client)
                     assert await _one_flow(client, data) == expected
                     assert len(blobs) == 1
                     # Towards the backend: the whole flow in one write,
@@ -127,7 +122,7 @@ def test_proxy_adds_one_write_per_direction():
                         protocol.FrameDecoder().feed(relayed[0])
                     ) == 5
                     # Towards the client: one write (counted on the
-                    # proxy's front; the pooled client is not a
+                    # proxy's front; the backend client is not a
                     # FramedEndpoint connection).
                     after_p = _counters(
                         proxy, *(f"proxy.{n}" for n in names)

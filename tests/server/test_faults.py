@@ -357,7 +357,7 @@ def test_stalled_backend_stops_the_proxy_reading_its_client():
 
         listener = await asyncio.start_server(backend, "127.0.0.1", 0)
         proxy = await ScanProxy(
-            [listener.sockets[0].getsockname()[:2]], port=0, pool_size=1
+            [listener.sockets[0].getsockname()[:2]], port=0
         ).start()
         try:
             reader, writer = await asyncio.open_connection(*proxy.address)

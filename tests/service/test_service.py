@@ -175,22 +175,6 @@ def test_pop_results_hands_over(streams, expected):
         assert service.results() == {}
 
 
-def test_peek_is_nondestructive(streams, expected):
-    """peek() evaluates end-of-data on a worker-side snapshot; the flow
-    keeps accepting chunks afterwards."""
-    flow = "flow-2"
-    data = streams[flow]
-    cut = len(data) * 2 // 3
-    with ScanService(RouterSpec(), n_workers=2) as service:
-        service.submit(flow, data[:cut])
-        peeked = service.peek(flow)
-        assert isinstance(peeked, list)
-        service.submit(flow, data[cut:])
-        service.finish_flow(flow)
-        service.drain()
-        assert service.results()[flow] == expected[flow]
-
-
 def test_invalid_options():
     with pytest.raises(ServiceError):
         ScanService(RouterSpec(), n_workers=0)
