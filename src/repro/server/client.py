@@ -22,9 +22,11 @@ Connection semantics:
   :class:`~repro.server.protocol.ServerFault` at once;
 * **timeouts** — :meth:`ClientFlow.finish` waits at most
   ``request_timeout`` for the flow's final RESULT;
-* **frame limits** — DATA is split to fit the *server's* advertised
-  ``max_frame`` from its HELLO, and frames received are bounded by the
-  client's own ``max_frame``;
+* **frame limits** — a flow's consecutive chunks are held and leave
+  merged: the chunks of one loop turn as one DATA frame, split only to
+  fit the *server's* advertised ``max_frame`` from its HELLO (the
+  mirror of the server's one RESULT per read); frames received are
+  bounded by the client's own ``max_frame``;
 * **failure** — an ERROR frame addressed to a flow fails that flow's
   pending :meth:`~ClientFlow.finish` with
   :class:`~repro.server.protocol.ServerFault` and closes it — or
@@ -121,18 +123,19 @@ class ClientFlow(Flow):
 
     # ------------------------------------------------------------------
     async def send(self, chunk: bytes) -> None:
-        """Stream one chunk of flow bytes (split to the server's frame
-        limit). The frames queue and leave at the end of the loop turn
-        or with the flow's next awaited reply; once 64 KiB wait, here
-        or in the transport, this suspends until they drained, so
-        server backpressure lands here as pacing."""
+        """Stream one chunk of flow bytes. Returning means the chunk is
+        queued or held, not that it left: the connection holds it
+        behind the flow's earlier ones, and what it holds leaves as
+        DATA frames (split to the server's frame limit) once another
+        frame is queued or the loop turn ends — so the chunks a turn
+        sends leave merged, while a caller that awaits something else
+        between chunks sends a frame each. Once 64 KiB wait, here or
+        in the transport, this suspends until they drained, so server
+        backpressure lands here as pacing."""
         self.journal.append(chunk)
-        limit = max(1, self.client.server_max_frame - _DATA_OVERHEAD)
-        for start in range(0, len(chunk), limit) or (0,):
-            piece = chunk[start : start + limit]
-            await self.client._send(
-                protocol.encode_data(self.flow_id, piece)
-            )
+        out = self.client._link()
+        out.hold_for(self.flow_id, [chunk], len(chunk))
+        await out.pace()
 
     async def finish(self, timeout: float | None = None) -> list:
         """End the flow; wait for (and return) its complete results,
@@ -321,6 +324,16 @@ class _Link(FramedProtocol):
         if self.client is not None:
             self.client._on_frame(self, frame)
 
+    def _encode_held(self, flow_id: int, chunks: list) -> list[bytes]:
+        """A flow's held chunks as DATA frames, their bytes joined and
+        split to the server's frame limit."""
+        data = b"".join(chunks)
+        limit = max(1, self.peer_max_frame - _DATA_OVERHEAD)
+        return [
+            protocol.encode_data(flow_id, data[start : start + limit])
+            for start in range(0, len(data), limit)
+        ]
+
     def failed(self, exc: Exception) -> None:
         if self.client is not None:
             self.client._lost(self, exc)
@@ -438,7 +451,7 @@ class ScanClient:
         capped = min(backoff, self.max_backoff)
         return capped * (0.75 + 0.5 * random.random())
 
-    def _greet(self, frame: Frame) -> None:
+    def _greet(self, link: _Link, frame: Frame) -> None:
         """The server's first frame: its HELLO, or why the handshake
         failed. Done before any frame behind it is handled."""
         if frame.type == FrameType.ERROR:
@@ -453,7 +466,7 @@ class ScanClient:
                 f"client v{PROTOCOL_VERSION}",
                 code=ErrorCode.VERSION_MISMATCH,
             )
-        self.server_max_frame = server_max
+        self.server_max_frame = link.peer_max_frame = server_max
         self.server_grammars = protocol.decode_hello_grammars(frame)
 
     async def close(self) -> None:
@@ -585,16 +598,15 @@ class ScanClient:
         it leaves); raises what killed the connection if something
         did."""
         out = self._link()
-        await out.send(frame_bytes)
-        if out.error is not None:
-            raise out.error
+        out.queue(frame_bytes)
+        await out.pace()
 
     def _on_frame(self, link: _Link, frame: Frame) -> None:
         """Route one frame from the server to its flow."""
         if self._hello is not None:
             hello, self._hello = self._hello, None
             try:
-                self._greet(frame)
+                self._greet(link, frame)
             except Exception as exc:
                 self._unconnect()
                 if not hello.done():

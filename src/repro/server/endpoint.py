@@ -25,7 +25,6 @@ from repro.server import protocol
 from repro.server.flows import OPENERS, Flow, FlowKind, FlowTable, Refused
 from repro.server.protocol import (
     CONNECTION_FLOW,
-    DEFAULT_MAX_FRAME,
     ErrorCode,
     Frame,
     FrameType,
@@ -61,7 +60,6 @@ class Connection(FramedProtocol):
         self.table = FlowTable()
         #: The table's open flows, by connection-scoped flow id.
         self.flows = self.table.flows
-        self.peer_max_frame = DEFAULT_MAX_FRAME
         self.greeted = False
         #: When the connection will have waited ``idle_timeout`` for a
         #: frame, and the one timer that checks it.

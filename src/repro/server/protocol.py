@@ -97,10 +97,14 @@ last carries ``final``. Version 2 is the first with record blocks
 Flush rule: a server handles every frame of one socket read, appends
 the results of consecutive DATA frames of a flow into one RESULT, and
 writes once per read — results still stream while the flow is open,
-one frame per read instead of one per DATA. Every framed connection is
-one :class:`FramedProtocol`: frames are handled inside its read
-callback as zero-copy :class:`FrameDecoder` views of the read, and it
-writes once per event-loop turn.
+one frame per read instead of one per DATA. A client mirrors it: the
+chunks a flow is sent in one loop turn leave as one DATA frame (split
+only at the server's ``max_frame``), since a flow's bytes are the
+concatenation of its DATA bodies however they are cut. Every framed
+connection is one :class:`FramedProtocol`: frames are handled inside
+its read callback as zero-copy :class:`FrameDecoder` views of the
+read, it holds one flow's items in one slot, and it writes once per
+event-loop turn.
 """
 
 from __future__ import annotations
@@ -977,14 +981,20 @@ class FramedProtocol(asyncio.Protocol):
     connection stop reading, the frames behind it waiting in order.
     Frames queued by :meth:`queue` leave in one ``transport.write`` per
     loop turn (at once through :meth:`push`); :attr:`paused` while the
-    transport holds ``high_water`` unsent bytes, and :meth:`send` then
-    waits until it drained."""
+    transport holds ``high_water`` unsent bytes, and :meth:`pace` then
+    waits until it drained. One flow's consecutive items (a client's
+    DATA chunks, a server's scan results) wait in one held slot
+    (:meth:`hold_for`) and leave merged, as the frames
+    :meth:`_encode_held` makes of them, once anything else is queued or
+    the turn's write happens."""
 
     def __init__(
         self, max_frame: int = DEFAULT_MAX_FRAME, high_water: int = 1 << 16
     ) -> None:
         self.decoder = FrameDecoder(max_frame)
         self.transport: asyncio.Transport | None = None
+        #: The largest frame the peer said it accepts (its HELLO).
+        self.peer_max_frame = DEFAULT_MAX_FRAME
         self.high_water = high_water
         #: Nothing more can be written (what is queued is dropped), and
         #: the write failure behind it, for senders that raise.
@@ -996,6 +1006,9 @@ class FramedProtocol(asyncio.Protocol):
         self._out: list[bytes] = []
         self._queued = 0
         self._corked = False
+        #: The held slot: a flow id and the items held for it.
+        self._held_flow: int | None = None
+        self._held: list = []
         #: Resolved when writing resumes / the connection is gone.
         self._resumed: asyncio.Future | None = None
         self._lost: asyncio.Future | None = None
@@ -1034,9 +1047,35 @@ class FramedProtocol(asyncio.Protocol):
                 self._resumed = asyncio.get_running_loop().create_future()
             await asyncio.shield(self._resumed)
 
+    def hold_for(self, flow_id: int, items: list, nbytes: int = 0) -> None:
+        """Hold ``items`` for ``flow_id`` behind what the slot already
+        holds for it (what it holds for another flow is queued first);
+        ``nbytes`` count toward the ``high_water`` mark."""
+        if self._held_flow != flow_id:
+            self._settle()
+            self._held_flow = flow_id
+        self._held += items
+        self._queued += nbytes
+        self._cork()
+
+    def take_held(self, flow_id: int) -> list:
+        """Empty the slot of what it holds for ``flow_id``, to go out in
+        a frame of the caller's."""
+        if self._held_flow != flow_id:
+            return []
+        held, self._held, self._held_flow = self._held, [], None
+        return held
+
     def _settle(self) -> None:
-        """Turn whatever a subclass holds back into queued frames:
-        called before anything else is queued and before a write."""
+        """What the slot holds leaves now: called before anything else
+        is queued and before a write."""
+        if self._held:
+            held, self._held = self._held, []
+            self._out += self._encode_held(self._held_flow, held)
+
+    def _encode_held(self, flow_id: int, items: list) -> list[bytes]:
+        """The frames carrying the items held for ``flow_id``."""
+        raise NotImplementedError
 
     def _wrote(self, frames: int, nbytes: int) -> None:
         """Metrics hook: one write of ``frames`` frames, ``nbytes``."""
@@ -1047,6 +1086,9 @@ class FramedProtocol(asyncio.Protocol):
         self._settle()
         self._out += frames
         self._queued += sum(map(len, frames))
+        self._cork()
+
+    def _cork(self) -> None:
         if not self._corked:
             self._corked = True
             asyncio.get_running_loop().call_soon(self.push)
@@ -1068,14 +1110,15 @@ class FramedProtocol(asyncio.Protocol):
         except (ConnectionError, RuntimeError, OSError) as exc:
             self.closed, self.error = True, exc
 
-    async def send(self, *frames: bytes) -> None:
-        """Queue encoded frames; with ``high_water`` bytes queued, or
-        the transport paused, write and wait until it drained (a slow
-        reader suspends us here, never grows memory)."""
-        self.queue(*frames)
+    async def pace(self) -> None:
+        """With ``high_water`` bytes queued or held, or the transport
+        paused, write and wait until it drained (a slow reader suspends
+        us here, never grows memory); raise what failed a write."""
         if self._queued >= self.high_water or self.paused:
             self.push()
             await self.writable()
+        if self.error is not None:
+            raise self.error
 
     def close(self) -> None:
         """Write what is queued, then close the transport (which sends

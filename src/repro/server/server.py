@@ -152,49 +152,24 @@ class _Generation:
 
 
 class _Connection(Connection):
-    """A server connection also holds scan results back so that they
-    leave merged: one RESULT per flow per read."""
-
-    def __init__(self, server: "ScanServer", conn_id: int) -> None:
-        super().__init__(server, conn_id)
-        #: Results of the DATA frames handled since the last frame of
-        #: another kind or flow. They leave as one RESULT: with the
-        #: flow's own next RESULT, or when anything else is queued or
-        #: the read's frames run out.
-        self._held_flow: int | None = None
-        self._held: list = []
-
-    def add_results(self, flow_id: int, results: list) -> None:
-        """Hold a DATA frame's results for the flow's next RESULT."""
-        if self._held_flow != flow_id:
-            self._settle()
-            self._held_flow = flow_id
-        self._held += results
+    """A server connection holds a flow's scan results in the held slot
+    so that they leave merged: one RESULT per flow per read."""
 
     def queue_result(self, flow_id: int, final: bool, results: list):
         """Queue ``results`` (behind what is held for the same flow, in
         the same RESULT) as frames within the peer's limit."""
-        if self._held_flow != flow_id:
-            self._settle()
-        held, self._held, self._held_flow = self._held, [], None
-        self._queue_frames(flow_id, final, held + results)
+        held = self.take_held(flow_id)
+        self.queue(*self._encode_held(flow_id, held + results, final))
 
-    def _settle(self) -> None:
-        """What is held leaves now, as a RESULT of its own."""
-        if self._held:
-            held, self._held = self._held, []
-            self._queue_frames(self._held_flow, False, held)
-
-    def _queue_frames(self, flow_id: int, final: bool, results: list):
+    def _encode_held(self, flow_id: int, results: list, final=False):
         try:
-            frames = protocol.encode_result_frames(
+            return protocol.encode_result_frames(
                 flow_id, final, results, self.peer_max_frame
             )
         except ProtocolError as exc:
             # A record the peer's own frame limit has no room for.
             self.endpoint._errors_sent.inc()
-            frames = [protocol.encode_error(flow_id, exc.code, str(exc))]
-        self.queue(*frames)
+            return [protocol.encode_error(flow_id, exc.code, str(exc))]
 
 
 class ScanServer(FramedEndpoint):
@@ -572,7 +547,7 @@ class ScanServer(FramedEndpoint):
             return
         self._scan_seconds.observe(time.perf_counter() - started)
         if results:
-            conn.add_results(flow.flow_id, results)
+            conn.hold_for(flow.flow_id, results)
 
     def _finish_scan(self, conn, flow: _ScanFlow) -> None:
         try:

@@ -5,8 +5,9 @@ through the same one), bounded by the 64 KiB high-water mark.
 What is pinned here are counts that repeat exactly — writes and reads
 per flow, read off the ``<role>.rx.reads`` / ``<role>.tx.writes``
 counters and off the client's transport — plus wire order, the
-backpressure bound and what happens to queued frames when a connection
-closes or dies.
+backpressure bound, the held DATA slot (a flow's chunks of one turn
+leave as one frame) and what happens to queued frames when a
+connection closes or dies.
 """
 
 import asyncio
@@ -14,11 +15,15 @@ import contextlib
 
 import pytest
 
+from repro.apps.structgen import build_mask_table, synthetic_vocab
+from repro.apps.structgen.beam import BeamMaskSession
 from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
+from repro.grammar.examples import xmlrpc
 from repro.server import ScanClient, ScanProxy, protocol
 from repro.server.protocol import FrameType
 
 from tests.server.conftest import FrameReader, running_server
+from tests.server.drivers import set_bits
 
 
 def run(coro):
@@ -77,14 +82,14 @@ def test_small_flow_is_one_write_one_read_one_reply():
                 types = [
                     f.type for f in protocol.FrameDecoder().feed(blobs[0])
                 ]
+                # The three sends of one turn leave as one DATA frame.
                 assert types == [
-                    FrameType.OPEN_FLOW, FrameType.DATA, FrameType.DATA,
-                    FrameType.DATA, FrameType.FINISH_FLOW,
+                    FrameType.OPEN_FLOW, FrameType.DATA, FrameType.FINISH_FLOW,
                 ]
                 after = _counters(server, *names)
                 grown = {k: after[k] - before[k] for k in names}
                 assert grown == {
-                    "server.rx.reads": 3, "server.rx.frames": 15,
+                    "server.rx.reads": 3, "server.rx.frames": 9,
                     "server.tx.writes": 3, "server.tx.frames": 3,
                 }
 
@@ -116,11 +121,16 @@ def test_proxy_adds_one_write_per_direction():
                     assert await _one_flow(client, data) == expected
                     assert len(blobs) == 1
                     # Towards the backend: the whole flow in one write,
-                    # the same five frames the client sent.
+                    # the same three frames the client sent.
                     assert len(relayed) == 1
-                    assert len(
-                        protocol.FrameDecoder().feed(relayed[0])
-                    ) == 5
+                    merged = [
+                        FrameType.OPEN_FLOW, FrameType.DATA,
+                        FrameType.FINISH_FLOW,
+                    ]
+                    for blob in (blobs[0], relayed[0]):
+                        assert [
+                            f.type for f in protocol.FrameDecoder().feed(blob)
+                        ] == merged
                     # Towards the client: one write (counted on the
                     # proxy's front; the backend client is not a
                     # FramedEndpoint connection).
@@ -174,6 +184,95 @@ def test_interleaved_flows_reach_the_wire_in_call_order():
                 ]
                 assert wire == calls
                 assert len(blobs) >= 2
+
+    run(main())
+
+
+def _data_frames(blobs: list) -> list:
+    """(flow id, body) of every DATA frame in ``blobs``."""
+    return [
+        (flow_id, bytes(body))
+        for frame in protocol.FrameDecoder().feed(b"".join(blobs))
+        if frame.type == FrameType.DATA
+        for flow_id, body in [protocol.decode_data(frame)]
+    ]
+
+
+def test_held_chunks_merge_per_flow_in_first_queued_order():
+    """One turn's sends: a flow's consecutive chunks leave as one DATA
+    frame, and a send to another flow settles what is held first."""
+    streams = [WorkloadGenerator(seed=s).stream(4)[0] for s in (9, 10)]
+    a, b = (
+        [d[len(d) * i // 4 : len(d) * (i + 1) // 4] for i in range(4)]
+        for d in streams
+    )
+    sends = [(0, a[0]), (0, a[1]), (1, b[0]), (0, a[2]), (1, b[1]),
+             (1, b[2]), (1, b[3]), (0, a[3])]
+    wire = [(0, a[0] + a[1]), (1, b[0]), (0, a[2]), (1, b[1] + b[2] + b[3]),
+            (0, a[3])]
+
+    async def main():
+        async with running_server() as server:
+            async with ScanClient(*server.address) as client:
+                blobs = _count_writes(client)
+                flows = [await client.open_flow() for _ in streams]
+                for which, chunk in sends:
+                    await flows[which].send(chunk)
+                got = await asyncio.gather(*(f.finish() for f in flows))
+                router = ContentBasedRouter()
+                assert got == [router.route(d) for d in streams]
+                ids = [f.flow_id for f in flows]
+                assert _data_frames(blobs) == [
+                    (ids[which], body) for which, body in wire
+                ]
+
+    run(main())
+
+
+def test_held_flow_is_split_to_the_servers_frame_limit():
+    data = WorkloadGenerator(seed=11).stream(220)[0]
+    assert len(data) >= 40 << 10
+
+    async def main():
+        async with running_server(max_frame=4096) as server:
+            async with ScanClient(*server.address) as client:
+                assert client.server_max_frame == 4096
+                blobs = _count_writes(client)
+                got = await client.scan_stream(data)
+                assert got == ContentBasedRouter().route(data)
+                frames = _data_frames(blobs)
+                assert b"".join(body for _id, body in frames) == data
+                assert len(frames) == -(-len(data) // (4096 - 5))
+                assert all(len(body) + 5 <= 4096 for _id, body in frames)
+            assert server.stats()["counters"].get("server.errors.sent", 0) == 0
+
+    run(main())
+
+
+def test_held_flow_then_beam_op_answers_both():
+    table = build_mask_table(xmlrpc(), synthetic_vocab(size=384, seed=7))
+    data = WorkloadGenerator(seed=12).stream(3)[0]
+    local = BeamMaskSession(table, 1)
+
+    async def main():
+        async with running_server(mask_tables=[table]) as server:
+            async with ScanClient(*server.address) as client:
+                beam = await client.open_beam_flow(table.vocab_hash, 1)
+                flow = await client.open_flow()
+                blobs = _count_writes(client)
+                await flow.send(data[:100])
+                await flow.send(data[100:])
+                token = set_bits(beam.rows[0])[0]
+                states, rows = await beam.advance([token])
+                local.advance([token])
+                assert (states, rows) == (local.states, local.masks())
+                # The held DATA left ahead of the beam op, in its write.
+                types = [f.type for f in protocol.FrameDecoder().feed(blobs[0])]
+                assert types == [
+                    FrameType.OPEN_FLOW, FrameType.DATA, FrameType.BATCH_ADVANCE,
+                ]
+                assert await flow.finish() == ContentBasedRouter().route(data)
+                await beam.close()
 
     run(main())
 

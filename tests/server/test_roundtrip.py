@@ -6,11 +6,15 @@ adversarial boundaries."""
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.server import ScanClient
+from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
+from repro.server import ScanClient, protocol
+from repro.server.protocol import FrameType
 from repro.service import TaggerSpec
 
-from tests.server.conftest import running_server
+from tests.server.conftest import FrameReader, running_server
 
 
 def run(coro):
@@ -126,5 +130,65 @@ def test_server_stats_count_flows(streams):
         assert counters["server.flows.finished"] == 1
         assert counters["server.connections.opened"] == 1
         assert counters["server.rx.frames"] > 2
+
+    run(main())
+
+
+# ----------------------------------------------------------------------
+# Cross-frame scanning. A client sends the chunks of one loop turn as
+# one DATA frame, so the tests above reach the server in few frames;
+# this one writes a flow's bytes as DATA frames cut anywhere over a raw
+# connection, so the server's scan carries state across every cut.
+#: The ledger's ``scan-dense`` recipe (200 messages a flow) and a
+#: ``scan-shortflows``-sized flow of two.
+_CUT_FLOWS = {
+    "dense": WorkloadGenerator(seed=2006).stream(200)[0],
+    "short": WorkloadGenerator(seed=2007).stream(2)[0],
+}
+_CUT_ROUTED = {
+    name: ContentBasedRouter().route(data) for name, data in _CUT_FLOWS.items()
+}
+
+
+async def _raw_flow(address, data: bytes, cuts: list, one_write: bool):
+    """``data`` as flow 1 on a raw connection: OPEN, a DATA frame per
+    piece between ``cuts``, FINISH, in one write or one write per
+    frame; the flow's results over all its RESULT frames."""
+    reader, writer = await asyncio.open_connection(*address)
+    replies = FrameReader(reader)
+    writer.write(protocol.encode_hello())
+    assert (await replies.frame()).type == FrameType.HELLO
+    bounds = [0, *cuts, len(data)]
+    frames = [
+        protocol.encode_open_flow(1),
+        *(protocol.encode_data(1, data[a:b]) for a, b in zip(bounds, bounds[1:])),
+        protocol.encode_finish_flow(1),
+    ]
+    for blob in [b"".join(frames)] if one_write else frames:
+        writer.write(blob)
+        await writer.drain()
+    results, final = [], False
+    while not final:
+        frame = await asyncio.wait_for(replies.frame(), 10.0)
+        assert frame.type == FrameType.RESULT, frame
+        _flow, final, items = protocol.decode_result(frame, data)
+        results += items
+    writer.close()
+    return results
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(_CUT_FLOWS)), draw=st.data())
+def test_data_frames_cut_anywhere_scan_as_one_stream(name, draw):
+    data = _CUT_FLOWS[name]
+    cuts = sorted(
+        draw.draw(st.lists(st.integers(0, len(data)), max_size=40))
+    )
+
+    async def main():
+        async with running_server() as server:
+            for one_write in (True, False):
+                got = await _raw_flow(server.address, data, cuts, one_write)
+                assert got == _CUT_ROUTED[name]
 
     run(main())
