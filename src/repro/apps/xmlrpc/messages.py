@@ -11,13 +11,18 @@ payloads use the ``[+/A-Za-z0-9]`` alphabet.
 The routed side of the model lives here too — :class:`RoutedMessage`
 and its payload-free form :class:`RouteRecord` — in a module that
 imports nothing of the scan engine, so a client decoding routed
-results off the wire loads only this.
+results off the wire loads only this.  Both are ``NamedTuple`` s, so
+the kernel builds them without Python code and a decoder without
+``__init__``: a :class:`RoutedMessage` unpacks into its five fields,
+orders like a tuple, and equals (and hashes like) the plain tuple
+``(start, end, port, service, payload)``; ``dataclasses.replace``
+takes one too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from typing import NamedTuple, Union
 
 from repro.errors import BackendError
@@ -209,8 +214,7 @@ class RouteRecord(NamedTuple):
     service: str | None
 
 
-@dataclass(frozen=True)
-class RoutedMessage:
+class RoutedMessage(NamedTuple):
     """One message with its routing decision."""
 
     start: int
@@ -221,3 +225,11 @@ class RoutedMessage:
 
     def __str__(self) -> str:
         return f"[{self.start}:{self.end}] -> port {self.port} ({self.service})"
+
+
+# ``dataclasses.replace`` and ``dataclasses.fields`` take a RoutedMessage
+# as well, for callers written against its dataclass contract (the
+# ledger's injected-mismatch test rebuilds one with another port).
+RoutedMessage.__dataclass_fields__ = make_dataclass(
+    "RoutedMessage", RoutedMessage._fields, frozen=True
+).__dataclass_fields__

@@ -192,6 +192,10 @@ class RouterSession(StreamSession):
                 f"{type(router.tagger).__name__} cannot scan incrementally"
             )
         self._stream = router._compiled.stream()
+        #: The native kernel's module when the router's tagger runs it:
+        #: its packed records are assembled there.
+        native = getattr(router._compiled, "_nt", None)
+        self._kernel = native.ext if native is not None else None
         self._buffer = bytearray()
         self._base = 0  # absolute stream position of _buffer[0]
         #: The packed sink's carry: (message open, message start).
@@ -261,8 +265,21 @@ class RouterSession(StreamSession):
         packed-sink records (flat ``unit, end, start`` ints): a plain
         unit is the method name, whose lexeme is still in the retained
         buffer; a complemented one is the accepting hit, whose start
-        is the message's."""
+        is the message's.  The kernel's ``array`` of records is
+        assembled in one kernel call; a list (the compiled engine's,
+        and every end-of-data flush) runs this loop, its twin."""
         table = self.router.table
+        if self._kernel is not None and records.__class__ is array:
+            routes, self._service = self._kernel.assemble_routes(
+                records,
+                self._buffer,
+                self._base,
+                self._service,
+                table.routes,
+                table.default_port,
+                RouteRecord,
+            )
+            return routes
         base = self._base
         buffer = self._buffer
         service = self._service

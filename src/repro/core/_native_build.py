@@ -19,9 +19,11 @@ twins (the scan engine down its ladder: native → vector → compiled).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -30,9 +32,9 @@ import tempfile
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_nativescan.c")
 
-#: Bumped when the kernel's Python-visible contract changes, to key the
-#: build cache alongside the source hash.
-_ABI_TAG = "3"
+#: The source's ``#define KERNEL_ABI "N"``: the kernel's Python-visible
+#: contract version, which a module built from it exports as ``ABI``.
+_ABI_DEFINE = re.compile(rb'^#define KERNEL_ABI "([^"]*)"', re.MULTILINE)
 
 _cached_module = None
 _attempted = False
@@ -66,12 +68,24 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-native")
 
 
+@functools.lru_cache(maxsize=None)
+def abi_tag() -> str | None:
+    """The contract version ``_nativescan.c`` declares, or None without
+    the source (an install that ships only the built module)."""
+    try:
+        with open(_SOURCE, "rb") as fh:
+            match = _ABI_DEFINE.search(fh.read())
+    except OSError:
+        return None
+    return match.group(1).decode() if match else None
+
+
 def _kernel_target() -> str:
     """Where the kernel's just-in-time build lives in the cache, keyed
-    by the source hash, the ABI tag and the interpreter."""
+    by the source hash and the interpreter."""
     with open(_SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read())
-    digest.update((_ABI_TAG + sys.implementation.cache_tag).encode())
+    digest.update(sys.implementation.cache_tag.encode())
     key = digest.hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     return os.path.join(_cache_dir(), f"_nativescan-{key}{suffix}")
@@ -132,12 +146,16 @@ def load_kernel(probe: bool = True):
         return None
     if _cached_module is not None:
         return _cached_module
-    # Prebuilt extension installed next to the package?
+    # Prebuilt extension installed next to the package, built from this
+    # source?  An older build lacks entries this one calls: fall through
+    # to the just-in-time build.
     try:
         from repro.core import _nativescan  # type: ignore[attr-defined]
 
-        _cached_module = _nativescan
-        return _cached_module
+        abi = abi_tag()
+        if abi is None or getattr(_nativescan, "ABI", None) == abi:
+            _cached_module = _nativescan
+            return _cached_module
     except ImportError:
         pass
     # A previous JIT build in the cache loads without a compiler, so
@@ -160,6 +178,13 @@ def load_kernel(probe: bool = True):
     except Exception:
         pass
     return _cached_module
+
+
+def loaded_kernel():
+    """The kernel if this process already loaded it (and it is not
+    disabled), else None: never imports, builds or probes the cache —
+    for callers that must not pull the kernel in themselves."""
+    return None if _disabled() else _cached_module
 
 
 def kernel_source() -> str | None:

@@ -54,6 +54,24 @@
  * there.  The portable twin is repro.core.compiled.pack_selected;
  * tests/apps/test_router_records.py holds the two equal.
  *
+ * Routed results.  The records go on to two more FASTCALL entries, so a
+ * routed message costs the server no Python bytecode between the scan
+ * and the socket:
+ *
+ *   assemble_routes   RouterSession._assemble: the records -> finished
+ *                     RouteRecord(start, end, port, service) tuples, the
+ *                     service decoded from the session's buffer and its
+ *                     port looked up in the service table's dict
+ *   encode_routed     the routed branch of protocol.encode_result_frames:
+ *                     one RESULT block (own name table, !QQiI records)
+ *                     for the longest prefix of a record list that fits
+ *                     the peer's frame, as (block, stop)
+ *
+ * Their twins are the Python loops they replace (RouterSession's list
+ * path and protocol._split); tests/apps/test_router_records.py and
+ * tests/server/test_result_records.py hold each pair equal.  The client
+ * decodes RESULT blocks in Python and never loads this module.
+ *
  * Effect-program bytecode (all int32):
  *   OP_END                        end of program
  *   OP_ERR                        record a §5.2 error position
@@ -78,6 +96,11 @@
 #include <string.h>
 
 #define CAPSULE_NAME "repro.core._nativescan.tables"
+
+/* The Python-visible contract's version, exported as ABI.  Bump it when
+ * an entry is added or changes: _native_build reads it from this line
+ * and refuses a prebuilt module that exports any other. */
+#define KERNEL_ABI "4"
 
 enum { OP_END = 0, OP_ERR = 1, OP_EVENT = 2, OP_STARTS = 3 };
 enum { DRAIN_EVENTS = 0, DRAIN_PAIRS = 1, DRAIN_TOKENS = 2 };
@@ -221,7 +244,8 @@ validate_progs(const int32_t *progs, Py_ssize_t n_progs,
 }
 
 /* A type the drain may allocate with tp_alloc(type, n) and fill like a
- * tuple: a tuple subclass that adds no storage (a NamedTuple). */
+ * tuple: a tuple subclass that adds no storage (a NamedTuple) — and no
+ * __dict__, which 3.12 keeps outside tp_basicsize. */
 static int
 plain_tuple_subclass(PyObject *type)
 {
@@ -229,7 +253,8 @@ plain_tuple_subclass(PyObject *type)
            PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type) &&
            ((PyTypeObject *)type)->tp_itemsize ==
                (Py_ssize_t)sizeof(PyObject *) &&
-           ((PyTypeObject *)type)->tp_basicsize == PyTuple_Type.tp_basicsize;
+           ((PyTypeObject *)type)->tp_basicsize == PyTuple_Type.tp_basicsize &&
+           ((PyTypeObject *)type)->tp_dictoffset == 0;
 }
 
 static PyObject *
@@ -1147,6 +1172,209 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* routed results                                                      */
+/* ------------------------------------------------------------------ */
+
+/* assemble_routes(records, buffer, base, service, routes, default_port,
+ * record_type) -> (routes, service): RouterSession._assemble over
+ * packed-sink records.  A plain unit's span, buffer[start - base:
+ * end - base], decoded as UTF-8 with errors="replace", is the service; a
+ * complemented unit appends record_type(start, end, port, service) —
+ * port routes[service], default_port for no or an unknown service —
+ * and clears it.  A span outside the buffer is refused, never read. */
+static PyObject *
+assemble_routes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer rec = {0}, buf = {0};
+    PyObject *routes = NULL, *service = NULL, *result = NULL;
+    ARGC(7, "assemble_routes(records, buffer, base, service, routes, "
+            "default_port, record_type)");
+    long long base = PyLong_AsLongLong(args[2]);
+    if (base == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *table = args[4], *dflt = args[5];
+    PyTypeObject *type = (PyTypeObject *)args[6];
+    if ((args[3] != Py_None && !PyUnicode_Check(args[3])) ||
+        !PyDict_Check(table) || !plain_tuple_subclass(args[6])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "service must be None or a str, routes a dict and "
+                        "record_type a plain tuple subclass");
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[0], &rec, PyBUF_SIMPLE) < 0 ||
+        PyObject_GetBuffer(args[1], &buf, PyBUF_SIMPLE) < 0)
+        goto done;
+    if (rec.len % (3 * (Py_ssize_t)sizeof(int64_t)) ||
+        (rec.len && (uintptr_t)rec.buf % sizeof(int64_t)))
+        RAISE(PyExc_ValueError, "records must be int64-aligned triples");
+    if ((routes = PyList_New(0)) == NULL)
+        goto done;
+    service = Py_NewRef(args[3]);
+    const int64_t *r = rec.buf, *end_of = r + rec.len / sizeof(int64_t);
+    for (; r < end_of; r += 3) {
+        long long end = r[1], start = r[2];
+        if (r[0] >= 0) {
+            if (start < base || end < start || end - base > buf.len)
+                RAISE(PyExc_ValueError, "service span outside the buffer");
+            PyObject *name = PyUnicode_DecodeUTF8(
+                (const char *)buf.buf + (start - base),
+                (Py_ssize_t)(end - start), "replace");
+            if (name == NULL)
+                goto done;
+            Py_SETREF(service, name);
+            continue;
+        }
+        PyObject *port = dflt; /* borrowed, like the dict's value */
+        if (service != Py_None &&
+            (port = PyDict_GetItemWithError(table, service)) == NULL) {
+            if (PyErr_Occurred())
+                goto done;
+            port = dflt;
+        }
+        PyObject *fields[4] = {PyLong_FromLongLong(start),
+                               PyLong_FromLongLong(end), Py_NewRef(port),
+                               service};
+        service = Py_NewRef(Py_None); /* the record took the reference */
+        PyObject *item = filled(type->tp_alloc(type, 4), 4, fields);
+        if (item == NULL)
+            goto done;
+        int rc = PyList_Append(routes, item);
+        Py_DECREF(item);
+        if (rc < 0)
+            goto done;
+    }
+    result = PyTuple_Pack(2, routes, service);
+done:
+    Py_XDECREF(routes);
+    Py_XDECREF(service);
+    PyBuffer_Release(&rec);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
+static inline void
+put_be(uint8_t *o, unsigned long long v, int n)
+{
+    for (int k = n - 1; k >= 0; k--, v >>= 8)
+        o[k] = (uint8_t)v;
+}
+
+/* encode_routed(items, first, budget) -> (block, stop): the routed
+ * RESULT block (!BII kind 0, n_names, n_records; the name table; !QQiI
+ * records) for the longest run items[first:stop] whose own name table
+ * and records fit in budget bytes — byte for byte the portable
+ * encoder's frame body.  An item is a tuple whose first four fields are
+ * start, end, port and service; a TypeError, OverflowError or
+ * UnicodeEncodeError for one that is not, or does not fit its record
+ * (the caller leaves those to the portable encoder). */
+static PyObject *
+encode_routed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *ids = NULL, *names = NULL, *block = NULL, *result = NULL;
+    uint8_t *recs = NULL;
+    ARGC(3, "encode_routed(items, first, budget)");
+    if (fast_sequence(args[0]) < 0)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(args[0]);
+    PyObject **items = PySequence_Fast_ITEMS(args[0]);
+    Py_ssize_t first = PyLong_AsSsize_t(args[1]);
+    Py_ssize_t budget = PyLong_AsSsize_t(args[2]);
+    if ((first == -1 || budget == -1) && PyErr_Occurred())
+        return NULL;
+    if (first < 0 || first > n)
+        RAISE(PyExc_ValueError, "first item out of range");
+    /* No more records than the budget has room for. */
+    Py_ssize_t cap = Py_MIN(n - first, budget > 0 ? budget / 24 : 0);
+    if ((ids = PyDict_New()) == NULL || (names = PyList_New(0)) == NULL)
+        goto done;
+    if ((recs = PyMem_Malloc((size_t)cap * 24 + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t used = 0, names_bytes = 0, i;
+    uint8_t *o = recs;
+    for (i = first; i < n; i++) {
+        PyObject *it = items[i];
+        if (!PyTuple_Check(it) || PyTuple_GET_SIZE(it) < 4)
+            RAISE(PyExc_TypeError, "routed items must be tuples");
+        unsigned long long span[2];
+        for (int k = 0; k < 2; k++) {
+            span[k] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(it, k));
+            if (span[k] == (unsigned long long)-1 && PyErr_Occurred())
+                goto done;
+        }
+        /* Only ints: an __index__ could run code that resizes items. */
+        int overflow;
+        PyObject *field = PyTuple_GET_ITEM(it, 2);
+        if (!PyLong_Check(field))
+            RAISE(PyExc_TypeError, "a port must be an int");
+        long port = PyLong_AsLongAndOverflow(field, &overflow);
+        if (overflow || port < INT32_MIN || port > INT32_MAX)
+            RAISE(PyExc_OverflowError, "port does not fit an int32");
+        PyObject *name = PyTuple_GET_ITEM(it, 3), *id = NULL;
+        Py_ssize_t entry = 0, ident = 0xFFFFFFFF;
+        if (name != Py_None) {
+            if (!PyUnicode_CheckExact(name))
+                RAISE(PyExc_TypeError, "a service must be None or a str");
+            if ((id = PyDict_GetItemWithError(ids, name)) != NULL)
+                ident = PyLong_AsSsize_t(id);
+            else if (PyErr_Occurred())
+                goto done;
+            else {
+                Py_ssize_t len;
+                if (PyUnicode_AsUTF8AndSize(name, &len) == NULL)
+                    goto done;
+                entry = 4 + len;
+                ident = PyList_GET_SIZE(names);
+            }
+        }
+        if (used + entry + 24 > budget)
+            break; /* the next frame starts its own name table */
+        if (entry) {
+            PyObject *key = PyLong_FromSsize_t(ident);
+            int rc = key == NULL ? -1 : PyDict_SetItem(ids, name, key);
+            Py_XDECREF(key);
+            if (rc < 0 || PyList_Append(names, name) < 0)
+                goto done;
+            names_bytes += entry;
+        }
+        put_be(o, span[0], 8);
+        put_be(o + 8, span[1], 8);
+        put_be(o + 16, (uint32_t)(int32_t)port, 4);
+        put_be(o + 20, (unsigned long long)ident, 4);
+        o += 24;
+        used += entry + 24;
+    }
+    Py_ssize_t n_names = PyList_GET_SIZE(names), count = i - first;
+    block = PyBytes_FromStringAndSize(NULL, 9 + names_bytes + 24 * count);
+    if (block == NULL)
+        goto done;
+    uint8_t *b = (uint8_t *)PyBytes_AS_STRING(block);
+    b[0] = 0; /* kind: routed */
+    put_be(b + 1, (unsigned long long)n_names, 4);
+    put_be(b + 5, (unsigned long long)count, 4);
+    b += 9;
+    for (Py_ssize_t k = 0; k < n_names; k++) {
+        Py_ssize_t len;
+        const char *raw =
+            PyUnicode_AsUTF8AndSize(PyList_GET_ITEM(names, k), &len);
+        if (raw == NULL) /* cached by the first call: cannot fail */
+            goto done;
+        put_be(b, (unsigned long long)len, 4);
+        memcpy(b + 4, raw, (size_t)len);
+        b += 4 + len;
+    }
+    memcpy(b, recs, (size_t)count * 24);
+    result = Py_BuildValue("(On)", block, i);
+done:
+    Py_XDECREF(ids);
+    Py_XDECREF(names);
+    Py_XDECREF(block);
+    PyMem_Free(recs);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 
 #define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
@@ -1163,6 +1391,10 @@ static PyMethodDef nativescan_methods[] = {
     {"beam_encode_masks", FASTCALL(beam_encode_masks),
      "MASKS lane records for gathered rows."},
     {"apply_masks", FASTCALL(apply_masks), "Rebuild rows from MASKS."},
+    {"assemble_routes", FASTCALL(assemble_routes),
+     "Route records from packed-sink records."},
+    {"encode_routed", FASTCALL(encode_routed),
+     "One routed RESULT block for the longest prefix that fits."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1181,7 +1413,8 @@ PyInit__nativescan(void)
     if (mod == NULL)
         return NULL;
     if (PyModule_AddIntConstant(mod, "HITS_CAP", HITS_CAP) ||
-        PyModule_AddStringConstant(mod, "KERNEL", "c")) {
+        PyModule_AddStringConstant(mod, "KERNEL", "c") ||
+        PyModule_AddStringConstant(mod, "ABI", KERNEL_ABI)) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -365,10 +365,13 @@ def encode_result_frames(
     ``items`` are routing decisions (anything with ``start``, ``end``,
     ``port`` and ``service``: ``RouteRecord``, ``RoutedMessage`` — whose
     payload stays behind) or ``DetectEvent`` s, all of one kind. The
-    one RESULT encoder: server and proxy split here.
+    one RESULT encoder: server and proxy split here.  Routed tuples are
+    encoded by the native kernel when this process already loaded it
+    (looked up, never imported: the proxy and a client stay
+    kernel-free); :func:`_split` is its twin and decides everything
+    the kernel leaves to it.
     """
     if items and hasattr(items[0], "occurrence"):
-        kind = _EVENT
         rows = [
             (
                 event.occurrence.production,
@@ -378,12 +381,56 @@ def encode_result_frames(
             )
             for event in items
         ]
-    else:
-        kind = _ROUTED
-        rows = [(m.start, m.end, m.port, m.service) for m in items]
+        return _split(flow_id, final, _EVENT, rows, max_frame)
+    build = sys.modules.get("repro.core._native_build")
+    ext = build.loaded_kernel() if build is not None else None
+    if ext is not None:
+        frames = _routed_frames(ext, flow_id, final, items, max_frame)
+        if frames is not None:
+            return frames
+    rows = [(m.start, m.end, m.port, m.service) for m in items]
+    return _split(flow_id, final, _ROUTED, rows, max_frame)
+
+
+def _budget(max_frame: int) -> int:
+    """Bytes a RESULT frame may spend on names and records."""
+    return max_frame - 1 - _RESULT_HEAD.size - _BLOCK_HEAD.size
+
+
+def _routed_frames(ext, flow_id, final, items, max_frame):
+    """The kernel's frames for routed ``items``, one ``encode_routed``
+    call each, or None: for an item it does not take (not a tuple, a
+    value out of its field's range) or one no frame can hold, the twin
+    runs instead and raises its own error."""
+    budget = _budget(max_frame)
+    frames: list[bytes] = []
+    first = 0
+    try:
+        while True:
+            block, stop = ext.encode_routed(items, first, budget)
+            last = stop == len(items)
+            if stop == first and not last:
+                return None
+            frames.append(
+                encode_frame(
+                    FrameType.RESULT,
+                    _RESULT_HEAD.pack(flow_id, 1 if last and final else 0)
+                    + block,
+                )
+            )
+            if last:
+                return frames
+            first = stop
+    except (TypeError, OverflowError, UnicodeEncodeError):
+        return None
+
+
+def _split(flow_id, final, kind, rows, max_frame) -> list[bytes]:
+    """RESULT frames for ``rows`` (``a, b, c, name`` per record of
+    ``kind``), each the longest run that fits with its own name
+    table."""
     spec = _RECORD[kind]
-    # Bytes a frame may spend on names and records.
-    budget = max_frame - 1 - _RESULT_HEAD.size - _BLOCK_HEAD.size
+    budget = _budget(max_frame)
     frames: list[bytes] = []
     ids: dict[str, int] = {}
     names: list[bytes] = []
@@ -606,6 +653,27 @@ def decode_result_block(block: bytes, data: bytes | None = None) -> list:
     ``data[start:end]``. Every length, count and id is checked; a block
     that fails raises :class:`ProtocolError` and nothing else.
     """
+    kind, names, body = _block_parts(block)
+    if kind == _EVENT:
+        from repro.core.scanplan import DetectEvent
+        from repro.grammar.analysis import Occurrence
+        from repro.grammar.symbols import Terminal
+
+        terminals = {name: Terminal(name) for name in names}
+        return [
+            DetectEvent(Occurrence(production, position, terminals[name]), end)
+            for production, position, end, name in _event_rows(body, names)
+        ]
+    # Imported here, not at the top: a client reading routed results
+    # loads the message model only, never the scan engine.
+    from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
+
+    return _routed_rows(body, names, data, RouteRecord, RoutedMessage)
+
+
+def _block_parts(block) -> tuple[int, list[str], memoryview]:
+    """-> (kind, name table, record bytes) of a RESULT block whose head,
+    names and length are checked."""
     if len(block) < _BLOCK_HEAD.size:
         raise ProtocolError(
             f"RESULT block too short ({len(block)} < {_BLOCK_HEAD.size} "
@@ -635,63 +703,64 @@ def decode_result_block(block: bytes, data: bytes | None = None) -> list:
             f"RESULT block declares {n_records} records of {spec.size} "
             f"bytes, carries {len(block) - pos} bytes"
         )
-    rows = spec.iter_unpack(block[pos:])
-    if kind == _EVENT:
-        return _decode_events(rows, names)
-    return _decode_routed(rows, names, data)
+    return kind, names, memoryview(block)[pos:]
 
 
-def _decode_routed(rows, names: list[str], data: bytes | None) -> list:
-    # Imported here, not at the top: a client reading routed results
-    # loads the message model only, never the scan engine.
-    from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
+def _routed_rows(body, names, data, span=tuple, message=tuple) -> list:
+    """Routed records as ``span`` tuples ``(start, end, port,
+    service)``, or given ``data`` as ``message`` tuples with the payload
+    ``data[start:end]`` behind: one pass over the records, through a
+    table that maps every valid service id (and only those)."""
+    table: dict[int, str | None] = dict(enumerate(names))
+    table[_NO_NAME] = None
+    new = tuple.__new__
+    rows = _RECORD[_ROUTED].iter_unpack(body)
+    try:
+        if data is None:
+            return [
+                new(span, (start, end, port, table[ident]))
+                for start, end, port, ident in rows
+                if start <= end or _routed_error(body, names, data)
+            ]
+        size = len(data)
+        return [
+            new(message, (start, end, port, table[ident], data[start:end]))
+            for start, end, port, ident in rows
+            if start <= end <= size or _routed_error(body, names, data)
+        ]
+    except KeyError:
+        _routed_error(body, names, data)
 
-    n_names = len(names)
-    out = []
-    for start, end, port, ident in rows:
+
+def _routed_error(body, names, data) -> None:
+    """Raise the first record's error, in the order the checks apply."""
+    for start, end, _port, ident in _RECORD[_ROUTED].iter_unpack(body):
         if start > end:
             raise ProtocolError(f"RESULT span [{start}:{end}] is reversed")
-        if ident == _NO_NAME:
-            service = None
-        elif ident < n_names:
-            service = names[ident]
-        else:
+        if ident != _NO_NAME and ident >= len(names):
             raise ProtocolError(
-                f"RESULT service id {ident} outside a table of {n_names}"
+                f"RESULT service id {ident} outside a table of {len(names)}"
             )
-        if data is None:
-            out.append(RouteRecord(start, end, port, service))
-        elif end > len(data):
+        if data is not None and end > len(data):
             raise ProtocolError(
                 f"RESULT span [{start}:{end}] outside the flow's "
                 f"{len(data)} bytes"
             )
-        else:
-            out.append(
-                RoutedMessage(start, end, port, service, data[start:end])
-            )
-    return out
 
 
-def _decode_events(rows, names: list[str]) -> list:
-    from repro.core.scanplan import DetectEvent
-    from repro.grammar.analysis import Occurrence
-    from repro.grammar.symbols import Terminal
-
-    terminals = [Terminal(name) for name in names]
-    out = []
-    for production, position, end, ident in rows:
-        if ident >= len(terminals):
+def _event_rows(body, names) -> list[tuple]:
+    """Event records as ``(production, position, end, terminal)``."""
+    rows = list(_RECORD[_EVENT].iter_unpack(body))
+    for *_, ident in rows:
+        if ident >= len(names):
             raise ProtocolError(
                 f"RESULT terminal id {ident} outside a table of "
-                f"{len(terminals)}"
+                f"{len(names)}"
             )
-        out.append(
-            DetectEvent(
-                Occurrence(production, position, terminals[ident]), end
-            )
-        )
-    return out
+    return [
+        (production, position, end, names[ident])
+        for production, position, end, ident in rows
+    ]
 
 
 def relay_result_frames(
@@ -700,9 +769,10 @@ def relay_result_frames(
     """A finished flow's RESULT record blocks re-framed under another
     ``flow_id`` — the relay's half of the codec: a block that fits the
     receiver's ``max_frame`` is forwarded as it arrived, unread; only
-    an oversized one is decoded and split. The last frame is final."""
+    an oversized one is taken apart into rows (no result objects) and
+    split. The last frame is final."""
     if not blocks:
-        return encode_result_frames(flow_id, True, [], max_frame)
+        return _split(flow_id, True, _ROUTED, [], max_frame)
     frames: list[bytes] = []
     for index, block in enumerate(blocks):
         last = index == len(blocks) - 1
@@ -714,9 +784,13 @@ def relay_result_frames(
                 )
             )
         else:
-            frames += encode_result_frames(
-                flow_id, last, decode_result_block(block), max_frame
+            kind, names, body = _block_parts(block)
+            rows = (
+                _event_rows(body, names)
+                if kind == _EVENT
+                else _routed_rows(body, names, None)
             )
+            frames += _split(flow_id, last, kind, rows, max_frame)
     return frames
 
 

@@ -10,17 +10,24 @@ Three things must agree on every input and every chunking:
 * :meth:`ContentBasedRouter.route`, the object-level reference the
   record assembler in :class:`RouterSession` has to reproduce.
 
+The assembler itself has two forms as well: the kernel's
+``assemble_routes`` over its ``array`` of records, and the Python loop
+over a list — held equal on arbitrary record streams (Hypothesis).
+
 The engines named here degrade down the ladder when the kernel is
 missing (``REPRO_DISABLE_NATIVE=1``, the ``no-compiler`` CI job), so
 the whole file also runs, and must pass, on the portable twin alone.
 """
 
+import functools
 import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
+from repro.apps.xmlrpc.messages import RouteRecord
 from repro.core import _native_build
 from repro.core.compiled import pack_selected
 from repro.core.generator import TaggerOptions
@@ -274,3 +281,92 @@ def test_kernel_rejects_malformed_sink_buffers():
         scan(select, carry, sink, errors=[])
     with pytest.raises((TypeError, BufferError)):
         scan(select, b"\x00" * 16, sink)  # read-only carry
+
+
+# ----------------------------------------------------------------------
+# the record assembler: kernel == Python loop
+# ----------------------------------------------------------------------
+#: Lexemes the service spans cut from: routed, unrouted, not UTF-8.
+PIECES = st.sampled_from(
+    [b"buy", b"sell", b"acctinfo", b"nope", b"\xff\xfe", b"caf\xc3\xa9",
+     b"\xc3", b""]
+) | st.binary(max_size=6)
+
+
+@st.composite
+def record_streams(draw):
+    """(buffer, base, carried service, flat records): service records
+    whose spans lie in the buffer (any bytes, so names that are not
+    UTF-8 too), closing records with any int64 span."""
+    buffer = b"".join(draw(st.lists(PIECES, max_size=8)))
+    base = draw(st.integers(0, 1 << 40))
+    flat: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            low, high = sorted(
+                draw(st.integers(0, len(buffer))) for _ in range(2)
+            )
+            flat += (draw(st.integers(0, 90)), base + high, base + low)
+        else:
+            flat += (
+                ~draw(st.integers(0, 90)),
+                draw(st.integers(-(2**63), 2**63 - 1)),
+                draw(st.integers(-(2**63), 2**63 - 1)),
+            )
+    service = draw(st.none() | st.sampled_from(["buy", "nope", "caf\u00e9"]))
+    return buffer, base, service, flat
+
+
+@functools.lru_cache(maxsize=None)
+def _native_router() -> ContentBasedRouter:
+    """One router for every example (its select mask is left alone)."""
+    return _router("native", "plain")
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_streams())
+def test_kernel_assembles_records_like_the_loop(stream):
+    """No service, an unknown one, a name that is not UTF-8 (replaced
+    as ``bytes.decode(errors="replace")`` does), a service carried in
+    from the previous chunk or out to the next: the kernel's routes
+    and carried service are the loop's, field for field and type for
+    type."""
+    if _native_build.load_kernel() is None:
+        pytest.skip("native kernel unavailable")
+    buffer, base, service, flat = stream
+    outcomes = []
+    for records in (flat, array("q", flat)):
+        session = _native_router().stream()
+        assert session._kernel is not None
+        session._buffer[:] = buffer
+        session._base = base
+        session._service = service
+        routes = session._assemble(records)
+        assert all(type(route) is RouteRecord for route in routes)
+        outcomes.append((routes, session._service))
+    assert outcomes[0] == outcomes[1]
+    assert [type(r.service) for r in outcomes[1][0]] == [
+        type(r.service) for r in outcomes[0][0]
+    ]
+
+
+def test_kernel_refuses_a_service_span_outside_the_buffer():
+    ext = _native_build.load_kernel()
+    if ext is None:
+        pytest.skip("native kernel unavailable")
+    table = ContentBasedRouter().table
+
+    def assemble(records, base=100):
+        return ext.assemble_routes(
+            array("q", records), bytearray(b"buy"), base, None,
+            table.routes, table.default_port, RouteRecord,
+        )
+
+    assert assemble([0, 103, 100, -1, 103, 90]) == (
+        [RouteRecord(90, 103, 1, "buy")], None,
+    )
+    for span in ((104, 100), (102, 99), (101, 102)):
+        with pytest.raises(ValueError, match="outside the buffer"):
+            assemble([0, *span])
+    with pytest.raises(TypeError, match="plain tuple subclass"):
+        ext.assemble_routes(array("q"), b"", 0, None, {}, -1, dict)

@@ -392,6 +392,35 @@ def test_disable_env_kills_kernel(monkeypatch):
     assert native.scan(data) == compiled.scan(data)
 
 
+@pytest.mark.parametrize("abi", [None, "3"])
+def test_stale_prebuilt_kernel_is_refused(monkeypatch, abi):
+    """A prebuilt ``_nativescan`` from another source (an in-place
+    build older than the entries this one calls, which exports no or
+    another ``ABI``) is never handed out: the loader falls through to
+    the just-in-time build of this source, or to no kernel."""
+    import sys
+    import types
+
+    import repro.core
+
+    stale = types.ModuleType("repro.core._nativescan")
+    if abi is not None:
+        stale.ABI = abi
+    monkeypatch.setitem(sys.modules, "repro.core._nativescan", stale)
+    monkeypatch.setattr(repro.core, "_nativescan", stale, raising=False)
+    monkeypatch.setattr(_native_build, "_cached_module", None)
+    monkeypatch.setattr(_native_build, "_attempted", False)
+    kernel = _native_build.load_kernel()
+    if NATIVE_BUILT:
+        # (Loading the build again may refill the stand-in's namespace
+        # in place: what counts is what the loader hands out.)
+        assert kernel.ABI == _native_build.abi_tag()
+        assert hasattr(kernel, "assemble_routes")
+        assert _native_build.kernel_source() == "jit"
+    else:
+        assert kernel is None
+
+
 def test_behavioral_tagger_engine_selection():
     tagger = BehavioralTagger(xmlrpc(), engine="native")
     assert isinstance(tagger.compiled, NativeTagger)

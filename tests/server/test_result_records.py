@@ -6,6 +6,12 @@ and what the serving edge no longer imports.
   bit-flipped and over-long frames raise :class:`ProtocolError` or
   decode, never anything else; :class:`FrameDecoder` yields the same
   frames however the byte stream is cut.
+* The routed fast paths against their references: the kernel's
+  encoder is byte for byte the portable one at every frame limit
+  (refusals included), and the one-pass decoder returns what a
+  record-by-record loop through the constructors returns — or raises
+  the same :class:`ProtocolError` — on intact and mangled blocks.
+  :class:`RoutedMessage` keeps its contract as a ``NamedTuple``.
 * ``RouterSpec`` and ``TaggerSpec`` flows through a server, a
   one-worker pool and the proxy (a backend lost mid-flow) equal the
   in-process result — payload included, though it never crosses back.
@@ -18,11 +24,14 @@ and what the serving edge no longer imports.
 
 import ast
 import asyncio
+import dataclasses
 import pathlib
+import pickle
 import struct
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +44,7 @@ from repro.apps.xmlrpc.messages import (
     RoutedMessage,
     RouteRecord,
 )
+from repro.core import _native_build
 from repro.core.compiled import CompiledTagger
 from repro.core.scanplan import DetectEvent
 from repro.grammar.analysis import Occurrence
@@ -60,11 +70,11 @@ NAMES = st.text(max_size=12)  # any code point but surrogates: non-ASCII too
 
 
 @st.composite
-def routed(draw):
-    low, high = sorted((draw(U64), draw(U64)))
+def routed(draw, names=NAMES, positions=U64):
+    low, high = sorted((draw(positions), draw(positions)))
     return RouteRecord(
         low, high, draw(st.integers(-(2**31), 2**31 - 1)),
-        draw(st.none() | NAMES),
+        draw(st.none() | names),
     )
 
 
@@ -137,6 +147,172 @@ def test_payload_comes_from_the_flows_bytes_or_not_at_all():
     assert decode_result(frame, data)[2] == messages
     with pytest.raises(ProtocolError, match="outside the flow"):
         decode_result(frame, data[:5])  # a span the client never sent
+
+
+# ----------------------------------------------------------------------
+# the routed fast paths against their references
+# ----------------------------------------------------------------------
+def _kernel():
+    ext = _native_build.load_kernel()
+    if ext is None:
+        pytest.skip("native kernel unavailable")
+    return ext
+
+
+#: Names up to a few hundred UTF-8 bytes: some no 128-byte frame holds.
+LONG_NAMES = NAMES | st.text(min_size=30, max_size=120)
+
+
+@st.composite
+def routed_items(draw):
+    records = draw(st.lists(routed(LONG_NAMES), max_size=40))
+    if draw(st.booleans()):
+        return records
+    return [RoutedMessage(*record, payload=b"") for record in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(U32, st.booleans(), routed_items(), st.integers(128, 2048))
+def test_kernel_encoder_is_byte_identical_to_its_twin(
+    flow, final, items, limit
+):
+    """Per frame: the same name table, the same records, the same
+    split points and final flag — and where one record fits no frame,
+    the twin's ``FRAME_TOO_LARGE`` with its message."""
+    ext = _kernel()
+    rows = [(m.start, m.end, m.port, m.service) for m in items]
+    got = protocol._routed_frames(ext, flow, final, items, limit)
+    try:
+        expected = protocol._split(flow, final, protocol._ROUTED, rows, limit)
+    except ProtocolError as exc:
+        assert exc.code == protocol.ErrorCode.FRAME_TOO_LARGE
+        assert got is None
+        with pytest.raises(ProtocolError) as info:
+            encode_result_frames(flow, final, items, limit)
+        assert (info.value.code, str(info.value)) == (exc.code, str(exc))
+        return
+    assert got == expected
+    assert encode_result_frames(flow, final, items, limit) == expected
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        RouteRecord(-1, 1, 0, None),
+        RouteRecord(0, 2**64, 0, None),
+        RouteRecord(0, 1, 2**31, None),
+        RouteRecord(0, 1, 0, "\ud800"),  # a lone surrogate: no UTF-8
+        RouteRecord(0.0, 1, 0, None),
+        RouteRecord(0, 1, 1.0, None),
+    ],
+)
+def test_kernel_leaves_unencodable_records_to_the_twin(item):
+    ext = _kernel()
+    items = [RouteRecord(0, 1, 0, "buy"), item]
+    assert protocol._routed_frames(ext, 1, True, items, 4096) is None
+    with pytest.raises(ProtocolError, match="unencodable"):
+        encode_result_frames(1, True, items, 4096)
+
+
+def test_items_that_are_not_tuples_take_the_twin():
+    ext = _kernel()
+    item = types.SimpleNamespace(start=0, end=3, port=1, service="buy")
+    assert protocol._routed_frames(ext, 1, True, [item], 4096) is None
+    assert encode_result_frames(1, True, [item]) == encode_result_frames(
+        1, True, [RouteRecord(0, 3, 1, "buy")]
+    )
+
+
+def _reference_decode(block, data=None) -> list:
+    """The routed decoder as it was: record by record through the
+    result types' constructors — the oracle of the one-pass one."""
+    _kind, names, body = protocol._block_parts(block)
+    out = []
+    for start, end, port, ident in struct.iter_unpack("!QQiI", body):
+        if start > end:
+            raise ProtocolError(f"RESULT span [{start}:{end}] is reversed")
+        if ident == 0xFFFFFFFF:
+            service = None
+        elif ident < len(names):
+            service = names[ident]
+        else:
+            raise ProtocolError(
+                f"RESULT service id {ident} outside a table of {len(names)}"
+            )
+        if data is None:
+            out.append(RouteRecord(start, end, port, service))
+        elif end > len(data):
+            raise ProtocolError(
+                f"RESULT span [{start}:{end}] outside the flow's "
+                f"{len(data)} bytes"
+            )
+        else:
+            out.append(
+                RoutedMessage(
+                    start=start, end=end, port=port, service=service,
+                    payload=data[start:end],
+                )
+            )
+    return out
+
+
+def _outcome(decode, block, data):
+    try:
+        got = decode(block, data)
+    except ProtocolError as exc:
+        return "error", str(exc)
+    return got, [type(item) for item in got]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(routed(positions=st.integers(0, 80)), max_size=20),
+    st.binary(max_size=80),
+    st.data(),
+)
+def test_routed_decoder_equals_the_reference(records, flow_bytes, data):
+    """Spans and messages, intact or with bytes flipped anywhere
+    (reversed spans, ids past the table, spans past the flow's bytes,
+    broken heads): the same results of the same types, or the same
+    :class:`ProtocolError` — and nothing else."""
+    (frame,) = FrameDecoder().feed(protocol.encode_result(5, True, records))
+    block = bytearray(frame.payload[5:])
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(block) - 1))
+        block[at] ^= data.draw(st.integers(1, 255))
+    for given_bytes in (None, flow_bytes):
+        assert _outcome(
+            protocol.decode_result_block, bytes(block), given_bytes
+        ) == _outcome(_reference_decode, bytes(block), given_bytes)
+
+
+def test_routed_message_keeps_its_contract():
+    message = RoutedMessage(
+        start=2, end=6, port=1, service="buy", payload=b"2345"
+    )
+    twin = RoutedMessage(2, 6, 1, "buy", b"2345")
+    assert message == twin and hash(message) == hash(twin)
+    assert message == (2, 6, 1, "buy", b"2345")
+    assert hash(message) == hash((2, 6, 1, "buy", b"2345"))
+    assert message != RoutedMessage(2, 6, 0, "buy", b"2345")
+    assert str(message) == "[2:6] -> port 1 (buy)"
+    assert str(RoutedMessage(0, 1, -1, None, b"")) == "[0:1] -> port -1 (None)"
+    assert repr(message) == (
+        "RoutedMessage(start=2, end=6, port=1, service='buy', "
+        "payload=b'2345')"
+    )
+    start, end, port, service, payload = message
+    assert (start, end, port, service, payload) == tuple(twin)
+    assert message._fields == ("start", "end", "port", "service", "payload")
+    clone = pickle.loads(pickle.dumps(message))
+    assert type(clone) is RoutedMessage and clone == message
+    with pytest.raises(AttributeError):
+        message.port = 0
+    # What it kept of the frozen dataclass it was.
+    moved = dataclasses.replace(message, port=99)
+    assert type(moved) is RoutedMessage
+    assert moved == RoutedMessage(2, 6, 99, "buy", b"2345")
+    assert [f.name for f in dataclasses.fields(message)] == list(message._fields)
 
 
 def test_a_record_the_frame_limit_cannot_hold_is_refused():

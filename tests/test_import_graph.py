@@ -112,10 +112,27 @@ def test_scan_server_loads_only_the_scan_path():
     assert "repro.core.nativescan" in loaded
 
 
+_RELAY = """
+import types
+import repro.cli, repro.server.cluster
+from repro.server import protocol
+
+# What the proxy encodes: the empty final RESULT, and a backend block
+# too large for its client, taken apart and split.
+(empty,) = protocol.relay_result_frames(7, [], 256)
+routes = [types.SimpleNamespace(start=i, end=i + 1, port=1, service="buy")
+          for i in range(40)]
+(frame,) = protocol.FrameDecoder().feed(protocol.encode_result(3, True, routes))
+block = bytes(protocol.split_result(frame)[2])
+frames = protocol.relay_result_frames(7, [block], 256)
+assert len(frames) > 2 and max(map(len, frames)) <= 4 + 256, frames
+"""
+
+
 def test_cluster_proxy_loads_no_engine():
     """The control plane never scans a byte: no engine, no grammar,
-    no application."""
-    loaded = _loaded_after("import repro.cli, repro.server.cluster")
+    no application — not even to re-split a result block."""
+    loaded = _loaded_after(_RELAY)
     assert _matching(
         loaded, ["repro.core", "repro.grammar", "repro.apps"]
     ) == []
