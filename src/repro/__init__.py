@@ -31,7 +31,8 @@ def _lazy_surface(namespace: dict, table: dict[str, tuple[str, ...]]):
     imported on first access and the object cached in the package
     globals.  ``"attr as name"`` exports ``attr`` under ``name``, the
     way an import line would.  The resolved table ``{name: (module,
-    attr)}`` is kept as the package's ``_SURFACE``."""
+    attr)}`` is kept as the package's ``_SURFACE``, and its sorted
+    names are the package's ``__all__``."""
     from importlib import import_module
 
     where = namespace["_SURFACE"] = {}
@@ -39,6 +40,7 @@ def _lazy_surface(namespace: dict, table: dict[str, tuple[str, ...]]):
         for entry in entries:
             attr, _, name = entry.partition(" as ")
             where[name or attr] = (module, attr)
+    namespace["__all__"] = sorted(where)
 
     def __getattr__(name: str):
         try:
@@ -85,47 +87,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
         "RouterSpec", "ScanService", "TaggerSpec",
     ),
 })
-
-__all__ = [
-    "Backend",
-    "BehavioralTagger",
-    "BufferedSession",
-    "CompiledArtifact",
-    "DecoderOptions",
-    "Device",
-    "GateLevelTagger",
-    "Grammar",
-    "LexSpec",
-    "MetricsRegistry",
-    "Netlist",
-    "QueueFull",
-    "Registry",
-    "ReproError",
-    "RouterSpec",
-    "ScanService",
-    "Simulator",
-    "StackTagger",
-    "StreamSession",
-    "TaggedToken",
-    "TaggerCircuit",
-    "TaggerGenerator",
-    "TaggerOptions",
-    "TaggerSpec",
-    "TaggingPipeline",
-    "TokenTagger",
-    "TokenizerTemplateOptions",
-    "WideGateLevelTagger",
-    "WideTaggerGenerator",
-    "WiringOptions",
-    "__version__",
-    "dtd_to_grammar",
-    "emit_vhdl",
-    "get_device",
-    "grammar_from_dtd",
-    "grammar_from_yacc",
-    "implement",
-    "load_yacc_grammar",
-    "parse_dtd",
-    "parse_yacc_grammar",
-    "techmap",
-]

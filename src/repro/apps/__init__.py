@@ -25,17 +25,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
         "ContextSignatureScanner", "Signature", "SignatureAlert",
     ),
 })
-
-__all__ = [
-    "ContentBasedRouter",
-    "ContentFilter",
-    "ContextSignatureScanner",
-    "FilterRule",
-    "MethodCall",
-    "NaiveRouter",
-    "RoutedMessage",
-    "ServiceTable",
-    "Signature",
-    "SignatureAlert",
-    "WorkloadGenerator",
-]

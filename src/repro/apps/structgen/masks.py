@@ -26,8 +26,10 @@ three things a serving stack needs:
   :class:`~repro.service.metrics.MetricsRegistry` when given one.
 
 * **The mask artifact.** ``RMSK`` blobs, ABI-tagged and sealed with a
-  sha256 trailer like ``RART`` and keyed ``content_id × vocab_hash``
-  (:func:`mask_key`) — the same artifact, byte for byte, for every
+  sha256 trailer in ``RART``'s layout (one owner:
+  :func:`repro.core.artifact.write_sealed`) and keyed
+  ``content_id × vocab_hash`` (:func:`mask_key`) — the same artifact,
+  byte for byte, for every
   interpreter, because the payload is raw packed rows rather than
   marshal.  A table fingerprint
   (:meth:`~repro.core.maskgen.MaskLowering.fingerprint`) guards
@@ -38,9 +40,15 @@ three things a serving stack needs:
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 
+from repro.core.artifact import (
+    check_sealed_digest,
+    content_id,
+    read_sealed_header,
+    wiring_fields,
+    write_sealed,
+)
 from repro.core.compiled import CompiledTagger
 from repro.core.maskgen import MaskInfeasible, MaskLowering
 from repro.core.options import TaggerOptions
@@ -68,7 +76,7 @@ __all__ = [
 MASK_ABI = 2
 
 _MAGIC = b"RMSK"
-_DIGEST_BYTES = hashlib.sha256().digest_size
+_WHAT = "mask artifact"
 
 #: Default per-token byte-class-length cap for the precomputed set:
 #: longer tokens are context-dependent regardless of budget.
@@ -267,8 +275,8 @@ class MaskTable:
         return bool(self.lowering.ir.eos[state])
 
     # ------------------------------------------------------------------
-    # serialization: RMSK | u32 header len | JSON header | raw sections
-    # (rows, cd ids, vocabulary) | sha256 of every byte before it
+    # serialization: the sealed layout of repro.core.artifact, with raw
+    # sections (rows, cd ids, vocabulary) for a body
     # ------------------------------------------------------------------
     def to_blob(self) -> bytes:
         header = {
@@ -286,31 +294,18 @@ class MaskTable:
             "cd": len(self.cd_ids),
             "built": time.time(),
         }
-        head = json.dumps(header, sort_keys=True).encode("utf-8")
-        parts = [_MAGIC, len(head).to_bytes(4, "big"), head, self.rows]
+        parts = [self.rows]
         parts.extend(t.to_bytes(4, "big") for t in self.cd_ids)
         for token in self.vocab.tokens:
             parts.append(len(token).to_bytes(4, "big"))
             parts.append(token)
-        body = b"".join(parts)
-        return body + hashlib.sha256(body).digest()
+        return write_sealed(_MAGIC, header, *parts)
 
 
 def read_mask_header(blob: bytes) -> dict:
     """Parse and validate an RMSK header without touching the sections
     or checking the digest (``registry inspect``)."""
-    if blob[:4] != _MAGIC:
-        raise MaskError("not a mask artifact (bad magic)")
-    head_len = int.from_bytes(blob[4:8], "big")
-    if len(blob) < 8 + head_len:
-        raise MaskError("truncated mask artifact header")
-    try:
-        header = json.loads(blob[8 : 8 + head_len])
-    except ValueError as exc:
-        raise MaskError(f"corrupt mask artifact header: {exc}") from None
-    if not isinstance(header, dict):
-        raise MaskError("mask artifact header is not a JSON object")
-    return header
+    return read_sealed_header(blob, _MAGIC, MaskError, _WHAT)[0]
 
 
 def _field(header: dict, name: str, kind: type):
@@ -331,13 +326,13 @@ def read_mask_sections(
     :class:`MaskError`.  The digest is :func:`load_mask_blob`'s to
     check — the registry heals from a damaged blob's vocabulary, which
     its own hash vouches for."""
-    header = read_mask_header(blob)
+    header, offset, body_end = read_sealed_header(
+        blob, _MAGIC, MaskError, _WHAT
+    )
     n_states = _field(header, "states", int)
     row_bytes = _field(header, "row_bytes", int)
     vocab_size = _field(header, "vocab_size", int)
     cd_count = _field(header, "cd", int)
-    body_end = len(blob) - _DIGEST_BYTES
-    offset = 8 + int.from_bytes(blob[4:8], "big")
     rows_end = offset + n_states * row_bytes
     cd_end = rows_end + 4 * cd_count
     if row_bytes != (vocab_size + 7) // 8 or cd_end > body_end:
@@ -429,8 +424,6 @@ def build_mask_table(
 
     rows = lowering.rows_from_trie(root, len(vocab))
     del root, groups  # before the table builds its own (CD) trie
-    from repro.core.artifact import content_id, wiring_fields
-
     source = write_yacc_grammar(grammar)
     table = MaskTable(
         lowering,
@@ -461,9 +454,7 @@ def load_mask_blob(
     misaligned rows.
     """
     start = time.perf_counter()
-    body_end = len(blob) - _DIGEST_BYTES
-    if hashlib.sha256(blob[:body_end]).digest() != blob[body_end:]:
-        raise MaskError("mask artifact digest mismatch (corrupt blob)")
+    check_sealed_digest(blob, MaskError, _WHAT)
     header, rows, cd_ids, vocab = read_mask_sections(blob)
     if header.get("abi") != MASK_ABI:
         raise MaskError(

@@ -19,22 +19,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
         "ContentBasedRouter", "NaiveRouter", "RoutedMessage", "RouteRecord",
     ),
 })
-
-__all__ = [
-    "ArrayValue",
-    "BANK_SHOPPING_TABLE",
-    "Base64Value",
-    "ContentBasedRouter",
-    "DateTimeValue",
-    "DoubleValue",
-    "I4Value",
-    "IntValue",
-    "MethodCall",
-    "NaiveRouter",
-    "RoutedMessage",
-    "RouteRecord",
-    "ServiceTable",
-    "StringValue",
-    "StructValue",
-    "WorkloadGenerator",
-]

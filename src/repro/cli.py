@@ -36,8 +36,9 @@ from repro.errors import ReproError
 _BUILTIN_GRAMMARS = ("xmlrpc", "if-then-else", "balanced-parens")
 
 #: ``--engine`` choices of the serving commands: streaming sessions
-#: need a compiled-family engine (auto = best available).
-_SERVING_ENGINES = ("auto", "compiled", "vector", "native")
+#: run on the ladder, native → compiled (auto = native when the kernel
+#: can run).
+_SERVING_ENGINES = ("auto", "compiled", "native")
 
 
 def _load_grammar(spec: str):
@@ -441,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=ENGINE_CHOICES,
                      default="compiled",
                      help="software scan engine (default: compiled "
-                     "tables; vector = wide-datapath NumPy engine; "
-                     "native = C inner loop over the dense tables; "
-                     "auto = best available)")
+                     "tables; native = C inner loop over the dense "
+                     "tables, else compiled; auto = native when the "
+                     "kernel can run, else compiled; vector = "
+                     "wide-datapath NumPy engine)")
     tag.set_defaults(func=_cmd_tag)
 
     generate = sub.add_parser("generate", help="compile grammar to hardware")
@@ -486,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--engine", choices=_SERVING_ENGINES,
                         default="compiled",
                         help="scan engine for the sessions "
-                        "(streaming needs a compiled-family engine; "
-                        "auto = best available)")
+                        "(native → compiled; auto = native when the "
+                        "kernel can run, else compiled)")
     server.add_argument("--registry", metavar="STORE", default=None,
                         help="grammar-registry store directory; makes "
                         "--grammar a registry ref (name[@version]) and "

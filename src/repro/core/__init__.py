@@ -26,23 +26,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     "repro.core.nativescan": ("NativeTagger",),
     "repro.core.capabilities": ("engine_capabilities",),
 })
-
-__all__ = [
-    "BehavioralTagger",
-    "BufferedSession",
-    "CompiledStream",
-    "CompiledTagger",
-    "DetectEvent",
-    "GateLevelTagger",
-    "NativeTagger",
-    "ScanPlan",
-    "StreamSession",
-    "TaggedToken",
-    "TaggerCircuit",
-    "TaggerGenerator",
-    "TaggerOptions",
-    "TokenTagger",
-    "VectorTagger",
-    "build_scan_plan",
-    "engine_capabilities",
-]

@@ -14,7 +14,8 @@ module.  It can be built two ways:
 
 Everything degrades to ``None`` — no compiler, sandboxed filesystem,
 ``REPRO_DISABLE_NATIVE=1`` — and callers fall back to their portable
-twins (the scan engine down its ladder: native → vector → compiled).
+twins (the scan engine to its compiled loop: native → compiled is the
+only ladder).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ native kernel's flattened int32 tables re-lower from the restored IR
 that cannot round-trip, and lowering is an order of magnitude cheaper
 than the closure it consumes.
 
-Blob layout::
+Blob layout, shared with the ``RMSK`` mask artifacts and owned by
+:func:`write_sealed`, :func:`read_sealed_header` and
+:func:`check_sealed_digest`::
 
     b"RART" | u32 header length | JSON header | marshal payload | sha256
 
@@ -70,13 +72,16 @@ __all__ = [
     "ArtifactError",
     "CompiledArtifact",
     "build_artifact",
+    "check_sealed_digest",
     "content_id",
     "interpreter_tag",
     "load_artifact",
     "object_key",
     "options_from_wiring_fields",
     "read_header",
+    "read_sealed_header",
     "wiring_fields",
+    "write_sealed",
 ]
 
 #: Bumped whenever the serialized table layout changes; part of the
@@ -86,6 +91,7 @@ __all__ = [
 ARTIFACT_ABI = 2
 
 _MAGIC = b"RART"
+_WHAT = "scan artifact"
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
@@ -98,6 +104,47 @@ _WIRING_FIELDS = (
     "longest_match",
     "keyword_boundary",
 )
+
+
+# ----------------------------------------------------------------------
+# the sealed layout: MAGIC | u32 header length | JSON header | body | sha256
+# ----------------------------------------------------------------------
+def write_sealed(magic: bytes, header: dict, *sections: bytes) -> bytes:
+    """``magic``, the JSON header behind its u32 length, ``sections``,
+    and the sha256 of every byte before it."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join((magic, len(head).to_bytes(4, "big"), head, *sections))
+    return body + hashlib.sha256(body).digest()
+
+
+def read_sealed_header(
+    blob: bytes, magic: bytes, error: type[ReproError], what: str
+) -> tuple[dict, int, int]:
+    """(JSON header, body start, body end) of a sealed ``what``,
+    without checking the digest; any other magic or a malformed header
+    raises ``error``."""
+    if blob[:4] != magic:
+        raise error(f"not a {what} (bad magic)")
+    offset = 8 + int.from_bytes(blob[4:8], "big")
+    if len(blob) < offset:
+        raise error(f"truncated {what} header")
+    try:
+        header = json.loads(blob[8:offset])
+    except ValueError as exc:
+        raise error(f"corrupt {what} header: {exc}") from None
+    if not isinstance(header, dict):
+        raise error(f"{what} header is not a JSON object")
+    return header, offset, len(blob) - _DIGEST_BYTES
+
+
+def check_sealed_digest(
+    blob: bytes, error: type[ReproError], what: str
+) -> None:
+    """Raise ``error`` unless a sealed ``what``'s sha256 trailer matches
+    every byte before it."""
+    end = len(blob) - _DIGEST_BYTES
+    if hashlib.sha256(blob[:end]).digest() != blob[end:]:
+        raise error(f"{what} digest mismatch (corrupt blob)")
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +241,7 @@ def build_artifact(
         payload["ir"] = ir.to_payload()
         header["states"] = ir.n_states
         header["classes"] = ir.n_classes
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = (
-        _MAGIC + len(head).to_bytes(4, "big") + head + marshal.dumps(payload)
-    )
-    return body + hashlib.sha256(body).digest()
+    return write_sealed(_MAGIC, header, marshal.dumps(payload))
 
 
 # ----------------------------------------------------------------------
@@ -208,18 +251,7 @@ def read_header(blob: bytes) -> dict:
     """Parse and validate the JSON header without unmarshalling tables
     or checking the digest (safe across interpreter versions and ABIs;
     used by ``registry inspect``)."""
-    if blob[:4] != _MAGIC:
-        raise ArtifactError("not a scan artifact (bad magic)")
-    head_len = int.from_bytes(blob[4:8], "big")
-    if len(blob) < 8 + head_len:
-        raise ArtifactError("truncated artifact header")
-    try:
-        header = json.loads(blob[8 : 8 + head_len])
-    except ValueError as exc:
-        raise ArtifactError(f"corrupt artifact header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ArtifactError("artifact header is not a JSON object")
-    return header
+    return read_sealed_header(blob, _MAGIC, ArtifactError, _WHAT)[0]
 
 
 class CompiledArtifact:
@@ -231,7 +263,7 @@ class CompiledArtifact:
     (at most) the native kernel's fast re-lowering.
     """
 
-    __slots__ = ("grammar", "options", "header", "nbytes", "ref")
+    __slots__ = ("grammar", "options", "header", "nbytes", "ref", "__weakref__")
 
     def __init__(
         self,
@@ -272,21 +304,17 @@ def load_artifact(blob: bytes) -> CompiledArtifact:
     different interpreter/ABI tag; callers holding the grammar source
     (the registry does) recompile and republish instead.
     """
-    header = read_header(blob)
+    header, offset, end = read_sealed_header(
+        blob, _MAGIC, ArtifactError, _WHAT
+    )
     if header.get("interpreter") != interpreter_tag():
         raise ArtifactError(
             f"artifact built for {header.get('interpreter')!r}, "
             f"this interpreter is {interpreter_tag()!r}"
         )
-    body_end = len(blob) - _DIGEST_BYTES
-    head_len = int.from_bytes(blob[4:8], "big")
-    if (
-        body_end < 8 + head_len
-        or hashlib.sha256(blob[:body_end]).digest() != blob[body_end:]
-    ):
-        raise ArtifactError("artifact digest mismatch (corrupt blob)")
+    check_sealed_digest(blob, ArtifactError, _WHAT)
     try:
-        payload = marshal.loads(blob[8 + head_len : body_end])
+        payload = marshal.loads(blob[offset:end])
     except (ValueError, EOFError, TypeError) as exc:
         raise ArtifactError(f"corrupt artifact payload: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(

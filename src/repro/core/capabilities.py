@@ -13,6 +13,9 @@ server admin ``/stats`` endpoint.
 never triggers a just-in-time kernel build — it reports what is
 already loaded or prebuilt, so a stats scrape stays cheap and
 side-effect free.
+
+The engine ladder is native → compiled (:func:`resolve_engine`); the
+vector engine is a named engine, not a rung.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Every engine name BehavioralTagger accepts, fallback ladder order.
+#: Every engine name BehavioralTagger accepts.
 ENGINES = ("interpreted", "compiled", "vector", "native")
 
 #: Spellings :func:`resolve_engine` accepts (CLI ``--engine`` choices).
-ENGINE_CHOICES = ("auto", "native", "vector", "compiled", "interpreted", "interp")
-
-_ALIASES = {"interp": "interpreted"}
+ENGINE_CHOICES = ("auto", "native", "vector", "compiled", "interpreted")
 
 
 def resolve_engine(
@@ -41,43 +42,34 @@ def resolve_engine(
     This is the single engine-name dispatch point shared by
     ``BehavioralTagger``, the CLI ``--engine`` flags, ``ScanService``
     and ``ScanServer`` (each module used to validate its own strings,
-    and the accepted sets had drifted).  Accepts the canonical names,
-    the ``"interp"`` shorthand, and ``"auto"`` — which walks the
-    fallback ladder top-down using the capability gates: native when a
-    kernel is loaded/prebuilt or a compiler could build one (and the
-    env gate allows it), else vector when NumPy imports, else
-    compiled.  ``probe=True`` lets the native check trigger a one-time
-    JIT build; the default stays side-effect free.
+    and the accepted sets had drifted).  Accepts the canonical names
+    and ``"auto"``, which walks the ladder: native when a kernel is
+    loaded/prebuilt or a compiler could build one (and the env gate
+    allows it), else compiled.  ``probe=True`` lets the native check
+    trigger a one-time JIT build; the default stays side-effect free.
 
     ``streaming=True`` additionally rejects ``"interpreted"``, whose
     whole-buffer scan cannot carry state across chunk boundaries —
     the services and server require an incremental engine.
     """
-    canonical = _ALIASES.get(name, name)
-    if canonical == "auto":
-        from repro.core import nativescan, vectorscan
+    if name == "auto":
+        from repro.core import nativescan
 
         native = nativescan.capability(probe=probe)
-        vector = vectorscan.capability()
-        if not native["disabled_by_env"] and (
-            native["native"] or native["compiler"]
-        ):
-            canonical = "native"
-        elif vector["numpy"] and not vector["disabled_by_env"]:
-            canonical = "vector"
-        else:
-            canonical = "compiled"
-    if canonical not in ENGINES:
+        live = native["native"] or native["compiler"]
+        live = live and not native["disabled_by_env"]
+        name = "native" if live else "compiled"
+    if name not in ENGINES:
         raise ValueError(
             f"unknown engine {name!r}; expected one of "
-            f"{ENGINES + ('auto', 'interp')}"
+            f"{ENGINES + ('auto',)}"
         )
-    if streaming and canonical == "interpreted":
+    if streaming and name == "interpreted":
         raise ValueError(
             "engine 'interpreted' has no incremental scan; streaming "
             "consumers need 'compiled', 'vector', 'native' or 'auto'"
         )
-    return canonical
+    return name
 
 
 def engine_capabilities(

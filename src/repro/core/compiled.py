@@ -493,7 +493,7 @@ class CompiledTagger:
         # the materialized tables: the payload stays small and the
         # unpickling process rebuilds through the shared plan/table
         # caches, so every tagger shipped to one worker pays one build.
-        return (CompiledTagger, (self.grammar, self.options))
+        return (type(self), (self.grammar, self.options))
 
     # ------------------------------------------------------------------
     def index_of(self, unit) -> int:

@@ -1,7 +1,8 @@
 """Native scan engine: the scan IR stepped by a C inner loop.
 
-Fourth engine in the ladder (interpreted → compiled → vector →
-native).  The paper's datapath sustains line rate because the product
+The top of the engine ladder, native → compiled (the interpreted loop
+is the reference semantics; the vector engine is a named engine, not a
+rung).  The paper's datapath sustains line rate because the product
 automaton is lowered into flat hardware tables; this module performs
 the same lowering in software.  The shared scan IR
 (:mod:`repro.core.scanir` — byte-equivalence classes, the
@@ -21,16 +22,16 @@ lowered into four contiguous arrays:
 :func:`_nativescan.scan_chunk` then consumes an entire chunk in one
 call with the GIL released, surfacing only the sparse effectful
 results (events, error positions) back to Python — bit-exact with the
-other three engines, enforced by the 4-way differential suite in
+other engines, enforced by the differential suite in
 ``tests/core/test_nativescan.py``.
 
 The kernel builds on demand from the checked-in C source (see
 :mod:`repro.core._native_build`); without a compiler, with
 ``REPRO_DISABLE_NATIVE=1``, or for automata that resist densification,
-:class:`NativeTagger` degrades transparently down the ladder to the
-vector or compiled loop.  :func:`capability` reports which rung is
-live.  NumPy is *not* required: the IR is pure Python, so the native
-engine stays available under ``REPRO_DISABLE_NUMPY=1``.
+:class:`NativeTagger` degrades transparently to the compiled loop, its
+base class.  :func:`capability` reports whether the kernel is live.
+NumPy is *not* required: the IR is pure Python, so the native engine
+stays available under ``REPRO_DISABLE_NUMPY=1``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from repro.core import _native_build
+from repro.core.compiled import CompiledTagger
 from repro.core.scanir import ScanIR, scan_ir_for
 from repro.core.scanplan import DetectEvent
 from repro.core.tokens import TaggedToken
-from repro.core.vectorscan import VectorTagger
 
 __all__ = ["NativeTagger", "capability"]
 
@@ -179,16 +180,15 @@ def _native_tables_for(tagger) -> _NativeTables | None:
 
 
 # ----------------------------------------------------------------------
-class NativeTagger(VectorTagger):
-    """Native-loop tagger: the vector engine with its per-window Python
+class NativeTagger(CompiledTagger):
+    """Native-loop tagger: the compiled engine with its per-byte Python
     loop replaced by one C call per chunk. Streaming sessions,
     end-of-data flush and pickling discipline are inherited from the
     compiled engine, which keeps bit-exactness structural.
 
-    Falls back transparently down the ladder — to the vector loop when
-    only the kernel is missing, to the compiled loop when the dense
-    tables are too — and :attr:`native_active` says which loop is
-    live.
+    Falls back transparently to the compiled loop when the kernel or
+    the dense tables are missing; :attr:`native_active` says which
+    loop is live.
 
     Example
     -------
@@ -201,13 +201,14 @@ class NativeTagger(VectorTagger):
     def __init__(self, grammar, options=None, plan=None) -> None:
         super().__init__(grammar, options, plan)
         self._nt = _native_tables_for(self)
+        #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
+        #: the dead-region fast-forward's hit rate).
+        self.bytes_scanned = 0
+        self.bytes_skipped = 0
 
     @property
     def native_active(self) -> bool:
         return self._nt is not None
-
-    def __reduce__(self):
-        return (NativeTagger, (self.grammar, self.options))
 
     # ------------------------------------------------------------------
     def _kernel(self, data, st, out, error_sink, mode: int = 1) -> None:

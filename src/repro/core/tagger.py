@@ -50,14 +50,15 @@ class BehavioralTagger:
 
     ``engine`` selects the scan implementation: ``"compiled"`` (the
     default) runs the precompiled table-driven engine, bit-exact with
-    the interpreted loop; ``"vector"`` runs the wide-datapath NumPy
+    the interpreted loop; ``"native"`` runs the C inner loop over the
+    same dense tables (:class:`~repro.core.nativescan.NativeTagger`,
+    which degrades to the compiled loop without a compiler or with
+    ``REPRO_DISABLE_NATIVE=1``); ``"auto"`` is native when the kernel
+    can run, else compiled; ``"vector"`` runs the wide-datapath NumPy
     engine (:class:`~repro.core.vectorscan.VectorTagger`, which
-    degrades to the compiled loop when NumPy is absent); ``"native"``
-    runs the C inner loop over the same dense tables
-    (:class:`~repro.core.nativescan.NativeTagger`, which degrades down
-    the same ladder without a compiler or with
-    ``REPRO_DISABLE_NATIVE=1``); ``"interpreted"`` runs the original
-    per-byte Python loop (the reference semantics).
+    degrades to the compiled loop when NumPy is absent) and is reached
+    only by name; ``"interpreted"`` runs the original per-byte Python
+    loop (the reference semantics).
 
     Example
     -------
@@ -72,14 +73,14 @@ class BehavioralTagger:
         grammar: Grammar,
         options: TaggerOptions | None = None,
         engine: Literal[
-            "compiled", "interpreted", "vector", "native", "auto", "interp"
+            "compiled", "interpreted", "vector", "native", "auto"
         ] = "compiled",
     ) -> None:
         from repro.core.capabilities import resolve_engine
 
         self.grammar = grammar
         self.options = options or TaggerOptions()
-        #: Canonical engine name (``"auto"``/``"interp"`` resolved).
+        #: Canonical engine name (``"auto"`` resolved).
         engine = resolve_engine(engine)
         self.engine = engine
         plan = build_scan_plan(grammar, self.options.wiring)

@@ -17,21 +17,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     "repro.grammar.writer": ("save_yacc_grammar", "write_yacc_grammar"),
     "repro.grammar.dtd": ("dtd_to_grammar", "parse_dtd"),
 })
-
-__all__ = [
-    "EPSILON",
-    "Grammar",
-    "GrammarAnalysis",
-    "LexSpec",
-    "NonTerminal",
-    "Production",
-    "Symbol",
-    "Terminal",
-    "TokenDef",
-    "analyze_grammar",
-    "dtd_to_grammar",
-    "parse_dtd",
-    "parse_yacc_grammar",
-    "save_yacc_grammar",
-    "write_yacc_grammar",
-]

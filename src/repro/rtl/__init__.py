@@ -21,24 +21,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     "repro.rtl.vcd": ("VCDWriter", "dump_vcd"),
     "repro.rtl.waveform": ("Waveform",),
 })
-
-__all__ = [
-    "BitParallelSimulator",
-    "Gate",
-    "GateKind",
-    "Net",
-    "Netlist",
-    "NetlistStats",
-    "Register",
-    "Simulator",
-    "VCDWriter",
-    "Waveform",
-    "analyze",
-    "build_counter_stack",
-    "build_stack",
-    "dump_vcd",
-    "emit_testbench",
-    "emit_vhdl",
-    "fanout_map",
-    "logic_levels",
-]

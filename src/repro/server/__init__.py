@@ -50,25 +50,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     ),
     "repro.server.server": ("ScanServer",),
 })
-
-__all__ = [
-    "BackendSpec",
-    "BeamFlow",
-    "CONNECTION_FLOW",
-    "ClientFlow",
-    "ConnectFailed",
-    "DEFAULT_MAX_FRAME",
-    "ErrorCode",
-    "Frame",
-    "FrameDecoder",
-    "FrameType",
-    "HashRing",
-    "NoHealthyBackend",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ScanClient",
-    "ScanProxy",
-    "ScanServer",
-    "ServerFault",
-    "parse_backend",
-]

@@ -290,7 +290,7 @@ class ScanServer(FramedEndpoint):
 
     def _spec_for_artifact(self, spec: Any, artifact) -> Any:
         """The spec rebased onto a registry artifact's ref (the build
-        loads the artifact from the same store)."""
+        reuses the artifact: Registry instances share their loads)."""
         import dataclasses
 
         try:
@@ -445,8 +445,8 @@ class ScanServer(FramedEndpoint):
             "beam_native": beam_native,
         }
         # Every engine's capability flags under the engine the spec
-        # resolved to, plus the wide-loop skip-efficiency counters when
-        # live.
+        # resolved to, plus the dense loop's skip-efficiency counters
+        # when it counts them.
         from repro.core.capabilities import (
             engine_capabilities,
             resolve_engine,
@@ -457,12 +457,9 @@ class ScanServer(FramedEndpoint):
                 getattr(self.spec, "engine", "compiled"), streaming=True
             )
         )
-        tagger = self._vector_tagger()
-        if tagger is not None:
-            engine["vector_active"] = tagger.vector_active
-            engine["native_active"] = getattr(
-                tagger, "native_active", False
-            )
+        tagger = self._scan_tagger()
+        if hasattr(tagger, "bytes_scanned"):
+            engine["native_active"] = getattr(tagger, "native_active", False)
             scanned = tagger.bytes_scanned
             skipped = tagger.bytes_skipped
             self.metrics.counter("vector.bytes_scanned").value = scanned
@@ -477,11 +474,9 @@ class ScanServer(FramedEndpoint):
         snapshot["structgen"] = structgen
         return snapshot
 
-    def _vector_tagger(self):
-        """The in-process backend's vector tagger, if that is what the
-        spec built (None on the compiled/interpreted paths)."""
-        from repro.core.vectorscan import VectorTagger
-
+    def _scan_tagger(self):
+        """The in-process backend's scan-engine tagger (what the spec
+        built; None on the interpreted path)."""
         backend = self._current.backend
         tagger = getattr(backend, "tagger", None)
         if tagger is None:
@@ -489,7 +484,7 @@ class ScanServer(FramedEndpoint):
             tagger = getattr(
                 getattr(router, "tagger", None), "compiled", None
             )
-        return tagger if isinstance(tagger, VectorTagger) else None
+        return tagger
 
     # ------------------------------------------------------------------
     # data plane: what happens once the flow table accepted a frame

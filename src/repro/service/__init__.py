@@ -30,19 +30,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     "repro.service.service": ("RouterSpec", "ScanService", "TaggerSpec"),
     "repro.service.shard": ("ShardRouter", "shard_of"),
 })
-
-__all__ = [
-    "CompiledArtifact",
-    "MetricsRegistry",
-    "QueueFull",
-    "Registry",
-    "RegistryError",
-    "RouterSpec",
-    "ScanService",
-    "ServiceClosed",
-    "ServiceError",
-    "ShardRouter",
-    "TaggerSpec",
-    "WorkerCrashed",
-    "shard_of",
-]

@@ -39,6 +39,7 @@ import json
 import os
 import tempfile
 import time
+from weakref import WeakValueDictionary
 
 from repro.core.artifact import (
     ArtifactError,
@@ -95,6 +96,12 @@ def _check_name(name: str) -> None:
         raise RegistryError(
             f"bad grammar name {name!r}: use letters, digits, '-', '_', '.'"
         )
+
+
+#: Artifacts some live :class:`Registry` holds, by (store root, content
+#: id): every Registry over one store shares them, so a spec built from
+#: a ref a server's registry already loaded does not load it again.
+_LOADED: WeakValueDictionary = WeakValueDictionary()
 
 
 class Registry:
@@ -230,28 +237,14 @@ class Registry:
         recompiled from the manifest's canonical source and the store
         is healed with a fresh blob.
         """
-        name, version = parse_ref(ref)
-        manifest = self._read_manifest(name)
-        if manifest is None:
-            raise RegistryError(
-                f"unknown grammar {name!r} in registry {self.root}"
-            )
-        if version is None:
-            version = int(manifest.get("latest", 0))
-        entry = manifest["versions"].get(str(version))
-        if entry is None:
-            raise RegistryError(
-                f"grammar {name!r} has no version {version} "
-                f"(latest is {manifest.get('latest', 0)})"
-            )
-        pinned = f"{name}@{version}"
-        cached = self._artifacts.get(entry["content"])
-        if cached is not None:
-            cached.ref = pinned
-            return cached
-        artifact = self._load_entry(name, version, entry, manifest)
-        artifact.ref = pinned
-        self._artifacts[entry["content"]] = artifact
+        name, version, entry, manifest = self._resolve_version(ref)
+        cid = entry["content"]
+        artifact = _LOADED.get((self.root, cid))
+        if artifact is None:
+            artifact = self._load_entry(name, version, entry, manifest)
+            _LOADED[self.root, cid] = artifact
+        self._artifacts[cid] = artifact  # alive while this registry is
+        artifact.ref = f"{name}@{version}"
         return artifact
 
     def _load_entry(
@@ -465,15 +458,7 @@ class Registry:
 
     def inspect(self, ref: str) -> dict:
         """Everything known about one version, without loading tables."""
-        name, version = parse_ref(ref)
-        manifest = self._read_manifest(name)
-        if manifest is None:
-            raise RegistryError(f"unknown grammar {name!r}")
-        if version is None:
-            version = int(manifest.get("latest", 0))
-        entry = manifest["versions"].get(str(version))
-        if entry is None:
-            raise RegistryError(f"grammar {name!r} has no version {version}")
+        name, version, entry, _manifest = self._resolve_version(ref)
         info = {
             "ref": f"{name}@{version}",
             "content": entry["content"],

@@ -22,12 +22,3 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
     "repro.software.recursive_descent": ("RecursiveDescentParser",),
     "repro.software.naive": ("NaiveScanner",),
 })
-
-__all__ = [
-    "ContextSensitiveLexer",
-    "LL1Parser",
-    "LexedToken",
-    "Lexer",
-    "NaiveScanner",
-    "RecursiveDescentParser",
-]

@@ -24,6 +24,13 @@ from repro.apps.structgen import (
     synthetic_vocab,
 )
 from repro.apps.structgen.masks import read_mask_header, read_mask_sections
+from repro.core.artifact import (
+    ArtifactError,
+    build_artifact,
+    load_artifact,
+    read_header,
+)
+from repro.errors import ReproError
 from repro.grammar.examples import if_then_else
 
 GRAMMAR = if_then_else()
@@ -111,6 +118,41 @@ def test_one_flipped_row_bit_no_longer_loads():
         load_mask_blob(bad, GRAMMAR)
     # ``registry inspect`` still reads the header of a blob it cannot load.
     assert read_mask_header(bad) == read_mask_header(blob)
+
+
+#: kind -> (blob, loader, header reader, error type): the two sealed
+#: artifacts (``MAGIC | u32 len | JSON header | body | sha256``).
+SEALED = {
+    "RART": (
+        lambda: build_artifact(GRAMMAR), load_artifact, read_header,
+        ArtifactError,
+    ),
+    "RMSK": (
+        _blob, lambda blob: load_mask_blob(blob, GRAMMAR), read_mask_header,
+        MaskError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEALED))
+def test_sealed_readers_refuse_the_other_kind_and_a_flipped_byte(kind):
+    """Scan and mask artifacts share one sealed layout: each reader
+    refuses the other kind's blob at the magic with its own error type,
+    and one flipped body byte is a digest refusal."""
+    make, load, header, error = SEALED[kind]
+    (other,) = set(SEALED) - {kind}
+    foreign = SEALED[other][0]()
+    for read in (load, header):
+        with pytest.raises(ReproError, match="bad magic") as refused:
+            read(foreign)
+        assert refused.type is error
+    blob = make()
+    offset = 8 + int.from_bytes(blob[4:8], "big")
+    bad = blob[:offset] + bytes([blob[offset] ^ 1]) + blob[offset + 1 :]
+    with pytest.raises(ReproError, match="digest") as refused:
+        load(bad)
+    assert refused.type is error
+    assert header(bad) == header(blob)
 
 
 @pytest.mark.parametrize(

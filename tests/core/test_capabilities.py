@@ -67,23 +67,39 @@ def test_resolve_engine_passes_canonical_names_through():
 
 def test_resolve_engine_choices_cover_aliases_and_auto():
     assert "auto" in ENGINE_CHOICES
-    assert resolve_engine("interp") == "interpreted"
     for choice in ENGINE_CHOICES:
         assert resolve_engine(choice) in ENGINES
 
 
 def test_resolve_engine_auto_picks_a_dense_available_engine():
     resolved = resolve_engine("auto")
-    assert resolved in ("native", "vector", "compiled")
+    assert resolved in ("native", "compiled")
     # auto is streaming-safe by construction.
     assert resolve_engine("auto", streaming=True) == resolved
 
 
 def test_resolve_engine_auto_respects_disable_env(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    assert resolve_engine("auto") in ("vector", "compiled")
+    assert resolve_engine("auto") == "compiled"
     monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
     assert resolve_engine("auto") == "compiled"
+
+
+@pytest.mark.parametrize("numpy", ["present", "REPRO_DISABLE_NUMPY=1"])
+@pytest.mark.parametrize("kernel", [True, False])
+def test_resolve_engine_auto_is_native_then_compiled(
+    monkeypatch, numpy, kernel
+):
+    """native → compiled is the only ladder: a kernel decides ``auto``,
+    NumPy never does."""
+    from repro.core import nativescan
+
+    if numpy != "present":
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+    flags = {"native": kernel, "disabled_by_env": False,
+             "compiler": kernel, "source": None}
+    monkeypatch.setattr(nativescan, "capability", lambda probe=False: flags)
+    assert resolve_engine("auto") == ("native" if kernel else "compiled")
 
 
 def test_resolve_engine_rejects_unknown_names():
@@ -94,5 +110,3 @@ def test_resolve_engine_rejects_unknown_names():
 def test_resolve_engine_streaming_rejects_interpreted():
     with pytest.raises(ValueError, match="incremental"):
         resolve_engine("interpreted", streaming=True)
-    with pytest.raises(ValueError, match="incremental"):
-        resolve_engine("interp", streaming=True)

@@ -366,8 +366,10 @@ def test_dead_region_is_skipped_and_exact():
 # fallback ladder, construction, pickling
 # ----------------------------------------------------------------------
 def test_fallback_without_kernel_is_exact():
-    """With the kernel gone the engine must degrade to the vector (or
-    compiled) loop transparently."""
+    """With the kernel gone the engine must degrade to the compiled
+    loop, its base class, transparently: native → compiled is the only
+    ladder."""
+    assert NativeTagger.__mro__[1] is CompiledTagger
     grammar = xmlrpc()
     native = NativeTagger(grammar)
     native._nt = None

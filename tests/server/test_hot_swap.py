@@ -270,3 +270,34 @@ def test_swap_without_registry_is_refused():
             assert "registry" in body
 
     run(main())
+
+
+def test_each_ref_loads_once_per_process(registry, monkeypatch):
+    """A registry-backed server builds each generation from the
+    artifact its registry loaded: one blob load per ref, at start and
+    on every swap, and the generation scans on that artifact's
+    grammar object."""
+    from repro.server.server import ScanServer
+    from repro.service import registry as store
+
+    loads = []
+    load_artifact = store.load_artifact
+    monkeypatch.setattr(
+        store, "load_artifact",
+        lambda blob: loads.append(1) or load_artifact(blob),
+    )
+    server = ScanServer(
+        TaggerSpec(),
+        registry=Registry(registry.root),
+        grammar=registry.xml_ref,
+    )
+
+    def served(ref):
+        artifact = server._registry.load(ref)
+        return server._current.backend.tagger.grammar is artifact.grammar
+
+    assert len(loads) == 1 and served(registry.xml_ref)
+    server.swap_grammar(registry.ite_ref)
+    assert len(loads) == 2 and served(registry.ite_ref)
+    server.swap_grammar(registry.xml_ref)  # the first generation retired
+    assert len(loads) == 2 and served(registry.xml_ref)

@@ -6,12 +6,18 @@ import importlib
 import pytest
 
 import repro
+from tests.test_import_graph import LAZY_PACKAGES
 
 
 class TestExports:
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
+        """Every lazy package lists each surface name once: its
+        ``__all__`` is the table's sorted names, and each resolves."""
+        for package in LAZY_PACKAGES:
+            module = importlib.import_module(package)
+            assert module.__all__ == sorted(module._SURFACE), package
+            for name in module.__all__:
+                assert getattr(module, name) is not None, (package, name)
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
