@@ -162,11 +162,6 @@ class TCPReassembler:
         return None
 
     # ------------------------------------------------------------------
-    def gaps(self, key: FlowKey) -> int:
-        """Out-of-order segments still waiting for a hole to fill."""
-        state = self.flows.get(key)
-        return len(state.pending) if state else 0
-
     def finished(self, key: FlowKey) -> bool:
         state = self.flows.get(key)
         return bool(state and state.finished)

@@ -241,36 +241,33 @@ class RouterSession(StreamSession):
 
     def _flush_snapshot(self) -> list[RouteRecord]:
         """The one end-of-data flush path (:meth:`finish` commits it,
-        :meth:`peek_finish` only observes it): assemble a snapshot
-        flush against copies of the message state, leaving feeding
-        possible."""
-        service = self._service
-        routes = self._assemble(
-            self._stream.finish_packed_snapshot(
-                self.router._select, array("q", self._carry)
-            )
+        :meth:`peek_finish` only observes it): one snapshot flush,
+        assembled against a copy of the message state."""
+        records = self._stream.finish_packed_snapshot(
+            self.router._select, array("q", self._carry)
         )
-        self._service = service
-        return routes
+        return self._assemble(records)[0]
 
     # ------------------------------------------------------------------
     def _scan(self, chunk: bytes) -> list[RouteRecord]:
         self._buffer += chunk
-        return self._assemble(
+        routes, self._service = self._assemble(
             self._stream.feed_packed(chunk, self.router._select, self._carry)
         )
+        return routes
 
-    def _assemble(self, records) -> list[RouteRecord]:
+    def _assemble(self, records) -> tuple[list[RouteRecord], str | None]:
         """The same per-message state machine as :meth:`route`, over
-        packed-sink records (flat ``unit, end, start`` ints): a plain
-        unit is the method name, whose lexeme is still in the retained
-        buffer; a complemented one is the accepting hit, whose start
-        is the message's.  The kernel's ``array`` of records is
-        assembled in one kernel call; a list (the compiled engine's,
-        and every end-of-data flush) runs this loop, its twin."""
+        packed-sink records (flat ``unit, end, start`` ints), from the
+        session's current service: the routes, and the service open
+        after them.  A plain unit is the method name, whose lexeme is
+        still in the retained buffer; a complemented one is the
+        accepting hit, whose start is the message's.  The kernel's
+        ``array`` of records is assembled in one kernel call; a list
+        (the compiled engine's) runs this loop, its twin."""
         table = self.router.table
         if self._kernel is not None and records.__class__ is array:
-            routes, self._service = self._kernel.assemble_routes(
+            return self._kernel.assemble_routes(
                 records,
                 self._buffer,
                 self._base,
@@ -279,7 +276,6 @@ class RouterSession(StreamSession):
                 table.default_port,
                 RouteRecord,
             )
-            return routes
         base = self._base
         buffer = self._buffer
         service = self._service
@@ -302,8 +298,7 @@ class RouterSession(StreamSession):
                 )
             )
             service = None
-        self._service = service
-        return routes
+        return routes, service
 
     def _with_payload(
         self, routes: list[RouteRecord]

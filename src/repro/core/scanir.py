@@ -46,7 +46,7 @@ from __future__ import annotations
 from array import array
 from weakref import WeakKeyDictionary
 
-from repro.core.compiled import EOF, CompiledTagger, _CompiledTables
+from repro.core.compiled import CompiledTagger, _CompiledTables
 from repro.core.options import WiringOptions
 from repro.core.scanplan import _wiring_key
 from repro.errors import ArtifactError
@@ -198,7 +198,6 @@ class ScanIR:
         self.unit_caps = tables.unit_caps()
         lost, eos, emits = bytearray(n), bytearray(n), bytearray(n)
         tstates = tables.tstates
-        unit_dfas = tables.unit_dfas
         for tid in range(n):
             row_next = [nxt[tid * width + k] for k in keep]
             row_effect = [eff[tid * width + k] for k in keep]
@@ -210,10 +209,7 @@ class ScanIR:
             lost[tid] = tables.recovery and not (
                 first or items or armed or pdet
             )
-            # EOF detection mirrors CompiledTagger._flush.
-            eos[tid] = any(
-                unit_dfas[u].detect_masks[s] >> EOF & 1 for u, s in items
-            )
+            eos[tid] = bool(tables.eof_events(tid))
             emits[tid] = any(i and effects[i][0] for i in set(row_effect))
             if not armed:
                 live_class = bytes(

@@ -48,9 +48,6 @@ class WiredScanner:
     #: Registered "parse died" flag (§5.2), None unless error_recovery.
     lost: Net | None = None
 
-    def detect_net(self, occurrence: Occurrence) -> Net:
-        return self.instances[occurrence].detect
-
 
 def build_scanner(
     netlist: Netlist,

@@ -103,25 +103,6 @@ class Glushkov:
             object.__setattr__(self, "_byte_masks", cached)
         return cached
 
-    def first_mask(self) -> int:
-        """Position bitmask of ``first``."""
-        return sum(1 << p for p in self.first)
-
-    def last_mask(self) -> int:
-        """Position bitmask of ``last``."""
-        return sum(1 << p for p in self.last)
-
-    def follow_masks(self) -> list[int]:
-        """Position bitmask of ``follow[p]`` per position ``p``."""
-        cached = getattr(self, "_follow_masks", None)
-        if cached is None:
-            cached = [
-                sum(1 << q for q in self.follow.get(p, ()))
-                for p in range(self.n_positions)
-            ]
-            object.__setattr__(self, "_follow_masks", cached)
-        return cached
-
     def extension_mask(self, position: int) -> int:
         """256-bit byte mask of :meth:`extension_bytes` (memoized)."""
         cached = getattr(self, "_extension_masks", None)
@@ -149,9 +130,6 @@ class Glushkov:
     # ------------------------------------------------------------------
     # NFA-style simulation (reference semantics for tests / oracle)
     # ------------------------------------------------------------------
-    def initial_states(self) -> frozenset[int]:
-        return self.first
-
     def step(self, states: frozenset[int], byte: int) -> frozenset[int]:
         """Advance the set of *candidate* positions by one byte.
 

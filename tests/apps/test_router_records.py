@@ -260,7 +260,7 @@ def test_kernel_rejects_malformed_sink_buffers():
     def scan(select, carry, sink, errors=None):
         state = tagger.new_state()
         return nt.ext.scan_chunk(
-            nt.capsule, 0, 0, data, state.starts, sink, errors, True,
+            nt.capsule, 0, 0, data, state.regs, sink, errors, True,
             select, carry,
         )
 
@@ -341,9 +341,9 @@ def test_kernel_assembles_records_like_the_loop(stream):
         session._buffer[:] = buffer
         session._base = base
         session._service = service
-        routes = session._assemble(records)
+        routes, carried = session._assemble(records)
         assert all(type(route) is RouteRecord for route in routes)
-        outcomes.append((routes, session._service))
+        outcomes.append((routes, carried))
     assert outcomes[0] == outcomes[1]
     assert [type(r.service) for r in outcomes[1][0]] == [
         type(r.service) for r in outcomes[0][0]
