@@ -1096,6 +1096,9 @@ class FramedProtocol(asyncio.Protocol):
     # -- writing ---------------------------------------------------------
     def connection_made(self, transport) -> None:
         self.transport = transport
+        # Under glibc's 128 KiB mmap threshold, a read's buffer comes off
+        # the heap: asyncio's 256 KiB one is a fresh mmap per read.
+        transport.max_size = 64 * 1024
         transport.set_write_buffer_limits(high=self.high_water)
         self._lost = asyncio.get_running_loop().create_future()
 
