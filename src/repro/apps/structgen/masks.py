@@ -292,7 +292,6 @@ class MaskTable:
             "row_bytes": self.row_bytes,
             "ci": self.ci_count,
             "cd": len(self.cd_ids),
-            "built": time.time(),
         }
         parts = [self.rows]
         parts.extend(t.to_bytes(4, "big") for t in self.cd_ids)

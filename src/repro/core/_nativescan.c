@@ -8,7 +8,7 @@
  *   prog_idx[state*C+class] offset of the edge's effect program
  *   progs[]                 int32 bytecode replaying an edge's effects
  *   eof_idx[state]          offset of the state's end-of-data program
- *   live_idx[state]         offset of OP_EVENT u 1 0 per unit live there
+ *   live_idx[state]         offset of OP_EVENT u 1 r per unit live there
  *
  * plus per-state inert-byte prefilters (skip_ofs / live_all) and each
  * unit's register capacity (its position count).
@@ -50,18 +50,21 @@
  * the bytes consumed (end-of-data always fits behind the last edge).
  * The twin is repro.core.compiled.pack_selected.
  *
- * Effect-program bytecode (all int32):
+ * Effect-program bytecode (all int32): the scan IR's effect (events,
+ * (copies, sets, lengths), err) op for op, every r, d and s an index
+ * into the register file, used as is:
  *   OP_END                        end of program
  *   OP_ERR                        record a §5.2 error position
- *   OP_EVENT u k j0..j(k-1)       emit unit u ending here; match start
- *                                 is min over starts[u][j..]
- *   OP_STARTS u m (c s0..s(c-1))*m  replace starts[u] with m values,
- *                                 each min over old starts[u][s..]
- *                                 (c == 0 means "current position"),
- *                                 and set u's length to m
+ *   OP_EVENT u k r0..r(k-1)       emit unit u ending here, match start
+ *                                 the min over regs[r..] (all u's)
+ *   OP_COPY n (d c s0..s(c-1))*n  regs[d] = min over regs[s..], c >= 1 in
+ *                                 d's unit, every s read before any d set
+ *   OP_SET n d0..d(n-1)           regs[d] = current position
+ *   OP_LEN n (r m)*n              length row: regs[r] = m <= r's capacity
  *
- * The program order (ERR, EVENTs, STARTS) mirrors one iteration of the
- * compiled per-byte loop, which is what makes bit-exactness structural.
+ * The program order (ERR, EVENTs, COPY, SET, LEN) mirrors one iteration
+ * of the compiled per-byte loop, which is what makes bit-exactness
+ * structural.
 
  * The routed-result entries (assemble_routes, encode_routed) and the
  * beam kernels are documented where they are defined, with their twins.
@@ -77,9 +80,10 @@
 /* The Python-visible contract's version, exported as ABI.  Bump it when
  * an entry is added or changes: _native_build reads it from this line
  * and refuses a prebuilt module that exports any other. */
-#define KERNEL_ABI "5"
+#define KERNEL_ABI "6"
 
-enum { OP_END = 0, OP_ERR = 1, OP_EVENT = 2, OP_STARTS = 3 };
+enum { OP_END = 0, OP_ERR = 1, OP_EVENT = 2, OP_COPY = 3, OP_SET = 4,
+       OP_LEN = 5 };
 enum { DRAIN_EVENTS = 0, DRAIN_PAIRS = 1, DRAIN_TOKENS = 2 };
 
 /* Spill-buffer capacity in (unit, end, start) triples: drained (with
@@ -109,7 +113,7 @@ typedef struct {
     int32_t n_progs;        /* int32 slots in progs */
     int32_t n_skip_rows;    /* 256-byte rows in live_all */
     int32_t total_cap;      /* sum of unit register capacities */
-    int32_t max_cap;        /* largest single unit capacity */
+    int32_t max_copies;     /* most registers one OP_COPY writes */
     int32_t max_per_edge;   /* most triples one program can emit */
     uint8_t class_table[256];
     int32_t *step;          /* n_states * n_classes */
@@ -166,30 +170,32 @@ copy_buffer(const Py_buffer *view)
 /* build_tables: validate + copy the flat tables into a capsule        */
 /* ------------------------------------------------------------------ */
 
-/* c register indices of a unit of capacity cap at progs[*q], inside
- * the stream and the unit's registers; advances *q past them. */
+/* c register indices at progs[*q], inside the stream and [lo, hi);
+ * advances *q past them. */
 static int
 indices_ok(const int32_t *progs, Py_ssize_t n, Py_ssize_t *q, int32_t c,
-           int32_t cap)
+           int32_t lo, int32_t hi)
 {
     if (c < 0 || *q + c > n)
         return 0;
     for (const int32_t *p = progs + *q; p < progs + *q + c; p++)
-        if (*p < 0 || *p >= cap)
+        if (*p < lo || *p >= hi)
             return 0;
     *q += c;
     return 1;
 }
 
 static int
-validate_progs(const int32_t *progs, Py_ssize_t n_progs,
-               const int32_t *caps, int32_t n_units, uint8_t *starts_bitmap)
+validate_progs(NativeTables *t, uint8_t *starts_bitmap)
 {
     /* One linear walk: the stream must be a well-formed concatenation
-     * of programs, and every op's unit/register indices must stay in
-     * bounds, so the interpreter can never read outside the register
-     * block even if handed a hostile table. Marks valid program start
-     * offsets in the bitmap. */
+     * of programs with every index in bounds (events and copies in one
+     * unit's registers, lengths within their unit's capacity), so the
+     * interpreter can never read outside the register file even if
+     * handed a hostile table. Marks valid program start offsets in the
+     * bitmap; sizes the copy scratch. */
+    const int32_t *progs = t->progs, *ofs = t->unit_ofs;
+    const Py_ssize_t n_progs = t->n_progs;
     Py_ssize_t q = 0;
     int at_start = 1;
     while (q < n_progs) {
@@ -199,25 +205,42 @@ validate_progs(const int32_t *progs, Py_ssize_t n_progs,
         at_start = op == OP_END;
         if (op == OP_END || op == OP_ERR)
             continue;
-        if ((op != OP_EVENT && op != OP_STARTS) || q + 2 > n_progs)
+        if (op < OP_EVENT || op > OP_LEN || q >= n_progs)
             return -1;
-        int32_t u = progs[q++], k = progs[q++];
-        if (u < 0 || u >= n_units)
-            return -1;
-        if (op == OP_EVENT) { /* k >= 1 register indices */
-            if (k < 1 || !indices_ok(progs, n_progs, &q, k, caps[u]))
+        int32_t n = progs[q++];
+        if (op == OP_EVENT) { /* unit n, k >= 1 of its registers */
+            int32_t k = q < n_progs ? progs[q++] : 0;
+            if (n < 0 || n >= t->n_units || k < 1 ||
+                !indices_ok(progs, n_progs, &q, k, ofs[n], ofs[n + 1]))
                 return -1;
             continue;
         }
-        if (k < 0 || k > caps[u]) /* OP_STARTS: k moves */
-            return -1;
-        for (int32_t x = 0; x < k; x++) {
-            if (q >= n_progs)
+        if (op == OP_SET) { /* n registers */
+            if (!indices_ok(progs, n_progs, &q, n, 0, t->total_cap))
                 return -1;
-            int32_t c = progs[q++];
-            if (!indices_ok(progs, n_progs, &q, c, caps[u]))
+            continue;
+        }
+        if (n < 0 || n > t->total_cap) /* n (d c s...) or n (r m) */
+            return -1;
+        for (int32_t x = 0; x < n; x++) {
+            if (q + 2 > n_progs)
+                return -1;
+            int32_t d = progs[q++], c = progs[q++];
+            int64_t u = (int64_t)d - t->total_cap;
+            if (op == OP_LEN) {
+                if (u < 0 || u >= t->n_units || c < 0 || c > t->unit_caps[u])
+                    return -1;
+                continue;
+            }
+            if (d < 0 || d >= t->total_cap || c < 1)
+                return -1;
+            for (u = 0; ofs[u + 1] <= d; u++) /* d's unit */
+                ;
+            if (!indices_ok(progs, n_progs, &q, c, ofs[u], ofs[u + 1]))
                 return -1;
         }
+        if (op == OP_COPY && n > t->max_copies)
+            t->max_copies = n;
     }
     return at_start ? 0 : -1; /* must end exactly on a program boundary */
 }
@@ -326,15 +349,12 @@ build_tables(PyObject *self, PyObject *args)
             FAIL("class_table entry out of range");
 
     int64_t total = 0;
-    t->max_cap = 1;
     for (int u = 0; u < n_units; u++) {
         int32_t cap = t->unit_caps[u];
         if (cap < 1 || cap > 1 << 16)
             FAIL("unit capacity out of range");
         t->unit_ofs[u] = (int32_t)total;
         total += cap;
-        if (cap > t->max_cap)
-            t->max_cap = cap;
     }
     t->unit_ofs[n_units] = (int32_t)total;
     if (total > (int64_t)1 << 24)
@@ -346,7 +366,7 @@ build_tables(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (validate_progs(t->progs, t->n_progs, t->unit_caps, n_units, bitmap))
+    if (validate_progs(t, bitmap))
         FAIL("malformed effect program stream");
 #define PROG_START(off)                                               \
     ((off) >= 0 && (off) < t->n_progs && (bitmap[(off) >> 3] & (1u << ((off) & 7))))
@@ -398,9 +418,22 @@ done:
 /* the effect-program interpreter (runs with the GIL released)         */
 /* ------------------------------------------------------------------ */
 
+/* The min over the c >= 1 registers named at *pc; advances *pc. */
+static inline int64_t
+fold_min(const int64_t *regs, const int32_t **pc, int32_t c)
+{
+    int64_t m = regs[*(*pc)++];
+    for (int32_t x = 1; x < c; x++) {
+        int64_t v = regs[*(*pc)++];
+        if (v < m)
+            m = v;
+    }
+    return m;
+}
+
 static inline int
 run_prog(const NativeTables *t, const int32_t *pc,
-         long long pos, int64_t *starts, int64_t *lens, int64_t *scratch,
+         long long pos, int64_t *regs, int64_t *scratch,
          int64_t *hits, Py_ssize_t *ph, int rec_err)
 {
     const int32_t *pe = t->progs + t->n_progs;
@@ -418,44 +451,33 @@ run_prog(const NativeTables *t, const int32_t *pc,
                 hits[3 * h + 2] = 0;
                 h++;
             }
+            continue;
         }
-        else if (op == OP_EVENT) {
-            int32_t u = *pc++;
+        /* OP_EVENT, OP_COPY, OP_SET, OP_LEN (validated at build time) */
+        int32_t n = *pc++;
+        if (op == OP_EVENT) {
             int32_t k = *pc++;
-            const int64_t *su = starts + t->unit_ofs[u];
-            int64_t m = su[*pc++];
-            for (int32_t x = 1; x < k; x++) {
-                int64_t v = su[*pc++];
-                if (v < m)
-                    m = v;
-            }
-            hits[3 * h] = u;
+            hits[3 * h + 2] = fold_min(regs, &pc, k);
+            hits[3 * h] = n;
             hits[3 * h + 1] = pos;
-            hits[3 * h + 2] = m;
             h++;
         }
-        else { /* OP_STARTS (validated at build time) */
-            int32_t u = *pc++;
-            int32_t m = *pc++;
-            int64_t *su = starts + t->unit_ofs[u];
-            for (int32_t x = 0; x < m; x++) {
-                int32_t c = *pc++;
-                int64_t val;
-                if (c == 0)
-                    val = pos;
-                else {
-                    val = su[*pc++];
-                    for (int32_t r = 1; r < c; r++) {
-                        int64_t v = su[*pc++];
-                        if (v < val)
-                            val = v;
-                    }
-                }
-                scratch[x] = val;
+        else if (op == OP_COPY) {
+            const int32_t *p = pc;
+            for (int32_t x = 0; x < n; x++) {
+                int32_t c = p[1];
+                p += 2;
+                scratch[x] = fold_min(regs, &p, c);
             }
-            memcpy(su, scratch, (size_t)m * sizeof(int64_t));
-            lens[u] = m;
+            for (int32_t x = 0; x < n; x++, pc += 2 + pc[1])
+                regs[pc[0]] = scratch[x];
         }
+        else if (op == OP_SET)
+            for (int32_t x = 0; x < n; x++)
+                regs[*pc++] = pos;
+        else
+            for (int32_t x = 0; x < n; x++, pc += 2)
+                regs[pc[0]] = pc[1];
     }
     *ph = h;
     return 0;
@@ -663,7 +685,6 @@ scan_chunk(PyObject *self, PyObject *args)
     int64_t *starts = get_regs(t, regs_obj, &regv);
     if (starts == NULL)
         goto done;
-    int64_t *lens = starts + t->total_cap;
     if (errors != Py_None && !PyList_Check(errors))
         RAISE(PyExc_TypeError, "errors must be a list or None");
     if (!packed) {
@@ -691,8 +712,8 @@ scan_chunk(PyObject *self, PyObject *args)
             RAISE(PyExc_ValueError,
                  "carry and record buffers must be int64-aligned");
     }
-    if (t->max_cap > 64 &&
-        (scratch = PyMem_Malloc((size_t)t->max_cap * sizeof(int64_t))) == NULL) {
+    if (t->max_copies > 64 &&
+        (scratch = PyMem_Malloc((size_t)t->max_copies * sizeof(int64_t))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -728,8 +749,8 @@ scan_chunk(PyObject *self, PyObject *args)
             if (v & 3u) {
                 if (v & 1u) {
                     if (run_prog(t, t->progs + t->prog_idx[sp + c],
-                                 base + i, starts, lens, scratch,
-                                 hits, &h, rec_err)) {
+                                 base + i, starts, scratch, hits, &h,
+                                 rec_err)) {
                         corrupt = 1;
                         break;
                     }
@@ -778,7 +799,7 @@ scan_chunk(PyObject *self, PyObject *args)
          * Past the drain or sink mark there is room for its hits. */
         if (final && i == n && !corrupt && !fail) {
             corrupt = run_prog(t, t->progs + t->eof_idx[sp / C], base + n,
-                               starts, lens, scratch, hits, &h, 0);
+                               starts, scratch, hits, &h, 0);
             if (packed) {
                 sink_edge(&sink, hits, h);
                 h = 0;

@@ -88,7 +88,8 @@ __all__ = [
 #: object key, so old blobs are simply never looked up again.  ABI 2:
 #: the payload carries ``ScanIR.to_payload()`` instead of a
 #: byte-indexed edge dict, and the blob ends with a sha256 trailer.
-ARTIFACT_ABI = 2
+#: ABI 3: effects in register-file indices, payload at marshal version 2.
+ARTIFACT_ABI = 3
 
 _MAGIC = b"RART"
 _WHAT = "scan artifact"
@@ -163,8 +164,8 @@ def options_from_wiring_fields(fields) -> TaggerOptions:
             f"{len(_WIRING_FIELDS)} fields"
         )
     cd, start_mode, loop, recovery, longest, boundary = fields
-    return TaggerOptions(
-        wiring=WiringOptions(
+    try:
+        wiring = WiringOptions(
             context_duplication=bool(cd),
             start_mode=str(start_mode),
             loop_on_accept=bool(loop),
@@ -174,7 +175,9 @@ def options_from_wiring_fields(fields) -> TaggerOptions:
                 keyword_boundary=bool(boundary),
             ),
         )
-    )
+    except ValueError as exc:
+        raise ArtifactError(f"wiring key {fields!r}: {exc}") from None
+    return TaggerOptions(wiring=wiring)
 
 
 def content_id(source: str, wiring: WiringOptions) -> str:
@@ -241,7 +244,9 @@ def build_artifact(
         payload["ir"] = ir.to_payload()
         header["states"] = ir.n_states
         header["classes"] = ir.n_classes
-    return write_sealed(_MAGIC, header, marshal.dumps(payload))
+    # Version 2 writes no reference flags: the bytes depend on the
+    # payload's content only, not on which of its objects are shared.
+    return write_sealed(_MAGIC, header, marshal.dumps(payload, 2))
 
 
 # ----------------------------------------------------------------------

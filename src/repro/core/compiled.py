@@ -48,8 +48,9 @@ concatenated buffers. Compiled tables are memoized per (grammar,
 wiring) alongside the shared :class:`~repro.core.scanplan.ScanPlan`,
 so constructing many taggers for the same grammar costs one build —
 and the lazily-materialized rows warmed by one tagger are reused by
-every later one (after a scan IR closure, which steps one byte per
-byte class, the memo holds those representative bytes only).
+every later one.  A step has one form, in register-file indices
+(:meth:`_CompiledTables.build_step`), wherever it is stored; only the
+compiled loop's own misses fill the memo.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ class _CompiledTables:
     order), the armed bitmask, the *previous* byte's detect bitmask
     (needed one step later by the §5.2 liveness cut) and the
     start-of-data flag. States are interned to integer ids; the step
-    memo maps ``id << 8 | byte`` to either a bare pre-shifted next id
-    (no side effects) or ``(next_id << 8, events, start_ops, err)``.
+    memo maps ``id << 8 | byte`` to what :meth:`build_step` returned
+    there, and only the compiled loop fills it, on its own misses.
     """
 
     __slots__ = (
@@ -215,7 +216,6 @@ class _CompiledTables:
         "tids",
         "tstates",
         "memo",
-        "run_memo",
     )
 
     def __init__(self, plan: ScanPlan) -> None:
@@ -242,9 +242,8 @@ class _CompiledTables:
         self.blank = array("q", bytes(8 * (self.reg_ofs[-1] + self.n_units)))
         self.tids: dict[tuple, int] = {}
         self.tstates: list[tuple] = []
+        #: the compiled loop's step memo, ``id << 8 | byte`` -> step
         self.memo: dict[int, object] = {}
-        #: memo, with register indices resolved for the compiled loop
-        self.run_memo: dict[int, object] = {}
         self._intern(((), 0, 0, True))  # id 0: start of data
 
     # ------------------------------------------------------------------
@@ -254,14 +253,22 @@ class _CompiledTables:
         return tuple(max(1, dfa.auto.n_positions) for dfa in self.unit_dfas)
 
     def eof_events(self, tid: int) -> tuple:
-        """The ``(unit, register indices)`` events end-of-data resolves
-        in state ``tid``: what byte ``EOF`` would detect."""
-        dfas = self.unit_dfas
-        return tuple(
-            (u, dfas[u].quals.get(s << 9 | EOF) or dfas[u].build_qual(s << 9 | EOF))
-            for u, s in self.tstates[tid][0]
-            if dfas[u].detect_masks[s] >> EOF & 1
-        )
+        """The events end-of-data resolves in state ``tid``: what byte
+        ``EOF`` would detect."""
+        return self._detections(self.tstates[tid][0], EOF)[1]
+
+    def _detections(self, states_items, nb: int) -> tuple[int, tuple]:
+        """The units whose match next-byte index ``nb`` reports, as a
+        bitmask, and their ``(unit, registers)`` events."""
+        det, events, ofs = 0, (), self.reg_ofs
+        for u, s in states_items:
+            dfa = self.unit_dfas[u]
+            if dfa.detect_masks[s] >> nb & 1:
+                det |= 1 << u
+                qkey = s << 9 | nb
+                q = dfa.quals.get(qkey) or dfa.build_qual(qkey)
+                events += ((u, tuple(ofs[u] + j for j in q)),)
+        return det, events
 
     def _intern(self, t: tuple) -> int:
         tid = self.tids.get(t)
@@ -288,7 +295,12 @@ class _CompiledTables:
         return sorted(classes, key=lambda c: c & -c)
 
     def build_step(self, tid: int, byte: int):
-        """Materialize (and memoize) one global step.
+        """One global step (memoizing nothing): a bare ``next_id << 8``,
+        or ``(next_id << 8, events, start_ops, err)`` with events as
+        ``(unit, registers)`` and start moves as ``(copies, sets,
+        lengths)``: ``(register, sources)`` pairs, all sources read
+        before any register is set; registers set to the position;
+        ``(length-row register, count)`` pairs.
 
         Mirrors one iteration of the interpreted per-byte loop, with
         byte ``j-1``'s detections resolved now that their look-ahead
@@ -299,18 +311,7 @@ class _CompiledTables:
 
         # 1. Detections of the previous byte (its position registers
         #    are this state; ``byte`` is their look-ahead).
-        det = 0
-        events: tuple = ()
-        for u, s in states_items:
-            dfa = unit_dfas[u]
-            dmask = dfa.detect_masks[s]
-            if dmask and dmask >> byte & 1:
-                det |= 1 << u
-                qkey = (s << 9) | byte
-                q = dfa.quals.get(qkey)
-                if q is None:
-                    q = dfa.build_qual(qkey)
-                events += ((u, q),)
+        det, events = self._detections(states_items, byte)
 
         # 2. §5.2 liveness cut of the previous byte: position state,
         #    arming, or the byte before's registered detects.
@@ -328,75 +329,40 @@ class _CompiledTables:
             lsb = dm & -dm
             em |= succ_masks[lsb.bit_length() - 1]
             dm -= lsb
-        if self.always or first:
-            em |= self.start_mask
-        if lost:
+        if self.always or first or lost:
             em |= self.start_mask
         entry = em | armed
         new_armed = entry if self.delim[byte] else 0
 
         # 4. Per-unit product transitions.
         state_of = dict(states_items)
-        active = 0
-        for u, _s in states_items:
-            active |= 1 << u
         new_items: list[tuple[int, int]] = []
-        start_ops: tuple = ()
-        m = active | entry
+        ofs = self.reg_ofs
+        copies, sets, lengths = [], [], []
+        m = sum(1 << u for u in state_of) | entry
         while m:
             lsb = m & -m
             m -= lsb
             u = lsb.bit_length() - 1
             dfa = unit_dfas[u]
-            key = (
-                (state_of.get(u, 0) << 9) | (256 if entry & lsb else 0) | byte
-            )
-            pr = dfa.progs.get(key)
-            if pr is None:
-                pr = dfa.build_prog(key)
-            nst, moves, carry, _dmask = pr
+            key = state_of.get(u, 0) << 9 | (256 if entry & lsb else 0) | byte
+            nst, moves, carry, _dmask = dfa.progs.get(key) or dfa.build_prog(key)
             if nst:
                 new_items.append((u, nst))
                 if not carry:
-                    start_ops += ((u, moves),)
+                    base = ofs[u]
+                    for x, srcs in enumerate(moves):
+                        if srcs:
+                            copies.append((base + x, tuple(base + j for j in srcs)))
+                        else:
+                            sets.append(base + x)
+                    lengths.append((ofs[-1] + u, len(moves)))
 
         ntid = self._intern((tuple(new_items), new_armed, det, False))
-        err = self.recovery and lost
-        if events or start_ops or err:
-            step: object = (ntid << 8, events or None, start_ops or None, err)
-        else:
-            step = ntid << 8
-        if len(self.memo) < _MEMO_CAP:
-            self.memo[(tid << 8) | byte] = step
-        return step
-
-    def run_step(self, tid: int, byte: int):
-        """:meth:`build_step` in register-file indices, memoized in
-        ``run_memo``: events as ``(unit, registers)``, start moves as
-        ``(copies, sets, lengths)``."""
-        step = self.build_step(tid, byte)
-        if step.__class__ is not int:
-            ntid8, events, start_ops, err = step
-            ofs = self.reg_ofs
-            if events:
-                events = tuple(
-                    (self.units[u], tuple(ofs[u] + j for j in q)) for u, q in events
-                )
-            if start_ops:
-                moves = [
-                    (ofs[u] + x, tuple(ofs[u] + j for j in srcs))
-                    for u, unit_moves in start_ops
-                    for x, srcs in enumerate(unit_moves)
-                ]
-                start_ops = (
-                    tuple(move for move in moves if move[1]),
-                    tuple(dst for dst, srcs in moves if not srcs),
-                    tuple((ofs[-1] + u, len(m)) for u, m in start_ops),
-                )
-            step = (ntid8, events, start_ops, err)
-        if len(self.run_memo) < _MEMO_CAP:
-            self.run_memo[(tid << 8) | byte] = step
-        return step
+        start_ops = (tuple(copies), tuple(sets), tuple(lengths)) if lengths else None
+        if events or start_ops or lost:  # the cut reports an error
+            return (ntid << 8, events or None, start_ops, lost)
+        return ntid << 8
 
 
 _TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -529,7 +495,6 @@ class CompiledTagger:
             plan = build_scan_plan(grammar, self.options.wiring)
         self.plan = plan
         self.units = plan.units
-        self.starts = plan.starts
         self.accepting = plan.accepting
         self.tables = _tables_for(grammar, plan)
         self._index_of = plan.index_of
@@ -630,8 +595,10 @@ class CompiledTagger:
         needed to resolve the last byte against end-of-data.
         """
         tables = self.tables
-        memo_get = tables.run_memo.get
-        run_step = tables.run_step
+        memo = tables.memo
+        memo_get = memo.get
+        build_step = tables.build_step
+        units = tables.units
         regs = st.regs
         append = out.append
         tid8 = st.tid8
@@ -644,7 +611,9 @@ class CompiledTagger:
         for i, byte in enumerate(data, st.pos):
             step = memo_get(tid8 | byte)
             if step is None:
-                step = run_step(tid8 >> 8, byte)
+                step = build_step(tid8 >> 8, byte)
+                if len(memo) < _MEMO_CAP:
+                    memo[tid8 | byte] = step
             if step.__class__ is int_:
                 tid8 = step
                 continue
@@ -652,13 +621,13 @@ class CompiledTagger:
             if err and error_sink is not None:
                 error_sink.append(i)
             if events:
-                for unit, q in events:
+                for u, q in events:
                     match_start = regs[q[0]]
                     for j in q[1:]:
                         value = regs[j]
                         if value < match_start:
                             match_start = value
-                    append((DE(unit, i), match_start))
+                    append((DE(units[u], i), match_start))
             if start_ops:
                 copies, sets, lengths = start_ops
                 if copies:
@@ -689,9 +658,9 @@ class CompiledTagger:
     ) -> None:
         """Resolve the final byte's detections against end-of-data
         (reading the scan state, changing nothing in it)."""
-        ofs, regs = self.tables.reg_ofs, st.regs
+        regs = st.regs
         for u, q in self.tables.eof_events(st.tid8 >> 8):
-            start = min(regs[ofs[u] + j] for j in q)
+            start = min([regs[j] for j in q])
             out.append((DetectEvent(self.units[u], st.pos), start))
 
     def _watermark(self, st: _ScanState) -> int:

@@ -12,10 +12,11 @@ lowered into contiguous arrays:
 * ``step[state * C + class]``: ``next`` premultiplied by ``C`` with a
   2-bit tag (effectful / skippable) folded into the low bits, so the
   quiet path is two loads and a shift per byte;
-* ``prog_idx`` + ``progs``: every effect's replay program (error
-  position, events with earliest-start folds, start-register moves)
-  lowered to a tiny int32 bytecode executed inside the C loop, plus a
-  per-state end-of-data program (``eof_idx``: no IR byte);
+* ``prog_idx`` + ``progs``: every effect (error position, events with
+  earliest-start folds, start-register copies, sets and lengths)
+  lowered op for op, its register indices as they are, to a tiny int32
+  bytecode executed inside the C loop, plus a per-state end-of-data
+  program (``eof_idx``: no IR byte);
 * ``skip_ofs`` + ``live_all``: the IR's per-dead-state raw-byte rows,
   concatenated, which the loop uses to fast-forward over inert regions
   memchr-style.
@@ -38,7 +39,6 @@ stays available under ``REPRO_DISABLE_NUMPY=1``.
 
 from __future__ import annotations
 
-import os
 from array import array
 from weakref import WeakKeyDictionary
 
@@ -54,7 +54,9 @@ __all__ = ["NativeTagger", "capability"]
 _OP_END = 0
 _OP_ERR = 1
 _OP_EVENT = 2
-_OP_STARTS = 3
+_OP_COPY = 3
+_OP_SET = 4
+_OP_LEN = 5
 
 
 def capability(probe: bool = False) -> dict:
@@ -68,7 +70,7 @@ def capability(probe: bool = False) -> dict:
     ext = _native_build.load_kernel(probe=probe)
     return {
         "native": ext is not None,
-        "disabled_by_env": bool(os.environ.get("REPRO_DISABLE_NATIVE")),
+        "disabled_by_env": _native_build._disabled(),
         "compiler": _native_build.compiler_available(),
         "source": _native_build.kernel_source(),
     }
@@ -103,12 +105,17 @@ class _NativeTables:
 
         def lower(events, start_ops=None, err=False) -> int:
             code = [_OP_ERR] if err else []
-            for u, q in events or ():
-                code += (_OP_EVENT, u, len(q), *q)
-            for u, moves in start_ops or ():
-                code += (_OP_STARTS, u, len(moves))
-                for srcs in moves:
-                    code += (len(srcs), *srcs)
+            for u, registers in events or ():
+                code += (_OP_EVENT, u, len(registers), *registers)
+            copies, sets, lengths = start_ops or ((), (), ())
+            if copies:
+                code += (_OP_COPY, len(copies))
+                for dst, srcs in copies:
+                    code += (dst, len(srcs), *srcs)
+            if sets:
+                code += (_OP_SET, len(sets), *sets)
+            if lengths:
+                code += (_OP_LEN, len(lengths), *sum(lengths, ()))
             key = tuple(code)
             if key not in offsets:
                 offsets[key] = len(progs)
@@ -122,7 +129,7 @@ class _NativeTables:
         eof = [tables.eof_events(t) for t in range(n_states)]
         eof_idx = array("i", map(lower, eof))
         live_idx = array("i", [
-            lower(tuple((u, (0,)) for u, _s in items))
+            lower(tuple((u, (tables.reg_ofs[u],)) for u, _s in items))
             for items, _armed, _pdet, _first in tables.tstates[:n_states]
         ])
         # What one program can emit into the spill buffer.

@@ -66,6 +66,10 @@ class WiringOptions:
         default_factory=TokenizerTemplateOptions
     )
 
+    def __post_init__(self) -> None:
+        if self.start_mode not in ("once", "always"):
+            raise ValueError(f"unknown start_mode {self.start_mode!r}")
+
 
 @dataclass
 class TaggerOptions:

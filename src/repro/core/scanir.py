@@ -24,7 +24,8 @@ field           content
 ``effect``      int32 ``array``, same index: 0 for a bare edge, else an
                 index into ``effects``
 ``effects``     ``[None, (events, start_ops, err), ...]`` — the compiled
-                step's side effects, distinct by value
+                step's side effects as ``build_step`` returns them
+                (register-file indices), distinct by value
 ``skip_live``   ``{state: 256 raw-byte flags}`` for dead states (armed
                 set empty, almost every byte a bare self-loop): 0 marks
                 an inert byte, so ``translate`` + ``find`` fast-forwards
@@ -33,8 +34,8 @@ field           content
 ``eos``         per-state flag byte: some pending unit detects against
                 end-of-data
 ``emits``       per-state flag byte: some outgoing edge emits an event
-``unit_caps``   per-unit start-register capacity, the bound on every
-                register index inside ``effects``
+``unit_caps``   per-unit start-register capacity: unit ``u``'s registers
+                start at ``sum(unit_caps[:u])``, then the length row
 ==============  ========================================================
 
 No NumPy anywhere: the IR is what keeps the native engine and mask
@@ -44,6 +45,8 @@ lowering available under ``REPRO_DISABLE_NUMPY=1``.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from itertools import accumulate
 from weakref import WeakKeyDictionary
 
 from repro.core.compiled import CompiledTagger, _CompiledTables
@@ -72,41 +75,44 @@ def _require(ok: bool, what: str) -> None:
         raise ArtifactError(f"malformed scan IR: {what}")
 
 
-def _is_index_tuple(value, bound: int) -> bool:
-    return type(value) is tuple and all(
-        type(j) is int and 0 <= j < bound for j in value
+def _in_unit(registers, lo: int, hi: int) -> bool:
+    """Whether ``registers`` is a non-empty tuple of ints in ``[lo, hi)``."""
+    return type(registers) is tuple and registers != () and all(
+        type(j) is int and lo <= j < hi for j in registers
     )
 
 
-def _valid_effect(effect, unit_caps: tuple) -> bool:
-    """Whether ``effect`` has the ``(events, start_ops, err)`` shape
-    with every unit and register index in bounds — what the consumers
-    (bytecode lowering, window codegen) rely on without re-checking."""
-    if type(effect) is not tuple or len(effect) != 3:
+def _valid_effect(effect, ofs: tuple) -> bool:
+    """Whether ``effect`` unpacks as ``(events, start_ops, err)`` with
+    every index in bounds (``ofs``: each unit's first register, then
+    the length row's): an event's or a copy's registers inside one
+    unit, sets inside the unit registers, lengths on the length row
+    within their unit's capacity — what the consumers (bytecode
+    lowering, window codegen) rely on without re-checking."""
+    n_units, total = len(ofs) - 1, ofs[-1]
+
+    def unit_of(r) -> int:  # the unit holding register r, or -1
+        ok = type(r) is int and 0 <= r < total
+        return bisect_right(ofs, r) - 1 if ok else -1
+
+    try:
+        events, start_ops, err = effect
+        copies, sets, lengths = start_ops or ((), (), ())
+        folds = [(u, q) for u, q in events or ()]
+        folds += [(unit_of(d), srcs) for d, srcs in copies]
+        folds += [(unit_of(d), (d,)) for d in sets]
+        rows = [(at - total, n) for at, n in lengths]
+    except (TypeError, ValueError):  # wrong arity, not iterable
         return False
-    events, start_ops, err = effect
-    if err not in (False, True):
-        return False
-    for ops in (events, start_ops):
-        if ops is None:
-            continue
-        if type(ops) is not tuple or not ops:
-            return False
-        for op in ops:
-            if type(op) is not tuple or len(op) != 2:
-                return False
-            if type(op[0]) is not int or not 0 <= op[0] < len(unit_caps):
-                return False
-    for u, q in events or ():
-        if not (q and _is_index_tuple(q, unit_caps[u])):
-            return False
-    for u, moves in start_ops or ():
-        cap = unit_caps[u]
-        if type(moves) is not tuple or len(moves) > cap:
-            return False
-        if not all(_is_index_tuple(srcs, cap) for srcs in moves):
-            return False
-    return True
+    in_unit = all(
+        type(u) is int and 0 <= u < n_units and _in_unit(q, ofs[u], ofs[u + 1])
+        for u, q in folds
+    )
+    return in_unit and err in (False, True) and all(
+        type(u) is int and 0 <= u < n_units and type(n) is int
+        and 0 <= n <= ofs[u + 1] - ofs[u]
+        for u, n in rows
+    )
 
 
 class ScanIR:
@@ -143,7 +149,6 @@ class ScanIR:
         classes = tables._byte_classes()
         reps = [(mask & -mask).bit_length() - 1 for mask in classes]
         width = len(reps)
-        memo_get = tables.memo.get
         build_step = tables.build_step
         effects: list = [None]
         effect_ids: dict[tuple, int] = {}
@@ -155,9 +160,7 @@ class ScanIR:
             if tid == _MAX_PRODUCT_STATES:
                 return None
             for byte in reps:
-                step = memo_get(tid << 8 | byte)
-                if step is None:
-                    step = build_step(tid, byte)
+                step = build_step(tid, byte)
                 if step.__class__ is int:
                     nxt.append(step >> 8)
                     eff.append(0)
@@ -290,8 +293,9 @@ class ScanIR:
             all(type(cap) is int and 0 < cap <= 1 << 16 for cap in unit_caps),
             "bad unit capacities",
         )
+        ofs = tuple(accumulate(unit_caps, initial=0))
         _require(
-            all(_valid_effect(e, unit_caps) for e in effects[1:]),
+            all(_valid_effect(e, ofs) for e in effects[1:]),
             "bad effect program",
         )
         _require(

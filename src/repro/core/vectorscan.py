@@ -91,71 +91,60 @@ class _WideTables:
     wiring) pair (same sharing discipline as
     ``compiled._CompiledTables``)."""
 
-    __slots__ = ("ir", "units", "reg_ofs", "memo8", "_prog_cache")
+    __slots__ = ("ir", "ns", "memo8", "_prog_cache")
 
     def __init__(self, ir: ScanIR, tables) -> None:
         self.ir = ir
-        self.units = tables.units
-        self.reg_ofs = tables.reg_ofs
+        #: every generated program's globals: its helpers, ``U<u>`` unit u
+        self.ns = {"DE": DetectEvent, "min": min, "TN": tuple.__new__}
+        self.ns.update((f"U{u}", unit) for u, unit in enumerate(tables.units))
         self.memo8: dict[int, object] = {}
         self._prog_cache: dict = {}
 
     # ------------------------------------------------------------------
     # wide-window codegen
     # ------------------------------------------------------------------
-    def _gen_half(self, d, events, start_ops, err, lines, ns) -> None:
+    @staticmethod
+    def _gen_half(d, events, start_ops, err, lines) -> None:
         """Emit one effectful byte (offset ``d`` in the window) into a
         window program: error position, events (earliest-start min
-        folded to literal register indices), start moves — every
-        source read before any register is set."""
+        over literal register indices), start moves — every source
+        read before any register is set."""
         i = "i" if d == 0 else f"i+{d}"
-        ofs = self.reg_ofs
 
-        def fold(u, js) -> str:  # the min over unit u's registers js
-            terms = ", ".join(f"regs[{ofs[u] + j}]" for j in js)
-            return f"min({terms})" if len(js) > 1 else terms
+        def fold(registers) -> str:
+            terms = ", ".join(f"regs[{j}]" for j in registers)
+            return f"min({terms})" if len(registers) > 1 else terms
 
         if err:
-            lines.append(
-                f"    if errors is not None: errors.append({i})"
-            )
-        for u, q in events or ():
-            ns[f"U{u}"] = self.units[u]
-            lines.append(f"    append((TN(DE, (U{u}, {i})), {fold(u, q)}))")
-        writes: list[str] = []
-        for u, moves in start_ops or ():
-            for x, srcs in enumerate(moves):
-                value = i
-                if srcs:
-                    value = f"v{len(writes)}"
-                    lines.append(f"    {value} = {fold(u, srcs)}")
-                writes.append(f"    regs[{ofs[u] + x}] = {value}")
-            writes.append(f"    regs[{ofs[-1] + u}] = {len(moves)}")
-        lines += writes
+            lines.append(f"    if errors is not None: errors.append({i})")
+        for u, registers in events or ():
+            lines.append(f"    append((TN(DE, (U{u}, {i})), {fold(registers)}))")
+        if start_ops:
+            copies, sets, lengths = start_ops
+            lines += [f"    v{k} = {fold(srcs)}" for k, (_, srcs) in enumerate(copies)]
+            lines += [f"    regs[{dst}] = v{k}" for k, (dst, _) in enumerate(copies)]
+            lines += [f"    regs[{dst}] = {i}" for dst in sets]
+            lines += [f"    regs[{at}] = {count}" for at, count in lengths]
 
     def _make_prog(self, halves, next_base: int):
         """Compile a window's effectful bytes into one function.
 
-        ``exec`` cost is paid once per distinct program *text* (the
-        cache key also pins the unit identities baked into the
-        namespace); the generated function returns the window's
-        pre-shifted next state as a compiled-in constant.
+        ``exec`` cost is paid once per distinct program text; the
+        generated function returns the window's pre-shifted next state
+        as a compiled-in constant.
         """
-        ns = {"DE": DetectEvent, "min": min, "TN": tuple.__new__}
         lines = ["def prog(i, regs, append, errors):"]
         for d, events, start_ops, err in halves:
-            self._gen_half(d, events, start_ops, err, lines, ns)
+            self._gen_half(d, events, start_ops, err, lines)
         lines.append(f"    return {next_base!r}")
         src = "\n".join(lines)
-        key = (src,) + tuple(
-            sorted((k, id(v)) for k, v in ns.items() if k[0] == "U")
-        )
-        prog = self._prog_cache.get(key)
+        prog = self._prog_cache.get(src)
         if prog is None:
-            exec(src, ns)  # noqa: S102 - own codegen, no external input
-            prog = ns["prog"]
+            exec(src, self.ns)  # noqa: S102 - own codegen, no external input
+            prog = self.ns["prog"]
             if len(self._prog_cache) < _PROG_CACHE_CAP:
-                self._prog_cache[key] = prog
+                self._prog_cache[src] = prog
         return prog
 
     def build_window(self, key: int):

@@ -12,6 +12,7 @@ registry's heal path runs on blobs that already failed the digest.
 import functools
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -108,6 +109,16 @@ def test_round_trip_and_trailer():
     header, rows, cd_ids, vocab = read_mask_sections(blob)
     assert (rows, cd_ids) == (table.rows, table.cd_ids)
     assert vocab.vocab_hash == table.vocab_hash == header["vocab_hash"]
+
+
+def test_blob_bytes_do_not_depend_on_the_clock(monkeypatch):
+    """A table seals to the same bytes whenever it is written: the
+    header carries no build time (the registry manifest keeps its own
+    ``published``)."""
+    table = _table()
+    first = table.to_blob()
+    monkeypatch.setattr(time, "time", lambda: 4_000_000_000.0)
+    assert table.to_blob() == first
 
 
 def test_one_flipped_row_bit_no_longer_loads():

@@ -57,6 +57,18 @@ def test_disable_env_is_reported(monkeypatch):
     assert "disabled" in capability_summary()
 
 
+def test_disable_env_zero_keeps_the_kernel(monkeypatch):
+    """``REPRO_DISABLE_NATIVE=0`` disables nothing, for the kernel
+    loader and the capability flags alike: ``auto`` takes the kernel
+    whenever it is live."""
+    from repro.core import _native_build
+
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "0")
+    live = _native_build.load_kernel(probe=True) is not None
+    assert engine_capabilities()["native"]["disabled_by_env"] is False
+    assert resolve_engine("auto") == ("native" if live else "compiled")
+
+
 # ----------------------------------------------------------------------
 # resolve_engine: the one front door for every --engine surface
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 An effect program folds *existing* earliest-start registers in two
 places: an event over k > 1 candidate positions (``OP_EVENT`` with
 ``k > 1``: two last positions of one token lit on the same byte) and a
-start move with sources (``OP_STARTS`` reading the registers of the
+start-register copy (``OP_COPY``, reading the registers of the
 positions it comes from).  The paper's grammars and the random grammar
 generator never produce either — every move there is entry-lit and
 every event names one position — so this suite builds a token that
@@ -80,7 +80,7 @@ def test_inputs_reach_both_merges(engines):
         seen, end = _walk(ir, data)
         for events, start_ops, _err in seen:
             multi |= any(len(q) > 1 for _u, q in events or ())
-            sources |= any(srcs for _u, moves in start_ops or () for srcs in moves)
+            sources |= bool(start_ops and start_ops[0])  # copies
         eof_multi |= any(len(q) > 1 for _u, q in compiled.tables.eof_events(end))
     assert multi and sources and eof_multi
 

@@ -342,27 +342,41 @@ def test_build_tables_rejects_malformed_effect_programs():
     nativescan._NativeTables(Spy(), scan_ir_for(tagger), tagger)
     (good,) = captured
     progs, n_units = good[6], good[2]
-    cap = tagger.tables.unit_caps()[0]
+    # Unit 0's registers are [0, cap), unit 1's start at cap; the
+    # length row starts at total.
+    ofs = tagger.tables.reg_ofs
+    cap, total = ofs[1], ofs[-1]
 
     def build(extra):
         args = list(good)
         args[6] = progs + array("i", extra)
         return ext.build_tables(*args)
 
-    build([2, 0, 1, cap - 1, 0, 3, 0, 1, 1, cap - 1, 0, 3, 0, 0, 0, 1, 0])
+    build(
+        [2, 0, 1, cap - 1, 0]  # event
+        + [3, 1, 0, 1, cap - 1, 4, 1, 1, 5, 1, total, cap, 0]  # moves
+    )
     for extra in (
         [7, 0],  # no such opcode
         [1],  # ends inside a program
         [2, 0],  # event without its count
         [2, 0, 0, 0],  # event over no register
         [2, 0, 2, 0],  # event registers past the stream
-        [2, 0, 1, cap, 0],  # register past the unit's capacity
+        [2, 0, 1, cap, 0],  # a register outside the event's unit
         [2, 0, 1, -1, 0],
         [2, n_units, 1, 0, 0],  # no such unit
-        [3, 0, cap + 1] + [0] * (cap + 1) + [0],  # more moves than registers
-        [3, 0, 1, 1, cap, 0],  # source past the capacity
-        [3, 0, 1, -1, 0],  # negative source count
-        [3, 0, 2, 0],  # fewer moves than announced
+        [5, 1, total, cap + 1, 0],  # more moves than registers
+        [3, total + 1] + [0, 1, 0] * (total + 1) + [0],
+        [5, 1, total - 1, 1, 0],  # a length outside the length row
+        [4, 1, total, 0],  # a set outside the unit registers
+        [3, 1, 0, 1, cap, 0],  # a source outside the copy's unit
+        [3, 1, total, 1, 0, 0],  # a copy outside the unit registers
+        [3, 1, 0, 0, 0],  # a copy from no register
+        [3, 1, 0, -1, 0],  # negative counts
+        [3, -1, 0],
+        [4, -1, 0],
+        [5, -1, 0],
+        [3, 2, 0, 1, 0, 0],  # fewer copies than announced
     ):
         with pytest.raises(ValueError, match="malformed effect program"):
             build(extra)

@@ -17,6 +17,7 @@ blob, and that the mask fingerprint over the IR is the digest existing
 """
 
 import ast
+import copy
 import hashlib
 import json
 import marshal
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core import scanir
 from repro.core.artifact import (
+    ARTIFACT_ABI,
     ArtifactError,
     build_artifact,
     interpreter_tag,
@@ -58,20 +60,21 @@ XMLRPC_FINGERPRINT = (
     "d8c2b95f1ac56cc60595f60bc67b39bb9519e44c84f67ea96c4e40bc8ca49863"
 )
 
-#: sha256 of ``build_artifact(xmlrpc())`` from the 256-byte closure,
-#: per interpreter tag (the blob is marshal output, so only the
-#: interpreter it was recorded under can check it).  The class-stepped
-#: closure must keep publishing the same bytes.
+#: sha256 of ``build_artifact(xmlrpc())``, per interpreter tag (the
+#: blob is marshal output, so only the interpreter it was recorded
+#: under can check it).  Recorded when effects moved to register-file
+#: indices and the payload to marshal version 2; the closure must keep
+#: publishing the same bytes.
 XMLRPC_ARTIFACT_SHA256 = {
-    "abi2-cpython-311": (
-        "b2c2b20e808bec576bdc0913fe94b0276e19d1a2fd98faa03dc3a310d52687d8"
+    "abi3-cpython-311": (
+        "e5737c9e53d98df33cdfc391613d7ac521164a56e827b1548a8bec5d1e3cd9b7"
     ),
 }
 
 #: sha256 of ``repr`` of the same blob's unmarshalled payload: the
 #: interpreter-independent half of the pin.
 XMLRPC_PAYLOAD_SHA256 = (
-    "e00ff0e073c4fb334f0fa387ad9122c9d9c83a6d44c79f84f07155644f5a5598"
+    "178d9a4bc4edfc167cd11a341998756a3ea799ef4d8366d27badf605f78a12f5"
 )
 
 ITE_SAMPLE = b"if true then go else stop"
@@ -244,15 +247,25 @@ def test_class_closure_equals_byte_sweep_on_random_grammars(grammar, vname):
 
 
 @pytest.mark.parametrize("gname", GRAMMARS)
-def test_closure_steps_each_class_once(gname):
-    """The closure's work is states × a-priori classes, not × 256."""
+def test_closure_steps_each_class_once(gname, monkeypatch):
+    """The closure's work is states × a-priori classes, not × 256, and
+    it memoizes none of it: the compiled loop's memo stays empty."""
     tables = _fresh_tables(GRAMMARS[gname](), VARIANTS["default"])
+    calls = []
+    build_step = _CompiledTables.build_step
+
+    def counting(self, tid, byte):
+        calls.append((tid, byte))
+        return build_step(self, tid, byte)
+
+    monkeypatch.setattr(_CompiledTables, "build_step", counting)
     ir = ScanIR.close(tables)
     n_classes = len(tables._byte_classes())
-    assert len(tables.memo) == ir.n_states * n_classes
+    assert len(calls) == len(set(calls)) == ir.n_states * n_classes
+    assert not tables.memo
     if gname == "xmlrpc":
         assert (ir.n_states, n_classes) == (456, 37)
-        assert len(tables.memo) == 16_872
+        assert len(calls) == 16_872
 
 
 def test_xmlrpc_artifact_bytes_are_pinned():
@@ -265,6 +278,18 @@ def test_xmlrpc_artifact_bytes_are_pinned():
     expected = XMLRPC_ARTIFACT_SHA256.get(interpreter_tag())
     if expected is not None:
         assert hashlib.sha256(blob).hexdigest() == expected
+
+
+def test_artifact_bytes_depend_on_content_only(monkeypatch):
+    """The payload marshals without reference flags: a deep copy of
+    it, which shares no object the way the original does, seals to the
+    same blob."""
+    blob = build_artifact(xmlrpc())
+    dumps = marshal.dumps
+    monkeypatch.setattr(
+        marshal, "dumps", lambda value, *args: dumps(copy.deepcopy(value), *args)
+    )
+    assert build_artifact(xmlrpc()) == blob
 
 
 def test_state_cap_bail_out_falls_back_to_compiled(monkeypatch):
@@ -351,12 +376,24 @@ def _poke(key, index, value):
     return lambda ir: ir[key].__setitem__(index, value)
 
 
+def _copy_across_units(ir):
+    """A copy into unit 0's first register from unit 1's first: every
+    index in the register file, one outside its unit."""
+    caps = ir["unit_caps"]
+    start_ops = (((0, (caps[0],)),), (), ((sum(caps), 1),))
+    ir["effects"].append((None, start_ops, False))
+
+
 WRONG_SHAPES = {
     "header-list": _header_is_a_list,
     "payload-list": _payload_is_a_list,
     "no-dfa-states": _no_dfa_states,
     "ir-list": _ir_is_a_list,
     "wiring-short": lambda h, p: ({**h, "wiring": [True]}, p),
+    "wiring-start-mode-unknown": lambda h, p: (
+        {**h, "wiring": [True, "first", True, False, True, False]},
+        p,
+    ),
     "source-missing": lambda h, p: (h, {k: v for k, v in p.items() if k != "source"}),
     "tstates-garbage": lambda h, p: (h, {**p, "tstates": [(), 5, "x"]}),
     "dfa-position-out-of-range": lambda h, p: (
@@ -379,6 +416,7 @@ WRONG_SHAPES = {
     "ir-effect-bad-register": _ir(
         lambda ir: ir["effects"].append((((0, (1 << 20,)),), None, False))
     ),
+    "ir-effect-copy-across-units": _ir(_copy_across_units),
     "ir-effect-code-injection": _ir(
         lambda ir: ir["effects"].append(((("0]; boom(); [0", (0,)),), None, False))
     ),
@@ -408,7 +446,9 @@ def test_read_header_ignores_the_digest(ite_blob):
 
 def test_old_abi_blob_is_refused_by_tag(ite_blob):
     header, payload = _split(ite_blob)
-    header["interpreter"] = interpreter_tag().replace("abi2", "abi1")
+    header["interpreter"] = interpreter_tag().replace(
+        f"abi{ARTIFACT_ABI}", f"abi{ARTIFACT_ABI - 1}"
+    )
     with pytest.raises(ArtifactError, match="built for"):
         load_artifact(_join(header, payload))
 

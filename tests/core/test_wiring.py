@@ -1,6 +1,8 @@
 """Follow-set wiring: structure of the assembled scanner."""
 
 
+import pytest
+
 from repro.core.decoder import DecoderBank
 from repro.core.wiring import (
     WiringOptions,
@@ -150,3 +152,12 @@ class TestLoopOnAccept:
         one = b"<methodCall><methodName>a1</methodName><params></params></methodCall>"
         tokens = tagger.tag(one + b"\n" + one)
         assert [t.token for t in tokens].count("<methodCall>") == 1
+
+
+def test_unknown_start_mode_is_refused():
+    """Only the two modes of §3.3 exist: any other value would scan
+    like ``"once"`` yet key plans, tables and artifacts of its own."""
+    for mode in ("once", "always"):
+        assert WiringOptions(start_mode=mode).start_mode == mode
+    with pytest.raises(ValueError, match="start_mode"):
+        WiringOptions(start_mode="first")
