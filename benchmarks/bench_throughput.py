@@ -68,25 +68,31 @@ def _gbps(n_bytes: int, seconds: float) -> float:
     return n_bytes * 8 / seconds / 1e9
 
 
-def _best_seconds(run, reps: int, warmup: int = 1) -> float:
-    """Best-of-``reps`` wall-clock seconds for ``run()`` (noise-resistant).
+def _interleaved_best(*runs, reps: int, warmup: int = 1) -> list[float]:
+    """Best-of-``reps`` wall-clock seconds for each of ``runs``, timed
+    in turn rep by rep: every ratio gate times its sides this way, so a
+    burst of neighbour load lands on all of them instead of on one
+    side's block of reps.
 
-    ``warmup`` untimed iterations first, so lazily-materialized tables,
+    ``warmup`` untimed rounds first, so lazily-materialized tables,
     memo warm-up and allocator steady state never pollute the timings.
     """
     for _ in range(warmup):
-        run()
-    best = float("inf")
+        for run in runs:
+            run()
+    best = [float("inf")] * len(runs)
     for _ in range(reps):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
+        for k, run in enumerate(runs):
+            start = time.perf_counter()
+            run()
+            best[k] = min(best[k], time.perf_counter() - start)
     return best
 
 
 def _best_rate(run, data: bytes, reps: int, warmup: int = 1) -> float:
     """Best-of-``reps`` rate of ``run(data)`` in Gbps."""
-    return _gbps(len(data), _best_seconds(lambda: run(data), reps, warmup))
+    seconds = _interleaved_best(lambda: run(data), reps=reps, warmup=warmup)
+    return _gbps(len(data), seconds[0])
 
 
 def _valid_tokens(row: bytes, n_tokens: int) -> list[int]:
@@ -150,8 +156,11 @@ def test_compiled_speedup(bench_record, grammar, stream):
     compiled = BehavioralTagger(grammar)
     assert compiled.tag(stream) == interpreted.tag(stream)
 
-    interpreted_gbps = _best_rate(interpreted.tag, stream, reps=3)
-    compiled_gbps = _best_rate(compiled.tag, stream, reps=10)
+    interpreted_s, compiled_s = _interleaved_best(
+        lambda: interpreted.tag(stream), lambda: compiled.tag(stream), reps=10
+    )
+    interpreted_gbps = _gbps(len(stream), interpreted_s)
+    compiled_gbps = _gbps(len(stream), compiled_s)
     bench_record("interpreted tagger", interpreted_gbps)
     bench_record("compiled tagger", compiled_gbps)
     bench_record("compiled/interpreted speedup",
@@ -175,8 +184,13 @@ def test_vector_speedup(bench_record, grammar, stream):
     # Gate on the scan path (raw detect events): lexeme materialization
     # in tag() is identical engine-independent work that would dilute
     # the engine ratio on this event-dense stream.
-    compiled_gbps = _best_rate(compiled.compiled.events, stream, reps=10)
-    vector_gbps = _best_rate(vector.compiled.events, stream, reps=10)
+    compiled_s, vector_s = _interleaved_best(
+        lambda: compiled.compiled.events(stream),
+        lambda: vector.compiled.events(stream),
+        reps=10,
+    )
+    compiled_gbps = _gbps(len(stream), compiled_s)
+    vector_gbps = _gbps(len(stream), vector_s)
     bench_record("compiled tagger scan", compiled_gbps)
     bench_record("vector tagger", vector_gbps)
     bench_record("vector/compiled speedup",
@@ -201,9 +215,16 @@ def test_native_speedup(bench_record, grammar, stream):
     # Same scan-path gate as test_vector_speedup: raw detect events,
     # so engine-independent lexeme materialization doesn't dilute the
     # ratio. events() rides the kernel's events-only fast path (no
-    # (event, start) pair tuples cross the C boundary).
-    compiled_gbps = _best_rate(compiled.compiled.events, stream, reps=10)
-    native_gbps = _best_rate(native.compiled.events, stream, reps=10)
+    # (event, start) pair tuples cross the C boundary). tag() is timed
+    # in the same rounds: it is the other side of the second ratio.
+    compiled_s, native_s, tag_s = _interleaved_best(
+        lambda: compiled.compiled.events(stream),
+        lambda: native.compiled.events(stream),
+        lambda: native.compiled.tag(stream),
+        reps=10,
+    )
+    compiled_gbps = _gbps(len(stream), compiled_s)
+    native_gbps = _gbps(len(stream), native_s)
     bench_record("compiled tagger scan", compiled_gbps)
     bench_record("native tagger", native_gbps)
     bench_record("native/compiled speedup",
@@ -213,7 +234,7 @@ def test_native_speedup(bench_record, grammar, stream):
     # tag() is the same scan with the kernel's token drain: a finished
     # TaggedToken (lexeme copied out) may cost at most 2.5x a bare
     # event on this stream of ~1 token per 8 bytes.
-    tag_gbps = _best_rate(native.compiled.tag, stream, reps=10)
+    tag_gbps = _gbps(len(stream), tag_s)
     bench_record("native tag/events ratio", tag_gbps / native_gbps, unit=None)
     assert tag_gbps / native_gbps >= 0.4
 
@@ -312,8 +333,9 @@ def test_structgen_masks(bench_record, grammar):
         for state in naive_states:
             table.naive_row(state)
 
-    masks_per_s = len(states) / _best_seconds(precomputed, reps=3)
-    naive_per_s = len(naive_states) / _best_seconds(naive, reps=1)
+    precomputed_s, naive_s = _interleaved_best(precomputed, naive, reps=3)
+    masks_per_s = len(states) / precomputed_s
+    naive_per_s = len(naive_states) / naive_s
     bench_record("structgen masks/sec", masks_per_s, unit=None)
     bench_record("structgen naive masks/sec", naive_per_s, unit=None)
     bench_record(
@@ -386,8 +408,7 @@ def test_structgen_beam(bench_record, grammar):
             for lane in lanes:
                 lane.mask()
 
-    beam_s = _best_seconds(run_beam, reps=3)
-    sessions_s = _best_seconds(run_sessions, reps=3)
+    beam_s, sessions_s = _interleaved_best(run_beam, run_sessions, reps=3)
 
     # Wire accounting: per step, per lane, a delta payload (3 bytes
     # per changed row byte + 3 bytes of frame overhead) vs the full
@@ -488,9 +509,10 @@ def test_masks_apply(bench_record, grammar):
     assert replay(protocol.apply_masks) == replay(
         protocol._apply_masks_portable
     ) == beam.masks()
-    kernel_s = _best_seconds(lambda: replay(protocol.apply_masks), reps=5)
-    portable_s = _best_seconds(
-        lambda: replay(protocol._apply_masks_portable), reps=5
+    kernel_s, portable_s = _interleaved_best(
+        lambda: replay(protocol.apply_masks),
+        lambda: replay(protocol._apply_masks_portable),
+        reps=5,
     )
     bench_record(
         "masks apply kernel frames/sec", len(frames) / kernel_s, unit=None

@@ -44,7 +44,6 @@ class FlowKey:
 class _FlowState:
     expected: int | None = None  # next in-order sequence number
     pending: dict[int, bytes] = field(default_factory=dict)
-    delivered: int = 0
     finished: bool = False
 
 
@@ -149,7 +148,6 @@ class TCPReassembler:
                     break
             out += segment
             state.expected = (state.expected + len(segment)) % _SEQ_MOD
-            state.delivered += len(segment)
         return bytes(out)
 
     def _overlapping(self, state: _FlowState) -> bytes | None:

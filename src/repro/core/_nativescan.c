@@ -33,6 +33,15 @@
  *   DRAIN_TOKENS  finished TaggedToken(name, unit, lexeme, start, end,
  *                 index), the lexeme copied out of the chunk -> tag()
  *
+ * Each is built untracked by the cyclic GC, as is each assemble_routes
+ * record, so a drain of 10^4 results sets off no collection that walks
+ * the growing list.  CPython untracks an exact tuple that cannot be in a
+ * cycle, never a NamedTuple; the rule holds here: pairs and records hold
+ * ints, a str and an untracked event, events and tokens also their unit's
+ * Occurrence, which the rows keep alive and which refers to no result.
+ * Safe regardless: the GC counts an untracked object's references as
+ * external, so a user-built cycle through an occurrence can only leak.
+ *
  * Packed sink.  A caller that acts on a few contexts only (the Fig. 12
  * router) passes three more buffers and gets no objects at all:
  *
@@ -494,11 +503,10 @@ typedef struct {
     long long base; /* absolute stream position of dp[0] */
 } Chunk;
 
-/* Fill a fresh tuple with n owned references; a NULL among them, or a
- * NULL tuple, fails the lot.  For DetectEvent and TaggedToken the
- * tuple comes straight from the subclass's tp_alloc — what
- * tuple.__new__ would do, skipping the namedtuple's Python-level
- * __new__. */
+/* Fill a fresh tuple with n owned references and untrack it (see the
+ * header); a NULL among them, or a NULL tuple, fails the lot.  Events
+ * and tokens come straight from the subclass's tp_alloc, as in
+ * tuple.__new__, skipping the namedtuple's Python-level __new__. */
 static inline PyObject *
 filled(PyObject *tuple, Py_ssize_t n, PyObject *const *fields)
 {
@@ -511,7 +519,9 @@ filled(PyObject *tuple, Py_ssize_t n, PyObject *const *fields)
         else
             Py_XDECREF(fields[k]);
     }
-    if (!ok)
+    if (ok)
+        PyObject_GC_UnTrack(tuple);
+    else
         Py_CLEAR(tuple);
     return tuple;
 }

@@ -66,8 +66,6 @@ class DecoderBank:
         self.netlist = netlist
         self.options = options or DecoderOptions()
         nl = netlist
-        self.port_prefix = port_prefix
-        self.valid_port = valid_port
         self.data_bits = [nl.input(f"{port_prefix}{bit}") for bit in range(8)]
         self.in_valid = nl.input(valid_port)
         self._inverted_bits = [
@@ -84,7 +82,6 @@ class DecoderBank:
             self._valid_stages.append(
                 nl.reg(self._valid_stages[-1], name=f"valid{stage}")
             )
-        self.valid_nxt = self._valid_stages[NXT_STAGE]
         self.valid_cur = self._valid_stages[CUR_STAGE]
 
         self.delimiters = frozenset(delimiters)

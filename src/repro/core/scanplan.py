@@ -33,9 +33,9 @@ from repro.grammar.symbols import END
 class DetectEvent(NamedTuple):
     """A raw detection: ``occurrence`` matched ending at byte ``end - 1``.
 
-    A named tuple (not a frozen dataclass) so the hot paths that emit
-    events in bulk — the compiled loop and the vector engine's
-    generated programs — can construct them at plain-tuple cost.
+    A named tuple so the bulk emitters — the compiled loop, the vector
+    engine's generated programs, the native kernel (which leaves them
+    untracked by the cyclic GC) — build them at plain-tuple cost.
     """
 
     occurrence: Occurrence

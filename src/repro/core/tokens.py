@@ -24,8 +24,8 @@ class TaggedToken(NamedTuple):
 
     A named tuple for the reason :class:`~repro.core.scanplan.
     DetectEvent` is one: ``tag()`` emits these in bulk, and a tuple
-    subclass is something the native kernel's drain can allocate and
-    fill directly (``_nativescan.c``, ``DRAIN_TOKENS``).
+    subclass is something the native kernel's drain can allocate, fill
+    and leave untracked by the cyclic GC (``_nativescan.c``).
     """
 
     token: str

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rtl.netlist import Gate, GateKind, Net, Netlist, Register
+from repro.rtl.netlist import Gate, GateKind, Netlist, Register
 
 #: Literal: (net uid, polarity). Polarity False = inverted.
 _Lit = tuple[int, bool]
@@ -90,12 +90,6 @@ class _Mapper:
         self.constants: dict[int, int] = {}
         #: net uid -> (root uid, polarity) after buffer/inverter collapse
         self.roots: dict[int, _Lit] = {}
-        self.gate_of: dict[int, Gate] = {
-            gate.output.uid: gate for gate in netlist.gates
-        }
-        self.register_of: dict[int, Register] = {
-            reg.q.uid: reg for reg in netlist.registers
-        }
 
     # ------------------------------------------------------------------
     def run(self) -> TechMapResult:

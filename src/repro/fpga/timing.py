@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.fpga.device import Device
 from repro.fpga.techmap import TechMapResult
-from repro.rtl.netlist import Gate, Register
+from repro.rtl.netlist import Gate
 
 
 @dataclass

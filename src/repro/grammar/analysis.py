@@ -212,9 +212,6 @@ class OccurrenceGraph:
     edges: dict[Occurrence, frozenset[Occurrence]]
     accepting: frozenset[Occurrence]
 
-    def occurrences_of(self, terminal: Terminal) -> list[Occurrence]:
-        return [o for o in self.occurrences if o.terminal == terminal]
-
     def contexts_per_terminal(self) -> dict[Terminal, int]:
         """How many hardware copies each token needs (ablation metric)."""
         counts: dict[Terminal, int] = {}
