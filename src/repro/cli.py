@@ -36,9 +36,8 @@ from repro.errors import ReproError
 _BUILTIN_GRAMMARS = ("xmlrpc", "if-then-else", "balanced-parens")
 
 #: ``--engine`` choices of the serving commands: streaming sessions
-#: run on the ladder, native → compiled (auto = native when the kernel
-#: can run).
-_SERVING_ENGINES = ("auto", "compiled", "native")
+#: run compiled, or native (the compiled loop when no kernel can load).
+_SERVING_ENGINES = ("compiled", "native")
 
 
 def _load_grammar(spec: str):
@@ -172,6 +171,46 @@ def _serve(endpoint, what: str, detail: str) -> int:
     return asyncio.run(main())
 
 
+def _registry_holding(store: str | None, ref: str):
+    """The registry at ``store`` with ``ref`` loadable: a builtin
+    grammar name the store lacks is published first, so the serve
+    commands and ``structgen precompute`` work on an empty store."""
+    from repro.service.registry import Registry, RegistryError, parse_ref
+
+    registry = Registry(store)
+    try:
+        registry.load(ref)
+    except RegistryError:
+        name, _version = parse_ref(ref)
+        if name not in _BUILTIN_GRAMMARS:
+            raise
+        registry.publish(name, _load_grammar(name))
+    return registry
+
+
+def _serve_scans(args, what, detail, grammar=None, registry=None, **kwargs):
+    """Run the :class:`~repro.server.ScanServer` of both serve
+    commands, announced as ``what``/``detail``: a router on
+    ``args.engine`` over ``grammar`` — a grammar, None for the builtin
+    XML-RPC one, or the ref to serve from ``registry``."""
+    from repro.server import ScanServer
+    from repro.service import RouterSpec
+
+    if registry is not None:
+        kwargs.update(registry=registry, grammar=grammar)
+        grammar = None
+    server = ScanServer(
+        RouterSpec(grammar=grammar, engine=args.engine),
+        host=args.host,
+        port=args.port,
+        idle_timeout=args.idle_timeout,
+        max_frame=args.max_frame,
+        admin_port=args.admin_port,
+        **kwargs,
+    )
+    return _serve(server, what, detail)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers != 0:
         raise ReproError(
@@ -179,38 +218,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "(--workers 0); to use N cores, run N `repro serve` "
             "processes behind `repro cluster --backend HOST:PORT ...`"
         )
-    from repro.server import ScanServer
-    from repro.service import RouterSpec
-
+    what, detail = "repro scan server listening", "(in-process sessions)"
     if args.registry is not None:
         # --grammar is a registry ref: the server loads the published
         # artifact (and gains the admin hot-swap endpoint).
-        spec = RouterSpec(grammar=None, engine=args.engine)
-        registry_kwargs = {
-            "registry": args.registry,
-            "grammar": args.grammar,
-        }
-    else:
-        grammar = (
-            _load_grammar(args.grammar)
-            if args.grammar != "xmlrpc"
-            else None
-        )
-        spec = RouterSpec(grammar=grammar, engine=args.engine)
-        registry_kwargs = {}
-
-    server = ScanServer(
-        spec,
-        host=args.host,
-        port=args.port,
-        idle_timeout=args.idle_timeout,
-        max_frame=args.max_frame,
-        admin_port=args.admin_port,
-        **registry_kwargs,
-    )
-    return _serve(
-        server, "repro scan server listening", "(in-process sessions)"
-    )
+        registry = _registry_holding(args.registry, args.grammar)
+        return _serve_scans(args, what, detail, args.grammar, registry)
+    grammar = None
+    if args.grammar != "xmlrpc":
+        grammar = _load_grammar(args.grammar)
+    return _serve_scans(args, what, detail, grammar)
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
@@ -273,7 +290,10 @@ def _structgen_vocab(args: argparse.Namespace):
         return Vocabulary.from_tokenizer_json(args.tokenizer_json)
     if getattr(args, "vocab", None):
         return Vocabulary.from_file(args.vocab)
-    return synthetic_vocab(size=args.vocab_size, seed=args.vocab_seed)
+    try:
+        return synthetic_vocab(size=args.vocab_size, seed=args.vocab_seed)
+    except ValueError as exc:
+        raise ReproError(f"--vocab-size {args.vocab_size}: {exc}") from None
 
 
 def _cmd_structgen(args: argparse.Namespace) -> int:
@@ -289,20 +309,9 @@ def _cmd_structgen(args: argparse.Namespace) -> int:
 def _structgen_precompute(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.registry import RegistryError, Registry, parse_ref
-
-    registry = Registry(args.store)
     vocab = _structgen_vocab(args)
-    try:
-        summary = registry.publish_masks(args.ref, vocab)
-    except RegistryError:
-        # Unknown ref but a builtin grammar name: publish it first so
-        # `precompute xmlrpc` works against an empty store.
-        name, _version = parse_ref(args.ref)
-        if name not in _BUILTIN_GRAMMARS:
-            raise
-        registry.publish(name, _load_grammar(name))
-        summary = registry.publish_masks(args.ref, vocab)
+    registry = _registry_holding(args.store, args.ref)
+    summary = registry.publish_masks(args.ref, vocab)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -321,40 +330,27 @@ def _structgen_precompute(args: argparse.Namespace) -> int:
 
 
 def _structgen_serve(args: argparse.Namespace) -> int:
-    from repro.server import ScanServer
-    from repro.service import RouterSpec
-    from repro.service.registry import Registry
-
     vocab = _structgen_vocab(args)
     if args.store is not None:
         # Registry mode: precompute (deduped) then let the server load
         # mask tables lazily from the store — hot-swap aware.
-        registry = Registry(args.store)
+        registry = _registry_holding(args.store, args.ref)
         summary = registry.publish_masks(args.ref, vocab)
-        spec = RouterSpec(grammar=None, engine=args.engine)
-        server_kwargs = {"registry": args.store, "grammar": args.ref}
         masks = (f"registry masks {summary['ref']} × "
                  f"{summary['vocab_hash'][:16]}")
-    else:
-        from repro.apps.structgen import build_mask_table
+        return _serve_scans(
+            args, "repro structgen server", f"({masks})", args.ref,
+            registry,
+        )
+    from repro.apps.structgen import build_mask_table
 
-        grammar = _load_grammar(args.ref)
-        table = build_mask_table(grammar, vocab)
-        spec = RouterSpec(grammar=grammar, engine=args.engine)
-        server_kwargs = {"mask_tables": [table]}
-        masks = (f"in-memory masks {args.ref} × "
-                 f"{table.vocab_hash[:16]}")
-
-    server = ScanServer(
-        spec,
-        host=args.host,
-        port=args.port,
-        idle_timeout=args.idle_timeout,
-        max_frame=args.max_frame,
-        admin_port=args.admin_port,
-        **server_kwargs,
+    grammar = _load_grammar(args.ref)
+    table = build_mask_table(grammar, vocab)
+    masks = f"in-memory masks {args.ref} × {table.vocab_hash[:16]}"
+    return _serve_scans(
+        args, "repro structgen server", f"({masks})", grammar,
+        mask_tables=[table],
     )
-    return _serve(server, "repro structgen server", f"({masks})")
 
 
 def _cmd_capabilities(args: argparse.Namespace) -> int:
@@ -443,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="compiled",
                      help="software scan engine (default: compiled "
                      "tables; native = C inner loop over the dense "
-                     "tables, else compiled; auto = native when the "
-                     "kernel can run, else compiled; vector = "
-                     "wide-datapath NumPy engine)")
+                     "tables, the compiled loop when no kernel can "
+                     "load; vector = wide-datapath NumPy engine)")
     tag.set_defaults(func=_cmd_tag)
 
     generate = sub.add_parser("generate", help="compile grammar to hardware")
@@ -487,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest accepted wire frame in bytes")
     server.add_argument("--engine", choices=_SERVING_ENGINES,
                         default="compiled",
-                        help="scan engine for the sessions "
-                        "(native → compiled; auto = native when the "
-                        "kernel can run, else compiled)")
+                        help="scan engine for the sessions (native = "
+                        "C inner loop, the compiled loop when no "
+                        "kernel can load)")
     server.add_argument("--registry", metavar="STORE", default=None,
                         help="grammar-registry store directory; makes "
                         "--grammar a registry ref (name[@version]) and "

@@ -292,10 +292,12 @@ class CompiledArtifact:
     def dense(self) -> bool:
         return bool(self.header.get("dense"))
 
-    def tagger(self, engine: str = "auto"):
+    def tagger(self, engine: str = "native"):
         """A :class:`~repro.core.tagger.BehavioralTagger` over the
-        restored tables (``engine`` accepts the same names as
-        :func:`~repro.core.capabilities.resolve_engine`)."""
+        restored grammar and wiring: ``Registry(root).load(ref)
+        .tagger(engine)`` is how a registry ref becomes a tagger
+        (``engine`` is any name
+        :func:`~repro.core.capabilities.resolve_engine` accepts)."""
         from repro.core.tagger import BehavioralTagger
 
         return BehavioralTagger(self.grammar, self.options, engine=engine)

@@ -14,8 +14,9 @@ never triggers a just-in-time kernel build — it reports what is
 already loaded or prebuilt, so a stats scrape stays cheap and
 side-effect free.
 
-The engine ladder is native → compiled (:func:`resolve_engine`); the
-vector engine is a named engine, not a rung.
+The engine ladder is native → compiled, inside
+:class:`~repro.core.nativescan.NativeTagger`; the vector engine is a
+named engine, not a rung.
 """
 
 from __future__ import annotations
@@ -30,44 +31,32 @@ __all__ = [
 #: Every engine name BehavioralTagger accepts.
 ENGINES = ("interpreted", "compiled", "vector", "native")
 
-#: Spellings :func:`resolve_engine` accepts (CLI ``--engine`` choices).
-ENGINE_CHOICES = ("auto", "native", "vector", "compiled", "interpreted")
+#: ``--engine`` choices of the CLI (every engine, fastest first).
+ENGINE_CHOICES = ("native", "vector", "compiled", "interpreted")
 
 
-def resolve_engine(
-    name: str = "auto", *, streaming: bool = False, probe: bool = False
-) -> str:
-    """Canonicalize an engine selection to one of :data:`ENGINES`.
+def resolve_engine(name: str, *, streaming: bool = False) -> str:
+    """Check an engine name against :data:`ENGINES` and return it.
 
-    This is the single engine-name dispatch point shared by
-    ``BehavioralTagger``, the CLI ``--engine`` flags, ``ScanService``
-    and ``ScanServer`` (each module used to validate its own strings,
-    and the accepted sets had drifted).  Accepts the canonical names
-    and ``"auto"``, which walks the ladder: native when a kernel is
-    loaded/prebuilt or a compiler could build one (and the env gate
-    allows it), else compiled.  ``probe=True`` lets the native check
-    trigger a one-time JIT build; the default stays side-effect free.
+    This is the single engine-name check shared by
+    ``BehavioralTagger``, the CLI ``--engine`` flags and the service
+    specs (each module used to validate its own strings, and the
+    accepted sets had drifted).  There is no ladder to walk here:
+    ``"native"`` already runs the compiled loop when no kernel can
+    load (:class:`~repro.core.nativescan.NativeTagger`).
 
     ``streaming=True`` additionally rejects ``"interpreted"``, whose
     whole-buffer scan cannot carry state across chunk boundaries —
     the services and server require an incremental engine.
     """
-    if name == "auto":
-        from repro.core import nativescan
-
-        native = nativescan.capability(probe=probe)
-        live = native["native"] or native["compiler"]
-        live = live and not native["disabled_by_env"]
-        name = "native" if live else "compiled"
     if name not in ENGINES:
         raise ValueError(
-            f"unknown engine {name!r}; expected one of "
-            f"{ENGINES + ('auto',)}"
+            f"unknown engine {name!r}; expected one of {ENGINES}"
         )
     if streaming and name == "interpreted":
         raise ValueError(
             "engine 'interpreted' has no incremental scan; streaming "
-            "consumers need 'compiled', 'vector', 'native' or 'auto'"
+            "consumers need 'compiled', 'vector' or 'native'"
         )
     return name
 

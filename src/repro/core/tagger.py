@@ -53,12 +53,12 @@ class BehavioralTagger:
     the interpreted loop; ``"native"`` runs the C inner loop over the
     same dense tables (:class:`~repro.core.nativescan.NativeTagger`,
     which degrades to the compiled loop without a compiler or with
-    ``REPRO_DISABLE_NATIVE=1``); ``"auto"`` is native when the kernel
-    can run, else compiled; ``"vector"`` runs the wide-datapath NumPy
-    engine (:class:`~repro.core.vectorscan.VectorTagger`, which
+    ``REPRO_DISABLE_NATIVE=1``); ``"vector"`` runs the wide-datapath
+    NumPy engine (:class:`~repro.core.vectorscan.VectorTagger`, which
     degrades to the compiled loop when NumPy is absent) and is reached
     only by name; ``"interpreted"`` runs the original per-byte Python
-    loop (the reference semantics).
+    loop (the reference semantics).  A registry ref becomes a tagger
+    through ``Registry(root).load(ref).tagger(engine)``.
 
     Example
     -------
@@ -73,16 +73,14 @@ class BehavioralTagger:
         grammar: Grammar,
         options: TaggerOptions | None = None,
         engine: Literal[
-            "compiled", "interpreted", "vector", "native", "auto"
+            "compiled", "interpreted", "vector", "native"
         ] = "compiled",
     ) -> None:
         from repro.core.capabilities import resolve_engine
 
         self.grammar = grammar
         self.options = options or TaggerOptions()
-        #: Canonical engine name (``"auto"`` resolved).
-        engine = resolve_engine(engine)
-        self.engine = engine
+        self.engine = engine = resolve_engine(engine)
         plan = build_scan_plan(grammar, self.options.wiring)
         self.plan = plan
         self.units: list[Occurrence] = list(plan.units)
@@ -113,32 +111,6 @@ class BehavioralTagger:
                 if engine == "compiled"
                 else None
             )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_ref(
-        cls,
-        ref: str,
-        engine: str = "auto",
-        registry=None,
-    ) -> "BehavioralTagger":
-        """Construct a tagger from a registry reference (``"xmlrpc@2"``).
-
-        The referenced artifact's precompiled tables are loaded from
-        the content-addressed store and installed into the engine
-        caches, so construction skips plan building and the dense
-        product-automaton closure entirely.  ``registry`` may be a
-        :class:`~repro.service.registry.Registry`, a store root path,
-        or None for the default store.
-        """
-        from repro.service.registry import Registry
-
-        if registry is None:
-            registry = Registry()
-        elif not isinstance(registry, Registry):
-            registry = Registry(registry)
-        artifact = registry.load(ref)
-        return cls(artifact.grammar, artifact.options, engine=engine)
 
     # ------------------------------------------------------------------
     def __reduce__(self):

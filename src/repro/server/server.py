@@ -125,8 +125,9 @@ class _BeamFlow(_ServerFlow):
 
 
 class _Generation:
-    """One served grammar version: its spec and the backend built from
-    it. Flows are pinned to the generation they opened under, which is
+    """One served grammar version: its spec and what ``spec.build()``
+    made of it (a router or a tagger; ``stream()`` opens a flow).
+    Flows are pinned to the generation they opened under, which is
     what lets a hot swap leave in-flight flows scanning on the plan
     they started with."""
 
@@ -180,7 +181,7 @@ class ScanServer(FramedEndpoint):
     spec:
         A :class:`~repro.service.RouterSpec` /
         :class:`~repro.service.TaggerSpec`; defaults to the XML-RPC
-        content router. ``spec.build()`` provides the sessions.
+        content router. ``spec.build().stream()`` opens each flow.
     registry:
         A :class:`~repro.service.registry.Registry` (or store root
         path) enabling the admin hot-swap endpoint and the HELLO
@@ -444,24 +445,18 @@ class ScanServer(FramedEndpoint):
             "beams_open": by_kind[BEAM],
             "beam_native": beam_native,
         }
-        # Every engine's capability flags under the engine the spec
-        # resolved to, plus the dense loop's skip-efficiency counters
+        # Every engine's capability flags under the engine the served
+        # tagger runs, plus the dense loop's skip-efficiency counters
         # when it counts them.
-        from repro.core.capabilities import (
-            engine_capabilities,
-            resolve_engine,
-        )
+        from repro.core.capabilities import engine_capabilities
 
-        engine = engine_capabilities(
-            resolve_engine(
-                getattr(self.spec, "engine", "compiled"), streaming=True
-            )
-        )
         tagger = self._scan_tagger()
-        if hasattr(tagger, "bytes_scanned"):
-            engine["native_active"] = getattr(tagger, "native_active", False)
-            scanned = tagger.bytes_scanned
-            skipped = tagger.bytes_skipped
+        engine = engine_capabilities(tagger.engine)
+        scan = tagger.compiled
+        if hasattr(scan, "bytes_scanned"):
+            engine["native_active"] = getattr(scan, "native_active", False)
+            scanned = scan.bytes_scanned
+            skipped = scan.bytes_skipped
             self.metrics.counter("vector.bytes_scanned").value = scanned
             self.metrics.counter("vector.bytes_skipped").value = skipped
             if scanned:
@@ -475,16 +470,10 @@ class ScanServer(FramedEndpoint):
         return snapshot
 
     def _scan_tagger(self):
-        """The in-process backend's scan-engine tagger (what the spec
-        built; None on the interpreted path)."""
-        backend = self._current.backend
-        tagger = getattr(backend, "tagger", None)
-        if tagger is None:
-            router = getattr(backend, "router", None)
-            tagger = getattr(
-                getattr(router, "tagger", None), "compiled", None
-            )
-        return tagger
+        """The current generation's BehavioralTagger (a router's, or
+        the one a TaggerSpec built)."""
+        built = self._current.backend
+        return getattr(built, "tagger", built)
 
     # ------------------------------------------------------------------
     # data plane: what happens once the flow table accepted a frame
@@ -510,7 +499,7 @@ class ScanServer(FramedEndpoint):
             self._open_beam(conn, flow_id, frame)
             return
         gen = self._current
-        conn.table.open(_ScanFlow(flow_id, gen.backend.new_session(), gen))
+        conn.table.open(_ScanFlow(flow_id, gen.backend.stream(), gen))
         self.metrics.counter("server.flows.opened").inc()
         gen.flows_opened.inc()
 

@@ -62,52 +62,37 @@ __all__ = [
 # Shipped once at spawn; the worker rebuilds the engine through the
 # shared plan/table caches (see CompiledTagger.__reduce__).
 # ----------------------------------------------------------------------
-class _RouterBackend:
-    """Per-worker XML-RPC routing backend (one session per flow)."""
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    def new_session(self):
-        return self.router.stream()
-
-
-class _TaggerBackend:
-    """Per-worker raw-event tagging backend (one session per flow)."""
-
-    def __init__(self, tagger) -> None:
-        self.tagger = tagger
-
-    def new_session(self):
-        return self.tagger.stream()
-
-
-def _resolve_service_engine(engine: str) -> str:
-    """Canonical engine name for a streaming service (or ServiceError)."""
+def _spec_tagger(spec, options=None, default=None):
+    """The streaming :class:`~repro.core.tagger.BehavioralTagger` a
+    spec names: its grammar, or the published grammar *and wiring* of
+    its ``registry_ref`` (``options``, when given, overrides the
+    wiring), on its engine.  A grammar-less spec without a ref scans
+    ``default()``; every refusal is a :class:`ServiceError`."""
     from repro.core.capabilities import resolve_engine
-
-    try:
-        return resolve_engine(engine, streaming=True)
-    except ValueError as exc:
-        raise ServiceError(str(exc)) from None
-
-
-def _engine_tagger(grammar, options, engine: str):
-    """Build the worker-side tagger for an engine name."""
     from repro.core.tagger import BehavioralTagger
 
-    engine = _resolve_service_engine(engine)
-    return BehavioralTagger(grammar, options, engine=engine).compiled
-
-
-def _registry_artifact(ref: str, root: str | None):
-    """Load a registry artifact for a spec's ``registry_ref``."""
-    from repro.service.registry import Registry, RegistryError
-
     try:
-        return Registry(root).load(ref)
-    except RegistryError as exc:
+        engine = resolve_engine(spec.engine, streaming=True)
+    except ValueError as exc:
         raise ServiceError(str(exc)) from None
+    grammar = spec.grammar
+    if spec.registry_ref is not None:
+        from repro.service.registry import Registry, RegistryError
+
+        try:
+            artifact = Registry(spec.registry_root).load(spec.registry_ref)
+        except RegistryError as exc:
+            raise ServiceError(str(exc)) from None
+        grammar = artifact.grammar
+        if options is None:
+            options = artifact.options
+    if grammar is None:
+        if default is None:
+            raise ServiceError(
+                f"{type(spec).__name__} needs a grammar or a registry_ref"
+            )
+        grammar = default()
+    return BehavioralTagger(grammar, options, engine=engine)
 
 
 @dataclass(frozen=True)
@@ -115,11 +100,11 @@ class RouterSpec:
     """Workers run :class:`~repro.apps.xmlrpc.router.RouterSession`
     per flow; results are ``RoutedMessage`` lists.
 
-    ``registry_ref`` (``"name@version"``) resolves the grammar from
-    the artifact registry at build time — workers ship the short ref
-    across the spawn boundary and load precompiled tables from the
-    content-addressed store instead of unpickling and recompiling a
-    grammar object.
+    ``registry_ref`` (``"name@version"``) resolves the grammar and its
+    published wiring from the artifact registry at build time —
+    workers ship the short ref across the spawn boundary and load
+    precompiled tables from the content-addressed store instead of
+    unpickling and recompiling a grammar object.
     """
 
     grammar: Grammar | None = None
@@ -129,31 +114,18 @@ class RouterSpec:
     registry_ref: str | None = None
     registry_root: str | None = None
 
-    def build(self) -> _RouterBackend:
+    def build(self):
+        """The :class:`~repro.apps.xmlrpc.router.ContentBasedRouter`;
+        ``stream()`` opens a flow."""
         from repro.apps.xmlrpc.router import ContentBasedRouter
+        from repro.grammar.examples import xmlrpc
 
-        engine = _resolve_service_engine(self.engine)
-        grammar = self.grammar
-        if self.registry_ref is not None:
-            grammar = _registry_artifact(
-                self.registry_ref, self.registry_root
-            ).grammar
-        tagger = None
-        if engine != "compiled":
-            if grammar is None:
-                from repro.grammar.examples import xmlrpc
-
-                grammar = xmlrpc()
-            from repro.core.tagger import BehavioralTagger
-
-            tagger = BehavioralTagger(grammar, engine=engine)
-        return _RouterBackend(
-            ContentBasedRouter(
-                grammar=grammar,
-                table=self.table,
-                tagger=tagger,
-                method_element=self.method_element,
-            )
+        tagger = _spec_tagger(self, default=xmlrpc)
+        return ContentBasedRouter(
+            grammar=tagger.grammar,
+            table=self.table,
+            tagger=tagger,
+            method_element=self.method_element,
         )
 
 
@@ -175,20 +147,10 @@ class TaggerSpec:
     registry_ref: str | None = None
     registry_root: str | None = None
 
-    def build(self) -> _TaggerBackend:
-        grammar, options = self.grammar, self.options
-        if self.registry_ref is not None:
-            artifact = _registry_artifact(
-                self.registry_ref, self.registry_root
-            )
-            grammar = artifact.grammar
-            if options is None:
-                options = artifact.options
-        if grammar is None:
-            raise ServiceError(
-                "TaggerSpec needs a grammar or a registry_ref"
-            )
-        return _TaggerBackend(_engine_tagger(grammar, options, self.engine))
+    def build(self):
+        """The :class:`~repro.core.tagger.BehavioralTagger`;
+        ``stream()`` opens a flow."""
+        return _spec_tagger(self, self.options)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +180,10 @@ class ScanService:
         if n_workers < 1:
             raise ServiceError("need at least one worker")
         self.spec = spec
-        self.engine = _resolve_service_engine(
-            getattr(spec, "engine", "compiled")
-        )
+        # Built once here so that a bad spec is refused before any
+        # worker runs it.
+        built = spec.build()
+        self.engine = getattr(built, "tagger", built).engine
         self.queue_depth = queue_depth
         self.respawn_limit = respawn_limit
         self.metrics = MetricsRegistry()

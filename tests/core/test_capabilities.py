@@ -59,64 +59,31 @@ def test_disable_env_is_reported(monkeypatch):
 
 def test_disable_env_zero_keeps_the_kernel(monkeypatch):
     """``REPRO_DISABLE_NATIVE=0`` disables nothing, for the kernel
-    loader and the capability flags alike: ``auto`` takes the kernel
+    loader and the capability flags alike: ``native`` takes the kernel
     whenever it is live."""
     from repro.core import _native_build
+    from repro.core.nativescan import NativeTagger
+    from repro.grammar.examples import if_then_else
 
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "0")
     live = _native_build.load_kernel(probe=True) is not None
     assert engine_capabilities()["native"]["disabled_by_env"] is False
-    assert resolve_engine("auto") == ("native" if live else "compiled")
+    assert NativeTagger(if_then_else()).native_active is live
 
 
 # ----------------------------------------------------------------------
 # resolve_engine: the one front door for every --engine surface
 # ----------------------------------------------------------------------
 def test_resolve_engine_passes_canonical_names_through():
+    assert set(ENGINE_CHOICES) == set(ENGINES)
     for name in ENGINES:
         assert resolve_engine(name) == name
 
 
-def test_resolve_engine_choices_cover_aliases_and_auto():
-    assert "auto" in ENGINE_CHOICES
-    for choice in ENGINE_CHOICES:
-        assert resolve_engine(choice) in ENGINES
-
-
-def test_resolve_engine_auto_picks_a_dense_available_engine():
-    resolved = resolve_engine("auto")
-    assert resolved in ("native", "compiled")
-    # auto is streaming-safe by construction.
-    assert resolve_engine("auto", streaming=True) == resolved
-
-
-def test_resolve_engine_auto_respects_disable_env(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    assert resolve_engine("auto") == "compiled"
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    assert resolve_engine("auto") == "compiled"
-
-
-@pytest.mark.parametrize("numpy", ["present", "REPRO_DISABLE_NUMPY=1"])
-@pytest.mark.parametrize("kernel", [True, False])
-def test_resolve_engine_auto_is_native_then_compiled(
-    monkeypatch, numpy, kernel
-):
-    """native → compiled is the only ladder: a kernel decides ``auto``,
-    NumPy never does."""
-    from repro.core import nativescan
-
-    if numpy != "present":
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    flags = {"native": kernel, "disabled_by_env": False,
-             "compiler": kernel, "source": None}
-    monkeypatch.setattr(nativescan, "capability", lambda probe=False: flags)
-    assert resolve_engine("auto") == ("native" if kernel else "compiled")
-
-
 def test_resolve_engine_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("turbo")
+    for name in ("turbo", "auto"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(name)
 
 
 def test_resolve_engine_streaming_rejects_interpreted():

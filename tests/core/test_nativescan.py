@@ -35,6 +35,7 @@ from repro.core.tokens import TaggedToken
 from repro.core.vectorscan import VectorTagger
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
+from repro.grammar.yacc_parser import parse_yacc_grammar
 from tests.core.test_fuzz_grammars import _derive, random_grammars
 
 GRAMMARS = {
@@ -285,6 +286,71 @@ def test_kernel_refuses_a_malformed_register_file():
     with pytest.raises(ValueError, match="state id"):
         nt.ext.low_watermark(nt.capsule, native.tables.n_units * 1000, 0, good)
     assert good.tobytes() == native.tables.blank.tobytes()
+
+
+@needs_native
+def test_scan_chunk_refuses_bad_arguments():
+    """What the entries refuse before a byte is stepped: a wrong
+    arity, a foreign capsule, a state out of range, sinks of the wrong
+    type, and a position that is not an int."""
+    native = NativeTagger(xmlrpc())
+    nt = native._nt
+    regs = native.new_state().regs
+    n_states = scan_ir_for(native).n_states
+    data = b"<methodCall>"
+    cases = [
+        ((nt.capsule, 0), TypeError, "scan_chunk"),
+        ((object(), 0, 0, data, regs, [], None), ValueError, "PyCapsule"),
+        ((nt.capsule, -1, 0, data, regs, [], None), ValueError, "state id"),
+        ((nt.capsule, n_states, 0, data, regs, [], None), ValueError,
+         "state id"),
+        ((nt.capsule, 0, 0, data, regs, [], ()), TypeError, "errors must"),
+        ((nt.capsule, 0, 0, data, regs, (), None), TypeError, "out must"),
+    ]
+    for args, error, match in cases:
+        with pytest.raises(error, match=match):
+            nt.ext.scan_chunk(*args)
+    with pytest.raises(TypeError):
+        nt.ext.low_watermark(nt.capsule, 0, "0", regs)
+    assert regs.tobytes() == native.tables.blank.tobytes()
+
+
+@needs_native
+def test_token_drain_refusal_mid_chunk_ends_the_call():
+    """A chunk whose hits fill the spill buffer is drained mid-chunk;
+    a refusal there (a token begun in an earlier chunk) ends the call
+    with that error and appends nothing."""
+    native = NativeTagger(xmlrpc())
+    nt = native._nt
+    head = b"<methodCall><methodNa"
+    tail = b"<params></params></methodCall> "
+    message = b"<methodCall><methodName>buy</methodName>" + tail
+    rest = b"me>buy</methodName>" + tail + message * 200
+    assert len(CompiledTagger(xmlrpc()).events(head + rest)) > 1024
+    regs = native.new_state().regs
+    state, _skipped = nt.ext.scan_chunk(
+        nt.capsule, 0, 0, head, regs, [], None, 2
+    )
+    out: list = []
+    with pytest.raises(ValueError, match="outside the chunk"):
+        nt.ext.scan_chunk(nt.capsule, state, len(head), rest, regs, out,
+                          None, 2)
+    assert out == []
+
+
+def test_widest_register_copy_matches_the_compiled_loop():
+    """A 66-byte literal re-armed on every byte keeps a start register
+    per offset live and shifts them all at each byte: one copy of 65
+    registers, past the kernel's 64-slot stack scratch."""
+    options = TaggerOptions(wiring=WiringOptions(start_mode="always"))
+    grammar = parse_yacc_grammar("T " + "a" * 66 + "\n%%\ns: T;\n")
+    compiled = CompiledTagger(grammar, options)
+    effects = scan_ir_for(compiled).effects
+    assert max(len(e[1][0]) for e in effects if e and e[1]) == 65
+    native = NativeTagger(grammar, options)
+    for data in (b"a" * 200, b"a" * 65 + b"b" + b"a" * 140):
+        assert native.events(data) == compiled.events(data)
+        _assert_same_tokens(native.tag(data), compiled.tag(data), data)
 
 
 @needs_native
@@ -544,14 +610,14 @@ def test_pickle_roundtrip_preserves_engine():
 
 def test_service_specs_accept_native():
     from repro.service.errors import ServiceError
-    from repro.service.service import TaggerSpec, _engine_tagger
+    from repro.service.service import RouterSpec, TaggerSpec
 
-    tagger = _engine_tagger(xmlrpc(), None, "native")
-    assert isinstance(tagger, NativeTagger)
-    backend = TaggerSpec(grammar=xmlrpc(), engine="native").build()
-    assert isinstance(backend.tagger, NativeTagger)
+    tagger = TaggerSpec(grammar=xmlrpc(), engine="native").build()
+    assert isinstance(tagger.compiled, NativeTagger)
+    router = RouterSpec(engine="native").build()
+    assert isinstance(router.tagger.compiled, NativeTagger)
     with pytest.raises(ServiceError):
-        _engine_tagger(xmlrpc(), None, "interpreted")
+        TaggerSpec(grammar=xmlrpc(), engine="interpreted").build()
 
 
 def test_capability_shape():

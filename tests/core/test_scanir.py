@@ -473,7 +473,7 @@ def test_truncated_or_flipped_blob_never_mis_serves(data, ite_blob):
     except ArtifactError:
         return
     expected = BehavioralTagger(if_then_else(), engine="compiled")
-    for engine in ("compiled", "auto"):
+    for engine in ("compiled", "native"):
         got = artifact.tagger(engine=engine).tag(ITE_SAMPLE)
         assert repr(got) == repr(expected.tag(ITE_SAMPLE))
 
@@ -501,7 +501,7 @@ def test_registry_heals_every_bad_blob(shape, tmp_path, ite_blob):
     with open(path, "wb") as fh:
         fh.write(bad)
     artifact = Registry(store).load(ref)
-    got = artifact.tagger(engine="auto").tag(ITE_SAMPLE)
+    got = artifact.tagger().tag(ITE_SAMPLE)
     expected = BehavioralTagger(if_then_else()).tag(ITE_SAMPLE)
     assert repr(got) == repr(expected)
     # ... and the store holds a loadable blob again.

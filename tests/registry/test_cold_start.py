@@ -36,7 +36,6 @@ _ENVIRONMENTS = [
 
 _SUBPROCESS = """
 import sys
-from repro.core.capabilities import resolve_engine
 from repro.core.tagger import BehavioralTagger
 from repro.grammar.yacc_parser import parse_yacc_grammar
 from repro.service.registry import Registry
@@ -45,7 +44,7 @@ root, ref, source_path, data_hex = sys.argv[1:5]
 data = bytes.fromhex(data_hex)
 with open(source_path, encoding="utf-8") as fh:
     source = fh.read()
-engine = resolve_engine("auto")
+engine = "native"
 direct = BehavioralTagger(
     parse_yacc_grammar(source, name="g"), engine=engine
 ).tag(data)

@@ -3,7 +3,7 @@
 Covers the publish/load round trip (bit-exact events against direct
 compilation), content-addressed dedup of structurally-equal grammars
 (the on-disk fix for the identity-keyed in-process caches), version
-resolution, store healing, gc, the `from_ref` construction API, the
+resolution, store healing, gc, `Registry.load(ref).tagger()`, the
 spec-over-the-spawn-boundary path, and the CLI surface.
 """
 
@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.options import TaggerOptions, WiringOptions
 from repro.core.tagger import BehavioralTagger
 from repro.grammar.examples import if_then_else, xmlrpc
 from repro.grammar.writer import write_yacc_grammar
@@ -25,6 +26,11 @@ XML_SAMPLE = (
     b"</methodCall>"
 )
 ITE_SAMPLE = b"if true then go else stop"
+#: Messages behind and between junk: only a router whose start
+#: tokenizers re-arm (``start_mode="always"``) finds both.
+MESSAGE = b"<methodCall><methodName>add</methodName><params></params></methodCall>"
+WIRED = b"xx" + MESSAGE + b" junk " + MESSAGE + b" "
+ALWAYS = TaggerOptions(wiring=WiringOptions(start_mode="always"))
 
 
 @pytest.fixture()
@@ -51,7 +57,7 @@ def test_publish_returns_pinned_ref(store):
     assert parse_ref(ref) == ("xmlrpc", 1)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "auto"])
+@pytest.mark.parametrize("engine", ["compiled", "native"])
 def test_loaded_artifact_tags_identically(store, engine):
     expected = BehavioralTagger(xmlrpc(), engine=engine).tag(XML_SAMPLE)
     ref = Registry(store).publish("xmlrpc", xmlrpc())
@@ -168,9 +174,10 @@ def test_list_and_inspect_shapes(store):
 # ----------------------------------------------------------------------
 # construction APIs riding on refs
 # ----------------------------------------------------------------------
-def test_behavioral_tagger_from_ref(store):
+def test_loaded_artifact_tagger_defaults_to_native(store):
     ref = Registry(store).publish("xmlrpc", xmlrpc())
-    tagger = BehavioralTagger.from_ref(ref, registry=store)
+    tagger = Registry(store).load(ref).tagger()
+    assert tagger.engine == "native"
     expected = BehavioralTagger(xmlrpc()).tag(XML_SAMPLE)
     assert repr(tagger.tag(XML_SAMPLE)) == repr(expected)
 
@@ -178,13 +185,15 @@ def test_behavioral_tagger_from_ref(store):
 def test_tagger_spec_builds_from_registry_ref(store):
     from repro.service import TaggerSpec
 
-    ref = Registry(store).publish("xmlrpc", xmlrpc())
-    spec = TaggerSpec(registry_ref=ref, registry_root=store)
-    session = spec.build().new_session()
-    got = session.feed(XML_SAMPLE) + session.finish()
-    direct = TaggerSpec(grammar=xmlrpc()).build().new_session()
-    expected = direct.feed(XML_SAMPLE) + direct.finish()
-    assert repr(got) == repr(expected)
+    registry = Registry(store)
+    for options, data in ((None, XML_SAMPLE), (ALWAYS, WIRED)):
+        ref = registry.publish("xmlrpc", xmlrpc(), options)
+        spec = TaggerSpec(registry_ref=ref, registry_root=store)
+        session = spec.build().stream()
+        got = session.feed(data) + session.finish()
+        direct = TaggerSpec(grammar=xmlrpc(), options=options).build().stream()
+        expected = direct.feed(data) + direct.finish()
+        assert repr(got) == repr(expected)
 
 
 def test_tagger_spec_without_grammar_or_ref_raises(store):
@@ -196,15 +205,23 @@ def test_tagger_spec_without_grammar_or_ref_raises(store):
 
 
 def test_router_spec_builds_from_registry_ref(store):
+    """A ref routes on its published grammar *and* wiring: published
+    with ``start_mode="always"``, the router re-arms after the junk
+    around each message, as a router over that wiring does."""
+    from repro.apps.xmlrpc.router import ContentBasedRouter
     from repro.service import RouterSpec
 
-    ref = Registry(store).publish("xmlrpc", xmlrpc())
-    spec = RouterSpec(registry_ref=ref, registry_root=store)
-    session = spec.build().new_session()
-    got = session.feed(XML_SAMPLE + b" ") + session.finish()
-    direct = RouterSpec().build().new_session()
-    expected = direct.feed(XML_SAMPLE + b" ") + direct.finish()
-    assert repr(got) == repr(expected)
+    registry = Registry(store)
+    for options, data in ((None, XML_SAMPLE + b" "), (ALWAYS, WIRED)):
+        ref = registry.publish("xmlrpc", xmlrpc(), options)
+        spec = RouterSpec(registry_ref=ref, registry_root=store)
+        session = spec.build().stream()
+        got = session.feed(data) + session.finish()
+        tagger = BehavioralTagger(xmlrpc(), options)
+        direct = ContentBasedRouter(tagger=tagger).stream()
+        expected = direct.feed(data) + direct.finish()
+        assert got == expected
+    assert len(got) == 2
 
 
 # ----------------------------------------------------------------------

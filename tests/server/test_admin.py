@@ -77,20 +77,23 @@ def test_load_generator_closed_loop_verifies(streams):
     run(main())
 
 
-def test_auto_engine_server_answers_stats_and_metrics():
-    """``--engine auto`` names no engine of its own: /stats reports the
-    one it resolved to, and neither route drops the connection."""
-    from repro.core.capabilities import resolve_engine
+def test_native_engine_server_answers_stats_and_metrics():
+    """/stats names the engine the served tagger runs, and says whether
+    its kernel is live; neither route drops the connection."""
+    from repro.core.nativescan import NativeTagger
+    from repro.grammar.examples import xmlrpc
     from repro.service import RouterSpec
 
     async def main():
         async with running_server(
-            spec=RouterSpec(engine="auto"), admin_port=0
+            spec=RouterSpec(engine="native"), admin_port=0
         ) as server:
             status, body = await _http_get(server.admin_address, "/stats")
             assert status == "200 OK"
             engine = json.loads(body)["engine"]
-            assert engine["name"] == resolve_engine("auto", streaming=True)
+            assert engine["name"] == "native"
+            live = NativeTagger(xmlrpc()).native_active
+            assert engine["native_active"] is live
             status, body = await _http_get(server.admin_address, "/metrics")
             assert status == "200 OK"
             assert "repro_server_connections_open 0" in body

@@ -20,6 +20,10 @@ from tests.server.conftest import running_server
 XML_HEAD = b"<methodCall><methodName>add</methodName>"
 XML_TAIL = b"</methodCall>"
 ITE_DATA = b"if true then go else stop"
+MESSAGE = XML_HEAD + b"<params></params>" + XML_TAIL
+#: Messages behind and between junk: only a router whose start
+#: tokenizers re-arm (``start_mode="always"``) finds both.
+WIRED = b"xx" + MESSAGE + b" junk " + MESSAGE + b" "
 
 
 def run(coro):
@@ -39,7 +43,7 @@ def _spec(registry, ref) -> TaggerSpec:
 
 
 def _expected(registry, ref, *chunks) -> str:
-    session = _spec(registry, ref).build().new_session()
+    session = _spec(registry, ref).build().stream()
     items = []
     for chunk in chunks:
         items.extend(session.feed(chunk))
@@ -294,10 +298,45 @@ def test_each_ref_loads_once_per_process(registry, monkeypatch):
 
     def served(ref):
         artifact = server._registry.load(ref)
-        return server._current.backend.tagger.grammar is artifact.grammar
+        return server._scan_tagger().grammar is artifact.grammar
 
     assert len(loads) == 1 and served(registry.xml_ref)
     server.swap_grammar(registry.ite_ref)
     assert len(loads) == 2 and served(registry.ite_ref)
     server.swap_grammar(registry.xml_ref)  # the first generation retired
     assert len(loads) == 2 and served(registry.xml_ref)
+
+
+def test_served_ref_routes_on_its_published_wiring(registry):
+    """A RouterSpec served by ref, at start or after a hot swap, routes
+    on the artifact's wiring as well as its grammar."""
+    from repro.apps.xmlrpc.router import ContentBasedRouter
+    from repro.core.options import TaggerOptions, WiringOptions
+    from repro.core.tagger import BehavioralTagger
+    from repro.service import RouterSpec
+
+    always = TaggerOptions(wiring=WiringOptions(start_mode="always"))
+    ref = registry.publish("xmlrpc", xmlrpc(), always)
+    router = ContentBasedRouter(tagger=BehavioralTagger(xmlrpc(), always))
+    session = router.stream()
+    expected = session.feed(WIRED) + session.finish()
+    assert len(expected) == 2
+
+    async def routed(server):
+        async with ScanClient(*server.address) as client:
+            flow = await client.open_flow()
+            await flow.send(WIRED)
+            return await flow.finish()
+
+    async def main():
+        async with running_server(
+            spec=RouterSpec(), registry=registry, grammar=ref
+        ) as server:
+            assert await routed(server) == expected
+        async with running_server(
+            spec=RouterSpec(), registry=registry, grammar=registry.xml_ref
+        ) as server:
+            server.swap_grammar(ref)
+            assert await routed(server) == expected
+
+    run(main())

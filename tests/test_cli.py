@@ -113,6 +113,38 @@ class TestStructgen:
         assert main(argv) == 0
         assert "cached" in capsys.readouterr().out
 
+    def test_serve_autopublishes_builtin(self, tmp_path, monkeypatch):
+        """``structgen serve REF --store DIR`` on a store without REF
+        publishes a builtin grammar first, as ``precompute`` does."""
+        import repro.cli as cli
+
+        built = []
+        monkeypatch.setattr(
+            cli, "_serve", lambda *args: built.append(args) or 0
+        )
+        argv = [
+            "structgen", "serve", "xmlrpc", "--port", "0",
+            "--store", str(tmp_path / "store"), "--vocab-size", "384",
+        ]
+        assert main(argv) == 0
+        ((server, what, detail),) = built
+        assert server.grammar_refs() == ("xmlrpc@1",)
+        assert what == "repro structgen server"
+        assert detail.startswith("(registry masks xmlrpc@1 × ")
+
+    @pytest.mark.parametrize("command", [
+        ["precompute", "xmlrpc"], ["serve", "xmlrpc", "--port", "0"],
+    ])
+    def test_small_vocab_size_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        argv = ["structgen", *command, "--vocab-size", "299",
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --vocab-size 299: ")
+        assert "size >= 300" in captured.err and captured.out == ""
+
 
 class TestExperiments:
     def test_ablation_command(self, capsys):

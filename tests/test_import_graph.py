@@ -10,6 +10,7 @@ tests pin that laziness changed nothing a caller can see.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pathlib
@@ -78,7 +79,7 @@ cli._serve = lambda endpoint, what, detail: built.append(endpoint) or 0
 assert cli.main(["serve", "--engine", "native", "--workers", "0",
                  "--port", "0"]) == 0
 (server,) = built
-session = server._current.backend.new_session()
+session = server._current.backend.stream()
 data = (b"<methodCall><methodName>buy</methodName><params></params>"
         b"</methodCall> ")
 (message,) = session.feed(data) + session.finish()
@@ -138,6 +139,27 @@ def test_cluster_proxy_loads_no_engine():
     assert _matching(
         loaded, ["repro.core", "repro.grammar", "repro.apps"]
     ) == []
+
+
+def test_core_imports_no_layer_above_it():
+    """The scan core never imports the service, server or application
+    layers, not even inside a function (read from the source, so a
+    lazy import counts too): a registry ref becomes a tagger through
+    ``Registry(root).load(ref).tagger()``, from above."""
+    above = ["repro.service", "repro.server", "repro.apps"]
+    core = pathlib.Path(SRC, "repro", "core")
+    found = []
+    for path in sorted(core.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if _matching(set(names), above):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
 
 
 # ----------------------------------------------------------------------
