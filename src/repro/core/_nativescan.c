@@ -5,13 +5,14 @@
  *
  *   class_table[256]        byte -> byte-equivalence class
  *   step[state*C + class]   (next_state*C) << 2 | skip << 1 | eff
- *   prog_idx[state*C+class] offset of the edge's effect program
+ *   prog_idx[state*C+class] offset of the edge's effect program, or for
+ *                           a skip edge its state's inert-byte row
  *   progs[]                 int32 bytecode replaying an edge's effects
  *   eof_idx[state]          offset of the state's end-of-data program
  *   live_idx[state]         offset of OP_EVENT u 1 r per unit live there
  *
- * plus per-state inert-byte prefilters (skip_ofs / live_all) and each
- * unit's register capacity (its position count).
+ * plus the inert-byte rows (live_all: 256 bytes, 0 where a state's edge
+ * is a bare self-loop) and each unit's register capacity (positions).
  *
  * Register file.  A scan's earliest-start registers are one caller-owned
  * int64 buffer read and written in place: unit u's registers at the sum
@@ -20,7 +21,7 @@
  *
  * scan_chunk() consumes a chunk in one call: the quiet path is a
  * two-load table walk with the GIL released, skip edges fast-forward
- * over inert bytes memchr-style, and effectful edges run their program,
+ * over inert bytes eight per test, and effectful edges run their program,
  * appending (unit, end, match_start) triples to a stack spill buffer.
  * With `final` it then runs the end state's end-of-data program (events
  * only: it reads the registers and changes none) at the chunk's end, so
@@ -89,7 +90,7 @@
 /* The Python-visible contract's version, exported as ABI.  Bump it when
  * an entry is added or changes: _native_build reads it from this line
  * and refuses a prebuilt module that exports any other. */
-#define KERNEL_ABI "6"
+#define KERNEL_ABI "7"
 
 enum { OP_END = 0, OP_ERR = 1, OP_EVENT = 2, OP_COPY = 3, OP_SET = 4,
        OP_LEN = 5 };
@@ -120,7 +121,6 @@ typedef struct {
     int32_t n_classes;
     int32_t n_units;
     int32_t n_progs;        /* int32 slots in progs */
-    int32_t n_skip_rows;    /* 256-byte rows in live_all */
     int32_t total_cap;      /* sum of unit register capacities */
     int32_t max_copies;     /* most registers one OP_COPY writes */
     int32_t max_per_edge;   /* most triples one program can emit */
@@ -128,8 +128,7 @@ typedef struct {
     int32_t *step;          /* n_states * n_classes */
     int32_t *prog_idx;      /* n_states * n_classes */
     int32_t *progs;
-    int32_t *skip_ofs;      /* n_states; row index into live_all or -1 */
-    uint8_t *live_all;      /* n_skip_rows * 256 */
+    uint8_t *live_all;      /* 256-byte inert-byte rows */
     int32_t *unit_ofs;      /* n_units + 1 prefix offsets */
     int32_t *unit_caps;     /* n_units */
     int32_t *eof_idx;       /* n_states; end-of-data program offset */
@@ -146,9 +145,8 @@ tables_free(NativeTables *t)
 {
     if (t == NULL)
         return;
-    void *blocks[] = {t->step, t->prog_idx, t->progs, t->skip_ofs,
-                      t->live_all, t->unit_ofs, t->unit_caps, t->eof_idx,
-                      t->live_idx};
+    void *blocks[] = {t->step, t->prog_idx, t->progs, t->live_all,
+                      t->unit_ofs, t->unit_caps, t->eof_idx, t->live_idx};
     for (size_t i = 0; i < sizeof blocks / sizeof *blocks; i++)
         PyMem_Free(blocks[i]);
     Py_XDECREF(t->rows);
@@ -269,8 +267,8 @@ plain_tuple_subclass(PyObject *type)
 }
 
 /* The flat tables build_tables copies, in argument order. */
-enum { B_CLASS, B_STEP, B_PROG_IDX, B_PROGS, B_SKIP_OFS, B_LIVE_ALL,
-       B_CAPS, B_EOF_IDX, B_LIVE_IDX, N_TABLES };
+enum { B_CLASS, B_STEP, B_PROG_IDX, B_PROGS, B_LIVE_ALL, B_CAPS,
+       B_EOF_IDX, B_LIVE_IDX, N_TABLES };
 /* (the last two follow max_per_edge in the argument list) */
 
 static PyObject *
@@ -283,10 +281,10 @@ build_tables(PyObject *self, PyObject *args)
     uint8_t *bitmap = NULL;
 
     if (!PyArg_ParseTuple(
-            args, "iiiy*y*y*y*y*y*y*O!OOiy*y*:build_tables",
+            args, "iiiy*y*y*y*y*y*O!OOiy*y*:build_tables",
             &n_states, &n_classes, &n_units, &b[B_CLASS], &b[B_STEP],
-            &b[B_PROG_IDX], &b[B_PROGS], &b[B_SKIP_OFS], &b[B_LIVE_ALL],
-            &b[B_CAPS], &PyTuple_Type, &rows, &det, &tok, &max_per_edge,
+            &b[B_PROG_IDX], &b[B_PROGS], &b[B_LIVE_ALL], &b[B_CAPS],
+            &PyTuple_Type, &rows, &det, &tok, &max_per_edge,
             &b[B_EOF_IDX], &b[B_LIVE_IDX]))
         return NULL;
 
@@ -304,15 +302,12 @@ build_tables(PyObject *self, PyObject *args)
     Py_ssize_t n_edges = (Py_ssize_t)n_states * n_classes;
     if (b[B_CLASS].len != 256)
         FAIL("class_table must be 256 bytes");
-    if (b[B_STEP].len != n_edges * 4 || b[B_PROG_IDX].len != n_edges * 4)
-        FAIL("step/prog_idx size mismatch");
-    if (b[B_PROGS].len % 4 || b[B_SKIP_OFS].len != (Py_ssize_t)n_states * 4)
-        FAIL("progs/skip_ofs size mismatch");
-    if (b[B_LIVE_ALL].len % 256 || b[B_CAPS].len != (Py_ssize_t)n_units * 4)
-        FAIL("live_all/unit_caps size mismatch");
-    if (b[B_EOF_IDX].len != (Py_ssize_t)n_states * 4 ||
+    if (b[B_STEP].len != n_edges * 4 || b[B_PROG_IDX].len != n_edges * 4 ||
+        b[B_PROGS].len % 4 || b[B_LIVE_ALL].len % 256 ||
+        b[B_CAPS].len != (Py_ssize_t)n_units * 4 ||
+        b[B_EOF_IDX].len != (Py_ssize_t)n_states * 4 ||
         b[B_LIVE_IDX].len != (Py_ssize_t)n_states * 4)
-        FAIL("eof_idx/live_idx size mismatch");
+        FAIL("table size mismatch");
     if (PyTuple_GET_SIZE(rows) != n_units)
         FAIL("token rows size mismatch");
     for (int u = 0; u < n_units; u++) {
@@ -339,13 +334,11 @@ build_tables(PyObject *self, PyObject *args)
     t->n_classes = n_classes;
     t->n_units = n_units;
     t->n_progs = (int32_t)(b[B_PROGS].len / 4);
-    t->n_skip_rows = (int32_t)(b[B_LIVE_ALL].len / 256);
     t->max_per_edge = max_per_edge;
     memcpy(t->class_table, b[B_CLASS].buf, 256);
     if ((t->step = copy_buffer(&b[B_STEP])) == NULL ||
         (t->prog_idx = copy_buffer(&b[B_PROG_IDX])) == NULL ||
         (t->progs = copy_buffer(&b[B_PROGS])) == NULL ||
-        (t->skip_ofs = copy_buffer(&b[B_SKIP_OFS])) == NULL ||
         (t->live_all = copy_buffer(&b[B_LIVE_ALL])) == NULL ||
         (t->unit_caps = copy_buffer(&b[B_CAPS])) == NULL ||
         (t->eof_idx = copy_buffer(&b[B_EOF_IDX])) == NULL ||
@@ -380,6 +373,7 @@ build_tables(PyObject *self, PyObject *args)
 #define PROG_START(off)                                               \
     ((off) >= 0 && (off) < t->n_progs && (bitmap[(off) >> 3] & (1u << ((off) & 7))))
 
+    int64_t checked = -1; /* the (state, row) pair last checked */
     for (Py_ssize_t e = 0; e < n_edges; e++) {
         uint32_t v = (uint32_t)t->step[e];
         uint32_t next = v >> 2;
@@ -390,14 +384,22 @@ build_tables(PyObject *self, PyObject *args)
         if ((v & 1u) && !PROG_START(t->prog_idx[e]))
             FAIL("prog_idx does not address a program start");
         if (v & 2u) {
-            /* skip edges must be bare self-loops of a state that has
-             * an inert-byte prefilter row */
+            /* a skip edge is a bare self-loop naming an inert-byte row
+             * whose every inert byte is a bare self-loop of its state */
             Py_ssize_t state_row = e - e % n_classes;
             if (next != (uint32_t)state_row)
                 FAIL("skip edge is not a self-loop");
-            int32_t row = t->skip_ofs[e / n_classes];
-            if (row < 0 || row >= t->n_skip_rows)
-                FAIL("skip edge without a live-byte row");
+            int32_t row = t->prog_idx[e];
+            if (row < 0 || row >= b[B_LIVE_ALL].len / 256)
+                FAIL("skip edge without an inert-byte row");
+            if (checked != ((int64_t)state_row << 32 | row)) {
+                const uint8_t *lv = t->live_all + ((size_t)row << 8);
+                for (int x = 0; x < 256; x++)
+                    if (!lv[x] && ((uint32_t)t->step[state_row +
+                                   t->class_table[x]] & ~2u) != next << 2)
+                        FAIL("inert byte is not a bare self-loop");
+                checked = (int64_t)state_row << 32 | row;
+            }
         }
     }
     /* Per state: an end-of-data program, and a program whose events
@@ -787,13 +789,16 @@ scan_chunk(PyObject *self, PyObject *args)
                     }
                 }
                 else {
-                    /* Inert self-loop in a dead state: fast-forward to
-                     * the next live byte through the state's prefilter
-                     * (one load per byte, no table step). */
+                    /* Bare self-loop: fast-forward through the state's
+                     * inert-byte row, eight bytes per test, then one. */
                     const uint8_t *lv =
-                        t->live_all +
-                        ((size_t)t->skip_ofs[sp / C] << 8);
+                        t->live_all + ((size_t)t->prog_idx[sp + c] << 8);
                     Py_ssize_t j = i + 1;
+                    while (j + 8 <= n &&
+                           !(lv[dp[j]] | lv[dp[j + 1]] | lv[dp[j + 2]] |
+                             lv[dp[j + 3]] | lv[dp[j + 4]] | lv[dp[j + 5]] |
+                             lv[dp[j + 6]] | lv[dp[j + 7]]))
+                        j += 8;
                     while (j < n && !lv[dp[j]])
                         j++;
                     skipped += j - i;

@@ -6,8 +6,8 @@ rung).  The paper's datapath sustains line rate because the product
 automaton is lowered into flat hardware tables; this module performs
 the same lowering in software.  The shared scan IR
 (:mod:`repro.core.scanir` — byte-equivalence classes, the
-class-indexed ``next`` / ``effect`` arrays, dead-region inert rows) is
-lowered into contiguous arrays:
+class-indexed ``next`` / ``effect`` arrays) is lowered into contiguous
+arrays:
 
 * ``step[state * C + class]``: ``next`` premultiplied by ``C`` with a
   2-bit tag (effectful / skippable) folded into the low bits, so the
@@ -17,9 +17,10 @@ lowered into contiguous arrays:
   lowered op for op, its register indices as they are, to a tiny int32
   bytecode executed inside the C loop, plus a per-state end-of-data
   program (``eof_idx``: no IR byte);
-* ``skip_ofs`` + ``live_all``: the IR's per-dead-state raw-byte rows,
-  concatenated, which the loop uses to fast-forward over inert regions
-  memchr-style.
+* ``live_all``: raw-byte rows, one per distinct set of inert bytes (a
+  byte is inert where its edge is a bare self-loop), each named by its
+  state's skip edges' ``prog_idx``: the loop fast-forwards over inert
+  runs in any state, eight bytes per test.
 
 :func:`_nativescan.scan_chunk` then consumes an entire chunk — and, when
 asked, end-of-data — in one call with the GIL released, reading and
@@ -88,15 +89,7 @@ class _NativeTables:
 
     def __init__(self, ext, ir: ScanIR, tagger) -> None:
         tables = tagger.tables
-        n_states = ir.n_states
-        n_classes = ir.n_classes
-
-        # Dead-state prefilters: the IR's raw-byte rows, concatenated,
-        # so the C loop tests input bytes directly.
-        skip_ofs = array("i", [-1]) * n_states
-        for row, tid in enumerate(ir.skip_live):
-            skip_ofs[tid] = row
-        live_all = b"".join(ir.skip_live.values())
+        n_states, n_classes = ir.n_states, ir.n_classes
 
         # One program per distinct effect or end-of-data event list;
         # offset 0 is the empty one.
@@ -138,16 +131,22 @@ class _NativeTables:
             + [bool(err) + len(events or ()) for events, _, err in ir.effects[1:]]
         )
 
-        step = array("i")
-        prog_idx = array("i")
-        for edge, (ntid, index) in enumerate(zip(ir.next, ir.effect)):
-            if index:
-                tag = 1
-            else:
-                tid = edge // n_classes
-                tag = 2 if ntid == tid and skip_ofs[tid] >= 0 else 0
-            step.append((ntid * n_classes) << 2 | tag)
-            prog_idx.append(prog_of[index])
+        # Each edge: next premultiplied, tagged effectful or not, and its
+        # program.  Then each bare self-loop is tagged skippable, its
+        # prog_idx naming its state's raw-byte row of inert bytes (0 where
+        # the edge is a bare self-loop), one row per distinct pattern.
+        step = array("i", [n * n_classes << 2 | (i > 0) for n, i in zip(ir.next, ir.effect)])
+        prog_idx = array("i", map(prog_of.__getitem__, ir.effect))
+        rows: dict = {}
+        for tid in range(n_states):
+            at = tid * n_classes
+            nxt, eff = ir.next[at : at + n_classes], ir.effect[at : at + n_classes]
+            live = bytes([n != tid or i > 0 for n, i in zip(nxt, eff)]) if tid in nxt else b""
+            if 0 in live:
+                row = rows.setdefault(ir.class_table.translate(live.ljust(256, b"\1")), len(rows))
+                for k in [k for k, busy in enumerate(live) if not busy]:
+                    step[at + k] |= 2
+                    prog_idx[at + k] = row
 
         self.ext = ext
         #: A packed sink's record count: 256 ``(unit, end, start)``
@@ -157,7 +156,7 @@ class _NativeTables:
         self.sink_records = max(256, 4 * most)
         self.capsule = ext.build_tables(
             n_states, n_classes, len(tables.units), ir.class_table, step,
-            prog_idx, progs, skip_ofs, live_all, array("i", ir.unit_caps),
+            prog_idx, progs, b"".join(rows), array("i", ir.unit_caps),
             # What every hit of a unit shares: (token name, unit,
             # encoder index).
             tuple(
@@ -177,19 +176,14 @@ def _native_tables_for(tagger) -> _NativeTables | None:
     """The native tables over the tagger's scan IR, or None when the
     kernel is unavailable or the automaton resists densification."""
     ext = _native_build.load_kernel()
-    if ext is None:
-        return None
-    ir = scan_ir_for(tagger)
+    ir = ext and scan_ir_for(tagger)
     if ir is None:
         return None
     nt = _NATIVE_CACHE.get(ir)
     if nt is None:
-        if array("i").itemsize == 4:
-            try:
-                nt = _NativeTables(ext, ir, tagger)
-            except (ValueError, MemoryError, OverflowError):
-                nt = _UNBUILDABLE
-        else:  # pragma: no cover - exotic int width
+        try:  # (an int that is not int32 fails the size checks)
+            nt = _NativeTables(ext, ir, tagger)
+        except (ValueError, MemoryError, OverflowError):
             nt = _UNBUILDABLE
         _NATIVE_CACHE[ir] = nt
     return None if nt is _UNBUILDABLE else nt
@@ -216,7 +210,7 @@ class NativeTagger(CompiledTagger):
         super().__init__(grammar, options, plan)
         self._nt = _native_tables_for(self)
         #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
-        #: the dead-region fast-forward's hit rate).
+        #: the inert-run fast-forward's hit rate).
         self.bytes_scanned = 0
         self.bytes_skipped = 0
 

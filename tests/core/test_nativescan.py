@@ -2,7 +2,7 @@
 
 The native engine (:mod:`repro.core.nativescan`) replaces the wide
 Python loop with one C call per chunk — flat step tables, an effect
-bytecode interpreter, dead-region fast-forwarding, C-side event
+bytecode interpreter, inert-run fast-forwarding, C-side event
 materialization — none of which may be observable: same events, same
 order, same earliest-start lexemes, same §5.2 error positions, same
 results under any chunking.  This suite pins all of that 4-way
@@ -24,6 +24,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.xmlrpc import ContentBasedRouter
+from repro.apps.xmlrpc.messages import Base64Value, MethodCall
 from repro.apps.xmlrpc.workload import WorkloadGenerator
 from repro.core import _native_build, nativescan
 from repro.core.compiled import CompiledTagger
@@ -368,27 +370,27 @@ def test_build_tables_rejects_malformed_token_rows():
 
     nativescan._NativeTables(Spy(), scan_ir_for(tagger), tagger)
     (good,) = captured
-    rows = good[10]
+    rows = good[9]
     assert rows[0] == ("<methodCall>", tagger.units[0], 1)
-    assert good[11:13] == (nativescan.DetectEvent, TaggedToken)
+    assert good[10:12] == (nativescan.DetectEvent, TaggedToken)
 
     class Roomy(tuple):  # has a __dict__: not fillable as a bare tuple
         pass
 
     name, unit, index = rows[0]
     for at, bad in (
-        (10, rows[:-1]),
-        (10, ((name, unit),) + rows[1:]),
-        (10, ([name, unit, index],) + rows[1:]),
-        (10, ((b"bytes", unit, index),) + rows[1:]),
-        (10, ((name, unit, "1"),) + rows[1:]),
+        (9, rows[:-1]),
+        (9, ((name, unit),) + rows[1:]),
+        (9, ([name, unit, index],) + rows[1:]),
+        (9, ((b"bytes", unit, index),) + rows[1:]),
+        (9, ((name, unit, "1"),) + rows[1:]),
+        (10, Roomy),
         (11, Roomy),
-        (12, Roomy),
-        (12, tuple()),
+        (11, tuple()),
     ):
         with pytest.raises(ValueError, match="token row|tuple subclass"):
             ext.build_tables(*good[:at], bad, *good[at + 1 :])
-    ext.build_tables(*good[:10], ((name, unit, None),) + rows[1:], *good[11:])
+    ext.build_tables(*good[:9], ((name, unit, None),) + rows[1:], *good[10:])
 
 
 @needs_native
@@ -446,6 +448,64 @@ def test_build_tables_rejects_malformed_effect_programs():
     ):
         with pytest.raises(ValueError, match="malformed effect program"):
             build(extra)
+
+
+@needs_native
+def test_build_tables_rejects_malformed_skip_rows():
+    """A skip edge fast-forwards over every byte its row marks inert
+    without stepping it, so the kernel checks once, at interning, that
+    each such byte is a bare self-loop of the edge's own state and that
+    the row exists: a fast-forward cannot change a result."""
+    ext = _native_build.load_kernel()
+    tagger = NativeTagger(xmlrpc())
+    captured = []
+
+    class Spy:
+        def build_tables(self, *args):
+            captured.append(args)
+            return ext.build_tables(*args)
+
+    nativescan._NativeTables(Spy(), scan_ir_for(tagger), tagger)
+    (good,) = captured
+    n_classes, class_table, step, prog_idx, live_all = (
+        good[1], good[3], good[4], good[5], good[7]
+    )
+    n_rows = len(live_all) // 256
+    assert n_rows > 1  # armed states have rows of their own
+
+    def build(step=step, prog_idx=prog_idx, live_all=live_all):
+        args = list(good)
+        args[4], args[5], args[7] = step, prog_idx, live_all
+        return ext.build_tables(*args)
+
+    build()
+    # A skip edge whose state has both kinds of live edge: one that runs
+    # a program, and a bare one that moves to another state.
+    for e, v in enumerate(step):
+        base = e - e % n_classes
+        edges = [step[base + class_table[x]] for x in range(256)]
+        effectful = [x for x in range(256) if edges[x] & 1]
+        elsewhere = [x for x in range(256) if edges[x] & 3 == 0 and edges[x] >> 2 != base]
+        if v & 3 == 2 and effectful and elsewhere:
+            break
+    else:
+        raise AssertionError("no skip state with both kinds of live edge")
+    row = prog_idx[e]
+    for bad in (-1, n_rows, 1 << 30):
+        moved = array("i", prog_idx)
+        moved[e] = bad
+        with pytest.raises(ValueError, match="without an inert-byte row"):
+            build(prog_idx=moved)
+    for x in (effectful[0], elsewhere[0]):
+        assert live_all[(row << 8) + x] == 1
+        marked = bytearray(live_all)
+        marked[(row << 8) + x] = 0
+        with pytest.raises(ValueError, match="inert byte is not a bare self-loop"):
+            build(live_all=bytes(marked))
+    tagged = array("i", step)
+    tagged[base + class_table[elsewhere[0]]] |= 2
+    with pytest.raises(ValueError, match="skip edge is not a self-loop"):
+        build(step=tagged)
 
 
 # ----------------------------------------------------------------------
@@ -527,6 +587,144 @@ def test_dead_region_is_skipped_and_exact():
     assert native.native_active
     assert native.bytes_skipped > 0
     assert native.bytes_skipped < native.bytes_scanned
+
+
+# ----------------------------------------------------------------------
+# inert runs: every bare self-loop fast-forwarded, in any state
+# ----------------------------------------------------------------------
+START_MODES = {"once": WiringOptions(), "always": WiringOptions(start_mode="always")}
+BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@pytest.fixture(scope="module", params=sorted(START_MODES))
+def inert_pair(request):
+    """(native, compiled) behavioral taggers over XML-RPC in one start
+    mode: ``.compiled`` is each engine's scan loop, and each can drive
+    a router."""
+    options = TaggerOptions(wiring=START_MODES[request.param])
+    native = BehavioralTagger(xmlrpc(), options, engine="native")
+    return native, BehavioralTagger(xmlrpc(), options, engine="compiled")
+
+
+def _inert_runs(ir, data: bytes) -> list[tuple[int, int]]:
+    """The oracle: each maximal ``[start, end)`` run of bytes whose edge
+    is a bare self-loop (same state, no effect), from the start state."""
+    runs, state, start = [], 0, None
+    for pos, byte in enumerate(data):
+        edge = state * ir.n_classes + ir.class_table[byte]
+        inert = ir.next[edge] == state and not ir.effect[edge]
+        if inert and start is None:
+            start = pos
+        elif not inert and start is not None:
+            runs.append((start, pos))
+            start = None
+        state = ir.next[edge]
+    return runs + ([(start, len(data))] if start is not None else [])
+
+
+def _base64_call(rng: random.Random, *sizes: int, method: str = "buy") -> bytes:
+    return MethodCall(
+        method,
+        tuple(Base64Value("".join(rng.choices(BASE64, k=k))) for k in sizes),
+    ).encode()
+
+
+def _assert_native_matches(pair, pieces) -> None:
+    """Native == compiled over ``pieces``: one-shot ``events`` and
+    ``tag``, ``feed``/``finish`` with the low watermark after every
+    chunk, and the router's by-span records; every byte the oracle
+    calls inert is skipped, no other."""
+    native, compiled = pair
+    scan = native.compiled
+    assert scan.native_active
+    data = b"".join(pieces)
+    inert = sum(end - start for start, end in _inert_runs(scan_ir_for(scan), data))
+    skipped = scan.bytes_skipped
+    assert scan.events(data) == compiled.compiled.events(data)
+    assert scan.bytes_skipped - skipped == inert
+    _assert_same_tokens(scan.tag(data), compiled.compiled.tag(data), data)
+    ns, cs = scan.stream(), compiled.compiled.stream()
+    routers = [ContentBasedRouter(tagger=t).stream() for t in pair]
+    for piece in pieces:
+        assert ns.feed_scan(piece) == cs.feed_scan(piece)
+        assert ns.low_watermark() == cs.low_watermark()
+        assert routers[0].feed_records(piece) == routers[1].feed_records(piece)
+    assert ns.finish_scan() == cs.finish_scan()
+    assert ns.errors == cs.errors
+    assert routers[0].finish_records() == routers[1].finish_records()
+
+
+@needs_native
+def test_armed_inert_runs_of_every_length(inert_pair):
+    """A Base64 payload is read while its token is armed: a run of L
+    bare self-loops (L = 1..24, below, at and past the eight-byte
+    test) ending mid-chunk, exactly at a chunk's end, and on the final
+    byte of the stream."""
+    ir = scan_ir_for(inert_pair[0].compiled)
+    rng = random.Random(24)
+    for length in range(1, 25):
+        data = _base64_call(rng, length + 2)  # two payload bytes are live
+        start, end = _inert_runs(ir, data)[-1]
+        assert end - start == length and data[end : end + 2] == b"</"
+        for pieces in (
+            [data[:start], data[start : end + 3], data[end + 3 :]],  # mid-chunk
+            [data[:start], data[start:end], data[end:]],  # at a chunk's end
+            [data[: start + 1], data[start + 1 : end]],  # the final byte
+        ):
+            _assert_native_matches(inert_pair, pieces)
+
+
+def _base64_stream(seed: int, calls: int = 6) -> bytes:
+    """Calls with Base64 payloads of 1-2 KiB each, newline-separated:
+    almost every byte is read while a payload token is armed."""
+    rng = random.Random(seed)
+    methods = ("deposit", "buy", "price")
+    return b"\n".join(
+        _base64_call(rng, *rng.choices(range(1024, 2049), k=2), method=rng.choice(methods))
+        for _ in range(calls)
+    )
+
+
+@needs_native
+@pytest.mark.parametrize("trial", range(3))
+def test_base64_stream_at_random_chunk_splits(inert_pair, trial):
+    """Payload runs cut anywhere: single bytes, odd runs, MTU runs."""
+    data = _base64_stream(seed=trial)
+    assert ContentBasedRouter(tagger=inert_pair[1]).route(data)
+    _assert_native_matches(inert_pair, list(_random_chunks(data, random.Random(trial))))
+
+
+@needs_native
+@pytest.mark.parametrize("mode", sorted(START_MODES))
+def test_corruption_inside_a_payload_recovers_alike(mode):
+    """The recovery wiring reports §5.2 error positions; its armed
+    payload states skip too, and corruption inside a payload stops a
+    run at the same byte the compiled loop stops it — whichever of the
+    256 byte values it starts with."""
+    options = TaggerOptions(wiring=replace(START_MODES[mode], error_recovery=True))
+    pair = tuple(BehavioralTagger(xmlrpc(), options, engine=e) for e in ("native", "compiled"))
+    data = _base64_stream(seed=7, calls=3)
+    cut = data.index(b"<base64>") + 500
+    corrupted = data[:cut] + b"\x00<< broken ?>" + data[cut:]
+    native, compiled = (t.compiled for t in pair)
+    assert native.events_and_errors(corrupted) == compiled.events_and_errors(corrupted)
+    assert compiled.events_and_errors(corrupted)[1], "no error position: a vacuous check"
+    _assert_native_matches(pair, list(_random_chunks(corrupted, random.Random(mode))))
+    call = _base64_call(random.Random(mode), 40)
+    cut = call.index(b"<base64>") + 20
+    for byte in range(256):
+        _assert_native_matches(pair, [call[:cut], bytes([byte]) + call[cut:]])
+
+
+@needs_native
+def test_base64_payloads_are_skipped():
+    """On a Base64-heavy stream nearly every byte is a bare self-loop
+    of an armed state, and the kernel fast-forwards over all of them:
+    the skip share is deterministic, a property of tables and input."""
+    native = NativeTagger(xmlrpc())
+    data = _base64_stream(seed=40, calls=8)
+    assert native.events(data) == CompiledTagger(xmlrpc()).events(data)
+    assert native.bytes_skipped / native.bytes_scanned >= 0.95
 
 
 # ----------------------------------------------------------------------
@@ -624,3 +822,4 @@ def test_capability_shape():
     flags = capability()
     assert set(flags) == {"native", "disabled_by_env", "compiler", "source"}
     assert flags["source"] in (None, "jit", "prebuilt")
+
