@@ -9,8 +9,8 @@ product-automaton tables, and the scan IR
 (:class:`~repro.core.scanir.ScanIR`: byte classes, the class-indexed
 step table, effects, skip prefilters, state flags) — and serializes
 the result to one self-describing binary blob; :func:`load_artifact`
-restores it through the owning modules' install functions so every
-engine on the ladder starts without paying the closure again.  The
+restores it into the parsed grammar's memo so every engine on the
+ladder starts without paying the closure again.  The
 native kernel's flattened int32 tables re-lower from the restored IR
 (a few milliseconds) rather than being stored: they embed a C capsule
 that cannot round-trip, and lowering is an order of magnitude cheaper
@@ -39,8 +39,9 @@ Keying is two-level:
   (:func:`~repro.grammar.writer.write_yacc_grammar`) plus the wiring
   key.  This identifies the *logical* compilation input: two parses of
   the same source under the same wiring share one content id (the
-  on-disk analogue of the in-process ``WeakKeyDictionary`` caches,
-  which miss for structurally-equal grammar objects).
+  on-disk analogue of the in-process memo on each grammar object,
+  :meth:`~repro.grammar.cfg.Grammar.derived`, which two
+  structurally-equal grammar objects do not share).
 * :func:`object_key` — content id plus :func:`interpreter_tag` (format
   ABI + ``sys.implementation.cache_tag``).  This addresses the stored
   blob: bumping :data:`ARTIFACT_ABI` or changing interpreters
@@ -60,8 +61,8 @@ from repro.core.options import (
     TokenizerTemplateOptions,
     WiringOptions,
 )
-from repro.core.scanir import ScanIR, install_scan_ir, scan_ir_for
-from repro.core.scanplan import _wiring_key, build_scan_plan
+from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanplan import _WIRING_FIELDS, _wiring_key, build_scan_plan
 from repro.errors import ArtifactError, ReproError
 from repro.grammar.cfg import Grammar
 from repro.grammar.writer import write_yacc_grammar
@@ -95,16 +96,6 @@ _MAGIC = b"RART"
 _WHAT = "scan artifact"
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
-
-#: Field order matching ``scanplan._wiring_key``.
-_WIRING_FIELDS = (
-    "context_duplication",
-    "start_mode",
-    "loop_on_accept",
-    "error_recovery",
-    "longest_match",
-    "keyword_boundary",
-)
 
 
 # ----------------------------------------------------------------------
@@ -163,16 +154,16 @@ def options_from_wiring_fields(fields) -> TaggerOptions:
             f"wiring key {fields!r} is not a list of "
             f"{len(_WIRING_FIELDS)} fields"
         )
-    cd, start_mode, loop, recovery, longest, boundary = fields
+    named = dict(zip(_WIRING_FIELDS, fields))
     try:
         wiring = WiringOptions(
-            context_duplication=bool(cd),
-            start_mode=str(start_mode),
-            loop_on_accept=bool(loop),
-            error_recovery=bool(recovery),
+            context_duplication=bool(named["context_duplication"]),
+            start_mode=str(named["start_mode"]),
+            loop_on_accept=bool(named["loop_on_accept"]),
+            error_recovery=bool(named["error_recovery"]),
             tokenizer=TokenizerTemplateOptions(
-                longest_match=bool(longest),
-                keyword_boundary=bool(boundary),
+                longest_match=bool(named["tokenizer.longest_match"]),
+                keyword_boundary=bool(named["tokenizer.keyword_boundary"]),
             ),
         )
     except ValueError as exc:
@@ -263,9 +254,9 @@ class CompiledArtifact:
     """A loaded artifact: the grammar, its options, and warm caches.
 
     Constructing taggers from an artifact is cheap — the plan, compiled
-    tables and scan IR are already installed in their owners' caches
-    keyed by :attr:`grammar`, so :meth:`tagger` skips straight to
-    (at most) the native kernel's fast re-lowering.
+    tables and scan IR are already in :attr:`grammar`'s memo, so
+    :meth:`tagger` skips straight to (at most) the native kernel's fast
+    re-lowering.
     """
 
     __slots__ = ("grammar", "options", "header", "nbytes", "ref", "__weakref__")
@@ -304,7 +295,7 @@ class CompiledArtifact:
 
 
 def load_artifact(blob: bytes) -> CompiledArtifact:
-    """Deserialize a blob and install its tables into the engine caches.
+    """Deserialize a blob and install its tables into the grammar's memo.
 
     Raises :class:`ArtifactError` — and nothing else — for blobs that
     are corrupt (digest mismatch), wrong-shaped, or built under a
@@ -341,9 +332,10 @@ def load_artifact(blob: bytes) -> CompiledArtifact:
 
 
 def _install(grammar: Grammar, options: TaggerOptions, payload: dict) -> None:
-    """Hand the payload's tables to the modules that own them: the
-    interned states to :func:`~repro.core.compiled.install_tables`, the
-    validated IR to :func:`~repro.core.scanir.install_scan_ir`.
+    """Make the payload's tables the grammar's memoized ones: the
+    interned states through :func:`~repro.core.compiled.install_tables`,
+    then the validated IR under the key
+    :func:`~repro.core.scanir.scan_ir_for` reads.
 
     The replay relies on interning determinism: token-DFA subset
     states and global product states are appended in stored order, so
@@ -363,4 +355,4 @@ def _install(grammar: Grammar, options: TaggerOptions, payload: dict) -> None:
         )
     if ir.unit_caps != tables.unit_caps():
         raise ArtifactError("artifact IR was lowered for other tokenizers")
-    install_scan_ir(grammar, options.wiring, ir)
+    grammar.derived(("ir", _wiring_key(options.wiring)), lambda: ir)

@@ -44,8 +44,8 @@ A streaming front end (:meth:`CompiledTagger.feed` /
 :meth:`CompiledTagger.finish`, or independent :class:`CompiledStream`
 sessions) carries the scan state across chunk boundaries, so packet
 payloads can be tagged incrementally instead of re-scanning
-concatenated buffers. Compiled tables are memoized per (grammar,
-wiring) alongside the shared :class:`~repro.core.scanplan.ScanPlan`,
+concatenated buffers. Compiled tables are memoized on the grammar per
+wiring, alongside the shared :class:`~repro.core.scanplan.ScanPlan`,
 so constructing many taggers for the same grammar costs one build —
 and the lazily-materialized rows warmed by one tagger are reused by
 every later one.  A step has one form, in register-file indices
@@ -56,7 +56,6 @@ compiled loop's own misses fill the memo.
 from __future__ import annotations
 
 from array import array
-from weakref import WeakKeyDictionary
 
 from repro.core.api import StreamSession
 from repro.core.options import TaggerOptions
@@ -365,23 +364,13 @@ class _CompiledTables:
         return ntid << 8
 
 
-_TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _tables_for(grammar: Grammar, plan: ScanPlan) -> _CompiledTables:
-    per_grammar = _TABLE_CACHE.setdefault(grammar, {})
-    key = _wiring_key(plan.wiring)
-    tables = per_grammar.get(key)
-    if tables is None:
-        tables = per_grammar[key] = _CompiledTables(plan)
-    return tables
-
-
 def install_tables(
     grammar: Grammar, plan: ScanPlan, dfa_states, tstates
 ) -> _CompiledTables:
     """Rebuild the tables of ``(grammar, plan.wiring)`` from an
-    artifact's stored interning order and make them the cached ones.
+    artifact's stored interning order and make them the grammar's
+    memoized ones (a grammar that compiled nothing under that wiring
+    yet, as :func:`~repro.core.artifact.load_artifact` parses it).
 
     ``dfa_states`` maps a token name to its subset states (position
     tuples) and ``tstates`` lists the global control states, both in
@@ -421,8 +410,7 @@ def install_tables(
             tables._intern(t)
         except (TypeError, ValueError):  # also wrong arity, unhashable
             raise ArtifactError("bad product state in artifact") from None
-    _TABLE_CACHE.setdefault(grammar, {})[_wiring_key(plan.wiring)] = tables
-    return tables
+    return grammar.derived(("tables", _wiring_key(plan.wiring)), lambda: tables)
 
 
 def pack_selected(
@@ -487,16 +475,16 @@ class CompiledTagger:
         self,
         grammar: Grammar,
         options: TaggerOptions | None = None,
-        plan: ScanPlan | None = None,
     ) -> None:
         self.grammar = grammar
         self.options = options or TaggerOptions()
-        if plan is None:
-            plan = build_scan_plan(grammar, self.options.wiring)
-        self.plan = plan
+        wiring = self.options.wiring
+        self.plan = plan = build_scan_plan(grammar, wiring)
         self.units = plan.units
         self.accepting = plan.accepting
-        self.tables = _tables_for(grammar, plan)
+        self.tables = grammar.derived(
+            ("tables", _wiring_key(wiring)), lambda: _CompiledTables(plan)
+        )
         self._index_of = plan.index_of
         self._session: CompiledStream | None = None
 
@@ -504,8 +492,8 @@ class CompiledTagger:
     def __reduce__(self):
         # Pickle as a compact rebuild spec — (grammar, options) — not
         # the materialized tables: the payload stays small and the
-        # unpickling process rebuilds through the shared plan/table
-        # caches, so every tagger shipped to one worker pays one build.
+        # unpickling process rebuilds through the grammar's memo, so
+        # every tagger shipped over one grammar pays one build.
         return (type(self), (self.grammar, self.options))
 
     # ------------------------------------------------------------------

@@ -41,12 +41,11 @@ stays available under ``REPRO_DISABLE_NUMPY=1``.
 from __future__ import annotations
 
 from array import array
-from weakref import WeakKeyDictionary
 
 from repro.core import _native_build
 from repro.core.compiled import CompiledTagger
 from repro.core.scanir import ScanIR, scan_ir_for
-from repro.core.scanplan import DetectEvent
+from repro.core.scanplan import DetectEvent, _wiring_key
 from repro.core.tokens import TaggedToken
 
 __all__ = ["NativeTagger", "capability"]
@@ -167,26 +166,25 @@ class _NativeTables:
         )
 
 
-#: ScanIR -> its native tables, or _UNBUILDABLE.
-_NATIVE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_UNBUILDABLE = object()
-
-
 def _native_tables_for(tagger) -> _NativeTables | None:
     """The native tables over the tagger's scan IR, or None when the
     kernel is unavailable or the automaton resists densification."""
     ext = _native_build.load_kernel()
-    ir = ext and scan_ir_for(tagger)
-    if ir is None:
+    if ext is None:
         return None
-    nt = _NATIVE_CACHE.get(ir)
-    if nt is None:
+
+    def lower() -> _NativeTables | None:
+        ir = scan_ir_for(tagger)
+        if ir is None:
+            return None
         try:  # (an int that is not int32 fails the size checks)
-            nt = _NativeTables(ext, ir, tagger)
+            return _NativeTables(ext, ir, tagger)
         except (ValueError, MemoryError, OverflowError):
-            nt = _UNBUILDABLE
-        _NATIVE_CACHE[ir] = nt
-    return None if nt is _UNBUILDABLE else nt
+            return None
+
+    return tagger.grammar.derived(
+        ("native", _wiring_key(tagger.plan.wiring)), lower
+    )
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +204,8 @@ class NativeTagger(CompiledTagger):
     [...]
     """
 
-    def __init__(self, grammar, options=None, plan=None) -> None:
-        super().__init__(grammar, options, plan)
+    def __init__(self, grammar, options=None) -> None:
+        super().__init__(grammar, options)
         self._nt = _native_tables_for(self)
         #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
         #: the inert-run fast-forward's hit rate).

@@ -47,15 +47,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
-from weakref import WeakKeyDictionary
 
 from repro.core.compiled import CompiledTagger, _CompiledTables
-from repro.core.options import WiringOptions
 from repro.core.scanplan import _wiring_key
 from repro.errors import ArtifactError
-from repro.grammar.cfg import Grammar
 
-__all__ = ["ScanIR", "install_scan_ir", "scan_ir_for"]
+__all__ = ["ScanIR", "scan_ir_for"]
 
 #: Closure bail-out: a product automaton past this many states is not
 #: worth densifying (the closure alone would dominate), so consumers
@@ -131,7 +128,6 @@ class ScanIR:
         "eos",
         "emits",
         "unit_caps",
-        "__weakref__",
     )
 
     # ------------------------------------------------------------------
@@ -323,24 +319,11 @@ class ScanIR:
 
 
 # ----------------------------------------------------------------------
-#: grammar -> {wiring key: ScanIR, or None past the state cap}
-_IR_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def scan_ir_for(tagger: CompiledTagger) -> ScanIR | None:
     """The scan IR of the tagger's (grammar, wiring) pair, closing the
-    product automaton on first use; None when it is too large to
-    densify."""
-    per_grammar = _IR_CACHE.setdefault(tagger.grammar, {})
-    key = _wiring_key(tagger.plan.wiring)
-    if key not in per_grammar:
-        per_grammar[key] = ScanIR.close(tagger.tables)
-    return per_grammar[key]
-
-
-def install_scan_ir(
-    grammar: Grammar, wiring: WiringOptions, ir: ScanIR
-) -> None:
-    """Make ``ir`` (restored from an artifact) the IR every later
-    :func:`scan_ir_for` over ``grammar`` under ``wiring`` returns."""
-    _IR_CACHE.setdefault(grammar, {})[_wiring_key(wiring)] = ir
+    product automaton on first use (or restored by an artifact load);
+    None when it is too large to densify."""
+    return tagger.grammar.derived(
+        ("ir", _wiring_key(tagger.plan.wiring)),
+        lambda: ScanIR.close(tagger.tables),
+    )

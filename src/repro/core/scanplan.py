@@ -7,7 +7,8 @@ unit list (terminal occurrences, or collapsed terminals when context
 duplication is off), the Follow-set successor wiring, the start and
 accepting sets, one Glushkov automaton per token pattern, and the
 per-token longest-match/boundary byte sets. This module derives that
-structure once per (grammar, wiring) pair and memoizes it, so
+structure once per (grammar, wiring) pair and memoizes it on the
+grammar (:meth:`~repro.grammar.cfg.Grammar.derived`), so
 applications that construct taggers repeatedly (one router per flow,
 one tagger per benchmark round) stop paying the rebuild cost.
 """
@@ -15,8 +16,8 @@ one tagger per benchmark round) stop paying the rebuild cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from repro.core.options import WiringOptions
 from repro.grammar.analysis import (
@@ -78,34 +79,26 @@ class ScanPlan:
         return (build_scan_plan, (self.grammar, self.wiring))
 
 
-def _wiring_key(wiring: WiringOptions) -> tuple:
-    """Hashable identity of the wiring options a scan depends on."""
-    tmpl = wiring.tokenizer
-    return (
-        wiring.context_duplication,
-        wiring.start_mode,
-        wiring.loop_on_accept,
-        wiring.error_recovery,
-        tmpl.longest_match,
-        tmpl.keyword_boundary,
-    )
+#: The wiring fields a scan depends on, in the one order the memo keys,
+#: artifact headers and content ids use.
+_WIRING_FIELDS = (
+    "context_duplication",
+    "start_mode",
+    "loop_on_accept",
+    "error_recovery",
+    "tokenizer.longest_match",
+    "tokenizer.keyword_boundary",
+)
 
-
-_PLAN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+#: Hashable identity of the wiring options a scan depends on.
+_wiring_key = attrgetter(*_WIRING_FIELDS)
 
 
 def build_scan_plan(grammar: Grammar, wiring: WiringOptions) -> ScanPlan:
     """Derive (or fetch the memoized) scan plan for a grammar."""
-    per_grammar = _PLAN_CACHE.get(grammar)
-    if per_grammar is None:
-        per_grammar = {}
-        _PLAN_CACHE[grammar] = per_grammar
-    key = _wiring_key(wiring)
-    plan = per_grammar.get(key)
-    if plan is None:
-        plan = _derive_plan(grammar, wiring)
-        per_grammar[key] = plan
-    return plan
+    return grammar.derived(
+        ("plan", _wiring_key(wiring)), lambda: _derive_plan(grammar, wiring)
+    )
 
 
 def _derive_plan(grammar: Grammar, wiring: WiringOptions) -> ScanPlan:

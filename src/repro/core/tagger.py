@@ -22,7 +22,6 @@ into tagged tokens. It is the ground truth.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Literal
-from weakref import WeakKeyDictionary
 
 from repro.core.api import BufferedSession, StreamSession
 from repro.core.compiled import CompiledTagger
@@ -98,16 +97,14 @@ class BehavioralTagger:
         if engine == "native":
             from repro.core.nativescan import NativeTagger
 
-            self.compiled: CompiledTagger | None = NativeTagger(
-                grammar, self.options, plan=plan
-            )
+            self.compiled: CompiledTagger | None = NativeTagger(grammar, self.options)
         elif engine == "vector":
             from repro.core.vectorscan import VectorTagger
 
-            self.compiled = VectorTagger(grammar, self.options, plan=plan)
+            self.compiled = VectorTagger(grammar, self.options)
         else:
             self.compiled = (
-                CompiledTagger(grammar, self.options, plan=plan)
+                CompiledTagger(grammar, self.options)
                 if engine == "compiled"
                 else None
             )
@@ -116,7 +113,7 @@ class BehavioralTagger:
     def __reduce__(self):
         # Compact rebuild spec (see CompiledTagger.__reduce__): the
         # unpickling process re-derives plan and tables through the
-        # shared caches instead of shipping materialized structure.
+        # grammar's memo instead of shipping materialized structure.
         return (BehavioralTagger, (self.grammar, self.options, self.engine))
 
     # ------------------------------------------------------------------
@@ -265,12 +262,6 @@ class BehavioralTagger:
             yield from results
 
 
-#: Reversed-pattern NFAs for start recovery, shared per grammar: every
-#: GateLevelTagger over the same grammar reuses one token-name -> NFA
-#: map instead of recompiling per instance.
-_REVERSE_NFA_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
 class GateLevelTagger:
     """Runs the generated netlist and decodes its outputs.
 
@@ -288,9 +279,6 @@ class GateLevelTagger:
             port: occurrence
             for occurrence, port in circuit.detect_ports.items()
         }
-        self._reverse_nfas: dict[str, NFA] = _REVERSE_NFA_CACHE.setdefault(
-            circuit.grammar, {}
-        )
 
     # ------------------------------------------------------------------
     def _flush_cycles(self) -> int:
@@ -400,11 +388,13 @@ class GateLevelTagger:
         before ``end`` backwards, gives the start.
         """
         name = unit.terminal.name
-        nfa: NFA | None = self._reverse_nfas.get(name)
-        if nfa is None:
-            pattern = self.circuit.grammar.lexspec.get(name).pattern
-            nfa = compile_nfa(rx.reverse(pattern))
-            self._reverse_nfas[name] = nfa
+        grammar = self.circuit.grammar
+        # One reversed-pattern NFA per token, shared by every gate-level
+        # tagger over the grammar.
+        nfa: NFA = grammar.derived(
+            ("reverse", name),
+            lambda: compile_nfa(rx.reverse(grammar.lexspec.get(name).pattern)),
+        )
         length = nfa.longest_match(reversed_data, len(reversed_data) - end)
         if not length:
             return end - 1

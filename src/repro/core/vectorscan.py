@@ -39,11 +39,10 @@ import importlib.util
 import os
 from collections import deque
 from itertools import islice
-from weakref import WeakKeyDictionary
 
 from repro.core.compiled import CompiledTagger
 from repro.core.scanir import ScanIR, scan_ir_for
-from repro.core.scanplan import DetectEvent
+from repro.core.scanplan import DetectEvent, _wiring_key
 
 __all__ = [
     "NUMPY_AVAILABLE",
@@ -178,23 +177,20 @@ class _WideTables:
         return entry
 
 
-#: ScanIR -> the wide tables built over it.
-_WIDE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _wide_tables_for(tagger: CompiledTagger) -> _WideTables | None:
     """The shared wide tables over the tagger's scan IR, or None when
     the wide loop cannot run: no NumPy, or a product automaton too
     large to densify."""
     if not NUMPY_AVAILABLE:
         return None
-    ir = scan_ir_for(tagger)
-    if ir is None:
-        return None
-    wide = _WIDE_CACHE.get(ir)
-    if wide is None:
-        wide = _WIDE_CACHE[ir] = _WideTables(ir, tagger.tables)
-    return wide
+
+    def build() -> _WideTables | None:
+        ir = scan_ir_for(tagger)
+        return None if ir is None else _WideTables(ir, tagger.tables)
+
+    return tagger.grammar.derived(
+        ("wide", _wiring_key(tagger.plan.wiring)), build
+    )
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +213,8 @@ class VectorTagger(CompiledTagger):
     [...]
     """
 
-    def __init__(self, grammar, options=None, plan=None) -> None:
-        super().__init__(grammar, options, plan)
+    def __init__(self, grammar, options=None) -> None:
+        super().__init__(grammar, options)
         self._vt = _wide_tables_for(self)
         #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
         #: the dead-region prefilter's hit rate).
@@ -228,9 +224,6 @@ class VectorTagger(CompiledTagger):
     @property
     def vector_active(self) -> bool:
         return self._vt is not None
-
-    def __reduce__(self):
-        return (VectorTagger, (self.grammar, self.options))
 
     # ------------------------------------------------------------------
     def _run(self, data, st, error_sink, out) -> None:

@@ -14,7 +14,6 @@ and which may end one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from repro.grammar.cfg import Grammar, Production
 from repro.grammar.symbols import END, NonTerminal, Symbol, Terminal
@@ -141,31 +140,21 @@ def analyze_grammar(grammar: Grammar) -> GrammarAnalysis:
     )
 
 
-#: Identity-keyed memo caches. A :class:`Grammar` is mutable while it
-#: is being assembled but effectively frozen once analyzed; the cached
-#: entry points assume no further mutation (the same assumption every
-#: generated circuit already makes). Weak keys let grammars be
-#: garbage-collected normally.
-_ANALYSIS_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_GRAPH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
+# A :class:`Grammar` is mutable while it is being assembled but
+# effectively frozen once analyzed; the memoized entry points keep
+# their results in the grammar's own memo (:meth:`Grammar.derived`),
+# so they live and die with it.
 def analyze_grammar_cached(grammar: Grammar) -> GrammarAnalysis:
-    """Memoized :func:`analyze_grammar` (keyed by grammar identity)."""
-    cached = _ANALYSIS_CACHE.get(grammar)
-    if cached is None:
-        cached = analyze_grammar(grammar)
-        _ANALYSIS_CACHE[grammar] = cached
-    return cached
+    """Memoized :func:`analyze_grammar` (kept on the grammar)."""
+    return grammar.derived("analysis", lambda: analyze_grammar(grammar))
 
 
 def build_occurrence_graph_cached(grammar: Grammar) -> "OccurrenceGraph":
     """Memoized :func:`build_occurrence_graph` over the cached analysis."""
-    cached = _GRAPH_CACHE.get(grammar)
-    if cached is None:
-        cached = build_occurrence_graph(grammar, analyze_grammar_cached(grammar))
-        _GRAPH_CACHE[grammar] = cached
-    return cached
+    return grammar.derived(
+        "graph",
+        lambda: build_occurrence_graph(grammar, analyze_grammar_cached(grammar)),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ generator consumes them (Fig. 14 shows the combined Yacc-style file).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Hashable
 
 from repro.errors import GrammarError
 from repro.grammar.lexspec import LexSpec
@@ -53,6 +54,30 @@ class Grammar:
         self.productions: list[Production] = []
         self.start: NonTerminal | None = None
         self._by_lhs: dict[NonTerminal, list[Production]] = {}
+        self._derived: dict[Hashable, Any] = {}
+
+    # ------------------------------------------------------------------
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, run once per ``key`` and kept exactly as long as
+        this grammar lives: the one memo for everything compiled from
+        it (analysis, scan plans, tables, scan IR, kernel tables; keys
+        in DESIGN.md §7).  The grammar must not change after the first
+        call, the assumption every generated circuit already makes."""
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the grammar, never what was compiled
+        # from it: the far side rebuilds through its own memo.
+        state = self.__dict__.copy()
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     # ------------------------------------------------------------------
     def add(self, lhs: NonTerminal, rhs: list[Symbol] | tuple[Symbol, ...]) -> Production:

@@ -446,8 +446,8 @@ class ScanServer(FramedEndpoint):
             "beam_native": beam_native,
         }
         # Every engine's capability flags under the engine the served
-        # tagger runs, plus the dense loop's skip-efficiency counters
-        # when it counts them.
+        # tagger runs, plus its skip-efficiency counters (scan.*) when
+        # it counts them.
         from repro.core.capabilities import engine_capabilities
 
         tagger = self._scan_tagger()
@@ -457,10 +457,10 @@ class ScanServer(FramedEndpoint):
             engine["native_active"] = getattr(scan, "native_active", False)
             scanned = scan.bytes_scanned
             skipped = scan.bytes_skipped
-            self.metrics.counter("vector.bytes_scanned").value = scanned
-            self.metrics.counter("vector.bytes_skipped").value = skipped
+            self.metrics.counter("scan.bytes_scanned").value = scanned
+            self.metrics.counter("scan.bytes_skipped").value = skipped
             if scanned:
-                self.metrics.gauge("vector.skip_ratio").set(
+                self.metrics.gauge("scan.skip_ratio").set(
                     skipped / scanned
                 )
         snapshot = self.metrics.snapshot()

@@ -23,7 +23,7 @@ device; this module is that deployment boundary in software.  A
 
 Publishing the same source + wiring twice (two parses of one DTD, two
 workers racing) converges on one version and one object — the on-disk
-fix for the in-process ``WeakKeyDictionary`` caches missing on
+fix for the in-process memo (one per grammar object) missing on
 structurally-equal grammar objects.  Loading under a *different*
 interpreter/ABI than the publisher finds the manifest but not a
 compatible object, recompiles from the manifest's source, and heals
@@ -111,8 +111,8 @@ class Registry:
         self.root = os.fspath(root) if root is not None else default_root()
         #: In-process artifact cache by content id: every ref that
         #: resolves to the same logical grammar shares one loaded
-        #: artifact (and therefore one grammar object and one set of
-        #: warm engine caches).
+        #: artifact (and therefore one grammar object and its warm
+        #: memo).
         self._artifacts: dict[str, CompiledArtifact] = {}
         #: In-process mask-table cache by mask key (content × vocab).
         self._masks: dict = {}

@@ -59,8 +59,8 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # Worker specs: compact, picklable descriptions of what a worker runs.
-# Shipped once at spawn; the worker rebuilds the engine through the
-# shared plan/table caches (see CompiledTagger.__reduce__).
+# Shipped once at spawn; the worker rebuilds the engine through its
+# grammar's memo (see CompiledTagger.__reduce__).
 # ----------------------------------------------------------------------
 def _spec_tagger(spec, options=None, default=None):
     """The streaming :class:`~repro.core.tagger.BehavioralTagger` a

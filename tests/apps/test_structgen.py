@@ -53,7 +53,7 @@ class Oracle:
     """Raw-byte reimplementation of mask validity from first
     principles: per-byte ``build_step`` walks plus a forward closure
     for liveness.  Shares the interned tid space with the mask table
-    (same grammar object, same wiring, same process-wide table cache)
+    (same grammar object, same wiring, same tables in its memo)
     but none of the lowering's class/step/doomed arrays."""
 
     def __init__(self, grammar, wiring: WiringOptions) -> None:

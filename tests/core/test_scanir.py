@@ -162,7 +162,7 @@ def _raw_close(tables: _CompiledTables) -> ScanIR | None:
 
 
 def _fresh_tables(grammar, wiring) -> _CompiledTables:
-    """Tables outside the process-wide cache: nothing stepped yet."""
+    """Tables outside the grammar's memo: nothing stepped yet."""
     return _CompiledTables(build_scan_plan(grammar, wiring))
 
 

@@ -6,6 +6,7 @@ import json
 
 from repro.server import ScanClient
 
+from tests.core.test_nativescan import _base64_stream, needs_native
 from tests.server.conftest import running_server
 from tests.server.drivers import run_load
 
@@ -97,5 +98,34 @@ def test_native_engine_server_answers_stats_and_metrics():
             status, body = await _http_get(server.admin_address, "/metrics")
             assert status == "200 OK"
             assert "repro_server_connections_open 0" in body
+
+    run(main())
+
+
+@needs_native
+def test_native_server_publishes_skip_counters_as_scan():
+    """A native server's skip counters are the kernel's, so /stats
+    names them ``scan.*``: a Base64-heavy flow is almost all skipped,
+    and no key names the vector engine ``serve`` never runs."""
+    from repro.service import RouterSpec
+
+    async def main():
+        async with running_server(
+            spec=RouterSpec(engine="native"), admin_port=0
+        ) as server:
+            host, port = server.address
+            async with ScanClient(host, port) as client:
+                assert await client.scan_stream(_base64_stream(seed=41), 4096)
+            _status, body = await _http_get(server.admin_address, "/stats")
+        stats = json.loads(body)
+        assert stats["engine"]["native_active"] is True
+        assert stats["gauges"]["scan.skip_ratio"] > 0
+        assert stats["counters"]["scan.bytes_scanned"] > 0
+        assert not [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in stats[kind]
+            if name.startswith("vector.")
+        ]
 
     run(main())
