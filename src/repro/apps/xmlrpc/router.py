@@ -79,7 +79,7 @@ class ContentBasedRouter:
         self.accepting: set[Occurrence] = set(
             self.tagger.accepting
             if behavioral
-            else self.tagger.circuit.scanner.graph.accepting
+            else self.tagger.circuit.scanner.plan.accepting
         )
         if not self.method_occurrences:
             raise BackendError(

@@ -16,6 +16,12 @@ into a :class:`TaggerCircuit`: a complete netlist with
 
 plus the metadata needed to interpret the outputs (occurrence order,
 encoder index map, pipeline latencies).
+
+The units, their wiring and the accepting set all come from the
+grammar's :class:`~repro.core.scanplan.ScanPlan` (``scanner.plan``),
+the one derivation the software engines scan with: the ``accept`` pin
+ORs the detects of ``plan.accepting``, and the priority encoder's
+conflict groups follow ``plan.successors``.
 """
 
 from __future__ import annotations
@@ -57,10 +63,10 @@ class TaggerCircuit:
     detect_latency: int = DETECT_LATENCY
 
     @property
-    def occurrences(self) -> list[Occurrence]:
+    def occurrences(self) -> tuple[Occurrence, ...]:
         """Encoder input order; position ``i`` maps to index ``i+1``
         for the or-tree encoder (see ``encoder.index_of_input``)."""
-        return self.scanner.order
+        return self.scanner.plan.units
 
     @property
     def index_latency(self) -> int:
@@ -127,12 +133,12 @@ class TaggerGenerator:
         )
         scanner = build_scanner(netlist, decoders, grammar, options.wiring)
 
-        detects = [scanner.instances[o].detect for o in scanner.order]
+        detects = [scanner.instances[o].detect for o in scanner.plan.units]
         encoder = self._build_encoder(netlist, scanner, detects)
 
         detect_ports: dict[Occurrence, str] = {}
         if options.expose_detects:
-            for occurrence in scanner.order:
+            for occurrence in scanner.plan.units:
                 port = f"det_{_sanitize(occurrence.terminal.name)}_{occurrence.context_name()}"
                 netlist.output(port, scanner.instances[occurrence].detect)
                 detect_ports[occurrence] = port
@@ -140,8 +146,8 @@ class TaggerGenerator:
         if options.expose_accept:
             accepting = [
                 scanner.instances[o].detect
-                for o in scanner.order
-                if o in scanner.graph.accepting
+                for o in scanner.plan.units
+                if o in scanner.plan.accepting
             ]
             accept = (
                 netlist.or_tree(accepting, name="accept")

@@ -1,11 +1,13 @@
-"""Shared scan plan: everything a software tagger needs per grammar.
+"""Shared scan plan: the one unit wiring derived per grammar.
 
-Both tagger engines — the interpreted :class:`~repro.core.tagger.
-BehavioralTagger` loop and the table-driven :class:`~repro.core.
-compiled.CompiledTagger` — operate on the same derived structure: the
+Every tagger engine — the interpreted :class:`~repro.core.tagger.
+BehavioralTagger` loop, the table-driven :class:`~repro.core.
+compiled.CompiledTagger` and its descendants — and both netlist
+generators (:func:`~repro.core.wiring.build_scanner`, the wide
+generator) operate on the same derived structure: the
 unit list (terminal occurrences, or collapsed terminals when context
 duplication is off), the Follow-set successor wiring, the start and
-accepting sets, one Glushkov automaton per token pattern, and the
+accepting sets, one Glushkov automaton per token, and the
 per-token longest-match/boundary byte sets. This module derives that
 structure once per (grammar, wiring) pair and memoizes it on the
 grammar (:meth:`~repro.grammar.cfg.Grammar.derived`), so
@@ -27,7 +29,7 @@ from repro.grammar.analysis import (
 )
 from repro.grammar.cfg import Grammar
 from repro.grammar.regex import ast as rx
-from repro.grammar.regex.glushkov import Glushkov, build_glushkov_cached
+from repro.grammar.regex.glushkov import Glushkov, build_glushkov
 from repro.grammar.symbols import END
 
 
@@ -58,9 +60,9 @@ class ScanPlan:
     units: tuple[Occurrence, ...]
     starts: frozenset[Occurrence]
     accepting: frozenset[Occurrence]
-    #: unit -> units it enables (successor map, used sparsely).
+    #: unit -> units it enables (loop-on-accept edges included).
     successors: dict[Occurrence, frozenset[Occurrence]]
-    #: one position automaton per token pattern, shared across contexts.
+    #: one position automaton per token, shared across contexts.
     automata: dict[str, Glushkov]
     delimiters: frozenset[int]
     #: per-token extra longest-match suppression bytes (keyword boundary).
@@ -143,9 +145,7 @@ def _derive_plan(grammar: Grammar, wiring: WiringOptions) -> ScanPlan:
     for unit in units:
         name = unit.terminal.name
         if name not in automata:
-            automata[name] = build_glushkov_cached(
-                grammar.lexspec.get(name).pattern
-            )
+            automata[name] = build_glushkov(grammar.lexspec.get(name).pattern)
 
     tmpl = wiring.tokenizer
     boundary: dict[str, frozenset[int]] = {}

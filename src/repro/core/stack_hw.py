@@ -99,7 +99,7 @@ def attach_depth_checker(
     def detects_of(terminals: frozenset[Terminal]):
         nets = [
             scanner.instances[occurrence].detect
-            for occurrence in scanner.order
+            for occurrence in scanner.plan.units
             if occurrence.terminal in terminals
         ]
         if not nets:

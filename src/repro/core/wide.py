@@ -18,6 +18,13 @@ between the position registers:
   design);
 * arming (delimiter stall) carries lane to lane and beat to beat.
 
+Which tokenizers exist and which detect enables which is not derived
+here: the generator reads the grammar's default-wiring
+:class:`~repro.core.scanplan.ScanPlan` (context duplication,
+start-once, loop-on-accept), as the byte-serial generator and the
+software engines do, so the lanes chain exactly the successors those
+engines scan with.
+
 The cost is logic depth: the beat-internal chain is ~W gate levels
 between registers, so frequency falls as W grows while bandwidth =
 frequency × 8 × W (usually still a large net win) — exactly the
@@ -30,17 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decoder import DecoderBank
-from repro.core.options import DecoderOptions
+from repro.core.options import DecoderOptions, WiringOptions
+from repro.core.scanplan import build_scan_plan
 from repro.core.tagger import DetectEvent
 from repro.core.tokenizer import DETECT_LATENCY
+from repro.core.wiring import predecessors
 from repro.errors import GenerationError
-from repro.grammar.analysis import (
-    Occurrence,
-    analyze_grammar,
-    build_occurrence_graph,
-)
+from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
-from repro.grammar.regex.glushkov import Glushkov, build_glushkov
+from repro.grammar.regex.glushkov import Glushkov
 from repro.rtl.netlist import Net, Netlist
 from repro.rtl.simulator import Simulator
 
@@ -85,8 +90,8 @@ class WideTaggerGenerator:
     """Generates W-lane taggers (context duplication, or-tree-free).
 
     The wide variant focuses on the datapath experiment: it exposes
-    per-lane detect wires (no index encoder) and uses the default
-    wiring policy (start-once, loop-on-accept).
+    per-lane detect wires (no index encoder) and wires the default
+    plan (``build_scan_plan(grammar, WiringOptions())``).
     """
 
     def __init__(self, lanes: int, decoder: DecoderOptions | None = None) -> None:
@@ -97,9 +102,9 @@ class WideTaggerGenerator:
 
     # ------------------------------------------------------------------
     def generate(self, grammar: Grammar) -> WideTaggerCircuit:
-        analysis = analyze_grammar(grammar)
-        graph = build_occurrence_graph(grammar, analysis)
-        if not graph.occurrences:
+        plan = build_scan_plan(grammar, WiringOptions())
+        units = plan.units
+        if not units:
             raise GenerationError("grammar has no terminal occurrences")
         nl = Netlist(f"wide{self.lanes}_{grammar.name}")
         W = self.lanes
@@ -115,14 +120,10 @@ class WideTaggerGenerator:
             for k in range(W)
         ]
 
-        automata: dict[str, Glushkov] = {}
         states: dict[Occurrence, _OccState] = {}
-        for occurrence in graph.occurrences:
+        for occurrence in units:
             name = occurrence.terminal.name
-            auto = automata.get(name)
-            if auto is None:
-                auto = build_glushkov(grammar.lexspec.get(name).pattern)
-                automata[name] = auto
+            auto = plan.automata[name]
             prefix = f"w_{_sanitize(name)}_{occurrence.context_name()}"
             state = _OccState(auto=auto)
             state.pos_q = [
@@ -132,16 +133,7 @@ class WideTaggerGenerator:
             state.det_last_lane_q = nl.placeholder(f"{prefix}_detq")
             states[occurrence] = state
 
-        predecessors: dict[Occurrence, list[Occurrence]] = {
-            o: [] for o in graph.occurrences
-        }
-        for source, targets in graph.edges.items():
-            for target in targets:
-                predecessors[target].append(source)
-        for source in graph.accepting:  # loop_on_accept
-            for target in graph.starts:
-                if source not in predecessors[target]:
-                    predecessors[target].append(source)
+        preds = predecessors(plan)
 
         # Per-lane delimiter-or-idle terms.
         lane_delim = [banks[k].cur_delim_or_idle() for k in range(W)]
@@ -150,7 +142,7 @@ class WideTaggerGenerator:
         # lane-k detect can feed a successor's lane-(k+1) entry.
         for k in range(W):
             bank = banks[k]
-            for occurrence in graph.occurrences:
+            for occurrence in units:
                 state = states[occurrence]
                 auto = state.auto
                 prefix = (
@@ -161,13 +153,13 @@ class WideTaggerGenerator:
                 # (combinational within the beat) or, for lane 0, the
                 # registered last-lane detect of the previous beat.
                 sources: list[Net] = []
-                for predecessor in predecessors[occurrence]:
+                for predecessor in preds[occurrence]:
                     pred = states[predecessor]
                     if k == 0:
                         sources.append(pred.det_last_lane_q)  # type: ignore[arg-type]
                     else:
                         sources.append(pred.detect_lane[k - 1])
-                if occurrence in graph.starts and k == 0:
+                if occurrence in plan.starts and k == 0:
                     sources.append(banks[0].start_pulse)
                 enable = (
                     nl.or_tree(sources, name=f"{prefix}_en")
@@ -239,7 +231,7 @@ class WideTaggerGenerator:
 
         # Close the beat-boundary registers and expose outputs.
         detect_ports: dict[tuple[Occurrence, int], str] = {}
-        for occurrence in graph.occurrences:
+        for occurrence in units:
             state = states[occurrence]
             for p in range(state.auto.n_positions):
                 nl.close_reg(state.pos_q[p], state.pos_lane[W - 1][p])
@@ -260,7 +252,7 @@ class WideTaggerGenerator:
             grammar=grammar,
             netlist=nl,
             lanes=W,
-            occurrences=list(graph.occurrences),
+            occurrences=list(units),
             detect_ports=detect_ports,
         )
 

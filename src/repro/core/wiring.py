@@ -5,48 +5,50 @@ listed in its Follow set. When there is more than one connection to
 the input of the tokenizer, an OR gate is used to combine the signals
 into a single bit input." (§3.3)
 
-The wiring is two-pass: every tokenizer is built against a placeholder
-enable net, then each placeholder is driven with the OR of its
-predecessors' detect outputs (plus the start condition for the start
-tokens). With context duplication on (the default, §3.2), tokenizers
-are instantiated per *occurrence*; the ablation collapses them to one
-per terminal, reproducing the coarser Fig. 11 wiring.
+Which tokenizers exist and what enables what is decided once per
+(grammar, wiring), by the :class:`~repro.core.scanplan.ScanPlan` the
+software engines scan with: its units (one per occurrence with
+context duplication on, the default of §3.2; one per terminal in the
+ablation), its successor map (loop-on-accept edges included), its
+start and accepting sets and its per-token Glushkov automata. This
+module only turns that plan into gates, in two passes: every
+tokenizer is built against a placeholder enable net, then each
+placeholder is driven with the OR of its predecessors' detect outputs
+(plus the start condition for the start units), predecessors in unit
+order so the netlist does not depend on the hash seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.decoder import DecoderBank
 from repro.core.options import WiringOptions
+from repro.core.scanplan import ScanPlan, build_scan_plan
 from repro.core.tokenizer import TokenizerInstance, build_tokenizer
 from repro.errors import GenerationError
-from repro.grammar.analysis import (
-    GrammarAnalysis,
-    Occurrence,
-    OccurrenceGraph,
-    analyze_grammar,
-    build_occurrence_graph,
-)
+from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
-from repro.grammar.regex.glushkov import Glushkov, build_glushkov
-from repro.grammar.symbols import END, Terminal
 from repro.rtl.netlist import Net, Netlist
 
 
 @dataclass
 class WiredScanner:
-    """All tokenizers of a tagger plus their wiring metadata."""
+    """All tokenizers of a tagger plus the plan they were wired from."""
 
-    grammar: Grammar
-    analysis: GrammarAnalysis
-    graph: OccurrenceGraph
+    plan: ScanPlan
     instances: dict[Occurrence, TokenizerInstance]
-    #: Occurrences in deterministic output order (encoder input order).
-    order: list[Occurrence]
-    options: WiringOptions
     #: Registered "parse died" flag (§5.2), None unless error_recovery.
     lost: Net | None = None
+
+
+def predecessors(plan: ScanPlan) -> dict[Occurrence, list[Occurrence]]:
+    """Each unit's enabling units, in unit order."""
+    preds: dict[Occurrence, list[Occurrence]] = {u: [] for u in plan.units}
+    for source in plan.units:
+        for target in plan.successors[source]:
+            preds[target].append(source)
+    return preds
 
 
 def build_scanner(
@@ -58,39 +60,21 @@ def build_scanner(
     """Instantiate and wire every tokenizer of ``grammar``."""
     options = options or WiringOptions()
     if options.error_recovery and not options.tokenizer.track_liveness:
-        from dataclasses import replace as _replace
-
-        options = _replace(
-            options, tokenizer=_replace(options.tokenizer, track_liveness=True)
+        options = replace(
+            options, tokenizer=replace(options.tokenizer, track_liveness=True)
         )
-    analysis = analyze_grammar(grammar)
-    graph = build_occurrence_graph(grammar, analysis)
-    if not graph.occurrences:
+    plan = build_scan_plan(grammar, options)
+    if not plan.units:
         raise GenerationError("grammar has no terminal occurrences")
 
-    if options.context_duplication:
-        units, edges, starts, accepting = _occurrence_units(graph)
-    else:
-        units, edges, starts, accepting = _collapsed_units(graph, analysis)
-
-    # Shared Glushkov automata per token pattern (identical contexts
-    # share the construction, not the hardware).
-    automata: dict[str, Glushkov] = {}
-
-    def automaton_for(terminal: Terminal) -> Glushkov:
-        cached = automata.get(terminal.name)
-        if cached is None:
-            cached = build_glushkov(grammar.lexspec.get(terminal.name).pattern)
-            automata[terminal.name] = cached
-        return cached
-
-    # Pass 1: tokenizers against placeholder enables.
+    # Pass 1: tokenizers against placeholder enables. Contexts of one
+    # token share its Glushkov construction, not the hardware.
     instances: dict[Occurrence, TokenizerInstance] = {}
     enables: dict[Occurrence, Net] = {}
     always_on = options.start_mode == "always"
-    for unit in units:
+    for unit in plan.units:
         name = f"tok_{_sanitize(unit.terminal.name)}_{unit.context_name()}"
-        if always_on and unit in starts:
+        if always_on and unit in plan.starts:
             enable: Net = netlist.const(1)
         else:
             enable = netlist.placeholder(f"{name}_en")
@@ -102,7 +86,7 @@ def build_scanner(
             enable,
             name,
             options=options.tokenizer,
-            glushkov=automaton_for(unit.terminal),
+            glushkov=plan.automata[unit.terminal.name],
         )
 
     # §5.2 error recovery: a registered flag that rises when no
@@ -124,21 +108,10 @@ def build_scanner(
         )
 
     # Pass 2: drive the enables with predecessor detects + start logic.
-    predecessors: dict[Occurrence, list[Occurrence]] = {u: [] for u in units}
-    for source, targets in edges.items():
-        for target in targets:
-            predecessors[target].append(source)
-    if options.loop_on_accept:
-        for source in accepting:
-            for target in starts:
-                if source not in predecessors[target]:
-                    predecessors[target].append(source)
-
+    preds = predecessors(plan)
     for unit, enable in enables.items():
-        sources: list[Net] = [
-            instances[pred].detect for pred in predecessors[unit]
-        ]
-        if unit in starts:
+        sources: list[Net] = [instances[pred].detect for pred in preds[unit]]
+        if unit in plan.starts:
             sources.append(decoders.start_pulse)
             if lost is not None:
                 sources.append(lost)
@@ -149,55 +122,7 @@ def build_scanner(
             continue
         netlist.drive_or(enable, _dedupe(sources))
 
-    return WiredScanner(
-        grammar=grammar,
-        analysis=analysis,
-        graph=graph,
-        instances=instances,
-        order=list(units),
-        options=options,
-        lost=lost,
-    )
-
-
-def _occurrence_units(
-    graph: OccurrenceGraph,
-) -> tuple[
-    list[Occurrence],
-    dict[Occurrence, frozenset[Occurrence]],
-    frozenset[Occurrence],
-    frozenset[Occurrence],
-]:
-    return list(graph.occurrences), graph.edges, graph.starts, graph.accepting
-
-
-def _collapsed_units(graph: OccurrenceGraph, analysis: GrammarAnalysis):
-    """One unit per terminal: the ablation without context duplication.
-
-    The representative occurrence of each terminal is its first one;
-    edges are the terminal-level Follow table of Fig. 10/11.
-    """
-    representative: dict[Terminal, Occurrence] = {}
-    for occurrence in graph.occurrences:
-        representative.setdefault(occurrence.terminal, occurrence)
-    units = list(representative.values())
-
-    collapsed = graph.collapsed_edges()
-    edges: dict[Occurrence, frozenset[Occurrence]] = {}
-    for unit in units:
-        followers = collapsed.get(unit.terminal, frozenset())
-        edges[unit] = frozenset(
-            representative[t] for t in followers if t in representative
-        )
-    starts = frozenset(
-        representative[o.terminal] for o in graph.starts
-    )
-    accepting = frozenset(
-        representative[t]
-        for t in representative
-        if END in analysis.follow[t]
-    )
-    return units, edges, starts, accepting
+    return WiredScanner(plan=plan, instances=instances, lost=lost)
 
 
 def _sanitize(name: str) -> str:
@@ -234,28 +159,17 @@ def estimate_conflict_groups(
     Groups are ordered lowest priority first, with more specific
     patterns (smaller alphabets) given higher priority.
     """
-    units = scanner.order
-
-    enabler_sets: dict[Occurrence, frozenset] = {}
-    edges = (
-        scanner.graph.edges
-        if scanner.options.context_duplication
-        else None
-    )
-    predecessor_map: dict[Occurrence, set] = {u: set() for u in units}
-    if edges is not None:
-        for source, targets in edges.items():
-            for target in targets:
-                if target in predecessor_map:
-                    predecessor_map[target].add(source)
-    for unit in units:
-        enablers = frozenset(predecessor_map[unit]) | (
-            frozenset({"<start>"}) if unit in scanner.graph.starts else frozenset()
-        )
-        enabler_sets[unit] = enablers
+    plan = scanner.plan
+    units = plan.units
+    preds = predecessors(plan)
+    enabler_sets = {
+        unit: frozenset(preds[unit])
+        | (frozenset({"<start>"}) if unit in plan.starts else frozenset())
+        for unit in units
+    }
 
     def last_bytes(unit: Occurrence) -> frozenset[int]:
-        auto = scanner.instances[unit].glushkov
+        auto = plan.automata[unit.terminal.name]
         result: set[int] = set()
         for p in auto.last:
             result |= auto.position_bytes[p]
@@ -288,7 +202,7 @@ def estimate_conflict_groups(
     def specificity(index: int) -> int:
         from repro.grammar.regex.ast import alphabet
 
-        return len(alphabet(scanner.instances[units[index]].glushkov.pattern))
+        return len(alphabet(plan.automata[units[index].terminal.name].pattern))
 
     result = []
     for members in groups.values():

@@ -214,23 +214,6 @@ def build_glushkov(node: Regex) -> Glushkov:
     )
 
 
-#: Memo cache for :func:`build_glushkov_cached`. Regex nodes are
-#: frozen dataclasses (hashable by value), so identical patterns —
-#: e.g. the same token appearing as several grammar occurrences, or
-#: apps rebuilding taggers for the same grammar — share one
-#: construction. Pattern sets are small; the cache is unbounded.
-_GLUSHKOV_CACHE: dict[Regex, Glushkov] = {}
-
-
-def build_glushkov_cached(node: Regex) -> Glushkov:
-    """Memoized :func:`build_glushkov` (keyed by pattern value)."""
-    cached = _GLUSHKOV_CACHE.get(node)
-    if cached is None:
-        cached = build_glushkov(node)
-        _GLUSHKOV_CACHE[node] = cached
-    return cached
-
-
 @dataclass(frozen=True)
 class _Pos:
     """A linearized character position (internal marker node)."""

@@ -1,10 +1,23 @@
 """Whole-tagger generation: ports, metadata, options plumbing."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.core.generator import TaggerGenerator, TaggerOptions
 from repro.core.decoder import DecoderOptions
+from repro.core.options import WiringOptions
+from repro.core.tagger import BehavioralTagger
 from repro.errors import GenerationError
+from repro.grammar.yacc_parser import parse_yacc_grammar
+from repro.rtl.simulator import Simulator, stimulus_with_valid
+
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
 class TestCircuitShape:
@@ -43,6 +56,33 @@ class TestCircuitShape:
     def test_describe(self, ite_grammar):
         text = TaggerGenerator().generate(ite_grammar).describe()
         assert "7 tokenizers" in text
+
+    @pytest.mark.parametrize("duplication", [True, False])
+    def test_accept_pin_pulses_with_the_accepting_unit(self, duplication):
+        """``accept`` is high on exactly the cycles the software's
+        accepting units detect, in both wirings (collapsed, the one
+        unit of ``"a"`` is the start and the accepting unit)."""
+        grammar = parse_yacc_grammar('%%\nS: "a" "b" "a";\n%%')
+        options = TaggerOptions(
+            wiring=WiringOptions(context_duplication=duplication)
+        )
+        circuit = TaggerGenerator(options).generate(grammar)
+        data = b"a b a"
+        software = BehavioralTagger(grammar, options)
+        expected = [
+            e.end for e in software.events(data) if e.occurrence in software.accepting
+        ]
+        assert expected == ([5] if duplication else [1, 5])
+
+        simulator = Simulator(circuit.netlist)
+        latency = circuit.detect_latency
+        frames = stimulus_with_valid(data, latency + 2)
+        pulses = [
+            cycle - latency + 1
+            for cycle, frame in enumerate(frames)
+            if simulator.step(frame)["accept"]
+        ]
+        assert pulses == expected
 
 
 class TestOptions:
@@ -101,3 +141,37 @@ class TestDeterminism:
         assert [str(o) for o in first.occurrences] == [
             str(o) for o in second.occurrences
         ]
+
+    def test_netlists_do_not_depend_on_the_hash_seed(self):
+        """Two interpreters with different string hashes emit the same
+        VHDL: enable OR inputs follow the plan's unit order."""
+        code = textwrap.dedent(
+            """
+            from repro.core.generator import TaggerGenerator, TaggerOptions
+            from repro.core.options import WiringOptions
+            from repro.core.wide import WideTaggerGenerator
+            from repro.grammar.examples import if_then_else
+            from repro.rtl.vhdl import emit_vhdl
+
+            for duplication in (True, False):
+                wiring = WiringOptions(context_duplication=duplication)
+                circuit = TaggerGenerator(TaggerOptions(wiring=wiring)).generate(
+                    if_then_else()
+                )
+                print(emit_vhdl(circuit.netlist))
+            print(emit_vhdl(WideTaggerGenerator(4).generate(if_then_else()).netlist))
+            """
+        )
+        texts = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [SRC, env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            texts.append(done.stdout)
+        assert texts[0] == texts[1]

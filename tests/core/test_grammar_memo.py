@@ -13,6 +13,8 @@ from repro.apps.xmlrpc import ContentBasedRouter, WorkloadGenerator
 from repro.core.artifact import build_artifact, load_artifact
 from repro.core.generator import TaggerGenerator
 from repro.core.nativescan import NativeTagger
+from repro.core.options import WiringOptions
+from repro.core.scanplan import build_scan_plan
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
 from repro.core.vectorscan import NUMPY_AVAILABLE
 from repro.grammar.examples import if_then_else, xmlrpc
@@ -67,6 +69,18 @@ def test_dropped_grammar_is_freed(use):
     del grammar
     gc.collect()
     assert ref() is None
+
+
+def test_token_automata_are_freed_with_the_grammar():
+    """The plan's Glushkov automata live in the grammar's memo only: no
+    process-wide cache keeps a dropped grammar's tokens alive."""
+    grammar = xmlrpc()
+    plan = build_scan_plan(grammar, WiringOptions())
+    refs = [weakref.ref(auto) for auto in plan.automata.values()]
+    assert refs
+    del grammar, plan
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_loaded_artifact_grammar_is_freed():

@@ -40,7 +40,7 @@ class TestStructure:
 
     def test_always_start_mode_uses_const_enable(self, ite_grammar):
         nl, scanner = _scanner(ite_grammar, WiringOptions(start_mode="always"))
-        start_units = [o for o in scanner.order if o in scanner.graph.starts]
+        start_units = [o for o in scanner.plan.units if o in scanner.plan.starts]
         for unit in start_units:
             assert nl.is_const(scanner.instances[unit].enable) == 1
 
@@ -84,7 +84,7 @@ class TestConflictGroups:
         _nl, scanner = _scanner(g)
         groups = estimate_conflict_groups(scanner)
         assert len(groups) == 1
-        ordered = [scanner.order[i].terminal.name for i in groups[0]]
+        ordered = [scanner.plan.units[i].terminal.name for i in groups[0]]
         # WORD (bigger alphabet) must come first = lowest priority.
         assert ordered == ["WORD", "NUM"]
 
@@ -106,11 +106,14 @@ class TestConflictSoundness:
         assert all(count == 1 for count in ends.values())
 
     def test_simultaneous_detects_share_a_group(self):
-        """When simultaneity is engineered, the heuristic groups it."""
+        """When simultaneity is engineered, the heuristic groups it: in
+        both wirings, and through the loop-on-accept edges the netlist
+        wires."""
+        from repro.core.generator import TaggerOptions
         from repro.core.tagger import BehavioralTagger
         from repro.grammar.yacc_parser import parse_yacc_grammar
 
-        g = parse_yacc_grammar(
+        num_word = parse_yacc_grammar(
             """
             NUM  [0-9]+
             WORD [a-z0-9]+
@@ -120,15 +123,40 @@ class TestConflictSoundness:
             %%
             """
         )
-        events = BehavioralTagger(g).events(b"k 42")
-        simultaneous = [e for e in events if e.end == 4]
-        assert len(simultaneous) == 2  # NUM and WORD both fire
+        restart = parse_yacc_grammar(
+            """
+            W [a-z]+
+            N [a-z0-9]+
+            %%
+            s: W t;
+            t: N | ;
+            %%
+            """
+        )
+        # (grammar, wiring, input, ends where two units both fire)
+        cases = [
+            (num_word, WiringOptions(), b"k 42", [4]),
+            (num_word, WiringOptions(context_duplication=False), b"k 42", [4]),
+            (restart, WiringOptions(), b"abc de fg", [6, 9]),
+        ]
+        for grammar, wiring, data, ends in cases:
+            tagger = BehavioralTagger(grammar, TaggerOptions(wiring=wiring))
+            fired: dict[int, set] = {}
+            for event in tagger.events(data):
+                fired.setdefault(event.end, set()).add(event.occurrence)
+            simultaneous = {end: units for end, units in fired.items() if len(units) > 1}
+            assert sorted(simultaneous) == ends
+            assert all(len(units) == 2 for units in simultaneous.values())
 
-        _nl, scanner = _scanner(g)
-        groups = estimate_conflict_groups(scanner)
-        position = {u: i for i, u in enumerate(scanner.order)}
-        fired = {position[e.occurrence] for e in simultaneous}
-        assert any(fired <= set(group) for group in groups)
+            _nl, scanner = _scanner(grammar, wiring)
+            groups = estimate_conflict_groups(scanner)
+            position = {u: i for i, u in enumerate(scanner.plan.units)}
+            for units in simultaneous.values():
+                indices = {position[u] for u in units}
+                assert any(indices <= set(group) for group in groups), (
+                    wiring,
+                    sorted(map(str, units)),
+                )
 
 
 class TestLoopOnAccept:
