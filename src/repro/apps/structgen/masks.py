@@ -272,7 +272,7 @@ class MaskTable:
     def eos_valid(self, state: int) -> bool:
         """Whether end-of-data is accepted in ``state`` (some pending
         token detects at EOF — the flush path's condition)."""
-        return bool(self.lowering.ir.eos[state])
+        return self.lowering.ir.eof[state] != 0
 
     # ------------------------------------------------------------------
     # serialization: the sealed layout of repro.core.artifact, with raw

@@ -59,14 +59,14 @@ def _read_input(path: str | None) -> bytes:
 
 # ----------------------------------------------------------------------
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.grammar.analysis import analyze_grammar
+    from repro.grammar.analysis import analyze_grammar_cached
 
     grammar = _load_grammar(args.grammar)
     print(grammar.describe())
     print(f"\ntokens: {len(grammar.lexspec)}, "
           f"pattern bytes: {grammar.lexspec.total_pattern_bytes()}")
     print("\nFollow sets (paper Fig. 10 style):")
-    print(analyze_grammar(grammar).describe_follow())
+    print(analyze_grammar_cached(grammar).describe_follow())
     return 0
 
 

@@ -5,11 +5,11 @@ loads the resulting tables into the device; the software engines here
 instead materialize their tables lazily in every process.  This module
 closes that gap: :func:`build_artifact` runs the full compilation
 pipeline — :class:`~repro.core.scanplan.ScanPlan`, the compiled
-product-automaton tables, and the scan IR
+product automaton, and its closure into the scan IR
 (:class:`~repro.core.scanir.ScanIR`: byte classes, the class-indexed
-step table, effects, skip prefilters, state flags) — and serializes
-the result to one self-describing binary blob; :func:`load_artifact`
-restores it into the parsed grammar's memo so every engine on the
+step table, effects, skip prefilters, per-state rows) — and serializes
+the grammar source and the IR to one self-describing binary blob;
+:func:`load_artifact` restores it into the parsed grammar's memo so every engine on the
 ladder starts without paying the closure again.  The
 native kernel's flattened int32 tables re-lower from the restored IR
 (a few milliseconds) rather than being stored: they embed a C capsule
@@ -55,14 +55,14 @@ import json
 import marshal
 import sys
 
-from repro.core.compiled import CompiledTagger, install_tables
+from repro.core.compiled import CompiledTagger
 from repro.core.options import (
     TaggerOptions,
     TokenizerTemplateOptions,
     WiringOptions,
 )
 from repro.core.scanir import ScanIR, scan_ir_for
-from repro.core.scanplan import _WIRING_FIELDS, _wiring_key, build_scan_plan
+from repro.core.scanplan import _WIRING_FIELDS, _wiring_key
 from repro.errors import ArtifactError, ReproError
 from repro.grammar.cfg import Grammar
 from repro.grammar.writer import write_yacc_grammar
@@ -90,7 +90,10 @@ __all__ = [
 #: the payload carries ``ScanIR.to_payload()`` instead of a
 #: byte-indexed edge dict, and the blob ends with a sha256 trailer.
 #: ABI 3: effects in register-file indices, payload at marshal version 2.
-ARTIFACT_ABI = 3
+#: ABI 4: the payload is the source and the IR alone (its state ids are
+#: the closure's own, so no interning order is stored to replay), and
+#: the IR carries end-of-data effects and live units per state.
+ARTIFACT_ABI = 4
 
 _MAGIC = b"RART"
 _WHAT = "scan artifact"
@@ -200,11 +203,11 @@ def build_artifact(
 ) -> bytes:
     """Compile ``grammar`` fully and serialize the tables to one blob.
 
-    Runs the compiled product automaton *and* the scan IR closure every
-    table consumer shares.  When the closure bails out (product
-    automaton past the state cap) the blob degrades to source + wiring
-    only and loading falls back to lazy compilation — correctness over
-    cold-start speed, same ladder discipline as the engines themselves.
+    Runs the scan IR closure every table consumer shares.  When it
+    bails out (product automaton past the state cap) the blob degrades
+    to source + wiring only and loading falls back to lazy compilation —
+    correctness over cold-start speed, same ladder discipline as the
+    engines themselves.
     """
     options = options or TaggerOptions()
     source = write_yacc_grammar(grammar)
@@ -221,17 +224,6 @@ def build_artifact(
     }
     payload: dict = {"source": source}
     if ir is not None:
-        tables = tagger.tables
-        # One DFA per token *name* (occurrences share them); store the
-        # interned subset states in interning order so the load-time
-        # replay reproduces identical state ids.
-        dfa_states: dict[str, list] = {}
-        for unit, dfa in zip(tagger.plan.units, tables.unit_dfas):
-            name = unit.terminal.name
-            if name not in dfa_states:
-                dfa_states[name] = list(dfa.state_positions)
-        payload["tstates"] = list(tables.tstates)
-        payload["dfa_states"] = dfa_states
         payload["ir"] = ir.to_payload()
         header["states"] = ir.n_states
         header["classes"] = ir.n_classes
@@ -253,8 +245,8 @@ def read_header(blob: bytes) -> dict:
 class CompiledArtifact:
     """A loaded artifact: the grammar, its options, and warm caches.
 
-    Constructing taggers from an artifact is cheap — the plan, compiled
-    tables and scan IR are already in :attr:`grammar`'s memo, so
+    Constructing taggers from an artifact is cheap — the plan and the
+    scan IR are already in :attr:`grammar`'s memo, so
     :meth:`tagger` skips straight to (at most) the native kernel's fast
     re-lowering.
     """
@@ -295,7 +287,7 @@ class CompiledArtifact:
 
 
 def load_artifact(blob: bytes) -> CompiledArtifact:
-    """Deserialize a blob and install its tables into the grammar's memo.
+    """Deserialize a blob and install its scan IR into the grammar's memo.
 
     Raises :class:`ArtifactError` — and nothing else — for blobs that
     are corrupt (digest mismatch), wrong-shaped, or built under a
@@ -332,27 +324,12 @@ def load_artifact(blob: bytes) -> CompiledArtifact:
 
 
 def _install(grammar: Grammar, options: TaggerOptions, payload: dict) -> None:
-    """Make the payload's tables the grammar's memoized ones: the
-    interned states through :func:`~repro.core.compiled.install_tables`,
-    then the validated IR under the key
-    :func:`~repro.core.scanir.scan_ir_for` reads.
-
-    The replay relies on interning determinism: token-DFA subset
-    states and global product states are appended in stored order, so
-    every state id in the IR lands on the object it was derived from
-    (the cold-start differential test pins this across processes and
-    engine-gate permutations).
-    """
+    """Make the payload's validated IR the grammar's, under the key
+    :func:`~repro.core.scanir.scan_ir_for` reads.  Its state ids are the
+    closure's own, so nothing else needs restoring: an engine that
+    steps compiled tables by the IR's ids closes its own again
+    (:func:`~repro.core.scanir.closed_tables`), to the same ids."""
     ir = ScanIR.from_payload(payload.get("ir"))
-    plan = build_scan_plan(grammar, options.wiring)
-    tables = install_tables(
-        grammar, plan, payload.get("dfa_states"), payload.get("tstates")
-    )
-    if len(tables.tstates) < ir.n_states:
-        raise ArtifactError(
-            f"artifact closure has {ir.n_states} states but only "
-            f"{len(tables.tstates)} restored"
-        )
-    if ir.unit_caps != tables.unit_caps():
+    if ir.unit_caps != CompiledTagger(grammar, options).tables.unit_caps():
         raise ArtifactError("artifact IR was lowered for other tokenizers")
     grammar.derived(("ir", _wiring_key(options.wiring)), lambda: ir)

@@ -66,7 +66,6 @@ from repro.core.scanplan import (
     build_scan_plan,
 )
 from repro.core.tokens import TaggedToken
-from repro.errors import ArtifactError
 from repro.grammar.cfg import Grammar
 from repro.grammar.regex.glushkov import Glushkov
 
@@ -362,55 +361,6 @@ class _CompiledTables:
         if events or start_ops or lost:  # the cut reports an error
             return (ntid << 8, events or None, start_ops, lost)
         return ntid << 8
-
-
-def install_tables(
-    grammar: Grammar, plan: ScanPlan, dfa_states, tstates
-) -> _CompiledTables:
-    """Rebuild the tables of ``(grammar, plan.wiring)`` from an
-    artifact's stored interning order and make them the grammar's
-    memoized ones (a grammar that compiled nothing under that wiring
-    yet, as :func:`~repro.core.artifact.load_artifact` parses it).
-
-    ``dfa_states`` maps a token name to its subset states (position
-    tuples) and ``tstates`` lists the global control states, both in
-    the order the builder interned them, so every state id a stored
-    scan IR mentions lands on the state it was derived from; the step
-    memo refills lazily through :meth:`_CompiledTables.build_step`,
-    which reproduces those ids.  Anything wrong-shaped or out of range
-    raises :class:`~repro.errors.ArtifactError`.
-    """
-    tables = _CompiledTables(plan)
-    if not (isinstance(dfa_states, dict) and isinstance(tstates, list)):
-        raise ArtifactError("malformed compiled-table payload")
-    name_to_dfa: dict[str, _TokenDFA] = {}
-    for unit, dfa in zip(plan.units, tables.unit_dfas):
-        name_to_dfa.setdefault(unit.terminal.name, dfa)
-    for name, states in dfa_states.items():
-        dfa = name_to_dfa.get(name)
-        if dfa is None or not isinstance(states, list):
-            raise ArtifactError(f"artifact names unknown token {name!r}")
-        n_positions = dfa.auto.n_positions
-        for positions in states[1:]:
-            if type(positions) is not tuple or not all(
-                type(p) is int and 0 <= p < n_positions for p in positions
-            ):
-                raise ArtifactError(f"bad subset state for token {name!r}")
-            dfa._state_id(positions)
-    n_units = tables.n_units
-    for t in tstates[1:]:
-        try:
-            items, armed, pdet, _first = t
-            if (armed | pdet) >> n_units or not all(
-                0 <= u < n_units
-                and 0 < s < len(tables.unit_dfas[u].state_positions)
-                for u, s in items
-            ):
-                raise ValueError("unit or subset state out of range")
-            tables._intern(t)
-        except (TypeError, ValueError):  # also wrong arity, unhashable
-            raise ArtifactError("bad product state in artifact") from None
-    return grammar.derived(("tables", _wiring_key(plan.wiring)), lambda: tables)
 
 
 def pack_selected(

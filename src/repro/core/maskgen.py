@@ -99,7 +99,7 @@ class MaskLowering:
         doomed = bytearray(b"\x01") * n
         frontier = []
         for tid in range(n):
-            if (ir.emits[tid] or ir.eos[tid]) and not lost[tid]:
+            if (ir.emits[tid] or ir.eof[tid]) and not lost[tid]:
                 doomed[tid] = 0
                 frontier.append(tid)
         while frontier:
@@ -192,11 +192,11 @@ class MaskLowering:
     def fingerprint(self) -> str:
         """Content hash of the lowered tables.
 
-        State ids come from the interning order of the compiled
-        tables; a mask artifact built against one interning order is
-        meaningless against another (e.g. a tagger that scanned data
-        before the closure ran).  The loader compares fingerprints and
-        rebuilds on mismatch instead of serving misaligned rows.
+        Mask rows are indexed by the IR's state ids, which the grammar
+        and wiring alone fix; a blob built against other tables (a
+        changed grammar or closure) is meaningless here.  The loader
+        compares fingerprints and rebuilds on mismatch instead of
+        serving misaligned rows.
         """
         h = sha256()
         h.update(b"maskgen-fp1")
@@ -209,5 +209,5 @@ class MaskLowering:
         h.update(step.tobytes())
         h.update(self.ir.lost)
         h.update(self.doomed)
-        h.update(self.ir.eos)
+        h.update(bytes(map(bool, self.ir.eof)))  # end-of-data flags
         return h.hexdigest()

@@ -16,7 +16,8 @@ arrays:
   earliest-start folds, start-register copies, sets and lengths)
   lowered op for op, its register indices as they are, to a tiny int32
   bytecode executed inside the C loop, plus a per-state end-of-data
-  program (``eof_idx``: no IR byte);
+  program (``eof_idx``, from the IR's ``eof``) and the low watermark's
+  register reads (``live_idx``, from its ``live``);
 * ``live_all``: raw-byte rows, one per distinct set of inert bytes (a
   byte is inert where its edge is a bare self-loop), each named by its
   state's skip edges' ``prog_idx``: the loop fast-forwards over inert
@@ -41,6 +42,7 @@ stays available under ``REPRO_DISABLE_NUMPY=1``.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 
 from repro.core import _native_build
 from repro.core.compiled import CompiledTagger
@@ -87,11 +89,11 @@ class _NativeTables:
     __slots__ = ("ext", "capsule", "sink_records")
 
     def __init__(self, ext, ir: ScanIR, tagger) -> None:
-        tables = tagger.tables
+        plan = tagger.plan
         n_states, n_classes = ir.n_states, ir.n_classes
 
-        # One program per distinct effect or end-of-data event list;
-        # offset 0 is the empty one.
+        # One program per distinct effect (end-of-data's among them) or
+        # live-unit list; offset 0 is the empty one.
         progs = array("i", [_OP_END])
         offsets = {(): 0}
 
@@ -118,17 +120,13 @@ class _NativeTables:
         # Per state: the detections end-of-data resolves (what the
         # compiled flush does), and one event per unit live there (never
         # run: the low watermark reads their registers).
-        eof = [tables.eof_events(t) for t in range(n_states)]
-        eof_idx = array("i", map(lower, eof))
+        eof_idx = array("i", map(prog_of.__getitem__, ir.eof))
+        ofs = tuple(accumulate(ir.unit_caps, initial=0))
         live_idx = array("i", [
-            lower(tuple((u, (tables.reg_ofs[u],)) for u, _s in items))
-            for items, _armed, _pdet, _first in tables.tstates[:n_states]
+            lower(tuple((u, (ofs[u],)) for u in units)) for units in ir.live
         ])
         # What one program can emit into the spill buffer.
-        most = max(
-            [1, *map(len, eof)]
-            + [bool(err) + len(events or ()) for events, _, err in ir.effects[1:]]
-        )
+        most = max([1] + [bool(err) + len(ev or ()) for ev, _, err in ir.effects[1:]])
 
         # Each edge: next premultiplied, tagged effectful or not, and its
         # program.  Then each bare self-loop is tagged skippable, its
@@ -154,13 +152,13 @@ class _NativeTables:
         #: so the size bounds memory, not the input.
         self.sink_records = max(256, 4 * most)
         self.capsule = ext.build_tables(
-            n_states, n_classes, len(tables.units), ir.class_table, step,
+            n_states, n_classes, len(plan.units), ir.class_table, step,
             prog_idx, progs, b"".join(rows), array("i", ir.unit_caps),
             # What every hit of a unit shares: (token name, unit,
             # encoder index).
             tuple(
-                (unit.terminal.name, unit, tagger.plan.index_of[unit])
-                for unit in tables.units
+                (unit.terminal.name, unit, plan.index_of[unit])
+                for unit in plan.units
             ),
             DetectEvent, TaggedToken, most, eof_idx, live_idx,
         )

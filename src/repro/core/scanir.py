@@ -11,13 +11,16 @@ transition columns).  It is built once per
 (grammar, wiring) pair — or restored from an ``RART`` artifact — and
 every table consumer (the native and vector scan engines, mask
 lowering, the beam kernel, the artifact serializer; DESIGN.md §15
-says what each reads) is handed that one object.
+says what each reads) is handed that one object.  Its state ids are
+its own: the closure runs on compiled tables of its own, never on the
+ones a compiled loop steps, so the IR is a function of the (grammar,
+wiring) pair alone, whatever traffic the process scanned before.
 
 ==============  ========================================================
 field           content
 ==============  ========================================================
-``n_states``    closed product states; ids are the compiled tables'
-                interning order
+``n_states``    closed product states; ids in breadth-first closure
+                order
 ``n_classes``   byte classes ``C`` (at most 256)
 ``class_table`` 256 bytes, byte value -> class code (``bytes.translate``)
 ``next``        int32 ``array``, ``next[state * C + cls]`` -> next state
@@ -25,14 +28,18 @@ field           content
                 index into ``effects``
 ``effects``     ``[None, (events, start_ops, err), ...]`` — the compiled
                 step's side effects as ``build_step`` returns them
-                (register-file indices), distinct by value
+                (register-file indices), distinct by value, then the
+                end-of-data ones ``(events, None, False)``
 ``skip_live``   ``{state: 256 raw-byte flags}`` for dead states (armed
                 set empty, almost every byte a bare self-loop): 0 marks
                 an inert byte, so ``translate`` + ``find`` fast-forwards
 ``lost``        per-state flag byte: the §5.2 liveness cut fires on the
                 state's next step (every outgoing edge reports an error)
-``eos``         per-state flag byte: some pending unit detects against
-                end-of-data
+``eof``         int32 ``array``, per state: 0, or the index into
+                ``effects`` of the events end-of-data resolves there
+                (nonzero: some pending unit detects against end-of-data)
+``live``        per state, the units holding position registers (what
+                the low watermark reads), ascending
 ``emits``       per-state flag byte: some outgoing edge emits an event
 ``unit_caps``   per-unit start-register capacity: unit ``u``'s registers
                 start at ``sum(unit_caps[:u])``, then the length row
@@ -48,11 +55,11 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from repro.core.compiled import CompiledTagger, _CompiledTables
-from repro.core.scanplan import _wiring_key
+from repro.core.compiled import _CompiledTables
+from repro.core.scanplan import ScanPlan, _wiring_key
 from repro.errors import ArtifactError
 
-__all__ = ["ScanIR", "scan_ir_for"]
+__all__ = ["ScanIR", "closed_tables", "scan_ir_for"]
 
 #: Closure bail-out: a product automaton past this many states is not
 #: worth densifying (the closure alone would dominate), so consumers
@@ -125,7 +132,8 @@ class ScanIR:
         "effects",
         "skip_live",
         "lost",
-        "eos",
+        "eof",
+        "live",
         "emits",
         "unit_caps",
     )
@@ -139,15 +147,23 @@ class ScanIR:
 
         States are stepped in id order as the steps intern them —
         breadth-first, in the order a 256-byte sweep interns them — and
-        class codes are numbered by first byte, so the IR of a grammar
-        is the same in every process (mask artifacts pin this through
-        :meth:`~repro.core.maskgen.MaskLowering.fingerprint`)."""
+        class codes are numbered by first byte, so on tables nothing
+        stepped before (what :func:`closed_tables` hands it) the IR of
+        a grammar is the same in every process (mask artifacts pin this
+        through :meth:`~repro.core.maskgen.MaskLowering.fingerprint`)."""
         classes = tables._byte_classes()
         reps = [(mask & -mask).bit_length() - 1 for mask in classes]
         width = len(reps)
         build_step = tables.build_step
         effects: list = [None]
         effect_ids: dict[tuple, int] = {}
+
+        def intern(sig: tuple) -> int:  # the effect's index, distinct by value
+            index = effect_ids.setdefault(sig, len(effects))
+            if index == len(effects):
+                effects.append(sig)
+            return index
+
         # Rows over the a-priori classes, ``[state * width + class]``.
         nxt = array("i")
         eff = array("i")
@@ -162,14 +178,12 @@ class ScanIR:
                     eff.append(0)
                     continue
                 nxt.append(step[0] >> 8)
-                sig = step[1:]
-                index = effect_ids.get(sig)
-                if index is None:
-                    index = effect_ids[sig] = len(effects)
-                    effects.append(sig)
-                eff.append(index)
+                eff.append(intern(step[1:]))
             tid += 1
         n = tid
+        # End-of-data's events join the effects behind every step's.
+        eof_events = map(tables.eof_events, range(n))
+        eof = array("i", [intern((e, None, False)) if e else 0 for e in eof_events])
 
         # Classes no reachable state tells apart merge: a class code is
         # a distinct full column ([k::width]), numbered by first byte.
@@ -195,7 +209,9 @@ class ScanIR:
         self.effects = effects
         self.skip_live = {}
         self.unit_caps = tables.unit_caps()
-        lost, eos, emits = bytearray(n), bytearray(n), bytearray(n)
+        self.eof = eof
+        self.live = []
+        lost, emits = bytearray(n), bytearray(n)
         tstates = tables.tstates
         for tid in range(n):
             row_next = [nxt[tid * width + k] for k in keep]
@@ -208,7 +224,7 @@ class ScanIR:
             lost[tid] = tables.recovery and not (
                 first or items or armed or pdet
             )
-            eos[tid] = bool(tables.eof_events(tid))
+            self.live.append(tuple(u for u, _s in items))
             emits[tid] = any(i and effects[i][0] for i in set(row_effect))
             if not armed:
                 live_class = bytes(
@@ -217,7 +233,7 @@ class ScanIR:
                 live = class_table.translate(live_class.ljust(256, b"\0"))
                 if live.count(0) >= _SKIP_MIN_COVERAGE:
                     self.skip_live[tid] = live
-        self.lost, self.eos, self.emits = bytes(lost), bytes(eos), bytes(emits)
+        self.lost, self.emits = bytes(lost), bytes(emits)
         return self
 
     # ------------------------------------------------------------------
@@ -232,7 +248,8 @@ class ScanIR:
             "effects": self.effects,
             "skip_live": self.skip_live,
             "lost": self.lost,
-            "eos": self.eos,
+            "eof": self.eof.tolist(),
+            "live": self.live,
             "emits": self.emits,
             "unit_caps": self.unit_caps,
         }
@@ -252,7 +269,9 @@ class ScanIR:
             effect = array("i", payload["effect"])
             effects = payload["effects"]
             skip_live = payload["skip_live"]
-            flags = [payload[name] for name in ("lost", "eos", "emits")]
+            flags = [payload[name] for name in ("lost", "emits")]
+            eof = array("i", payload["eof"])
+            live = payload["live"]
             unit_caps = tuple(payload["unit_caps"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise ArtifactError(f"malformed scan IR: {exc!r}") from None
@@ -295,6 +314,19 @@ class ScanIR:
             "bad effect program",
         )
         _require(
+            len(eof) == n
+            and 0 <= min(eof)
+            and max(eof) < len(effects)
+            and all(effects[i][1:] == (None, False) for i in set(eof) - {0}),
+            "bad end-of-data effects",
+        )
+        _require(
+            type(live) is list
+            and len(live) == n
+            and all(units == () or _in_unit(units, 0, len(unit_caps)) for units in live),
+            "bad live units",
+        )
+        _require(
             type(skip_live) is dict
             and all(
                 type(tid) is int
@@ -313,17 +345,32 @@ class ScanIR:
         self.effect = effect
         self.effects = effects
         self.skip_live = skip_live
-        self.lost, self.eos, self.emits = flags
+        self.lost, self.emits = flags
+        self.eof, self.live = eof, live
         self.unit_caps = unit_caps
         return self
 
 
 # ----------------------------------------------------------------------
-def scan_ir_for(tagger: CompiledTagger) -> ScanIR | None:
-    """The scan IR of the tagger's (grammar, wiring) pair, closing the
-    product automaton on first use (or restored by an artifact load);
-    None when it is too large to densify."""
-    return tagger.grammar.derived(
-        ("ir", _wiring_key(tagger.plan.wiring)),
-        lambda: ScanIR.close(tagger.tables),
+def closed_tables(plan: ScanPlan) -> tuple[_CompiledTables, ScanIR | None]:
+    """Fresh compiled tables and the IR closed on them (None past the
+    state cap), which share state ids: the one place product states are
+    numbered.  After an artifact load, which restores the IR alone, the
+    first call closes them again, to the same ids."""
+
+    def close() -> tuple[_CompiledTables, ScanIR | None]:
+        tables = _CompiledTables(plan)
+        return tables, ScanIR.close(tables)
+
+    return plan.grammar.derived(("closure", _wiring_key(plan.wiring)), close)
+
+
+def scan_ir_for(tagger) -> ScanIR | None:
+    """The scan IR of the (grammar, wiring) pair ``tagger.plan`` names
+    (a tagger's or a wired scanner's), closing the product automaton
+    on first use (or restored by an artifact load); None when it is
+    too large to densify."""
+    plan = tagger.plan
+    return plan.grammar.derived(
+        ("ir", _wiring_key(plan.wiring)), lambda: closed_tables(plan)[1]
     )

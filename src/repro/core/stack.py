@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.options import WiringOptions
+from repro.core.scanplan import build_scan_plan
 from repro.core.tokens import TaggedToken
 from repro.errors import GrammarError, ParseError
-from repro.grammar.analysis import Occurrence, analyze_grammar
+from repro.grammar.analysis import Occurrence, analyze_grammar_cached
 from repro.grammar.cfg import Grammar
-from repro.grammar.regex.glushkov import Glushkov, build_glushkov
+from repro.grammar.regex.glushkov import Glushkov
 from repro.grammar.symbols import NonTerminal, Terminal
 
 #: A stack frame: (production index, position of the non-terminal being
@@ -80,15 +82,15 @@ class StackTagger:
     ) -> None:
         grammar.validate()
         self.grammar = grammar
-        self.analysis = analyze_grammar(grammar)
+        self.analysis = analyze_grammar_cached(grammar)
         self.max_depth = max_depth
         self.max_threads = max_threads
         #: Accept a stream of back-to-back sentences instead of one.
         self.stream = stream
-        self.automata: dict[str, Glushkov] = {
-            token.name: build_glushkov(token.pattern)
-            for token in grammar.lexspec
-        }
+        #: One position automaton per token, the scan plan's.
+        self.automata: dict[str, Glushkov] = build_scan_plan(
+            grammar, WiringOptions()
+        ).automata
         self.delimiters = grammar.lexspec.delimiters.matched_bytes()
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ from collections import deque
 from itertools import islice
 
 from repro.core.compiled import CompiledTagger
-from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanir import ScanIR, closed_tables
 from repro.core.scanplan import DetectEvent, _wiring_key
 
 __all__ = [
@@ -86,14 +86,15 @@ def capability() -> dict:
 # ----------------------------------------------------------------------
 class _WideTables:
     """Wide-window memo and generated window programs over one scan
-    IR; shared by every :class:`VectorTagger` over that (grammar,
-    wiring) pair (same sharing discipline as
-    ``compiled._CompiledTables``)."""
+    IR, and the compiled tables it was closed on (whose state ids are
+    the IR's: the per-byte loop steps them between windows); shared by
+    every :class:`VectorTagger` over that (grammar, wiring) pair."""
 
-    __slots__ = ("ir", "ns", "memo8", "_prog_cache")
+    __slots__ = ("ir", "tables", "ns", "memo8", "_prog_cache")
 
     def __init__(self, ir: ScanIR, tables) -> None:
         self.ir = ir
+        self.tables = tables
         #: every generated program's globals: its helpers, ``U<u>`` unit u
         self.ns = {"DE": DetectEvent, "min": min, "TN": tuple.__new__}
         self.ns.update((f"U{u}", unit) for u, unit in enumerate(tables.units))
@@ -185,8 +186,8 @@ def _wide_tables_for(tagger: CompiledTagger) -> _WideTables | None:
         return None
 
     def build() -> _WideTables | None:
-        ir = scan_ir_for(tagger)
-        return None if ir is None else _WideTables(ir, tagger.tables)
+        tables, ir = closed_tables(tagger.plan)
+        return None if ir is None else _WideTables(ir, tables)
 
     return tagger.grammar.derived(
         ("wide", _wiring_key(tagger.plan.wiring)), build
@@ -216,6 +217,10 @@ class VectorTagger(CompiledTagger):
     def __init__(self, grammar, options=None) -> None:
         super().__init__(grammar, options)
         self._vt = _wide_tables_for(self)
+        if self._vt is not None:
+            # Trailing bytes, end-of-data and the watermark run the
+            # compiled loop on the IR's state ids.
+            self.tables = self._vt.tables
         #: Skip-efficiency counters (bytes_skipped / bytes_scanned is
         #: the dead-region prefilter's hit rate).
         self.bytes_scanned = 0

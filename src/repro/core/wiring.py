@@ -24,11 +24,13 @@ from dataclasses import dataclass, replace
 
 from repro.core.decoder import DecoderBank
 from repro.core.options import WiringOptions
+from repro.core.scanir import scan_ir_for
 from repro.core.scanplan import ScanPlan, build_scan_plan
 from repro.core.tokenizer import TokenizerInstance, build_tokenizer
 from repro.errors import GenerationError
 from repro.grammar.analysis import Occurrence
 from repro.grammar.cfg import Grammar
+from repro.grammar.regex.ast import alphabet
 from repro.rtl.netlist import Net, Netlist
 
 
@@ -145,37 +147,40 @@ def _dedupe(nets: list[Net]) -> list[Net]:
 def estimate_conflict_groups(
     scanner: WiredScanner,
 ) -> list[list[int]]:
-    """Heuristic sets of encoder inputs that may assert simultaneously.
+    """Sets of encoder inputs that may assert simultaneously.
 
     "One solution to the conflict is to divide the set into multiple
     sets; where each subset contains all of the tokens that can
     possibly be asserted at any one time." (§3.4)
 
-    Two units may collide when (a) they can be enabled from a common
-    predecessor (or are both start tokens), and (b) the byte sets of
-    their final pattern positions intersect, so the same input byte can
-    complete both. This over-approximates simultaneity, which is safe:
-    a group may be split further but must never miss a real conflict.
+    Units collide when one step detects them together.  The closed
+    product automaton (:func:`~repro.core.scanir.scan_ir_for`) lists
+    every step's events, end-of-data's included, so its event lists
+    are the exact answer.  Past its state cap, every two units whose
+    final pattern positions share a byte are grouped (simultaneous
+    matches end on one byte): an over-approximation, which is safe — a
+    group may be split further but must never miss a real conflict.
     Groups are ordered lowest priority first, with more specific
     patterns (smaller alphabets) given higher priority.
     """
     plan = scanner.plan
     units = plan.units
-    preds = predecessors(plan)
-    enabler_sets = {
-        unit: frozenset(preds[unit])
-        | (frozenset({"<start>"}) if unit in plan.starts else frozenset())
-        for unit in units
-    }
+    ir = scan_ir_for(scanner)
+    if ir is not None:
+        together = [[u for u, _q in e[0]] for e in ir.effects[1:] if e[0]]
+    else:
+        last = [
+            set().union(*(auto.position_bytes[p] for p in auto.last))
+            for auto in (plan.automata[u.terminal.name] for u in units)
+        ]
+        together = [
+            [i, j]
+            for i in range(len(units))
+            for j in range(i + 1, len(units))
+            if last[i] & last[j]
+        ]
 
-    def last_bytes(unit: Occurrence) -> frozenset[int]:
-        auto = plan.automata[unit.terminal.name]
-        result: set[int] = set()
-        for p in auto.last:
-            result |= auto.position_bytes[p]
-        return frozenset(result)
-
-    # Union-find over colliding pairs.
+    # Union-find over colliding units.
     parent = list(range(len(units)))
 
     def find(i: int) -> int:
@@ -184,24 +189,15 @@ def estimate_conflict_groups(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    for i, a in enumerate(units):
-        for j in range(i + 1, len(units)):
-            b = units[j]
-            if not enabler_sets[a] & enabler_sets[b]:
-                continue
-            if last_bytes(a) & last_bytes(b):
-                union(i, j)
+    for first, *rest in together:
+        for other in rest:
+            parent[find(other)] = find(first)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(units)):
         groups.setdefault(find(i), []).append(i)
 
     def specificity(index: int) -> int:
-        from repro.grammar.regex.ast import alphabet
-
         return len(alphabet(plan.automata[units[index].terminal.name].pattern))
 
     result = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.core.tokens import TaggedToken
 from repro.errors import GrammarError, ParseError
-from repro.grammar.analysis import GrammarAnalysis, Occurrence, analyze_grammar
+from repro.grammar.analysis import GrammarAnalysis, Occurrence, analyze_grammar_cached
 from repro.grammar.cfg import Grammar, Production
 from repro.grammar.symbols import END, NonTerminal, Symbol, Terminal
 from repro.software.lexer import ContextSensitiveLexer, LexedToken
@@ -77,7 +77,7 @@ class LL1Parser:
 
     def __init__(self, grammar: Grammar) -> None:
         self.grammar = grammar
-        self.analysis: GrammarAnalysis = analyze_grammar(grammar)
+        self.analysis: GrammarAnalysis = analyze_grammar_cached(grammar)
         self.lexer = ContextSensitiveLexer(grammar.lexspec)
         self.table: dict[NonTerminal, dict[Terminal, Production]] = {}
         self._build_table()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.tokens import TaggedToken
 from repro.errors import GrammarError, ParseError
-from repro.grammar.analysis import Occurrence, analyze_grammar
+from repro.grammar.analysis import Occurrence, analyze_grammar_cached
 from repro.grammar.cfg import Grammar, Production
 from repro.grammar.symbols import END, NonTerminal, Terminal
 from repro.software.lexer import ContextSensitiveLexer, LexedToken
@@ -34,7 +34,7 @@ class RecursiveDescentParser:
 
     def __init__(self, grammar: Grammar) -> None:
         self.grammar = grammar
-        self.analysis = analyze_grammar(grammar)
+        self.analysis = analyze_grammar_cached(grammar)
         self.lexer = ContextSensitiveLexer(grammar.lexspec)
         # Selection sets per production (LL(1) condition checked here
         # too — recursive descent needs disjoint alternatives).

@@ -27,6 +27,7 @@ from repro.apps.structgen import (
 from repro.apps.structgen.masks import read_mask_header
 from repro.core.compiled import CompiledTagger
 from repro.core.generator import TaggerOptions
+from repro.core.scanir import closed_tables
 from repro.core.wiring import WiringOptions
 from repro.grammar.examples import balanced_parens, if_then_else, xmlrpc
 
@@ -53,12 +54,12 @@ class Oracle:
     """Raw-byte reimplementation of mask validity from first
     principles: per-byte ``build_step`` walks plus a forward closure
     for liveness.  Shares the interned tid space with the mask table
-    (same grammar object, same wiring, same tables in its memo)
-    but none of the lowering's class/step/doomed arrays."""
+    (same grammar object, same wiring, the tables its scan IR was
+    closed on) but none of the lowering's class/step/doomed arrays."""
 
     def __init__(self, grammar, wiring: WiringOptions) -> None:
         tagger = CompiledTagger(grammar, TaggerOptions(wiring=wiring))
-        self.tables = tagger.tables
+        self.tables, _ir = closed_tables(tagger.plan)
         self._alive: set | None = None
 
     # -- raw-byte single step ------------------------------------------

@@ -15,9 +15,13 @@ from repro.core.generator import TaggerGenerator
 from repro.core.nativescan import NativeTagger
 from repro.core.options import WiringOptions
 from repro.core.scanplan import build_scan_plan
+from repro.core.stack import StackTagger
 from repro.core.tagger import BehavioralTagger, GateLevelTagger
 from repro.core.vectorscan import NUMPY_AVAILABLE
+from repro.grammar import analysis
 from repro.grammar.examples import if_then_else, xmlrpc
+from repro.software.ll1 import LL1Parser
+from repro.software.recursive_descent import RecursiveDescentParser
 
 SAMPLE, _ = WorkloadGenerator(seed=3).stream(2)
 
@@ -100,6 +104,30 @@ def test_pickle_carries_no_compiled_products():
     clone = pickle.loads(before)
     assert clone._derived == {}
     assert NativeTagger(clone).tag(SAMPLE) == NativeTagger(grammar).tag(SAMPLE)
+
+
+def test_parsers_share_the_grammar_analysis(monkeypatch):
+    """The stack tagger and the software parsers read the grammar's
+    memoized analysis (and the tagger the plan's token automata): five
+    of each analyse the grammar once, and hold it no longer than it
+    lives."""
+    calls = []
+    analyze = analysis.analyze_grammar
+    monkeypatch.setattr(
+        analysis, "analyze_grammar", lambda g: calls.append(1) or analyze(g)
+    )
+    grammar = if_then_else()
+    for _ in range(5):
+        tagger = StackTagger(grammar)
+        assert tagger.accepts(b"if true then go else stop")
+        assert tagger.automata is build_scan_plan(grammar, WiringOptions()).automata
+        LL1Parser(grammar)
+        RecursiveDescentParser(grammar)
+    assert len(calls) == 1
+    ref = weakref.ref(grammar)
+    del grammar, tagger
+    gc.collect()
+    assert ref() is None
 
 
 def test_one_build_per_key():

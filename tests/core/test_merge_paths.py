@@ -81,7 +81,8 @@ def test_inputs_reach_both_merges(engines):
         for events, start_ops, _err in seen:
             multi |= any(len(q) > 1 for _u, q in events or ())
             sources |= bool(start_ops and start_ops[0])  # copies
-        eof_multi |= any(len(q) > 1 for _u, q in compiled.tables.eof_events(end))
+        eof = ir.effects[ir.eof[end]][0] if ir.eof[end] else ()
+        eof_multi |= any(len(q) > 1 for _u, q in eof)
     assert multi and sources and eof_multi
 
 

@@ -8,6 +8,7 @@ engine differential suites; its flags agree with the raw-byte oracle of
 builds field for field the IR a 256-byte sweep builds (``_raw_close``),
 in the same interning order and with one step per (state, class), that
 the state-cap bail-out leaves every engine on the compiled loop, that
+traffic scanned before the closure does not renumber it, that
 it survives its payload form
 field for field, that a wrong-shaped or corrupted ``RART`` blob raises
 :class:`ArtifactError` (or loads tables that scan exactly like a fresh
@@ -22,6 +23,7 @@ import hashlib
 import json
 import marshal
 import os
+import random
 from array import array
 from dataclasses import replace
 
@@ -29,6 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.apps.structgen import build_mask_table, load_mask_blob, synthetic_vocab
+from repro.apps.xmlrpc import WorkloadGenerator
 from repro.core import scanir
 from repro.core.artifact import (
     ARTIFACT_ABI,
@@ -42,7 +46,7 @@ from repro.core.compiled import EOF, CompiledTagger, _CompiledTables
 from repro.core.generator import TaggerOptions
 from repro.core.maskgen import MaskLowering
 from repro.core.nativescan import NativeTagger
-from repro.core.scanir import ScanIR, scan_ir_for
+from repro.core.scanir import ScanIR, closed_tables, scan_ir_for
 from repro.core.scanplan import build_scan_plan
 from repro.core.tagger import BehavioralTagger
 from repro.core.vectorscan import VectorTagger
@@ -62,19 +66,19 @@ XMLRPC_FINGERPRINT = (
 
 #: sha256 of ``build_artifact(xmlrpc())``, per interpreter tag (the
 #: blob is marshal output, so only the interpreter it was recorded
-#: under can check it).  Recorded when effects moved to register-file
-#: indices and the payload to marshal version 2; the closure must keep
-#: publishing the same bytes.
+#: under can check it).  Recorded when the payload became the source
+#: and the IR alone, with end-of-data effects and live units per state
+#: (ABI 4); the closure must keep publishing the same bytes.
 XMLRPC_ARTIFACT_SHA256 = {
-    "abi3-cpython-311": (
-        "e5737c9e53d98df33cdfc391613d7ac521164a56e827b1548a8bec5d1e3cd9b7"
+    "abi4-cpython-311": (
+        "74d6c382f7af564676454ed63537c8dfa2e1c87d4a7a5b69bbcfed471fe2a3c8"
     ),
 }
 
 #: sha256 of ``repr`` of the same blob's unmarshalled payload: the
 #: interpreter-independent half of the pin.
 XMLRPC_PAYLOAD_SHA256 = (
-    "178d9a4bc4edfc167cd11a341998756a3ea799ef4d8366d27badf605f78a12f5"
+    "630875da1d0496ee9378eb173e14b1be42c78230a987573664f09302171dda9a"
 )
 
 ITE_SAMPLE = b"if true then go else stop"
@@ -116,6 +120,14 @@ def _raw_close(tables: _CompiledTables) -> ScanIR | None:
                     discovered.append(ntid)
         frontier = discovered
     n = len(seen)
+    eof = array("i")
+    for tid in range(n):
+        events = tables.eof_events(tid)
+        sig = (events, None, False)
+        index = effect_ids.setdefault(sig, len(effects)) if events else 0
+        if index == len(effects):
+            effects.append(sig)
+        eof.append(index)
     columns: dict[tuple, int] = {}
     class_of = bytearray(256)
     repr_byte: list[int] = []
@@ -137,6 +149,8 @@ def _raw_close(tables: _CompiledTables) -> ScanIR | None:
     ir.effects = effects
     ir.skip_live = {}
     ir.unit_caps = tables.unit_caps()
+    ir.eof = eof
+    ir.live = [tuple(u for u, _s in items) for items, *_ in tables.tstates[:n]]
     lost, eos, emits = bytearray(n), bytearray(n), bytearray(n)
     for tid in range(n):
         row_next = [all_next[tid << 8 | byte] for byte in range(256)]
@@ -157,7 +171,8 @@ def _raw_close(tables: _CompiledTables) -> ScanIR | None:
             )
             if live.count(0) >= scanir._SKIP_MIN_COVERAGE:
                 ir.skip_live[tid] = live
-    ir.lost, ir.eos, ir.emits = bytes(lost), bytes(eos), bytes(emits)
+    ir.lost, ir.emits = bytes(lost), bytes(emits)
+    assert bytes(map(bool, eof)) == bytes(eos)
     return ir
 
 
@@ -174,7 +189,7 @@ def _assert_close_matches_sweep(grammar, wiring) -> None:
     assert ir is not None and expected is not None
     for name in FIELDS:
         assert getattr(ir, name) == getattr(expected, name), name
-    # Same interning order, so the artifact's stored states are too.
+    # Same interning order: the IR's ids name the same product states.
     assert tables.tstates == oracle_tables.tstates
     for dfa, oracle_dfa in zip(tables.unit_dfas, oracle_tables.unit_dfas):
         assert dfa.state_positions == oracle_dfa.state_positions
@@ -194,7 +209,9 @@ def test_ir_reproduces_build_step_and_oracle_flags(gname, vname):
     assert scan_ir_for(CompiledTagger(grammar, tagger.options)) is ir
     oracle = Oracle(grammar, wiring)
     doomed = MaskLowering(tagger).doomed
-    build_step = tagger.tables.build_step
+    tables, closed = closed_tables(tagger.plan)
+    assert closed is ir
+    build_step = tables.build_step
     n_classes = ir.n_classes
     for tid in range(ir.n_states):
         for byte in range(256):
@@ -209,11 +226,14 @@ def test_ir_reproduces_build_step_and_oracle_flags(gname, vname):
         # What lets the trie walk skip the lost check: it never
         # stands on a doomed state.
         assert doomed[tid] or not ir.lost[tid], tid
-        assert bool(ir.eos[tid]) == oracle.eos(tid), tid
+        assert bool(ir.eof[tid]) == oracle.eos(tid), tid
+        eof = ir.effects[ir.eof[tid]] if ir.eof[tid] else ((), None, False)
+        assert eof == (tables.eof_events(tid), None, False), tid
+        assert ir.live[tid] == tuple(u for u, _s in tables.tstates[tid][0])
         emits = any(oracle.step(tid, byte)[1] for byte in range(256))
         assert bool(ir.emits[tid]) == emits, tid
     # The closure interned nothing the IR does not cover.
-    assert len(tagger.tables.tstates) == ir.n_states
+    assert len(tables.tstates) == ir.n_states
     for tid, live in ir.skip_live.items():
         for byte in range(256):
             inert = build_step(tid, byte) == tid << 8
@@ -326,6 +346,42 @@ def test_xmlrpc_mask_fingerprint_is_pinned():
 
 
 # ----------------------------------------------------------------------
+# state-id drift: earlier traffic does not renumber the IR
+# ----------------------------------------------------------------------
+def _traffic(gname: str) -> bytes:
+    """Seeded traffic the compiled loop steps through product states in
+    an order of its own, not the closure's breadth-first one."""
+    if gname == "xmlrpc":
+        return WorkloadGenerator(seed=11).stream(20)[0]
+    words = {"ite": ITE_SAMPLE.split() + [b"#"], "parens": [b"(", b")", b"0", b"("]}
+    rng = random.Random(11)
+    return b" ".join(rng.choice(words[gname]) for _ in range(200))
+
+
+@pytest.mark.parametrize("vname", VARIANTS)
+@pytest.mark.parametrize("gname", GRAMMARS)
+def test_ir_does_not_depend_on_earlier_traffic(gname, vname):
+    options = TaggerOptions(wiring=VARIANTS[vname])
+    compiled = CompiledTagger(GRAMMARS[gname](), options)
+    assert compiled.events(_traffic(gname))
+    ir = scan_ir_for(compiled)
+    fresh = scan_ir_for(CompiledTagger(GRAMMARS[gname](), options))
+    for name in FIELDS:
+        assert getattr(ir, name) == getattr(fresh, name), name
+
+
+def test_masks_built_after_a_scan_load_on_a_fresh_grammar():
+    """A mask table built on a grammar that scanned traffic first
+    loads where a fresh process would: on a fresh grammar object."""
+    grammar = xmlrpc()
+    BehavioralTagger(grammar).events(WorkloadGenerator(seed=5).stream(20)[0])
+    table = build_mask_table(grammar, synthetic_vocab(size=384, seed=7))
+    loaded = load_mask_blob(table.to_blob(), xmlrpc())
+    assert loaded.rows == table.rows
+    assert loaded.lowering.fingerprint() == XMLRPC_FINGERPRINT
+
+
+# ----------------------------------------------------------------------
 # corrupt and wrong-shaped blobs
 # ----------------------------------------------------------------------
 def _split(blob: bytes) -> tuple[dict, dict]:
@@ -348,11 +404,6 @@ def _header_is_a_list(header, payload):
 
 def _payload_is_a_list(header, payload):
     return header, [1, 2]
-
-
-def _no_dfa_states(header, payload):
-    del payload["dfa_states"]
-    return header, payload
 
 
 def _ir_is_a_list(header, payload):
@@ -384,10 +435,16 @@ def _copy_across_units(ir):
     ir["effects"].append((None, start_ops, False))
 
 
+def _eof_with_start_moves(ir):
+    """End-of-data pointed at an effect that sets a register: the flush
+    changes no register, so no such effect may stand there."""
+    moving = [i for i, e in enumerate(ir["effects"]) if e and e[1]]
+    ir["eof"][0] = moving[0]
+
+
 WRONG_SHAPES = {
     "header-list": _header_is_a_list,
     "payload-list": _payload_is_a_list,
-    "no-dfa-states": _no_dfa_states,
     "ir-list": _ir_is_a_list,
     "wiring-short": lambda h, p: ({**h, "wiring": [True]}, p),
     "wiring-start-mode-unknown": lambda h, p: (
@@ -395,11 +452,6 @@ WRONG_SHAPES = {
         p,
     ),
     "source-missing": lambda h, p: (h, {k: v for k, v in p.items() if k != "source"}),
-    "tstates-garbage": lambda h, p: (h, {**p, "tstates": [(), 5, "x"]}),
-    "dfa-position-out-of-range": lambda h, p: (
-        h,
-        {**p, "dfa_states": {k: [(), (1 << 20,)] for k in p["dfa_states"]}},
-    ),
     "ir-no-next": _ir(lambda ir: ir.pop("next")),
     "ir-next-short": _ir(lambda ir: ir["next"].pop()),
     "ir-next-out-of-range": _ir(_poke("next", 3, 1 << 20)),
@@ -421,6 +473,11 @@ WRONG_SHAPES = {
         lambda ir: ir["effects"].append(((("0]; boom(); [0", (0,)),), None, False))
     ),
     "ir-skip-row-short": _ir(_set("skip_live", {0: b"\x00"})),
+    "ir-eof-short": _ir(lambda ir: ir["eof"].pop()),
+    "ir-eof-out-of-range": _ir(_poke("eof", 0, 1 << 20)),
+    "ir-eof-moves-registers": _ir(_eof_with_start_moves),
+    "ir-live-short": _ir(lambda ir: ir["live"].pop()),
+    "ir-live-bad-unit": _ir(_poke("live", 0, (1 << 20,))),
     "ir-unit-caps-wrong": _ir(_set("unit_caps", (1,))),
 }
 

@@ -85,8 +85,11 @@ class TestConflictGroups:
         groups = estimate_conflict_groups(scanner)
         assert len(groups) == 1
         ordered = [scanner.plan.units[i].terminal.name for i in groups[0]]
-        # WORD (bigger alphabet) must come first = lowest priority.
-        assert ordered == ["WORD", "NUM"]
+        # WORD (bigger alphabet) must come first = lowest priority.  The
+        # restarted "k" detects with WORD on "k 1k " (NUM's accept
+        # re-enables it while WORD is still matching), so it joins the
+        # group, last: the narrowest alphabet.
+        assert ordered == ["WORD", "NUM", "k"]
 
 
 class TestConflictSoundness:
@@ -133,11 +136,22 @@ class TestConflictSoundness:
             %%
             """
         )
+        # Two units enabled by different start tokens, both in flight.
+        staggered = parse_yacc_grammar(
+            """
+            C1 [b-z]+
+            C2 [c-z]+
+            %%
+            s: "a" C1 | "ab" C2;
+            %%
+            """
+        )
         # (grammar, wiring, input, ends where two units both fire)
         cases = [
             (num_word, WiringOptions(), b"k 42", [4]),
             (num_word, WiringOptions(context_duplication=False), b"k 42", [4]),
             (restart, WiringOptions(), b"abc de fg", [6, 9]),
+            (staggered, WiringOptions(), b"abcd", [4]),
         ]
         for grammar, wiring, data, ends in cases:
             tagger = BehavioralTagger(grammar, TaggerOptions(wiring=wiring))
@@ -157,6 +171,32 @@ class TestConflictSoundness:
                     wiring,
                     sorted(map(str, units)),
                 )
+
+
+    def test_past_the_state_cap_shared_last_bytes_group(self, monkeypatch):
+        """Without a closed automaton the estimate groups every two
+        units whose last positions share a byte: still sound."""
+        from repro.core import scanir
+        from repro.grammar.yacc_parser import parse_yacc_grammar
+
+        monkeypatch.setattr(scanir, "_MAX_PRODUCT_STATES", 1)
+        grammar = parse_yacc_grammar(
+            """
+            C1 [b-z]+
+            C2 [c-z]+
+            %%
+            s: "a" C1 | "ab" C2;
+            %%
+            """
+        )
+        _nl, scanner = _scanner(grammar)
+        assert scanir.scan_ir_for(scanner) is None
+        names = [
+            [scanner.plan.units[i].terminal.name for i in group]
+            for group in estimate_conflict_groups(scanner)
+        ]
+        # "ab" ends on b, which C1 can end on too; C2's bytes are C1's.
+        assert names == [["C1", "C2", "ab"]]
 
 
 class TestLoopOnAccept:
