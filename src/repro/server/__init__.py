@@ -24,9 +24,10 @@ reproduction:
   client library (connect/retry/timeout, flow multiplexing, beam
   flows for constrained decoding);
 * :mod:`repro.server.cluster` — :class:`ScanProxy`: the cluster
-  tier (the way to use N cores) — a consistent-hash proxy pinning
-  flows to N backends with health probes, journal-replay failover for
-  every flow kind, and an aggregated admin endpoint.
+  tier (the way to use N cores) — it hands clients the
+  :class:`~repro.server.ring.HashRing` of healthy backends their scan
+  flows go to directly, probes health, relays beam flows with
+  journal-replay failover, and aggregates the admin endpoint.
 
 There is no load generator in this package: the serving stack is
 measured by ``benchmarks/ledger/`` and verified under load by
@@ -40,13 +41,13 @@ __getattr__, __dir__ = _lazy_surface(globals(), {
         "BeamFlow", "ClientFlow", "ConnectFailed", "ScanClient",
     ),
     "repro.server.cluster": (
-        "BackendSpec", "HashRing", "NoHealthyBackend", "ScanProxy",
-        "parse_backend",
+        "BackendSpec", "ScanProxy", "parse_backend",
     ),
     "repro.server.protocol": (
         "CONNECTION_FLOW", "DEFAULT_MAX_FRAME", "PROTOCOL_VERSION",
         "ErrorCode", "Frame", "FrameDecoder", "FrameType", "ProtocolError",
         "ServerFault",
     ),
+    "repro.server.ring": ("HashRing",),
     "repro.server.server": ("ScanServer",),
 })

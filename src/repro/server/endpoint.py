@@ -164,6 +164,14 @@ class FramedEndpoint:
         """Registry refs advertised in this endpoint's HELLO."""
         return ()
 
+    def hello_ring(self) -> tuple[str, ...] | None:
+        """The ring this endpoint's HELLO hands out (None: none)."""
+        return None
+
+    def _redirect(self, kind: FlowKind) -> str | None:
+        """Where flows of ``kind`` open instead (None: here)."""
+        return None
+
     def _at_quota(self) -> str | None:
         """Why no new flow fits right now (None: one does)."""
         return None
@@ -331,10 +339,12 @@ class FramedEndpoint:
             return
         conn.peer_max_frame = peer_max
         conn.greeted = True
-        conn.queue(
-            protocol.encode_hello(
-                PROTOCOL_VERSION, self.max_frame, self.grammar_refs()
-            )
+        conn.queue(self._hello_frame())
+
+    def _hello_frame(self) -> bytes:
+        return protocol.encode_hello(
+            PROTOCOL_VERSION, self.max_frame, self.grammar_refs(),
+            self.hello_ring(),
         )
 
     def _check_idle(self, conn: Connection) -> None:
@@ -372,7 +382,10 @@ class FramedEndpoint:
             if kind is None:
                 flow = table.route(frame)
             else:
-                flow_id = table.admit(frame, self._draining, self._at_quota())
+                flow_id = table.admit(
+                    frame, self._draining, self._at_quota(),
+                    self._redirect(kind),
+                )
         except Refused as refusal:
             self._refuse(conn, refusal)
             return

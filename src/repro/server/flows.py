@@ -23,9 +23,10 @@ the flow the refusal closed, if it closed one:
 
 * an opening frame whose id is ``CONNECTION_FLOW`` or already open is
   ``DUPLICATE_FLOW``, and the colliding open *closes the existing
-  flow*; then, in this order, ``DRAINING`` while the endpoint drains
-  and ``OVERLOADED`` when it is at a quota — one admission, the same
-  for every kind;
+  flow*; then, in this order, ``REDIRECT`` when flows of that kind
+  open elsewhere (a proxy's scan flows, on its ring), ``DRAINING``
+  while the endpoint drains and ``OVERLOADED`` when it is at a quota —
+  one admission, the same for every kind;
 * an op on an id that is not open, or whose FINISH_FLOW was already
   taken, is ``UNKNOWN_FLOW`` (nothing to close);
 * an op its flow's kind does not take (DATA on a beam flow,
@@ -60,6 +61,7 @@ __all__ = [
     "FlowKind",
     "FlowTable",
     "KINDS",
+    "LIFECYCLE_CODES",
     "OPENERS",
     "Refused",
     "SCAN",
@@ -110,6 +112,9 @@ BEAM = FlowKind(
     survives=(ErrorCode.BAD_TOKEN,),
 )
 KINDS = (SCAN, BEAM)
+#: ERROR codes that end a flow for its endpoint's sake, not its own: a
+#: routing tier replays the flow on another member.
+LIFECYCLE_CODES = (ErrorCode.DRAINING, ErrorCode.IDLE_TIMEOUT)
 
 #: Opening frame type -> the kind it opens.
 OPENERS = {kind.opener: kind for kind in KINDS}
@@ -153,10 +158,15 @@ class FlowTable:
         self.flows: dict[int, Flow] = {}
 
     # -- inbound: frames a client sent ---------------------------------
-    def admit(self, frame: Frame, draining: bool, full: str | None) -> int:
+    def admit(
+        self, frame: Frame, draining: bool, full: str | None,
+        redirect: str | None = None,
+    ) -> int:
         """The flow id an opening frame may open (the caller builds the
         flow and :meth:`open`\\ s it). ``full`` says why no new flow
-        fits — the quota that is spent — or is None when one does."""
+        fits — the quota that is spent — or is None when one does;
+        ``redirect`` where flows of the frame's kind open instead, or
+        None when they open here."""
         flow_id = flow_id_of(frame)
         existing = self.flows.pop(flow_id, None)
         if existing is not None or flow_id == CONNECTION_FLOW:
@@ -166,6 +176,8 @@ class FlowTable:
                 f"flow {flow_id} already open",
                 existing,
             )
+        if redirect is not None:
+            raise Refused(flow_id, ErrorCode.REDIRECT, redirect)
         if draining:
             raise Refused(
                 flow_id, ErrorCode.DRAINING, "draining; new flows refused"

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import json
 import random
+import types
 
 import pytest
 
@@ -193,7 +194,8 @@ def test_capability_reads_the_loaded_handle_and_never_builds(
     """``/stats`` scrapes call this: with no module loaded, none
     prebuilt and an empty build cache it answers False rather than
     compiling one; a module already built answers True without a
-    session having opened."""
+    session having opened; ``REPRO_DISABLE_NATIVE`` reads False even
+    with the module cached."""
     from repro.core import _native_build
 
     built = _native_build.load_kernel()
@@ -206,10 +208,16 @@ def test_capability_reads_the_loaded_handle_and_never_builds(
     monkeypatch.setattr(_native_build, "_compile", build)
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     prebuilt = importlib.util.find_spec("repro.core._nativescan")
-    assert beam_capability() == {"native": prebuilt is not None}
+    assert beam_capability() == {
+        "native": prebuilt is not None and not _native_build._disabled()
+    }
     if built is not None:
         monkeypatch.setattr(_native_build, "_cached_module", built)
         assert beam_capability() == {"native": True}
+    cached = built or types.ModuleType("_nativescan")
+    monkeypatch.setattr(_native_build, "_cached_module", cached)
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    assert beam_capability() == {"native": False}
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ grammar hot swap on the server — and reports ``(error code, flow
 closed?)``. Both targets must report the literal expectation, so they
 report the same thing: the server/proxy divergences this replaces
 tests for (duplicate open, wrong-kind ops) cannot come back on one
-side only.
+side only. Through the proxy, a scenario on a scan flow runs where a
+client runs one — on the ring member the proxy's HELLO names — and a
+raw scan OPEN_FLOW at the proxy itself is refused with ``REDIRECT``.
 
 The scenario kinds are ``scan``, ``mask`` — a single-lane decode, a
 beam of width 1 advanced by one-token BATCH_ADVANCEs (labelled
@@ -194,6 +196,16 @@ def retired(ftype):
 
 E = ErrorCode
 KINDS = ("scan", "mask", "beam")
+#: The scenarios whose flow is a scan flow (or whose op is DATA): a
+#: proxy hands them to its ring.
+ON_THE_RING = {
+    "duplicate-open/scan",
+    "unknown-flow/DATA",
+    "wrong-kind/ADVANCE-on-scan",
+    "wrong-kind/BATCH_ADVANCE-on-scan",
+    "op-after-finish",
+    "open-while-draining/scan",
+}
 WIDTH = {"mask": 1, "beam": 2}
 OPS = {"scan": "DATA", "mask": "ADVANCE", "beam": "BATCH_ADVANCE"}
 DECODE = {"mask", "beam"}
@@ -230,12 +242,13 @@ SCENARIOS = {
         for ftype in (0x08, 0x09, 0x0A)
     },
 }
+assert ON_THE_RING <= SCENARIOS.keys()
 
 
 @contextlib.asynccontextmanager
 async def target(name: str, registry, table, swapped: bool):
     """``front`` is what the client dials: the server itself, or a
-    proxy whose one backend the server is."""
+    proxy whose one backend the server is; the server comes along."""
     server = ScanServer(
         TaggerSpec(
             registry_ref=registry.xml_ref, registry_root=registry.root
@@ -251,11 +264,22 @@ async def target(name: str, registry, table, swapped: bool):
     try:
         if swapped:
             server.swap_grammar(registry.ite_ref)
-        yield front
+        yield front, server
     finally:
         if front is not server:
             await front.stop(drain=False)
         await server.stop(drain=False)
+
+
+async def _greeted(address, table):
+    """A Peer on a fresh connection to ``address``, past the
+    handshake, and the ring the endpoint's HELLO handed out."""
+    reader, writer = await asyncio.open_connection(*address)
+    peer = Peer(reader, writer, table)
+    await peer.send(protocol.encode_hello())
+    hello = await asyncio.wait_for(peer.frames.frame(), 5.0)
+    assert hello.type == FrameType.HELLO
+    return peer, protocol.decode_hello_lists(hello)[1]
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["", "after-swap"])
@@ -265,16 +289,40 @@ def test_lifecycle_conformance(scenario, name, swapped, registry, table):
     run, code, closed = SCENARIOS[scenario]
 
     async def main():
-        async with target(name, registry, table, swapped) as front:
-            reader, writer = await asyncio.open_connection(*front.address)
-            peer = Peer(reader, writer, table)
-            await peer.send(protocol.encode_hello())
-            hello = await asyncio.wait_for(peer.frames.frame(), 5.0)
-            assert hello.type == FrameType.HELLO
+        async with target(name, registry, table, swapped) as (front, server):
+            peer, ring = await _greeted(front.address, table)
+            member = "%s:%d" % server.address
+            assert ring == (None if front is server else (member,))
+            if ring is not None and scenario in ON_THE_RING:
+                peer.writer.close()  # and dial the ring, as a client does
+                host, _, port = ring[0].rpartition(":")
+                peer, _ = await _greeted((host, int(port)), table)
+                front = server
             try:
                 return await run(peer, front)
             finally:
-                writer.close()
+                peer.writer.close()
 
     got_code, got_closed = asyncio.run(main())
     assert (E.NAMES[got_code], got_closed) == (E.NAMES[code], closed)
+
+
+def test_scan_open_at_a_proxy_is_redirected_to_its_ring(registry, table):
+    """A scan OPEN_FLOW sent to the proxy itself: ``REDIRECT`` naming
+    the ring member, and no flow open — the connection goes on."""
+
+    async def main():
+        async with target("proxy", registry, table, False) as (front, server):
+            peer, ring = await _greeted(front.address, table)
+            await peer.send(peer.opener("scan"))
+            frame = await peer.reply()
+            _flow, code, message = protocol.decode_error(frame)
+            assert "%s:%d" % server.address in message
+            assert ring == ("%s:%d" % server.address,)
+            closed = await peer.closed()
+            await peer.open("beam")  # the connection still serves beams
+            peer.writer.close()
+            return code, closed
+
+    code, closed = asyncio.run(main())
+    assert (E.NAMES[code], closed) == ("REDIRECT", True)

@@ -97,16 +97,24 @@ def test_small_flow_is_one_write_one_read_one_reply():
 
 
 def test_proxy_adds_one_write_per_direction():
+    """A beam op through the proxy costs one proxy write each way: the
+    op relayed to its backend in one write, the MASKS back to the
+    client in one. A scan flow never reaches the proxy: the client
+    places it on the ring member itself, one write there, one read
+    and one write on the server."""
+    table = build_mask_table(xmlrpc(), synthetic_vocab(size=384, seed=7))
     data, _truth = WorkloadGenerator(seed=6).stream(3)
     expected = ContentBasedRouter().route(data)
+    local = BeamMaskSession(table, 1)
 
     async def main():
-        async with running_server() as server:
+        async with running_server(mask_tables=[table]) as server:
             proxy = ScanProxy([server.address], port=0)
             await proxy.start()
             try:
                 async with ScanClient(*proxy.address) as client:
                     assert await _one_flow(client, data) == expected  # warm
+                    beam = await client.open_beam_flow(table.vocab_hash, 1)
                     await asyncio.sleep(0.05)
                     names = ("rx.reads", "tx.writes")
                     before_p = _counters(
@@ -116,21 +124,34 @@ def test_proxy_adds_one_write_per_direction():
                         server, *(f"server.{n}" for n in names)
                     )
                     blobs = _count_writes(client)
+                    (dial,) = client._members.values()
+                    member = dial.result()
+                    direct = _count_writes(member)
                     (backend,) = proxy.backends.values()
-                    relayed = _count_writes(backend._client)
+                    relayed = _count_writes(await backend.acquire())
                     assert await _one_flow(client, data) == expected
-                    assert len(blobs) == 1
-                    # Towards the backend: the whole flow in one write,
-                    # the same three frames the client sent.
-                    assert len(relayed) == 1
-                    merged = [
+                    token = set_bits(beam.rows[0])[0]
+                    states, rows = await beam.advance([token])
+                    local.advance([token])
+                    assert (states, rows) == (local.states, local.masks())
+
+                    def types(blob):
+                        return [
+                            f.type for f in protocol.FrameDecoder().feed(blob)
+                        ]
+
+                    # The scan: the whole flow in one write, to the member.
+                    assert [types(b) for b in direct] == [[
                         FrameType.OPEN_FLOW, FrameType.DATA,
                         FrameType.FINISH_FLOW,
+                    ]]
+                    # The beam op: one write to the proxy, relayed in one.
+                    assert [types(b) for b in blobs] == [
+                        [FrameType.BATCH_ADVANCE]
                     ]
-                    for blob in (blobs[0], relayed[0]):
-                        assert [
-                            f.type for f in protocol.FrameDecoder().feed(blob)
-                        ] == merged
+                    assert [types(b) for b in relayed] == [
+                        [FrameType.BATCH_ADVANCE]
+                    ]
                     # Towards the client: one write (counted on the
                     # proxy's front; the backend client is not a
                     # FramedEndpoint connection).
@@ -143,15 +164,17 @@ def test_proxy_adds_one_write_per_direction():
                     assert after_p["proxy.tx.writes"] == (
                         before_p["proxy.tx.writes"] + 1
                     )
+                    # The server: the scan's read and write, the op's.
                     after_s = _counters(
                         server, *(f"server.{n}" for n in names)
                     )
                     assert after_s["server.rx.reads"] == (
-                        before_s["server.rx.reads"] + 1
+                        before_s["server.rx.reads"] + 2
                     )
                     assert after_s["server.tx.writes"] == (
-                        before_s["server.tx.writes"] + 1
+                        before_s["server.tx.writes"] + 2
                     )
+                    await beam.close()
             finally:
                 await proxy.stop(drain=False)
 

@@ -1,14 +1,15 @@
 """Failover: killing a backend under live flows.
 
-The proxy's failover contract (DESIGN.md §14) is one rule for every
-flow kind: the flow's acked history is replayed onto a surviving
-backend and the client sees byte-for-byte the same replies it would
-have seen with no kill — scan results, and beam masks of any width
-(after forks and rollbacks, through the delta chain). A beam replay
-whose replies differ from those already forwarded, and a ring with no
-backend left, end the flow with a typed FAILOVER instead of wrong
-masks. All kills here are hard (``stop(drain=False)`` — TCP reset
-semantics, no DRAINING courtesy), the worst case.
+The failover contract (DESIGN.md §14) is one rule for every flow kind:
+the flow's history is replayed onto a surviving backend and the client
+sees byte-for-byte the same replies it would have seen with no kill —
+scan results (the client itself re-places a scan flow on the ring and
+replays its journal), and beam masks of any width relayed by the
+proxy (after forks and rollbacks, through the delta chain). A beam
+replay whose replies differ from those already forwarded, and a ring
+with no backend left, end the flow with a typed FAILOVER instead of
+wrong masks. All kills here are hard (``stop(drain=False)`` — TCP
+reset semantics, no DRAINING courtesy), the worst case.
 """
 
 import asyncio
@@ -25,6 +26,7 @@ from repro.server import (
     ScanServer,
     ServerFault,
 )
+from repro.server.endpoint import reap
 from repro.server.protocol import ErrorCode
 
 from tests.server.drivers import run_beam_load, set_bits
@@ -104,12 +106,11 @@ def test_scan_flow_survives_backend_kill_byte_for_byte(table):
             async with ScanClient(*proxy.address) as client:
                 flow = await client.open_flow()
                 await flow.send(data[: len(data) // 2])
-                backend = await _pinned_backend(proxy, flow.flow_id)
-                await _server_named(servers, backend.name).stop(drain=False)
+                await _server_named(servers, flow.member).stop(drain=False)
                 await flow.send(data[len(data) // 2 :])
                 got = await flow.finish(timeout=15.0)
+                assert client.failovers >= 1
             assert got == router.route(data)
-            assert proxy.metrics.counter("proxy.failovers").value >= 1
 
     run(scenario())
 
@@ -236,12 +237,10 @@ def test_pipelined_frames_keep_their_order_across_a_kill(table):
                 beam = await client.open_beam_flow(table.vocab_hash, 3)
                 mirror = _Mirror(table, 3)
                 await _walk(beam, mirror, 3, "before the kill")
+                backend = await _pinned_backend(proxy, beam.flow_id, "beam")
                 owners = {
-                    _server_named(servers, backend.name)
-                    for backend in (
-                        await _pinned_backend(proxy, scan.flow_id, "scan"),
-                        await _pinned_backend(proxy, beam.flow_id, "beam"),
-                    )
+                    _server_named(servers, scan.member),
+                    _server_named(servers, backend.name),
                 }
                 steps = []
                 for _ in range(6):
@@ -270,6 +269,7 @@ def test_pipelined_frames_keep_their_order_across_a_kill(table):
                 assert replies == [expected for _, expected in steps]
                 mirror.check(beam, "after the kill")
                 await beam.close()
+                assert client.failovers >= 1
             assert got == router.route(data)
             assert proxy.metrics.counter("proxy.failovers").value >= 1
 
@@ -382,3 +382,42 @@ def test_beam_load_survives_backend_kill(table):
     assert report["failures"] == []
     assert report["mismatches"] == []
     assert report["verified"] is True
+
+
+def test_scan_flows_fail_over_together_onto_an_undialed_backend(table):
+    """Four scan flows on one backend, the other never dialed by the
+    client: a hard kill moves all four at once, and their placements
+    share the one dial of the survivor."""
+
+    async def scenario():
+        router = ContentBasedRouter()
+        data = b"".join(MethodCall(n).encode() + b" " for n in ("a", "b"))
+        servers = [await ScanServer(port=0).start() for _ in range(2)]
+        names = ["%s:%d" % s.address for s in servers]
+        proxy = await ScanProxy(names, port=0).start()
+        await reap(proxy._health_task)  # the test ejects and readmits
+        try:
+            async with ScanClient(*proxy.address) as client:
+                proxy._note_backend_error(proxy.backends[names[1]], "test")
+                await asyncio.sleep(0.05)  # the smaller ring arrives
+                flows = [await client.open_flow() for _ in range(4)]
+                for flow in flows:
+                    await flow.send(data[:20])
+                assert {flow.member for flow in flows} == {names[0]}
+                proxy._readmit(proxy.backends[names[1]])
+                await asyncio.sleep(0.05)
+                assert not client.linked(names[1])
+                await servers[0].stop(drain=False)
+                for flow in flows:
+                    await flow.send(data[20:])
+                got = [await flow.finish(timeout=15.0) for flow in flows]
+                assert {flow.member for flow in flows} == {names[1]}
+                assert client.failovers == 4
+            assert got == [router.route(data)] * 4
+        finally:
+            await proxy.stop(drain=False)
+            for server in servers:
+                if not server._stopped.is_set():
+                    await server.stop(drain=False)
+
+    run(scenario())

@@ -209,9 +209,9 @@ def test_version_mismatch_is_refused():
 
 def test_v2_hello_gets_version_mismatch():
     """A v2 peer (one that could still send the retired single-lane
-    mask frames) is refused at HELLO with a typed VERSION_MISMATCH,
-    never mid-flow."""
-    assert protocol.PROTOCOL_VERSION == 3
+    mask frames, and would send its scans through a proxy) is refused
+    at HELLO with a typed VERSION_MISMATCH, never mid-flow."""
+    assert protocol.PROTOCOL_VERSION == 4
 
     async def main():
         async with running_server() as server:
@@ -223,7 +223,7 @@ def test_v2_hello_gets_version_mismatch():
             assert frame.type == FrameType.ERROR
             _f, code, message = protocol.decode_error(frame)
             assert code == ErrorCode.VERSION_MISMATCH
-            assert "v3" in message and "v2" in message
+            assert "v4" in message and "v2" in message
             assert await asyncio.wait_for(frames.frame(), 2.0) is None
             writer.close()
 
@@ -340,9 +340,11 @@ def _socket_buffer_bound() -> int:
 
 def test_stalled_backend_stops_the_proxy_reading_its_client():
     """A backend that stops reading: what the proxy reads off the
-    client feeding it is bounded by one backend connection's buffers,
-    so the proxy stops reading that client — chained backpressure —
-    and everything flows again once the backend reads."""
+    client feeding a beam on it is bounded by one backend connection's
+    buffers, so the proxy stops reading that client — chained
+    backpressure — and everything flows again once the backend reads.
+    (Scan flows never cross the proxy: a client places them on the
+    ring itself.)"""
     from repro.server import ScanProxy
 
     async def main():
@@ -364,10 +366,15 @@ def test_stalled_backend_stops_the_proxy_reading_its_client():
             frames = FrameReader(reader)
             writer.write(protocol.encode_hello())
             assert (await frames.frame()).type == FrameType.HELLO
-            sent = protocol.encode_hello() + protocol.encode_open_flow(1)
+            width = protocol.MAX_BEAM_WIDTH
+            sent = protocol.encode_hello() + protocol.encode_open_beam(
+                1, width, b"\x07" * 32
+            )
             writer.write(sent[len(protocol.encode_hello()) :])
             total = len(sent)
-            frame = protocol.encode_data(1, b"<x>" * 5461)
+            frame = protocol.encode_batch_advance(
+                1, protocol.BeamOp.ADVANCE, [5] * width
+            )
             bound = _socket_buffer_bound() + (4 << 20)
             while total < 4 * bound:
                 writer.write(frame)

@@ -111,12 +111,12 @@ def test_kind_state_frame_matrix(ftype):
 
 def test_admission_order():
     """Id checks first (a colliding open closes the flow, whatever
-    else is wrong), then DRAINING, then the quota."""
+    else is wrong), then REDIRECT, then DRAINING, then the quota."""
     open_flow = frame(FrameType.OPEN_FLOW)
 
-    def refused(table, opener=open_flow, draining=False, full=None):
+    def refused(table, opener=open_flow, draining=False, full=None, to=None):
         with pytest.raises(Refused) as info:
-            table.admit(opener, draining, full)
+            table.admit(opener, draining, full, to)
         return info.value
 
     table, flow = table_with(BEAM, "open")
@@ -129,6 +129,10 @@ def test_admission_order():
     assert refusal.code == ErrorCode.DUPLICATE_FLOW
     assert refusal.closed is None
 
+    refusal = refused(table, draining=True, full="x", to="the ring: h:1")
+    assert (refusal.code, str(refusal), refusal.closed) == (
+        ErrorCode.REDIRECT, "the ring: h:1", None,
+    )
     refusal = refused(table, draining=True, full="quota spent")
     assert refusal.code == ErrorCode.DRAINING
     refusal = refused(table, full="quota spent")

@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.server import protocol
 from repro.server.protocol import (
     CONNECTION_FLOW,
     ErrorCode,
@@ -44,6 +45,17 @@ def test_hello_roundtrip():
     (frame,) = decode_all(encode_hello(PROTOCOL_VERSION, 12345))
     assert frame.type == FrameType.HELLO
     assert decode_hello(frame) == (PROTOCOL_VERSION, 12345)
+    assert protocol.decode_hello_lists(frame) == ((), None)
+
+
+@pytest.mark.parametrize("grammars", [(), ("xmlrpc@1", "ifelse@2")])
+@pytest.mark.parametrize("ring", [None, (), ("10.0.0.1:9431", "h:2")])
+def test_hello_carries_grammars_and_a_proxys_ring(grammars, ring):
+    """No ring (a server) and an empty one (a proxy with no healthy
+    member) read back apart."""
+    (frame,) = decode_all(encode_hello(PROTOCOL_VERSION, 99, grammars, ring))
+    assert decode_hello(frame) == (PROTOCOL_VERSION, 99)
+    assert protocol.decode_hello_lists(frame) == (grammars, ring)
 
 
 def test_open_data_finish_roundtrip():

@@ -116,28 +116,32 @@ def test_scan_server_loads_only_the_scan_path():
 
 
 _RELAY = """
-import types
 import repro.cli, repro.server.cluster
 from repro.server import protocol
 
-# What the proxy encodes: the empty final RESULT, and a backend block
-# too large for its client, taken apart and split.
-(empty,) = protocol.relay_result_frames(7, [], 256)
-routes = [types.SimpleNamespace(start=i, end=i + 1, port=1, service="buy")
-          for i in range(40)]
-(frame,) = protocol.FrameDecoder().feed(protocol.encode_result(3, True, routes))
-block = bytes(protocol.split_result(frame)[2])
-frames = protocol.relay_result_frames(7, [block], 256)
-assert len(frames) > 2 and max(map(len, frames)) <= 4 + 256, frames
+# What the proxy encodes of its own: the HELLO that hands out its ring.
+(hello,) = protocol.FrameDecoder().feed(protocol.encode_hello(ring=["h:1"]))
+assert protocol.decode_hello_lists(hello) == ((), ("h:1",))
 """
 
 
 def test_cluster_proxy_loads_no_engine():
     """The control plane never scans a byte: no engine, no grammar,
-    no application — not even to re-split a result block."""
+    no application."""
     loaded = _loaded_after(_RELAY)
     assert _matching(
         loaded, ["repro.core", "repro.grammar", "repro.apps"]
+    ) == []
+
+
+def test_client_places_flows_without_the_proxy():
+    """A client placing scan flows on a proxy's ring imports the ring,
+    not the proxy that hands it out (nor the metrics it keeps)."""
+    loaded = _loaded_after("import repro.server.client")
+    assert "repro.server.ring" in loaded
+    assert _matching(
+        loaded, ["repro.server.cluster", "repro.server.endpoint",
+                 "repro.service", "repro.core"]
     ) == []
 
 
