@@ -222,10 +222,11 @@ class RouterSession(StreamSession):
         """End the stream; return messages completed by end-of-data."""
         return self._with_payload(self.finish_records())
 
-    def finish_records(self) -> list[RouteRecord]:
-        """:meth:`finish` by span."""
+    def finish_records(self, chunk: bytes = b"") -> list[RouteRecord]:
+        """:meth:`finish` by span, a last ``chunk`` scanned with
+        end-of-data in the same pass."""
         self._check_open()
-        routes = self._flush_snapshot()
+        routes = self._scan(chunk, True)
         self._stream.close()
         self._finished = True
         return routes
@@ -237,23 +238,17 @@ class RouterSession(StreamSession):
         feeding can continue afterwards — the mid-stream inspection
         point per-flow back-ends need.
         """
-        return self._with_payload(self._flush_snapshot())
-
-    def _flush_snapshot(self) -> list[RouteRecord]:
-        """The one end-of-data flush path (:meth:`finish` commits it,
-        :meth:`peek_finish` only observes it): one snapshot flush,
-        assembled against a copy of the message state."""
         records = self._stream.finish_packed_snapshot(
             self.router._select, array("q", self._carry)
         )
-        return self._assemble(records)[0]
+        return self._with_payload(self._assemble(records)[0])
 
     # ------------------------------------------------------------------
-    def _scan(self, chunk: bytes) -> list[RouteRecord]:
+    def _scan(self, chunk: bytes, final: bool = False) -> list[RouteRecord]:
         self._buffer += chunk
-        routes, self._service = self._assemble(
-            self._stream.feed_packed(chunk, self.router._select, self._carry)
-        )
+        routes, self._service = self._assemble(self._stream.feed_packed(
+            chunk, self.router._select, self._carry, final
+        ))
         return routes
 
     def _assemble(self, records) -> tuple[list[RouteRecord], str | None]:

@@ -107,9 +107,12 @@ class StreamSession:
         spans instead. The default is :meth:`feed`."""
         return self.feed(chunk)
 
-    def finish_records(self) -> list:
-        """:meth:`finish`, as :meth:`feed_records` is to :meth:`feed`."""
-        return self.finish()
+    def finish_records(self, chunk: bytes = b"") -> list:
+        """:meth:`finish`, as :meth:`feed_records` is to :meth:`feed`,
+        with a last ``chunk`` fed first (sessions that can scan it
+        with end-of-data in one pass override this)."""
+        head = self.feed_records(chunk) if chunk else []
+        return head + self.finish()
 
     @property
     def finished(self) -> bool:

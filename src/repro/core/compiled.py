@@ -398,13 +398,12 @@ class _ScanState:
     """Mutable per-scan registers: the interned control state (shifted
     by 8 for memo keying), the stream position and the register file —
     one ``array('q')``: unit u's earliest starts from ``reg_ofs[u]``
-    (one per position), then a length row.  ``sink``: the packed sink's
-    record buffer, made on first use."""
+    (one per position), then a length row."""
 
-    __slots__ = ("tid8", "regs", "pos", "sink")
+    __slots__ = ("tid8", "regs", "pos")
 
     def __init__(self, regs: array, tid8: int = 0, pos: int = 0) -> None:
-        self.tid8, self.regs, self.pos, self.sink = tid8, regs, pos, None
+        self.tid8, self.regs, self.pos = tid8, regs, pos
 
     def copy(self) -> "_ScanState":
         return _ScanState(self.regs[:], self.tid8, self.pos)
@@ -525,12 +524,13 @@ class CompiledTagger:
         st: _ScanState,
         error_sink: list[int] | None,
         out: list[tuple[DetectEvent, int]],
+        final: bool = False,
     ) -> None:
         """Scan ``data``, mutating ``st`` and appending results.
 
         Each step resolves the *previous* byte's detections (their
-        look-ahead byte is now known), so a final :meth:`_flush` is
-        needed to resolve the last byte against end-of-data.
+        look-ahead byte is now known); ``final`` resolves the last
+        against end-of-data (:meth:`_flush`).
         """
         tables = self.tables
         memo = tables.memo
@@ -579,6 +579,8 @@ class CompiledTagger:
                     regs[at] = count
         st.tid8 = tid8
         st.pos += len(data)
+        if final:
+            self._flush(st, out)
 
     def _run_packed(self, data, st: _ScanState, select, carry, final=False):
         """:meth:`_run` (then :meth:`_flush` if ``final``) through the
@@ -586,9 +588,7 @@ class CompiledTagger:
         end, start`` ints (see :func:`pack_selected`).  Error positions
         are not reported."""
         out: list[tuple[DetectEvent, int]] = []
-        self._run(data, st, None, out)
-        if final:
-            self._flush(st, out)
+        self._run(data, st, None, out, final)
         return pack_selected(out, self.plan.unit_order, select, carry)
 
     def _flush(
@@ -630,23 +630,26 @@ class CompiledStream(StreamSession):
         self._finished = False
 
     # ------------------------------------------------------------------
-    def feed_scan(self, chunk: bytes) -> list[tuple[DetectEvent, int]]:
-        """Feed a chunk; return completed (event, match start) pairs."""
+    def feed_scan(self, chunk: bytes, final=False) -> list[tuple[DetectEvent, int]]:
+        """Feed a chunk; return completed (event, match start) pairs —
+        with ``final``, end-of-data resolved in the same scan (the
+        caller ends the stream)."""
         self._check_open()
         out: list[tuple[DetectEvent, int]] = []
         sink = self.errors if self.tagger.tables.recovery else None
-        self.tagger._run(chunk, self.state, sink, out)
+        self.tagger._run(chunk, self.state, sink, out, final)
         return out
 
-    def feed_packed(self, chunk: bytes, select: bytes, carry):
+    def feed_packed(self, chunk: bytes, select: bytes, carry, final=False):
         """Feed a chunk through the packed sink: a flat int sequence
         of ``unit, end, start`` records for the hits ``select`` picks
         (one byte per plan unit; :func:`pack_selected` has the record
         rules), with ``carry`` — two mutable int64 slots the caller
-        keeps per stream — threaded across chunks.  On the native
-        engine no per-hit object is built."""
+        keeps per stream — threaded across chunks; ``final`` resolves
+        end-of-data in the same scan (the caller ends the stream).  On
+        the native engine no per-hit object is built."""
         self._check_open()
-        return self.tagger._run_packed(chunk, self.state, select, carry)
+        return self.tagger._run_packed(chunk, self.state, select, carry, final)
 
     def finish_packed_snapshot(self, select: bytes, carry) -> list[int]:
         """What end-of-data would add to :meth:`feed_packed`'s records,
@@ -654,12 +657,12 @@ class CompiledStream(StreamSession):
         (``carry`` is updated: pass a copy to only observe)."""
         if self._finished:
             return []
-        return self.tagger._run_packed(b"", self.state, select, carry, True)
+        return self.feed_packed(b"", select, carry, True)
 
-    def finish_scan(self) -> list[tuple[DetectEvent, int]]:
-        """Resolve the final byte against end-of-data; end the stream."""
-        self._check_open()
-        out = self.finish_scan_snapshot()
+    def finish_scan(self, chunk: bytes = b"") -> list[tuple[DetectEvent, int]]:
+        """Scan a last ``chunk`` and resolve the final byte against
+        end-of-data, in one scan; end the stream."""
+        out = self.feed_scan(chunk, True)
         self.close()
         return out
 
@@ -671,7 +674,10 @@ class CompiledStream(StreamSession):
         return [event for event, _start in self.feed_scan(chunk)]
 
     def finish(self) -> list[DetectEvent]:
-        return [event for event, _start in self.finish_scan()]
+        return self.finish_records()
+
+    def finish_records(self, chunk: bytes = b"") -> list[DetectEvent]:
+        return [event for event, _start in self.finish_scan(chunk)]
 
     # ------------------------------------------------------------------
     def low_watermark(self) -> int:

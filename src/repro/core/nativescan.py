@@ -86,7 +86,7 @@ class _NativeTables:
     capsule owned by the C module; shared by every
     :class:`NativeTagger` over that (grammar, wiring) pair."""
 
-    __slots__ = ("ext", "capsule", "sink_records")
+    __slots__ = ("ext", "capsule", "sink_records", "sink")
 
     def __init__(self, ext, ir: ScanIR, tagger) -> None:
         plan = tagger.plan
@@ -151,6 +151,8 @@ class _NativeTables:
         #: that is more.  The kernel hands control back when it fills,
         #: so the size bounds memory, not the input.
         self.sink_records = max(256, 4 * most)
+        #: The spare sink a packed scan borrows for its kernel calls.
+        self.sink = array("q", bytes(24 * self.sink_records))
         self.capsule = ext.build_tables(
             n_states, n_classes, len(plan.units), ir.class_table, step,
             prog_idx, progs, b"".join(rows), array("i", ir.unit_caps),
@@ -250,7 +252,7 @@ class NativeTagger(CompiledTagger):
         end-of-data, which changes no register."""
         nt = self._nt
         if nt is None:
-            return super()._run(data, st, error_sink, out)
+            return super()._run(data, st, error_sink, out, final)
         self.bytes_scanned += len(data)
         state, skipped = nt.ext.scan_chunk(
             nt.capsule, st.tid8 >> 8, st.pos, data, st.regs, out,
@@ -276,20 +278,24 @@ class NativeTagger(CompiledTagger):
         if nt is None:
             return super()._run_packed(data, st, select, carry, final)
         self.bytes_scanned += len(data)
-        if st.sink is None:
-            st.sink = array("q", bytes(24 * nt.sink_records))
+        # Borrowed (the kernel fills it without the GIL): a thread that
+        # finds none makes its own.
+        sink, nt.sink = nt.sink, None
+        if sink is None:
+            sink = array("q", bytes(24 * nt.sink_records))
         records = None
         while True:
             state, skipped, n_records, consumed = nt.ext.scan_chunk(
-                nt.capsule, st.tid8 >> 8, st.pos, data, st.regs, st.sink,
+                nt.capsule, st.tid8 >> 8, st.pos, data, st.regs, sink,
                 None, True, select, carry, final,
             )
             self.bytes_skipped += skipped
             st.tid8 = state << 8
             st.pos += consumed
-            found = st.sink[: 3 * n_records]
+            found = sink[: 3 * n_records]
             records = found if records is None else records + found
             if consumed == len(data):
+                nt.sink = sink
                 return records
             # The sink filled up: resume behind the last byte taken.
             data = memoryview(data)[consumed:]

@@ -231,10 +231,10 @@ class VectorTagger(CompiledTagger):
         return self._vt is not None
 
     # ------------------------------------------------------------------
-    def _run(self, data, st, error_sink, out) -> None:
+    def _run(self, data, st, error_sink, out, final=False) -> None:
         vt = self._vt
         if vt is None:
-            return super()._run(data, st, error_sink, out)
+            return super()._run(data, st, error_sink, out, final)
         n = len(data)
         self.bytes_scanned += n
         m = n >> 3
@@ -292,5 +292,5 @@ class VectorTagger(CompiledTagger):
             data = data[m8:]
         # Trailing bytes (n % 8) take the compiled per-byte loop, which
         # also resolves the final partial window before a chunk edge.
-        if data:
-            super()._run(data, st, error_sink, out)
+        if data or final:
+            super()._run(data, st, error_sink, out, final)

@@ -21,7 +21,8 @@ Connection semantics:
   unconnected, and a refused one (an ERROR answering our HELLO) raises
   :class:`~repro.server.protocol.ServerFault` at once;
 * **timeouts** — :meth:`ClientFlow.finish` waits at most
-  ``request_timeout`` for the flow's final RESULT;
+  ``request_timeout`` for the flow's final RESULT (each request has its
+  own deadline; a connection keeps one timer, set for the earliest);
 * **frame limits** — a flow's consecutive chunks are held and leave
   merged: the chunks of one loop turn as one DATA frame, split only to
   fit the *server's* advertised ``max_frame`` from its HELLO (the
@@ -82,6 +83,9 @@ __all__ = [
 #: DATA overhead inside a frame body: type byte + u32 flow id.
 _DATA_OVERHEAD = 5
 
+#: 2**64 / golden ratio, and the ring's 64 bits.
+_GOLDEN, _MASK = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
 #: The frame types that reply to a flow, and those a raw tap sees
 #: (every one of them leads with the u32 flow id).
 _REPLIES = frozenset().union(*(kind.replies for kind in KINDS))
@@ -104,6 +108,8 @@ class ClientFlow(Flow):
     kind = SCAN
     #: Being placed on a ring member: chunks only join the journal.
     moving = False
+    #: The client that put the flow on a ring member, if one did.
+    placer: "ScanClient | None" = None
 
     def __init__(self, client: "ScanClient", flow_id: int) -> None:
         super().__init__(flow_id)
@@ -149,7 +155,8 @@ class ClientFlow(Flow):
             return  # the placement sends the journal
         out = self.client._link()
         out.hold_for(self.flow_id, [chunk], len(chunk))
-        await out.pace()
+        if out.backed_up:
+            await out.pace()
 
     async def finish(self, timeout: float | None = None) -> list:
         """End the flow; wait for (and return) its complete results,
@@ -157,50 +164,52 @@ class ClientFlow(Flow):
         this flow sent."""
         self.finishing = True
         if not self.moving:  # else the placement sends it
-            await self.client._send(
+            self.client._link().queue(
                 protocol.encode_finish_flow(self.flow_id)
             )
-        await self._reply(self._done, timeout, "final RESULT", forget=True)
-        return self._decode(b"".join(self.journal))
+        return await self._reply(self._done, timeout, "final RESULT", True)
 
     async def _reply(self, fut, timeout, what: str, forget: bool = False):
         """Write what is queued (the request is in it) and wait for
-        its reply future, ``request_timeout`` by default: one timer
-        handle, no task. A timed-out request's future stays queued, so
-        the late reply still pops it and later replies keep resolving
-        FIFO; with ``forget`` the flow is closed on expiry and a late
-        reply is dropped."""
+        its reply future, ``request_timeout`` by default. The deadline
+        joins the connection's (:attr:`ScanClient._waits`), whose one
+        timer moves only for a deadline that comes first. A timed-out
+        request's future stays queued, so the late reply still pops it
+        and later replies keep resolving FIFO; with ``forget`` the flow
+        is closed on expiry and a late reply is dropped."""
         out = self.client._out
         if out is not None:  # else: closed under us, ``fut`` has failed
             out.push()
+        # A placed flow's deadline stays with its placer: it outlives
+        # the member link the flow may move off.
+        client = self.placer or self.client
         if timeout is None:
-            timeout = self.client.request_timeout
-        timer = asyncio.get_running_loop().call_later(
-            timeout, self._expire, fut, timeout, what, forget
-        )
+            timeout = client.request_timeout
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        client._waits[fut] = (deadline, self, what, timeout, forget)
+        timer = client._deadline
+        if timer is None or deadline < timer.when():
+            if timer is not None:
+                timer.cancel()
+            client._deadline = loop.call_at(deadline, client._on_deadline)
         try:
             return await fut
         finally:
-            timer.cancel()
-
-    def _expire(self, fut, timeout: float, what: str, forget: bool) -> None:
-        if not fut.done():
-            if forget:
-                self.client._table.close(self)
-            fut.set_exception(
-                TimeoutError(
-                    f"flow {self.flow_id}: no {what} within {timeout:g}s"
-                )
-            )
+            client._waits.pop(fut, None)
 
     # ------------------------------------------------------------------
     def _on_reply(self, frame: Frame) -> bool:
         """Take a reply frame the flow table delivered; True when it
-        was the flow's last (the final RESULT)."""
+        was the flow's last (the final RESULT), whose arrival resolves
+        :meth:`finish` with the flow's results, decoded here."""
         _flow_id, final, block = protocol.split_result(frame)
         self.blocks.append(bytes(block))  # a view would pin its read
         if final and not self._done.done():
-            self._done.set_result(None)
+            try:
+                self._done.set_result(self._decode(b"".join(self.journal)))
+            except ProtocolError as exc:
+                self._done.set_exception(exc)
         return final
 
     def _fail_request(self, exc: Exception) -> None:
@@ -235,12 +244,15 @@ class ClientFlow(Flow):
 
 class _PlacedFlow(ClientFlow):
     """A scan flow ``placer`` put on ring member ``member`` (its link is
-    ``client``); ``excluded``: members lost since its last placement."""
+    ``client``); ``point``: where on the ring its preference list starts
+    (the same at every placement); ``excluded``: members lost since its
+    last placement."""
 
     def __init__(self, placer: "ScanClient") -> None:
         super().__init__(placer, 0)
         self.placer = placer
-        self.key = f"{id(placer):x}/{placer.allocate_flow_id()}"
+        # Fibonacci hashing of the placer's flow count: no string hashed.
+        self.point = (placer.allocate_flow_id() * _GOLDEN + placer._salt) & _MASK
         self.member: str | None = None
         self.excluded: set[str] = set()
         self.moving = True
@@ -415,8 +427,15 @@ class ScanClient:
         self._members: dict[str, asyncio.Future] = {}
         #: The dial of a proxy that reaped this connection, while it runs.
         self._redial: asyncio.Task | None = None
-        #: Scan flows put on a member, and those moved off a lost one.
-        self.placements = self.failovers = 0
+        #: Scan flows put on a member, those moved off a lost one, and
+        #: requests that timed out.
+        self.placements = self.failovers = self.timeouts = 0
+        #: Replies awaited on this connection (future -> deadline and
+        #: request), the one timer that expires them, and where this
+        #: client's flows start on a ring.
+        self._waits: dict[asyncio.Future, tuple] = {}
+        self._deadline: asyncio.TimerHandle | None = None
+        self._salt = random.getrandbits(64)
 
         #: The connection (None until connected, and after close): it
         #: reads, and writes through the same corked queue a server
@@ -536,6 +555,9 @@ class ScanClient:
         self._ring = None  # nothing is placed any more
         for name in list(self._members):
             await self.unlink(name)
+        if self._deadline is not None:  # every wait on it has failed
+            self._deadline.cancel()
+            self._deadline = None
 
     async def __aenter__(self) -> "ScanClient":
         return await self.connect()
@@ -593,7 +615,9 @@ class ScanClient:
         vocabulary, ``FRAME_TOO_LARGE`` when ``width`` full rows would
         not fit this client's ``max_frame``.
         """
-        await self._relink()
+        redial = self._redialing()
+        if redial is not None:
+            await asyncio.wait([redial])
         flow = BeamFlow(self, self.allocate_flow_id())
         opener = protocol.encode_open_beam(flow.flow_id, width, vocab_hash)
         self._table.open(flow)
@@ -647,16 +671,19 @@ class ScanClient:
         """Put ``flow`` on the first member of its key's preference
         list it was not lost on, and send OPEN_FLOW, the journal and
         (once :meth:`ClientFlow.finish` was called) FINISH_FLOW: its
-        first placement and every failover. A member that cannot be
-        dialed is passed over; none left fails the flow (FAILOVER)."""
-        await self._relink()
+        first placement and every failover. On a live link it does not
+        suspend; a member that cannot be dialed is passed over; none
+        left fails the flow (FAILOVER)."""
+        redial = self._redialing()
+        if redial is not None:
+            await asyncio.wait([redial])
         ring, member = self._ring, None
-        for name in ring.preference(flow.key) if ring is not None else ():
+        for name in ring.preference(flow.point) if ring is not None else ():
             if self._ring is None:
                 break  # closed while this placement dialed
             if name not in flow.excluded:
                 try:
-                    member = await self.member(name)
+                    member = self._live(name) or await self.member(name)
                     out = member._link()
                     break
                 except (OSError, ReproError):
@@ -668,7 +695,7 @@ class ScanClient:
         if member is None:
             flow._fail(ServerFault(
                 flow.flow_id, ErrorCode.FAILOVER,
-                f"no healthy ring member left for scan flow {flow.key}",
+                f"no healthy ring member left for scan flow {flow.point:x}",
             ))
             return
         self.placements += 1
@@ -678,25 +705,25 @@ class ScanClient:
         flow.flow_id = fid = member.allocate_flow_id()
         member._table.open(flow)
         out.queue(protocol.encode_open_flow(fid))
-        out.hold_for(fid, list(flow.journal), sum(map(len, flow.journal)))
+        if flow.journal:
+            out.hold_for(fid, list(flow.journal), sum(map(len, flow.journal)))
         if flow.finishing:
             out.queue(protocol.encode_finish_flow(fid))
         flow.excluded.clear()
 
-    async def _relink(self) -> None:
-        """Dial the proxy again if it reaped this connection as idle (a
-        client that only scans sends it nothing): its HELLO brings the
-        current ring, and ring pushes and beams reach this client again.
-        Every caller waits on the one dial; a failed dial keeps the last
-        ring and is not retried."""
-        fault = self._conn_error
+    def _redialing(self) -> asyncio.Task | None:
+        """The dial of the proxy, started if it reaped this connection
+        as idle (a client that only scans sends it nothing): its HELLO
+        brings the current ring, and ring pushes and beams reach this
+        client again. Every caller waits on the one dial; a failed dial
+        keeps the last ring and is not retried."""
         if (
             self._redial is None and self._ring is not None
-            and getattr(fault, "code", None) == ErrorCode.IDLE_TIMEOUT
+            and getattr(self._conn_error, "code", None)
+            == ErrorCode.IDLE_TIMEOUT
         ):
             self._redial = asyncio.ensure_future(self._reconnect())
-        if self._redial is not None:  # wait: raises nothing, cancels nothing
-            await asyncio.wait([self._redial])
+        return self._redial
 
     async def _reconnect(self) -> None:
         self._unconnect()
@@ -731,9 +758,15 @@ class ScanClient:
 
     def linked(self, name: str) -> bool:
         """The link to member ``name`` is up."""
+        return self._live(name) is not None
+
+    def _live(self, name: str) -> "ScanClient | None":
+        """The link to member ``name`` if it is up."""
         dial = self._members.get(name)
-        return bool(dial and dial.done() and not dial.exception()
-                    and dial.result().connected)
+        if dial is None or not dial.done() or dial.exception():
+            return None
+        member = dial.result()
+        return member if member.connected else None
 
     async def unlink(self, name: str) -> None:
         """Close the link to member ``name`` (its flows move or fail)."""
@@ -759,6 +792,28 @@ class ScanClient:
         return True
 
     # ------------------------------------------------------------------
+    def _on_deadline(self) -> None:
+        """The connection's one deadline timer: fail every request past
+        its deadline, then look again at the earliest left, if any."""
+        loop = asyncio.get_running_loop()
+        now, nearest = loop.time(), None
+        self._deadline = None
+        for fut, wait in list(self._waits.items()):
+            deadline, flow, what, timeout, forget = wait
+            if fut.done():
+                continue
+            if deadline > now:
+                nearest = min(deadline, nearest or deadline)
+                continue
+            self.timeouts += 1
+            if forget:
+                flow.client._table.close(flow)
+            fut.set_exception(TimeoutError(
+                f"flow {flow.flow_id}: no {what} within {timeout:g}s"
+            ))
+        if nearest is not None:
+            self._deadline = loop.call_at(nearest, self._on_deadline)
+
     def _link(self) -> _Link:
         """The live connection, or what killed it raised."""
         out = self._out
@@ -776,7 +831,8 @@ class ScanClient:
         did."""
         out = self._link()
         out.queue(frame_bytes)
-        await out.pace()
+        if out.backed_up:
+            await out.pace()
 
     def _on_frame(self, link: _Link, frame: Frame) -> None:
         """Route one frame from the server to its flow."""

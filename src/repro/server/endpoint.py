@@ -99,6 +99,10 @@ class Connection(FramedProtocol):
         super().release()
         self.idle_at = time.monotonic() + self.endpoint.idle_timeout
 
+    def _encode_held(self, flow_id: int, items: list) -> list[bytes]:
+        # Only the scan server's handlers hold anything (its DATA).
+        return self.endpoint._held_frames(self, flow_id, items)
+
     def _wrote(self, frames: int, nbytes: int) -> None:
         endpoint = self.endpoint
         endpoint._tx_frames.inc(frames)
@@ -115,7 +119,6 @@ class FramedEndpoint:
 
     #: Metric prefix, and what the endpoint calls itself in errors.
     role = "endpoint"
-    connection_class = Connection
 
     def __init__(
         self,
@@ -298,7 +301,7 @@ class FramedEndpoint:
     # ------------------------------------------------------------------
     def _accept(self) -> Connection:
         self._conn_seq += 1
-        conn = self.connection_class(self, self._conn_seq)
+        conn = Connection(self, self._conn_seq)
         self._connections[conn.conn_id] = conn
         self.metrics.counter(f"{self.role}.connections.opened").inc()
         self._check_idle(conn)

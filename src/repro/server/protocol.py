@@ -99,27 +99,23 @@ last carries ``final``. Version 2 is the first with record blocks
 (version 1 pickled the result list and echoed each payload); version
 3 retired the single-lane mask frame types 0x08-0x0A.
 
-Flush rule: a server handles every frame of one socket read, appends
-the results of consecutive DATA frames of a flow into one RESULT, and
-writes once per read — results still stream while the flow is open,
-one frame per read instead of one per DATA. A client mirrors it: the
-chunks a flow is sent in one loop turn leave as one DATA frame (split
-only at the server's ``max_frame``), since a flow's bytes are the
-concatenation of its DATA bodies however they are cut. Every framed
-connection is one :class:`FramedProtocol`: frames are handled inside
-its read callback as zero-copy :class:`FrameDecoder` views of the
-read, it holds one flow's items in one slot, and it writes once per
-event-loop turn.
+Flush rule: a flow's bytes are the concatenation of its DATA bodies
+however they are cut, so a server scans the DATA of a flow in one read
+as one chunk and answers with one RESULT, and a client sends the
+chunks of one loop turn as one DATA frame. Every framed connection is
+one :class:`FramedProtocol`: frames are handled inside its read
+callback as zero-copy :class:`FrameDecoder` views of the read, it
+holds one flow's items in one slot, and it writes once per loop turn.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import struct
 import sys
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ReproError
 
@@ -163,6 +159,7 @@ __all__ = [
     "encode_result",
     "encode_result_frames",
     "masks_frame_size",
+    "result_kernel",
     "split_result",
 ]
 
@@ -176,6 +173,9 @@ DEFAULT_MAX_FRAME = 1 << 20
 CONNECTION_FLOW = 0xFFFFFFFF
 
 _HEADER = struct.Struct("!I")
+#: A frame's length and type, and those followed by a flow id.
+_FRAME_HEAD = struct.Struct("!IB")
+_FLOW_HEAD = struct.Struct("!IBI")
 _HELLO = struct.Struct("!HI")
 _FLOW = struct.Struct("!I")
 _RESULT_HEAD = struct.Struct("!IB")
@@ -311,8 +311,7 @@ class ServerFault(ReproError):
         self.detail = message
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded wire frame: type code plus raw payload — a read-only
     ``memoryview`` into the read it arrived in, which it keeps alive
     (``bytes(frame.payload)`` before concatenating it)."""
@@ -330,7 +329,7 @@ class Frame:
 # ----------------------------------------------------------------------
 def encode_frame(ftype: int, payload: bytes = b"") -> bytes:
     """``length | type | payload`` — the one frame shape on the wire."""
-    return _HEADER.pack(1 + len(payload)) + bytes([ftype]) + payload
+    return _FRAME_HEAD.pack(1 + len(payload), ftype) + payload
 
 
 def encode_hello(
@@ -348,15 +347,23 @@ def encode_hello(
 
 
 def encode_open_flow(flow_id: int) -> bytes:
-    return encode_frame(FrameType.OPEN_FLOW, _FLOW.pack(flow_id))
+    return _FLOW_HEAD.pack(5, FrameType.OPEN_FLOW, flow_id)
 
 
 def encode_data(flow_id: int, chunk: bytes) -> bytes:
-    return encode_frame(FrameType.DATA, _FLOW.pack(flow_id) + chunk)
+    return _FLOW_HEAD.pack(5 + len(chunk), FrameType.DATA, flow_id) + chunk
 
 
 def encode_finish_flow(flow_id: int) -> bytes:
-    return encode_frame(FrameType.FINISH_FLOW, _FLOW.pack(flow_id))
+    return _FLOW_HEAD.pack(5, FrameType.FINISH_FLOW, flow_id)
+
+
+def result_kernel():
+    """The native kernel when this process already loaded it and
+    ``REPRO_DISABLE_NATIVE`` is unset, else None: looked up, never
+    imported (the proxy and a client stay kernel-free)."""
+    build = sys.modules.get("repro.core._native_build")
+    return build.loaded_kernel() if build is not None else None
 
 
 def encode_result_frames(
@@ -364,6 +371,7 @@ def encode_result_frames(
     final: bool,
     items: list,
     max_frame: int = DEFAULT_MAX_FRAME,
+    kernel: Any = ...,
 ) -> list[bytes]:
     """The RESULT frames carrying ``items``, each within the
     receiver's ``max_frame``; only the last one is ``final``.
@@ -372,10 +380,10 @@ def encode_result_frames(
     ``port`` and ``service``: ``RouteRecord``, ``RoutedMessage`` — whose
     payload stays behind) or ``DetectEvent`` s, all of one kind. The
     one RESULT encoder: the server splits here.  Routed tuples are
-    encoded by the native kernel when this process already loaded it
-    (looked up, never imported: the proxy and a client stay
-    kernel-free); :func:`_split` is its twin and decides everything
-    the kernel leaves to it.
+    encoded by ``kernel`` — by default the native module
+    :func:`result_kernel` finds; a server passes the one it resolved
+    for the generation, None for the twin alone. :func:`_split` is its
+    twin and decides everything the kernel leaves to it.
     """
     if items and hasattr(items[0], "occurrence"):
         rows = [
@@ -388,10 +396,10 @@ def encode_result_frames(
             for event in items
         ]
         return _split(flow_id, final, _EVENT, rows, max_frame)
-    build = sys.modules.get("repro.core._native_build")
-    ext = build.loaded_kernel() if build is not None else None
-    if ext is not None:
-        frames = _routed_frames(ext, flow_id, final, items, max_frame)
+    if kernel is ...:
+        kernel = result_kernel()
+    if kernel is not None:
+        frames = _routed_frames(kernel, flow_id, final, items, max_frame)
         if frames is not None:
             return frames
     rows = [(m.start, m.end, m.port, m.service) for m in items]
@@ -678,11 +686,16 @@ def decode_result_block(block: bytes, data: bytes | None = None) -> list:
             DetectEvent(Occurrence(production, position, terminals[ident]), end)
             for production, position, end, ident in rows
         ]
-    # Imported here, not at the top: a client reading routed results
-    # loads the message model only, never the scan engine.
+    return _routed_rows(body, names, data, *_routed_types())
+
+
+@functools.cache
+def _routed_types() -> tuple:
+    """Imported on first use, not at the top: a client reading routed
+    results loads the message model only, never the scan engine."""
     from repro.apps.xmlrpc.messages import RoutedMessage, RouteRecord
 
-    return _routed_rows(body, names, data, RouteRecord, RoutedMessage)
+    return RouteRecord, RoutedMessage
 
 
 def _block_parts(block) -> tuple[int, list[str], memoryview]:
@@ -946,8 +959,9 @@ class FrameDecoder:
             self.taken += len(block)
             frames.append(Frame(block[4], memoryview(block)[5:]))
         size, pos, limit = len(view), 0, self.max_frame
-        while size - pos >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(view, pos)
+        unpack, new = _HEADER.unpack_from, tuple.__new__
+        while size - pos >= 4:
+            (length,) = unpack(view, pos)
             if not 1 <= length <= limit:
                 try:
                     self._check(length)
@@ -955,10 +969,10 @@ class FrameDecoder:
                     if frames:
                         return frames
                     raise
-            end = pos + _HEADER.size + length
+            end = pos + 4 + length
             if end > size:
                 break
-            frames.append(Frame(view[pos + 4], view[pos + 5 : end]))
+            frames.append(new(Frame, (view[pos + 4], view[pos + 5 : end])))
             self.taken += end - pos
             pos = end
         if pos < size:
@@ -1044,10 +1058,11 @@ class FramedProtocol(asyncio.Protocol):
         self.error: Exception | None = None
         self.paused = False
         #: Encoded frames awaiting the next :meth:`push`, their size,
-        #: and whether the turn-end push is scheduled.
+        #: whether a push is due by the turn's end, and its handle.
         self._out: list[bytes] = []
         self._queued = 0
         self._corked = False
+        self._turn_end: asyncio.Handle | None = None
         #: The held slot: a flow id and the items held for it.
         self._held_flow: int | None = None
         self._held: list = []
@@ -1136,11 +1151,15 @@ class FramedProtocol(asyncio.Protocol):
     def _cork(self) -> None:
         if not self._corked:
             self._corked = True
-            asyncio.get_running_loop().call_soon(self.push)
+            self._turn_end = asyncio.get_running_loop().call_soon(self.push)
 
     def push(self) -> None:
-        """Hand everything queued to the transport in one write."""
+        """Hand everything queued to the transport in one write (and
+        call off the turn-end push)."""
         self._corked = False
+        if self._turn_end is not None:
+            self._turn_end.cancel()
+            self._turn_end = None
         self._settle()
         if not self._out:
             return
@@ -1155,15 +1174,22 @@ class FramedProtocol(asyncio.Protocol):
         except (ConnectionError, RuntimeError, OSError) as exc:
             self.closed, self.error = True, exc
 
+    @property
+    def backed_up(self) -> bool:
+        """``high_water`` bytes are queued or held, the transport is
+        paused, or a write failed: :meth:`pace` has something to do."""
+        return (self._queued >= self.high_water or self.paused
+                or self.error is not None)
+
     async def pace(self) -> None:
-        """With ``high_water`` bytes queued or held, or the transport
-        paused, write and wait until it drained (a slow reader suspends
-        us here, never grows memory); raise what failed a write."""
-        if self._queued >= self.high_water or self.paused:
+        """When :attr:`backed_up`, write and wait until it drained (a
+        slow reader suspends us here, never grows memory); raise what
+        failed a write."""
+        if self.backed_up:
             self.push()
             await self.writable()
-        if self.error is not None:
-            raise self.error
+            if self.error is not None:
+                raise self.error
 
     def close(self) -> None:
         """Write what is queued, then close the transport (which sends

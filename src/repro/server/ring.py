@@ -68,11 +68,14 @@ class HashRing:
         stale_set = set(stale)
         self._points = [p for p in self._points if p not in stale_set]
 
-    def preference(self, key: str) -> list[str]:
-        """Every member, ordered by ring walk from ``key``'s hash."""
+    def preference(self, key: "str | int") -> list[str]:
+        """Every member, ordered by ring walk from ``key``'s hash, or
+        from ``key`` itself, a point of the 64-bit ring (a caller that
+        keeps a point per flow hashes nothing per flow)."""
         if not self._points:
             return []
-        start = bisect.bisect(self._points, _ring_hash(key))
+        point = _ring_hash(key) if isinstance(key, str) else key
+        start = bisect.bisect(self._points, point)
         seen: list[str] = []
         seen_set: set[str] = set()
         count = len(self._points)

@@ -22,9 +22,9 @@ What this module adds:
   is rejected before the body is read (``ERROR(FRAME_TOO_LARGE)``,
   close), so a hostile length prefix cannot balloon memory.
 * **Backpressure** — a connection's frames are handled inside its
-  read callback; what one read's frames produced (the results of
-  consecutive DATA frames of a flow in one RESULT) is written once, at
-  the end of the read. Once the transport holds ``write_high_water``
+  read callback; what one read's frames produced is written once, at
+  the end of the read (a flow's DATA of one read is scanned as one
+  chunk, DESIGN.md §8). Once the transport holds ``write_high_water``
   unsent bytes it pauses our writing, and the connection stops
   *reading* until it resumes: a consumer that stops reading stops the
   server reading its requests, and the stall propagates to the
@@ -105,10 +105,15 @@ class _ServerFlow(Flow):
 
 
 class _ScanFlow(_ServerFlow):
-    """``session`` is the flow's scan session."""
+    """``session`` is the flow's scan session; ``read``: the count of
+    reads when it opened."""
 
-    __slots__ = ()
+    __slots__ = ("read",)
     kind = SCAN
+
+    def __init__(self, flow_id: int, session, gen, read: int) -> None:
+        super().__init__(flow_id, session, gen)
+        self.read = read
 
 
 class _BeamFlow(_ServerFlow):
@@ -132,7 +137,7 @@ class _Generation:
     they started with."""
 
     __slots__ = (
-        "gen_id", "ref", "spec", "backend",
+        "gen_id", "ref", "spec", "backend", "kernel",
         "bytes", "flows_opened", "flows_finished", "flows_refused",
     )
 
@@ -143,6 +148,8 @@ class _Generation:
         self.ref = ref
         self.spec = spec
         self.backend = spec.build()
+        #: What encodes its RESULTs, resolved once, after the build.
+        self.kernel = protocol.result_kernel()
         # The tenant's counters, looked up once rather than per frame.
         self.bytes = metrics.counter(f"tenant.{ref}.bytes")
         self.flows_opened = metrics.counter(f"tenant.{ref}.flows_opened")
@@ -150,27 +157,6 @@ class _Generation:
             f"tenant.{ref}.flows_finished"
         )
         self.flows_refused = metrics.counter(f"tenant.{ref}.flows_refused")
-
-
-class _Connection(Connection):
-    """A server connection holds a flow's scan results in the held slot
-    so that they leave merged: one RESULT per flow per read."""
-
-    def queue_result(self, flow_id: int, final: bool, results: list):
-        """Queue ``results`` (behind what is held for the same flow, in
-        the same RESULT) as frames within the peer's limit."""
-        held = self.take_held(flow_id)
-        self.queue(*self._encode_held(flow_id, held + results, final))
-
-    def _encode_held(self, flow_id: int, results: list, final=False):
-        try:
-            return protocol.encode_result_frames(
-                flow_id, final, results, self.peer_max_frame
-            )
-        except ProtocolError as exc:
-            # A record the peer's own frame limit has no room for.
-            self.endpoint._errors_sent.inc()
-            return [protocol.encode_error(flow_id, exc.code, str(exc))]
 
 
 class ScanServer(FramedEndpoint):
@@ -203,7 +189,6 @@ class ScanServer(FramedEndpoint):
     """
 
     role = "server"
-    connection_class = _Connection
 
     def __init__(
         self,
@@ -259,8 +244,14 @@ class ScanServer(FramedEndpoint):
             "/swap": self._admin_swap,
         }
         self.spec = spec
-        self._flow_bytes = self.metrics.counter("server.flows.bytes")
+        counter = self.metrics.counter  # per-flow metrics, looked up once
+        self._flow_bytes = counter("server.flows.bytes")
+        self._flows_opened = counter("server.flows.opened")
+        self._flows_finished = counter("server.flows.finished")
+        self._one_read = counter("server.flows.one_read")
+        self._beams_closed = counter("structgen.beams_closed")
         self._scan_seconds = self.metrics.histogram("latency.scan_s")
+        self._flow_seconds = self.metrics.histogram("latency.flow_s")
         self.quotas = dict(quotas) if quotas else {}
         #: vocab_hash -> MaskTable handed in explicitly (served as-is,
         #: independent of the current grammar generation).
@@ -342,32 +333,27 @@ class ScanServer(FramedEndpoint):
             "generation": self._current.gen_id,
             "previous": previous.ref,
             "draining": sum(
-                1
-                for conn in self._connections.values()
-                for flow in conn.flows.values()
-                if flow.gen is not self._current
+                f.gen is not self._current for f in self._open_flows()
             ),
         }
+
+    def _open_flows(self):
+        """Every open flow, on every connection."""
+        for conn in self._connections.values():
+            yield from conn.flows.values()
+
+    def _tenant_open(self, ref: str) -> int:
+        return sum(flow.gen.ref == ref for flow in self._open_flows())
 
     def _retire_idle(self) -> None:
         """Drop generations no open flow references anymore."""
         if len(self._generations) == 1:
             return
         live = {self._current.gen_id}
-        for conn in self._connections.values():
-            for flow in conn.flows.values():
-                live.add(flow.gen.gen_id)
+        live.update(flow.gen.gen_id for flow in self._open_flows())
         for gen_id in [g for g in self._generations if g not in live]:
             del self._generations[gen_id]
             self.metrics.counter("server.swaps.retired").inc()
-
-    def _tenant_open(self, ref: str) -> int:
-        return sum(
-            1
-            for conn in self._connections.values()
-            for flow in conn.flows.values()
-            if flow.gen.ref == ref
-        )
 
     def grammar_refs(self) -> tuple[str, ...]:
         """Refs advertised in the server HELLO: the currently served
@@ -390,9 +376,7 @@ class ScanServer(FramedEndpoint):
         brought it, its reply queued ahead of the GOODBYE, so an idle
         beam never holds the drain open."""
         return super()._work_in_flight() or any(
-            flow.kind is SCAN
-            for conn in self._connections.values()
-            for flow in conn.flows.values()
+            flow.kind is SCAN for flow in self._open_flows()
         )
 
     # ------------------------------------------------------------------
@@ -403,10 +387,9 @@ class ScanServer(FramedEndpoint):
         live connection/flow gauges."""
         by_ref: dict[str, int] = {}
         by_kind = dict.fromkeys(KINDS, 0)
-        for conn in self._connections.values():
-            for flow in conn.flows.values():
-                by_ref[flow.gen.ref] = by_ref.get(flow.gen.ref, 0) + 1
-                by_kind[flow.kind] += 1
+        for flow in self._open_flows():
+            by_ref[flow.gen.ref] = by_ref.get(flow.gen.ref, 0) + 1
+            by_kind[flow.kind] += 1
         self.metrics.gauge("server.connections.open").set(
             len(self._connections)
         )
@@ -499,66 +482,85 @@ class ScanServer(FramedEndpoint):
             self._open_beam(conn, flow_id, frame)
             return
         gen = self._current
-        conn.table.open(_ScanFlow(flow_id, gen.backend.stream(), gen))
-        self.metrics.counter("server.flows.opened").inc()
+        conn.table.open(
+            _ScanFlow(flow_id, gen.backend.stream(), gen, self._rx_reads.value)
+        )
+        self._flows_opened.inc()
         gen.flows_opened.inc()
 
     def _op(self, conn, flow: _ServerFlow, frame: Frame) -> None:
         if flow.kind is SCAN:
             if frame.type == FrameType.DATA:
-                self._data(conn, flow, frame)
+                # While draining, flows opened before the drain began
+                # may still stream to completion: only opens are refused.
+                chunk = frame.payload[4:]  # behind the id the table read
+                self._flow_bytes.inc(len(chunk))
+                flow.gen.bytes.inc(len(chunk))
+                conn.hold_for(flow.flow_id, [chunk])
             else:
-                self._finish_scan(conn, flow)
+                chunks = conn.take_held(flow.flow_id)
+                conn.queue(*self._scan(conn, flow, chunks, True))
             return
         if frame.type == FrameType.FINISH_FLOW:
             # Beam flows have no tail: acknowledge with an empty
             # final RESULT (same close discipline as scan).
-            self._finished(conn, flow, [])
+            self._finished(conn, flow)
+            conn.queue(protocol.encode_result(flow.flow_id, True, []))
         else:
             self._step(conn, flow, frame)
 
-    def _data(self, conn, flow: _ScanFlow, frame: Frame) -> None:
-        _flow_id, chunk = protocol.decode_data(frame)
-        # While draining, flows opened before the drain began may
-        # still stream to completion; only opening frames are refused.
-        self._flow_bytes.inc(len(chunk))
-        flow.gen.bytes.inc(len(chunk))
+    def _held_frames(self, conn, flow_id: int, chunks: list) -> list[bytes]:
+        """A flow's DATA chunks waited in the held slot until its
+        frames in the read ended: scanned as one, one RESULT."""
+        flow = conn.flows.get(flow_id)
+        if flow is None:  # a refusal closed it: nothing is owed
+            return []
+        return self._scan(conn, flow, chunks, False)
+
+    def _scan(self, conn, flow: _ScanFlow, chunks: list, final: bool):
+        """The RESULT frames for a flow's DATA chunks of one read,
+        scanned as one — with end-of-data, closing the flow, when
+        ``final``; a scan fault answers ERROR and drops the flow."""
+        data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        session = flow.session
         started = time.perf_counter()
         try:
-            results = flow.session.feed_records(chunk)
+            scan = session.finish_records if final else session.feed_records
+            results = scan(data)
         except Exception as exc:  # scan fault: report, drop the flow
             self._fault(conn, flow, exc)
-            return
+            return []
         self._scan_seconds.observe(time.perf_counter() - started)
-        if results:
-            conn.hold_for(flow.flow_id, results)
-
-    def _finish_scan(self, conn, flow: _ScanFlow) -> None:
+        if final:
+            self._finished(conn, flow)
+            if flow.read == self._rx_reads.value:
+                self._one_read.inc()
+        elif not results:
+            return []
         try:
-            tail = flow.session.finish_records()
-        except Exception as exc:
-            self._fault(conn, flow, exc)
-            return
-        self._finished(conn, flow, tail)
+            return protocol.encode_result_frames(
+                flow.flow_id, final, results, conn.peer_max_frame,
+                flow.gen.kernel,
+            )
+        except ProtocolError as exc:
+            # A record the peer's own frame limit has no room for.
+            self._errors_sent.inc()
+            return [protocol.encode_error(flow.flow_id, exc.code, str(exc))]
 
     def _fault(self, conn, flow: _ServerFlow, exc) -> None:
         self.metrics.counter("server.errors.scan").inc()
         self._fail_flow(conn, flow, ErrorCode.INTERNAL, str(exc))
 
-    def _finished(self, conn, flow: _ServerFlow, results: list) -> None:
-        """Close ``flow`` with its one final RESULT (what this read's
-        DATA frames produced for it rides along)."""
+    def _finished(self, conn, flow: _ServerFlow) -> None:
+        """``flow`` ends with the final RESULT its caller queues."""
         conn.table.close(flow)
         if flow.kind is SCAN:
-            self.metrics.counter("server.flows.finished").inc()
+            self._flows_finished.inc()
             flow.gen.flows_finished.inc()
         else:
-            self.metrics.counter("structgen.beams_closed").inc()
-        self.metrics.histogram("latency.flow_s").observe(
-            time.monotonic() - flow.opened_at
-        )
+            self._beams_closed.inc()
+        self._flow_seconds.observe(time.monotonic() - flow.opened_at)
         self._retire_idle()
-        conn.queue_result(flow.flow_id, True, results)
 
     # ------------------------------------------------------------------
     # constrained-decoding (beam) flows

@@ -676,3 +676,22 @@ def test_http_get_reads_a_split_response_to_the_end():
         stall.close()
 
     run(scenario())
+
+
+def test_ring_preference_from_a_point_is_the_keys_walk():
+    """A point of the ring walks as the key that hashes to it does,
+    before and after a membership change."""
+    from repro.server.ring import _ring_hash
+
+    ring = _ring(["a:1", "b:2", "c:3"])
+    fresh = _ring(["a:1", "b:2", "c:3"])
+    for i in range(50):
+        key = f"flow-{i}"
+        assert ring.preference(_ring_hash(key)) == ring.preference(key)
+        assert ring.preference(key) == fresh.preference(key)
+    point = _ring_hash("flow-7")
+    owner = ring.preference(point)[0]
+    ring.remove(owner)
+    assert owner not in ring.preference(point)
+    ring.add(owner)
+    assert ring.preference(point) == fresh.preference(point)
