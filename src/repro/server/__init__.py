@@ -22,12 +22,13 @@ reproduction:
   endpoint;
 * :mod:`repro.server.client` — :class:`ScanClient`: the asyncio
   client library (connect/retry/timeout, flow multiplexing, beam
-  flows for constrained decoding);
+  flows for constrained decoding, placement and journal-replay
+  failover on a proxy's ring);
 * :mod:`repro.server.cluster` — :class:`ScanProxy`: the cluster
-  tier (the way to use N cores) — it hands clients the
-  :class:`~repro.server.ring.HashRing` of healthy backends their scan
-  flows go to directly, probes health, relays beam flows with
-  journal-replay failover, and aggregates the admin endpoint.
+  tier's control plane (the way to use N cores) — it hands clients
+  the :class:`~repro.server.ring.HashRing` of healthy backends every
+  flow goes to directly, probes health, and aggregates the admin
+  endpoint.
 
 There is no load generator in this package: the serving stack is
 measured by ``benchmarks/ledger/`` and verified under load by

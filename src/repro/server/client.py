@@ -41,18 +41,21 @@ Connection semantics:
   keeps every chunk it was given (by reference) and
   :meth:`~ClientFlow.finish` slices the payloads out of them;
 * **placement and failover** — a proxy's HELLO hands the client its
-  ring, on which it places each scan flow itself (one lazily dialed
-  link per member; beams stay on the proxy's connection). The chunks
-  a flow keeps are its journal: on a lost link, ``DRAINING`` or
-  ``IDLE_TIMEOUT`` it is replayed on the next member of its preference
-  list; with none left it fails with ``FAILOVER``. A proxy connection
-  reaped as idle is dialed again by the next placement or beam.
+  ring, on which it places every flow itself, scan and beam (one
+  lazily dialed link per member). Each placed flow keeps a journal: a
+  scan its chunks, a beam its ops. On a lost link, ``DRAINING`` or
+  ``IDLE_TIMEOUT`` the flow moves to the next member of its preference
+  list: a scan is sent its journal again; a beam is sent its answered
+  ops first, whose MASKS must hash to the digest of those already
+  delivered, and only then the rest. With no member left, or a replay
+  that differs, the flow fails with ``FAILOVER``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import random
 
 from repro.errors import ReproError
@@ -243,8 +246,8 @@ class ClientFlow(Flow):
 
 
 class _PlacedFlow(ClientFlow):
-    """A scan flow ``placer`` put on ring member ``member`` (its link is
-    ``client``); ``point``: where on the ring its preference list starts
+    """A scan flow (a beam as :class:`_PlacedBeam`) ``placer`` put on
+    ring member ``member`` (its link is ``client``); ``point``: where on the ring its preference list starts
     (the same at every placement); ``excluded``: members lost since its
     last placement."""
 
@@ -256,6 +259,16 @@ class _PlacedFlow(ClientFlow):
         self.member: str | None = None
         self.excluded: set[str] = set()
         self.moving = True
+
+    def _resend(self, out: "_Link") -> None:
+        """Bring the member the flow was just placed on up to date:
+        OPEN_FLOW, the journal and, once finishing, FINISH_FLOW."""
+        fid = self.flow_id
+        out.queue(protocol.encode_open_flow(fid))
+        if self.journal:
+            out.hold_for(fid, list(self.journal), sum(map(len, self.journal)))
+        if self.finishing:
+            out.queue(protocol.encode_finish_flow(fid))
 
     def _fail(self, exc: Exception) -> None:
         if not self.placer._move(self, exc):
@@ -357,6 +370,101 @@ class BeamFlow(ClientFlow):
         return False
 
 
+def _readdress(frame: bytes, flow_id: int) -> bytes:
+    """An encoded flow frame with its flow id (past the length and
+    type) replaced."""
+    return frame[:5] + flow_id.to_bytes(4, "big") + frame[9:]
+
+
+class _PlacedBeam(_PlacedFlow, BeamFlow):
+    """A beam ``placer`` put on a ring member. ``journal`` holds its
+    opener and every op since, as sent (a placement re-addresses
+    them); the member answered ``journal[:answered]`` with the MASKS
+    ``digest`` hashes past the flow id. A member it moves to is sent
+    that answered prefix first; while ``replaying`` of those replies
+    are owed, they are hashed, not delivered, and must come to the same
+    digest. Only then does the member get the rest."""
+
+    def __init__(self, placer: "ScanClient") -> None:
+        super().__init__(placer)
+        self.answered = self.replaying = 0
+        self.digest = hashlib.sha256()
+        self.replayed = None
+
+    async def _request(
+        self, frame_bytes: bytes, timeout: float | None, forget: bool = False
+    ) -> tuple[tuple[int, ...], list[bytes]]:
+        fut = asyncio.get_running_loop().create_future()
+        self._pending_masks.append(fut)
+        self.journal.append(frame_bytes)
+        if not self.moving:
+            await self.client._send(frame_bytes)
+        elif self.member is None:  # the opener: the first placement
+            await self.placer._place(self)
+        return await self._reply(fut, timeout, "MASKS reply", forget)
+
+    def _resend(self, out: "_Link") -> None:
+        """Replay the answered prefix (all of the journal on a first
+        placement, which has none)."""
+        self.replaying = self.answered
+        if not self.replaying:
+            self._send_from(out, 0)
+            return
+        self.moving, self.replayed = True, hashlib.sha256()
+        fid = self.flow_id
+        out.queue(*(_readdress(op, fid) for op in self.journal[: self.answered]))
+
+    def _send_from(self, out: "_Link", start: int) -> None:
+        """Send ``journal[start:]`` and, once finishing, FINISH_FLOW."""
+        fid = self.flow_id
+        out.queue(*(_readdress(op, fid) for op in self.journal[start:]))
+        if self.finishing:
+            out.queue(protocol.encode_finish_flow(fid))
+
+    def _on_reply(self, frame: Frame) -> bool:
+        if frame.type == FrameType.MASKS:
+            body = memoryview(frame.payload)[4:]
+            if self.replaying:
+                self.replayed.update(body)
+                self.replaying -= 1
+                if self.replaying:
+                    return False
+                if self.replayed.digest() == self.digest.digest():
+                    self.moving = False
+                    self._send_from(self.client._link(), self.answered)
+                    return False
+                self._abandon()
+                self._fail(ServerFault(
+                    self.flow_id, ErrorCode.FAILOVER,
+                    "replayed masks differ from those already delivered",
+                ))
+                return True
+            self.answered += 1
+            self.digest.update(body)
+        return super()._on_reply(frame)
+
+    def _abandon(self) -> None:
+        """Leave the member's flow (its late replies are dropped)."""
+        self.client._table.close(self)
+        self.client._link().queue(protocol.encode_finish_flow(self.flow_id))
+
+    def _fail_request(self, exc: Exception) -> None:
+        if self.replaying:  # a replayed op was refused: not the history
+            self._abandon()
+            self._fail(exc)
+        else:  # the refused op moved nothing: no replay re-sends it
+            del self.journal[self.answered]
+            super()._fail_request(exc)
+
+    def _fail(self, exc: Exception) -> None:
+        code = getattr(exc, "code", None)
+        if self.replaying and code is not None and code not in LIFECYCLE_CODES:
+            exc = ServerFault(
+                self.flow_id, ErrorCode.FAILOVER, f"replay refused: {exc}"
+            )
+        super()._fail(exc)
+
+
 class _Link(FramedProtocol):
     """A client's connection: every frame goes to the client (None
     once the client gave the connection up)."""
@@ -425,9 +533,7 @@ class ScanClient:
         #: and the dial of each member's link, by ``host:port``.
         self._ring: HashRing | None = None
         self._members: dict[str, asyncio.Future] = {}
-        #: The dial of a proxy that reaped this connection, while it runs.
-        self._redial: asyncio.Task | None = None
-        #: Scan flows put on a member, those moved off a lost one, and
+        #: Flows put on a member, those moved off a lost one, and
         #: requests that timed out.
         self.placements = self.failovers = self.timeouts = 0
         #: Replies awaited on this connection (future -> deadline and
@@ -449,8 +555,8 @@ class ScanClient:
         #: Raw frame taps: flow id -> async callable. A tap receives
         #: every reply frame addressed to its flow *undecoded* (or
         #: ``None`` when the connection dies), bypassing the flow
-        #: objects entirely — the hook a relay/proxy tier uses to
-        #: forward beam traffic without re-encoding delta chains.
+        #: objects entirely — the hook the ledger's traced beam
+        #: (``benchmarks/ledger/load.py``) times each step's wire with.
         self._raw_taps: dict = {}
         self._flow_seq = 0
         self._goodbye = asyncio.Event()
@@ -537,10 +643,6 @@ class ScanClient:
     async def close(self) -> None:
         """Polite GOODBYE (waits briefly for the server's), then close
         — the member links too."""
-        redial = self._redial
-        if redial is not None:
-            redial.cancel()
-            await asyncio.wait([redial])
         out, self._out = self._out, None
         if out is not None:
             if self._conn_error is None:
@@ -570,18 +672,6 @@ class ScanClient:
     def connected(self) -> bool:
         out, dead = self._out, self._conn_error
         return out is not None and not out.closed and dead is None
-
-    @property
-    def paused(self) -> bool:
-        """The server is not taking our writes: the transport holds a
-        high-water mark's worth of unsent bytes."""
-        return self._out is not None and self._out.paused
-
-    async def writable(self) -> None:
-        """Return once the server takes our writes again (at once
-        unless :attr:`paused`)."""
-        if self._out is not None:
-            await self._out.writable()
 
     # ------------------------------------------------------------------
     # flow API
@@ -613,19 +703,20 @@ class ScanClient:
         :class:`~repro.server.protocol.ServerFault` with
         ``UNKNOWN_VOCAB`` when the server has no mask table for the
         vocabulary, ``FRAME_TOO_LARGE`` when ``width`` full rows would
-        not fit this client's ``max_frame``.
+        not fit this client's ``max_frame``. Placed on a ring member
+        when connected to a proxy, as :meth:`open_flow` places a scan.
         """
-        redial = self._redialing()
-        if redial is not None:
-            await asyncio.wait([redial])
-        flow = BeamFlow(self, self.allocate_flow_id())
+        if self._ring is not None:
+            flow: BeamFlow = _PlacedBeam(self)
+        else:
+            flow = BeamFlow(self, self.allocate_flow_id())
+            self._table.open(flow)
         opener = protocol.encode_open_beam(flow.flow_id, width, vocab_hash)
-        self._table.open(flow)
         await flow._request(opener, timeout, forget=True)
         return flow
 
     # ------------------------------------------------------------------
-    # raw flow plumbing (for relay tiers)
+    # raw flow plumbing (the ledger's traced beam)
     # ------------------------------------------------------------------
     def allocate_flow_id(self) -> int:
         """Reserve a fresh connection-scoped flow id without creating
@@ -643,12 +734,6 @@ class ScanClient:
 
     def clear_raw_tap(self, flow_id: int) -> None:
         self._raw_taps.pop(flow_id, None)
-
-    def queue_raw(self, frame_bytes: bytes) -> None:
-        """Queue one pre-encoded frame for the turn's write, without
-        waiting: the relay's sync :meth:`send_raw` (pace it with
-        :attr:`paused` / :meth:`writable`)."""
-        self._link().queue(frame_bytes)
 
     async def send_raw(self, frame_bytes: bytes) -> None:
         """Write one pre-encoded frame (raw-tap counterpart of the
@@ -668,15 +753,12 @@ class ScanClient:
     # placement on a proxy's ring
     # ------------------------------------------------------------------
     async def _place(self, flow: _PlacedFlow) -> None:
-        """Put ``flow`` on the first member of its key's preference
-        list it was not lost on, and send OPEN_FLOW, the journal and
-        (once :meth:`ClientFlow.finish` was called) FINISH_FLOW: its
-        first placement and every failover. On a live link it does not
-        suspend; a member that cannot be dialed is passed over; none
-        left fails the flow (FAILOVER)."""
-        redial = self._redialing()
-        if redial is not None:
-            await asyncio.wait([redial])
+        """Put ``flow`` on the first member of its preference list it
+        was not lost on, and bring that member up to date
+        (:meth:`_PlacedFlow._resend`, the one part that differs by
+        kind): its first placement and every failover. On a live link
+        it does not suspend; a member that cannot be dialed is passed
+        over; none left fails the flow (FAILOVER)."""
         ring, member = self._ring, None
         for name in ring.preference(flow.point) if ring is not None else ():
             if self._ring is None:
@@ -695,51 +777,23 @@ class ScanClient:
         if member is None:
             flow._fail(ServerFault(
                 flow.flow_id, ErrorCode.FAILOVER,
-                f"no healthy ring member left for scan flow {flow.point:x}",
+                f"no healthy ring member left for {flow.kind} flow "
+                f"{flow.point:x}",
             ))
             return
         self.placements += 1
         if flow.member is not None:
             self.failovers += 1
         flow.client, flow.member, flow.moving = member, name, False
-        flow.flow_id = fid = member.allocate_flow_id()
+        flow.flow_id = member.allocate_flow_id()
         member._table.open(flow)
-        out.queue(protocol.encode_open_flow(fid))
-        if flow.journal:
-            out.hold_for(fid, list(flow.journal), sum(map(len, flow.journal)))
-        if flow.finishing:
-            out.queue(protocol.encode_finish_flow(fid))
         flow.excluded.clear()
-
-    def _redialing(self) -> asyncio.Task | None:
-        """The dial of the proxy, started if it reaped this connection
-        as idle (a client that only scans sends it nothing): its HELLO
-        brings the current ring, and ring pushes and beams reach this
-        client again. Every caller waits on the one dial; a failed dial
-        keeps the last ring and is not retried."""
-        if (
-            self._redial is None and self._ring is not None
-            and getattr(self._conn_error, "code", None)
-            == ErrorCode.IDLE_TIMEOUT
-        ):
-            self._redial = asyncio.ensure_future(self._reconnect())
-        return self._redial
-
-    async def _reconnect(self) -> None:
-        self._unconnect()
-        self._conn_error, self._goodbye = None, asyncio.Event()
-        try:
-            await self.connect()
-        except Exception as exc:  # noqa: BLE001 - kept as the link's fault
-            self._conn_error = exc
-        finally:
-            self._redial = None
+        flow._resend(out)
 
     async def member(self, name: str) -> "ScanClient":
         """The link to cluster member ``name`` (``host:port``), dialed —
         once, however many callers wait for it — when there is none or
-        it died: how a client reaches its ring, and a proxy its
-        backends."""
+        it died: how a client reaches its ring."""
         dial = self._members.get(name)
         if dial is None or dial.done() and not self.linked(name):
             host, _, port = name.rpartition(":")

@@ -11,8 +11,9 @@ responder. Every accepted connection is one :class:`Connection` — the
 shared :class:`~repro.server.protocol.FramedProtocol` — whose frames
 are handled inside its read callback, by plain functions that queue
 their replies. The two endpoints differ by a metric prefix
-(:attr:`role`), an admin route table, and what they do with a frame
-once the table accepted it (:meth:`_open` / :meth:`_op`).
+(:attr:`role`), an admin route table, and where flows open: a server
+runs the frames the table accepted (:meth:`_open` / :meth:`_op`), a
+proxy answers every opening frame with ``REDIRECT`` (:meth:`_redirect`).
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ class FramedEndpoint:
         """The ring this endpoint's HELLO hands out (None: none)."""
         return None
 
-    def _redirect(self, kind: FlowKind) -> str | None:
-        """Where flows of ``kind`` open instead (None: here)."""
+    def _redirect(self) -> str | None:
+        """Where flows open instead (None: here)."""
         return None
 
     def _at_quota(self) -> str | None:
@@ -190,20 +191,10 @@ class FramedEndpoint:
         """An op frame its open flow accepts."""
         raise NotImplementedError
 
-    def _drop(self, conn: Connection, flow: Flow) -> None:
-        """Release what a flow that closed unfinished was holding."""
-
-    def _busy(self, conn: Connection) -> bool:
-        """Accepted work on ``conn`` whose reply is still owed."""
-        return False
-
     def _work_in_flight(self) -> bool:
-        """What a graceful drain waits for: replies owed, and frames
-        waiting behind a coroutine on their connection's frame path."""
-        return any(
-            conn.running or self._busy(conn)
-            for conn in self._connections.values()
-        )
+        """What a graceful drain waits for: frames waiting behind a
+        coroutine on their connection's frame path."""
+        return any(conn.running for conn in self._connections.values())
 
     async def _shutdown(self, drain: bool) -> None:
         """Stop background tasks and backends (connections are closed)."""
@@ -377,7 +368,9 @@ class FramedEndpoint:
             self._hello(conn, frame)
             return
         if frame.type == FrameType.GOODBYE:
-            conn.run(self._client_goodbye(conn))
+            # Client is done sending: every reply it is owed is queued.
+            conn.queue(protocol.encode_goodbye())
+            conn.close()
             return
         kind = OPENERS.get(frame.type)
         table = conn.table
@@ -387,7 +380,7 @@ class FramedEndpoint:
             else:
                 flow_id = table.admit(
                     frame, self._draining, self._at_quota(),
-                    self._redirect(kind),
+                    self._redirect(),
                 )
         except Refused as refusal:
             self._refuse(conn, refusal)
@@ -398,8 +391,6 @@ class FramedEndpoint:
             self._open(conn, kind, flow_id, frame)
 
     def _refuse(self, conn: Connection, refusal: Refused) -> None:
-        if refusal.closed is not None:
-            self._drop(conn, refusal.closed)
         conn.send_error(refusal.flow_id, refusal.code, str(refusal))
 
     def _fail_flow(
@@ -407,28 +398,15 @@ class FramedEndpoint:
     ) -> None:
         """Answer ``flow`` with ``ERROR(code)``; the table says whether
         that closes it."""
-        if conn.table.fault(flow, code):
-            self._drop(conn, flow)
+        conn.table.fault(flow, code)
         conn.send_error(flow.flow_id, code, message)
-
-    async def _client_goodbye(self, conn: Connection) -> None:
-        """Client is done sending: deliver what it is still owed, then
-        answer GOODBYE and close."""
-        deadline = time.monotonic() + self.idle_timeout
-        while self._busy(conn) and time.monotonic() < deadline:
-            await asyncio.sleep(0.002)
-        conn.queue(protocol.encode_goodbye())
-        conn.close()
 
     def _teardown(self, conn: Connection) -> None:
         if self._connections.pop(conn.conn_id, None) is None:
             return
         self.metrics.counter(f"{self.role}.connections.closed").inc()
         conn.idle_timer.cancel()
-        flows = list(conn.flows.values())
         conn.flows.clear()
-        for flow in flows:
-            self._drop(conn, flow)
         conn.close()
 
     # ------------------------------------------------------------------

@@ -4,9 +4,9 @@ A connection multiplexes *flows* of two kinds — scan and beam (a
 decode of any width; a single decode is a beam of width 1) — and every
 flow lives the same small automaton: an opening frame admits it, op
 frames drive it, ``FINISH_FLOW`` starts its close, the final
-``RESULT`` (or a fatal ``ERROR``) ends it. Server, proxy and client
-all walk that automaton; this module owns it, as data plus one
-per-connection :class:`FlowTable`, the way
+``RESULT`` (or a fatal ``ERROR``) ends it. Server and client walk
+that automaton, and a proxy refuses by it; this module owns it, as
+data plus one per-connection :class:`FlowTable`, the way
 :class:`~repro.server.protocol.FrameDecoder` owns the framing:
 
 ==========  ============  ==========================  ==================
@@ -23,10 +23,10 @@ the flow the refusal closed, if it closed one:
 
 * an opening frame whose id is ``CONNECTION_FLOW`` or already open is
   ``DUPLICATE_FLOW``, and the colliding open *closes the existing
-  flow*; then, in this order, ``REDIRECT`` when flows of that kind
-  open elsewhere (a proxy's scan flows, on its ring), ``DRAINING``
-  while the endpoint drains and ``OVERLOADED`` when it is at a quota —
-  one admission, the same for every kind;
+  flow*; then, in this order, ``REDIRECT`` when flows open elsewhere
+  (at a proxy: on its ring), ``DRAINING`` while the endpoint drains
+  and ``OVERLOADED`` when it is at a quota — one admission, the same
+  for every kind;
 * an op on an id that is not open, or whose FINISH_FLOW was already
   taken, is ``UNKNOWN_FLOW`` (nothing to close);
 * an op its flow's kind does not take (DATA on a beam flow,
@@ -113,7 +113,7 @@ BEAM = FlowKind(
 )
 KINDS = (SCAN, BEAM)
 #: ERROR codes that end a flow for its endpoint's sake, not its own: a
-#: routing tier replays the flow on another member.
+#: client placing on a ring replays the flow on another member.
 LIFECYCLE_CODES = (ErrorCode.DRAINING, ErrorCode.IDLE_TIMEOUT)
 
 #: Opening frame type -> the kind it opens.
@@ -165,8 +165,8 @@ class FlowTable:
         """The flow id an opening frame may open (the caller builds the
         flow and :meth:`open`\\ s it). ``full`` says why no new flow
         fits — the quota that is spent — or is None when one does;
-        ``redirect`` where flows of the frame's kind open instead, or
-        None when they open here."""
+        ``redirect`` where flows open instead, or None when they open
+        here."""
         flow_id = flow_id_of(frame)
         existing = self.flows.pop(flow_id, None)
         if existing is not None or flow_id == CONNECTION_FLOW:

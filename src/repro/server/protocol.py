@@ -69,8 +69,8 @@ answered with ``ERROR(VERSION_MISMATCH)`` and a close. Behind the
 fixed fields come two comma-separated UTF-8 lists: the registry refs
 the endpoint serves and — after a newline, from a cluster proxy only,
 new in version 4 — its *ring*, the ``host:port`` of its healthy
-members, where clients open scan flows themselves (the proxy answers a
-scan OPEN_FLOW with ``ERROR(REDIRECT)``). A proxy re-sends its HELLO
+members, where clients open their flows themselves (the proxy answers
+every OPEN_FLOW and OPEN_BEAM with ``ERROR(REDIRECT)``). A proxy re-sends its HELLO
 whenever the ring changes: the last one read is the ring.
 
 RESULT record blocks
@@ -1030,8 +1030,8 @@ def start_eagerly(coro) -> asyncio.Task | None:
 
 
 class FramedProtocol(asyncio.Protocol):
-    """One framed connection — server, proxy front, client, the proxy's
-    backend pool. ``data_received`` hands the read's frames one by one
+    """One framed connection — server, proxy front, client, a client's
+    link to a ring member. ``data_received hands the read's frames one by one
     to :meth:`frame_received`; a handler that must wait starts a
     coroutine through :meth:`run`, and only if that suspends does the
     connection stop reading, the frames behind it waiting in order.

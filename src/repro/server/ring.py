@@ -1,6 +1,6 @@
-"""The consistent-hash ring both ends of the cluster tier place flows
-with: the proxy its beams, a client handed the proxy's ring its scans
-(so a client imports it without the proxy)."""
+"""The consistent-hash ring of the cluster tier: the proxy keeps its
+healthy members on one and hands it out, and a client places its
+flows on it (so a client imports it without the proxy)."""
 
 from __future__ import annotations
 

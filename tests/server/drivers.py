@@ -37,10 +37,12 @@ async def _closed_loop(
 ) -> None:
     """``concurrency`` connections each run ``drive(client, name,
     unit)`` on ``(name, unit)`` pairs from one shared queue until it is
-    empty; an exception fails that unit only."""
+    empty; an exception fails that unit only. Returns how many flows
+    the clients moved off a lost ring member."""
     work: asyncio.Queue = asyncio.Queue()
     for item in units:
         work.put_nowait(item)
+    failovers = 0
 
     async def worker() -> None:
         client = ScanClient(host, port, request_timeout=request_timeout)
@@ -54,8 +56,11 @@ async def _closed_loop(
                     failures.append(f"{name}: {exc}")
         finally:
             await client.close()
+            nonlocal failovers
+            failovers += client.failovers
 
     await asyncio.gather(*(worker() for _ in range(concurrency)))
+    return failovers
 
 
 def _report(failures: list, mismatches: list, **counts) -> dict:
@@ -228,9 +233,11 @@ async def run_beam_load(
                 pass
             settle(flow)
 
-    await _closed_loop(
+    failovers = await _closed_loop(
         host, port,
         [(f"beam-{index}", index) for index in range(beams)],
         drive, concurrency, request_timeout, failures,
     )
-    return _report(failures, mismatches, beams=beams, **counts)
+    return _report(
+        failures, mismatches, beams=beams, failovers=failovers, **counts
+    )

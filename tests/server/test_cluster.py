@@ -1,16 +1,15 @@
 """The cluster tier: consistent-hash ring and the ScanProxy.
 
 Ring properties (determinism, minimal remap on membership change),
-backend-spec parsing, and the cluster's end-to-end contract: scan
-flows placed by the client on the ring the proxy hands it, and beam
-flows (width 1 included) relayed by the proxy, are byte-for-byte
-identical to flows against a single server; the client follows the
-ring the proxy pushes, and keeps placing after its proxy connection
-idled out; the aggregated admin endpoint merges backend expositions
-under ``backend="host:port"`` labels and shows the ring. That the
-protocol fault paths reply exactly as a bare
-:class:`~repro.server.ScanServer` would is ``test_conformance.py``'s
-subject.
+backend-spec parsing, and the cluster's end-to-end contract: scan and
+beam flows (width 1 included), placed by the client on the ring the
+proxy hands it, are byte-for-byte identical to flows against a single
+server, and not one of their frames crosses the proxy; the client
+follows the ring the proxy pushes, however long its proxy connection
+idles; the aggregated admin endpoint merges backend expositions under
+``backend="host:port"`` labels and shows the ring. That the protocol
+fault paths reply exactly as a bare :class:`~repro.server.ScanServer`
+would is ``test_conformance.py``'s subject.
 """
 
 import asyncio
@@ -30,10 +29,12 @@ from repro.server import (
     ScanServer,
     parse_backend,
 )
+from repro.server import protocol
 from repro.server.cluster import _http_get
 from repro.server.endpoint import reap
-from repro.server.protocol import ErrorCode, ServerFault
+from repro.server.protocol import ErrorCode, FrameType, ServerFault
 
+from tests.server.conftest import FrameReader
 from tests.server.drivers import set_bits
 
 
@@ -183,7 +184,7 @@ def test_proxied_scan_matches_direct(table):
 
 
 def test_proxied_mask_flow_matches_local_session(table):
-    """A single-lane decode (a width-1 beam) through the proxy."""
+    """A single-lane decode (a width-1 beam) placed on the ring."""
 
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
@@ -205,9 +206,8 @@ def test_proxied_mask_flow_matches_local_session(table):
 
 
 def test_proxied_beam_flow_matches_mirrors(table):
-    """Beam deltas are relayed raw — the client's decoded rows must
-    still track per-lane mirrors through advances, a fork and a
-    rollback."""
+    """A beam placed on the ring — the client's decoded rows must
+    track per-lane mirrors through advances, a fork and a rollback."""
 
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
@@ -236,11 +236,41 @@ def test_proxied_beam_flow_matches_mirrors(table):
     run(scenario())
 
 
-def test_proxy_redials_its_backends_while_placing_flows(table):
-    """The backend connections the proxy's start dialed are closed,
-    so placing the beams dials them again — every flow is still
-    served, scans (placed by the client) and beams, and every backend
-    ends up connected."""
+def test_beam_flows_cross_no_proxy(table):
+    """Beams of width 1 and 3 through the cluster: the client places
+    each on a ring member, as it places a scan, and the proxy reads
+    nothing of them — its HELLO and GOODBYE are all it reads."""
+
+    async def scenario():
+        async with running_cluster(table, n=2) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                for width in (1, 3, 3):
+                    flow = await client.open_beam_flow(table.vocab_hash, width)
+                    mirror = [MaskSession(table) for _ in range(width)]
+                    ids = [set_bits(m.mask())[0] for m in mirror]
+                    await flow.advance(ids)
+                    for m, token in zip(mirror, ids):
+                        m.advance(token)
+                    assert flow.rows == [m.mask() for m in mirror]
+                    await flow.close()
+                assert client.placements == 3
+            opened = sum(
+                s.stats()["counters"].get("structgen.beams_opened", 0)
+                for s in servers
+            )
+            assert opened == 3
+            counters = proxy.stats()["counters"]
+            assert counters["proxy.rx.frames"] == 2  # HELLO, GOODBYE
+            assert counters["proxy.tx.frames"] == 2
+            assert "proxy.flows.beam" not in counters
+
+    run(scenario())
+
+
+def test_concurrent_placements_share_one_dial_per_member(table):
+    """Scans and beams opened at once by a fresh client: every flow is
+    served, and each member is dialed once, however many placements
+    wait for its link."""
     payloads = [MethodCall(f"m{i}").encode() + b" " for i in range(6)]
 
     async def beam(client):
@@ -252,52 +282,52 @@ def test_proxy_redials_its_backends_while_placing_flows(table):
             m.advance(token)
         assert flow.rows == [m.mask() for m in mirror]
         await flow.close()
+        return flow.member
+
+    def dials(servers):
+        return [
+            s.stats()["counters"]["server.connections.opened"]
+            for s in servers
+        ]
 
     async def scenario():
-        async with running_cluster(table, n=2) as (proxy, _):
-            for backend in proxy.backends.values():
-                await backend.close()
+        async with running_cluster(table, n=2) as (proxy, servers):
+            await reap(proxy._health_task)  # its probes dial too
+            before = dials(servers)
             async with ScanClient(*proxy.address) as client:
                 results = await asyncio.gather(
                     *(client.scan_stream(p, chunk_size=9) for p in payloads),
                     *(beam(client) for _ in range(12)),
                 )
+                assert client.placements == 18
+                assert sorted(client._members) == sorted(map(_name, servers))
             router = ContentBasedRouter()
             assert results[:6] == [router.route(p) for p in payloads]
-            backends = proxy.stats()["backends"].values()
-            assert [b["connected"] for b in backends] == [True, True]
-            counters = proxy.stats()["counters"]
-            assert counters.get("proxy.errors.sent", 0) == 0
+            assert set(results[6:]) <= set(map(_name, servers))
+            assert dials(servers) == [n + 1 for n in before]
 
     run(scenario())
 
 
-def test_a_flow_being_placed_does_not_stall_its_connection(
-    table, monkeypatch
-):
-    """While one beam's placement waits (here: its backend dial), the
-    other flows on the same client connection keep moving, and the
-    waiting beam's own frames go out, in order, once placed."""
-    from repro.server import cluster
-
-    gate = asyncio.Event()
-    acquire = cluster._Backend.acquire
-    held = []
-
-    async def slow_first_acquire(self):
-        if not held:
-            held.append(self.name)
-            await gate.wait()
-        return await acquire(self)
-
+def test_a_flow_being_placed_does_not_stall_its_connection(table):
+    """While one beam's placement waits (here: its member's dial), the
+    client's other flows keep being placed and served, and the waiting
+    beam opens, and steps, once its dial completes."""
     data = WorkloadGenerator(seed=5).stream(20)[0]
 
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
-            monkeypatch.setattr(
-                cluster._Backend, "acquire", slow_first_acquire
-            )
             async with ScanClient(*proxy.address) as client:
+                gate, held = asyncio.Event(), []
+                member = client.member
+
+                async def slow_first_member(name):
+                    if not held:
+                        held.append(name)
+                        await gate.wait()
+                    return await member(name)
+
+                client.member = slow_first_member
                 opening = asyncio.ensure_future(
                     client.open_beam_flow(table.vocab_hash, 1)
                 )
@@ -314,8 +344,10 @@ def test_a_flow_being_placed_does_not_stall_its_connection(
                     _advance_when_open(opening, token)
                 )
                 await asyncio.sleep(0.05)
+                assert not step.done()
                 gate.set()
                 stuck, (states, rows) = await asyncio.wait_for(step, 5.0)
+                assert stuck.member == held[0]
                 await stuck.close()
         return other, (states, rows), local, token
 
@@ -329,11 +361,10 @@ async def _advance_when_open(opening, token):
     return flow, await flow.advance([token])
 
 
-def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
-    """The backend answers the proxy, whose frame limit is larger than
-    this client's; a MASKS reply the client could not read fails its
-    flow with FRAME_TOO_LARGE instead of being written, and the
-    client's connection keeps serving."""
+def test_a_placed_beam_whose_masks_outgrow_the_client_fails(table):
+    """A client dials its members with its own frame limit: a beam
+    whose MASKS it could not read is refused by the member with
+    FRAME_TOO_LARGE, and the next beam is served."""
 
     async def scenario():
         async with running_cluster(table, n=2) as (proxy, _servers):
@@ -341,6 +372,7 @@ def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
                 with pytest.raises(ServerFault) as info:
                     await client.open_beam_flow(table.vocab_hash, 20)
                 assert info.value.code == ErrorCode.FRAME_TOO_LARGE
+                assert client.failovers == 0
                 flow = await client.open_beam_flow(table.vocab_hash, 2)
                 mirror = [MaskSession(table) for _ in range(2)]
                 ids = [set_bits(m.mask())[0] for m in mirror]
@@ -349,7 +381,7 @@ def test_proxy_fails_a_beam_whose_masks_outgrow_the_client(table):
                     m.advance(token)
                 assert flow.rows == [m.mask() for m in mirror]
                 await flow.close()
-                assert client.connected
+                assert client.connected and client.linked(flow.member)
 
     run(scenario())
 
@@ -381,37 +413,84 @@ def test_proxy_splits_data_to_a_backends_smaller_frame_limit():
     assert run(scenario()) == ContentBasedRouter().route(data)
 
 
+class _SlowStep(ScanServer):
+    """A backend that takes 0.4 s per beam step."""
+
+    def _step(self, conn, flow, frame):
+        async def slow():
+            await asyncio.sleep(0.4)
+            ScanServer._step(self, conn, flow, frame)
+
+        conn.run(slow())
+
+
+def _step_mirrors(mirrors):
+    """One token per lane, and the mirrors' reply once it is taken."""
+    ids = [set_bits(m.mask())[0] for m in mirrors]
+    states = tuple(m.advance(t) for m, t in zip(mirrors, ids))
+    return ids, (states, [m.mask() for m in mirrors])
+
+
 def test_proxy_drain_delivers_a_beam_op_in_flight(table):
-    """Regression: a proxy drain used to see a beam as idle once its
-    BATCH_ADVANCE was relayed, and sent DRAINING while the MASKS reply
-    was still owed. A server drain delivers that reply; so must the
-    proxy's, with a backend that takes 0.4 s per step."""
-
-    class SlowStep(ScanServer):
-        def _step(self, conn, flow, frame):
-            async def slow():
-                await asyncio.sleep(0.4)
-                ScanServer._step(self, conn, flow, frame)
-
-            conn.run(slow())
+    """The proxy drains, and goes away, while a beam op is in flight at
+    the slow member the client placed the beam on: the reply arrives
+    all the same — the beam never crosses the proxy — and the beam
+    goes on stepping there."""
 
     async def scenario():
-        server = await SlowStep(port=0, mask_tables=[table]).start()
+        server = await _SlowStep(port=0, mask_tables=[table]).start()
         proxy = await ScanProxy([server.address], port=0).start()
         try:
             async with ScanClient(*proxy.address) as client:
                 flow = await client.open_beam_flow(table.vocab_hash, 1)
-                local = MaskSession(table)
-                token = set_bits(local.mask())[0]
-                step = asyncio.ensure_future(flow.advance([token]))
-                await asyncio.sleep(0.1)  # relayed; the backend steps
+                local = [MaskSession(table)]
+                ids, expected = _step_mirrors(local)
+                step = asyncio.ensure_future(flow.advance(ids))
+                await asyncio.sleep(0.1)  # sent; the member steps
                 await proxy.stop(drain=True)
-                states, rows = await step
-                assert states == (local.advance(token),)
-                assert rows == [local.mask()]
+                assert not client.connected  # the proxy said GOODBYE
+                assert await step == expected
+                ids, expected = _step_mirrors(local)
+                assert await flow.advance(ids) == expected
+                await flow.close()
         finally:
             await proxy.stop(drain=False)
             await server.stop(drain=False)
+
+    run(scenario())
+
+
+def test_a_draining_member_moves_a_beam_byte_for_byte(table):
+    """A member drains with a beam step in flight (it takes 0.4 s): the
+    drain delivers that reply, then DRAINING moves the beam to the
+    other member, which replays its history and serves the next steps
+    exactly."""
+
+    async def scenario():
+        servers = [
+            await _SlowStep(port=0, mask_tables=[table]).start()
+            for _ in range(2)
+        ]
+        proxy = await ScanProxy([s.address for s in servers], port=0).start()
+        try:
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                local = [MaskSession(table) for _ in range(2)]
+                ids, expected = _step_mirrors(local)
+                step = asyncio.ensure_future(flow.advance(ids))
+                await asyncio.sleep(0.1)  # sent; the member steps
+                lost = flow.member
+                drained = next(s for s in servers if _name(s) == lost)
+                await drained.stop(drain=True)
+                assert await step == expected
+                ids, expected = _step_mirrors(local)
+                assert await flow.advance(ids, timeout=10.0) == expected
+                assert flow.member != lost and client.failovers == 1
+                await flow.close()
+        finally:
+            await proxy.stop(drain=False)
+            for server in servers:
+                await server.stop(drain=False)
 
     run(scenario())
 
@@ -476,62 +555,51 @@ def _name(server) -> str:
     return "%s:%d" % server.address
 
 
-def test_client_keeps_placing_after_its_proxy_connection_idled_out(table):
-    """The proxy reaps the client's idle connection (nothing crosses
-    it: the scans go to the members), so no ring push reaches the
-    client. Its next placement dials the proxy again and places on the
-    ring that HELLO carries — an ejection made meanwhile is seen — and
-    after the next reap a beam opens, on a fresh connection, as well.
-    Scan flows still finish, and one fails over when its member dies."""
+def test_an_idle_client_still_gets_the_ring_and_a_silent_one_is_reaped(
+    table,
+):
+    """Nothing crosses a client's proxy connection once its HELLO is
+    answered, so the proxy no longer reaps it: a client idle well past
+    the proxy's ``idle_timeout`` still receives the ring pushed on an
+    ejection, and places scans and beams on it. A connection that never
+    sends HELLO is still reaped."""
     router = ContentBasedRouter()
     data = WorkloadGenerator(seed=13).stream(6)[0]
-
-    async def members(client, n):
-        placed = set()
-        for _ in range(n):
-            flow = await client.open_flow()
-            await flow.send(data)
-            assert await flow.finish() == router.route(data)
-            placed.add(flow.member)
-        return placed
 
     async def scenario():
         async with running_cluster(
             table, n=2, idle_timeout=0.2
         ) as (proxy, servers):
             await reap(proxy._health_task)  # the test ejects and readmits
-            ejected = proxy.backends[_name(servers[0])]
+            reader, writer = await asyncio.open_connection(*proxy.address)
             async with ScanClient(*proxy.address) as client:
                 await asyncio.sleep(0.5)
-                assert not client.connected  # IDLE_TIMEOUT from the proxy
-                proxy._note_backend_error(ejected, "ejected by the test")
-                assert await members(client, 20) == {_name(servers[1])}
                 assert client.connected
+                proxy._note_backend_error(
+                    proxy.backends[_name(servers[0])], "ejected by the test"
+                )
+                await asyncio.sleep(0.05)  # the pushed HELLO arrives
                 assert client._ring.members == (_name(servers[1]),)
-
-                await asyncio.sleep(0.5)
-                assert not client.connected  # reaped again
-                proxy._readmit(ejected)
-                beam = await client.open_beam_flow(table.vocab_hash, 1)
-                assert beam.rows == [MaskSession(table).mask()]
-                await beam.close()
-                assert len(client._ring) == 2
-                assert await members(client, 20) == {
-                    _name(s) for s in servers
-                }
-
-                flow = await client.open_flow()
-                await flow.send(data[:100])
-                lost = flow.member
-                victim = next(s for s in servers if _name(s) == lost)
-                await victim.stop(drain=False)
-                await flow.send(data[100:])
-                assert await flow.finish(timeout=10.0) == router.route(data)
-                assert flow.member != lost
-                assert client.failovers == 1
-                assert client.placements == 42
+                for _ in range(10):
+                    flow = await client.open_flow()
+                    await flow.send(data)
+                    assert await flow.finish() == router.route(data)
+                    beam = await client.open_beam_flow(table.vocab_hash, 1)
+                    assert beam.rows == [MaskSession(table).mask()]
+                    await beam.close()
+                    assert {flow.member, beam.member} == {_name(servers[1])}
+                assert client.placements == 20
+                # The silent connection got IDLE_TIMEOUT and was closed.
+                frames = FrameReader(reader)
+                error = await asyncio.wait_for(frames.frame(), 5.0)
+                assert error.type == FrameType.ERROR
+                code = protocol.decode_error(error)[1]
+                assert code == ErrorCode.IDLE_TIMEOUT
+                assert await asyncio.wait_for(frames.frame(), 5.0) is None
+                writer.close()
             counters = proxy.stats()["counters"]
-            assert counters["proxy.timeouts.idle"] >= 2
+            assert counters["proxy.timeouts.idle"] == 1
+            assert counters["proxy.ring.pushes"] == 1
 
     run(scenario())
 

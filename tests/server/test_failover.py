@@ -1,15 +1,16 @@
 """Failover: killing a backend under live flows.
 
-The failover contract (DESIGN.md §14) is one rule for every flow kind:
-the flow's history is replayed onto a surviving backend and the client
+The failover contract (DESIGN.md §14) is one rule for every flow kind,
+kept by the client that placed the flow on the proxy's ring: the
+flow's history is replayed onto a surviving backend and the client
 sees byte-for-byte the same replies it would have seen with no kill —
-scan results (the client itself re-places a scan flow on the ring and
-replays its journal), and beam masks of any width relayed by the
-proxy (after forks and rollbacks, through the delta chain). A beam
-replay whose replies differ from those already forwarded, and a ring
-with no backend left, end the flow with a typed FAILOVER instead of
-wrong masks. All kills here are hard (``stop(drain=False)`` — TCP
-reset semantics, no DRAINING courtesy), the worst case.
+scan results (its chunk journal sent again), and beam masks of any
+width (its answered ops replayed, after forks and rollbacks, through
+the delta chain). A beam replay whose replies differ from those
+already delivered, and a ring with no backend left, end the flow with
+a typed FAILOVER instead of wrong masks. All kills here are hard
+(``stop(drain=False)`` — TCP reset semantics, no DRAINING courtesy),
+the worst case.
 """
 
 import asyncio
@@ -42,12 +43,13 @@ def table():
 
 
 @contextlib.asynccontextmanager
-async def failover_cluster(table, n=3, tables=None):
-    """N backends behind a fast-probing proxy; the test kills some.
-    Backend ``i`` serves ``tables[i]`` (default: ``table`` on all)."""
+async def failover_cluster(table, n=3, tables=None, cls=ScanServer):
+    """N backends (``cls``) behind a fast-probing proxy; the test kills
+    some. Backend ``i`` serves ``tables[i]`` (default: ``table`` on
+    all)."""
     servers = []
     for i in range(n):
-        server = ScanServer(
+        server = cls(
             port=0, mask_tables=[tables[i] if tables else table]
         )
         await server.start()
@@ -65,31 +67,11 @@ async def failover_cluster(table, n=3, tables=None):
                 await server.stop(drain=False)
 
 
-def _owner(proxy, flow_id, kind=None):
-    """Which backend a proxied client flow is currently pinned to."""
-    for conn in proxy._connections.values():
-        flow = conn.flows.get(flow_id)
-        if flow is not None and (kind is None or flow.kind == kind):
-            return flow.backend
-    return None
-
-
 def _server_named(servers, name):
     for server in servers:
         if f"{server.address[0]}:{server.address[1]}" == name:
             return server
     raise AssertionError(f"no server named {name}")
-
-
-async def _pinned_backend(proxy, flow_id, kind=None, timeout=5.0):
-    """Wait until the proxy has pinned the flow and return its backend."""
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        backend = _owner(proxy, flow_id, kind)
-        if backend is not None:
-            return backend
-        await asyncio.sleep(0.02)
-    raise AssertionError("flow never pinned to a backend")
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +150,11 @@ def test_mask_flow_survives_backend_kill_byte_for_byte(table):
                 flow = await client.open_beam_flow(table.vocab_hash, 1)
                 mirror = _Mirror(table, 1)
                 await _walk(flow, mirror, 10, "before the kill")
-                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
-                await _server_named(servers, backend.name).stop(drain=False)
+                lost = flow.member
+                await _server_named(servers, lost).stop(drain=False)
                 await _walk(flow, mirror, 10, "after the kill")
                 await flow.close()
-            assert proxy.metrics.counter("proxy.failovers").value >= 1
+                assert client.failovers >= 1 and flow.member != lost
 
     run(scenario())
 
@@ -198,8 +180,8 @@ def test_beam_flow_survives_backend_kill_byte_for_byte(table):
                 mirror.rollback(2)
                 mirror.check(flow, "rollback")
                 assert flow.lanes_delta > 0
-                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
-                await _server_named(servers, backend.name).stop(drain=False)
+                lost = flow.member
+                await _server_named(servers, lost).stop(drain=False)
                 await _walk(flow, mirror, 6, "after the kill")
                 await flow.fork(0)
                 mirror.fork(0)
@@ -208,7 +190,7 @@ def test_beam_flow_survives_backend_kill_byte_for_byte(table):
                 mirror.rollback(1)
                 mirror.check(flow, "rollback after the kill")
                 await flow.close()
-            assert proxy.metrics.counter("proxy.failovers").value >= 1
+                assert client.failovers >= 1 and flow.member != lost
 
     run(scenario())
 
@@ -216,7 +198,7 @@ def test_beam_flow_survives_backend_kill_byte_for_byte(table):
 def test_pipelined_frames_keep_their_order_across_a_kill(table):
     """Frames sent without awaiting between them, across a hard kill of
     the backends holding a scan flow and a width-3 beam: the frames
-    reach the proxy while it places the flows again and must still go
+    are sent while the client places the flows again and must still go
     out in order — the scan's three DATA and FINISH, and the beam's
     gathered advances, answered byte for byte."""
 
@@ -237,10 +219,9 @@ def test_pipelined_frames_keep_their_order_across_a_kill(table):
                 beam = await client.open_beam_flow(table.vocab_hash, 3)
                 mirror = _Mirror(table, 3)
                 await _walk(beam, mirror, 3, "before the kill")
-                backend = await _pinned_backend(proxy, beam.flow_id, "beam")
                 owners = {
                     _server_named(servers, scan.member),
-                    _server_named(servers, backend.name),
+                    _server_named(servers, beam.member),
                 }
                 steps = []
                 for _ in range(6):
@@ -269,9 +250,8 @@ def test_pipelined_frames_keep_their_order_across_a_kill(table):
                 assert replies == [expected for _, expected in steps]
                 mirror.check(beam, "after the kill")
                 await beam.close()
-                assert client.failovers >= 1
+                assert client.failovers >= 2  # the scan and the beam
             assert got == router.route(data)
-            assert proxy.metrics.counter("proxy.failovers").value >= 1
 
     run(scenario())
 
@@ -288,10 +268,8 @@ def test_beam_flow_gets_typed_failover(table):
                 with pytest.raises(ServerFault) as info:
                     await flow.finish(timeout=15.0)
                 assert info.value.code == ErrorCode.FAILOVER
-                assert "no healthy backend" in info.value.detail
-            assert (
-                proxy.metrics.counter("proxy.failover.exhausted").value == 1
-            )
+                assert "no healthy ring member" in info.value.detail
+                assert client.failovers == 0
 
     run(scenario())
 
@@ -299,7 +277,7 @@ def test_beam_flow_gets_typed_failover(table):
 def test_digest_mismatch_gets_typed_failover(table):
     """Two backends share the vocabulary hash but serve masks of
     different grammars: replaying onto the other one does not reproduce
-    the replies already forwarded, so the beam ends with FAILOVER and
+    the replies already delivered, so the beam ends with FAILOVER and
     the client never sees a row of the other grammar."""
     other = build_mask_table(if_then_else(), synthetic_vocab(size=384, seed=7))
     assert other.vocab_hash == table.vocab_hash
@@ -311,8 +289,7 @@ def test_digest_mismatch_gets_typed_failover(table):
         ) as (proxy, servers):
             async with ScanClient(*proxy.address) as client:
                 flow = await client.open_beam_flow(table.vocab_hash, 2)
-                backend = await _pinned_backend(proxy, flow.flow_id, "beam")
-                owner = _server_named(servers, backend.name)
+                owner = _server_named(servers, flow.member)
                 mirror = _Mirror(owner._mask_tables[table.vocab_hash], 2)
                 mirror.check(flow, "open")
                 await _walk(flow, mirror, 5, "before the kill")
@@ -321,7 +298,135 @@ def test_digest_mismatch_gets_typed_failover(table):
                     await flow.finish(timeout=15.0)
                 assert info.value.code == ErrorCode.FAILOVER
                 mirror.check(flow, "after the FAILOVER")
-            assert proxy.metrics.counter("proxy.failovers").value == 0
+                assert client.failovers == 1  # placed, then refused
+
+    run(scenario())
+
+
+class _Perturbing(ScanServer):
+    """A member that flips one bit of the last row in its next
+    ``perturb`` MASKS replies."""
+
+    perturb = 0
+
+    def _encode_beam_masks(self, flow):
+        frame = super()._encode_beam_masks(flow)
+        if not self.perturb:
+            return frame
+        self.perturb -= 1
+        return frame[:-1] + bytes([frame[-1] ^ 1])
+
+
+def _survivor(servers, lost):
+    (server,) = (s for s in servers if "%s:%d" % s.address != lost)
+    return server
+
+
+def test_a_replay_whose_masks_differ_fails_with_failover(table):
+    """The member a beam moves to answers the replayed opener with one
+    bit of a row flipped: the replayed MASKS do not hash to those
+    already delivered, so the beam ends with FAILOVER, its rows stay
+    those delivered, and the member's flow is abandoned."""
+
+    async def scenario():
+        async with failover_cluster(
+            table, n=2, cls=_Perturbing
+        ) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                mirror = _Mirror(table, 2)
+                await _walk(flow, mirror, 4, "before the kill")
+                lost = flow.member
+                survivor = _survivor(servers, lost)
+                survivor.perturb = 1
+                await _server_named(servers, lost).stop(drain=False)
+                with pytest.raises(ServerFault) as info:
+                    await flow.advance(mirror.ids(), timeout=15.0)
+                assert info.value.code == ErrorCode.FAILOVER
+                assert "differ" in info.value.detail
+                mirror.check(flow, "after the FAILOVER")
+                assert survivor.perturb == 0 and client.failovers == 1
+                for _ in range(100):
+                    if not list(survivor._open_flows()):
+                        break
+                    await asyncio.sleep(0.01)
+                assert not list(survivor._open_flows())
+
+    run(scenario())
+
+
+def test_a_refused_op_is_never_replayed(table):
+    """A BAD_TOKEN refused an op: the beam did not move, so the op
+    leaves the journal. The member the beam moves to is sent the
+    opener and the answered ops, never the refused one (it would be
+    refused again), then the op sent after the kill."""
+
+    async def scenario():
+        async with failover_cluster(table, n=2) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                flow = await client.open_beam_flow(table.vocab_hash, 2)
+                mirror = _Mirror(table, 2)
+                await _walk(flow, mirror, 2, "before the refusal")
+                with pytest.raises(ServerFault) as info:
+                    await flow.advance([len(table.vocab)] * 2, timeout=15.0)
+                assert info.value.code == ErrorCode.BAD_TOKEN
+                await _walk(flow, mirror, 2, "after the refusal")
+                lost = flow.member
+                survivor = _survivor(servers, lost)
+
+                def received():
+                    counters = survivor.stats()["counters"]
+                    return (
+                        counters["server.rx.frames"],
+                        counters.get("server.errors.sent", 0),
+                    )
+
+                frames, errors = received()
+                await _server_named(servers, lost).stop(drain=False)
+                await _walk(flow, mirror, 1, "after the kill")
+                await flow.close()
+                assert client.failovers == 1 and flow.member != lost
+                # HELLO, the opener, four answered advances, the one
+                # sent after the kill, FINISH_FLOW; nothing refused.
+                assert received() == (frames + 8, errors)
+
+    run(scenario())
+
+
+def test_beam_ops_pipelined_across_a_kill_keep_their_order(table):
+    """Advances sent without awaiting between them, some before a hard
+    kill of the beam's member and some while the client moves it: the
+    survivor replays the answered prefix, then takes the rest in
+    order, and every reply is the mirrors' step."""
+
+    async def scenario():
+        async with failover_cluster(table, n=2) as (proxy, servers):
+            async with ScanClient(*proxy.address) as client:
+                beam = await client.open_beam_flow(table.vocab_hash, 3)
+                mirror = _Mirror(table, 3)
+                await _walk(beam, mirror, 2, "before the kill")
+                steps = []
+                for _ in range(8):
+                    ids = mirror.ids()
+                    mirror.advance(ids)
+                    steps.append((ids, (
+                        tuple(m.state for m in mirror.lanes),
+                        [m.mask() for m in mirror.lanes],
+                    )))
+                before = asyncio.gather(
+                    *(beam.advance(ids, timeout=15.0) for ids, _ in steps[:4])
+                )
+                await asyncio.sleep(0)  # queued, on the wire at turn end
+                lost = beam.member
+                await _server_named(servers, lost).stop(drain=False)
+                after = asyncio.gather(
+                    *(beam.advance(ids, timeout=15.0) for ids, _ in steps[4:])
+                )
+                replies = [*await before, *await after]
+                assert replies == [expected for _, expected in steps]
+                mirror.check(beam, "after the kill")
+                await beam.close()
+                assert client.failovers == 1 and beam.member != lost
 
     run(scenario())
 
@@ -329,19 +434,17 @@ def test_digest_mismatch_gets_typed_failover(table):
 # ----------------------------------------------------------------------
 # kills under load: the generators keep verifying through a failover
 # ----------------------------------------------------------------------
-async def _kill_first_owner(proxy, servers, kind, timeout=10.0):
-    """Wait for any flow of ``kind`` to be pinned, then hard-kill its
-    backend; returns the killed server's name."""
+async def _kill_first_owner(servers, kind, timeout=10.0):
+    """Wait for any backend to hold a flow of ``kind``, then hard-kill
+    it."""
     deadline = asyncio.get_running_loop().time() + timeout
     while asyncio.get_running_loop().time() < deadline:
-        for conn in list(proxy._connections.values()):
-            for flow in list(conn.flows.values()):
-                if flow.kind == kind and flow.backend is not None:
-                    name = flow.backend.name
-                    await _server_named(servers, name).stop(drain=False)
-                    return name
+        for server in servers:
+            if any(flow.kind == kind for flow in server._open_flows()):
+                await server.stop(drain=False)
+                return
         await asyncio.sleep(0.02)
-    raise AssertionError(f"no {kind} flow ever pinned")
+    raise AssertionError(f"no {kind} flow ever placed")
 
 
 async def _beam_load_under_kill(table, **load):
@@ -356,9 +459,9 @@ async def _beam_load_under_kill(table, **load):
             )
         )
         await asyncio.sleep(0.1)
-        await _kill_first_owner(proxy, servers, "beam")
+        await _kill_first_owner(servers, "beam")
         report = await asyncio.wait_for(task, 120.0)
-        assert proxy.metrics.counter("proxy.failovers").value >= 1
+        assert report["failovers"] >= 1
         return report
 
 

@@ -325,88 +325,6 @@ def test_slow_consumer_does_not_grow_server_memory(streams):
     run(main())
 
 
-def _socket_buffer_bound() -> int:
-    """The most a loopback connection's kernel buffers can hold, both
-    ends together (16 MiB where the limits cannot be read)."""
-    try:
-        total = 0
-        for kind in ("rmem", "wmem"):
-            with open(f"/proc/sys/net/ipv4/tcp_{kind}") as limits:
-                total += int(limits.read().split()[2])
-        return total
-    except (OSError, ValueError, IndexError):
-        return 16 << 20
-
-
-def test_stalled_backend_stops_the_proxy_reading_its_client():
-    """A backend that stops reading: what the proxy reads off the
-    client feeding a beam on it is bounded by one backend connection's
-    buffers, so the proxy stops reading that client — chained
-    backpressure — and everything flows again once the backend reads.
-    (Scan flows never cross the proxy: a client places them on the
-    ring itself.)"""
-    from repro.server import ScanProxy
-
-    async def main():
-        release = asyncio.Event()
-
-        async def backend(reader, writer):
-            writer.write(protocol.encode_hello())
-            await release.wait()  # read nothing until released
-            while await reader.read(1 << 16):
-                pass
-            writer.close()
-
-        listener = await asyncio.start_server(backend, "127.0.0.1", 0)
-        proxy = await ScanProxy(
-            [listener.sockets[0].getsockname()[:2]], port=0
-        ).start()
-        try:
-            reader, writer = await asyncio.open_connection(*proxy.address)
-            frames = FrameReader(reader)
-            writer.write(protocol.encode_hello())
-            assert (await frames.frame()).type == FrameType.HELLO
-            width = protocol.MAX_BEAM_WIDTH
-            sent = protocol.encode_hello() + protocol.encode_open_beam(
-                1, width, b"\x07" * 32
-            )
-            writer.write(sent[len(protocol.encode_hello()) :])
-            total = len(sent)
-            frame = protocol.encode_batch_advance(
-                1, protocol.BeamOp.ADVANCE, [5] * width
-            )
-            bound = _socket_buffer_bound() + (4 << 20)
-            while total < 4 * bound:
-                writer.write(frame)
-                total += len(frame)
-                try:
-                    await asyncio.wait_for(writer.drain(), 0.5)
-                except asyncio.TimeoutError:
-                    break  # the proxy stopped reading us
-            assert total < 4 * bound, "the proxy never stopped reading"
-
-            def taken() -> int:
-                return proxy.stats()["counters"]["proxy.rx.bytes"]
-
-            held = taken()
-            await asyncio.sleep(0.3)
-            assert taken() == held < total
-            assert held <= bound
-            release.set()
-            await asyncio.wait_for(writer.drain(), 10.0)
-            deadline = time.monotonic() + 10.0
-            while taken() < total and time.monotonic() < deadline:
-                await asyncio.sleep(0.01)
-            assert taken() == total
-            writer.close()
-        finally:
-            release.set()
-            await proxy.stop(drain=False)
-            listener.close()
-
-    run(main())
-
-
 # ----------------------------------------------------------------------
 # graceful drain
 # ----------------------------------------------------------------------

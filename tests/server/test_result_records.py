@@ -225,10 +225,24 @@ def test_items_that_are_not_tuples_take_the_twin():
 
 
 def _reference_decode(block, data=None) -> list:
-    """The routed decoder as it was: record by record through the
-    result types' constructors — the oracle of the one-pass one."""
-    _kind, names, body = protocol._block_parts(block)
+    """The decoder as it was: record by record through the result
+    types' constructors, by the block's kind byte — the oracle of the
+    one-pass routed one (a flipped byte may make any kind)."""
+    kind, names, body = protocol._block_parts(block)
     out = []
+    if kind == protocol._EVENT:
+        for production, position, end, ident in struct.iter_unpack(
+            "!IIQI", body
+        ):
+            if ident >= len(names):
+                raise ProtocolError(
+                    f"RESULT terminal id {ident} outside a table of "
+                    f"{len(names)}"
+                )
+            out.append(DetectEvent(
+                Occurrence(production, position, Terminal(names[ident])), end
+            ))
+        return out
     for start, end, port, ident in struct.iter_unpack("!QQiI", body):
         if start > end:
             raise ProtocolError(f"RESULT span [{start}:{end}] is reversed")
@@ -285,6 +299,27 @@ def test_routed_decoder_equals_the_reference(records, flow_bytes, data):
         assert _outcome(
             protocol.decode_result_block, bytes(block), given_bytes
         ) == _outcome(_reference_decode, bytes(block), given_bytes)
+
+
+def test_a_routed_block_flipped_into_an_event_block():
+    """Flipping the kind byte 0 -> 1 and the name count 0 -> 1 of a
+    one-record routed block makes it an EVENT block (one empty name,
+    one 20-byte record): both decoders refuse its terminal id the same
+    way, and once that id is 0 both read the one event."""
+    (frame,) = FrameDecoder().feed(
+        protocol.encode_result(5, True, [RouteRecord(0, 0, 0, None)])
+    )
+    block = bytearray(frame.payload[5:])
+    block[0] ^= 1
+    block[4] ^= 1
+    valid = block[:-4] + bytes(4)
+    for flipped in (block, valid):
+        for given_bytes in (None, b""):
+            assert _outcome(
+                protocol.decode_result_block, bytes(flipped), given_bytes
+            ) == _outcome(_reference_decode, bytes(flipped), given_bytes)
+    assert _outcome(_reference_decode, bytes(block), None)[0] == "error"
+    assert _outcome(_reference_decode, bytes(valid), None)[1] == [DetectEvent]
 
 
 def test_routed_message_keeps_its_contract():

@@ -115,7 +115,7 @@ def test_scan_server_loads_only_the_scan_path():
     assert "repro.core.nativescan" in loaded
 
 
-_RELAY = """
+_CONTROL_PLANE = """
 import repro.cli, repro.server.cluster
 from repro.server import protocol
 
@@ -128,7 +128,7 @@ assert protocol.decode_hello_lists(hello) == ((), ("h:1",))
 def test_cluster_proxy_loads_no_engine():
     """The control plane never scans a byte: no engine, no grammar,
     no application."""
-    loaded = _loaded_after(_RELAY)
+    loaded = _loaded_after(_CONTROL_PLANE)
     assert _matching(
         loaded, ["repro.core", "repro.grammar", "repro.apps"]
     ) == []
